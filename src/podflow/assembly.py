@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .fe_space import reference_basis, triangle_quadrature
@@ -30,8 +29,6 @@ __all__ = [
     "convection_matrix",
     "apply_convection",
     "assemble_load",
-    "export_operator",
-    "load_operator",
 ]
 
 
@@ -40,25 +37,18 @@ class StabilizationConfig:
     """Stabilization parameters.
 
     ``c_velocity`` and ``c_pressure`` scale the per-element LPS weights
-    ``tau = c * h_K``; ``grad_div`` is the grad-div coefficient ``mu``;
-    ``projection_degree`` is the polynomial degree of the element-local
-    projection target of the fluctuation operator.
+    ``tau = c * h_K``; ``grad_div`` is the grad-div coefficient ``mu``.
     """
 
     c_velocity: float = 1e-2
     c_pressure: float = 1e-2
     grad_div: float = 1.0
-    projection_degree: int = 0
 
     def __post_init__(self):
         if self.c_velocity <= 0.0 or self.c_pressure <= 0.0:
             raise ValueError("LPS constants must be positive")
         if self.grad_div <= 0.0:
             raise ValueError("grad-div coefficient must be positive")
-        if self.projection_degree != 0:
-            # a target reproducing all elementwise gradients of the space
-            # would make the fluctuation vanish identically
-            raise ValueError("only the elementwise-constant projection target is supported")
 
     def tau_velocity(self, h_K):
         return self.c_velocity * h_K
@@ -321,12 +311,3 @@ def assemble_load(space, g, t=None, qdegree=None):
         np.add.at(out, space.cell_dofs(c), local)
     return out
 
-
-def export_operator(matrix, path):
-    """Write a sparse operator in matrix-market coordinate format."""
-    scipy.io.mmwrite(str(path), sp.coo_matrix(matrix))
-
-
-def load_operator(path):
-    """Read an operator written by :func:`export_operator`."""
-    return sp.csr_matrix(scipy.io.mmread(str(path)))

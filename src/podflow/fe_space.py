@@ -1,6 +1,6 @@
 """Lagrange finite element spaces (P1, P2; scalar or 2-vector) on triangle
-meshes, reference-element quadrature, nodal interpolation, and a compact
-binary record for coefficient fields.
+meshes, reference-element quadrature, nodal interpolation, and saving a
+coefficient field in the package's binary container.
 
 Vector spaces use a component-blocked layout: the global DOF of scalar DOF
 ``i`` in component ``c`` is ``c * n_scalar + i``.
@@ -9,12 +9,13 @@ Vector spaces use a component-blocked layout: the global DOF of scalar DOF
 from __future__ import annotations
 
 import hashlib
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
+
+from .container import read_container, write_container
 
 __all__ = [
     "QuadratureRule",
@@ -22,7 +23,6 @@ __all__ = [
     "reference_basis",
     "FESpace",
     "FEField",
-    "FieldFormatError",
     "interpolate",
     "eval_field",
     "save_field",
@@ -143,10 +143,6 @@ class FESpace:
         kind = "vector" if self.components == 2 else "scalar"
         return f"FESpace(P{self.degree} {kind}, {self.n_dofs} dofs)"
 
-    def component_dofs(self, component):
-        """Global DOF indices of one component, in scalar-DOF order."""
-        return component * self.n_scalar + np.arange(self.n_scalar)
-
     def cell_dofs(self, component):
         """Per-triangle global DOFs of one component, ``(nt, n_local)``."""
         return component * self.n_scalar + self.cell_scalar_dofs
@@ -210,6 +206,13 @@ class FEField:
         return self.coefficients[c * self.space.n_scalar : (c + 1) * self.space.n_scalar]
 
 
+def _coefficients(u):
+    """Accept an FEField or a bare coefficient array."""
+    if isinstance(u, FEField):
+        return u.coefficients
+    return np.asarray(u, dtype=float)
+
+
 def interpolate(space, g, t=None):
     """Nodal interpolant of a callable.
 
@@ -259,34 +262,13 @@ def eval_field(field, triangle, point, gradient=False):
     return (value, np.vstack(grads)) if gradient else value
 
 
-class FieldFormatError(ValueError):
-    """Raised when a serialized field does not match the expected space."""
-
-
-_FIELD_MAGIC = b"PFF1"
-
-
 def save_field(field, path):
-    """Binary record: magic, space signature, DOF count, time, coefficients."""
-    sig = field.space.signature().encode("ascii")
-    header = struct.pack("<4s16sQd", _FIELD_MAGIC, sig, field.space.n_dofs, field.t)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(field.coefficients.tobytes())
+    """Save a field with its time, keyed by the signature of its space."""
+    meta = {"signature": field.space.signature(), "t": float(field.t)}
+    write_container(path, "field", meta, {"coefficients": field.coefficients})
 
 
 def load_field(space, path):
     """Read a field written by :func:`save_field`, validating the space."""
-    with open(path, "rb") as fh:
-        header = fh.read(struct.calcsize("<4s16sQd"))
-        magic, sig, n, t = struct.unpack("<4s16sQd", header)
-        if magic != _FIELD_MAGIC:
-            raise FieldFormatError(f"{path} is not a field record")
-        if sig.decode("ascii") != space.signature():
-            raise FieldFormatError("field record was written on a different space")
-        if n != space.n_dofs:
-            raise FieldFormatError(f"field record has {n} DOFs, space has {space.n_dofs}")
-        data = np.frombuffer(fh.read(8 * n), dtype=np.float64)
-        if data.size != n:
-            raise FieldFormatError(f"truncated field record {path}")
-    return FEField(space, data.copy(), t)
+    meta, arrays = read_container(path, "field", expected_signature=space.signature())
+    return FEField(space, arrays["coefficients"], meta["t"])

@@ -11,7 +11,6 @@ resolution of the convection nonlinearity.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,13 +27,13 @@ from .assembly import (
     assemble_stiffness,
     convection_matrix,
 )
-from .fe_space import FEField, FESpace
+from .container import read_container, write_container
+from .fe_space import FEField, FESpace, _coefficients
 from .metrics import kinetic_energy, weak_divergence
 
 SCHEMES = ("lps", "graddiv")
 TIME_INTEGRATORS = ("bdf2_semi_implicit", "implicit_euler")
 
-_SNAPSHOT_MAGIC = b"PSN1"
 _TIME_TOL = 1e-9
 
 
@@ -121,12 +120,8 @@ class FOMState:
 def bdf2_extrapolate(u_prev, u_now):
     """Second-order extrapolation 2*u_now - u_prev of two history levels."""
     if isinstance(u_now, FEField):
-        return FEField(u_now.space, 2.0 * u_now.coefficients - _coeffs(u_prev), u_now.t)
-    return 2.0 * np.asarray(u_now, dtype=float) - _coeffs(u_prev)
-
-
-def _coeffs(u):
-    return u.coefficients if isinstance(u, FEField) else np.asarray(u, dtype=float)
+        return FEField(u_now.space, 2.0 * u_now.coefficients - _coefficients(u_prev), u_now.t)
+    return 2.0 * np.asarray(u_now, dtype=float) - _coefficients(u_prev)
 
 
 class FOMProblem:
@@ -307,26 +302,12 @@ def _step(problem, state):
     return _step_implicit_euler(problem, state)
 
 
-def step_lps_fem(problem, state):
-    """Advance the equal-order stabilized scheme by one time step."""
-    if problem.config.scheme != "lps":
-        raise ValueError("problem was not built for the equal-order scheme")
-    return _step(problem, state)
-
-
-def step_graddiv_fem(problem, state):
-    """Advance the grad-div stabilized mixed scheme by one time step."""
-    if problem.config.scheme != "graddiv":
-        raise ValueError("problem was not built for the grad-div scheme")
-    return _step(problem, state)
-
-
 def initial_state(problem, initial_velocity=None):
     """State at t = 0; the default is the impulsive (zero-velocity) start."""
     if initial_velocity is None:
         u0 = np.zeros(problem.n_velocity)
     else:
-        u0 = _coeffs(initial_velocity).copy()
+        u0 = _coefficients(initial_velocity).copy()
         if u0.shape != (problem.n_velocity,):
             raise ValueError("initial velocity has the wrong length")
     p0 = np.zeros(problem.n_pressure)
@@ -489,66 +470,19 @@ def record_snapshots(run, center_velocity=False):
 
 
 def save_snapshots(snapshots, path):
-    """Write a snapshot set as a self-describing binary container."""
-    meta = snapshots.metadata
-    scheme = str(meta.get("scheme", ""))[:8].ljust(8)
-    n, m = snapshots.fields.shape
-    header = struct.pack(
-        "<4s8s16sQQddQB",
-        _SNAPSHOT_MAGIC,
-        scheme.encode("ascii"),
-        snapshots.space_signature.encode("ascii"),
-        m,
-        n,
-        float(meta.get("t_start", snapshots.times[0] if m else 0.0)),
-        float(meta.get("dt", 0.0)),
-        int(meta.get("stride", 1)),
-        1 if snapshots.mean is not None else 0,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(snapshots.times.astype("<f8").tobytes())
-        if snapshots.mean is not None:
-            fh.write(snapshots.mean.astype("<f8").tobytes())
-        fh.write(np.ascontiguousarray(snapshots.fields, dtype="<f8").tobytes())
+    """Write a snapshot set and its metadata as a binary container."""
+    arrays = {"times": snapshots.times, "fields": snapshots.fields}
+    if snapshots.mean is not None:
+        arrays["mean"] = snapshots.mean
+    meta = {**snapshots.metadata, "signature": snapshots.space_signature}
+    write_container(path, "snapshots", meta, arrays)
 
 
 def load_snapshots(path, expected_signature=None):
     """Read a snapshot container written by :func:`save_snapshots`."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    head_size = struct.calcsize("<4s8s16sQQddQB")
-    magic, scheme, signature, m, n, t_start, dt, stride, centered = struct.unpack(
-        "<4s8s16sQQddQB", raw[:head_size]
-    )
-    if magic != _SNAPSHOT_MAGIC:
-        raise ValueError(f"{path}: not a snapshot container")
-    signature = signature.decode("ascii")
-    if expected_signature is not None and signature != expected_signature:
-        raise ValueError(f"{path}: snapshot signature {signature} does not match the space")
-    offset = head_size
-    times = np.frombuffer(raw, dtype="<f8", count=m, offset=offset).copy()
-    offset += 8 * m
-    mean = None
-    if centered:
-        mean = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).copy()
-        offset += 8 * n
-    fields = (
-        np.frombuffer(raw, dtype="<f8", count=n * m, offset=offset).reshape(n, m).copy()
-    )
-    return SnapshotSet(
-        space_signature=signature,
-        times=times,
-        fields=fields,
-        mean=mean,
-        metadata={
-            "scheme": scheme.decode("ascii").strip(),
-            "dt": dt,
-            "stride": int(stride),
-            "t_start": t_start,
-            "t_end": float(times[-1]) if m else t_start,
-        },
-    )
+    meta, arrays = read_container(path, "snapshots", expected_signature)
+    return SnapshotSet(space_signature=meta.pop("signature"), times=arrays["times"],
+                       fields=arrays["fields"], mean=arrays.get("mean"), metadata=meta)
 
 
 def solve_stokes(problem, t=0.0):

@@ -23,7 +23,9 @@ import sympy as sp
 from .assembly import StabilizationConfig
 from .fe_space import FEField, interpolate
 from .fom import (
+    _TIME_TOL,
     SCHEMES,
+    TIME_INTEGRATORS,
     FlowCase,
     FOMConfig,
     FOMProblem,
@@ -50,8 +52,6 @@ from .rom import (
     run_rom,
     save_operators,
 )
-
-_TIME_TOL = 1e-9
 
 
 class ConfigError(ValueError):
@@ -203,9 +203,6 @@ class AdaptiveBlock:
         )
 
 
-_ROM_INTEGRATORS = ("bdf2_semi_implicit", "implicit_euler")
-
-
 @dataclass(frozen=True)
 class ROMBlock:
     """Reduced-run settings."""
@@ -231,7 +228,7 @@ class ROMBlock:
         if self.r_values is not None:
             if not self.r_values or any(int(v) < 1 for v in self.r_values):
                 raise ConfigError("rom_invalid", "r_values must be positive sizes")
-        if self.integrator not in _ROM_INTEGRATORS:
+        if self.integrator not in TIME_INTEGRATORS:
             raise ConfigError("rom_invalid", f"unknown integrator {self.integrator!r}")
         if self.mu is not None and self.mu < 0.0:
             raise ConfigError("rom_invalid", "mu must be nonnegative")
@@ -271,8 +268,8 @@ def _fom_from_dict(block):
                           "snapshot_stride"),
                   ("scheme", "nu", "dt", "t_final"), "fom")
     stab_block = block.get("stabilization", {})
-    _require_keys(stab_block, ("c_velocity", "c_pressure", "grad_div",
-                               "projection_degree"), (), "fom.stabilization")
+    _require_keys(stab_block, ("c_velocity", "c_pressure", "grad_div"), (),
+                  "fom.stabilization")
     try:
         stabilization = StabilizationConfig(**stab_block)
         window = block.get("snapshot_window")
@@ -875,28 +872,6 @@ def _reconstruct(ops, a_traj):
     return recon
 
 
-def _recover_pressure_series(recovery, a_traj, dt, mu_traj, a_prev=None,
-                             forcing_values=None):
-    """Pressure recovery along a trajectory honoring a per-step coefficient."""
-    nt = a_traj.shape[1]
-    out = np.empty((recovery.coupling.shape[0], nt))
-    for n in range(nt):
-        if n == 0:
-            if a_prev is not None:
-                dadt = (a_traj[:, 0] - a_prev) / dt
-            else:
-                dadt = np.zeros(a_traj.shape[0])
-        elif n == 1 and a_prev is None:
-            dadt = (a_traj[:, 1] - a_traj[:, 0]) / dt
-        else:
-            back2 = a_prev if n == 1 else a_traj[:, n - 2]
-            dadt = (3.0 * a_traj[:, n] - 4.0 * a_traj[:, n - 1] + back2) / (2.0 * dt)
-        f_n = None if forcing_values is None else forcing_values[:, n]
-        out[:, n] = recovery.recover(a_traj[:, n], dadt=dadt,
-                                     mu=float(mu_traj[n]), forcing=f_n)
-    return out
-
-
 def _probe_series(probe, problem, velocity, pressure, dt, forcing, times):
     """Drag and lift along reconstructed trajectories (nan without a probe)."""
     nt = velocity.shape[1]
@@ -1043,8 +1018,8 @@ def run_pipeline(config, out_dir=None, stop_after=None):
                 forcing_values = np.column_stack([
                     recovery.reduce_forcing(bundle.flow_case.forcing, t)
                     for t in rom_run.times])
-            b_main = _recover_pressure_series(
-                recovery, rom_run.a_traj, dt, rom_run.mu_traj,
+            b_main = recovery.recover_trajectory(
+                rom_run.a_traj, dt, mu=rom_run.mu_traj,
                 forcing_values=forcing_values)
             pressure = pres_basis.modes[:, :pres_basis.r] @ b_main
         else:

@@ -11,14 +11,7 @@ import scipy.sparse.linalg as spla
 from scipy.stats import kendalltau
 
 from .assembly import _tables, apply_convection, assemble_load
-from .fe_space import FEField
-
-
-def _coefficients(u):
-    """Accept an FEField or a bare coefficient array."""
-    if isinstance(u, FEField):
-        return u.coefficients
-    return np.asarray(u, dtype=float)
+from .fe_space import FEField, _coefficients
 
 
 def kinetic_energy(u, mass):
@@ -122,11 +115,6 @@ class DragLiftProbe:
         c_d = scale * self._functional(self.drag_field, u, du_dt, p, forcing, t)
         c_l = scale * self._functional(self.lift_field, u, du_dt, p, forcing, t)
         return c_d, c_l
-
-
-def drag_lift(probe, u, u_prev, p, dt, forcing=None, t=None):
-    """Convenience wrapper around DragLiftProbe.coefficients."""
-    return probe.coefficients(u, u_prev, p, dt, forcing=forcing, t=t)
 
 
 def discrete_l2_error(traj_a, traj_b, gram, dt):

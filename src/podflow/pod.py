@@ -8,12 +8,12 @@ can verify against direct summation.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-_BASIS_MAGIC = b"PBS1"
+from .container import read_container, write_container
+
 _RANK_CUTOFF_ABS = 1e-10
 _RANK_CUTOFF_REL = 1e-12
 
@@ -176,14 +176,14 @@ def verify_spectral_identities(basis, snapshots, mass, stiffness, r=None,
     rhs_l2 = float(np.sum(basis.eigenvalues[r:]))
     l2_residual = abs(lhs_l2 - rhs_l2) / max(total_l2, 1e-300)
 
-    s_full = modes.T @ (stiffness @ modes)
-    grad_norms_sq = np.diag(s_full).copy()
+    diagnostics = spectral_diagnostics(basis, stiffness, r=r)
+    grad_norms_sq = diagnostics.grad_norms
     lhs_h1 = float(np.sum(residual * (stiffness @ residual))) / m
     rhs_h1 = float(np.sum(basis.eigenvalues[r:] * grad_norms_sq[r:]))
     total_h1 = float(np.sum(basis.eigenvalues * grad_norms_sq))
     h1_residual = abs(lhs_h1 - rhs_h1) / max(total_h1, 1e-300)
 
-    s2 = float(np.linalg.eigvalsh(0.5 * (s_full + s_full.T)).max())
+    s2 = diagnostics.spectral_norm
     rng = np.random.default_rng(seed)
     violations = 0
     worst_margin = -np.inf
@@ -218,37 +218,13 @@ class SpectralDiagnostics:
     r: int
 
 
-def power_iteration(matrix, rtol=1e-8, max_iterations=100_000):
-    """Dominant eigenvalue of a symmetric PSD matrix by power iteration.
-
-    Starts from the deterministic uniform vector and stops once the
-    eigenvalue residual ||A x - v x|| <= rtol * |v| for the unit iterate x,
-    which bounds the relative eigenvalue error by rtol for any symmetric
-    matrix regardless of its spectral gap.
-    """
-    a = np.asarray(matrix, dtype=float)
-    n = a.shape[0]
-    x = np.ones(n) / np.sqrt(n)
-    value = 0.0
-    for _ in range(max_iterations):
-        y = a @ x
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return 0.0
-        value = float(x @ y)
-        if np.linalg.norm(y - value * x) <= rtol * abs(value):
-            return value
-        x = y / norm
-    return value
-
-
 def spectral_diagnostics(basis, stiffness, r=None):
     """Compute the indicator building blocks for a basis at size r."""
     r = basis.r if r is None else int(r)
     modes = basis.modes
     s_full = modes.T @ (stiffness @ modes)
     s_full = 0.5 * (s_full + s_full.T)
-    spectral_norm = power_iteration(s_full)
+    spectral_norm = float(np.linalg.eigvalsh(s_full).max())
     tail = float(np.sum(basis.eigenvalues[r:]))
     block = s_full[:r, :r]
     c_r_h1 = float(np.sqrt(max(block.sum(), 0.0)))
@@ -263,53 +239,24 @@ def spectral_diagnostics(basis, stiffness, r=None):
 
 def save_basis(basis, path):
     """Write a basis as a self-describing binary container."""
-    n, d = basis.modes.shape
-    header = struct.pack(
-        "<4s16sQQQQB",
-        _BASIS_MAGIC,
-        basis.space_signature.encode("ascii"),
-        n,
-        d,
-        int(basis.n_snapshots),
-        int(basis.r),
-        1 if basis.mean is not None else 0,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(basis.eigenvalues.astype("<f8").tobytes())
-        fh.write(np.ascontiguousarray(basis.eigenvectors, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(basis.modes, dtype="<f8").tobytes())
-        if basis.mean is not None:
-            fh.write(basis.mean.astype("<f8").tobytes())
+    arrays = {"eigenvalues": basis.eigenvalues, "eigenvectors": basis.eigenvectors,
+              "modes": basis.modes}
+    if basis.mean is not None:
+        arrays["mean"] = basis.mean
+    meta = {"signature": basis.space_signature, "n_snapshots": int(basis.n_snapshots),
+            "r": int(basis.r)}
+    write_container(path, "basis", meta, arrays)
 
 
 def load_basis(path, expected_signature=None):
     """Read a basis container written by :func:`save_basis`."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    head = struct.calcsize("<4s16sQQQQB")
-    magic, signature, n, d, m, r, centered = struct.unpack("<4s16sQQQQB", raw[:head])
-    if magic != _BASIS_MAGIC:
-        raise ValueError(f"{path}: not a basis container")
-    signature = signature.rstrip(b"\x00").decode("ascii")
-    if expected_signature is not None and signature != expected_signature:
-        raise ValueError(f"{path}: basis signature {signature} does not match the space")
-    offset = head
-    eigenvalues = np.frombuffer(raw, dtype="<f8", count=d, offset=offset).copy()
-    offset += 8 * d
-    eigenvectors = np.frombuffer(raw, dtype="<f8", count=m * d, offset=offset).reshape(m, d).copy()
-    offset += 8 * m * d
-    modes = np.frombuffer(raw, dtype="<f8", count=n * d, offset=offset).reshape(n, d).copy()
-    offset += 8 * n * d
-    mean = None
-    if centered:
-        mean = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).copy()
+    meta, arrays = read_container(path, "basis", expected_signature)
     return PODBasis(
-        space_signature=signature,
-        modes=modes,
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        n_snapshots=int(m),
-        r=int(r),
-        mean=mean,
+        space_signature=meta["signature"],
+        modes=arrays["modes"],
+        eigenvalues=arrays["eigenvalues"],
+        eigenvectors=arrays["eigenvectors"],
+        n_snapshots=meta["n_snapshots"],
+        r=meta["r"],
+        mean=arrays.get("mean"),
     )

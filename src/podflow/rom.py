@@ -9,19 +9,16 @@ through supremizer test functions.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .assembly import assemble_grad_div, assemble_load, convection_matrix
+from .container import read_container, write_container
 from .fe_space import FEField
-from .fom import NonlinearSolveError
-
-_SCHEMES = ("lps", "graddiv")
-_OPERATOR_MAGIC = b"PRO1"
+from .fom import TIME_INTEGRATORS, NonlinearSolveError
 
 
 @dataclass(frozen=True)
@@ -86,6 +83,31 @@ class ROMOperators:
     @property
     def r_pressure(self):
         return None if self.divergence is None else int(self.divergence.shape[0])
+
+
+# Axes of each array field of ROMOperators: r = velocity modes, p = pressure
+# modes, n = full-order DOFs. Truncation slices the r and p axes; only arrays
+# without an n axis are saved, so a loaded set has no modes and no mean.
+_OPERATOR_AXES = {
+    "mass": "rr",
+    "stiffness": "rr",
+    "grad_div": "rr",
+    "lps_velocity": "rr",
+    "convection_tensor": "rrr",
+    "convect_by_mean": "rr",
+    "transport_of_mean": "rr",
+    "mean_convection": "r",
+    "viscous_mean": "r",
+    "grad_div_mean": "r",
+    "lps_velocity_mean": "r",
+    "mass_mean": "r",
+    "vel_modes": "nr",
+    "mean": "n",
+    "divergence": "pr",
+    "lps_pressure": "pp",
+    "divergence_mean": "p",
+    "pres_modes": "np",
+}
 
 
 def build_rom_operators(problem, vel_basis, pres_basis=None, r=None,
@@ -201,30 +223,12 @@ def truncate_operators(ops, r, r_pressure=None):
         rp = ops.r_pressure if r_pressure is None else int(r_pressure)
         if not 1 <= rp <= ops.r_pressure:
             raise ValueError(f"pressure truncation {rp} outside 1..{ops.r_pressure}")
-    return ROMOperators(
-        scheme=ops.scheme,
-        r=int(r),
-        mass=ops.mass[:r, :r],
-        stiffness=ops.stiffness[:r, :r],
-        grad_div=ops.grad_div[:r, :r],
-        lps_velocity=ops.lps_velocity[:r, :r],
-        convection_tensor=ops.convection_tensor[:r, :r, :r],
-        convect_by_mean=ops.convect_by_mean[:r, :r],
-        transport_of_mean=ops.transport_of_mean[:r, :r],
-        mean_convection=ops.mean_convection[:r],
-        viscous_mean=ops.viscous_mean[:r],
-        grad_div_mean=ops.grad_div_mean[:r],
-        lps_velocity_mean=ops.lps_velocity_mean[:r],
-        mass_mean=ops.mass_mean[:r],
-        mean_energy=ops.mean_energy,
-        vel_modes=ops.vel_modes[:, :r],
-        mean=ops.mean,
-        divergence=None if ops.divergence is None else ops.divergence[:rp, :r],
-        lps_pressure=None if ops.lps_pressure is None else ops.lps_pressure[:rp, :rp],
-        divergence_mean=None if ops.divergence_mean is None else ops.divergence_mean[:rp],
-        pres_modes=None if ops.pres_modes is None else ops.pres_modes[:, :rp],
-        vel_space=ops.vel_space,
-    )
+    sizes = {"r": int(r), "p": rp, "n": None}
+    arrays = {}
+    for name, axes in _OPERATOR_AXES.items():
+        a = getattr(ops, name)
+        arrays[name] = None if a is None else a[tuple(slice(sizes[x]) for x in axes)]
+    return replace(ops, r=int(r), **arrays)
 
 
 def rom_kinetic_energy(ops, a):
@@ -235,6 +239,10 @@ def rom_kinetic_energy(ops, a):
 
 def reduce_forcing(ops, forcing, t):
     """Project a body force callable onto the velocity modes at one time."""
+    if ops.vel_space is None:
+        raise ValueError(
+            "this operator set has no velocity space (it was loaded from a "
+            "container), so a forcing callable cannot be projected")
     load = assemble_load(ops.vel_space, forcing, t)
     return ops.vel_modes.T @ load
 
@@ -384,7 +392,7 @@ def run_rom(ops, dt, n_steps, a0, *, nu, a_prev=None, t_start=0.0,
         raise ValueError("step size must be positive")
     if n_steps < 1:
         raise ValueError("need at least one step")
-    if integrator not in ("bdf2_semi_implicit", "implicit_euler"):
+    if integrator not in TIME_INTEGRATORS:
         raise ValueError(f"unknown integrator {integrator!r}")
     if adaptive is not None:
         if fom_energy_table is None:
@@ -688,11 +696,13 @@ class PressureRecovery:
         integrator: the three-level formula once two history levels exist,
         the backward difference on the very first step. Column 0 uses the
         backward difference against ``a_prev`` when given and a zero slope
-        otherwise. ``forcing_values`` is an optional (n_supremizers, nt)
-        array of projected loads at the trajectory times.
+        otherwise. ``mu`` is one grad-div coefficient or one per column.
+        ``forcing_values`` is an optional (n_supremizers, nt) array of
+        projected loads at the trajectory times.
         """
         a_traj = np.asarray(a_traj, dtype=float)
         nt = a_traj.shape[1]
+        mu = np.broadcast_to(np.asarray(mu, dtype=float), (nt,))
         out = np.empty((self.coupling.shape[0], nt))
         for n in range(nt):
             if n == 0:
@@ -706,7 +716,8 @@ class PressureRecovery:
                 back2 = np.asarray(a_prev, dtype=float) if n == 1 else a_traj[:, n - 2]
                 dadt = (3.0 * a_traj[:, n] - 4.0 * a_traj[:, n - 1] + back2) / (2.0 * dt)
             f_n = None if forcing_values is None else forcing_values[:, n]
-            out[:, n] = self.recover(a_traj[:, n], dadt=dadt, mu=mu, forcing=f_n)
+            out[:, n] = self.recover(a_traj[:, n], dadt=dadt, mu=float(mu[n]),
+                                     forcing=f_n)
         return out
 
 
@@ -743,85 +754,21 @@ def save_operators(ops, path):
     the mean field, which live with the basis container); a loaded set can
     be integrated but not reconstructed to full-order fields.
     """
-    signature = ""
-    if ops.vel_space is not None:
-        signature = ops.vel_space.signature()
-    rp = 0 if ops.divergence is None else ops.r_pressure
-    header = struct.pack(
-        "<4s16s8sQQ",
-        _OPERATOR_MAGIC,
-        signature.encode("ascii"),
-        ops.scheme.encode("ascii"),
-        int(ops.r),
-        int(rp),
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for name in ("mass", "stiffness", "grad_div", "lps_velocity",
-                     "convection_tensor", "convect_by_mean",
-                     "transport_of_mean", "mean_convection", "viscous_mean",
-                     "grad_div_mean", "lps_velocity_mean", "mass_mean"):
-            fh.write(np.ascontiguousarray(getattr(ops, name), dtype="<f8").tobytes())
-        fh.write(struct.pack("<d", float(ops.mean_energy)))
-        if rp:
-            for name in ("divergence", "lps_pressure", "divergence_mean"):
-                fh.write(np.ascontiguousarray(getattr(ops, name), dtype="<f8").tobytes())
+    signature = "" if ops.vel_space is None else ops.vel_space.signature()
+    meta = {"signature": signature, "scheme": ops.scheme, "r": int(ops.r),
+            "mean_energy": float(ops.mean_energy)}
+    arrays = {name: getattr(ops, name) for name, axes in _OPERATOR_AXES.items()
+              if "n" not in axes and getattr(ops, name) is not None}
+    write_container(path, "operators", meta, arrays)
 
 
 def load_operators(path, expected_signature=None):
     """Read a reduced-operator container written by :func:`save_operators`."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    head = struct.calcsize("<4s16s8sQQ")
-    magic, signature, scheme, r, rp = struct.unpack("<4s16s8sQQ", raw[:head])
-    if magic != _OPERATOR_MAGIC:
-        raise ValueError(f"{path}: not a reduced-operator container")
-    signature = signature.rstrip(b"\x00").decode("ascii")
-    scheme = scheme.rstrip(b"\x00").decode("ascii")
-    if expected_signature is not None and signature != expected_signature:
-        raise ValueError(
-            f"{path}: operator signature {signature} does not match the space")
-    r, rp = int(r), int(rp)
-    offset = head
-
-    def take(shape):
-        nonlocal offset
-        count = int(np.prod(shape))
-        block = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        offset += 8 * count
-        return block.reshape(shape).copy()
-
-    arrays = {
-        "mass": take((r, r)),
-        "stiffness": take((r, r)),
-        "grad_div": take((r, r)),
-        "lps_velocity": take((r, r)),
-        "convection_tensor": take((r, r, r)),
-        "convect_by_mean": take((r, r)),
-        "transport_of_mean": take((r, r)),
-        "mean_convection": take((r,)),
-        "viscous_mean": take((r,)),
-        "grad_div_mean": take((r,)),
-        "lps_velocity_mean": take((r,)),
-        "mass_mean": take((r,)),
-    }
-    (mean_energy,) = struct.unpack_from("<d", raw, offset)
-    offset += 8
-    pressure = {"divergence": None, "lps_pressure": None, "divergence_mean": None}
-    if rp:
-        pressure = {
-            "divergence": take((rp, r)),
-            "lps_pressure": take((rp, rp)),
-            "divergence_mean": take((rp,)),
-        }
+    meta, arrays = read_container(path, "operators", expected_signature)
     return ROMOperators(
-        scheme=scheme,
-        r=r,
-        mean_energy=float(mean_energy),
-        vel_modes=None,
-        mean=None,
-        pres_modes=None,
+        scheme=meta["scheme"],
+        r=meta["r"],
+        mean_energy=meta["mean_energy"],
         vel_space=None,
-        **arrays,
-        **pressure,
+        **{name: arrays.get(name) for name in _OPERATOR_AXES},
     )

@@ -13,9 +13,7 @@ from podflow.assembly import (
     assemble_mass,
     assemble_stiffness,
     convection_matrix,
-    export_operator,
     gradient_sample_matrix,
-    load_operator,
 )
 from podflow.fe_space import FEField, FESpace, interpolate
 from podflow.mesh import Mesh, build_rect_mesh, refine_uniform
@@ -209,8 +207,6 @@ def test_lps_config_validation():
         StabilizationConfig(c_velocity=0.0)
     with pytest.raises(ValueError):
         StabilizationConfig(grad_div=0.0)
-    with pytest.raises(ValueError):
-        StabilizationConfig(projection_degree=1)
     cfg = StabilizationConfig(c_velocity=1e-2, c_pressure=1e-2)
     assert cfg.tau_velocity(np.array([2.76e-2]))[0] == pytest.approx(2.76e-4)
     assert cfg.tau_velocity(np.array([2.76e-2]))[0] <= 2.76e-4 + 1e-18
@@ -368,12 +364,3 @@ def test_quadrature_degree_sufficiency():
     for base, refined in pairs:
         scale = np.abs(base.toarray()).max()
         assert np.abs((base - refined).toarray()).max() <= 1e-12 * scale
-
-
-def test_operator_export_round_trip(tmp_path):
-    space = FESpace(build_rect_mesh(1.0, 1.0, 3, 3), 2, components=2)
-    a = assemble_stiffness(space)
-    path = tmp_path / "stiffness.mtx"
-    export_operator(a, path)
-    b = load_operator(path)
-    assert np.abs((a - b).toarray()).max() < 1e-14

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from podflow.container import ContainerError
 from podflow.fe_space import (
     FEField,
     FESpace,
-    FieldFormatError,
     eval_field,
     interpolate,
     load_field,
@@ -171,7 +171,7 @@ def test_field_load_rejects_wrong_space(tmp_path):
     path = tmp_path / "field.bin"
     save_field(f, path)
     other = FESpace(build_rect_mesh(1.0, 1.0, 4, 4), 2, components=2)
-    with pytest.raises(FieldFormatError):
+    with pytest.raises(ContainerError, match=str(path)):
         load_field(other, path)
 
 

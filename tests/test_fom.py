@@ -15,15 +15,12 @@ from podflow.fom import (
     FOMProblem,
     NonlinearSolveError,
     bdf2_extrapolate,
-    initial_state,
     load_snapshots,
     record_snapshots,
     run_fom,
     save_snapshots,
     snapshot_steps,
     solve_stokes,
-    step_graddiv_fem,
-    step_lps_fem,
 )
 from podflow.mesh import build_rect_mesh
 from podflow.metrics import analytic_l2_error, kinetic_energy, weak_divergence
@@ -113,23 +110,15 @@ def test_snapshot_counts_for_period_window():
 # -- trivial fixed points ---------------------------------------------------
 
 
-@pytest.mark.parametrize("scheme,stepper", [("lps", step_lps_fem), ("graddiv", step_graddiv_fem)])
-def test_zero_data_stays_zero(scheme, stepper):
+@pytest.mark.parametrize("scheme", ["lps", "graddiv"])
+def test_zero_data_stays_zero(scheme):
     mesh = build_rect_mesh(1.0, 1.0, 3, 3)
     cfg = FOMConfig(scheme=scheme, nu=1e-2, dt=1e-2, t_final=0.1,
                     stabilization=StabilizationConfig(grad_div=0.3))
     problem = FOMProblem(mesh, cfg, enclosed_case())
-    state = stepper(problem, initial_state(problem))
+    state = run_fom(problem, n_steps=1).final_state
     assert np.abs(state.u.coefficients).max() == 0.0
     assert np.abs(state.p.coefficients).max() == 0.0
-
-
-def test_step_dispatch_validates_scheme():
-    mesh = build_rect_mesh(1.0, 1.0, 2, 2)
-    cfg = FOMConfig(scheme="lps", nu=1e-2, dt=1e-2, t_final=0.1)
-    problem = FOMProblem(mesh, cfg, enclosed_case())
-    with pytest.raises(ValueError):
-        step_graddiv_fem(problem, initial_state(problem))
 
 
 # -- one-step dense oracle ---------------------------------------------------
@@ -151,8 +140,7 @@ def test_one_step_matches_dense_row_replacement_solve(scheme, grid):
     problem = FOMProblem(mesh, cfg, enclosed_case(forcing=swirl_forcing))
     bump = lambda x, y: (x * (1 - x) * y * (1 - y), -x * (1 - x) * y * (1 - y))
     u0 = interpolate(problem.vel_space, bump).coefficients
-    state1 = step_lps_fem(problem, initial_state(problem, u0)) if scheme == "lps" \
-        else step_graddiv_fem(problem, initial_state(problem, u0))
+    state1 = run_fom(problem, initial_velocity=u0, n_steps=1).final_state
 
     n_v, n_p = problem.n_velocity, problem.n_pressure
     u_hat = u0  # extrapolation of equal history levels
@@ -221,12 +209,9 @@ def test_implicit_euler_energy_dissipates_without_forcing():
         problem = FOMProblem(mesh, cfg, enclosed_case())
         bump = lambda x, y: (np.sin(np.pi * x) * np.sin(np.pi * y) * y,
                              -np.sin(np.pi * x) * np.sin(np.pi * y) * x)
-        state = initial_state(problem, interpolate(problem.vel_space, bump).coefficients)
-        energies = [kinetic_energy(state.u, problem.mass)]
-        for _ in range(5):
-            state = step_lps_fem(problem, state) if scheme == "lps" \
-                else step_graddiv_fem(problem, state)
-            energies.append(kinetic_energy(state.u, problem.mass))
+        u0 = interpolate(problem.vel_space, bump)
+        run = run_fom(problem, initial_velocity=u0, n_steps=5)
+        energies = [kinetic_energy(u0, problem.mass), *run.qoi[:, 1]]
         diffs = np.diff(energies)
         assert np.all(diffs <= 1e-9 * max(energies))
 
@@ -239,7 +224,7 @@ def test_implicit_euler_failure_raises_with_diagnostics():
                     stabilization=StabilizationConfig(grad_div=0.3))
     problem = FOMProblem(mesh, cfg, enclosed_case(forcing=swirl_forcing))
     with pytest.raises(NonlinearSolveError) as info:
-        step_graddiv_fem(problem, initial_state(problem))
+        run_fom(problem, n_steps=1)
     assert len(info.value.residual_history) == 1
 
 
@@ -272,8 +257,7 @@ def test_lps_pressure_form_matches_weighted_fluctuation_norm():
     mesh = build_rect_mesh(1.0, 1.0, 5, 5)
     cfg = FOMConfig(scheme="lps", nu=5e-3, dt=0.01, t_final=0.02)
     problem = FOMProblem(mesh, cfg, enclosed_case(forcing=swirl_forcing))
-    state = step_lps_fem(problem, initial_state(problem))
-    p = state.p.coefficients
+    p = run_fom(problem, n_steps=1).final_state.p.coefficients
 
     direct = float(p @ (problem.pressure_stabilization @ p))
     g = gradient_sample_matrix(problem.pres_space)

@@ -12,7 +12,6 @@ from podflow.pod import (
     build_correlation,
     compute_basis,
     load_basis,
-    power_iteration,
     project_L2,
     reconstruct,
     save_basis,
@@ -224,17 +223,6 @@ def test_tail_at_rank_zero_is_total_energy():
 
 
 # -- spectral diagnostics -------------------------------------------------------
-
-
-def test_power_iteration_matches_dense_eigensolver():
-    rng = np.random.default_rng(2)
-    q, _ = np.linalg.qr(rng.normal(size=(30, 30)))
-    diag = np.linspace(10.0, 0.1, 30)
-    a = (q * diag) @ q.T
-    top = power_iteration(a)
-    expected = np.linalg.eigvalsh(a).max()
-    assert abs(top - expected) <= 1e-7 * expected
-    assert power_iteration(np.zeros((4, 4))) == 0.0
 
 
 def test_single_mode_diagnostics_reduce_to_gradient_norm():

@@ -517,6 +517,30 @@ def test_pressure_recovery_trajectory_is_finite():
     assert np.all(np.isfinite(b_traj))
 
 
+def test_pressure_recovery_trajectory_takes_one_mu_per_step():
+    problem, _, vel_snaps, _, vel_basis, pres_basis = cavity_setup(
+        "graddiv", window=(0.02, 0.1))
+    recovery = PressureRecovery(problem, vel_basis, pres_basis,
+                                compute_supremizers(problem, pres_basis))
+    a_traj = np.column_stack([project_L2(vel_basis, problem.mass, u)
+                              for u in vel_snaps.fields.T])
+    dt, nt = 1e-2, a_traj.shape[1]
+    mu = 0.3 + 0.1 * np.arange(nt)
+    b_traj = recovery.recover_trajectory(a_traj, dt, mu=mu)
+    for n in range(nt):
+        if n == 0:
+            dadt = np.zeros(a_traj.shape[0])
+        elif n == 1:
+            dadt = (a_traj[:, 1] - a_traj[:, 0]) / dt
+        else:
+            dadt = (3.0 * a_traj[:, n] - 4.0 * a_traj[:, n - 1]
+                    + a_traj[:, n - 2]) / (2.0 * dt)
+        column = recovery.recover(a_traj[:, n], dadt=dadt, mu=mu[n])
+        assert np.array_equal(b_traj[:, n], column), n
+    assert np.array_equal(recovery.recover_trajectory(a_traj, dt, mu=0.3),
+                          recovery.recover_trajectory(a_traj, dt, mu=np.full(nt, 0.3)))
+
+
 def test_operator_container_round_trip(tmp_path):
     problem, _, _, _, vel_basis, pres_basis = cavity_setup("lps", window=(0.02, 0.1))
     ops = build_rom_operators(problem, vel_basis, pres_basis)
@@ -550,6 +574,16 @@ def test_velocity_only_operator_container_round_trip(tmp_path):
     assert loaded.divergence is None and loaded.r_pressure is None
     assert np.array_equal(loaded.transport_of_mean, ops.transport_of_mean)
     assert loaded.mean_energy == ops.mean_energy
+
+
+def test_loaded_operators_reject_a_forcing(tmp_path):
+    problem, _, _, _, vel_basis, _ = cavity_setup("graddiv", window=(0.02, 0.1))
+    path = tmp_path / "ops.bin"
+    save_operators(build_rom_operators(problem, vel_basis), path)
+    loaded = load_operators(path)
+    with pytest.raises(ValueError, match="no velocity space"):
+        run_rom(loaded, dt=1e-2, n_steps=1, a0=np.zeros(loaded.r), nu=5e-3,
+                forcing=lambda t: reduce_forcing(loaded, swirl_forcing, t))
 
 
 def test_principal_angle_cosine_bounds_and_extremes():
