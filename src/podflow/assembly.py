@@ -24,8 +24,6 @@ __all__ = [
     "assemble_divergence",
     "assemble_grad_div",
     "assemble_lps_matrices",
-    "assemble_lps_fluctuation",
-    "gradient_sample_matrix",
     "convection_matrix",
     "apply_convection",
     "assemble_load",
@@ -195,47 +193,6 @@ def assemble_lps_matrices(vel_space, pres_space, config):
     m = pres_space.n_dofs
     pressure = _blocks_to_csr([_scatter(pres_space, local_p, 0, 0)], (m, m))
     return LPSMatrices(velocity=velocity, pressure=pressure)
-
-
-def gradient_sample_matrix(space):
-    """Map scalar-field coefficients to broken-P1 nodal gradient values.
-
-    For a P2 space the gradient is elementwise linear, so it is determined by
-    its values at the element vertices. Row layout: element, then gradient
-    component, then local vertex, i.e. row ``(e * 2 + a) * 3 + k``.
-    """
-    if space.degree != 2 or space.components != 1:
-        raise ValueError("gradient sampling is set up for scalar P2 spaces")
-    corners = np.eye(3)
-    _, ref_grads = reference_basis(space.degree, corners)  # (3 corners, nloc, 2)
-    _, inv_t, _ = space.mesh.jacobians
-    grad_phys = np.einsum("kib,eab->ekia", ref_grads, inv_t)  # (nt, corner, nloc, comp)
-    vals = np.transpose(grad_phys, (0, 3, 1, 2))  # (nt, comp, corner, nloc)
-    nt = len(space.mesh.triangles)
-    row_ids = (
-        (np.arange(nt)[:, None, None] * 2 + np.arange(2)[None, :, None]) * 3
-        + np.arange(3)[None, None, :]
-    )
-    rows = np.broadcast_to(row_ids[..., None], vals.shape)
-    cols = np.broadcast_to(space.cell_scalar_dofs[:, None, None, :], vals.shape)
-    return sp.coo_matrix(
-        (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(6 * nt, space.n_scalar)
-    ).tocsr()
-
-
-def assemble_lps_fluctuation(space):
-    """Block-diagonal fluctuation operator on broken-P1 gradient samples.
-
-    Each ``(element, component)`` block subtracts the element-local constant
-    projection: ``I - ones(3,3)/3`` in the vertex-value representation. The
-    operator is an orthogonal projector (idempotent) and annihilates exactly
-    the gradients of piecewise-linear fields.
-    """
-    if space.degree != 2:
-        raise ValueError("the fluctuation operator is set up for P2 spaces")
-    nt = len(space.mesh.triangles)
-    block = np.eye(3) - np.full((3, 3), 1.0 / 3.0)
-    return sp.block_diag([sp.csr_matrix(block)] * (2 * nt), format="csr")
 
 
 def _field_at_quadrature(field, rule, values, grads):

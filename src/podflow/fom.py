@@ -75,7 +75,7 @@ class FOMConfig:
     time_integrator: str = "bdf2_semi_implicit"
     nonlinear_tolerance: float = 1e-10
     nonlinear_max_iterations: int = 50
-    snapshot_window: tuple = None
+    snapshot_window: tuple[float, ...] = None
     snapshot_stride: int = 1
 
     def __post_init__(self):
@@ -97,6 +97,8 @@ class FOMConfig:
         if self.snapshot_stride < 1:
             raise ValueError("snapshot stride must be at least 1")
         if self.snapshot_window is not None:
+            if len(self.snapshot_window) != 2:
+                raise ValueError("snapshot_window needs (t0, t1)")
             t0, t1 = self.snapshot_window
             if not (-_TIME_TOL <= t0 <= t1 <= self.t_final + _TIME_TOL):
                 raise ValueError("snapshot window must lie inside [0, t_final]")

@@ -2,6 +2,10 @@
 
 A JSON experiment configuration selects a geometry, a flow case, the
 full-order scheme, the basis extraction settings, and the reduced run.
+Each section is read into a frozen dataclass whose fields are the accepted
+keys with their defaults; a value is checked against its field's annotation
+(a nested dataclass reads a nested section), and every malformed input
+raises a :class:`ConfigError` whose name says what was wrong.
 ``run_pipeline`` executes the whole chain (full-order solve, snapshot
 recording, basis extraction, reduced integration) and writes deterministic
 CSV and binary artifacts. ``convergence_study`` measures observed orders on
@@ -13,9 +17,11 @@ grid-searches the coefficient against a reference energy table.
 from __future__ import annotations
 
 import json
+import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import sympy as sp
@@ -84,6 +90,8 @@ def _stage(name):
 
 
 def _require_keys(block, allowed, required, section):
+    if not isinstance(block, dict):
+        raise ConfigError("config_type", f"section {section!r} must be an object")
     unknown = set(block) - set(allowed)
     if unknown:
         raise ConfigError(
@@ -96,6 +104,62 @@ def _require_keys(block, allowed, required, section):
             f"section {section!r} needs {sorted(missing)}")
 
 
+# The JSON types each scalar annotation accepts, and its name in messages.
+_SCALARS = {
+    float: ((int, float), "a finite number"),
+    int: ((int,), "an integer"),
+    str: ((str,), "a string"),
+    bool: ((bool,), "true or false"),
+    dict: ((dict,), "an object"),
+}
+
+
+def _read_value(kind, value, key, error):
+    """Parse one JSON value by the annotation ``kind``; ``error`` names the
+    :class:`ConfigError` raised when it does not parse."""
+    if is_dataclass(kind):
+        return _read_section(kind, value, key)
+    if get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(error, f"{key} must be a list, got {value!r}")
+        return tuple(_read_value(get_args(kind)[0], item, f"{key}[{i}]", error)
+                     for i, item in enumerate(value))
+    accepted, name = _SCALARS[kind]
+    # JSON true/false are Python ints, so only a bool field takes them. The
+    # bound is exact for ints of any size and rejects nan and infinities.
+    if (isinstance(value, accepted) and (kind is bool or not isinstance(value, bool))
+            and (kind is not float or abs(value) <= sys.float_info.max)):
+        return kind(value)
+    raise ConfigError(error, f"{key} must be {name}, got {value!r}")
+
+
+def _read_section(cls, block, section):
+    """Build the dataclass ``cls`` from the JSON object ``block``.
+
+    The fields of ``cls`` are the accepted keys and their defaults; a field
+    without a default is required, and null is accepted only where the
+    default is None. A value that does not parse by its field's annotation,
+    or a combination the constructor rejects with a bare ``ValueError``,
+    raises ``<top section>_invalid``.
+    """
+    known = {f.name: f for f in fields(cls)}
+    _require_keys(block, known,
+                  [name for name, f in known.items()
+                   if f.default is MISSING and f.default_factory is MISSING],
+                  section)
+    kinds = get_type_hints(cls)
+    error = section.split(".")[0] + "_invalid"
+    values = {name: _read_value(kinds[name], value, f"{section}.{name}", error)
+              for name, value in block.items()
+              if value is not None or known[name].default is not None}
+    try:
+        return cls(**values)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(error, f"{section}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class GeometryConfig:
     """Rectangular channel geometry with an optional rectangular hole."""
@@ -104,7 +168,7 @@ class GeometryConfig:
     height: float = 1.0
     nx: int = 8
     ny: int = 8
-    hole: tuple = None
+    hole: tuple[float, ...] = None
     refine: int = 0
 
     def __post_init__(self):
@@ -124,22 +188,6 @@ class GeometryConfig:
             mesh = refine_uniform(mesh)
         return mesh
 
-    @classmethod
-    def from_dict(cls, block):
-        _require_keys(block, ("width", "height", "nx", "ny", "hole", "refine"),
-                      (), "geometry")
-        hole = block.get("hole")
-        if hole is not None:
-            hole = tuple(float(v) for v in hole)
-        return cls(
-            width=float(block.get("width", 1.0)),
-            height=float(block.get("height", 1.0)),
-            nx=int(block.get("nx", 8)),
-            ny=int(block.get("ny", 8)),
-            hole=hole,
-            refine=int(block.get("refine", 0)),
-        )
-
 
 @dataclass(frozen=True)
 class PODBlock:
@@ -157,17 +205,6 @@ class PODBlock:
             raise ConfigError("pod_invalid", "r must be at least 1")
         if self.energy_threshold is not None and not 0.0 < self.energy_threshold <= 1.0:
             raise ConfigError("pod_invalid", "energy_threshold must lie in (0, 1]")
-
-    @classmethod
-    def from_dict(cls, block):
-        _require_keys(block, ("r", "energy_threshold", "center"), (), "pod")
-        r = block.get("r")
-        threshold = block.get("energy_threshold")
-        return cls(
-            r=None if r is None else int(r),
-            energy_threshold=None if threshold is None else float(threshold),
-            center=bool(block.get("center", False)),
-        )
 
 
 @dataclass(frozen=True)
@@ -188,20 +225,6 @@ class AdaptiveBlock:
         except ValueError as exc:
             raise ConfigError("adaptive_invalid", str(exc)) from exc
 
-    @classmethod
-    def from_dict(cls, block):
-        _require_keys(block, ("enabled", "mu_init", "mu_min", "frequency",
-                              "delta", "tolerance"), (), "rom.adaptive")
-        mu_init = block.get("mu_init")
-        return cls(
-            enabled=bool(block.get("enabled", False)),
-            mu_init=None if mu_init is None else float(mu_init),
-            mu_min=float(block.get("mu_min", 0.1)),
-            frequency=int(block.get("frequency", 5)),
-            delta=float(block.get("delta", 0.1)),
-            tolerance=float(block.get("tolerance", 1e-3)),
-        )
-
 
 @dataclass(frozen=True)
 class ROMBlock:
@@ -210,7 +233,7 @@ class ROMBlock:
     scheme: str = None  # defaults to the full-order scheme
     r: int = None  # defaults to the selected basis size
     r_pressure: int = None
-    r_values: tuple = None  # reduced sizes swept for the error table
+    r_values: tuple[int, ...] = None  # reduced sizes swept for the error table
     t_final: float = None  # defaults to the snapshot window end
     integrator: str = "bdf2_semi_implicit"
     mu: float = None  # defaults to the full-order grad-div coefficient
@@ -234,63 +257,6 @@ class ROMBlock:
             raise ConfigError("rom_invalid", "mu must be nonnegative")
         if self.alpha is not None and self.alpha < 0.0:
             raise ConfigError("rom_invalid", "alpha must be nonnegative")
-
-    @classmethod
-    def from_dict(cls, block):
-        _require_keys(block, ("scheme", "r", "r_pressure", "r_values", "t_final",
-                              "integrator", "mu", "alpha", "adaptive",
-                              "allow_scheme_mismatch"), (), "rom")
-        r_values = block.get("r_values")
-        if r_values is not None:
-            r_values = tuple(int(v) for v in r_values)
-        t_final = block.get("t_final")
-        mu = block.get("mu")
-        alpha = block.get("alpha")
-        return cls(
-            scheme=block.get("scheme"),
-            r=None if block.get("r") is None else int(block["r"]),
-            r_pressure=(None if block.get("r_pressure") is None
-                        else int(block["r_pressure"])),
-            r_values=r_values,
-            t_final=None if t_final is None else float(t_final),
-            integrator=block.get("integrator", "bdf2_semi_implicit"),
-            mu=None if mu is None else float(mu),
-            alpha=None if alpha is None else float(alpha),
-            adaptive=AdaptiveBlock.from_dict(block.get("adaptive", {})),
-            allow_scheme_mismatch=bool(block.get("allow_scheme_mismatch", False)),
-        )
-
-
-def _fom_from_dict(block):
-    _require_keys(block, ("scheme", "nu", "dt", "t_final", "stabilization",
-                          "time_integrator", "nonlinear_tolerance",
-                          "nonlinear_max_iterations", "snapshot_window",
-                          "snapshot_stride"),
-                  ("scheme", "nu", "dt", "t_final"), "fom")
-    stab_block = block.get("stabilization", {})
-    _require_keys(stab_block, ("c_velocity", "c_pressure", "grad_div"), (),
-                  "fom.stabilization")
-    try:
-        stabilization = StabilizationConfig(**stab_block)
-        window = block.get("snapshot_window")
-        if window is not None:
-            window = (float(window[0]), float(window[1]))
-        return FOMConfig(
-            scheme=block["scheme"],
-            nu=float(block["nu"]),
-            dt=float(block["dt"]),
-            t_final=float(block["t_final"]),
-            stabilization=stabilization,
-            time_integrator=block.get("time_integrator", "bdf2_semi_implicit"),
-            nonlinear_tolerance=float(block.get("nonlinear_tolerance", 1e-10)),
-            nonlinear_max_iterations=int(block.get("nonlinear_max_iterations", 50)),
-            snapshot_window=window,
-            snapshot_stride=int(block.get("snapshot_stride", 1)),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("fom_invalid", str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -348,8 +314,6 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        if not isinstance(raw, dict):
-            raise ConfigError("config_type", "configuration must be an object")
         _require_keys(raw, ("geometry", "case", "fom", "pod", "rom", "output",
                             "seed"), ("geometry", "case", "fom"), "config")
         case_block = raw["case"]
@@ -357,14 +321,17 @@ class ExperimentConfig:
         output_block = raw.get("output", {})
         _require_keys(output_block, ("directory",), (), "output")
         return cls(
-            geometry=GeometryConfig.from_dict(raw["geometry"]),
-            case_name=str(case_block["name"]),
-            case_parameters=dict(case_block.get("parameters", {})),
-            fom=_fom_from_dict(raw["fom"]),
-            pod=PODBlock.from_dict(raw.get("pod", {})),
-            rom=ROMBlock.from_dict(raw.get("rom", {})),
-            output_directory=str(output_block.get("directory", "out")),
-            seed=int(raw.get("seed", 0)),
+            geometry=_read_section(GeometryConfig, raw["geometry"], "geometry"),
+            case_name=_read_value(str, case_block["name"], "case.name",
+                                  "config_type"),
+            case_parameters=_read_value(dict, case_block.get("parameters", {}),
+                                        "case.parameters", "config_type"),
+            fom=_read_section(FOMConfig, raw["fom"], "fom"),
+            pod=_read_section(PODBlock, raw.get("pod", {}), "pod"),
+            rom=_read_section(ROMBlock, raw.get("rom", {}), "rom"),
+            output_directory=_read_value(str, output_block.get("directory", "out"),
+                                         "output.directory", "config_type"),
+            seed=_read_value(int, raw.get("seed", 0), "seed", "config_type"),
         )
 
     @classmethod
@@ -386,6 +353,8 @@ def apply_overrides(raw, overrides):
     Values parse as JSON when possible and fall back to plain strings, so
     ``rom.mu=0.4`` assigns a number and ``case.name=cavity`` a string.
     """
+    if not isinstance(raw, dict):
+        raise ConfigError("config_type", "configuration must be an object")
     for item in overrides:
         if "=" not in item:
             raise ConfigError("override_syntax",
@@ -873,18 +842,17 @@ def _reconstruct(ops, a_traj):
 
 
 def _probe_series(probe, problem, velocity, pressure, dt, forcing, times):
-    """Drag and lift along reconstructed trajectories (nan without a probe)."""
+    """Drag and lift along reconstructed trajectories (nan without a probe
+    or without a recovered pressure)."""
     nt = velocity.shape[1]
     cd = np.full(nt, np.nan)
     cl = np.full(nt, np.nan)
-    if probe is None:
+    if probe is None or pressure is None:
         return cd, cl
     for n in range(nt):
         u = FEField(problem.vel_space, velocity[:, n])
         u_prev = velocity[:, max(n - 1, 0)]
-        p = FEField(problem.pres_space,
-                    pressure[:, n] if pressure is not None
-                    else np.zeros(problem.n_pressure))
+        p = FEField(problem.pres_space, pressure[:, n])
         cd[n], cl[n] = probe.coefficients(u, u_prev, p, dt, forcing=forcing,
                                           t=times[n])
     return cd, cl

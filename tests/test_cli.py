@@ -56,6 +56,14 @@ def test_invalid_config_value_reports_a_config_error(config_path, capsys):
     assert "case_unknown" in capsys.readouterr().err
 
 
+def test_malformed_config_value_reports_a_config_error(config_path, capsys):
+    code = main(["rom", "--config", str(config_path),
+                 "--override", "geometry.nx=abc"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "geometry.nx" in err
+
+
 def test_stage_failure_reports_a_runtime_error(config_path, tmp_path, capsys):
     code = main(["fom", "--config", str(config_path),
                  "--out-dir", str(tmp_path / "fail"),

@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from podflow.assembly import (
-    StabilizationConfig,
-    assemble_lps_fluctuation,
-    convection_matrix,
-    gradient_sample_matrix,
-)
+from lps_oracle import assemble_lps_fluctuation, gradient_sample_matrix
+
+from podflow.assembly import StabilizationConfig, convection_matrix
 from podflow.fe_space import FEField, interpolate
 from podflow.fom import (
     FlowCase,

@@ -1,10 +1,14 @@
 """Tests for the experiment configuration, cases, and pipeline drivers."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from podflow.assembly import StabilizationConfig
 from podflow.fom import FOMConfig, snapshot_steps
 from podflow.harness import (
     AdaptiveBlock,
@@ -14,6 +18,7 @@ from podflow.harness import (
     PODBlock,
     ROMBlock,
     StageError,
+    _probe_series,
     apply_overrides,
     build_case,
     calibrate_mu,
@@ -198,17 +203,79 @@ def test_invalid_adaptive_settings_are_rejected():
 def test_invalid_rom_fields_are_rejected():
     for patch in ({"r": 0}, {"integrator": "leapfrog"}, {"mu": -0.5},
                   {"r_values": []}, {"scheme": "spectral"}):
-        with pytest.raises(ConfigError) as err:
-            ROMBlock.from_dict(patch)
-        assert err.value.name == "rom_invalid"
+        raw = base_raw()
+        raw["rom"] = patch
+        assert config_error_name(raw) == "rom_invalid"
 
 
 def test_invalid_pod_fields_are_rejected():
     for patch in ({"r": 0}, {"energy_threshold": 0.0},
                   {"energy_threshold": 1.5}):
-        with pytest.raises(ConfigError) as err:
-            PODBlock.from_dict(patch)
-        assert err.value.name == "pod_invalid"
+        raw = base_raw()
+        raw["pod"] = patch
+        assert config_error_name(raw) == "pod_invalid"
+
+
+_MALFORMED = [
+    ("geometry.nx", "abc", "geometry_invalid"),
+    ("geometry.hole", 5, "geometry_invalid"),
+    ("geometry.refine", 1.5, "geometry_invalid"),
+    ("rom.r_values", 3, "rom_invalid"),
+    ("rom.adaptive", 5, "config_type"),
+    ("rom.adaptive.enabled", 1, "rom_invalid"),
+    ("rom.mu", "fast", "rom_invalid"),
+    ("rom.scheme", 5, "rom_invalid"),
+    ("fom.stabilization", 5, "config_type"),
+    ("fom.stabilization.grad_div", "x", "fom_invalid"),
+    ("fom.snapshot_window", [0.1], "fom_invalid"),
+    ("fom.nu", float("nan"), "fom_invalid"),
+    ("fom.dt", 10**400, "fom_invalid"),
+    ("pod.r", "x", "pod_invalid"),
+    ("pod.center", "false", "pod_invalid"),
+    ("case.parameters", [1], "config_type"),
+    ("case.name", 5, "config_type"),
+    ("seed", "1", "config_type"),
+    ("output", None, "config_type"),
+]
+
+
+@pytest.mark.parametrize("dotted, value, name", _MALFORMED,
+                         ids=[case[0] for case in _MALFORMED])
+def test_malformed_values_raise_a_config_error_naming_the_key(dotted, value, name):
+    raw = apply_overrides(base_raw(), [f"{dotted}={json.dumps(value)}"])
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(raw)
+    assert err.value.name == name
+    assert dotted.split(".")[-1] in str(err.value)
+
+
+def _dotted_keys():
+    keys = ["seed", "output.directory", "case.name", "case.parameters"]
+    for prefix, cls in (("geometry", GeometryConfig), ("fom", FOMConfig),
+                        ("fom.stabilization", StabilizationConfig),
+                        ("pod", PODBlock), ("rom", ROMBlock),
+                        ("rom.adaptive", AdaptiveBlock)):
+        keys += [prefix] + [f"{prefix}.{f.name}" for f in fields(cls)]
+    return keys + ["junk", "rom.junk", "fom.stabilization.junk",
+                   "case.parameters.junk", "geometry.nx.junk"]
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(key=st.sampled_from(_dotted_keys()), value=_JSON_VALUES)
+def test_any_json_value_at_any_key_parses_or_raises_a_config_error(key, value):
+    raw = base_raw()
+    try:
+        apply_overrides(raw, [f"{key}={json.dumps(value)}"])
+        ExperimentConfig.from_dict(raw)
+    except ConfigError:
+        pass
 
 
 def test_config_from_json_applies_overrides(tmp_path):
@@ -247,6 +314,13 @@ def test_malformed_overrides_are_rejected():
         with pytest.raises(ConfigError) as err:
             apply_overrides({}, [item])
         assert err.value.name == "override_syntax"
+
+
+def test_overrides_and_configs_need_an_object_root():
+    with pytest.raises(ConfigError) as err:
+        apply_overrides([1, 2], ["seed=1"])
+    assert err.value.name == "config_type"
+    assert config_error_name([1, 2]) == "config_type"
 
 
 def test_geometry_with_hole_builds_an_obstacle_boundary():
@@ -424,6 +498,16 @@ def test_pipeline_channel_case_reports_drag_and_lift(tmp_path):
     header, rom = read_csv(tmp_path / "rom.csv")
     assert np.all(np.isfinite(rom[:, 4]))
     assert result.vel_basis.mean is not None
+
+
+def test_probe_series_without_a_pressure_reports_nan():
+    class Probe:
+        def coefficients(self, *args, **kwargs):
+            raise AssertionError("drag and lift need a pressure")
+
+    cd, cl = _probe_series(Probe(), None, np.ones((6, 3)), None, 1e-2,
+                           None, np.arange(3) * 1e-2)
+    assert np.isnan(cd).all() and np.isnan(cl).all()
 
 
 def test_pipeline_channel_case_requires_a_hole(tmp_path):
