@@ -12,6 +12,7 @@ resolution of the convection nonlinearity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,7 +53,11 @@ class FlowCase:
     ``dirichlet`` maps boundary tag names to callables ``g(x, y, t)``
     returning the two velocity components; tags absent from the map keep
     their natural (do-nothing) condition. ``forcing`` is ``f(x, y, t)``
-    returning two components, or ``None`` for an unforced flow.
+    returning two components, or ``None`` for an unforced flow. A
+    :class:`SeparableForcing` is such a callable whose terms the problem
+    assembles once, so that the reduced models project its load at any
+    time with one (r, Q) product; any other callable is assembled on the
+    whole mesh at every time a reduced model needs it.
     ``zero_mean_pressure`` selects the enclosed-flow pressure gauge (one
     pinned value during the solve, mean removed afterwards).
     """
@@ -61,6 +66,29 @@ class FlowCase:
     dirichlet: dict = field(default_factory=dict)
     forcing: object = None
     zero_mean_pressure: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class SeparableForcing:
+    """Body force ``f(x, y, t) = scale * sum_q theta_q(t) g_q(x, y)``.
+
+    ``shapes`` are the callables ``g_q(x, y)`` returning two components,
+    ``coefficients(t)`` returns the Q time factors ``theta(t)`` and
+    ``scale`` is a constant amplitude. Calling the object evaluates the sum
+    term by term, so it serves wherever a forcing callable does.
+    """
+
+    shapes: tuple
+    coefficients: object
+    scale: float = 1.0
+
+    def __call__(self, x, y, t):
+        fx = fy = 0.0
+        for theta, shape in zip(self.coefficients(t), self.shapes):
+            gx, gy = shape(x, y)
+            fx = fx + theta * gx
+            fy = fy + theta * gy
+        return self.scale * fx, self.scale * fy
 
 
 @dataclass(frozen=True)
@@ -208,7 +236,21 @@ class FOMProblem:
             g[n_scalar + dofs] = np.broadcast_to(np.asarray(gy, dtype=float), x.shape)
         return g
 
+    @cached_property
+    def load_shapes(self):
+        """(n, Q) loads of ``scale * g_q`` for a separable forcing, so that
+        ``load_shapes @ coefficients(t)`` is its load at time t; None for
+        any other forcing. Assembled on first use, by the reduced models."""
+        forcing = self.case.forcing
+        if not isinstance(forcing, SeparableForcing):
+            return None
+        return forcing.scale * np.column_stack(
+            [assemble_load(self.vel_space, g) for g in forcing.shapes])
+
     def load_vector(self, t):
+        """Full-order load at time t, assembled from the forcing itself:
+        a full-order step costs O(mesh) anyway, and its trajectory then
+        does not depend on how the forcing is split into terms."""
         if self.case.forcing is None:
             return np.zeros(self.n_velocity)
         return assemble_load(self.vel_space, self.case.forcing, t)
@@ -380,8 +422,7 @@ def run_fom(problem, initial_velocity=None, n_steps=None, probe=None, qoi_stride
                     state.u_prev,
                     state.p,
                     cfg.dt,
-                    forcing=problem.case.forcing,
-                    t=state.t,
+                    load=problem.load_vector(state.t),
                 )
             else:
                 c_d, c_l = np.nan, np.nan

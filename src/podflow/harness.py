@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
-import sympy as sp
 
 from .assembly import StabilizationConfig
 from .fe_space import FEField, interpolate
@@ -35,6 +34,7 @@ from .fom import (
     FlowCase,
     FOMConfig,
     FOMProblem,
+    SeparableForcing,
     record_snapshots,
     run_fom,
     save_snapshots,
@@ -57,6 +57,7 @@ from .rom import (
     reduce_forcing,
     run_rom,
     save_operators,
+    truncate_operators,
 )
 
 
@@ -433,6 +434,8 @@ def manufactured_solution(name, nu, residual_tolerance=1e-10):
             "case_unknown",
             f"unknown manufactured solution {name!r}; available: "
             f"{MANUFACTURED_NAMES}")
+    import sympy as sp  # slow to import; only manufactured solutions need it
+
     nu = float(nu)
     x, y, t = sp.symbols("x y t")
     nu_s = sp.Float(nu)
@@ -507,11 +510,16 @@ def _zero_bc(x, y, t):
 
 
 def _check_params(params, allowed, case):
+    """The case parameters as floats; an unknown name or a value that is
+    not a finite number raises ``case_parameter``."""
     unknown = set(params) - set(allowed)
     if unknown:
         raise ConfigError(
             "case_parameter",
             f"case {case!r} does not accept {sorted(unknown)}")
+    return {key: _read_value(float, value, f"case.parameters.{key}",
+                             "case_parameter")
+            for key, value in params.items()}
 
 
 def _outer_tags(config):
@@ -521,57 +529,77 @@ def _outer_tags(config):
     return tags
 
 
+def _sine_shape(i, j, component):
+    """``sin(i pi x) sin(j pi y)`` in one velocity component, the other
+    zero; a zero frequency drops its factor."""
+    def shape(x, y):
+        value = np.sin(i * np.pi * x) if i else np.ones_like(x)
+        if j:
+            value = value * np.sin(j * np.pi * y)
+        zero = np.zeros_like(value)
+        return (value, zero) if component == 0 else (zero, value)
+
+    return shape
+
+
+# The cavity force, one term per row: the x and y frequencies of its shape,
+# the velocity component it drives, and its time factor trig(k w t + phase).
+_CAVITY_TERMS = (
+    (0, 1, 0, np.cos, 1, 0.0),
+    (1, 2, 0, np.sin, 2, 0.3),
+    (3, 1, 0, np.cos, 3, -0.5),
+    (2, 2, 0, np.sin, 5, 0.0),
+    (1, 0, 1, np.sin, 1, 0.7),
+    (2, 1, 1, np.cos, 2, 0.0),
+    (1, 3, 1, np.sin, 4, -0.2),
+    (3, 2, 1, np.cos, 5, 1.1),
+)
+
+
 def _case_cavity(config):
     """Enclosed square cavity driven by a time-periodic multi-harmonic body
     force. Every frequency is a multiple of one base period, so the flow
     (and its kinetic energy) repeats exactly over that period, and the mix
     of spatial shapes keeps the snapshot spectrum rich."""
-    params = config.case_parameters
-    _check_params(params, ("amplitude", "period"), "cavity")
-    amplitude = float(params.get("amplitude", 1.0))
-    period = float(params.get("period", 0.2))
+    params = _check_params(config.case_parameters, ("amplitude", "period"),
+                           "cavity")
+    amplitude = params.get("amplitude", 1.0)
+    period = params.get("period", 0.2)
     if period <= 0.0:
         raise ConfigError("case_parameter", "period must be positive")
+    w = 2.0 * np.pi / period
 
-    def forcing(x, y, t, a=amplitude, w=2.0 * np.pi / period):
-        sx, sy = np.sin(np.pi * x), np.sin(np.pi * y)
-        s2x, s2y = np.sin(2.0 * np.pi * x), np.sin(2.0 * np.pi * y)
-        s3x, s3y = np.sin(3.0 * np.pi * x), np.sin(3.0 * np.pi * y)
-        fx = a * (sy * np.cos(w * t)
-                  + sx * s2y * np.sin(2.0 * w * t + 0.3)
-                  + s3x * sy * np.cos(3.0 * w * t - 0.5)
-                  + s2x * s2y * np.sin(5.0 * w * t))
-        fy = a * (sx * np.sin(w * t + 0.7)
-                  + s2x * sy * np.cos(2.0 * w * t)
-                  + sx * s3y * np.sin(4.0 * w * t - 0.2)
-                  + s3x * s2y * np.cos(5.0 * w * t + 1.1))
-        return fx, fy
+    def coefficients(t):
+        return np.array([trig(k * w * t + phase)
+                         for _, _, _, trig, k, phase in _CAVITY_TERMS])
 
     case = FlowCase(
         "cavity",
         dirichlet={tag: _zero_bc for tag in _outer_tags(config)},
-        forcing=forcing,
+        forcing=SeparableForcing(
+            tuple(_sine_shape(i, j, c) for i, j, c, _, _, _ in _CAVITY_TERMS),
+            coefficients, scale=amplitude),
         zero_mean_pressure=True,
     )
     return CaseBundle(flow_case=case)
 
 
 def _case_channel(config):
-    params = config.case_parameters
-    _check_params(params, ("u_max", "pulse_amplitude", "pulse_period",
-                           "pulse_x", "pulse_y", "pulse_width"), "channel")
+    params = _check_params(config.case_parameters,
+                           ("u_max", "pulse_amplitude", "pulse_period",
+                            "pulse_x", "pulse_y", "pulse_width"), "channel")
     geometry = config.geometry
     if geometry.hole is None:
         raise ConfigError("case_geometry",
                           "the channel case needs geometry.hole for its obstacle")
     hx0, hy0, hx1, hy1 = geometry.hole
     height = geometry.height
-    u_max = float(params.get("u_max", 0.3))
-    amplitude = float(params.get("pulse_amplitude", 0.0))
-    period = float(params.get("pulse_period", 0.5))
-    x0 = float(params.get("pulse_x", hx1 + 0.75 * (hx1 - hx0)))
-    y0 = float(params.get("pulse_y", 0.5 * (hy0 + hy1)))
-    width = float(params.get("pulse_width", 0.5 * (hy1 - hy0)))
+    u_max = params.get("u_max", 0.3)
+    amplitude = params.get("pulse_amplitude", 0.0)
+    period = params.get("pulse_period", 0.5)
+    x0 = params.get("pulse_x", hx1 + 0.75 * (hx1 - hx0))
+    y0 = params.get("pulse_y", 0.5 * (hy0 + hy1))
+    width = params.get("pulse_width", 0.5 * (hy1 - hy0))
     if period <= 0.0 or width <= 0.0:
         raise ConfigError("case_parameter",
                           "pulse_period and pulse_width must be positive")
@@ -582,9 +610,13 @@ def _case_channel(config):
 
     forcing = None
     if amplitude != 0.0:
-        def forcing(x, y, t, a=amplitude, tp=period, cx=x0, cy=y0, w=width):
-            bump = np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / w**2)
-            return (np.zeros_like(x), a * np.sin(2.0 * np.pi * t / tp) * bump)
+        def bump(x, y):
+            value = np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / width**2)
+            return np.zeros_like(value), value
+
+        forcing = SeparableForcing(
+            (bump,),
+            lambda t: np.array([amplitude * np.sin(2.0 * np.pi * t / period)]))
 
     case = FlowCase(
         "channel",
@@ -623,7 +655,9 @@ def _case_stokes_poly(config):
     case = FlowCase(
         "stokes_poly",
         dirichlet={tag: _zero_bc for tag in _outer_tags(config)},
-        forcing=ms.forcing,
+        # the flow is steady: one term with a unit time factor
+        forcing=SeparableForcing((lambda x, y: ms.forcing(x, y, 0.0),),
+                                 lambda t: np.ones(1)),
         zero_mean_pressure=True,
     )
     return CaseBundle(flow_case=case, manufactured=ms)
@@ -715,11 +749,11 @@ def _case_resting_pressure(config):
     pressure extraction and enrichment on a field with a known exact
     solution (zero velocity, analytic pressure).
     """
-    params = config.case_parameters
-    _check_params(params, ("amplitude", "period", "decay"), "resting_pressure")
-    amplitude = float(params.get("amplitude", 1.0))
-    period = float(params.get("period", 0.2))
-    decay = float(params.get("decay", 0.35))
+    params = _check_params(config.case_parameters,
+                           ("amplitude", "period", "decay"), "resting_pressure")
+    amplitude = params.get("amplitude", 1.0)
+    period = params.get("period", 0.2)
+    decay = params.get("decay", 0.35)
     if period <= 0.0:
         raise ConfigError("case_parameter", "period must be positive")
     if not 0.0 < decay < 1.0:
@@ -730,20 +764,15 @@ def _case_resting_pressure(config):
     signal_amps = amplitude * decay ** np.arange(n_shapes)
     signal_freqs = 2.0 * np.pi * np.arange(1, n_shapes + 1) / period
 
-    def forcing(x, y, t):
-        signals = signal_amps * np.cos(signal_freqs * t)
-        weights = mixing @ signals
-        fx = np.zeros_like(np.asarray(x, dtype=float))
-        fy = np.zeros_like(fx)
-        for w, (_, grad_x, grad_y) in zip(weights, _RESTING_SHAPES):
-            fx += w * grad_x(x, y)
-            fy += w * grad_y(x, y)
-        return fx, fy
+    def gradient(grad_x, grad_y):
+        return lambda x, y: (grad_x(x, y), grad_y(x, y))
 
     case = FlowCase(
         "resting_pressure",
         dirichlet={tag: _zero_bc for tag in _outer_tags(config)},
-        forcing=forcing,
+        forcing=SeparableForcing(
+            tuple(gradient(gx, gy) for _, gx, gy in _RESTING_SHAPES),
+            lambda t: mixing @ (signal_amps * np.cos(signal_freqs * t))),
         zero_mean_pressure=True,
     )
     return CaseBundle(flow_case=case)
@@ -841,7 +870,7 @@ def _reconstruct(ops, a_traj):
     return recon
 
 
-def _probe_series(probe, problem, velocity, pressure, dt, forcing, times):
+def _probe_series(probe, problem, velocity, pressure, dt, times):
     """Drag and lift along reconstructed trajectories (nan without a probe
     or without a recovered pressure)."""
     nt = velocity.shape[1]
@@ -853,8 +882,8 @@ def _probe_series(probe, problem, velocity, pressure, dt, forcing, times):
         u = FEField(problem.vel_space, velocity[:, n])
         u_prev = velocity[:, max(n - 1, 0)]
         p = FEField(problem.pres_space, pressure[:, n])
-        cd[n], cl[n] = probe.coefficients(u, u_prev, p, dt, forcing=forcing,
-                                          t=times[n])
+        cd[n], cl[n] = probe.coefficients(u, u_prev, p, dt,
+                                          load=problem.load_vector(times[n]))
     return cd, cl
 
 
@@ -934,11 +963,18 @@ def run_pipeline(config, out_dir=None, stop_after=None):
         rp_main = config.rom.r_pressure
         if rp_main is None:
             rp_main = min(r_main, pres_basis.rank)
-        ops = build_rom_operators(
+        sizes = _error_table_sizes(config, vel_basis, pres_basis)
+        # One build at the largest sizes; every smaller model is its leading
+        # block, because the modes are nested.
+        r_max = max([r_main] + [r for r, _ in sizes])
+        rp_max = max([rp_main] + [rp for _, rp in sizes])
+        all_ops = build_rom_operators(
             problem, vel_basis,
             pres_basis if scheme == "lps" else None,
-            r=r_main,
-            r_pressure=rp_main if scheme == "lps" else None)
+            r=r_max,
+            r_pressure=rp_max if scheme == "lps" else None)
+        ops = truncate_operators(all_ops, r_main,
+                                 rp_main if scheme == "lps" else None)
         save_operators(ops, out / "operators.bin")
         artifacts["operators"] = out / "operators.bin"
 
@@ -966,16 +1002,16 @@ def run_pipeline(config, out_dir=None, stop_after=None):
             adaptive=adaptive_cfg, fom_energy_table=energy_table,
             integrator=config.rom.integrator)
 
-        supremizers = None
-        recovery = None
+        all_recovery = recovery = None
         if scheme == "graddiv" and pres_basis.rank > 0:
-            supremizers = compute_supremizers(problem, pres_basis)
-            if supremizers.fields.shape[1] == pres_basis.r:
-                recovery = PressureRecovery(
-                    problem,
-                    replace(vel_basis, r=r_main),
-                    pres_basis,
-                    supremizers)
+            supremizers = compute_supremizers(problem, pres_basis).fields
+            n_sup = supremizers.shape[1]
+            if n_sup:
+                all_recovery = PressureRecovery(
+                    problem, replace(vel_basis, r=r_max),
+                    replace(pres_basis, r=n_sup), supremizers)
+                if n_sup == pres_basis.r:
+                    recovery = all_recovery.truncate(r_main, n_sup)
 
         velocity = _reconstruct(ops, rom_run.a_traj)
         if scheme == "lps":
@@ -993,7 +1029,7 @@ def run_pipeline(config, out_dir=None, stop_after=None):
         else:
             pressure = None
         cd, cl = _probe_series(probe, problem, velocity, pressure, dt,
-                               bundle.flow_case.forcing, rom_run.times)
+                               rom_run.times)
         a_norms = np.linalg.norm(rom_run.a_traj, axis=0)
         rom_rows = list(zip(rom_run.times, rom_run.mu_traj,
                             rom_run.energy_traj, rom_run.e_diff_traj,
@@ -1007,8 +1043,8 @@ def run_pipeline(config, out_dir=None, stop_after=None):
                 zip(rom_run.times, rom_run.mu_traj, rom_run.e_diff_traj))
 
         error_table = reduced_error_table(
-            config, problem, bundle, vel_snaps, pres_snaps, vel_basis,
-            pres_basis, supremizers=supremizers)
+            config, problem, vel_snaps, pres_snaps, vel_basis, pres_basis,
+            sizes, all_ops, all_recovery)
         artifacts["errors"] = write_csv(
             out / "errors.csv",
             ("r", "vel_error", "pres_error", "vel_indicator", "pres_indicator"),
@@ -1040,18 +1076,34 @@ def _finish_pipeline(config, out, artifacts, problem, fom_run, vel_snaps,
         rom_run=rom_run, error_table=error_table, artifacts=artifacts)
 
 
-def reduced_error_table(config, problem, bundle, vel_snaps, pres_snaps,
-                        vel_basis, pres_basis, supremizers=None):
+def _error_table_sizes(config, vel_basis, pres_basis):
+    """The (velocity, pressure) sizes of the error-table rows, ascending."""
+    r_values = config.rom.r_values
+    if r_values is None:
+        r_values = (vel_basis.r,)
+    bad = [r for r in r_values if r > vel_basis.rank]
+    if bad:
+        raise ValueError(
+            f"r_values {bad} exceed the basis rank {vel_basis.rank}")
+    return [(r, min(r, pres_basis.rank))
+            for r in sorted(set(int(v) for v in r_values))]
+
+
+def reduced_error_table(config, problem, vel_snaps, pres_snaps, vel_basis,
+                        pres_basis, sizes, operators, recovery=None):
     """Measure reduced errors and indicators over a sweep of basis sizes.
 
-    Each row holds (r, velocity error, pressure error, velocity indicator,
-    pressure indicator). Errors are discrete l2-in-time L2-in-space norms
-    against the stored snapshots over the snapshot window. With unit
-    snapshot stride the reduced run is seeded with the first two projected
-    snapshots so the full-rank limit replays the snapshots to rounding;
-    with a wider stride it starts from the projected window start.
-    Pressure errors skip the seeding level (the reduced pressure is defined
-    from the first solved step onward).
+    ``sizes`` lists the (velocity, pressure) sizes of the rows, as
+    :func:`_error_table_sizes` gives them. ``operators`` and the supremizer
+    ``recovery`` (None without one) are built at least that large, and each
+    row uses their leading blocks. Each row holds (r, velocity error,
+    pressure error, velocity indicator, pressure indicator). Errors are
+    discrete l2-in-time L2-in-space norms against the stored snapshots over
+    the snapshot window. With unit snapshot stride the reduced run is seeded
+    with the first two projected snapshots so the full-rank limit replays
+    the snapshots to rounding; with a wider stride it starts from the
+    projected window start. Pressure errors skip the seeding level (the
+    reduced pressure is defined from the first solved step onward).
     """
     scheme = config.effective_rom_scheme()
     dt = config.fom.dt
@@ -1061,30 +1113,22 @@ def reduced_error_table(config, problem, bundle, vel_snaps, pres_snaps,
     raw_vel = vel_snaps.raw_fields()
     raw_pres = pres_snaps.fields
     mu_value = config.effective_rom_mu()
-    r_values = config.rom.r_values
-    if r_values is None:
-        r_values = (vel_basis.r,)
-    bad = [r for r in r_values if r > vel_basis.rank]
-    if bad:
-        raise ValueError(
-            f"r_values {bad} exceed the basis rank {vel_basis.rank}")
-
-    forcing_case = bundle.flow_case.forcing
+    forcing_case = problem.case.forcing
+    all_coeffs = _project_columns(vel_basis, problem.mass, raw_vel,
+                                  max(r for r, _ in sizes))
     diag_full = spectral_diagnostics(vel_basis, problem.stiffness,
                                      r=vel_basis.rank)
     pres_eigs = pres_basis.eigenvalues
 
     replay_seeded = stride == 1 and m >= 3
     rows = []
-    for r in sorted(set(int(v) for v in r_values)):
-        rp = min(r, pres_basis.rank)
-        ops_r = build_rom_operators(
-            problem, vel_basis, pres_basis if scheme == "lps" else None,
-            r=r, r_pressure=rp if scheme == "lps" else None)
+    for r, rp in sizes:
+        ops_r = truncate_operators(operators, r,
+                                   rp if scheme == "lps" else None)
         forcing_fn = None
         if forcing_case is not None:
             forcing_fn = lambda t: reduce_forcing(ops_r, forcing_case, t)
-        coeffs = _project_columns(vel_basis, problem.mass, raw_vel, r)
+        coeffs = all_coeffs[:r]
         if replay_seeded:
             rom = run_rom(ops_r, dt=dt, n_steps=m - 2, a0=coeffs[:, 1],
                           nu=config.fom.nu, a_prev=coeffs[:, 0],
@@ -1119,17 +1163,14 @@ def reduced_error_table(config, problem, bundle, vel_snaps, pres_snaps,
         else:
             pres_error = np.nan
             alpha = config.rom.alpha
-            if supremizers is not None and supremizers.fields.shape[1] >= rp:
-                sup_fields = supremizers.fields[:, :rp]
-                recovery = PressureRecovery(
-                    problem, replace(vel_basis, r=r),
-                    replace(pres_basis, r=rp), sup_fields)
+            if recovery is not None and recovery.fields.shape[1] >= rp:
+                recovery_r = recovery.truncate(r, rp)
                 forcing_values = None
                 if forcing_case is not None:
                     forcing_values = np.column_stack([
-                        recovery.reduce_forcing(forcing_case, t)
+                        recovery_r.reduce_forcing(forcing_case, t)
                         for t in rom.times])
-                b_traj = recovery.recover_trajectory(
+                b_traj = recovery_r.recover_trajectory(
                     rom.a_traj, dt, mu=mu_value, a_prev=a_prev_used,
                     forcing_values=forcing_values)
                 rom_pres = pres_basis.modes[:, :rp] @ b_traj[:, snap_cols[1:]]
@@ -1138,7 +1179,8 @@ def reduced_error_table(config, problem, bundle, vel_snaps, pres_snaps,
                                                problem.pressure_mass, weight)
                 if alpha is None:
                     alpha = principal_angle_cosine(
-                        vel_basis.modes[:, :r], sup_fields, problem.stiffness)
+                        vel_basis.modes[:, :r], recovery_r.fields,
+                        problem.stiffness)
             if alpha is None:
                 alpha = 1.0
 

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.stats import kendalltau
 
-from .assembly import _tables, apply_convection, assemble_load
+from .assembly import _tables, apply_convection
 from .fe_space import FEField, _coefficients
 
 
@@ -95,25 +94,29 @@ class DragLiftProbe:
         g[free] = sol
         return g
 
-    def _functional(self, probe, u, du_dt, p, forcing, t):
+    def _functional(self, probe, u, du_dt, p, load):
         space = self.vel_space
         val = float(probe @ (self.mass @ du_dt))
         u_field = FEField(space, u)
         val += apply_convection(u_field, u_field, FEField(space, probe))
         val += self.nu * float(probe @ (self.stiffness @ u))
         val -= float(p @ (self.divergence @ probe))
-        if forcing is not None:
-            val -= float(probe @ assemble_load(space, forcing, t))
+        if load is not None:
+            val -= float(probe @ load)
         return val
 
-    def coefficients(self, u, u_prev, p, dt, forcing=None, t=None):
-        """Drag and lift coefficients from one velocity step and a pressure."""
+    def coefficients(self, u, u_prev, p, dt, load=None):
+        """Drag and lift coefficients from one velocity step and a pressure.
+
+        ``load`` is the assembled body-force load vector at the step's time,
+        or None for an unforced flow.
+        """
         u = _coefficients(u)
         du_dt = (u - _coefficients(u_prev)) / float(dt)
         p = _coefficients(p)
         scale = -2.0 / (self.reference_length * self.reference_velocity**2)
-        c_d = scale * self._functional(self.drag_field, u, du_dt, p, forcing, t)
-        c_l = scale * self._functional(self.lift_field, u, du_dt, p, forcing, t)
+        c_d = scale * self._functional(self.drag_field, u, du_dt, p, load)
+        c_l = scale * self._functional(self.lift_field, u, du_dt, p, load)
         return c_d, c_l
 
 
@@ -178,5 +181,7 @@ def error_indicators(scheme, sv_norm, velocity_tail, pressure_tail,
 
 def rank_correlation(values_a, values_b):
     """Kendall tau between two equally long sequences."""
+    from scipy.stats import kendalltau  # slow to import; only this needs it
+
     tau = kendalltau(values_a, values_b).statistic
     return float(tau)

@@ -9,6 +9,7 @@ through supremizer test functions.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,7 +55,10 @@ class ROMOperators:
     ``(i, j, k)`` with mode ``i`` convecting. The ``*_mean`` vectors and the
     mean/mode convection couplings lift a centered basis; they are zero
     when the basis was built from uncentered snapshots. Pressure-side
-    blocks are ``None`` for the velocity-only scheme.
+    blocks are ``None`` for the velocity-only scheme. ``forcing_modes``
+    holds the projected loads of the shapes of ``forcing``, the problem's
+    separable forcing; both are ``None`` for any other forcing, and a
+    loaded set keeps only the former.
     """
 
     scheme: str
@@ -79,6 +83,8 @@ class ROMOperators:
     divergence_mean: np.ndarray = None
     pres_modes: np.ndarray = None
     vel_space: object = None
+    forcing_modes: np.ndarray = None
+    forcing: object = None
 
     @property
     def r_pressure(self):
@@ -86,8 +92,9 @@ class ROMOperators:
 
 
 # Axes of each array field of ROMOperators: r = velocity modes, p = pressure
-# modes, n = full-order DOFs. Truncation slices the r and p axes; only arrays
-# without an n axis are saved, so a loaded set has no modes and no mean.
+# modes, n = full-order DOFs, q = separable forcing terms. Truncation slices
+# the r and p axes; only arrays without an n axis are saved, so a loaded set
+# has no modes and no mean.
 _OPERATOR_AXES = {
     "mass": "rr",
     "stiffness": "rr",
@@ -107,7 +114,19 @@ _OPERATOR_AXES = {
     "lps_pressure": "pp",
     "divergence_mean": "p",
     "pres_modes": "np",
+    "forcing_modes": "rq",
 }
+
+
+def _leading_blocks(owner, axes_table, sizes):
+    """The arrays of ``owner`` named in ``axes_table``, each cut to the
+    leading ``sizes[axis]`` entries along its r and p axes (None stays
+    None)."""
+    out = {}
+    for name, axes in axes_table.items():
+        a = getattr(owner, name, None)
+        out[name] = None if a is None else a[tuple(slice(sizes.get(x)) for x in axes)]
+    return out
 
 
 def build_rom_operators(problem, vel_basis, pres_basis=None, r=None,
@@ -188,6 +207,11 @@ def build_rom_operators(problem, vel_basis, pres_basis=None, r=None,
             divergence_mean = np.zeros(rp)
         pres_modes = psi
 
+    forcing_modes = forcing = None
+    if problem.load_shapes is not None:
+        forcing_modes = phi.T @ problem.load_shapes
+        forcing = problem.case.forcing
+
     return ROMOperators(
         scheme=scheme,
         r=r,
@@ -211,6 +235,8 @@ def build_rom_operators(problem, vel_basis, pres_basis=None, r=None,
         divergence_mean=divergence_mean,
         pres_modes=pres_modes,
         vel_space=problem.vel_space,
+        forcing_modes=forcing_modes,
+        forcing=forcing,
     )
 
 
@@ -223,11 +249,7 @@ def truncate_operators(ops, r, r_pressure=None):
         rp = ops.r_pressure if r_pressure is None else int(r_pressure)
         if not 1 <= rp <= ops.r_pressure:
             raise ValueError(f"pressure truncation {rp} outside 1..{ops.r_pressure}")
-    sizes = {"r": int(r), "p": rp, "n": None}
-    arrays = {}
-    for name, axes in _OPERATOR_AXES.items():
-        a = getattr(ops, name)
-        arrays[name] = None if a is None else a[tuple(slice(sizes[x]) for x in axes)]
+    arrays = _leading_blocks(ops, _OPERATOR_AXES, {"r": int(r), "p": rp})
     return replace(ops, r=int(r), **arrays)
 
 
@@ -238,7 +260,13 @@ def rom_kinetic_energy(ops, a):
 
 
 def reduce_forcing(ops, forcing, t):
-    """Project a body force callable onto the velocity modes at one time."""
+    """Project a body force callable onto the velocity modes at one time.
+
+    The separable forcing the operators were built from costs one (r, Q)
+    product; any other callable is assembled on the full mesh.
+    """
+    if ops.forcing is not None and forcing is ops.forcing:
+        return ops.forcing_modes @ forcing.coefficients(t)
     if ops.vel_space is None:
         raise ValueError(
             "this operator set has no velocity space (it was loaded from a "
@@ -597,6 +625,22 @@ def supremizer_stability(supremizer_fields, pres_modes, divergence, mass,
     return float(np.linalg.svd(whitened, compute_uv=False).min())
 
 
+# Axes of each array attribute of PressureRecovery, lettered as in
+# _OPERATOR_AXES; p counts the supremizers and the pressure modes alike.
+_RECOVERY_AXES = {
+    "coupling": "pp",
+    "mass_cross": "pr",
+    "grad_div_cross": "pr",
+    "grad_div_mean": "p",
+    "convection_tensor": "rpr",
+    "convect_by_mean": "pr",
+    "transport_of_mean": "pr",
+    "mean_convection": "p",
+    "fields": "np",
+    "forcing_modes": "pq",
+}
+
+
 class PressureRecovery:
     """Reduced pressure reconstruction tested against supremizers.
 
@@ -655,11 +699,35 @@ class PressureRecovery:
                 self.transport_of_mean = np.zeros((z.shape[1], r))
                 self.mean_convection = np.zeros(z.shape[1])
 
+        self.forcing = self.forcing_modes = None
+        if problem.load_shapes is not None:
+            self.forcing = problem.case.forcing
+            self.forcing_modes = z.T @ problem.load_shapes
         self.fields = z
         self.vel_space = problem.vel_space
 
+    def truncate(self, r, r_pressure):
+        """Recovery for the leading ``r`` velocity modes and ``r_pressure``
+        pressure modes and supremizers, sliced without reassembly."""
+        if not 1 <= r <= self.mass_cross.shape[1]:
+            raise ValueError(f"truncation size {r} outside 1..{self.mass_cross.shape[1]}")
+        if not 1 <= r_pressure <= self.coupling.shape[0]:
+            raise ValueError(
+                f"pressure truncation {r_pressure} outside 1..{self.coupling.shape[0]}")
+        out = copy.copy(self)
+        blocks = _leading_blocks(self, _RECOVERY_AXES,
+                                 {"r": int(r), "p": int(r_pressure)})
+        for name, block in blocks.items():
+            if block is not None:
+                setattr(out, name, block)
+        return out
+
     def reduce_forcing(self, forcing, t):
-        """Project a body force callable onto the supremizers at one time."""
+        """Project a body force callable onto the supremizers at one time;
+        like :func:`reduce_forcing`, the problem's separable forcing costs
+        one small product."""
+        if self.forcing is not None and forcing is self.forcing:
+            return self.forcing_modes @ forcing.coefficients(t)
         return self.fields.T @ assemble_load(self.vel_space, forcing, t)
 
     def right_hand_side(self, a, dadt=None, mu=0.0, forcing=None):

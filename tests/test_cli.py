@@ -64,6 +64,14 @@ def test_malformed_config_value_reports_a_config_error(config_path, capsys):
     assert "configuration error" in err and "geometry.nx" in err
 
 
+def test_non_numeric_case_parameter_reports_a_config_error(config_path, capsys):
+    code = main(["fom", "--config", str(config_path),
+                 "--override", "case.parameters.amplitude=abc"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "case_parameter" in err and "case.parameters.amplitude" in err
+
+
 def test_stage_failure_reports_a_runtime_error(config_path, tmp_path, capsys):
     code = main(["fom", "--config", str(config_path),
                  "--out-dir", str(tmp_path / "fail"),

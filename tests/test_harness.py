@@ -1,7 +1,12 @@
 """Tests for the experiment configuration, cases, and pipeline drivers."""
 
+import collections
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from podflow.assembly import StabilizationConfig
-from podflow.fom import FOMConfig, snapshot_steps
+import podflow.fom
+import podflow.harness
+import podflow.rom
+from podflow.fom import FOMConfig, FOMProblem, SeparableForcing, snapshot_steps
 from podflow.harness import (
     AdaptiveBlock,
     ConfigError,
@@ -142,6 +150,18 @@ def test_unknown_case_parameter_is_rejected():
     with pytest.raises(ConfigError) as err:
         build_case(cfg)
     assert err.value.name == "case_parameter"
+
+
+@pytest.mark.parametrize("value", ["abc", True, None, [1.0], {"a": 1.0},
+                                   float("nan"), float("inf")])
+def test_case_parameters_must_be_finite_numbers(value):
+    raw = base_raw()
+    raw["case"]["parameters"]["amplitude"] = value
+    cfg = ExperimentConfig.from_dict(raw)
+    with pytest.raises(ConfigError) as err:
+        build_case(cfg)
+    assert err.value.name == "case_parameter"
+    assert "case.parameters.amplitude" in str(err.value)
 
 
 def test_invalid_geometry_is_rejected():
@@ -506,7 +526,7 @@ def test_probe_series_without_a_pressure_reports_nan():
             raise AssertionError("drag and lift need a pressure")
 
     cd, cl = _probe_series(Probe(), None, np.ones((6, 3)), None, 1e-2,
-                           None, np.arange(3) * 1e-2)
+                           np.arange(3) * 1e-2)
     assert np.isnan(cd).all() and np.isnan(cl).all()
 
 
@@ -682,3 +702,84 @@ def test_calibration_requires_candidates():
     with pytest.raises(ValueError):
         calibrate_mu(None, [1.0], dt=0.01, n_steps=1, a0=np.zeros(1), nu=0.01,
                      candidates=[])
+
+
+# -- separable forcing and the reduced online phase ----------------------------------
+
+
+def _forced_case_raws():
+    channel = base_raw()
+    channel["geometry"] = {"width": 2.0, "height": 1.0, "nx": 16, "ny": 8,
+                           "hole": [0.5, 0.375, 0.625, 0.625]}
+    channel["case"] = {"name": "channel",
+                       "parameters": {"pulse_amplitude": 5.0, "pulse_period": 0.1}}
+    stokes = base_raw()
+    stokes["case"] = {"name": "stokes_poly", "parameters": {}}
+    return {"cavity": base_raw(), "channel": channel, "stokes_poly": stokes,
+            "resting_pressure": resting_raw(nx=4)}
+
+
+@pytest.fixture(scope="module")
+def forced_problems():
+    problems = {}
+    for name, raw in _forced_case_raws().items():
+        cfg = ExperimentConfig.from_dict(raw)
+        problems[name] = FOMProblem(cfg.geometry.build(), cfg.fom,
+                                    build_case(cfg).flow_case)
+    return problems
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(t=st.floats(min_value=0.0, max_value=2.0))
+def test_separable_loads_match_the_assembled_forcing(forced_problems, t):
+    for name, problem in forced_problems.items():
+        forcing = problem.case.forcing
+        assert isinstance(forcing, SeparableForcing), name
+        separable = problem.load_shapes @ forcing.coefficients(t)
+        assembled = problem.load_vector(t)
+        assert np.abs(separable - assembled).max() \
+            <= 1e-13 * np.abs(assembled).max(), name
+
+
+def test_reduced_phase_builds_once_and_assembles_no_load(tmp_path, monkeypatch):
+    calls = collections.Counter()
+    in_run_rom = []
+
+    def count(owner, name, key, scoped=False):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            if in_run_rom:
+                calls[key + " in run_rom"] += 1
+            if scoped:
+                in_run_rom.append(True)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                if scoped:
+                    in_run_rom.pop()
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(podflow.fom, "assemble_load", "fom load")
+    count(podflow.rom, "assemble_load", "rom load")
+    count(podflow.harness, "build_rom_operators", "build")
+    count(podflow.rom.PressureRecovery, "__init__", "recovery")
+    count(podflow.harness, "run_rom", "run_rom", scoped=True)
+    raw = base_raw()
+    raw["rom"]["r_values"] = [1, 2, 3]
+    run_pipeline(ExperimentConfig.from_dict(raw), out_dir=tmp_path)
+    assert calls["run_rom"] == 4
+    assert calls["build"] == 1 and calls["recovery"] == 1
+    assert calls["rom load"] == 0
+    assert calls["fom load in run_rom"] == 0
+
+
+def test_importing_the_package_skips_the_slow_optional_modules():
+    code = ("import sys, podflow; "
+            "print(sorted(m for m in ('sympy', 'scipy.stats') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(podflow.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"

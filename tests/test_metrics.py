@@ -253,7 +253,7 @@ def _manufactured_stokes_case(nu):
 
 def test_stokes_drag_volume_route_matches_boundary_traction():
     nu = 1.0
-    case, forcing = _manufactured_stokes_case(nu)
+    case, _ = _manufactured_stokes_case(nu)
 
     def solve(mesh):
         cfg = FOMConfig(scheme="graddiv", nu=nu, dt=1e-2, t_final=1e-2,
@@ -265,7 +265,7 @@ def test_stokes_drag_volume_route_matches_boundary_traction():
     base = channel_mesh()
     problem, u, p = solve(base)
     probe = _channel_probe(problem, nu)
-    c_d, c_l = probe.coefficients(u, u, p, dt=1.0, forcing=forcing, t=0.0)
+    c_d, c_l = probe.coefficients(u, u, p, dt=1.0, load=problem.load_vector(0.0))
 
     fine_problem, u_fine, p_fine = solve(refine_uniform(base))
     force = _boundary_traction_force(fine_problem.vel_space.mesh, u_fine, p_fine, nu)

@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from podflow.assembly import StabilizationConfig, convection_matrix
+from podflow.assembly import StabilizationConfig, assemble_load, convection_matrix
 from podflow.fe_space import FEField
 from podflow.fom import (
     FlowCase,
     FOMConfig,
     FOMProblem,
     NonlinearSolveError,
+    SeparableForcing,
     record_snapshots,
     run_fom,
     solve_stokes,
@@ -16,6 +19,7 @@ from podflow.mesh import build_rect_mesh
 from podflow.metrics import discrete_l2_error, kinetic_energy
 from podflow.pod import build_basis, project_L2
 from podflow.rom import (
+    _RECOVERY_AXES,
     AdaptiveMuConfig,
     PressureRecovery,
     adapt_mu,
@@ -53,6 +57,24 @@ def swirl_forcing(x, y, t):
     fy = sx * (1.0 - 0.3 * np.sin(25.0 * t)) \
         + np.sin(2.0 * np.pi * x) * sy * np.cos(50.0 * t - 0.7)
     return (fx, fy)
+
+
+def _in_x(value):
+    return lambda x, y: (value(x, y), np.zeros_like(x))
+
+
+def _in_y(value):
+    return lambda x, y: (np.zeros_like(x), value(x, y))
+
+
+# swirl_forcing written as its four space-time terms
+separable_swirl = SeparableForcing(
+    (_in_x(lambda x, y: np.sin(np.pi * y)),
+     _in_x(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)),
+     _in_y(lambda x, y: np.sin(np.pi * x)),
+     _in_y(lambda x, y: np.sin(2.0 * np.pi * x) * np.sin(np.pi * y))),
+    lambda t: np.array([1.0 + 0.4 * np.cos(20.0 * t), np.sin(35.0 * t + 0.3),
+                        1.0 - 0.3 * np.sin(25.0 * t), np.cos(50.0 * t - 0.7)]))
 
 
 def strong_swirl(x, y, t):
@@ -136,6 +158,53 @@ def test_truncation_matches_direct_build():
                  "mean_convection", "divergence", "lps_pressure"):
         a, b = getattr(cut, name), getattr(direct, name)
         assert np.allclose(a, b, rtol=1e-13, atol=1e-15), name
+
+
+def test_separable_forcing_projects_like_its_assembled_load():
+    problem, _, _, _, vel_basis, pres_basis = cavity_setup(
+        "graddiv", center=True, window=(0.02, 0.1), forcing=separable_swirl)
+    ops = build_rom_operators(problem, vel_basis)
+    recovery = PressureRecovery(problem, vel_basis, pres_basis,
+                                compute_supremizers(problem, pres_basis))
+    assert ops.forcing_modes.shape == (ops.r, 4)
+    for t in (0.0, 0.013, 0.37):
+        load = assemble_load(problem.vel_space, swirl_forcing, t)
+        for projected, modes in ((reduce_forcing(ops, separable_swirl, t), ops.vel_modes),
+                                 (recovery.reduce_forcing(separable_swirl, t),
+                                  recovery.fields)):
+            expected = modes.T @ load
+            assert np.abs(projected - expected).max() \
+                <= 1e-12 * np.abs(expected).max()
+    # another callable, even an equal one, takes the assembly route
+    assert np.array_equal(reduce_forcing(ops, swirl_forcing, 0.37),
+                          ops.vel_modes.T @ assemble_load(problem.vel_space,
+                                                          swirl_forcing, 0.37))
+    cut = truncate_operators(ops, 3)
+    assert np.array_equal(cut.forcing_modes, ops.forcing_modes[:3])
+    assert np.array_equal(reduce_forcing(cut, separable_swirl, 0.37),
+                          ops.forcing_modes[:3] @ separable_swirl.coefficients(0.37))
+
+
+def test_truncated_pressure_recovery_matches_direct_build():
+    problem, _, _, _, vel_basis, pres_basis = cavity_setup(
+        "graddiv", center=True, window=(0.02, 0.1), forcing=separable_swirl)
+    sup = compute_supremizers(problem, pres_basis).fields
+    assert vel_basis.rank >= 4 and sup.shape[1] >= 3
+    full = PressureRecovery(problem, vel_basis, replace(pres_basis, r=sup.shape[1]),
+                            sup)
+    direct = PressureRecovery(problem, replace(vel_basis, r=3),
+                              replace(pres_basis, r=2), sup[:, :2])
+    cut = full.truncate(3, 2)
+    for name in _RECOVERY_AXES:
+        a, b = getattr(cut, name), getattr(direct, name)
+        assert a.shape == b.shape, name
+        assert np.abs(a - b).max() <= 1e-13 * max(np.abs(b).max(), 1e-300), name
+    a = np.random.default_rng(2).normal(size=3)
+    assert np.allclose(cut.recover(a, dadt=a, mu=0.3), direct.recover(a, dadt=a, mu=0.3),
+                       rtol=1e-12, atol=0.0)
+    for r, rp in ((0, 2), (3, 0), (vel_basis.r + 1, 2), (3, sup.shape[1] + 1)):
+        with pytest.raises(ValueError):
+            full.truncate(r, rp)
 
 
 def test_operator_build_validation():
