@@ -45,8 +45,9 @@ def write_container(path, kind, meta, arrays):
             fh.write(a.data)
 
 
-def read_container(path, kind, expected_signature=None):
-    """Read a container of the given kind; return ``(meta, arrays)``.
+def read_container(path, kind=None, expected_signature=None):
+    """Read a container of the given kind (any kind when None); return
+    ``(meta, arrays)``.
 
     With ``expected_signature`` the space signature stored in the metadata
     must match it. The file must hold exactly the bytes its header declares.
@@ -66,7 +67,7 @@ def read_container(path, kind, expected_signature=None):
                   for name, shape in header["arrays"]]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ContainerError(path, f"malformed header ({exc})") from exc
-    if found != kind:
+    if kind is not None and found != kind:
         raise ContainerError(path, f"holds a {found!r} container, expected {kind!r}")
     if expected_signature is not None and signature != expected_signature:
         raise ContainerError(

@@ -145,6 +145,7 @@ class FOMState:
     u_prev: np.ndarray
     t: float
     n: int
+    load: np.ndarray = None  # the load at t the step assembled; None at t = 0
 
 
 def bdf2_extrapolate(u_prev, u_now):
@@ -296,9 +297,10 @@ def _step_semi_implicit(problem, state):
     velocity_block = (
         1.5 / dt * problem.mass + problem._static_velocity_block + convection
     )
+    load = problem.load_vector(t_new)
     rhs = problem.mass @ (
         (4.0 * state.u.coefficients - state.u_prev) / (2.0 * dt)
-    ) + problem.load_vector(t_new)
+    ) + load
     u, p = problem.solve_coupled(velocity_block, rhs, t_new)
     return FOMState(
         u=FEField(problem.vel_space, u, t_new),
@@ -306,6 +308,7 @@ def _step_semi_implicit(problem, state):
         u_prev=state.u.coefficients.copy(),
         t=t_new,
         n=state.n + 1,
+        load=load,
     )
 
 
@@ -313,7 +316,8 @@ def _step_implicit_euler(problem, state):
     cfg = problem.config
     dt = cfg.dt
     t_new = state.t + dt
-    rhs = problem.mass @ (state.u.coefficients / dt) + problem.load_vector(t_new)
+    load = problem.load_vector(t_new)
+    rhs = problem.mass @ (state.u.coefficients / dt) + load
     convecting = state.u.coefficients.copy()
     history = []
     for _ in range(cfg.nonlinear_max_iterations):
@@ -332,6 +336,7 @@ def _step_implicit_euler(problem, state):
                 u_prev=state.u.coefficients.copy(),
                 t=t_new,
                 n=state.n + 1,
+                load=load,
             )
     raise NonlinearSolveError(
         f"fixed-point iteration stalled at t={t_new:.6g}: "
@@ -422,7 +427,7 @@ def run_fom(problem, initial_velocity=None, n_steps=None, probe=None, qoi_stride
                     state.u_prev,
                     state.p,
                     cfg.dt,
-                    load=problem.load_vector(state.t),
+                    load=state.load,
                 )
             else:
                 c_d, c_l = np.nan, np.nan

@@ -987,9 +987,6 @@ def run_pipeline(config, out_dir=None, stop_after=None):
                 mu_value = config.rom.adaptive.mu_init
         energy_table = _snapshot_energy_table(problem, vel_snaps, dt)
 
-        forcing_fn = None
-        if bundle.flow_case.forcing is not None:
-            forcing_fn = lambda t: reduce_forcing(ops, bundle.flow_case.forcing, t)
         raw = vel_snaps.raw_fields()
         a0 = project_L2(vel_basis, problem.mass, raw[:, 0], r=r_main)
         t_final_rom = config.effective_rom_t_final()
@@ -998,7 +995,8 @@ def run_pipeline(config, out_dir=None, stop_after=None):
             raise ValueError("the reduced window allows no steps")
         rom_run = run_rom(
             ops, dt=dt, n_steps=n_steps, a0=a0, nu=config.fom.nu,
-            t_start=times[0], forcing=forcing_fn, mu=mu_value,
+            t_start=times[0],
+            forcing=_reduced_forcing(ops, bundle.flow_case.forcing), mu=mu_value,
             adaptive=adaptive_cfg, fom_energy_table=energy_table,
             integrator=config.rom.integrator)
 
@@ -1014,20 +1012,9 @@ def run_pipeline(config, out_dir=None, stop_after=None):
                     recovery = all_recovery.truncate(r_main, n_sup)
 
         velocity = _reconstruct(ops, rom_run.a_traj)
-        if scheme == "lps":
-            pressure = ops.pres_modes @ rom_run.b_traj
-        elif recovery is not None:
-            forcing_values = None
-            if bundle.flow_case.forcing is not None:
-                forcing_values = np.column_stack([
-                    recovery.reduce_forcing(bundle.flow_case.forcing, t)
-                    for t in rom_run.times])
-            b_main = recovery.recover_trajectory(
-                rom_run.a_traj, dt, mu=rom_run.mu_traj,
-                forcing_values=forcing_values)
-            pressure = pres_basis.modes[:, :pres_basis.r] @ b_main
-        else:
-            pressure = None
+        pressure = _reduced_pressure(ops, recovery, rom_run,
+                                     bundle.flow_case.forcing, dt,
+                                     rom_run.mu_traj, slice(None))
         cd, cl = _probe_series(probe, problem, velocity, pressure, dt,
                                rom_run.times)
         a_norms = np.linalg.norm(rom_run.a_traj, axis=0)
@@ -1089,6 +1076,38 @@ def _error_table_sizes(config, vel_basis, pres_basis):
             for r in sorted(set(int(v) for v in r_values))]
 
 
+def _reduced_forcing(ops, forcing):
+    """The reduced forcing callable of :func:`run_rom` for ``ops``, or
+    None without a forcing."""
+    if forcing is None:
+        return None
+    return lambda t: reduce_forcing(ops, forcing, t)
+
+
+def _reduced_pressure(ops, recovery, rom_run, forcing, dt, mu, cols,
+                      a_prev=None):
+    """Full-order pressure fields of a reduced run at its columns ``cols``.
+
+    The coupled scheme solved for its pressure coefficients; the
+    velocity-only scheme recovers them from the velocity trajectory
+    through the supremizer ``recovery`` (None when there is none, and then
+    so is the result). ``forcing`` is the problem's body force or None;
+    ``mu`` and ``a_prev`` are as in
+    :meth:`PressureRecovery.recover_trajectory`.
+    """
+    if ops.pres_modes is not None:
+        return ops.pres_modes @ rom_run.b_traj[:, cols]
+    if recovery is None:
+        return None
+    forcing_values = None
+    if forcing is not None:
+        forcing_values = np.column_stack([reduce_forcing(recovery.operators, forcing, t)
+                                          for t in rom_run.times])
+    b_traj = recovery.recover_trajectory(rom_run.a_traj, dt, mu=mu, a_prev=a_prev,
+                                         forcing_values=forcing_values)
+    return recovery.operators.pres_modes @ b_traj[:, cols]
+
+
 def reduced_error_table(config, problem, vel_snaps, pres_snaps, vel_basis,
                         pres_basis, sizes, operators, recovery=None):
     """Measure reduced errors and indicators over a sweep of basis sizes.
@@ -1113,7 +1132,6 @@ def reduced_error_table(config, problem, vel_snaps, pres_snaps, vel_basis,
     raw_vel = vel_snaps.raw_fields()
     raw_pres = pres_snaps.fields
     mu_value = config.effective_rom_mu()
-    forcing_case = problem.case.forcing
     all_coeffs = _project_columns(vel_basis, problem.mass, raw_vel,
                                   max(r for r, _ in sizes))
     diag_full = spectral_diagnostics(vel_basis, problem.stiffness,
@@ -1125,9 +1143,7 @@ def reduced_error_table(config, problem, vel_snaps, pres_snaps, vel_basis,
     for r, rp in sizes:
         ops_r = truncate_operators(operators, r,
                                    rp if scheme == "lps" else None)
-        forcing_fn = None
-        if forcing_case is not None:
-            forcing_fn = lambda t: reduce_forcing(ops_r, forcing_case, t)
+        forcing_fn = _reduced_forcing(ops_r, problem.case.forcing)
         coeffs = all_coeffs[:r]
         if replay_seeded:
             rom = run_rom(ops_r, dt=dt, n_steps=m - 2, a0=coeffs[:, 1],
@@ -1153,36 +1169,21 @@ def reduced_error_table(config, problem, vel_snaps, pres_snaps, vel_basis,
         vel_error = discrete_l2_error(recon, raw_vel[:, compare],
                                       problem.mass, weight)
 
-        if scheme == "lps":
-            pres_cols = snap_cols[1:]
-            rom_pres = ops_r.pres_modes @ rom.b_traj[:, pres_cols]
-            fom_pres = raw_pres[:, compare][:, 1:]
-            pres_error = discrete_l2_error(rom_pres, fom_pres,
+        recovery_r = None
+        if recovery is not None and recovery.fields.shape[1] >= rp:
+            recovery_r = recovery.truncate(r, rp)
+        rom_pres = _reduced_pressure(ops_r, recovery_r, rom, problem.case.forcing,
+                                     dt, mu_value, snap_cols[1:], a_prev_used)
+        pres_error = np.nan
+        if rom_pres is not None:
+            pres_error = discrete_l2_error(rom_pres, raw_pres[:, compare][:, 1:],
                                            problem.pressure_mass, weight)
+        alpha = 1.0 if scheme == "lps" else config.rom.alpha
+        if alpha is None and recovery_r is not None:
+            alpha = principal_angle_cosine(vel_basis.modes[:, :r],
+                                           recovery_r.fields, problem.stiffness)
+        if alpha is None:
             alpha = 1.0
-        else:
-            pres_error = np.nan
-            alpha = config.rom.alpha
-            if recovery is not None and recovery.fields.shape[1] >= rp:
-                recovery_r = recovery.truncate(r, rp)
-                forcing_values = None
-                if forcing_case is not None:
-                    forcing_values = np.column_stack([
-                        recovery_r.reduce_forcing(forcing_case, t)
-                        for t in rom.times])
-                b_traj = recovery_r.recover_trajectory(
-                    rom.a_traj, dt, mu=mu_value, a_prev=a_prev_used,
-                    forcing_values=forcing_values)
-                rom_pres = pres_basis.modes[:, :rp] @ b_traj[:, snap_cols[1:]]
-                fom_pres = raw_pres[:, compare][:, 1:]
-                pres_error = discrete_l2_error(rom_pres, fom_pres,
-                                               problem.pressure_mass, weight)
-                if alpha is None:
-                    alpha = principal_angle_cosine(
-                        vel_basis.modes[:, :r], recovery_r.fields,
-                        problem.stiffness)
-            if alpha is None:
-                alpha = 1.0
 
         diag_r = spectral_diagnostics(vel_basis, problem.stiffness, r=r)
         vel_tail = diag_r.tail
@@ -1327,16 +1328,15 @@ def long_horizon_study(config, horizon_multiple=10.0, out_dir=None):
     raw = vel_snaps.raw_fields()
     a0 = project_L2(vel_basis, problem.mass, raw[:, 0], r=r_main)
     table = _snapshot_energy_table(problem, vel_snaps, dt)
-    forcing_fn = None
-    if bundle.flow_case.forcing is not None:
-        forcing_fn = lambda t: reduce_forcing(ops, bundle.flow_case.forcing, t)
     mu_value = config.effective_rom_mu()
     if config.rom.adaptive.mu_init is not None:
         mu_value = config.rom.adaptive.mu_init
 
     common = dict(dt=dt, n_steps=n_steps, a0=a0, nu=config.fom.nu,
-                  t_start=times[0], forcing=forcing_fn, mu=mu_value,
-                  fom_energy_table=table, integrator=config.rom.integrator)
+                  t_start=times[0],
+                  forcing=_reduced_forcing(ops, bundle.flow_case.forcing),
+                  mu=mu_value, fom_energy_table=table,
+                  integrator=config.rom.integrator)
     constant_run = run_rom(ops, **common)
     if config.rom.adaptive.enabled:
         adaptive_run = run_rom(ops, adaptive=config.rom.adaptive.to_rom_config(),

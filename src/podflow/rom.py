@@ -51,14 +51,16 @@ class AdaptiveMuConfig:
 class ROMOperators:
     """Assembled operators projected onto the leading modes.
 
-    ``convection_tensor[i, j, k]`` is the trilinear form of modes
-    ``(i, j, k)`` with mode ``i`` convecting. The ``*_mean`` vectors and the
-    mean/mode convection couplings lift a centered basis; they are zero
-    when the basis was built from uncentered snapshots. Pressure-side
-    blocks are ``None`` for the velocity-only scheme. ``forcing_modes``
-    holds the projected loads of the shapes of ``forcing``, the problem's
-    separable forcing; both are ``None`` for any other forcing, and a
-    loaded set keeps only the former.
+    The velocity forms test the momentum residual against the columns of
+    ``test``: the modes themselves for the reduced model, the supremizers
+    for :class:`PressureRecovery`. ``convection_tensor[i, j, k]`` is the
+    trilinear form with mode ``i`` convecting mode ``j``, tested by test
+    function ``k``. The ``*_mean`` vectors and the mean/mode convection
+    couplings lift a centered basis; they are zero when the basis was
+    built from uncentered snapshots. Pressure-side blocks are ``None`` for
+    the velocity-only scheme. ``forcing_modes`` holds the projected loads
+    of the shapes of ``forcing``, the problem's separable forcing; both are
+    ``None`` for any other forcing, and a loaded set keeps only the former.
     """
 
     scheme: str
@@ -85,48 +87,107 @@ class ROMOperators:
     vel_space: object = None
     forcing_modes: np.ndarray = None
     forcing: object = None
+    test: np.ndarray = None
 
     @property
     def r_pressure(self):
         return None if self.divergence is None else int(self.divergence.shape[0])
 
 
-# Axes of each array field of ROMOperators: r = velocity modes, p = pressure
-# modes, n = full-order DOFs, q = separable forcing terms. Truncation slices
-# the r and p axes; only arrays without an n axis are saved, so a loaded set
-# has no modes and no mean.
+# Axes of each array field of ROMOperators: r = velocity modes (trial),
+# t = test functions, p = pressure modes, n = full-order DOFs, q = separable
+# forcing terms. Truncation slices the r, t and p axes; only arrays without
+# an n axis are saved, so a loaded set has no modes, no mean and no test
+# functions.
 _OPERATOR_AXES = {
-    "mass": "rr",
-    "stiffness": "rr",
-    "grad_div": "rr",
-    "lps_velocity": "rr",
-    "convection_tensor": "rrr",
-    "convect_by_mean": "rr",
-    "transport_of_mean": "rr",
-    "mean_convection": "r",
-    "viscous_mean": "r",
-    "grad_div_mean": "r",
-    "lps_velocity_mean": "r",
-    "mass_mean": "r",
+    "mass": "tr",
+    "stiffness": "tr",
+    "grad_div": "tr",
+    "lps_velocity": "tr",
+    "convection_tensor": "rrt",
+    "convect_by_mean": "tr",
+    "transport_of_mean": "tr",
+    "mean_convection": "t",
+    "viscous_mean": "t",
+    "grad_div_mean": "t",
+    "lps_velocity_mean": "t",
+    "mass_mean": "t",
     "vel_modes": "nr",
     "mean": "n",
+    "test": "nt",
     "divergence": "pr",
     "lps_pressure": "pp",
     "divergence_mean": "p",
     "pres_modes": "np",
-    "forcing_modes": "rq",
+    "forcing_modes": "tq",
 }
 
 
-def _leading_blocks(owner, axes_table, sizes):
-    """The arrays of ``owner`` named in ``axes_table``, each cut to the
-    leading ``sizes[axis]`` entries along its r and p axes (None stays
-    None)."""
-    out = {}
-    for name, axes in axes_table.items():
-        a = getattr(owner, name, None)
-        out[name] = None if a is None else a[tuple(slice(sizes.get(x)) for x in axes)]
-    return out
+def _leading_blocks(ops, r, t, p):
+    """``ops`` cut to its leading ``r`` modes, ``t`` test functions and
+    ``p`` pressure modes, without reassembly."""
+    sizes = {"r": r, "t": t, "p": p}
+    cut = {}
+    for name, axes in _OPERATOR_AXES.items():
+        a = getattr(ops, name)
+        cut[name] = None if a is None else a[tuple(slice(sizes.get(x)) for x in axes)]
+    return replace(ops, r=r, **cut)
+
+
+def _project(problem, phi, mean, test):
+    """Galerkin projection of the momentum residual's velocity forms.
+
+    The trial functions are the columns of ``phi``, lifted by ``mean``
+    (None for an uncentered basis); the test functions are the columns of
+    ``test``. Returns the forms as a ROMOperators without pressure blocks;
+    a form whose operator the problem lacks, and every mean lift of an
+    uncentered basis, is zero.
+    """
+    space = problem.vel_space
+    grad_div = problem.grad_div
+    if grad_div is None:
+        grad_div = assemble_grad_div(space, 1.0)
+    forms = {}
+    for name, lift, matrix in (
+            ("mass", "mass_mean", problem.mass),
+            ("stiffness", "viscous_mean", problem.stiffness),
+            ("grad_div", "grad_div_mean", grad_div),
+            ("lps_velocity", "lps_velocity_mean", problem.velocity_stabilization)):
+        if matrix is not None:
+            forms[name] = test.T @ (matrix @ phi)
+            if mean is not None:
+                forms[lift] = test.T @ (matrix @ mean)
+
+    r, n_test = phi.shape[1], test.shape[1]
+    convecting = phi if mean is None else np.column_stack([phi, mean])
+    conv = [convection_matrix(space, FEField(space, w)) for w in convecting.T]
+    forms["convection_tensor"] = np.empty((r, r, n_test))
+    for i in range(r):
+        forms["convection_tensor"][i] = (test.T @ (conv[i] @ phi)).T
+    if mean is not None:
+        c_mean = conv[r]
+        forms["convect_by_mean"] = test.T @ (c_mean @ phi)
+        forms["transport_of_mean"] = np.column_stack([test.T @ (c_j @ mean)
+                                                      for c_j in conv[:r]])
+        forms["mean_convection"] = test.T @ (c_mean @ mean)
+
+    sizes = {"r": r, "t": n_test}
+    forms.update({name: np.zeros([sizes[x] for x in axes])
+                  for name, axes in _OPERATOR_AXES.items()
+                  if name not in forms and set(axes) <= set(sizes)})
+    shapes = problem.load_shapes
+    return ROMOperators(
+        scheme=problem.config.scheme,
+        r=r,
+        mean_energy=0.0 if mean is None else float(mean @ (problem.mass @ mean)),
+        vel_modes=phi,
+        mean=None if mean is None else np.asarray(mean, dtype=float),
+        test=test,
+        vel_space=space,
+        forcing_modes=None if shapes is None else test.T @ shapes,
+        forcing=None if shapes is None else problem.case.forcing,
+        **forms,
+    )
 
 
 def build_rom_operators(problem, vel_basis, pres_basis=None, r=None,
@@ -137,106 +198,28 @@ def build_rom_operators(problem, vel_basis, pres_basis=None, r=None,
     system; the velocity-only scheme ignores ``pres_basis`` here (pressure
     enters through supremizer recovery instead).
     """
-    scheme = problem.config.scheme
     if vel_basis.space_signature != problem.vel_space.signature():
         raise ValueError("velocity basis was built on a different space")
     r = vel_basis.r if r is None else int(r)
     if not 1 <= r <= vel_basis.rank:
         raise ValueError(f"requested r={r} outside 1..{vel_basis.rank}")
-    phi = vel_basis.modes[:, :r]
-    mean = vel_basis.mean
-
-    mass = phi.T @ (problem.mass @ phi)
-    stiffness = phi.T @ (problem.stiffness @ phi)
-    unit_grad_div = problem.grad_div
-    if unit_grad_div is None:
-        unit_grad_div = assemble_grad_div(problem.vel_space, 1.0)
-    grad_div = phi.T @ (unit_grad_div @ phi)
-    if problem.velocity_stabilization is not None:
-        lps_velocity = phi.T @ (problem.velocity_stabilization @ phi)
-    else:
-        lps_velocity = np.zeros((r, r))
-
-    tensor = np.empty((r, r, r))
-    conv_matrices = []
-    for i in range(r):
-        c_i = convection_matrix(problem.vel_space, FEField(problem.vel_space, phi[:, i]))
-        conv_matrices.append(c_i)
-        tensor[i] = (phi.T @ (c_i @ phi)).T
-
-    if mean is not None:
-        c_mean = convection_matrix(problem.vel_space, FEField(problem.vel_space, mean))
-        convect_by_mean = phi.T @ (c_mean @ phi)
-        transport_of_mean = np.column_stack(
-            [phi.T @ (c_j @ mean) for c_j in conv_matrices]
-        )
-        mean_convection = phi.T @ (c_mean @ mean)
-        viscous_mean = phi.T @ (problem.stiffness @ mean)
-        grad_div_mean = phi.T @ (unit_grad_div @ mean)
-        if problem.velocity_stabilization is not None:
-            lps_velocity_mean = phi.T @ (problem.velocity_stabilization @ mean)
-        else:
-            lps_velocity_mean = np.zeros(r)
-        mass_mean = phi.T @ (problem.mass @ mean)
-        mean_energy = float(mean @ (problem.mass @ mean))
-    else:
-        convect_by_mean = np.zeros((r, r))
-        transport_of_mean = np.zeros((r, r))
-        mean_convection = np.zeros(r)
-        viscous_mean = np.zeros(r)
-        grad_div_mean = np.zeros(r)
-        lps_velocity_mean = np.zeros(r)
-        mass_mean = np.zeros(r)
-        mean_energy = 0.0
-
-    divergence = lps_pressure = divergence_mean = pres_modes = None
-    if scheme == "lps":
-        if pres_basis is None:
-            raise ValueError("the equal-order reduced system needs a pressure basis")
-        if pres_basis.space_signature != problem.pres_space.signature():
-            raise ValueError("pressure basis was built on a different space")
-        rp = pres_basis.r if r_pressure is None else int(r_pressure)
-        if not 1 <= rp <= pres_basis.rank:
-            raise ValueError(f"requested pressure size {rp} outside 1..{pres_basis.rank}")
-        psi = pres_basis.modes[:, :rp]
-        divergence = psi.T @ (problem.divergence @ phi)
-        lps_pressure = psi.T @ (problem.pressure_stabilization @ psi)
-        if mean is not None:
-            divergence_mean = psi.T @ (problem.divergence @ mean)
-        else:
-            divergence_mean = np.zeros(rp)
-        pres_modes = psi
-
-    forcing_modes = forcing = None
-    if problem.load_shapes is not None:
-        forcing_modes = phi.T @ problem.load_shapes
-        forcing = problem.case.forcing
-
-    return ROMOperators(
-        scheme=scheme,
-        r=r,
-        mass=mass,
-        stiffness=stiffness,
-        grad_div=grad_div,
-        lps_velocity=lps_velocity,
-        convection_tensor=tensor,
-        convect_by_mean=convect_by_mean,
-        transport_of_mean=transport_of_mean,
-        mean_convection=mean_convection,
-        viscous_mean=viscous_mean,
-        grad_div_mean=grad_div_mean,
-        lps_velocity_mean=lps_velocity_mean,
-        mass_mean=mass_mean,
-        mean_energy=mean_energy,
-        vel_modes=phi,
-        mean=None if mean is None else np.asarray(mean, dtype=float),
-        divergence=divergence,
-        lps_pressure=lps_pressure,
-        divergence_mean=divergence_mean,
-        pres_modes=pres_modes,
-        vel_space=problem.vel_space,
-        forcing_modes=forcing_modes,
-        forcing=forcing,
+    if problem.config.scheme != "lps":
+        phi = vel_basis.modes[:, :r]
+        return _project(problem, phi, vel_basis.mean, phi)
+    if pres_basis is None:
+        raise ValueError("the equal-order reduced system needs a pressure basis")
+    if pres_basis.space_signature != problem.pres_space.signature():
+        raise ValueError("pressure basis was built on a different space")
+    rp = pres_basis.r if r_pressure is None else int(r_pressure)
+    if not 1 <= rp <= pres_basis.rank:
+        raise ValueError(f"requested pressure size {rp} outside 1..{pres_basis.rank}")
+    phi, psi, mean = vel_basis.modes[:, :r], pres_basis.modes[:, :rp], vel_basis.mean
+    return replace(
+        _project(problem, phi, mean, phi),
+        divergence=psi.T @ (problem.divergence @ phi),
+        lps_pressure=psi.T @ (problem.pressure_stabilization @ psi),
+        divergence_mean=np.zeros(rp) if mean is None else psi.T @ (problem.divergence @ mean),
+        pres_modes=psi,
     )
 
 
@@ -249,8 +232,7 @@ def truncate_operators(ops, r, r_pressure=None):
         rp = ops.r_pressure if r_pressure is None else int(r_pressure)
         if not 1 <= rp <= ops.r_pressure:
             raise ValueError(f"pressure truncation {rp} outside 1..{ops.r_pressure}")
-    arrays = _leading_blocks(ops, _OPERATOR_AXES, {"r": int(r), "p": rp})
-    return replace(ops, r=int(r), **arrays)
+    return _leading_blocks(ops, int(r), int(r), rp)
 
 
 def rom_kinetic_energy(ops, a):
@@ -260,9 +242,10 @@ def rom_kinetic_energy(ops, a):
 
 
 def reduce_forcing(ops, forcing, t):
-    """Project a body force callable onto the velocity modes at one time.
+    """Project a body force callable onto the test functions of ``ops``
+    (the velocity modes, or the supremizers of a recovery) at one time.
 
-    The separable forcing the operators were built from costs one (r, Q)
+    The separable forcing the operators were built from costs one (t, Q)
     product; any other callable is assembled on the full mesh.
     """
     if ops.forcing is not None and forcing is ops.forcing:
@@ -271,8 +254,7 @@ def reduce_forcing(ops, forcing, t):
         raise ValueError(
             "this operator set has no velocity space (it was loaded from a "
             "container), so a forcing callable cannot be projected")
-    load = assemble_load(ops.vel_space, forcing, t)
-    return ops.vel_modes.T @ load
+    return ops.test.T @ assemble_load(ops.vel_space, forcing, t)
 
 
 def _reduced_velocity_block(ops, a_hat, dt, nu, mu, alpha):
@@ -625,22 +607,6 @@ def supremizer_stability(supremizer_fields, pres_modes, divergence, mass,
     return float(np.linalg.svd(whitened, compute_uv=False).min())
 
 
-# Axes of each array attribute of PressureRecovery, lettered as in
-# _OPERATOR_AXES; p counts the supremizers and the pressure modes alike.
-_RECOVERY_AXES = {
-    "coupling": "pp",
-    "mass_cross": "pr",
-    "grad_div_cross": "pr",
-    "grad_div_mean": "p",
-    "convection_tensor": "rpr",
-    "convect_by_mean": "pr",
-    "transport_of_mean": "pr",
-    "mean_convection": "p",
-    "fields": "np",
-    "forcing_modes": "pq",
-}
-
-
 class PressureRecovery:
     """Reduced pressure reconstruction tested against supremizers.
 
@@ -649,6 +615,9 @@ class PressureRecovery:
     - (f, z_k)`` over the supremizer set; the viscous term is absent
     because supremizers annihilate it on discretely divergence-free
     fields. The system is square: one supremizer per pressure mode.
+    ``operators`` holds the velocity forms, projected as for the reduced
+    model but with the supremizers as test functions, and the pressure
+    modes; ``coupling`` is the divergence block.
     """
 
     def __init__(self, problem, vel_basis, pres_basis, supremizers,
@@ -662,85 +631,42 @@ class PressureRecovery:
                 f"need one supremizer per pressure mode: got {z.shape[1]} "
                 f"for {psi.shape[1]} modes"
             )
-        mean = vel_basis.mean
-        r = phi.shape[1]
-
         self.include_convection = bool(include_convection)
+        self.operators = replace(_project(problem, phi, vel_basis.mean, z),
+                                 pres_modes=psi)
         self.coupling = (psi.T @ (problem.divergence @ z)).T
-        self.mass_cross = z.T @ (problem.mass @ phi)
-        unit_grad_div = problem.grad_div
-        if unit_grad_div is None:
-            unit_grad_div = assemble_grad_div(problem.vel_space, 1.0)
-        self.grad_div_cross = z.T @ (unit_grad_div @ phi)
-        if mean is not None:
-            self.grad_div_mean = z.T @ (unit_grad_div @ mean)
-        else:
-            self.grad_div_mean = np.zeros(z.shape[1])
 
-        if self.include_convection:
-            tensors = np.empty((r, z.shape[1], r))
-            conv_matrices = []
-            for i in range(r):
-                c_i = convection_matrix(problem.vel_space,
-                                        FEField(problem.vel_space, phi[:, i]))
-                conv_matrices.append(c_i)
-                tensors[i] = z.T @ (c_i @ phi)
-            self.convection_tensor = tensors
-            if mean is not None:
-                c_mean = convection_matrix(problem.vel_space,
-                                           FEField(problem.vel_space, mean))
-                self.convect_by_mean = z.T @ (c_mean @ phi)
-                self.transport_of_mean = np.column_stack(
-                    [z.T @ (c_j @ mean) for c_j in conv_matrices]
-                )
-                self.mean_convection = z.T @ (c_mean @ mean)
-            else:
-                self.convect_by_mean = np.zeros((z.shape[1], r))
-                self.transport_of_mean = np.zeros((z.shape[1], r))
-                self.mean_convection = np.zeros(z.shape[1])
-
-        self.forcing = self.forcing_modes = None
-        if problem.load_shapes is not None:
-            self.forcing = problem.case.forcing
-            self.forcing_modes = z.T @ problem.load_shapes
-        self.fields = z
-        self.vel_space = problem.vel_space
+    @property
+    def fields(self):
+        """The supremizers, one column per pressure mode."""
+        return self.operators.test
 
     def truncate(self, r, r_pressure):
         """Recovery for the leading ``r`` velocity modes and ``r_pressure``
         pressure modes and supremizers, sliced without reassembly."""
-        if not 1 <= r <= self.mass_cross.shape[1]:
-            raise ValueError(f"truncation size {r} outside 1..{self.mass_cross.shape[1]}")
+        if not 1 <= r <= self.operators.r:
+            raise ValueError(f"truncation size {r} outside 1..{self.operators.r}")
         if not 1 <= r_pressure <= self.coupling.shape[0]:
             raise ValueError(
                 f"pressure truncation {r_pressure} outside 1..{self.coupling.shape[0]}")
         out = copy.copy(self)
-        blocks = _leading_blocks(self, _RECOVERY_AXES,
-                                 {"r": int(r), "p": int(r_pressure)})
-        for name, block in blocks.items():
-            if block is not None:
-                setattr(out, name, block)
+        out.operators = _leading_blocks(self.operators, int(r), int(r_pressure),
+                                        int(r_pressure))
+        out.coupling = self.coupling[:r_pressure, :r_pressure]
         return out
 
-    def reduce_forcing(self, forcing, t):
-        """Project a body force callable onto the supremizers at one time;
-        like :func:`reduce_forcing`, the problem's separable forcing costs
-        one small product."""
-        if self.forcing is not None and forcing is self.forcing:
-            return self.forcing_modes @ forcing.coefficients(t)
-        return self.fields.T @ assemble_load(self.vel_space, forcing, t)
-
     def right_hand_side(self, a, dadt=None, mu=0.0, forcing=None):
+        ops = self.operators
         a = np.asarray(a, dtype=float)
         rhs = np.zeros(self.coupling.shape[0])
         if dadt is not None:
-            rhs = rhs + self.mass_cross @ np.asarray(dadt, dtype=float)
+            rhs = rhs + ops.mass @ np.asarray(dadt, dtype=float)
         if self.include_convection:
-            rhs = rhs + self.mean_convection \
-                + self.convect_by_mean @ a + self.transport_of_mean @ a \
-                + np.einsum("i,ikj,j->k", a, self.convection_tensor, a)
+            rhs = rhs + ops.mean_convection \
+                + ops.convect_by_mean @ a + ops.transport_of_mean @ a \
+                + np.einsum("i,ijk,j->k", a, ops.convection_tensor, a)
         if mu != 0.0:
-            rhs = rhs + mu * (self.grad_div_cross @ a + self.grad_div_mean)
+            rhs = rhs + mu * (ops.grad_div @ a + ops.grad_div_mean)
         if forcing is not None:
             rhs = rhs - np.asarray(forcing, dtype=float)
         return rhs

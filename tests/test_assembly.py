@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lps_oracle import assemble_lps_fluctuation, gradient_sample_matrix
 
@@ -178,6 +180,40 @@ def test_convection_skew_symmetry_random_triples():
         b2 = apply_convection(u, w, v)
         assert abs(b1 + b2) <= 1e-12 * max(1.0, norm(u) * norm(v) * norm(w))
         assert abs(apply_convection(u, v, v)) <= 1e-12 * max(1.0, norm(u) * norm(v) ** 2)
+
+
+@st.composite
+def meshes(draw):
+    """Structured meshes of random width, height and resolution, with an
+    optional grid-aligned rectangular hole."""
+    nx, ny = draw(st.integers(2, 8), label="nx"), draw(st.integers(2, 8), label="ny")
+    width = draw(st.sampled_from([1.0, 2.2]), label="width")
+    height = draw(st.sampled_from([1.0, 0.41]), label="height")
+    hole = None
+    if nx >= 3 and ny >= 3 and draw(st.booleans(), label="holed"):
+        i0 = draw(st.integers(1, nx - 2), label="i0")
+        i1 = draw(st.integers(i0 + 1, nx - 1), label="i1")
+        j0 = draw(st.integers(1, ny - 2), label="j0")
+        j1 = draw(st.integers(j0 + 1, ny - 1), label="j1")
+        dx, dy = width / nx, height / ny
+        hole = (i0 * dx, j0 * dy, i1 * dx, j1 * dy)
+    return build_rect_mesh(width, height, nx, ny, hole=hole)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(mesh=meshes(), seed=st.integers(0, 2**32 - 1))
+def test_convection_matrix_is_skew_for_random_fields_on_random_meshes(mesh, seed):
+    # c(u, v, v) = 1/2 of the boundary flux of u |v|^2, so it vanishes for
+    # any convecting u once v is zero on every boundary, the hole's included
+    space = FESpace(mesh, 2, components=2)
+    rng = np.random.default_rng(seed)
+    u = FEField(space, rng.standard_normal(space.n_dofs))
+    v = zero_boundary_field(space, rng).coefficients
+    w = zero_boundary_field(space, rng).coefficients
+    c = convection_matrix(space, u)
+    scale = max(np.abs(v) @ (abs(c) @ np.abs(v)), np.abs(w) @ (abs(c) @ np.abs(v)))
+    assert abs(v @ (c @ v)) <= 1e-12 * scale
+    assert abs(w @ (c @ v) + v @ (c @ w)) <= 1e-12 * scale
 
 
 def test_convection_exact_value():

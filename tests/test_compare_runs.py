@@ -1,0 +1,89 @@
+"""The artifact comparison tool on two runs of one tiny pipeline."""
+
+import contextlib
+import importlib.util
+import io
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from podflow.container import read_container, write_container
+from podflow.harness import ExperimentConfig, run_pipeline
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_runs.py"
+
+TINY = {
+    "geometry": {"nx": 4, "ny": 4},
+    "case": {"name": "cavity", "parameters": {"amplitude": 100.0}},
+    "fom": {"scheme": "graddiv", "nu": 5e-3, "dt": 1e-2, "t_final": 0.06,
+            "stabilization": {"grad_div": 0.3}, "snapshot_window": [0.02, 0.06]},
+    "pod": {},
+    "rom": {"r_values": [1, 2]},
+}
+
+
+_spec = importlib.util.spec_from_file_location("compare_runs", TOOL)
+compare_runs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_runs)
+
+
+def compare(dir_a, dir_b, *options):
+    """Exit status and output of the tool, run in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = compare_runs.main([str(dir_a), str(dir_b), *options])
+    return status, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def two_runs(tmp_path_factory):
+    dirs = [tmp_path_factory.mktemp(f"run{k}") for k in range(2)]
+    for d in dirs:
+        run_pipeline(ExperimentConfig.from_dict(TINY), out_dir=d)
+    return dirs
+
+
+def test_two_runs_of_one_config_compare_identical(two_runs):
+    result = subprocess.run([sys.executable, str(TOOL), *map(str, two_runs)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    for name in ("operators.bin", "qoi.csv", "rom.csv", "errors.csv", "run_meta.json"):
+        assert f"identical  {name}" in lines
+
+
+def test_a_changed_csv_value_fails_above_rtol(two_runs, tmp_path):
+    changed = tmp_path / "changed"
+    shutil.copytree(two_runs[1], changed)
+    path = changed / "errors.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[1] = repr(float(cells[1]) * (1.0 + 1e-9))
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    status, out = compare(two_runs[0], changed)
+    assert status == 1
+    assert "csv        errors.csv" in out
+    assert "    vel_error: max rel diff" in out
+    assert compare(two_runs[0], changed, "--rtol", "1e-8")[0] == 0
+
+
+def test_container_arrays_and_missing_files_are_reported(two_runs, tmp_path):
+    changed = tmp_path / "changed"
+    shutil.copytree(two_runs[1], changed)
+    meta, arrays = read_container(changed / "operators.bin", "operators")
+    arrays["mass"] = arrays["mass"] * (1.0 + 1e-12)
+    write_container(changed / "operators.bin", "operators", meta, arrays)
+    status, out = compare(two_runs[0], changed, "--rtol", "1e-10")
+    assert status == 0, out
+    assert "container  operators.bin" in out
+    assert "    stiffness: bitwise equal" in out
+    mass_line = next(line for line in out.splitlines() if line.startswith("    mass:"))
+    assert 0.0 < float(mass_line.split()[-1]) <= 1e-11
+    (changed / "qoi.csv").unlink()
+    status, out = compare(two_runs[0], changed, "--rtol", "1e-10")
+    assert status == 1
+    assert "differs    qoi.csv (only in DIR_A)" in out

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from podflow.assembly import StabilizationConfig, assemble_load, convection_matrix
 from podflow.fe_space import FEField
@@ -19,7 +21,7 @@ from podflow.mesh import build_rect_mesh
 from podflow.metrics import discrete_l2_error, kinetic_energy
 from podflow.pod import build_basis, project_L2
 from podflow.rom import (
-    _RECOVERY_AXES,
+    _OPERATOR_AXES,
     AdaptiveMuConfig,
     PressureRecovery,
     adapt_mu,
@@ -147,6 +149,20 @@ def test_rom_kinetic_energy_matches_full_order():
         assert abs(rom_kinetic_energy(ops, a) - expected) <= 1e-12 * max(expected, 1.0)
 
 
+def assert_same_arrays(cut, direct):
+    """Every array of the axis table agrees to 1e-13 * max(1, |direct|).
+    A purely relative check would compare rounding noise: the viscous
+    forms tested against supremizers cancel to entries near 1e-15."""
+    assert cut.r == direct.r
+    for name in _OPERATOR_AXES:
+        a, b = getattr(cut, name), getattr(direct, name)
+        if b is None:
+            assert a is None, name
+            continue
+        assert a.shape == b.shape, name
+        assert np.abs(a - b).max(initial=0.0) <= 1e-13 * max(1.0, np.abs(b).max(initial=0.0)), name
+
+
 def test_truncation_matches_direct_build():
     problem, _, _, _, vel_basis, pres_basis = cavity_setup("lps", window=(0.02, 0.1))
     full = build_rom_operators(problem, vel_basis, pres_basis)
@@ -170,7 +186,7 @@ def test_separable_forcing_projects_like_its_assembled_load():
     for t in (0.0, 0.013, 0.37):
         load = assemble_load(problem.vel_space, swirl_forcing, t)
         for projected, modes in ((reduce_forcing(ops, separable_swirl, t), ops.vel_modes),
-                                 (recovery.reduce_forcing(separable_swirl, t),
+                                 (reduce_forcing(recovery.operators, separable_swirl, t),
                                   recovery.fields)):
             expected = modes.T @ load
             assert np.abs(projected - expected).max() \
@@ -195,16 +211,57 @@ def test_truncated_pressure_recovery_matches_direct_build():
     direct = PressureRecovery(problem, replace(vel_basis, r=3),
                               replace(pres_basis, r=2), sup[:, :2])
     cut = full.truncate(3, 2)
-    for name in _RECOVERY_AXES:
-        a, b = getattr(cut, name), getattr(direct, name)
-        assert a.shape == b.shape, name
-        assert np.abs(a - b).max() <= 1e-13 * max(np.abs(b).max(), 1e-300), name
+    assert cut.operators.r == 3 and cut.fields.shape[1] == 2
+    assert_same_arrays(cut.operators, direct.operators)
+    assert np.abs(cut.coupling - direct.coupling).max() \
+        <= 1e-13 * np.abs(direct.coupling).max()
     a = np.random.default_rng(2).normal(size=3)
     assert np.allclose(cut.recover(a, dadt=a, mu=0.3), direct.recover(a, dadt=a, mu=0.3),
                        rtol=1e-12, atol=0.0)
     for r, rp in ((0, 2), (3, 0), (vel_basis.r + 1, 2), (3, sup.shape[1] + 1)):
         with pytest.raises(ValueError):
             full.truncate(r, rp)
+
+
+@pytest.fixture(scope="module")
+def full_builds():
+    """(problem, vel_basis, pres_basis, operators at full rank) for a coupled
+    cavity and a centred velocity-only one, plus the latter's supremizers
+    and their recovery."""
+    problem, _, _, _, vel_basis, pres_basis = cavity_setup("lps", window=(0.02, 0.1))
+    lps = (problem, vel_basis, pres_basis,
+           build_rom_operators(problem, vel_basis, pres_basis))
+    problem, _, _, _, vel_basis, pres_basis = cavity_setup(
+        "graddiv", center=True, window=(0.02, 0.1), forcing=separable_swirl)
+    sup = compute_supremizers(problem, pres_basis).fields
+    recovery = PressureRecovery(problem, vel_basis, replace(pres_basis, r=sup.shape[1]),
+                                sup)
+    graddiv = (problem, vel_basis, pres_basis, build_rom_operators(problem, vel_basis))
+    return lps, graddiv, sup, recovery
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_truncated_builds_match_direct_builds_at_random_sizes(full_builds, data):
+    lps, graddiv, sup, recovery = full_builds
+    problem, vel_basis, pres_basis, full = lps
+    r = data.draw(st.integers(1, full.r), label="r")
+    rp = data.draw(st.integers(1, full.r_pressure), label="rp")
+    assert_same_arrays(truncate_operators(full, r, rp),
+                       build_rom_operators(problem, vel_basis, pres_basis, r=r,
+                                           r_pressure=rp))
+
+    problem, vel_basis, pres_basis, full = graddiv
+    r = data.draw(st.integers(1, full.r), label="r (velocity only)")
+    rp = data.draw(st.integers(1, sup.shape[1]), label="supremizers")
+    assert_same_arrays(truncate_operators(full, r),
+                       build_rom_operators(problem, vel_basis, r=r))
+    cut = recovery.truncate(r, rp)
+    direct = PressureRecovery(problem, replace(vel_basis, r=r),
+                              replace(pres_basis, r=rp), sup[:, :rp])
+    assert_same_arrays(cut.operators, direct.operators)
+    assert np.abs(cut.coupling - direct.coupling).max() \
+        <= 1e-13 * np.abs(direct.coupling).max()
 
 
 def test_operator_build_validation():
@@ -561,6 +618,27 @@ def test_pressure_recovery_is_exact_for_steady_stokes():
         assert err <= 1e-8 * ref
 
 
+@pytest.mark.parametrize("center", [False, True])
+def test_pressure_recovery_right_hand_side_matches_full_order_residual(center):
+    problem, _, _, _, vel_basis, pres_basis = cavity_setup(
+        "graddiv", center=center, window=(0.02, 0.1))
+    sup = compute_supremizers(problem, pres_basis).fields
+    recovery = PressureRecovery(problem, vel_basis, pres_basis, sup)
+    phi = vel_basis.modes[:, :vel_basis.r]
+    rng = np.random.default_rng(13)
+    a, dadt = rng.normal(size=(2, phi.shape[1]))
+    mu = 0.3
+    load = assemble_load(problem.vel_space, swirl_forcing, 0.37)
+
+    # the residual of the full field u = mean + phi a, tested by the supremizers
+    u = phi @ a if vel_basis.mean is None else vel_basis.mean + phi @ a
+    c_u = convection_matrix(problem.vel_space, FEField(problem.vel_space, u))
+    expected = sup.T @ (problem.mass @ (phi @ dadt) + c_u @ u
+                        + mu * (problem.grad_div @ u) - load)
+    got = recovery.right_hand_side(a, dadt=dadt, mu=mu, forcing=sup.T @ load)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 def test_pressure_recovery_requires_square_system():
     problem, _, _, _, vel_basis, pres_basis = cavity_setup("graddiv", window=(0.02, 0.1))
     sup = compute_supremizers(problem, pres_basis, r=pres_basis.r - 1)
@@ -579,7 +657,7 @@ def test_pressure_recovery_trajectory_is_finite():
                   nu=problem.config.nu, mu=problem.mu,
                   forcing=lambda t: reduce_forcing(ops, swirl_forcing, t))
     forcing_values = np.column_stack(
-        [recovery.reduce_forcing(swirl_forcing, t) for t in rom.times])
+        [reduce_forcing(recovery.operators, swirl_forcing, t) for t in rom.times])
     b_traj = recovery.recover_trajectory(rom.a_traj, dt=1e-2, mu=problem.mu,
                                          forcing_values=forcing_values)
     assert b_traj.shape == (pres_basis.r, rom.times.size)

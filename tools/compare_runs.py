@@ -1,0 +1,137 @@
+"""Compare the artifacts of two pipeline runs, file by file.
+
+    python tools/compare_runs.py DIR_A DIR_B [--rtol RTOL]
+
+Every file under either directory is reported as one of:
+
+- ``identical``: the bytes are equal;
+- ``csv``: a table with the same header and row count, with the largest
+  relative difference of each column;
+- ``container``: a podflow binary container with the same metadata and
+  arrays, with each array bitwise equal or its largest relative difference;
+- ``differs``: anything else that is not byte-identical (another kind of
+  file, a changed header, shape or metadata, or a file only one side has).
+
+A relative difference is ``|a - b| / max(1, |a|)``, with ``a`` from DIR_A
+(the reference run); two nan entries agree. The exit status is 0 when no
+difference exceeds ``--rtol`` (default 0: bitwise equal values) and 1
+otherwise.
+"""
+
+import argparse
+import csv
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from podflow.container import ContainerError, read_container  # noqa: E402
+
+
+def relative_difference(a, b):
+    """Largest ``|a - b| / max(1, |a|)`` over two equal-shape arrays."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.size == 0:
+        return 0.0
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    with np.errstate(invalid="ignore"):
+        diff = np.abs(a - b) / np.maximum(1.0, np.abs(a))
+    return float(np.where(same, 0.0, np.nan_to_num(diff, nan=math.inf)).max())
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh)) or [[]]
+    return rows[0], rows[1:]
+
+
+def _compare_csv(path_a, path_b):
+    """{column: largest relative difference}, or None when the tables do
+    not line up."""
+    (head_a, rows_a), (head_b, rows_b) = _read_csv(path_a), _read_csv(path_b)
+    if head_a != head_b or [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return None
+    out = {}
+    for k, name in enumerate(head_a):
+        col_a, col_b = [r[k] for r in rows_a], [r[k] for r in rows_b]
+        try:
+            out[name] = relative_difference([float(v) for v in col_a],
+                                            [float(v) for v in col_b])
+        except ValueError:
+            out[name] = 0.0 if col_a == col_b else math.inf
+    return out
+
+
+def _compare_container(path_a, path_b):
+    """{array: largest relative difference, 0 when bitwise equal}, or None
+    when the metadata, names or shapes differ."""
+    (meta_a, arrays_a), (meta_b, arrays_b) = read_container(path_a), read_container(path_b)
+    if meta_a != meta_b or {n: a.shape for n, a in arrays_a.items()} \
+            != {n: b.shape for n, b in arrays_b.items()}:
+        return None
+    return {name: 0.0 if a.tobytes() == arrays_b[name].tobytes()
+            else relative_difference(a, arrays_b[name])
+            for name, a in arrays_a.items()}
+
+
+def compare_dirs(dir_a, dir_b):
+    """Print one report line per file (and per column or array); return
+    the largest relative difference found, inf for a file that differs."""
+    dir_a, dir_b = Path(dir_a), Path(dir_b)
+    names = sorted({p.relative_to(d).as_posix() for d in (dir_a, dir_b)
+                    for p in d.rglob("*") if p.is_file()})
+    worst = 0.0
+    for name in names:
+        path_a, path_b = dir_a / name, dir_b / name
+        if not (path_a.is_file() and path_b.is_file()):
+            side = "DIR_A" if path_a.is_file() else "DIR_B"
+            print(f"differs    {name} (only in {side})")
+            worst = math.inf
+            continue
+        if path_a.read_bytes() == path_b.read_bytes():
+            print(f"identical  {name}")
+            continue
+        parts = None
+        if name.endswith(".csv"):
+            kind, parts = "csv", _compare_csv(path_a, path_b)
+        elif name.endswith(".bin"):
+            try:
+                kind, parts = "container", _compare_container(path_a, path_b)
+            except ContainerError:
+                parts = None
+        if parts is None:
+            print(f"differs    {name}")
+            worst = math.inf
+            continue
+        print(f"{kind:<10} {name}")
+        for part, value in parts.items():
+            equal = "equal" if kind == "csv" else "bitwise equal"
+            text = equal if value == 0.0 else f"max rel diff {value:.3e}"
+            print(f"    {part}: {text}")
+            worst = max(worst, value)
+    return worst
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        description="Compare the artifacts of two pipeline runs.")
+    parser.add_argument("dir_a", help="reference run directory")
+    parser.add_argument("dir_b", help="run directory compared with it")
+    parser.add_argument("--rtol", type=float, default=0.0,
+                        help="largest accepted relative difference (default 0)")
+    args = parser.parse_args(argv)
+    for d in (args.dir_a, args.dir_b):
+        if not Path(d).is_dir():
+            parser.error(f"{d} is not a directory")
+    worst = compare_dirs(args.dir_a, args.dir_b)
+    ok = worst <= args.rtol
+    print(f"worst relative difference {worst:.3e}: "
+          f"{'within' if ok else 'ABOVE'} rtol {args.rtol:.1e}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
