@@ -9,165 +9,25 @@ pressure recovery, an adaptive grad-div parameter controller, and the
 spectral error indicators that track reduced-order accuracy.
 """
 
-from podflow.mesh import (
-    Mesh,
-    MeshError,
-    build_rect_mesh,
-    load_mesh,
-    mesh_stats,
-    refine_uniform,
-    save_mesh,
-)
-from podflow.container import ContainerError
-from podflow.fe_space import (
-    FEField,
-    FESpace,
-    eval_field,
-    interpolate,
-    load_field,
-    save_field,
-)
-from podflow.assembly import (
-    StabilizationConfig,
-    apply_convection,
-    assemble_divergence,
-    assemble_grad_div,
-    assemble_lps_matrices,
-    assemble_mass,
-    assemble_stiffness,
-    convection_matrix,
-)
-from podflow.fom import (
-    FlowCase,
-    FOMConfig,
-    FOMProblem,
-    FOMRun,
-    NonlinearSolveError,
-    SeparableForcing,
-    SnapshotSet,
-    load_snapshots,
-    record_snapshots,
-    run_fom,
-    save_snapshots,
-    solve_stokes,
-)
-from podflow.pod import (
-    PODBasis,
-    build_basis,
-    load_basis,
-    project_L2,
-    reconstruct,
-    save_basis,
-    spectral_diagnostics,
-    verify_spectral_identities,
-)
-from podflow.rom import (
-    AdaptiveMuConfig,
-    PressureRecovery,
-    ROMOperators,
-    ROMRun,
-    adapt_mu,
-    build_rom_operators,
-    compute_supremizers,
-    load_operators,
-    reduce_forcing,
-    run_rom,
-    save_operators,
-    supremizer_stability,
-    truncate_operators,
-)
-from podflow.metrics import (
-    DragLiftProbe,
-    discrete_l2_error,
-    error_indicators,
-    kinetic_energy,
-    rank_correlation,
-    weak_divergence,
-)
+from podflow.fom import FOMProblem
 from podflow.harness import (
     ConfigError,
     ExperimentConfig,
     StageError,
-    build_case,
-    calibrate_mu,
     convergence_study,
     long_horizon_study,
-    manufactured_solution,
     run_pipeline,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Mesh",
-    "MeshError",
-    "build_rect_mesh",
-    "load_mesh",
-    "mesh_stats",
-    "refine_uniform",
-    "save_mesh",
-    "ContainerError",
-    "FEField",
-    "FESpace",
-    "eval_field",
-    "interpolate",
-    "load_field",
-    "save_field",
-    "StabilizationConfig",
-    "apply_convection",
-    "assemble_divergence",
-    "assemble_grad_div",
-    "assemble_lps_matrices",
-    "assemble_mass",
-    "assemble_stiffness",
-    "convection_matrix",
-    "FlowCase",
-    "FOMConfig",
     "FOMProblem",
-    "FOMRun",
-    "NonlinearSolveError",
-    "SeparableForcing",
-    "SnapshotSet",
-    "load_snapshots",
-    "record_snapshots",
-    "run_fom",
-    "save_snapshots",
-    "solve_stokes",
-    "PODBasis",
-    "build_basis",
-    "load_basis",
-    "project_L2",
-    "reconstruct",
-    "save_basis",
-    "spectral_diagnostics",
-    "verify_spectral_identities",
-    "AdaptiveMuConfig",
-    "PressureRecovery",
-    "ROMOperators",
-    "ROMRun",
-    "adapt_mu",
-    "build_rom_operators",
-    "compute_supremizers",
-    "load_operators",
-    "reduce_forcing",
-    "run_rom",
-    "save_operators",
-    "supremizer_stability",
-    "truncate_operators",
-    "DragLiftProbe",
-    "discrete_l2_error",
-    "error_indicators",
-    "kinetic_energy",
-    "rank_correlation",
-    "weak_divergence",
     "ConfigError",
     "ExperimentConfig",
     "StageError",
-    "build_case",
-    "calibrate_mu",
     "convergence_study",
     "long_horizon_study",
-    "manufactured_solution",
     "run_pipeline",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Experiment drivers: configuration, manufactured solutions, and pipelines.
+"""Experiment drivers: configuration, flow cases, pipeline stages and studies.
 
 A JSON experiment configuration selects a geometry, a flow case, the
 full-order scheme, the basis extraction settings, and the reduced run.
@@ -6,12 +6,19 @@ Each section is read into a frozen dataclass whose fields are the accepted
 keys with their defaults; a value is checked against its field's annotation
 (a nested dataclass reads a nested section), and every malformed input
 raises a :class:`ConfigError` whose name says what was wrong.
-``run_pipeline`` executes the whole chain (full-order solve, snapshot
-recording, basis extraction, reduced integration) and writes deterministic
-CSV and binary artifacts. ``convergence_study`` measures observed orders on
-the decaying-vortex benchmark, ``long_horizon_study`` compares constant and
-adaptive grad-div coefficients over extended horizons, and ``calibrate_mu``
-grid-searches the coefficient against a reference energy table.
+
+The pipeline is three stages that return values and write nothing:
+``_full_order`` poses the configured case on a mesh, runs the full-order
+model and records its snapshots; ``_bases`` extracts the velocity and
+pressure bases; ``_reduced_start`` checks the reduced size and fixes what
+the reduced run starts from (coefficients, grad-div coefficient,
+adaptation, reference energies). ``run_pipeline`` composes them, builds the
+reduced operators and the pressure recovery, runs the reduced model and the
+reduced-size error sweep, and writes deterministic CSV and binary
+artifacts. The studies compose the same stages: ``convergence_study``
+measures observed orders on the registry's decaying vortex, and
+``long_horizon_study`` compares constant and adaptive grad-div
+coefficients of one full-order run over an extended horizon.
 """
 
 from __future__ import annotations
@@ -887,15 +894,86 @@ def _probe_series(probe, problem, velocity, pressure, dt, times):
     return cd, cl
 
 
+@dataclass(frozen=True)
+class _FullOrder:
+    """The posed problem and its full-order run: the first stage."""
+
+    bundle: CaseBundle
+    problem: FOMProblem
+    probe: object  # the drag/lift probe of a case with an obstacle, else None
+    run: object
+    vel_snaps: object
+    pres_snaps: object
+
+
+def _full_order(config, mesh):
+    """Pose the configured case on ``mesh``, run the full-order model (with
+    the drag/lift probe around an obstacle) and record its snapshots."""
+    bundle = build_case(config)
+    problem = FOMProblem(mesh, config.fom, bundle.flow_case)
+    probe = None
+    if bundle.has_obstacle:
+        probe = DragLiftProbe(
+            problem.vel_space, problem.pres_space, problem.mass,
+            problem.stiffness, problem.divergence, config.fom.nu,
+            bundle.reference_velocity, bundle.reference_length)
+    initial = None
+    if bundle.initial_velocity is not None:
+        initial = bundle.initial_velocity(problem)
+    run = run_fom(problem, initial_velocity=initial, probe=probe)
+    vel_snaps, pres_snaps = record_snapshots(run, center_velocity=config.pod.center)
+    if vel_snaps.n_snapshots < 2:
+        raise ValueError("need at least two snapshots for the reduced run")
+    return _FullOrder(bundle, problem, probe, run, vel_snaps, pres_snaps)
+
+
+def _bases(config, full):
+    """The velocity and pressure bases of the snapshots: the second stage."""
+    vel_basis = build_basis(full.vel_snaps, full.problem.mass, r=config.pod.r,
+                            energy_threshold=config.pod.energy_threshold)
+    return vel_basis, build_basis(full.pres_snaps, full.problem.pressure_mass)
+
+
+@dataclass(frozen=True)
+class _ReducedStart:
+    """What the main reduced run starts from: the third stage."""
+
+    r: int
+    a0: np.ndarray
+    mu: float
+    adaptive: AdaptiveMuConfig  # None when adaptation is disabled
+    energy_table: np.ndarray
+
+
+def _reduced_start(config, full, vel_basis):
+    """The checked reduced size, the first snapshot's coefficients, the
+    starting grad-div coefficient (``rom.adaptive.mu_init`` only when
+    adaptation is enabled), the adaptation settings and the reference
+    energies of :func:`_snapshot_energy_table`."""
+    r = vel_basis.r if config.rom.r is None else config.rom.r
+    if r > vel_basis.rank:
+        raise ValueError(f"rom.r={r} exceeds the basis rank {vel_basis.rank}")
+    mu = config.effective_rom_mu()
+    adaptive = None
+    if config.rom.adaptive.enabled:
+        adaptive = config.rom.adaptive.to_rom_config()
+        if config.rom.adaptive.mu_init is not None:
+            mu = config.rom.adaptive.mu_init
+    raw = full.vel_snaps.raw_fields()
+    a0 = project_L2(vel_basis, full.problem.mass, raw[:, 0], r=r)
+    table = _snapshot_energy_table(full.problem, full.vel_snaps, config.fom.dt)
+    return _ReducedStart(r, a0, mu, adaptive, table)
+
+
 def run_pipeline(config, out_dir=None, stop_after=None):
     """Execute the pipeline and write deterministic artifacts.
 
-    Stages: mesh and case construction, the full-order run with QoI and
-    snapshot recording, basis extraction, the reduced run (with optional
-    adaptation), and the reduced-size error sweep. ``stop_after`` ends the
-    run early after ``"fom"`` or ``"pod"``; later result fields stay None.
-    Any stage failure is re-raised as a :class:`StageError` tagged with the
-    stage name.
+    Stages: the mesh, the full-order run with QoI and snapshot recording,
+    basis extraction, and the reduced run (with optional adaptation) with
+    the reduced-size error sweep. ``stop_after`` ends the run early after
+    ``"fom"`` or ``"pod"``; later result fields stay None. Any stage
+    failure is re-raised as a :class:`StageError` tagged with the stage
+    name.
     """
     if stop_after not in (None, "fom", "pod", "rom"):
         raise ConfigError("stage_unknown", f"unknown stage {stop_after!r}")
@@ -910,141 +988,95 @@ def run_pipeline(config, out_dir=None, stop_after=None):
         artifacts["mesh"] = out / "mesh.txt"
 
     with _stage("fom"):
-        bundle = build_case(config)
-        problem = FOMProblem(mesh, config.fom, bundle.flow_case)
-        probe = None
-        if bundle.has_obstacle:
-            probe = DragLiftProbe(
-                problem.vel_space, problem.pres_space, problem.mass,
-                problem.stiffness, problem.divergence, config.fom.nu,
-                bundle.reference_velocity, bundle.reference_length)
-        initial = None
-        if bundle.initial_velocity is not None:
-            initial = bundle.initial_velocity(problem)
-        fom_run = run_fom(problem, initial_velocity=initial, probe=probe)
+        full = _full_order(config, mesh)
+        problem = full.problem
         artifacts["qoi"] = write_csv(
             out / "qoi.csv", ("t", "E_kin", "c_D", "c_L", "weak_div"),
-            fom_run.qoi)
-        vel_snaps, pres_snaps = record_snapshots(
-            fom_run, center_velocity=config.pod.center)
-        if vel_snaps.n_snapshots < 2:
-            raise ValueError("need at least two snapshots for the reduced run")
-        save_snapshots(vel_snaps, out / "snapshots_velocity.bin")
-        save_snapshots(pres_snaps, out / "snapshots_pressure.bin")
+            full.run.qoi)
+        save_snapshots(full.vel_snaps, out / "snapshots_velocity.bin")
+        save_snapshots(full.pres_snaps, out / "snapshots_pressure.bin")
         artifacts["snapshots_velocity"] = out / "snapshots_velocity.bin"
         artifacts["snapshots_pressure"] = out / "snapshots_pressure.bin"
 
-    if stop_after == "fom":
-        return _finish_pipeline(config, out, artifacts, problem, fom_run,
-                                vel_snaps, pres_snaps, vel_basis, pres_basis,
-                                ops, rom_run, error_table)
+    if stop_after != "fom":
+        with _stage("pod"):
+            vel_basis, pres_basis = _bases(config, full)
+            save_basis(vel_basis, out / "basis_velocity.bin")
+            save_basis(pres_basis, out / "basis_pressure.bin")
+            artifacts["basis_velocity"] = out / "basis_velocity.bin"
+            artifacts["basis_pressure"] = out / "basis_pressure.bin"
 
-    with _stage("pod"):
-        vel_basis = build_basis(vel_snaps, problem.mass, r=config.pod.r,
-                                energy_threshold=config.pod.energy_threshold)
-        pres_basis = build_basis(pres_snaps, problem.pressure_mass)
-        save_basis(vel_basis, out / "basis_velocity.bin")
-        save_basis(pres_basis, out / "basis_pressure.bin")
-        artifacts["basis_velocity"] = out / "basis_velocity.bin"
-        artifacts["basis_pressure"] = out / "basis_pressure.bin"
+    if stop_after in (None, "rom"):
+        with _stage("rom"):
+            start = _reduced_start(config, full, vel_basis)
+            scheme = config.effective_rom_scheme()
+            dt = config.fom.dt
+            rp_main = config.rom.r_pressure
+            if rp_main is None:
+                rp_main = min(start.r, pres_basis.rank)
+            sizes = _error_table_sizes(config, vel_basis, pres_basis)
+            # One build at the largest sizes; every smaller model is its
+            # leading block, because the modes are nested.
+            r_max = max([start.r] + [r for r, _ in sizes])
+            rp_max = max([rp_main] + [rp for _, rp in sizes])
+            all_ops = build_rom_operators(
+                problem, vel_basis,
+                pres_basis if scheme == "lps" else None,
+                r=r_max,
+                r_pressure=rp_max if scheme == "lps" else None)
+            ops = truncate_operators(all_ops, start.r,
+                                     rp_main if scheme == "lps" else None)
+            save_operators(ops, out / "operators.bin")
+            artifacts["operators"] = out / "operators.bin"
 
-    if stop_after == "pod":
-        return _finish_pipeline(config, out, artifacts, problem, fom_run,
-                                vel_snaps, pres_snaps, vel_basis, pres_basis,
-                                ops, rom_run, error_table)
+            times = full.vel_snaps.times
+            forcing = problem.case.forcing
+            n_steps = int(round((config.effective_rom_t_final() - times[0]) / dt))
+            if n_steps < 1:
+                raise ValueError("the reduced window allows no steps")
+            rom_run = run_rom(
+                ops, dt=dt, n_steps=n_steps, a0=start.a0, nu=config.fom.nu,
+                t_start=times[0], forcing=_reduced_forcing(ops, forcing),
+                mu=start.mu, adaptive=start.adaptive,
+                fom_energy_table=start.energy_table,
+                integrator=config.rom.integrator)
 
-    with _stage("rom"):
-        scheme = config.effective_rom_scheme()
-        dt = config.fom.dt
-        r_main = vel_basis.r if config.rom.r is None else config.rom.r
-        if r_main > vel_basis.rank:
-            raise ValueError(
-                f"rom.r={r_main} exceeds the basis rank {vel_basis.rank}")
-        rp_main = config.rom.r_pressure
-        if rp_main is None:
-            rp_main = min(r_main, pres_basis.rank)
-        sizes = _error_table_sizes(config, vel_basis, pres_basis)
-        # One build at the largest sizes; every smaller model is its leading
-        # block, because the modes are nested.
-        r_max = max([r_main] + [r for r, _ in sizes])
-        rp_max = max([rp_main] + [rp for _, rp in sizes])
-        all_ops = build_rom_operators(
-            problem, vel_basis,
-            pres_basis if scheme == "lps" else None,
-            r=r_max,
-            r_pressure=rp_max if scheme == "lps" else None)
-        ops = truncate_operators(all_ops, r_main,
-                                 rp_main if scheme == "lps" else None)
-        save_operators(ops, out / "operators.bin")
-        artifacts["operators"] = out / "operators.bin"
+            all_recovery = recovery = None
+            if scheme == "graddiv" and pres_basis.rank > 0:
+                supremizers = compute_supremizers(problem, pres_basis).fields
+                n_sup = supremizers.shape[1]
+                if n_sup:
+                    all_recovery = PressureRecovery(
+                        problem, replace(vel_basis, r=r_max),
+                        replace(pres_basis, r=n_sup), supremizers)
+                    if n_sup == pres_basis.r:
+                        recovery = all_recovery.truncate(start.r, n_sup)
 
-        times = vel_snaps.times
-        mu_value = config.effective_rom_mu()
-        adaptive_cfg = None
-        if config.rom.adaptive.enabled:
-            adaptive_cfg = config.rom.adaptive.to_rom_config()
-            if config.rom.adaptive.mu_init is not None:
-                mu_value = config.rom.adaptive.mu_init
-        energy_table = _snapshot_energy_table(problem, vel_snaps, dt)
+            velocity = _reconstruct(ops, rom_run.a_traj)
+            pressure = _reduced_pressure(ops, recovery, rom_run, forcing, dt,
+                                         rom_run.mu_traj, slice(None))
+            cd, cl = _probe_series(full.probe, problem, velocity, pressure, dt,
+                                   rom_run.times)
+            a_norms = np.linalg.norm(rom_run.a_traj, axis=0)
+            rom_rows = list(zip(rom_run.times, rom_run.mu_traj,
+                                rom_run.energy_traj, rom_run.e_diff_traj,
+                                cd, cl, a_norms))
+            artifacts["rom"] = write_csv(
+                out / "rom.csv",
+                ("t", "mu", "E_kin", "E_diff", "c_D", "c_L", "a_norm"), rom_rows)
+            if config.rom.adaptive.enabled:
+                artifacts["mu"] = write_csv(
+                    out / "mu.csv", ("t", "mu", "E_diff"),
+                    zip(rom_run.times, rom_run.mu_traj, rom_run.e_diff_traj))
 
-        raw = vel_snaps.raw_fields()
-        a0 = project_L2(vel_basis, problem.mass, raw[:, 0], r=r_main)
-        t_final_rom = config.effective_rom_t_final()
-        n_steps = int(round((t_final_rom - times[0]) / dt))
-        if n_steps < 1:
-            raise ValueError("the reduced window allows no steps")
-        rom_run = run_rom(
-            ops, dt=dt, n_steps=n_steps, a0=a0, nu=config.fom.nu,
-            t_start=times[0],
-            forcing=_reduced_forcing(ops, bundle.flow_case.forcing), mu=mu_value,
-            adaptive=adaptive_cfg, fom_energy_table=energy_table,
-            integrator=config.rom.integrator)
+            error_table = reduced_error_table(
+                config, problem, full.vel_snaps, full.pres_snaps, vel_basis,
+                pres_basis, sizes, all_ops, all_recovery)
+            artifacts["errors"] = write_csv(
+                out / "errors.csv",
+                ("r", "vel_error", "pres_error", "vel_indicator", "pres_indicator"),
+                error_table)
 
-        all_recovery = recovery = None
-        if scheme == "graddiv" and pres_basis.rank > 0:
-            supremizers = compute_supremizers(problem, pres_basis).fields
-            n_sup = supremizers.shape[1]
-            if n_sup:
-                all_recovery = PressureRecovery(
-                    problem, replace(vel_basis, r=r_max),
-                    replace(pres_basis, r=n_sup), supremizers)
-                if n_sup == pres_basis.r:
-                    recovery = all_recovery.truncate(r_main, n_sup)
-
-        velocity = _reconstruct(ops, rom_run.a_traj)
-        pressure = _reduced_pressure(ops, recovery, rom_run,
-                                     bundle.flow_case.forcing, dt,
-                                     rom_run.mu_traj, slice(None))
-        cd, cl = _probe_series(probe, problem, velocity, pressure, dt,
-                               rom_run.times)
-        a_norms = np.linalg.norm(rom_run.a_traj, axis=0)
-        rom_rows = list(zip(rom_run.times, rom_run.mu_traj,
-                            rom_run.energy_traj, rom_run.e_diff_traj,
-                            cd, cl, a_norms))
-        artifacts["rom"] = write_csv(
-            out / "rom.csv",
-            ("t", "mu", "E_kin", "E_diff", "c_D", "c_L", "a_norm"), rom_rows)
-        if config.rom.adaptive.enabled:
-            artifacts["mu"] = write_csv(
-                out / "mu.csv", ("t", "mu", "E_diff"),
-                zip(rom_run.times, rom_run.mu_traj, rom_run.e_diff_traj))
-
-        error_table = reduced_error_table(
-            config, problem, vel_snaps, pres_snaps, vel_basis, pres_basis,
-            sizes, all_ops, all_recovery)
-        artifacts["errors"] = write_csv(
-            out / "errors.csv",
-            ("r", "vel_error", "pres_error", "vel_indicator", "pres_indicator"),
-            error_table)
-
-    return _finish_pipeline(config, out, artifacts, problem, fom_run,
-                            vel_snaps, pres_snaps, vel_basis, pres_basis,
-                            ops, rom_run, error_table)
-
-
-def _finish_pipeline(config, out, artifacts, problem, fom_run, vel_snaps,
-                     pres_snaps, vel_basis, pres_basis, ops, rom_run,
-                     error_table):
     meta = {
         "case": config.case_name,
         "scheme": config.fom.scheme,
@@ -1057,8 +1089,8 @@ def _finish_pipeline(config, out, artifacts, problem, fom_run, vel_snaps,
         fh.write("\n")
     artifacts["meta"] = out / "run_meta.json"
     return PipelineResult(
-        config=config, problem=problem, fom_run=fom_run,
-        vel_snapshots=vel_snaps, pres_snapshots=pres_snaps,
+        config=config, problem=problem, fom_run=full.run,
+        vel_snapshots=full.vel_snaps, pres_snapshots=full.pres_snaps,
         vel_basis=vel_basis, pres_basis=pres_basis, operators=ops,
         rom_run=rom_run, error_table=error_table, artifacts=artifacts)
 
@@ -1225,8 +1257,6 @@ def convergence_study(scheme, levels=3, base_nx=4, base_dt=2e-2,
         raise ConfigError("study_invalid", "need at least two levels")
     if stabilization is None:
         stabilization = StabilizationConfig(grad_div=0.3)
-    ms = manufactured_solution("taylor_green", nu)
-    bc = ms.velocity
     errors = []
     interp_errors = []
     mesh_sizes = []
@@ -1234,19 +1264,19 @@ def convergence_study(scheme, levels=3, base_nx=4, base_dt=2e-2,
     for level in range(levels):
         nx = base_nx * 2**level
         dt = base_dt / 4**level
-        cfg = FOMConfig(scheme=scheme, nu=nu, dt=dt, t_final=t_final,
-                        stabilization=stabilization)
-        mesh = build_rect_mesh(1.0, 1.0, nx, nx)
-        case = FlowCase("taylor_green",
-                        dirichlet={"inlet": bc, "outlet": bc, "wall": bc},
-                        zero_mean_pressure=True)
-        problem = FOMProblem(mesh, cfg, case)
-        initial = interpolate(problem.vel_space, ms.velocity, t=0.0)
-        run = run_fom(problem, initial_velocity=initial)
-        u_final = run.final_state.u
-        errors.append(analytic_l2_error(u_final, ms.velocity, t=t_final))
-        interp = interpolate(problem.vel_space, ms.velocity, t=t_final)
-        interp_errors.append(analytic_l2_error(interp, ms.velocity, t=t_final))
+        # a window over the whole run always holds the two snapshots needed
+        config = ExperimentConfig(
+            geometry=GeometryConfig(nx=nx, ny=nx), case_name="taylor_green",
+            case_parameters={},
+            fom=FOMConfig(scheme=scheme, nu=nu, dt=dt, t_final=t_final,
+                          stabilization=stabilization,
+                          snapshot_window=(0.0, t_final)),
+            pod=PODBlock(), rom=ROMBlock())
+        full = _full_order(config, config.geometry.build())
+        exact = full.bundle.manufactured.velocity
+        errors.append(analytic_l2_error(full.run.final_state.u, exact, t=t_final))
+        interp = interpolate(full.problem.vel_space, exact, t=t_final)
+        interp_errors.append(analytic_l2_error(interp, exact, t=t_final))
         mesh_sizes.append(nx)
         step_sizes.append(dt)
     orders = [float(np.log2(errors[k] / errors[k + 1]))
@@ -1297,52 +1327,34 @@ def _detect_blow_up(run):
 def long_horizon_study(config, horizon_multiple=10.0, out_dir=None):
     """Integrate constant and adaptive reduced runs over a longer horizon.
 
-    Both variants share the basis, the initial projection, and the starting
-    coefficient; only the adaptation differs (and it is a no-op when the
-    config disables it, making the two outputs identical). Blow-up (a
-    thousandfold growth of the coefficient norm) is recorded, not fatal.
+    Both variants start from the pipeline's reduced start on one full-order
+    run; only the adaptation differs, and when the config disables it the
+    two are one run. The operators are built directly at the reduced size.
+    Blow-up (a thousandfold growth of the coefficient norm) is recorded,
+    not fatal.
     """
     if horizon_multiple <= 0.0:
         raise ConfigError("study_invalid", "horizon multiple must be positive")
-    mesh = config.geometry.build()
-    bundle = build_case(config)
-    problem = FOMProblem(mesh, config.fom, bundle.flow_case)
-    initial = None
-    if bundle.initial_velocity is not None:
-        initial = bundle.initial_velocity(problem)
-    fom_run = run_fom(problem, initial_velocity=initial)
-    vel_snaps, _ = record_snapshots(fom_run, center_velocity=config.pod.center)
-    vel_basis = build_basis(vel_snaps, problem.mass, r=config.pod.r,
-                            energy_threshold=config.pod.energy_threshold)
-    scheme = config.effective_rom_scheme()
-    if scheme != "graddiv":
+    if config.effective_rom_scheme() != "graddiv":
         raise ConfigError("study_invalid",
                           "the long-horizon study drives the grad-div scheme")
-    r_main = vel_basis.r if config.rom.r is None else config.rom.r
-    ops = build_rom_operators(problem, vel_basis, None, r=r_main)
+    full = _full_order(config, config.geometry.build())
+    vel_basis, _ = _bases(config, full)
+    start = _reduced_start(config, full, vel_basis)
+    ops = build_rom_operators(full.problem, vel_basis, None, r=start.r)
 
-    times = vel_snaps.times
+    times = full.vel_snaps.times
     dt = config.fom.dt
     window = times[-1] - times[0]
     n_steps = max(int(round(horizon_multiple * window / dt)), 1)
-    raw = vel_snaps.raw_fields()
-    a0 = project_L2(vel_basis, problem.mass, raw[:, 0], r=r_main)
-    table = _snapshot_energy_table(problem, vel_snaps, dt)
-    mu_value = config.effective_rom_mu()
-    if config.rom.adaptive.mu_init is not None:
-        mu_value = config.rom.adaptive.mu_init
-
-    common = dict(dt=dt, n_steps=n_steps, a0=a0, nu=config.fom.nu,
+    common = dict(dt=dt, n_steps=n_steps, a0=start.a0, nu=config.fom.nu,
                   t_start=times[0],
-                  forcing=_reduced_forcing(ops, bundle.flow_case.forcing),
-                  mu=mu_value, fom_energy_table=table,
+                  forcing=_reduced_forcing(ops, full.problem.case.forcing),
+                  mu=start.mu, fom_energy_table=start.energy_table,
                   integrator=config.rom.integrator)
-    constant_run = run_rom(ops, **common)
-    if config.rom.adaptive.enabled:
-        adaptive_run = run_rom(ops, adaptive=config.rom.adaptive.to_rom_config(),
-                               **common)
-    else:
-        adaptive_run = run_rom(ops, **common)
+    constant_run = adaptive_run = run_rom(ops, **common)
+    if start.adaptive is not None:
+        adaptive_run = run_rom(ops, adaptive=start.adaptive, **common)
 
     study = LongHorizonStudy(
         horizon_multiple=float(horizon_multiple),
@@ -1366,25 +1378,3 @@ def long_horizon_study(config, horizon_multiple=10.0, out_dir=None):
                   zip(adaptive_run.times, adaptive_run.mu_traj,
                       adaptive_run.e_diff_traj))
     return study
-
-
-def calibrate_mu(ops, fom_energy_table, dt, n_steps, a0, nu, candidates,
-                 t_start=0.0, forcing=None, integrator="bdf2_semi_implicit"):
-    """Grid-search the grad-div coefficient against a reference energy table.
-
-    Each candidate integrates the same reduced window; the winner minimizes
-    the worst-case absolute energy mismatch (ties keep the first, so the
-    search is deterministic).
-    """
-    candidates = [float(c) for c in candidates]
-    if not candidates:
-        raise ValueError("need at least one candidate coefficient")
-    results = []
-    for mu in candidates:
-        run = run_rom(ops, dt=dt, n_steps=n_steps, a0=a0, nu=nu,
-                      t_start=t_start, forcing=forcing, mu=mu,
-                      fom_energy_table=fom_energy_table,
-                      integrator=integrator)
-        results.append((mu, float(np.nanmax(np.abs(run.e_diff_traj)))))
-    best = min(results, key=lambda item: item[1])
-    return best[0], results

@@ -29,7 +29,6 @@ from podflow.harness import (
     _probe_series,
     apply_overrides,
     build_case,
-    calibrate_mu,
     convergence_study,
     long_horizon_study,
     manufactured_solution,
@@ -38,9 +37,7 @@ from podflow.harness import (
     write_convergence_csv,
     write_csv,
 )
-from podflow.metrics import discrete_l2_error, kinetic_energy
-from podflow.pod import project_L2
-from podflow.rom import reduce_forcing
+from podflow.metrics import discrete_l2_error
 
 
 # -- manufactured solutions ---------------------------------------------------------
@@ -385,6 +382,36 @@ def run_small_pipeline(tmp_path, raw=None, **kwargs):
     return run_pipeline(cfg, out_dir=tmp_path, **kwargs)
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(owner, name, key, scoped=False)`` wraps ``owner.name``
+    so each call adds one to ``count_calls.calls[key]``; while a ``scoped``
+    function runs, each wrapped call also adds one to ``"<key> in <its
+    key>"``."""
+    calls = collections.Counter()
+    scopes = []
+
+    def count(owner, name, key, scoped=False):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            if scopes:
+                calls[f"{key} in {scopes[0]}"] += 1
+            if scoped:
+                scopes.append(key)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                if scoped:
+                    scopes.pop()
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count.calls = calls
+    return count
+
+
 EXPECTED_FILES = {
     "mesh.txt", "qoi.csv", "snapshots_velocity.bin", "snapshots_pressure.bin",
     "basis_velocity.bin", "basis_pressure.bin", "operators.bin", "rom.csv",
@@ -663,45 +690,42 @@ def test_long_horizon_adaptive_run_diverges_from_constant_when_enabled(tmp_path)
     assert np.any(np.diff(mu[:, 1]) != 0.0)
 
 
-def test_long_horizon_study_requires_the_divergence_stable_scheme():
+def test_long_horizon_study_requires_the_divergence_stable_scheme(count_calls):
+    count_calls(podflow.harness, "run_fom", "run_fom")
     raw = base_raw()
     raw["fom"]["scheme"] = "lps"
     del raw["fom"]["stabilization"]
     cfg = ExperimentConfig.from_dict(raw)
     with pytest.raises(ConfigError):
         long_horizon_study(cfg, horizon_multiple=2.0)
+    assert count_calls.calls["run_fom"] == 0, "rejected before the full-order run"
 
 
-def test_calibration_picks_the_smallest_worst_case_mismatch(tmp_path):
+@pytest.mark.parametrize("enabled,rom_runs", [(False, 1), (True, 2)])
+def test_long_horizon_study_runs_one_full_order_model_and_one_build(
+        count_calls, enabled, rom_runs):
+    for name in ("run_fom", "build_rom_operators", "run_rom"):
+        count_calls(podflow.harness, name, name)
     raw = base_raw()
+    raw["pod"] = {"r": 2}
+    raw["rom"] = {"adaptive": {"enabled": enabled}}
+    long_horizon_study(ExperimentConfig.from_dict(raw), horizon_multiple=2.0)
+    # with adaptation disabled the adaptive run is the constant one
+    assert count_calls.calls == {"run_fom": 1, "build_rom_operators": 1,
+                                 "run_rom": rom_runs}
+
+
+def test_long_horizon_study_starts_from_the_pipelines_mu(tmp_path):
+    # rom.adaptive.mu_init sets the starting coefficient only when
+    # adaptation is enabled, in the study as in the pipeline
+    raw = base_raw()
+    raw["pod"] = {"r": 2}
+    raw["rom"] = {"adaptive": {"enabled": False, "mu_init": 0.7}}
     cfg = ExperimentConfig.from_dict(raw)
-    result = run_pipeline(cfg, out_dir=tmp_path)
-    ops = result.operators
-    problem = result.problem
-    snaps = result.vel_snapshots
-    raw_fields = snaps.raw_fields()
-    table = [kinetic_energy(raw_fields[:, j], problem.mass)
-             for j in range(1, raw_fields.shape[1])]
-    a0 = project_L2(result.vel_basis, problem.mass, raw_fields[:, 0])
-    case_forcing = build_case(cfg).flow_case.forcing
-    forcing = lambda t: reduce_forcing(ops, case_forcing, t)
-    best, details = calibrate_mu(
-        ops, table, dt=cfg.fom.dt, n_steps=4, a0=a0, nu=cfg.fom.nu,
-        candidates=[0.05, 0.3, 1.0], t_start=snaps.times[0], forcing=forcing)
-    assert best in (0.05, 0.3, 1.0)
-    assert len(details) == 3
-    mismatches = [d[1] for d in details]
-    assert details[mismatches.index(min(mismatches))][0] == best
-    single, _ = calibrate_mu(
-        ops, table, dt=cfg.fom.dt, n_steps=2, a0=a0, nu=cfg.fom.nu,
-        candidates=[0.7], t_start=snaps.times[0], forcing=forcing)
-    assert single == 0.7
-
-
-def test_calibration_requires_candidates():
-    with pytest.raises(ValueError):
-        calibrate_mu(None, [1.0], dt=0.01, n_steps=1, a0=np.zeros(1), nu=0.01,
-                     candidates=[])
+    study = long_horizon_study(cfg, horizon_multiple=2.0)
+    run_pipeline(cfg, out_dir=tmp_path)
+    rom_mu = read_csv(tmp_path / "rom.csv")[1][:, 1]
+    assert study.constant_run.mu_traj[0] == rom_mu[0] == 0.3
 
 
 # -- separable forcing and the reduced online phase ----------------------------------
@@ -741,35 +765,16 @@ def test_separable_loads_match_the_assembled_forcing(forced_problems, t):
             <= 1e-13 * np.abs(assembled).max(), name
 
 
-def test_reduced_phase_builds_once_and_assembles_no_load(tmp_path, monkeypatch):
-    calls = collections.Counter()
-    in_run_rom = []
-
-    def count(owner, name, key, scoped=False):
-        original = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            if in_run_rom:
-                calls[key + " in run_rom"] += 1
-            if scoped:
-                in_run_rom.append(True)
-            try:
-                return original(*args, **kwargs)
-            finally:
-                if scoped:
-                    in_run_rom.pop()
-
-        monkeypatch.setattr(owner, name, wrapper)
-
-    count(podflow.fom, "assemble_load", "fom load")
-    count(podflow.rom, "assemble_load", "rom load")
-    count(podflow.harness, "build_rom_operators", "build")
-    count(podflow.rom.PressureRecovery, "__init__", "recovery")
-    count(podflow.harness, "run_rom", "run_rom", scoped=True)
+def test_reduced_phase_builds_once_and_assembles_no_load(tmp_path, count_calls):
+    count_calls(podflow.fom, "assemble_load", "fom load")
+    count_calls(podflow.rom, "assemble_load", "rom load")
+    count_calls(podflow.harness, "build_rom_operators", "build")
+    count_calls(podflow.rom.PressureRecovery, "__init__", "recovery")
+    count_calls(podflow.harness, "run_rom", "run_rom", scoped=True)
     raw = base_raw()
     raw["rom"]["r_values"] = [1, 2, 3]
     run_pipeline(ExperimentConfig.from_dict(raw), out_dir=tmp_path)
+    calls = count_calls.calls
     assert calls["run_rom"] == 4
     assert calls["build"] == 1 and calls["recovery"] == 1
     assert calls["rom load"] == 0
