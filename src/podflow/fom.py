@@ -6,7 +6,9 @@ on both gradient fluctuations. The divergence-stable scheme uses the
 quadratic/linear pair with a grad-div penalty. Time stepping is either
 semi-implicit two-step backward differentiation (extrapolated convecting
 field, one linear solve per step) or implicit Euler with fixed-point
-resolution of the convection nonlinearity.
+resolution of the convection nonlinearity. :func:`time_terms` holds the
+coefficients of both and :func:`solve_step` their sweeps, for the
+full-order and the reduced models alike.
 """
 
 from __future__ import annotations
@@ -44,6 +46,41 @@ class NonlinearSolveError(RuntimeError):
     def __init__(self, message, residual_history):
         super().__init__(message)
         self.residual_history = list(residual_history)
+
+
+def time_terms(integrator, now, prev, dt):
+    """The time discretization of one step from the levels ``now`` and
+    ``prev``: ``(alpha, history, convecting)`` such that the time
+    derivative at the new level is ``alpha / dt * u_new - history``, and
+    ``convecting`` is the field of the first convection sweep (the
+    extrapolation ``2 now - prev`` for BDF2, ``now`` for implicit Euler)."""
+    if integrator == "bdf2_semi_implicit":
+        return 1.5, (4.0 * now - prev) / (2.0 * dt), 2.0 * now - prev
+    return 1.0, now / dt, now
+
+
+def solve_step(integrator, sweep, convecting, mass, tolerance, max_iterations):
+    """Solve one step of ``integrator``: ``sweep(w)`` returns the new level
+    solved with convection by ``w``, and what else the model solves for.
+    BDF2 sweeps once with the extrapolated ``convecting`` field; implicit
+    Euler repeats the sweep, each convected by the last, until the relative
+    change in the ``mass`` norm reaches ``tolerance``."""
+    residuals = []
+    while True:
+        new, other = sweep(convecting)
+        if integrator == "bdf2_semi_implicit":
+            return new, other
+        diff = new - convecting
+        residuals.append(np.sqrt(max(float(diff @ (mass @ diff)), 0.0))
+                         / np.sqrt(max(float(new @ (mass @ new)), 1e-300)))
+        if residuals[-1] <= tolerance:
+            return new, other
+        if len(residuals) == max_iterations:
+            raise NonlinearSolveError(
+                f"Picard iteration did not reach {tolerance:.1e} in {max_iterations} "
+                f"sweeps: last residuals [{', '.join(f'{v:.3e}' for v in residuals[-3:])}]",
+                residuals)
+        convecting = new
 
 
 @dataclass(frozen=True)
@@ -146,13 +183,6 @@ class FOMState:
     t: float
     n: int
     load: np.ndarray = None  # the load at t the step assembled; None at t = 0
-
-
-def bdf2_extrapolate(u_prev, u_now):
-    """Second-order extrapolation 2*u_now - u_prev of two history levels."""
-    if isinstance(u_now, FEField):
-        return FEField(u_now.space, 2.0 * u_now.coefficients - _coefficients(u_prev), u_now.t)
-    return 2.0 * np.asarray(u_now, dtype=float) - _coefficients(u_prev)
 
 
 class FOMProblem:
@@ -288,20 +318,25 @@ class FOMProblem:
         return u, p
 
 
-def _step_semi_implicit(problem, state):
+def _step(problem, state):
+    """One step of the configured integrator (see :func:`solve_step`)."""
     cfg = problem.config
-    dt = cfg.dt
-    t_new = state.t + dt
-    u_hat = bdf2_extrapolate(state.u_prev, state.u.coefficients)
-    convection = convection_matrix(problem.vel_space, FEField(problem.vel_space, u_hat))
-    velocity_block = (
-        1.5 / dt * problem.mass + problem._static_velocity_block + convection
-    )
+    t_new = state.t + cfg.dt
+    alpha, history, convecting = time_terms(
+        cfg.time_integrator, state.u.coefficients, state.u_prev, cfg.dt)
+    static_block = alpha / cfg.dt * problem.mass + problem._static_velocity_block
     load = problem.load_vector(t_new)
-    rhs = problem.mass @ (
-        (4.0 * state.u.coefficients - state.u_prev) / (2.0 * dt)
-    ) + load
-    u, p = problem.solve_coupled(velocity_block, rhs, t_new)
+    rhs = problem.mass @ history + load
+
+    def sweep(w):
+        convection = convection_matrix(problem.vel_space, FEField(problem.vel_space, w))
+        return problem.solve_coupled(static_block + convection, rhs, t_new)
+
+    try:
+        u, p = solve_step(cfg.time_integrator, sweep, convecting, problem.mass,
+                          cfg.nonlinear_tolerance, cfg.nonlinear_max_iterations)
+    except NonlinearSolveError as exc:
+        raise NonlinearSolveError(f"at t={t_new:.6g}: {exc}", exc.residual_history) from exc
     return FOMState(
         u=FEField(problem.vel_space, u, t_new),
         p=FEField(problem.pres_space, p, t_new),
@@ -310,45 +345,6 @@ def _step_semi_implicit(problem, state):
         n=state.n + 1,
         load=load,
     )
-
-
-def _step_implicit_euler(problem, state):
-    cfg = problem.config
-    dt = cfg.dt
-    t_new = state.t + dt
-    load = problem.load_vector(t_new)
-    rhs = problem.mass @ (state.u.coefficients / dt) + load
-    convecting = state.u.coefficients.copy()
-    history = []
-    for _ in range(cfg.nonlinear_max_iterations):
-        convection = convection_matrix(problem.vel_space, FEField(problem.vel_space, convecting))
-        velocity_block = problem.mass / dt + problem._static_velocity_block + convection
-        u, p = problem.solve_coupled(velocity_block, rhs, t_new)
-        diff = u - convecting
-        change = np.sqrt(diff @ (problem.mass @ diff))
-        scale = max(np.sqrt(u @ (problem.mass @ u)), 1e-30)
-        history.append(change / scale)
-        convecting = u
-        if history[-1] <= cfg.nonlinear_tolerance:
-            return FOMState(
-                u=FEField(problem.vel_space, u, t_new),
-                p=FEField(problem.pres_space, p, t_new),
-                u_prev=state.u.coefficients.copy(),
-                t=t_new,
-                n=state.n + 1,
-                load=load,
-            )
-    raise NonlinearSolveError(
-        f"fixed-point iteration stalled at t={t_new:.6g}: "
-        f"last residuals [{', '.join(f'{v:.3e}' for v in history[-3:])}]",
-        history,
-    )
-
-
-def _step(problem, state):
-    if problem.config.time_integrator == "bdf2_semi_implicit":
-        return _step_semi_implicit(problem, state)
-    return _step_implicit_euler(problem, state)
 
 
 def initial_state(problem, initial_velocity=None):

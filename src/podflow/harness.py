@@ -36,7 +36,6 @@ from .assembly import StabilizationConfig
 from .fe_space import FEField, interpolate
 from .fom import (
     _TIME_TOL,
-    SCHEMES,
     TIME_INTEGRATORS,
     FlowCase,
     FOMConfig,
@@ -238,7 +237,6 @@ class AdaptiveBlock:
 class ROMBlock:
     """Reduced-run settings."""
 
-    scheme: str = None  # defaults to the full-order scheme
     r: int = None  # defaults to the selected basis size
     r_pressure: int = None
     r_values: tuple[int, ...] = None  # reduced sizes swept for the error table
@@ -247,11 +245,8 @@ class ROMBlock:
     mu: float = None  # defaults to the full-order grad-div coefficient
     alpha: float = None  # pressure indicator coupling; None computes it
     adaptive: AdaptiveBlock = field(default_factory=AdaptiveBlock)
-    allow_scheme_mismatch: bool = False
 
     def __post_init__(self):
-        if self.scheme is not None and self.scheme not in SCHEMES:
-            raise ConfigError("rom_invalid", f"unknown scheme {self.scheme!r}")
         if self.r is not None and self.r < 1:
             raise ConfigError("rom_invalid", "r must be at least 1")
         if self.r_pressure is not None and self.r_pressure < 1:
@@ -288,30 +283,20 @@ class ExperimentConfig:
         if self.fom.snapshot_window is None:
             raise ConfigError("snapshot_window_missing",
                               "the pipeline needs fom.snapshot_window")
-        rom_scheme = self.effective_rom_scheme()
-        if rom_scheme != self.fom.scheme and not self.rom.allow_scheme_mismatch:
-            raise ConfigError(
-                "scheme_mismatch",
-                f"reduced scheme {rom_scheme!r} does not match the full-order "
-                f"scheme {self.fom.scheme!r} (set rom.allow_scheme_mismatch "
-                f"to override)")
         window_end = self.fom.snapshot_window[1]
         if self.rom.t_final is not None and self.rom.t_final < window_end - _TIME_TOL:
             raise ConfigError(
                 "rom_window",
                 f"rom.t_final={self.rom.t_final} ends before the snapshot "
                 f"window end {window_end}")
-        if self.rom.adaptive.enabled and rom_scheme != "graddiv":
+        if self.rom.adaptive.enabled and self.fom.scheme != "graddiv":
             raise ConfigError("adaptive_requires_graddiv",
                               "adaptive mu applies to the grad-div scheme only")
-
-    def effective_rom_scheme(self):
-        return self.fom.scheme if self.rom.scheme is None else self.rom.scheme
 
     def effective_rom_mu(self):
         if self.rom.mu is not None:
             return self.rom.mu
-        if self.effective_rom_scheme() == "graddiv":
+        if self.fom.scheme == "graddiv":
             return self.fom.stabilization.grad_div
         return 0.0
 
@@ -900,19 +885,20 @@ class _FullOrder:
 
     bundle: CaseBundle
     problem: FOMProblem
-    probe: object  # the drag/lift probe of a case with an obstacle, else None
+    probe: object  # the drag/lift probe when one was asked for, else None
     run: object
     vel_snaps: object
     pres_snaps: object
 
 
-def _full_order(config, mesh):
-    """Pose the configured case on ``mesh``, run the full-order model (with
-    the drag/lift probe around an obstacle) and record its snapshots."""
+def _full_order(config, mesh, drag_lift=False):
+    """Pose the configured case on ``mesh``, run the full-order model and
+    record its snapshots; with ``drag_lift``, a case with an obstacle gets
+    the drag/lift probe, evaluated at every step."""
     bundle = build_case(config)
     problem = FOMProblem(mesh, config.fom, bundle.flow_case)
     probe = None
-    if bundle.has_obstacle:
+    if drag_lift and bundle.has_obstacle:
         probe = DragLiftProbe(
             problem.vel_space, problem.pres_space, problem.mass,
             problem.stiffness, problem.divergence, config.fom.nu,
@@ -988,7 +974,7 @@ def run_pipeline(config, out_dir=None, stop_after=None):
         artifacts["mesh"] = out / "mesh.txt"
 
     with _stage("fom"):
-        full = _full_order(config, mesh)
+        full = _full_order(config, mesh, drag_lift=True)
         problem = full.problem
         artifacts["qoi"] = write_csv(
             out / "qoi.csv", ("t", "E_kin", "c_D", "c_L", "weak_div"),
@@ -1009,7 +995,6 @@ def run_pipeline(config, out_dir=None, stop_after=None):
     if stop_after in (None, "rom"):
         with _stage("rom"):
             start = _reduced_start(config, full, vel_basis)
-            scheme = config.effective_rom_scheme()
             dt = config.fom.dt
             rp_main = config.rom.r_pressure
             if rp_main is None:
@@ -1019,13 +1004,9 @@ def run_pipeline(config, out_dir=None, stop_after=None):
             # leading block, because the modes are nested.
             r_max = max([start.r] + [r for r, _ in sizes])
             rp_max = max([rp_main] + [rp for _, rp in sizes])
-            all_ops = build_rom_operators(
-                problem, vel_basis,
-                pres_basis if scheme == "lps" else None,
-                r=r_max,
-                r_pressure=rp_max if scheme == "lps" else None)
-            ops = truncate_operators(all_ops, start.r,
-                                     rp_main if scheme == "lps" else None)
+            all_ops = build_rom_operators(problem, vel_basis, pres_basis,
+                                          r=r_max, r_pressure=rp_max)
+            ops = truncate_operators(all_ops, start.r, rp_main)
             save_operators(ops, out / "operators.bin")
             artifacts["operators"] = out / "operators.bin"
 
@@ -1042,7 +1023,7 @@ def run_pipeline(config, out_dir=None, stop_after=None):
                 integrator=config.rom.integrator)
 
             all_recovery = recovery = None
-            if scheme == "graddiv" and pres_basis.rank > 0:
+            if ops.pres_modes is None and pres_basis.rank > 0:
                 supremizers = compute_supremizers(problem, pres_basis).fields
                 n_sup = supremizers.shape[1]
                 if n_sup:
@@ -1080,7 +1061,7 @@ def run_pipeline(config, out_dir=None, stop_after=None):
     meta = {
         "case": config.case_name,
         "scheme": config.fom.scheme,
-        "rom_scheme": config.effective_rom_scheme(),
+        "rom_scheme": config.fom.scheme,
         "seed": config.seed,
         "artifacts": {k: str(Path(v).name) for k, v in artifacts.items()},
     }
@@ -1156,7 +1137,7 @@ def reduced_error_table(config, problem, vel_snaps, pres_snaps, vel_basis,
     projected window start. Pressure errors skip the seeding level (the
     reduced pressure is defined from the first solved step onward).
     """
-    scheme = config.effective_rom_scheme()
+    scheme = config.fom.scheme
     dt = config.fom.dt
     stride = config.fom.snapshot_stride
     times = vel_snaps.times
@@ -1173,8 +1154,7 @@ def reduced_error_table(config, problem, vel_snaps, pres_snaps, vel_basis,
     replay_seeded = stride == 1 and m >= 3
     rows = []
     for r, rp in sizes:
-        ops_r = truncate_operators(operators, r,
-                                   rp if scheme == "lps" else None)
+        ops_r = truncate_operators(operators, r, rp)
         forcing_fn = _reduced_forcing(ops_r, problem.case.forcing)
         coeffs = all_coeffs[:r]
         if replay_seeded:
@@ -1255,6 +1235,10 @@ def convergence_study(scheme, levels=3, base_nx=4, base_dt=2e-2,
     """
     if levels < 2:
         raise ConfigError("study_invalid", "need at least two levels")
+    # each level's step divides the base step, so one check covers them all
+    if abs(round(t_final / base_dt) * base_dt - t_final) > _TIME_TOL:
+        raise ConfigError("study_invalid", f"t_final={t_final:g} is not a "
+                          f"whole number of steps of {base_dt:g}")
     if stabilization is None:
         stabilization = StabilizationConfig(grad_div=0.3)
     errors = []
@@ -1335,13 +1319,13 @@ def long_horizon_study(config, horizon_multiple=10.0, out_dir=None):
     """
     if horizon_multiple <= 0.0:
         raise ConfigError("study_invalid", "horizon multiple must be positive")
-    if config.effective_rom_scheme() != "graddiv":
+    if config.fom.scheme != "graddiv":
         raise ConfigError("study_invalid",
                           "the long-horizon study drives the grad-div scheme")
     full = _full_order(config, config.geometry.build())
     vel_basis, _ = _bases(config, full)
     start = _reduced_start(config, full, vel_basis)
-    ops = build_rom_operators(full.problem, vel_basis, None, r=start.r)
+    ops = build_rom_operators(full.problem, vel_basis, r=start.r)
 
     times = full.vel_snaps.times
     dt = config.fom.dt

@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 from .assembly import assemble_grad_div, assemble_load, convection_matrix
 from .container import read_container, write_container
 from .fe_space import FEField
-from .fom import TIME_INTEGRATORS, NonlinearSolveError
+from .fom import TIME_INTEGRATORS, solve_step, time_terms
 
 
 @dataclass(frozen=True)
@@ -293,46 +293,27 @@ def _solve_reduced(ops, block, rhs_velocity):
     return x[:r], x[r:]
 
 
-def step_rom(ops, a_now, a_prev, dt, nu, mu=0.0, forcing=None):
-    """One semi-implicit step: extrapolated convection, implicit the rest.
+def step_rom(ops, a_now, a_prev, dt, nu, mu=0.0, forcing=None,
+             integrator="bdf2_semi_implicit", tolerance=1e-10, max_iterations=50):
+    """One step of ``integrator`` with the full-order model's time terms
+    and sweeps (:func:`~podflow.fom.solve_step`).
 
     Returns the new velocity coefficients and, for the coupled scheme, the
     pressure coefficients of the same time level.
     """
     a_now = np.asarray(a_now, dtype=float)
     a_prev = np.asarray(a_prev, dtype=float)
-    a_hat = 2.0 * a_now - a_prev
-    block, lift = _reduced_velocity_block(ops, a_hat, dt, nu, mu, alpha=1.5)
-    rhs = ops.mass @ ((4.0 * a_now - a_prev) / (2.0 * dt)) - lift
-    if forcing is not None:
-        rhs = rhs + np.asarray(forcing, dtype=float)
-    return _solve_reduced(ops, block, rhs)
+    alpha, history, convecting = time_terms(integrator, a_now, a_prev, dt)
+    rhs_time = ops.mass @ history
 
+    def sweep(w):
+        block, lift = _reduced_velocity_block(ops, w, dt, nu, mu, alpha)
+        rhs = rhs_time - lift
+        if forcing is not None:
+            rhs = rhs + np.asarray(forcing, dtype=float)
+        return _solve_reduced(ops, block, rhs)
 
-def step_rom_implicit(ops, a_now, dt, nu, mu=0.0, forcing=None,
-                      tolerance=1e-10, max_iterations=50):
-    """One implicit Euler step with Picard iteration on the convection."""
-    a_now = np.asarray(a_now, dtype=float)
-    rhs_time = ops.mass @ (a_now / dt)
-    if forcing is not None:
-        rhs_time = rhs_time + np.asarray(forcing, dtype=float)
-    convecting = a_now
-    history = []
-    for _ in range(max_iterations):
-        block, lift = _reduced_velocity_block(ops, convecting, dt, nu, mu, alpha=1.0)
-        a_new, b_new = _solve_reduced(ops, block, rhs_time - lift)
-        diff = a_new - convecting
-        denom = np.sqrt(max(float(a_new @ (ops.mass @ a_new)), 1e-300))
-        change = np.sqrt(max(float(diff @ (ops.mass @ diff)), 0.0)) / denom
-        history.append(change)
-        if change <= tolerance:
-            return a_new, b_new
-        convecting = a_new
-    raise NonlinearSolveError(
-        f"reduced Picard iteration did not reach {tolerance:.1e} in "
-        f"{max_iterations} sweeps",
-        history,
-    )
+    return solve_step(integrator, sweep, convecting, ops.mass, tolerance, max_iterations)
 
 
 def energy_mismatch(rom_energy, fom_energy_table, step_index):
@@ -391,12 +372,14 @@ def run_rom(ops, dt, n_steps, a0, *, nu, a_prev=None, t_start=0.0,
     """Integrate the reduced model over ``n_steps`` uniform steps.
 
     ``a0`` is the state at ``t_start``; ``a_prev`` optionally supplies the
-    previous level so the two-step formula starts from genuine history
-    (without it the first step falls back to the one-level formula through
-    equal history levels). ``forcing`` is a callable ``t -> (r,)`` array of
-    reduced loads. With ``adaptive`` and ``fom_energy_table`` given, the
-    grad-div coefficient follows the update rule, re-stepping once whenever
-    it changes; each accepted step records the energy mismatch.
+    previous level so the two-step formula starts from genuine history.
+    Without it the first BDF2 step runs on equal history levels: its time
+    derivative is ``1.5 (a_1 - a_0) / dt`` and its convecting field ``a_0``.
+    ``integrator`` and the nonlinear settings are those of :func:`step_rom`.
+    ``forcing`` is a callable ``t -> (r,)`` array of reduced loads. With
+    ``adaptive`` and ``fom_energy_table`` given, the grad-div coefficient
+    follows the update rule, re-stepping once whenever it changes; each
+    accepted step records the energy mismatch.
     """
     if dt <= 0.0:
         raise ValueError("step size must be positive")
@@ -418,6 +401,8 @@ def run_rom(ops, dt, n_steps, a0, *, nu, a_prev=None, t_start=0.0,
     if previous.shape != (r,):
         raise ValueError(f"history state must have shape ({r},)")
     mu = float(mu)
+    settings = dict(integrator=integrator, tolerance=nonlinear_tolerance,
+                    max_iterations=nonlinear_max_iterations)
 
     nt = n_steps + 1
     times = t_start + dt * np.arange(nt)
@@ -440,24 +425,17 @@ def run_rom(ops, dt, n_steps, a0, *, nu, a_prev=None, t_start=0.0,
             if f_r.shape != (r,):
                 raise ValueError(f"reduced forcing at t={t} must have shape ({r},)")
 
-        def advance(mu_value):
-            if integrator == "bdf2_semi_implicit":
-                return step_rom(ops, a, previous, dt, nu, mu=mu_value, forcing=f_r)
-            return step_rom_implicit(
-                ops, a, dt, nu, mu=mu_value, forcing=f_r,
-                tolerance=nonlinear_tolerance,
-                max_iterations=nonlinear_max_iterations,
-            )
-
         try:
-            a_new, b_new = advance(mu)
+            a_new, b_new = step_rom(ops, a, previous, dt, nu, mu=mu, forcing=f_r,
+                                    **settings)
             if adaptive is not None:
                 trial_energy = rom_kinetic_energy(ops, a_new)
                 mu_new, re_step = adapt_mu(mu, trial_energy, fom_energy_table,
                                            adaptive, n)
                 if re_step:
                     mu = mu_new
-                    a_new, b_new = advance(mu)
+                    a_new, b_new = step_rom(ops, a, previous, dt, nu, mu=mu,
+                                            forcing=f_r, **settings)
         except RuntimeError as exc:
             raise RuntimeError(f"reduced step {n} at t={t:.6g} failed: {exc}") from exc
 

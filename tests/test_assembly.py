@@ -376,6 +376,33 @@ def test_lps_matrices_positive_semidefinite(mesh):
         assert eigs.min() >= -1e-10 * np.abs(eigs).max()
 
 
+def _annihilates(matrix, coefficients):
+    """Whether ``matrix @ coefficients`` vanishes to rounding, relative to
+    the size of the terms summed."""
+    residual = np.abs(matrix @ coefficients).max()
+    return residual <= 1e-13 * (abs(matrix) @ np.abs(coefficients)).max()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(mesh=meshes(), seed=st.integers(0, 2**32 - 1))
+def test_operator_kernels_on_random_meshes(mesh, seed):
+    vel = FESpace(mesh, 2, components=2)
+    pres = FESpace(mesh, 2)
+    c = np.random.default_rng(seed).standard_normal(9)
+    constant = interpolate(vel, lambda x, y: (np.full_like(x, c[0]), np.full_like(x, c[1])))
+    rotation = interpolate(vel, lambda x, y: (-c[2] * y, c[2] * x))
+    linear = interpolate(vel, lambda x, y: (c[0] + c[3] * x + c[4] * y,
+                                            c[1] + c[5] * x + c[6] * y))
+    linear_p = interpolate(pres, lambda x, y: c[2] + c[7] * x + c[8] * y)
+    assert _annihilates(assemble_stiffness(vel), constant.coefficients)
+    grad_div = assemble_grad_div(vel, mu=1.7)
+    assert _annihilates(grad_div, constant.coefficients)
+    assert _annihilates(grad_div, rotation.coefficients)
+    lps = assemble_lps_matrices(vel, pres, StabilizationConfig())
+    assert _annihilates(lps.velocity, linear.coefficients)
+    assert _annihilates(lps.pressure, linear_p.coefficients)
+
+
 # -- loads, quadrature sufficiency, export ------------------------------
 
 

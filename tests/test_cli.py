@@ -72,6 +72,14 @@ def test_non_numeric_case_parameter_reports_a_config_error(config_path, capsys):
     assert "case_parameter" in err and "case.parameters.amplitude" in err
 
 
+def test_reduced_scheme_override_is_an_unknown_key(config_path, capsys):
+    # the reduced model always takes the full-order scheme
+    code = main(["rom", "--config", str(config_path),
+                 "--override", "rom.scheme=lps"])
+    assert code == EXIT_CONFIG
+    assert "unknown_key" in capsys.readouterr().err
+
+
 def test_stage_failure_reports_a_runtime_error(config_path, tmp_path, capsys):
     code = main(["fom", "--config", str(config_path),
                  "--out-dir", str(tmp_path / "fail"),
@@ -133,6 +141,13 @@ def test_convergence_study_subcommand_writes_its_table(tmp_path, capsys):
     assert (out / "convergence.csv").exists()
     stdout = capsys.readouterr().out
     assert "order" in stdout and "interpolation" in stdout
+
+
+def test_convergence_study_off_the_step_grid_is_a_config_error(tmp_path, capsys):
+    code = main(["study", "convergence", "--levels", "2", "--base-dt", "0.02",
+                 "--t-final", "0.05", "--out-dir", str(tmp_path / "conv")])
+    assert code == EXIT_CONFIG
+    assert "study_invalid" in capsys.readouterr().err
 
 
 def test_long_horizon_subcommand_compares_both_runs(config_path, tmp_path, capsys):

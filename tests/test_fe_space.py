@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from podflow.container import ContainerError
 from podflow.fe_space import (
@@ -32,6 +34,32 @@ def test_quadrature_exactness(degree):
         for b in range(degree + 1 - a):
             val = np.sum(rule.weights * x**a * y**b)
             assert val == pytest.approx(exact_monomial(a, b), rel=1e-13, abs=1e-16)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(corners=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                        min_size=3, max_size=3))
+def test_quadrature_is_exact_on_random_affine_triangles(corners):
+    # int_T l1^a l2^b l3^c = 2 |T| a! b! c! / (a + b + c + 2)! for the
+    # barycentric coordinates of any triangle T; since l1 + l2 + l3 = 1,
+    # the monomials of degree d span every lower degree too
+    v = np.array(corners)
+    edges = v[[1, 2, 0]] - v
+    area = 0.5 * abs(edges[0, 0] * edges[1, 1] - edges[0, 1] * edges[1, 0])
+    longest = (edges**2).sum(axis=1).max()
+    assume(longest > 1e-2 and area > 0.05 * longest)
+    barycentric = np.vstack([np.ones(3), v.T])
+    f = [math.factorial(k) for k in range(12)]
+    for degree in range(10):
+        powers = np.array([(a, b, degree - a - b) for a in range(degree + 1)
+                           for b in range(degree + 1 - a)])
+        exact = np.array([2.0 * area * f[a] * f[b] * f[c] / f[degree + 2]
+                          for a, b, c in powers])
+        rule = triangle_quadrature(degree)
+        x = rule.points @ v
+        lam = np.linalg.solve(barycentric, np.vstack([np.ones(len(x)), x.T]))
+        values = 2.0 * area * rule.weights @ np.prod(lam.T[:, None, :] ** powers, axis=2)
+        assert np.all(np.abs(values - exact) <= 1e-13 * exact), degree
 
 
 def test_quadrature_points_inside():

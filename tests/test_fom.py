@@ -11,13 +11,13 @@ from podflow.fom import (
     FOMConfig,
     FOMProblem,
     NonlinearSolveError,
-    bdf2_extrapolate,
     load_snapshots,
     record_snapshots,
     run_fom,
     save_snapshots,
     snapshot_steps,
     solve_stokes,
+    time_terms,
 )
 from podflow.mesh import build_rect_mesh
 from podflow.metrics import analytic_l2_error, kinetic_energy, weak_divergence
@@ -71,21 +71,35 @@ def test_problem_rejects_unknown_boundary_tag():
         FOMProblem(mesh, cfg, case)
 
 
-# -- extrapolation ---------------------------------------------------------
+# -- time discretization ---------------------------------------------------
 
 
-def test_bdf2_extrapolate_values():
-    u = np.full(7, 3.0)
-    assert np.allclose(bdf2_extrapolate(u, u), u)
-    assert np.allclose(bdf2_extrapolate(np.full(4, 1.0), np.full(4, 3.0)), 5.0)
+def _one_step(integrator, traj, t, dt):
+    """(time derivative, convecting value) of ``time_terms`` at ``t + dt``
+    for the trajectory ``traj`` sampled at ``t - dt``, ``t`` and ``t + dt``."""
+    alpha, history, convecting = time_terms(
+        integrator, np.array([traj(t)]), np.array([traj(t - dt)]), dt)
+    return alpha / dt * traj(t + dt) - history[0], convecting[0]
 
 
-def test_bdf2_extrapolate_quadratic_error():
-    alpha, dt, t = 0.7, 0.05, 1.3
-    traj = lambda s: alpha * s**2
-    predicted = bdf2_extrapolate(np.array([traj(t - dt)]), np.array([traj(t)]))[0]
-    exact = traj(t + dt)
-    assert abs(predicted - exact) == pytest.approx(2.0 * alpha * dt**2, rel=1e-12)
+def test_bdf2_time_terms_are_exact_on_quadratics_and_extrapolate_linears():
+    dt, t = 0.05, 1.3
+    quadratic = lambda s: 0.7 * s**2 - 0.4 * s + 2.0
+    derivative, convecting = _one_step("bdf2_semi_implicit", quadratic, t, dt)
+    assert derivative == pytest.approx(1.4 * (t + dt) - 0.4, rel=1e-12)
+    # the extrapolation misses a quadratic by twice its curvature term
+    assert quadratic(t + dt) - convecting == pytest.approx(2.0 * 0.7 * dt**2, rel=1e-12)
+    linear = lambda s: -0.4 * s + 2.0
+    assert _one_step("bdf2_semi_implicit", linear, t, dt)[1] == pytest.approx(
+        linear(t + dt), rel=1e-14)
+
+
+def test_implicit_euler_time_terms_are_exact_on_linears():
+    dt, t = 0.05, 1.3
+    linear = lambda s: 3.0 * s - 1.0
+    derivative, convecting = _one_step("implicit_euler", linear, t, dt)
+    assert derivative == pytest.approx(3.0, rel=1e-12)
+    assert convecting == linear(t)
 
 
 # -- snapshot window arithmetic -------------------------------------------

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from podflow.assembly import StabilizationConfig
 import podflow.fom
 import podflow.harness
+import podflow.metrics
 import podflow.rom
 from podflow.fom import FOMConfig, FOMProblem, SeparableForcing, snapshot_steps
 from podflow.harness import (
@@ -109,7 +110,6 @@ def test_valid_config_parses_with_defaults():
     cfg = ExperimentConfig.from_dict(base_raw())
     assert cfg.case_name == "cavity"
     assert cfg.fom.scheme == "graddiv"
-    assert cfg.effective_rom_scheme() == "graddiv"
     assert cfg.effective_rom_mu() == pytest.approx(0.3)
     assert cfg.effective_rom_t_final() == pytest.approx(0.06)
     assert cfg.pod.r is None and not cfg.pod.center
@@ -185,15 +185,6 @@ def test_snapshot_window_is_required():
     assert config_error_name(raw) == "snapshot_window_missing"
 
 
-def test_mismatched_reduced_scheme_is_rejected_without_override():
-    raw = base_raw()
-    raw["rom"]["scheme"] = "lps"
-    assert config_error_name(raw) == "scheme_mismatch"
-    raw["rom"]["allow_scheme_mismatch"] = True
-    cfg = ExperimentConfig.from_dict(raw)
-    assert cfg.effective_rom_scheme() == "lps"
-
-
 def test_reduced_window_must_reach_snapshot_end():
     raw = base_raw()
     raw["rom"]["t_final"] = 0.04
@@ -219,7 +210,7 @@ def test_invalid_adaptive_settings_are_rejected():
 
 def test_invalid_rom_fields_are_rejected():
     for patch in ({"r": 0}, {"integrator": "leapfrog"}, {"mu": -0.5},
-                  {"r_values": []}, {"scheme": "spectral"}):
+                  {"r_values": []}):
         raw = base_raw()
         raw["rom"] = patch
         assert config_error_name(raw) == "rom_invalid"
@@ -241,7 +232,6 @@ _MALFORMED = [
     ("rom.adaptive", 5, "config_type"),
     ("rom.adaptive.enabled", 1, "rom_invalid"),
     ("rom.mu", "fast", "rom_invalid"),
-    ("rom.scheme", 5, "rom_invalid"),
     ("fom.stabilization", 5, "config_type"),
     ("fom.stabilization.grad_div", "x", "fom_invalid"),
     ("fom.snapshot_window", [0.1], "fom_invalid"),
@@ -523,8 +513,8 @@ def test_pipeline_runs_are_byte_identical(tmp_path):
             (tmp_path / "b" / name).read_bytes(), name
 
 
-def test_pipeline_channel_case_reports_drag_and_lift(tmp_path):
-    raw = {
+def channel_raw():
+    return {
         "geometry": {"width": 2.0, "height": 1.0, "nx": 8, "ny": 4,
                      "hole": [0.5, 0.25, 0.75, 0.5]},
         "case": {"name": "channel",
@@ -538,7 +528,10 @@ def test_pipeline_channel_case_reports_drag_and_lift(tmp_path):
         "pod": {"center": True},
         "rom": {"r_values": [2]},
     }
-    result = run_small_pipeline(tmp_path, raw)
+
+
+def test_pipeline_channel_case_reports_drag_and_lift(tmp_path):
+    result = run_small_pipeline(tmp_path, channel_raw())
     header, qoi = read_csv(tmp_path / "qoi.csv")
     assert np.all(np.isfinite(qoi[:, 2])), "drag must be recorded"
     assert np.all(np.isfinite(qoi[:, 3])), "lift must be recorded"
@@ -666,6 +659,14 @@ def test_convergence_study_rejects_a_single_level():
         convergence_study("lps", levels=1)
 
 
+def test_convergence_study_rejects_a_final_time_off_the_step_grid(count_calls):
+    count_calls(podflow.harness, "run_fom", "run_fom")
+    with pytest.raises(ConfigError) as err:
+        convergence_study("lps", levels=2, base_dt=0.02, t_final=0.05)
+    assert err.value.name == "study_invalid"
+    assert count_calls.calls["run_fom"] == 0, "rejected before the full-order run"
+
+
 def test_long_horizon_disabled_adaptation_is_bitwise_constant(tmp_path):
     raw = base_raw()
     raw["pod"] = {"r": 2}
@@ -713,6 +714,13 @@ def test_long_horizon_study_runs_one_full_order_model_and_one_build(
     # with adaptation disabled the adaptive run is the constant one
     assert count_calls.calls == {"run_fom": 1, "build_rom_operators": 1,
                                  "run_rom": rom_runs}
+
+
+def test_long_horizon_study_evaluates_no_drag_and_lift(count_calls):
+    count_calls(podflow.metrics.DragLiftProbe, "coefficients", "probe")
+    long_horizon_study(ExperimentConfig.from_dict(channel_raw()),
+                       horizon_multiple=2.0)
+    assert count_calls.calls["probe"] == 0
 
 
 def test_long_horizon_study_starts_from_the_pipelines_mu(tmp_path):

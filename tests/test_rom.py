@@ -36,7 +36,6 @@ from podflow.rom import (
     run_rom,
     save_operators,
     step_rom,
-    step_rom_implicit,
     supremizer_stability,
     truncate_operators,
 )
@@ -358,8 +357,8 @@ def test_implicit_euler_rom_reports_nonconvergence():
     rng = np.random.default_rng(6)
     a0 = 50.0 * rng.normal(size=ops.r)
     with pytest.raises(NonlinearSolveError) as info:
-        step_rom_implicit(ops, a0, dt=0.5, nu=5e-3, mu=0.3,
-                          tolerance=1e-16, max_iterations=1)
+        step_rom(ops, a0, a0, dt=0.5, nu=5e-3, mu=0.3, integrator="implicit_euler",
+                 tolerance=1e-16, max_iterations=1)
     assert len(info.value.residual_history) == 1
 
 
