@@ -13,12 +13,13 @@ model and records its snapshots; ``_bases`` extracts the velocity and
 pressure bases; ``_reduced_start`` checks the reduced size and fixes what
 the reduced run starts from (coefficients, grad-div coefficient,
 adaptation, reference energies). ``run_pipeline`` composes them, builds the
-reduced operators and the pressure recovery, runs the reduced model and the
-reduced-size error sweep, and writes deterministic CSV and binary
-artifacts. The studies compose the same stages: ``convergence_study``
-measures observed orders on the registry's decaying vortex, and
-``long_horizon_study`` compares constant and adaptive grad-div
-coefficients of one full-order run over an extended horizon.
+reduced operators and the pressure recovery, runs the reduced model (with
+the full-order integrator) and the reduced-size error sweep, and writes
+deterministic CSV and binary artifacts; reduced drag and lift test the
+reduced steps' residuals. The studies compose the same stages:
+``convergence_study`` measures observed orders on the registry's decaying
+vortex, and ``long_horizon_study`` compares constant and adaptive
+grad-div coefficients of one full-order run over an extended horizon.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .assembly import StabilizationConfig
-from .fe_space import FEField, interpolate
+from .fe_space import interpolate
 from .fom import (
     _TIME_TOL,
-    TIME_INTEGRATORS,
     FlowCase,
     FOMConfig,
     FOMProblem,
@@ -57,12 +57,14 @@ from .pod import build_basis, project_L2, save_basis, spectral_diagnostics
 from .rom import (
     AdaptiveMuConfig,
     PressureRecovery,
+    _project,
     build_rom_operators,
     compute_supremizers,
     principal_angle_cosine,
     reduce_forcing,
     run_rom,
     save_operators,
+    step_residuals,
     truncate_operators,
 )
 
@@ -241,7 +243,7 @@ class ROMBlock:
     r_pressure: int = None
     r_values: tuple[int, ...] = None  # reduced sizes swept for the error table
     t_final: float = None  # defaults to the snapshot window end
-    integrator: str = "bdf2_semi_implicit"
+    integrator: str = None  # the full-order integrator; only it is accepted
     mu: float = None  # defaults to the full-order grad-div coefficient
     alpha: float = None  # pressure indicator coupling; None computes it
     adaptive: AdaptiveBlock = field(default_factory=AdaptiveBlock)
@@ -254,8 +256,6 @@ class ROMBlock:
         if self.r_values is not None:
             if not self.r_values or any(int(v) < 1 for v in self.r_values):
                 raise ConfigError("rom_invalid", "r_values must be positive sizes")
-        if self.integrator not in TIME_INTEGRATORS:
-            raise ConfigError("rom_invalid", f"unknown integrator {self.integrator!r}")
         if self.mu is not None and self.mu < 0.0:
             raise ConfigError("rom_invalid", "mu must be nonnegative")
         if self.alpha is not None and self.alpha < 0.0:
@@ -289,6 +289,9 @@ class ExperimentConfig:
                 "rom_window",
                 f"rom.t_final={self.rom.t_final} ends before the snapshot "
                 f"window end {window_end}")
+        if self.rom.integrator not in (None, self.fom.time_integrator):
+            raise ConfigError("rom_invalid", f"rom.integrator={self.rom.integrator!r} differs "
+                              f"from fom.time_integrator={self.fom.time_integrator!r}")
         if self.rom.adaptive.enabled and self.fom.scheme != "graddiv":
             raise ConfigError("adaptive_requires_graddiv",
                               "adaptive mu applies to the grad-div scheme only")
@@ -299,6 +302,12 @@ class ExperimentConfig:
         if self.fom.scheme == "graddiv":
             return self.fom.stabilization.grad_div
         return 0.0
+
+    def rom_time_stepping(self):
+        """The full-order integrator and nonlinear settings, for :func:`run_rom`."""
+        fom = self.fom
+        return dict(integrator=fom.time_integrator, nonlinear_tolerance=fom.nonlinear_tolerance,
+                    nonlinear_max_iterations=fom.nonlinear_max_iterations)
 
     def effective_rom_t_final(self):
         if self.rom.t_final is not None:
@@ -855,30 +864,6 @@ def _project_columns(basis, mass, fields, r):
     ])
 
 
-def _reconstruct(ops, a_traj):
-    recon = ops.vel_modes @ a_traj
-    if ops.mean is not None:
-        recon = recon + ops.mean[:, None]
-    return recon
-
-
-def _probe_series(probe, problem, velocity, pressure, dt, times):
-    """Drag and lift along reconstructed trajectories (nan without a probe
-    or without a recovered pressure)."""
-    nt = velocity.shape[1]
-    cd = np.full(nt, np.nan)
-    cl = np.full(nt, np.nan)
-    if probe is None or pressure is None:
-        return cd, cl
-    for n in range(nt):
-        u = FEField(problem.vel_space, velocity[:, n])
-        u_prev = velocity[:, max(n - 1, 0)]
-        p = FEField(problem.pres_space, pressure[:, n])
-        cd[n], cl[n] = probe.coefficients(u, u_prev, p, dt,
-                                          load=problem.load_vector(times[n]))
-    return cd, cl
-
-
 @dataclass(frozen=True)
 class _FullOrder:
     """The posed problem and its full-order run: the first stage."""
@@ -899,10 +884,8 @@ def _full_order(config, mesh, drag_lift=False):
     problem = FOMProblem(mesh, config.fom, bundle.flow_case)
     probe = None
     if drag_lift and bundle.has_obstacle:
-        probe = DragLiftProbe(
-            problem.vel_space, problem.pres_space, problem.mass,
-            problem.stiffness, problem.divergence, config.fom.nu,
-            bundle.reference_velocity, bundle.reference_length)
+        probe = DragLiftProbe(problem, bundle.reference_velocity,
+                              bundle.reference_length)
     initial = None
     if bundle.initial_velocity is not None:
         initial = bundle.initial_velocity(problem)
@@ -1019,8 +1002,7 @@ def run_pipeline(config, out_dir=None, stop_after=None):
                 ops, dt=dt, n_steps=n_steps, a0=start.a0, nu=config.fom.nu,
                 t_start=times[0], forcing=_reduced_forcing(ops, forcing),
                 mu=start.mu, adaptive=start.adaptive,
-                fom_energy_table=start.energy_table,
-                integrator=config.rom.integrator)
+                fom_energy_table=start.energy_table, **config.rom_time_stepping())
 
             all_recovery = recovery = None
             if ops.pres_modes is None and pres_basis.rank > 0:
@@ -1033,11 +1015,18 @@ def run_pipeline(config, out_dir=None, stop_after=None):
                     if n_sup == pres_basis.r:
                         recovery = all_recovery.truncate(start.r, n_sup)
 
-            velocity = _reconstruct(ops, rom_run.a_traj)
-            pressure = _reduced_pressure(ops, recovery, rom_run, forcing, dt,
-                                         rom_run.mu_traj, slice(None))
-            cd, cl = _probe_series(full.probe, problem, velocity, pressure, dt,
-                                   rom_run.times)
+            # without a probe or a reduced pressure, drag and lift are nan
+            cd = cl = np.full(rom_run.times.size, np.nan)
+            probe = full.probe
+            pressure = None if probe is None else _reduced_pressure(
+                ops, recovery, rom_run, forcing, dt, rom_run.mu_traj, slice(None))
+            if pressure is not None:
+                tested = step_residuals(
+                    _project(problem, ops.vel_modes, ops.mean, probe.fields),
+                    rom_run.a_traj, dt, config.fom.nu, rom_run.mu_traj,
+                    config.fom.time_integrator, rom_run.times, forcing)
+                cd, cl = probe.coefficients(
+                    tested - probe.divergence_fields.T @ pressure)
             a_norms = np.linalg.norm(rom_run.a_traj, axis=0)
             rom_rows = list(zip(rom_run.times, rom_run.mu_traj,
                                 rom_run.energy_traj, rom_run.e_diff_traj,
@@ -1161,7 +1150,7 @@ def reduced_error_table(config, problem, vel_snaps, pres_snaps, vel_basis,
             rom = run_rom(ops_r, dt=dt, n_steps=m - 2, a0=coeffs[:, 1],
                           nu=config.fom.nu, a_prev=coeffs[:, 0],
                           t_start=times[1], forcing=forcing_fn, mu=mu_value,
-                          integrator=config.rom.integrator)
+                          **config.rom_time_stepping())
             compare = slice(1, None)
             a_prev_used = coeffs[:, 0]
             step_of_snapshot = lambda k: k - 1
@@ -1170,13 +1159,15 @@ def reduced_error_table(config, problem, vel_snaps, pres_snaps, vel_basis,
             rom = run_rom(ops_r, dt=dt, n_steps=total, a0=coeffs[:, 0],
                           nu=config.fom.nu, t_start=times[0],
                           forcing=forcing_fn, mu=mu_value,
-                          integrator=config.rom.integrator)
+                          **config.rom_time_stepping())
             compare = slice(0, None)
             a_prev_used = None
             step_of_snapshot = lambda k: k * stride
 
         snap_cols = [step_of_snapshot(k) for k in range(m)][compare]
-        recon = _reconstruct(ops_r, rom.a_traj[:, snap_cols])
+        recon = ops_r.vel_modes @ rom.a_traj[:, snap_cols]
+        if ops_r.mean is not None:
+            recon = recon + ops_r.mean[:, None]
         weight = dt * stride
         vel_error = discrete_l2_error(recon, raw_vel[:, compare],
                                       problem.mass, weight)
@@ -1335,7 +1326,7 @@ def long_horizon_study(config, horizon_multiple=10.0, out_dir=None):
                   t_start=times[0],
                   forcing=_reduced_forcing(ops, full.problem.case.forcing),
                   mu=start.mu, fom_energy_table=start.energy_table,
-                  integrator=config.rom.integrator)
+                  **config.rom_time_stepping())
     constant_run = adaptive_run = run_rom(ops, **common)
     if start.adaptive is not None:
         adaptive_run = run_rom(ops, adaptive=start.adaptive, **common)

@@ -1,7 +1,8 @@
 """Flow diagnostics: energies, forces, divergence residuals, and error norms.
 
 Everything here is a pure function of assembled operators and coefficient
-data, so values are reproducible bit for bit given the same inputs.
+data, so values are reproducible bit for bit given the same inputs. Drag
+and lift test the momentum residual of the step that produced the fields.
 """
 
 from __future__ import annotations
@@ -9,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import _tables, apply_convection
-from .fe_space import FEField, _coefficients
+from .assembly import _tables
+from .fe_space import _coefficients
 
 
 def kinetic_energy(u, mass):
@@ -54,70 +55,36 @@ def weak_divergence(u, divergence, pressure_mass):
 
 
 class DragLiftProbe:
-    """Volume-integral evaluation of drag and lift around the obstacle.
-
-    The probe fields equal (1, 0) and (0, 1) on the obstacle boundary, are
-    zero on every other boundary, and are discretely harmonic inside the
-    domain, which makes them canonical and mesh-reproducible.
+    """Drag and lift as phi^T R, the probe fields phi tested by the momentum
+    residual R of the step that produced the flow. The columns of ``fields``
+    are (1, 0) and (0, 1) on the obstacle, zero on the other boundaries and
+    discretely harmonic inside; R vanishes on the free DOFs, so the interior
+    values do not matter. A reduced run tests :func:`~podflow.rom.step_residuals`
+    minus ``divergence_fields.T @ p``; its first row holds the start at rest.
     """
 
-    def __init__(self, vel_space, pres_space, mass, stiffness, divergence,
-                 nu, reference_velocity, reference_length):
-        tags = set(vel_space.mesh.boundary_edges.values())
-        if "obstacle" not in tags:
+    def __init__(self, problem, reference_velocity, reference_length):
+        space = problem.vel_space
+        if "obstacle" not in set(space.mesh.boundary_edges.values()):
             raise ValueError("drag/lift probe requires an obstacle boundary")
-        if vel_space.components != 2:
-            raise ValueError("probe needs a two-component velocity space")
-        self.vel_space = vel_space
-        self.pres_space = pres_space
-        self.mass = mass
-        self.stiffness = stiffness
-        self.divergence = divergence
-        self.nu = float(nu)
-        self.reference_velocity = float(reference_velocity)
-        self.reference_length = float(reference_length)
-        self.drag_field = self._harmonic_probe(component=0)
-        self.lift_field = self._harmonic_probe(component=1)
-
-    def _harmonic_probe(self, component):
-        space = self.vel_space
         n = space.n_scalar
         obstacle = space.boundary_scalar_dofs("obstacle")
         boundary = space.boundary_scalar_dofs()
-        g = np.zeros(space.n_dofs)
-        g[component * n + obstacle] = 1.0
+        fields = np.zeros((space.n_dofs, 2))
+        fields[obstacle, 0] = fields[n + obstacle, 1] = 1.0
         constrained = np.concatenate([boundary, n + boundary])
         free = np.setdiff1d(np.arange(space.n_dofs), constrained)
-        a = self.stiffness.tocsr()
-        rhs = -(a[free][:, constrained] @ g[constrained])
-        sol = spla.spsolve(a[free][:, free].tocsc(), rhs)
-        g[free] = sol
-        return g
+        a = problem.stiffness.tocsr()
+        rhs = -(a[free][:, constrained] @ fields[constrained])
+        fields[free] = spla.splu(a[free][:, free].tocsc()).solve(rhs)
+        self.fields = fields
+        self.divergence_fields = problem.divergence @ fields
+        self.scale = -2.0 / (float(reference_length) * float(reference_velocity)**2)
 
-    def _functional(self, probe, u, du_dt, p, load):
-        space = self.vel_space
-        val = float(probe @ (self.mass @ du_dt))
-        u_field = FEField(space, u)
-        val += apply_convection(u_field, u_field, FEField(space, probe))
-        val += self.nu * float(probe @ (self.stiffness @ u))
-        val -= float(p @ (self.divergence @ probe))
-        if load is not None:
-            val -= float(probe @ load)
-        return val
-
-    def coefficients(self, u, u_prev, p, dt, load=None):
-        """Drag and lift coefficients from one velocity step and a pressure.
-
-        ``load`` is the assembled body-force load vector at the step's time,
-        or None for an unforced flow.
-        """
-        u = _coefficients(u)
-        du_dt = (u - _coefficients(u_prev)) / float(dt)
-        p = _coefficients(p)
-        scale = -2.0 / (self.reference_length * self.reference_velocity**2)
-        c_d = scale * self._functional(self.drag_field, u, du_dt, p, load)
-        c_l = scale * self._functional(self.lift_field, u, du_dt, p, load)
-        return c_d, c_l
+    def coefficients(self, tested):
+        """Drag and lift coefficients from the momentum residual tested by
+        ``fields``: a (2,) array for one step or (2, nt) for a trajectory."""
+        return tuple(self.scale * np.asarray(tested, dtype=float))
 
 
 def discrete_l2_error(traj_a, traj_b, gram, dt):

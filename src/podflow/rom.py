@@ -316,6 +316,28 @@ def step_rom(ops, a_now, a_prev, dt, nu, mu=0.0, forcing=None,
     return solve_step(integrator, sweep, convecting, ops.mass, tolerance, max_iterations)
 
 
+def step_residuals(ops, a_traj, dt, nu, mu, integrator, times, forcing=None):
+    """Pressure-free momentum residuals, tested by ``ops.test``, of the steps
+    of ``integrator`` that produced the columns of ``a_traj`` (the first on
+    equal levels, as in :func:`run_rom`); column 0 is the start at rest.
+    ``mu`` is one value or one per column; ``forcing`` is the body force."""
+    a_traj = np.asarray(a_traj, dtype=float)
+    mu = np.broadcast_to(mu, a_traj.shape[1:])
+    out = np.empty((ops.mass.shape[0], a_traj.shape[1]))
+    for n, a in enumerate(a_traj.T):
+        alpha, history, convecting = 0.0, np.zeros_like(a), a
+        if n > 0:
+            alpha, history, convecting = time_terms(
+                integrator, a_traj[:, n - 1], a_traj[:, max(n - 2, 0)], dt)
+        if integrator != "bdf2_semi_implicit":  # Picard converged on the new level
+            convecting = a
+        block, lift = _reduced_velocity_block(ops, convecting, dt, nu, mu[n], alpha)
+        out[:, n] = block @ a + lift - ops.mass @ history
+        if forcing is not None:
+            out[:, n] -= reduce_forcing(ops, forcing, times[n])
+    return out
+
+
 def energy_mismatch(rom_energy, fom_energy_table, step_index):
     """Energy difference against the periodic reference at this step.
 

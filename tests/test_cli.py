@@ -80,6 +80,13 @@ def test_reduced_scheme_override_is_an_unknown_key(config_path, capsys):
     assert "unknown_key" in capsys.readouterr().err
 
 
+def test_reduced_integrator_must_repeat_the_full_order_one(config_path, capsys):
+    code = main(["rom", "--config", str(config_path),
+                 "--override", "rom.integrator=implicit_euler"])
+    assert code == EXIT_CONFIG
+    assert "rom_invalid" in capsys.readouterr().err
+
+
 def test_stage_failure_reports_a_runtime_error(config_path, tmp_path, capsys):
     code = main(["fom", "--config", str(config_path),
                  "--out-dir", str(tmp_path / "fail"),

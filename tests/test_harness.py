@@ -7,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from podflow.harness import (
     PODBlock,
     ROMBlock,
     StageError,
-    _probe_series,
+    _full_order,
     apply_overrides,
     build_case,
     convergence_study,
@@ -214,6 +215,17 @@ def test_invalid_rom_fields_are_rejected():
         raw = base_raw()
         raw["rom"] = patch
         assert config_error_name(raw) == "rom_invalid"
+
+
+@pytest.mark.parametrize("fom_integrator, rom_integrator", [
+    ("bdf2_semi_implicit", "implicit_euler"),
+    ("implicit_euler", "bdf2_semi_implicit")])
+def test_reduced_integrator_other_than_the_full_order_one_is_rejected(
+        fom_integrator, rom_integrator):
+    raw = base_raw()
+    raw["fom"]["time_integrator"] = fom_integrator
+    raw["rom"] = {"integrator": rom_integrator}
+    assert config_error_name(raw) == "rom_invalid"
 
 
 def test_invalid_pod_fields_are_rejected():
@@ -540,14 +552,62 @@ def test_pipeline_channel_case_reports_drag_and_lift(tmp_path):
     assert result.vel_basis.mean is not None
 
 
-def test_probe_series_without_a_pressure_reports_nan():
-    class Probe:
-        def coefficients(self, *args, **kwargs):
-            raise AssertionError("drag and lift need a pressure")
+def test_channel_pipeline_without_supremizers_reports_nan_reduced_drag_and_lift(
+        tmp_path, monkeypatch):
+    # no supremizer recovery means no reduced pressure to test drag and lift
+    monkeypatch.setattr(podflow.harness, "compute_supremizers",
+                        lambda problem, pres_basis: SimpleNamespace(
+                            fields=np.zeros((problem.n_velocity, 0))))
+    run_small_pipeline(tmp_path, channel_raw())
+    qoi = read_csv(tmp_path / "qoi.csv")[1]
+    assert np.all(np.isfinite(qoi[:, 2:4]))
+    rom = read_csv(tmp_path / "rom.csv")[1]
+    assert np.all(np.isnan(rom[:, 4:6]))
 
-    cd, cl = _probe_series(Probe(), None, np.ones((6, 3)), None, 1e-2,
-                           np.arange(3) * 1e-2)
-    assert np.isnan(cd).all() and np.isnan(cl).all()
+
+def test_full_rank_coupled_replay_reproduces_the_full_order_drag_and_lift(tmp_path):
+    # implicit Euler needs one level, so the reduced run from the first
+    # snapshot replays the full-order steps, and its step residuals test
+    # like the full-order ones
+    raw = channel_raw()
+    raw["fom"]["scheme"] = "lps"
+    del raw["fom"]["stabilization"]
+    raw["fom"]["time_integrator"] = "implicit_euler"
+    raw["rom"]["r_pressure"] = 5
+    run_small_pipeline(tmp_path, raw)
+    qoi = read_csv(tmp_path / "qoi.csv")[1]
+    rom = read_csv(tmp_path / "rom.csv")[1]
+    assert rom.shape[0] == 5
+    for row in rom[1:]:
+        ref = qoi[np.argmin(np.abs(qoi[:, 0] - row[0]))]
+        assert abs(ref[0] - row[0]) <= 1e-12
+        assert np.all(np.abs(row[4:6] - ref[2:4])
+                      <= 1e-9 * np.maximum(1.0, np.abs(ref[2:4])))
+
+
+@pytest.fixture(scope="module", params=["bdf2_semi_implicit", "implicit_euler"])
+def channel_steps(request):
+    raw = channel_raw()
+    raw["fom"]["time_integrator"] = request.param
+    cfg = ExperimentConfig.from_dict(raw)
+    full = _full_order(cfg, cfg.geometry.build(), drag_lift=True)
+    return full.problem, full.probe, full.run.final_state.residual
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_drag_and_lift_do_not_depend_on_the_probe_extension(channel_steps, seed):
+    problem, probe, residual = channel_steps
+    space = problem.vel_space
+    n = space.n_scalar
+    boundary = space.boundary_scalar_dofs()
+    obstacle = space.boundary_scalar_dofs("obstacle")
+    fields = np.random.default_rng(seed).normal(size=probe.fields.shape)
+    fields[np.concatenate([boundary, n + boundary])] = 0.0
+    fields[obstacle, 0] = fields[n + obstacle, 1] = 1.0
+    harmonic = probe.fields.T @ residual
+    assert np.abs(fields.T @ residual - harmonic).max() \
+        <= 1e-10 * np.abs(harmonic).max()
 
 
 def test_pipeline_channel_case_requires_a_hole(tmp_path):
@@ -603,6 +663,16 @@ def test_resting_pressure_case_rejects_bad_parameters():
         with pytest.raises(ConfigError) as err:
             build_case(cfg)
         assert err.value.name == "case_parameter"
+
+
+def test_reduced_run_takes_the_full_order_integrator(tmp_path):
+    raw = base_raw()
+    raw["fom"]["time_integrator"] = "implicit_euler"
+    run_small_pipeline(tmp_path / "fom_only", raw)
+    raw["rom"]["integrator"] = "implicit_euler"
+    run_small_pipeline(tmp_path / "both", raw)
+    assert (tmp_path / "fom_only" / "rom.csv").read_bytes() == \
+        (tmp_path / "both" / "rom.csv").read_bytes()
 
 
 def test_pipeline_wraps_runtime_failures_with_the_stage_name(tmp_path):
@@ -773,20 +843,34 @@ def test_separable_loads_match_the_assembled_forcing(forced_problems, t):
             <= 1e-13 * np.abs(assembled).max(), name
 
 
-def test_reduced_phase_builds_once_and_assembles_no_load(tmp_path, count_calls):
+def _check_reduced_phase_builds_once_and_assembles_no_load(tmp_path, count_calls, raw):
     count_calls(podflow.fom, "assemble_load", "fom load")
     count_calls(podflow.rom, "assemble_load", "rom load")
     count_calls(podflow.harness, "build_rom_operators", "build")
     count_calls(podflow.rom.PressureRecovery, "__init__", "recovery")
     count_calls(podflow.harness, "run_rom", "run_rom", scoped=True)
-    raw = base_raw()
     raw["rom"]["r_values"] = [1, 2, 3]
-    run_pipeline(ExperimentConfig.from_dict(raw), out_dir=tmp_path)
+    result = run_pipeline(ExperimentConfig.from_dict(raw), out_dir=tmp_path)
     calls = count_calls.calls
     assert calls["run_rom"] == 4
     assert calls["build"] == 1 and calls["recovery"] == 1
     assert calls["rom load"] == 0
     assert calls["fom load in run_rom"] == 0
+    # one load per full-order step and one per separable forcing term, which
+    # the reduced models share; reduced drag and lift assemble none
+    shapes = result.problem.case.forcing.shapes
+    assert calls["fom load"] == result.fom_run.times.size + len(shapes)
+
+
+def test_reduced_phase_builds_once_and_assembles_no_load(tmp_path, count_calls):
+    _check_reduced_phase_builds_once_and_assembles_no_load(tmp_path, count_calls,
+                                                           base_raw())
+
+
+def test_channel_reduced_phase_builds_once_and_assembles_no_load(tmp_path, count_calls):
+    # the reduced drag and lift add no full-order load to the channel
+    _check_reduced_phase_builds_once_and_assembles_no_load(tmp_path, count_calls,
+                                                           channel_raw())
 
 
 def test_importing_the_package_skips_the_slow_optional_modules():

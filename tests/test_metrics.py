@@ -144,32 +144,20 @@ def channel_case(u_max=0.3, height=0.4):
 
 def test_drag_probe_requires_obstacle_boundary():
     mesh = build_rect_mesh(1.0, 1.0, 4, 4)
-    vel = FESpace(mesh, degree=2, components=2)
-    pres = FESpace(mesh, degree=1, components=1)
+    cfg = FOMConfig(scheme="graddiv", nu=1e-3, dt=1e-2, t_final=1e-2)
+    problem = FOMProblem(mesh, cfg, FlowCase("box", dirichlet={"wall": ZERO_BC}))
     with pytest.raises(ValueError):
-        DragLiftProbe(
-            vel,
-            pres,
-            assemble_mass(vel),
-            assemble_stiffness(vel),
-            assemble_divergence(vel, pres),
-            nu=1e-3,
-            reference_velocity=1.0,
-            reference_length=1.0,
-        )
+        DragLiftProbe(problem, reference_velocity=1.0, reference_length=1.0)
 
 
-def _channel_probe(problem, nu):
-    return DragLiftProbe(
-        problem.vel_space,
-        problem.pres_space,
-        problem.mass,
-        problem.stiffness,
-        problem.divergence,
-        nu=nu,
-        reference_velocity=0.2,
-        reference_length=0.1,
-    )
+def _channel_probe(problem):
+    return DragLiftProbe(problem, reference_velocity=0.2, reference_length=0.1)
+
+
+def _stokes_residual(problem, u, p):
+    """The steady momentum residual of a Stokes solution."""
+    return problem._static_velocity_block @ u.coefficients \
+        - problem.divergence.T @ p.coefficients - problem.load_vector(0.0)
 
 
 def test_drag_and_lift_are_zero_for_zero_fields():
@@ -177,10 +165,11 @@ def test_drag_and_lift_are_zero_for_zero_fields():
     cfg = FOMConfig(scheme="graddiv", nu=1e-3, dt=1e-2, t_final=1e-2,
                     stabilization=StabilizationConfig(grad_div=0.1))
     problem = FOMProblem(mesh, cfg, channel_case())
-    probe = _channel_probe(problem, nu=1e-3)
-    zero_u = np.zeros(problem.n_velocity)
-    zero_p = np.zeros(problem.n_pressure)
-    c_d, c_l = probe.coefficients(zero_u, zero_u, zero_p, dt=1.0)
+    probe = _channel_probe(problem)
+    zero_u = FEField(problem.vel_space, np.zeros(problem.n_velocity))
+    zero_p = FEField(problem.pres_space, np.zeros(problem.n_pressure))
+    tested = probe.fields.T @ _stokes_residual(problem, zero_u, zero_p)
+    c_d, c_l = probe.coefficients(tested)
     assert c_d == 0.0 and c_l == 0.0
 
 
@@ -264,8 +253,8 @@ def test_stokes_drag_volume_route_matches_boundary_traction():
 
     base = channel_mesh()
     problem, u, p = solve(base)
-    probe = _channel_probe(problem, nu)
-    c_d, c_l = probe.coefficients(u, u, p, dt=1.0, load=problem.load_vector(0.0))
+    probe = _channel_probe(problem)
+    c_d, c_l = probe.coefficients(probe.fields.T @ _stokes_residual(problem, u, p))
 
     fine_problem, u_fine, p_fine = solve(refine_uniform(base))
     force = _boundary_traction_force(fine_problem.vel_space.mesh, u_fine, p_fine, nu)
@@ -283,8 +272,8 @@ def test_physical_channel_stokes_drag_is_positive_and_lift_small():
                     stabilization=StabilizationConfig(grad_div=0.1))
     problem = FOMProblem(mesh, cfg, channel_case())
     u, p = solve_stokes(problem)
-    probe = _channel_probe(problem, nu)
-    c_d, c_l = probe.coefficients(u, u, p, dt=1.0)
+    probe = _channel_probe(problem)
+    c_d, c_l = probe.coefficients(probe.fields.T @ _stokes_residual(problem, u, p))
     assert c_d > 0.0
     # the obstacle sits on the channel centerline, so creeping-flow lift is
     # small against the drag

@@ -22,6 +22,7 @@ from podflow.metrics import discrete_l2_error, kinetic_energy
 from podflow.pod import build_basis, project_L2
 from podflow.rom import (
     _OPERATOR_AXES,
+    _project,
     AdaptiveMuConfig,
     PressureRecovery,
     adapt_mu,
@@ -35,6 +36,7 @@ from podflow.rom import (
     rom_kinetic_energy,
     run_rom,
     save_operators,
+    step_residuals,
     step_rom,
     supremizer_stability,
     truncate_operators,
@@ -322,6 +324,43 @@ def test_step_matches_projected_full_order_system(scheme, center):
     else:
         a_ref = np.linalg.solve(k_red, rhs_red)
     assert np.abs(a_new - a_ref).max() <= 1e-10 * max(np.abs(a_ref).max(), 1.0)
+
+
+@pytest.mark.parametrize("integrator", ["bdf2_semi_implicit", "implicit_euler"])
+@pytest.mark.parametrize("center", [False, True])
+def test_step_residuals_match_the_full_order_residual_of_the_reconstruction(
+        integrator, center):
+    problem, _, _, _, vel_basis, _ = cavity_setup("graddiv", center=center,
+                                                  window=(0.02, 0.1))
+    space = problem.vel_space
+    phi, mean = vel_basis.modes[:, :vel_basis.r], vel_basis.mean
+    rng = np.random.default_rng(17)
+    test = rng.normal(size=(problem.n_velocity, 3))
+    a_traj = rng.normal(size=(phi.shape[1], 4))
+    dt, nu = 2e-2, problem.config.nu
+    mu = np.array([0.3, 0.4, 0.3, 0.5])
+    times = 0.37 + dt * np.arange(4)
+    got = step_residuals(_project(problem, phi, mean, test), a_traj, dt, nu, mu,
+                         integrator, times, forcing=swirl_forcing)
+
+    # independent route: the full-order residual of u = mean + phi a, with the
+    # time derivative and convecting field of each step (column 0 at rest)
+    u = phi @ a_traj if mean is None else mean[:, None] + phi @ a_traj
+    for n in range(4):
+        dudt, w = np.zeros(problem.n_velocity), u[:, 0]
+        if n > 0:
+            prev, prev2 = u[:, n - 1], u[:, max(n - 2, 0)]
+            if integrator == "bdf2_semi_implicit":
+                dudt = (3.0 * u[:, n] - 4.0 * prev + prev2) / (2.0 * dt)
+                w = 2.0 * prev - prev2
+            else:
+                dudt, w = (u[:, n] - prev) / dt, u[:, n]
+        k = nu * problem.stiffness + mu[n] * problem.grad_div \
+            + convection_matrix(space, FEField(space, w))
+        residual = problem.mass @ dudt + k @ u[:, n] \
+            - assemble_load(space, swirl_forcing, times[n])
+        expected = test.T @ residual
+        assert np.abs(got[:, n] - expected).max() <= 1e-11 * np.abs(expected).max(), n
 
 
 # -- trajectory behavior ---------------------------------------------------------
