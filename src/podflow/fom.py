@@ -91,11 +91,10 @@ class FlowCase:
     ``dirichlet`` maps boundary tag names to callables ``g(x, y, t)``
     returning the two velocity components; tags absent from the map keep
     their natural (do-nothing) condition. ``forcing`` is ``f(x, y, t)``
-    returning two components, or ``None`` for an unforced flow. A
-    :class:`SeparableForcing` is such a callable whose terms the problem
-    assembles once, so that the reduced models project its load at any
-    time with one (r, Q) product; any other callable is assembled on the
-    whole mesh at every time a reduced model needs it.
+    returning two components, or ``None`` for an unforced flow. The
+    reduced models need a :class:`SeparableForcing`, a callable whose terms
+    the problem assembles once, so that they project its load at any time
+    with one (r, Q) product; the full-order model takes any callable.
     ``zero_mean_pressure`` selects the enclosed-flow pressure gauge (one
     pinned value during the solve, mean removed afterwards).
     """
@@ -206,24 +205,18 @@ class FOMProblem:
         self.stiffness = assemble_stiffness(self.vel_space)
         self.divergence = assemble_divergence(self.vel_space, self.pres_space)
         self.pressure_mass = assemble_mass(self.pres_space)
+        # the stabilization and the static part of the velocity block
+        # (everything but mass and convection)
         if config.scheme == "lps":
             lps = assemble_lps_matrices(self.vel_space, self.pres_space, config.stabilization)
             self.velocity_stabilization = lps.velocity
             self.pressure_stabilization = lps.pressure
-            self.grad_div = None
             self.mu = 0.0
+            self._static_velocity_block = config.nu * self.stiffness + lps.velocity
         else:
-            self.velocity_stabilization = None
-            self.pressure_stabilization = None
-            self.grad_div = assemble_grad_div(self.vel_space, 1.0)
+            self.velocity_stabilization = self.pressure_stabilization = None
             self.mu = config.stabilization.grad_div
-
-        # static part of the velocity block (everything but mass and convection)
-        self._static_velocity_block = config.nu * self.stiffness
-        if self.velocity_stabilization is not None:
-            self._static_velocity_block = self._static_velocity_block + self.velocity_stabilization
-        if self.grad_div is not None:
-            self._static_velocity_block = self._static_velocity_block + self.mu * self.grad_div
+            self._static_velocity_block = config.nu * self.stiffness + self.mu * self.grad_div
 
         n_scalar = self.vel_space.n_scalar
         constrained_scalar = (
@@ -269,13 +262,24 @@ class FOMProblem:
         return g
 
     @cached_property
+    def grad_div(self):
+        """The unit grad-div matrix, ``mu`` times which the grad-div scheme
+        adds to its velocity block; for the equal-order scheme it is
+        assembled on first use, by the reduced models."""
+        return assemble_grad_div(self.vel_space, 1.0)
+
+    @cached_property
     def load_shapes(self):
-        """(n, Q) loads of ``scale * g_q`` for a separable forcing, so that
-        ``load_shapes @ coefficients(t)`` is its load at time t; None for
-        any other forcing. Assembled on first use, by the reduced models."""
+        """(n, Q) loads of ``scale * g_q`` of the separable forcing, so that
+        ``load_shapes @ coefficients(t)`` is its load at time t; None for an
+        unforced problem. Assembled on first use, by the reduced models,
+        which project no other forcing."""
         forcing = self.case.forcing
-        if not isinstance(forcing, SeparableForcing):
+        if forcing is None:
             return None
+        if not isinstance(forcing, SeparableForcing):
+            raise ValueError("a reduced model projects its load through a SeparableForcing; "
+                             f"the problem's forcing is a {type(forcing).__name__}")
         return forcing.scale * np.column_stack(
             [assemble_load(self.vel_space, g) for g in forcing.shapes])
 

@@ -13,10 +13,10 @@ model and records its snapshots; ``_bases`` extracts the velocity and
 pressure bases; ``_reduced_start`` checks the reduced size and fixes what
 the reduced run starts from (coefficients, grad-div coefficient,
 adaptation, reference energies). ``run_pipeline`` composes them, builds the
-reduced operators and the pressure recovery, runs the reduced model (with
-the full-order integrator) and the reduced-size error sweep, and writes
-deterministic CSV and binary artifacts; reduced drag and lift test the
-reduced steps' residuals. The studies compose the same stages:
+reduced operators, with their pressure recovery, once at the largest sizes,
+runs the reduced model and the reduced-size error sweep on their leading
+blocks, and writes deterministic CSV and binary artifacts; reduced drag and
+lift test the reduced steps' residuals. The studies compose the same stages:
 ``convergence_study`` measures observed orders on the registry's decaying
 vortex, and ``long_horizon_study`` compares constant and adaptive
 grad-div coefficients of one full-order run over an extended horizon.
@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -45,7 +45,7 @@ from .fom import (
     run_fom,
     save_snapshots,
 )
-from .mesh import build_rect_mesh, refine_uniform, save_mesh
+from .mesh import MeshError, build_rect_mesh, refine_uniform, save_mesh
 from .metrics import (
     DragLiftProbe,
     analytic_l2_error,
@@ -56,12 +56,11 @@ from .metrics import (
 from .pod import build_basis, project_L2, save_basis, spectral_diagnostics
 from .rom import (
     AdaptiveMuConfig,
-    PressureRecovery,
     _project,
     build_rom_operators,
     compute_supremizers,
     principal_angle_cosine,
-    reduce_forcing,
+    reduced_pressure,
     run_rom,
     save_operators,
     step_residuals,
@@ -191,8 +190,11 @@ class GeometryConfig:
             raise ConfigError("geometry_invalid", "hole needs (x0, y0, x1, y1)")
 
     def build(self):
-        mesh = build_rect_mesh(self.width, self.height, self.nx, self.ny,
-                               hole=self.hole)
+        try:
+            mesh = build_rect_mesh(self.width, self.height, self.nx, self.ny,
+                                   hole=self.hole)
+        except MeshError as exc:
+            raise ConfigError("geometry_invalid", str(exc)) from exc
         for _ in range(self.refine):
             mesh = refine_uniform(mesh)
         return mesh
@@ -245,7 +247,6 @@ class ROMBlock:
     t_final: float = None  # defaults to the snapshot window end
     integrator: str = None  # the full-order integrator; only it is accepted
     mu: float = None  # defaults to the full-order grad-div coefficient
-    alpha: float = None  # pressure indicator coupling; None computes it
     adaptive: AdaptiveBlock = field(default_factory=AdaptiveBlock)
 
     def __post_init__(self):
@@ -258,8 +259,6 @@ class ROMBlock:
                 raise ConfigError("rom_invalid", "r_values must be positive sizes")
         if self.mu is not None and self.mu < 0.0:
             raise ConfigError("rom_invalid", "mu must be nonnegative")
-        if self.alpha is not None and self.alpha < 0.0:
-            raise ConfigError("rom_invalid", "alpha must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -302,12 +301,6 @@ class ExperimentConfig:
         if self.fom.scheme == "graddiv":
             return self.fom.stabilization.grad_div
         return 0.0
-
-    def rom_time_stepping(self):
-        """The full-order integrator and nonlinear settings, for :func:`run_rom`."""
-        fom = self.fom
-        return dict(integrator=fom.time_integrator, nonlinear_tolerance=fom.nonlinear_tolerance,
-                    nonlinear_max_iterations=fom.nonlinear_max_iterations)
 
     def effective_rom_t_final(self):
         if self.rom.t_final is not None:
@@ -721,13 +714,7 @@ def _resting_family_mixing(config):
     gram = raw.T @ (mass_p @ raw)
     lower = np.linalg.cholesky(0.5 * (gram + gram.T))
     orthonormal = np.linalg.solve(lower, raw.T).T
-
-    class _Family:
-        modes = orthonormal
-        r = orthonormal.shape[1]
-
-    enriched = compute_supremizers(problem, _Family(), r=_Family.r)
-    z = enriched.fields
+    z = compute_supremizers(problem, orthonormal).fields
     coupling = (orthonormal.T @ (problem.divergence @ z)).T
     h = z.T @ ((problem.mass + problem.stiffness) @ z)
     chol = np.linalg.cholesky(0.5 * (h + h.T))
@@ -978,7 +965,6 @@ def run_pipeline(config, out_dir=None, stop_after=None):
     if stop_after in (None, "rom"):
         with _stage("rom"):
             start = _reduced_start(config, full, vel_basis)
-            dt = config.fom.dt
             rp_main = config.rom.r_pressure
             if rp_main is None:
                 rp_main = min(start.r, pres_basis.rank)
@@ -994,37 +980,23 @@ def run_pipeline(config, out_dir=None, stop_after=None):
             artifacts["operators"] = out / "operators.bin"
 
             times = full.vel_snaps.times
-            forcing = problem.case.forcing
-            n_steps = int(round((config.effective_rom_t_final() - times[0]) / dt))
+            n_steps = int(round((config.effective_rom_t_final() - times[0])
+                                / config.fom.dt))
             if n_steps < 1:
                 raise ValueError("the reduced window allows no steps")
-            rom_run = run_rom(
-                ops, dt=dt, n_steps=n_steps, a0=start.a0, nu=config.fom.nu,
-                t_start=times[0], forcing=_reduced_forcing(ops, forcing),
-                mu=start.mu, adaptive=start.adaptive,
-                fom_energy_table=start.energy_table, **config.rom_time_stepping())
-
-            all_recovery = recovery = None
-            if ops.pres_modes is None and pres_basis.rank > 0:
-                supremizers = compute_supremizers(problem, pres_basis).fields
-                n_sup = supremizers.shape[1]
-                if n_sup:
-                    all_recovery = PressureRecovery(
-                        problem, replace(vel_basis, r=r_max),
-                        replace(pres_basis, r=n_sup), supremizers)
-                    if n_sup == pres_basis.r:
-                        recovery = all_recovery.truncate(start.r, n_sup)
+            rom_run = run_rom(ops, n_steps, start.a0, t_start=times[0], mu=start.mu,
+                              adaptive=start.adaptive,
+                              fom_energy_table=start.energy_table)
 
             # without a probe or a reduced pressure, drag and lift are nan
             cd = cl = np.full(rom_run.times.size, np.nan)
             probe = full.probe
-            pressure = None if probe is None else _reduced_pressure(
-                ops, recovery, rom_run, forcing, dt, rom_run.mu_traj, slice(None))
+            pressure = None if probe is None else reduced_pressure(
+                ops, rom_run, rom_run.mu_traj)
             if pressure is not None:
                 tested = step_residuals(
                     _project(problem, ops.vel_modes, ops.mean, probe.fields),
-                    rom_run.a_traj, dt, config.fom.nu, rom_run.mu_traj,
-                    config.fom.time_integrator, rom_run.times, forcing)
+                    rom_run.a_traj, rom_run.mu_traj, rom_run.times)
                 cd, cl = probe.coefficients(
                     tested - probe.divergence_fields.T @ pressure)
             a_norms = np.linalg.norm(rom_run.a_traj, axis=0)
@@ -1041,7 +1013,7 @@ def run_pipeline(config, out_dir=None, stop_after=None):
 
             error_table = reduced_error_table(
                 config, problem, full.vel_snaps, full.pres_snaps, vel_basis,
-                pres_basis, sizes, all_ops, all_recovery)
+                pres_basis, sizes, all_ops)
             artifacts["errors"] = write_csv(
                 out / "errors.csv",
                 ("r", "vel_error", "pres_error", "vel_indicator", "pres_indicator"),
@@ -1078,46 +1050,14 @@ def _error_table_sizes(config, vel_basis, pres_basis):
             for r in sorted(set(int(v) for v in r_values))]
 
 
-def _reduced_forcing(ops, forcing):
-    """The reduced forcing callable of :func:`run_rom` for ``ops``, or
-    None without a forcing."""
-    if forcing is None:
-        return None
-    return lambda t: reduce_forcing(ops, forcing, t)
-
-
-def _reduced_pressure(ops, recovery, rom_run, forcing, dt, mu, cols,
-                      a_prev=None):
-    """Full-order pressure fields of a reduced run at its columns ``cols``.
-
-    The coupled scheme solved for its pressure coefficients; the
-    velocity-only scheme recovers them from the velocity trajectory
-    through the supremizer ``recovery`` (None when there is none, and then
-    so is the result). ``forcing`` is the problem's body force or None;
-    ``mu`` and ``a_prev`` are as in
-    :meth:`PressureRecovery.recover_trajectory`.
-    """
-    if ops.pres_modes is not None:
-        return ops.pres_modes @ rom_run.b_traj[:, cols]
-    if recovery is None:
-        return None
-    forcing_values = None
-    if forcing is not None:
-        forcing_values = np.column_stack([reduce_forcing(recovery.operators, forcing, t)
-                                          for t in rom_run.times])
-    b_traj = recovery.recover_trajectory(rom_run.a_traj, dt, mu=mu, a_prev=a_prev,
-                                         forcing_values=forcing_values)
-    return recovery.operators.pres_modes @ b_traj[:, cols]
-
-
 def reduced_error_table(config, problem, vel_snaps, pres_snaps, vel_basis,
-                        pres_basis, sizes, operators, recovery=None):
+                        pres_basis, sizes, operators):
     """Measure reduced errors and indicators over a sweep of basis sizes.
 
     ``sizes`` lists the (velocity, pressure) sizes of the rows, as
-    :func:`_error_table_sizes` gives them. ``operators`` and the supremizer
-    ``recovery`` (None without one) are built at least that large, and each
-    row uses their leading blocks. Each row holds (r, velocity error,
+    :func:`_error_table_sizes` gives them. ``operators`` are built at least
+    that large, with their pressure recovery, and each row uses their
+    leading blocks. Each row holds (r, velocity error,
     pressure error, velocity indicator, pressure indicator). Errors are
     discrete l2-in-time L2-in-space norms against the stored snapshots over
     the snapshot window. With unit snapshot stride the reduced run is seeded
@@ -1144,22 +1084,16 @@ def reduced_error_table(config, problem, vel_snaps, pres_snaps, vel_basis,
     rows = []
     for r, rp in sizes:
         ops_r = truncate_operators(operators, r, rp)
-        forcing_fn = _reduced_forcing(ops_r, problem.case.forcing)
         coeffs = all_coeffs[:r]
         if replay_seeded:
-            rom = run_rom(ops_r, dt=dt, n_steps=m - 2, a0=coeffs[:, 1],
-                          nu=config.fom.nu, a_prev=coeffs[:, 0],
-                          t_start=times[1], forcing=forcing_fn, mu=mu_value,
-                          **config.rom_time_stepping())
+            rom = run_rom(ops_r, m - 2, coeffs[:, 1], a_prev=coeffs[:, 0],
+                          t_start=times[1], mu=mu_value)
             compare = slice(1, None)
             a_prev_used = coeffs[:, 0]
             step_of_snapshot = lambda k: k - 1
         else:
             total = int(round((times[-1] - times[0]) / dt))
-            rom = run_rom(ops_r, dt=dt, n_steps=total, a0=coeffs[:, 0],
-                          nu=config.fom.nu, t_start=times[0],
-                          forcing=forcing_fn, mu=mu_value,
-                          **config.rom_time_stepping())
+            rom = run_rom(ops_r, total, coeffs[:, 0], t_start=times[0], mu=mu_value)
             compare = slice(0, None)
             a_prev_used = None
             step_of_snapshot = lambda k: k * stride
@@ -1172,21 +1106,16 @@ def reduced_error_table(config, problem, vel_snaps, pres_snaps, vel_basis,
         vel_error = discrete_l2_error(recon, raw_vel[:, compare],
                                       problem.mass, weight)
 
-        recovery_r = None
-        if recovery is not None and recovery.fields.shape[1] >= rp:
-            recovery_r = recovery.truncate(r, rp)
-        rom_pres = _reduced_pressure(ops_r, recovery_r, rom, problem.case.forcing,
-                                     dt, mu_value, snap_cols[1:], a_prev_used)
+        rom_pres = reduced_pressure(ops_r, rom, mu_value, a_prev_used)
         pres_error = np.nan
         if rom_pres is not None:
-            pres_error = discrete_l2_error(rom_pres, raw_pres[:, compare][:, 1:],
+            pres_error = discrete_l2_error(rom_pres[:, snap_cols[1:]],
+                                           raw_pres[:, compare][:, 1:],
                                            problem.pressure_mass, weight)
-        alpha = 1.0 if scheme == "lps" else config.rom.alpha
-        if alpha is None and recovery_r is not None:
+        alpha = 1.0
+        if ops_r.recovery is not None:
             alpha = principal_angle_cosine(vel_basis.modes[:, :r],
-                                           recovery_r.fields, problem.stiffness)
-        if alpha is None:
-            alpha = 1.0
+                                           ops_r.recovery.fields, problem.stiffness)
 
         diag_r = spectral_diagnostics(vel_basis, problem.stiffness, r=r)
         vel_tail = diag_r.tail
@@ -1319,14 +1248,10 @@ def long_horizon_study(config, horizon_multiple=10.0, out_dir=None):
     ops = build_rom_operators(full.problem, vel_basis, r=start.r)
 
     times = full.vel_snaps.times
-    dt = config.fom.dt
     window = times[-1] - times[0]
-    n_steps = max(int(round(horizon_multiple * window / dt)), 1)
-    common = dict(dt=dt, n_steps=n_steps, a0=start.a0, nu=config.fom.nu,
-                  t_start=times[0],
-                  forcing=_reduced_forcing(ops, full.problem.case.forcing),
-                  mu=start.mu, fom_energy_table=start.energy_table,
-                  **config.rom_time_stepping())
+    n_steps = max(int(round(horizon_multiple * window / config.fom.dt)), 1)
+    common = dict(n_steps=n_steps, a0=start.a0, t_start=times[0], mu=start.mu,
+                  fom_energy_table=start.energy_table)
     constant_run = adaptive_run = run_rom(ops, **common)
     if start.adaptive is not None:
         adaptive_run = run_rom(ops, adaptive=start.adaptive, **common)

@@ -5,21 +5,26 @@ its fluctuation stabilization; the divergence-stable scheme integrates a
 velocity-only system with a grad-div term whose coefficient can adapt in
 time against a reference energy table, and recovers pressure afterwards
 through supremizer test functions.
+
+A :class:`ROMOperators` set is the whole reduced model: it carries the
+full-order configuration it was built from, its projected load and, for the
+divergence-stable scheme, its supremizer :class:`PressureRecovery`, so a
+run takes only the start state, the time origin and the grad-div coefficient.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .assembly import assemble_grad_div, assemble_load, convection_matrix
+from .assembly import StabilizationConfig, convection_matrix
 from .container import read_container, write_container
 from .fe_space import FEField
-from .fom import TIME_INTEGRATORS, solve_step, time_terms
+from .fom import FOMConfig, solve_step, time_terms
 
 
 @dataclass(frozen=True)
@@ -49,7 +54,8 @@ class AdaptiveMuConfig:
 
 @dataclass
 class ROMOperators:
-    """Assembled operators projected onto the leading modes.
+    """Assembled operators projected onto the leading modes, stepped with
+    the viscosity, step, integrator and Picard settings of ``fom``.
 
     The velocity forms test the momentum residual against the columns of
     ``test``: the modes themselves for the reduced model, the supremizers
@@ -59,11 +65,14 @@ class ROMOperators:
     couplings lift a centered basis; they are zero when the basis was
     built from uncentered snapshots. Pressure-side blocks are ``None`` for
     the velocity-only scheme. ``forcing_modes`` holds the projected loads
-    of the shapes of ``forcing``, the problem's separable forcing; both are
-    ``None`` for any other forcing, and a loaded set keeps only the former.
+    of the shapes of ``forcing``, the problem's :class:`SeparableForcing`;
+    both are ``None`` for an unforced problem, and a loaded set keeps only
+    the former. ``recovery`` is the velocity-only scheme's supremizer
+    :class:`PressureRecovery` at the same sizes, or ``None``; it is never
+    saved.
     """
 
-    scheme: str
+    fom: FOMConfig
     r: int
     mass: np.ndarray
     stiffness: np.ndarray
@@ -88,6 +97,11 @@ class ROMOperators:
     forcing_modes: np.ndarray = None
     forcing: object = None
     test: np.ndarray = None
+    recovery: object = None
+
+    @property
+    def scheme(self):
+        return self.fom.scheme
 
     @property
     def r_pressure(self):
@@ -141,17 +155,15 @@ def _project(problem, phi, mean, test):
     (None for an uncentered basis); the test functions are the columns of
     ``test``. Returns the forms as a ROMOperators without pressure blocks;
     a form whose operator the problem lacks, and every mean lift of an
-    uncentered basis, is zero.
+    uncentered basis, is zero. The problem's forcing must be separable.
     """
+    shapes = problem.load_shapes
     space = problem.vel_space
-    grad_div = problem.grad_div
-    if grad_div is None:
-        grad_div = assemble_grad_div(space, 1.0)
     forms = {}
     for name, lift, matrix in (
             ("mass", "mass_mean", problem.mass),
             ("stiffness", "viscous_mean", problem.stiffness),
-            ("grad_div", "grad_div_mean", grad_div),
+            ("grad_div", "grad_div_mean", problem.grad_div),
             ("lps_velocity", "lps_velocity_mean", problem.velocity_stabilization)):
         if matrix is not None:
             forms[name] = test.T @ (matrix @ phi)
@@ -175,9 +187,8 @@ def _project(problem, phi, mean, test):
     forms.update({name: np.zeros([sizes[x] for x in axes])
                   for name, axes in _OPERATOR_AXES.items()
                   if name not in forms and set(axes) <= set(sizes)})
-    shapes = problem.load_shapes
     return ROMOperators(
-        scheme=problem.config.scheme,
+        fom=problem.config,
         r=r,
         mean_energy=0.0 if mean is None else float(mean @ (problem.mass @ mean)),
         vel_modes=phi,
@@ -185,7 +196,7 @@ def _project(problem, phi, mean, test):
         test=test,
         vel_space=space,
         forcing_modes=None if shapes is None else test.T @ shapes,
-        forcing=None if shapes is None else problem.case.forcing,
+        forcing=problem.case.forcing,
         **forms,
     )
 
@@ -195,27 +206,36 @@ def build_rom_operators(problem, vel_basis, pres_basis=None, r=None,
     """Project the problem's operators onto the first modes of the bases.
 
     The equal-order scheme requires a pressure basis for its coupled
-    system; the velocity-only scheme ignores ``pres_basis`` here (pressure
-    enters through supremizer recovery instead).
+    system. The velocity-only scheme recovers pressure through supremizers
+    instead: with a pressure basis, its ``recovery`` tests against the
+    supremizers of the first ``r_pressure`` pressure modes (None when none
+    survive).
     """
     if vel_basis.space_signature != problem.vel_space.signature():
         raise ValueError("velocity basis was built on a different space")
     r = vel_basis.r if r is None else int(r)
     if not 1 <= r <= vel_basis.rank:
         raise ValueError(f"requested r={r} outside 1..{vel_basis.rank}")
-    if problem.config.scheme != "lps":
-        phi = vel_basis.modes[:, :r]
-        return _project(problem, phi, vel_basis.mean, phi)
+    phi, mean = vel_basis.modes[:, :r], vel_basis.mean
+    ops = _project(problem, phi, mean, phi)
     if pres_basis is None:
-        raise ValueError("the equal-order reduced system needs a pressure basis")
+        if problem.config.scheme == "lps":
+            raise ValueError("the equal-order reduced system needs a pressure basis")
+        return ops
     if pres_basis.space_signature != problem.pres_space.signature():
         raise ValueError("pressure basis was built on a different space")
     rp = pres_basis.r if r_pressure is None else int(r_pressure)
     if not 1 <= rp <= pres_basis.rank:
         raise ValueError(f"requested pressure size {rp} outside 1..{pres_basis.rank}")
-    phi, psi, mean = vel_basis.modes[:, :r], pres_basis.modes[:, :rp], vel_basis.mean
+    psi = pres_basis.modes[:, :rp]
+    if problem.config.scheme != "lps":
+        z = compute_supremizers(problem, psi).fields
+        if z.shape[1]:
+            ops.recovery = PressureRecovery(problem, replace(vel_basis, r=r),
+                                            replace(pres_basis, r=z.shape[1]), z)
+        return ops
     return replace(
-        _project(problem, phi, mean, phi),
+        ops,
         divergence=psi.T @ (problem.divergence @ phi),
         lps_pressure=psi.T @ (problem.pressure_stabilization @ psi),
         divergence_mean=np.zeros(rp) if mean is None else psi.T @ (problem.divergence @ mean),
@@ -224,7 +244,12 @@ def build_rom_operators(problem, vel_basis, pres_basis=None, r=None,
 
 
 def truncate_operators(ops, r, r_pressure=None):
-    """Restrict operators to a smaller leading block without reassembly."""
+    """Restrict operators to a smaller leading block without reassembly.
+
+    ``r_pressure`` (default: all) cuts the coupled scheme's pressure modes,
+    or the recovery's pressure modes and supremizers; a recovery with fewer
+    supremizers than ``r_pressure`` becomes None.
+    """
     if not 1 <= r <= ops.r:
         raise ValueError(f"truncation size {r} outside 1..{ops.r}")
     rp = None
@@ -232,7 +257,12 @@ def truncate_operators(ops, r, r_pressure=None):
         rp = ops.r_pressure if r_pressure is None else int(r_pressure)
         if not 1 <= rp <= ops.r_pressure:
             raise ValueError(f"pressure truncation {rp} outside 1..{ops.r_pressure}")
-    return _leading_blocks(ops, int(r), int(r), rp)
+    recovery = ops.recovery
+    if recovery is not None:
+        n_sup = recovery.coupling.shape[0]
+        rp_sup = n_sup if r_pressure is None else int(r_pressure)
+        recovery = recovery.truncate(r, rp_sup) if rp_sup <= n_sup else None
+    return replace(_leading_blocks(ops, int(r), int(r), rp), recovery=recovery)
 
 
 def rom_kinetic_energy(ops, a):
@@ -241,23 +271,22 @@ def rom_kinetic_energy(ops, a):
     return 0.5 * float(a @ (ops.mass @ a) + 2.0 * (ops.mass_mean @ a) + ops.mean_energy)
 
 
-def reduce_forcing(ops, forcing, t):
-    """Project a body force callable onto the test functions of ``ops``
-    (the velocity modes, or the supremizers of a recovery) at one time.
-
-    The separable forcing the operators were built from costs one (t, Q)
-    product; any other callable is assembled on the full mesh.
-    """
-    if ops.forcing is not None and forcing is ops.forcing:
-        return ops.forcing_modes @ forcing.coefficients(t)
-    if ops.vel_space is None:
+def reduce_forcing(ops, t):
+    """The problem's load at time ``t`` tested by the test functions of
+    ``ops`` (the velocity modes, or the supremizers of a recovery): one
+    (t, Q) product of the projected shapes and the time factors; None for
+    an unforced problem."""
+    if ops.forcing_modes is None:
+        return None
+    if ops.forcing is None:
         raise ValueError(
-            "this operator set has no velocity space (it was loaded from a "
-            "container), so a forcing callable cannot be projected")
-    return ops.test.T @ assemble_load(ops.vel_space, forcing, t)
+            "this operator set has forcing modes but no time factors (it was "
+            "loaded from a container), so its load cannot be evaluated")
+    return ops.forcing_modes @ ops.forcing.coefficients(t)
 
 
-def _reduced_velocity_block(ops, a_hat, dt, nu, mu, alpha):
+def _reduced_velocity_block(ops, a_hat, mu, alpha):
+    dt, nu = ops.fom.dt, ops.fom.nu  # the full-order step and viscosity
     conv = ops.convect_by_mean + np.einsum("i,ijk->kj", a_hat, ops.convection_tensor)
     block = (alpha / dt) * ops.mass + nu * ops.stiffness + ops.lps_velocity \
         + mu * ops.grad_div + conv
@@ -293,34 +322,37 @@ def _solve_reduced(ops, block, rhs_velocity):
     return x[:r], x[r:]
 
 
-def step_rom(ops, a_now, a_prev, dt, nu, mu=0.0, forcing=None,
-             integrator="bdf2_semi_implicit", tolerance=1e-10, max_iterations=50):
-    """One step of ``integrator`` with the full-order model's time terms
-    and sweeps (:func:`~podflow.fom.solve_step`).
+def step_rom(ops, a_now, a_prev, mu=0.0, forcing=None):
+    """One step of the full-order integrator with its time terms and sweeps
+    (:func:`~podflow.fom.solve_step`); ``forcing`` is the reduced load of
+    the new level.
 
     Returns the new velocity coefficients and, for the coupled scheme, the
     pressure coefficients of the same time level.
     """
+    fom = ops.fom
     a_now = np.asarray(a_now, dtype=float)
     a_prev = np.asarray(a_prev, dtype=float)
-    alpha, history, convecting = time_terms(integrator, a_now, a_prev, dt)
+    alpha, history, convecting = time_terms(fom.time_integrator, a_now, a_prev, fom.dt)
     rhs_time = ops.mass @ history
 
     def sweep(w):
-        block, lift = _reduced_velocity_block(ops, w, dt, nu, mu, alpha)
+        block, lift = _reduced_velocity_block(ops, w, mu, alpha)
         rhs = rhs_time - lift
         if forcing is not None:
             rhs = rhs + np.asarray(forcing, dtype=float)
         return _solve_reduced(ops, block, rhs)
 
-    return solve_step(integrator, sweep, convecting, ops.mass, tolerance, max_iterations)
+    return solve_step(fom.time_integrator, sweep, convecting, ops.mass,
+                      fom.nonlinear_tolerance, fom.nonlinear_max_iterations)
 
 
-def step_residuals(ops, a_traj, dt, nu, mu, integrator, times, forcing=None):
+def step_residuals(ops, a_traj, mu, times):
     """Pressure-free momentum residuals, tested by ``ops.test``, of the steps
-    of ``integrator`` that produced the columns of ``a_traj`` (the first on
-    equal levels, as in :func:`run_rom`); column 0 is the start at rest.
-    ``mu`` is one value or one per column; ``forcing`` is the body force."""
+    that produced the columns of ``a_traj`` at ``times`` (the first on equal
+    levels, as in :func:`run_rom`); column 0 is the start at rest. ``mu`` is
+    one value or one per column."""
+    integrator, dt = ops.fom.time_integrator, ops.fom.dt
     a_traj = np.asarray(a_traj, dtype=float)
     mu = np.broadcast_to(mu, a_traj.shape[1:])
     out = np.empty((ops.mass.shape[0], a_traj.shape[1]))
@@ -331,10 +363,11 @@ def step_residuals(ops, a_traj, dt, nu, mu, integrator, times, forcing=None):
                 integrator, a_traj[:, n - 1], a_traj[:, max(n - 2, 0)], dt)
         if integrator != "bdf2_semi_implicit":  # Picard converged on the new level
             convecting = a
-        block, lift = _reduced_velocity_block(ops, convecting, dt, nu, mu[n], alpha)
+        block, lift = _reduced_velocity_block(ops, convecting, mu[n], alpha)
         out[:, n] = block @ a + lift - ops.mass @ history
-        if forcing is not None:
-            out[:, n] -= reduce_forcing(ops, forcing, times[n])
+        load = reduce_forcing(ops, times[n])
+        if load is not None:
+            out[:, n] -= load
     return out
 
 
@@ -387,28 +420,21 @@ class ROMRun:
     energy_traj: np.ndarray
 
 
-def run_rom(ops, dt, n_steps, a0, *, nu, a_prev=None, t_start=0.0,
-            forcing=None, mu=0.0, adaptive=None, fom_energy_table=None,
-            integrator="bdf2_semi_implicit", nonlinear_tolerance=1e-10,
-            nonlinear_max_iterations=50):
-    """Integrate the reduced model over ``n_steps`` uniform steps.
+def run_rom(ops, n_steps, a0, *, a_prev=None, t_start=0.0, mu=0.0, adaptive=None,
+            fom_energy_table=None):
+    """Integrate the reduced model over ``n_steps`` steps of :func:`step_rom`,
+    forced by the problem's load.
 
     ``a0`` is the state at ``t_start``; ``a_prev`` optionally supplies the
     previous level so the two-step formula starts from genuine history.
     Without it the first BDF2 step runs on equal history levels: its time
     derivative is ``1.5 (a_1 - a_0) / dt`` and its convecting field ``a_0``.
-    ``integrator`` and the nonlinear settings are those of :func:`step_rom`.
-    ``forcing`` is a callable ``t -> (r,)`` array of reduced loads. With
-    ``adaptive`` and ``fom_energy_table`` given, the grad-div coefficient
-    follows the update rule, re-stepping once whenever it changes; each
-    accepted step records the energy mismatch.
+    With ``adaptive`` and ``fom_energy_table`` given, the grad-div
+    coefficient follows the update rule, re-stepping once whenever it
+    changes; each accepted step records the energy mismatch.
     """
-    if dt <= 0.0:
-        raise ValueError("step size must be positive")
     if n_steps < 1:
         raise ValueError("need at least one step")
-    if integrator not in TIME_INTEGRATORS:
-        raise ValueError(f"unknown integrator {integrator!r}")
     if adaptive is not None:
         if fom_energy_table is None:
             raise ValueError("adaptive updates need a reference energy table")
@@ -423,11 +449,9 @@ def run_rom(ops, dt, n_steps, a0, *, nu, a_prev=None, t_start=0.0,
     if previous.shape != (r,):
         raise ValueError(f"history state must have shape ({r},)")
     mu = float(mu)
-    settings = dict(integrator=integrator, tolerance=nonlinear_tolerance,
-                    max_iterations=nonlinear_max_iterations)
 
     nt = n_steps + 1
-    times = t_start + dt * np.arange(nt)
+    times = t_start + ops.fom.dt * np.arange(nt)
     a_traj = np.empty((r, nt))
     a_traj[:, 0] = a
     b_traj = None
@@ -441,23 +465,16 @@ def run_rom(ops, dt, n_steps, a0, *, nu, a_prev=None, t_start=0.0,
 
     for n in range(1, nt):
         t = times[n]
-        f_r = None
-        if forcing is not None:
-            f_r = np.asarray(forcing(t), dtype=float)
-            if f_r.shape != (r,):
-                raise ValueError(f"reduced forcing at t={t} must have shape ({r},)")
-
+        f_r = reduce_forcing(ops, t)
         try:
-            a_new, b_new = step_rom(ops, a, previous, dt, nu, mu=mu, forcing=f_r,
-                                    **settings)
+            a_new, b_new = step_rom(ops, a, previous, mu=mu, forcing=f_r)
             if adaptive is not None:
                 trial_energy = rom_kinetic_energy(ops, a_new)
                 mu_new, re_step = adapt_mu(mu, trial_energy, fom_energy_table,
                                            adaptive, n)
                 if re_step:
                     mu = mu_new
-                    a_new, b_new = step_rom(ops, a, previous, dt, nu, mu=mu,
-                                            forcing=f_r, **settings)
+                    a_new, b_new = step_rom(ops, a, previous, mu=mu, forcing=f_r)
         except RuntimeError as exc:
             raise RuntimeError(f"reduced step {n} at t={t:.6g} failed: {exc}") from exc
 
@@ -682,8 +699,7 @@ class PressureRecovery:
             raise RuntimeError("pressure recovery produced non-finite values")
         return b
 
-    def recover_trajectory(self, a_traj, dt, mu=0.0, a_prev=None,
-                           forcing_values=None):
+    def recover_trajectory(self, a_traj, mu=0.0, a_prev=None, forcing_values=None):
         """Recover pressure along a trajectory with two-step time slopes.
 
         Column ``n >= 1`` uses the same difference stencil as the
@@ -694,6 +710,7 @@ class PressureRecovery:
         ``forcing_values`` is an optional (n_supremizers, nt) array of
         projected loads at the trajectory times.
         """
+        dt = self.operators.fom.dt
         a_traj = np.asarray(a_traj, dtype=float)
         nt = a_traj.shape[1]
         mu = np.broadcast_to(np.asarray(mu, dtype=float), (nt,))
@@ -715,13 +732,35 @@ class PressureRecovery:
         return out
 
 
+def reduced_pressure(ops, run, mu, a_prev=None):
+    """Full-order pressure fields of the reduced run ``run`` of ``ops``, one
+    column per time level.
+
+    The coupled scheme solved for its pressure coefficients; the
+    velocity-only scheme recovers them from the velocity trajectory through
+    ``ops.recovery`` (None when there is none, and then so is the result).
+    ``mu`` and ``a_prev`` are as in :meth:`PressureRecovery.recover_trajectory`.
+    """
+    if ops.pres_modes is not None:
+        return ops.pres_modes @ run.b_traj
+    recovery = ops.recovery
+    if recovery is None:
+        return None
+    forcing_values = None
+    if recovery.operators.forcing_modes is not None:
+        forcing_values = np.column_stack([reduce_forcing(recovery.operators, t)
+                                          for t in run.times])
+    b_traj = recovery.recover_trajectory(run.a_traj, mu, a_prev, forcing_values)
+    return recovery.operators.pres_modes @ b_traj
+
+
 def principal_angle_cosine(vel_modes, supremizer_fields, stiffness):
     """Largest principal-angle cosine between two spans in the gradient metric.
 
     Measures how close the supremizer span comes to the reduced velocity
     span: 0 for gradient-orthogonal spaces, approaching 1 when they share a
-    direction. Used as the default coupling constant of the reduced
-    pressure error indicator.
+    direction. Used as the coupling constant of the reduced pressure error
+    indicator.
     """
     phi = np.asarray(getattr(vel_modes, "modes", vel_modes), dtype=float)
     z = np.asarray(getattr(supremizer_fields, "fields", supremizer_fields), dtype=float)
@@ -742,14 +781,16 @@ def principal_angle_cosine(vel_modes, supremizer_fields, stiffness):
 
 
 def save_operators(ops, path):
-    """Write the reduced arrays as a binary container keyed by the space.
+    """Write the reduced arrays and the full-order configuration as a binary
+    container keyed by the space.
 
     Stores every array needed to step the reduced system (not the modes or
-    the mean field, which live with the basis container); a loaded set can
-    be integrated but not reconstructed to full-order fields.
+    the mean field, which live with the basis container, nor the forcing's
+    time factors or the pressure recovery); a loaded set can be integrated
+    unforced but not reconstructed to full-order fields.
     """
     signature = "" if ops.vel_space is None else ops.vel_space.signature()
-    meta = {"signature": signature, "scheme": ops.scheme, "r": int(ops.r),
+    meta = {"signature": signature, "fom": asdict(ops.fom), "r": int(ops.r),
             "mean_energy": float(ops.mean_energy)}
     arrays = {name: getattr(ops, name) for name, axes in _OPERATOR_AXES.items()
               if "n" not in axes and getattr(ops, name) is not None}
@@ -759,8 +800,11 @@ def save_operators(ops, path):
 def load_operators(path, expected_signature=None):
     """Read a reduced-operator container written by :func:`save_operators`."""
     meta, arrays = read_container(path, "operators", expected_signature)
+    fom = meta["fom"]
+    window = fom["snapshot_window"]
     return ROMOperators(
-        scheme=meta["scheme"],
+        fom=FOMConfig(**{**fom, "stabilization": StabilizationConfig(**fom["stabilization"]),
+                         "snapshot_window": None if window is None else tuple(window)}),
         r=meta["r"],
         mean_energy=meta["mean_energy"],
         vel_space=None,

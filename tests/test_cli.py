@@ -199,3 +199,13 @@ def test_plot_scripts_compile_without_running(config_path, tmp_path):
     assert main(["report", "--out-dir", str(out)]) == EXIT_OK
     for script in out.glob("plot_*.py"):
         compile(script.read_text(), str(script), "exec")
+
+
+def test_a_geometry_the_mesh_rejects_reports_a_config_error(config_path, capsys):
+    # the hole's edges fall between the grid lines of a three-cell-wide mesh
+    code = main(["fom", "--config", str(config_path),
+                 "--override", "geometry.hole=[0.25,0.25,0.5,0.5]",
+                 "--override", "geometry.nx=3"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "geometry_invalid" in err

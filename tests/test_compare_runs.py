@@ -87,3 +87,22 @@ def test_container_arrays_and_missing_files_are_reported(two_runs, tmp_path):
     status, out = compare(two_runs[0], changed, "--rtol", "1e-10")
     assert status == 1
     assert "differs    qoi.csv (only in DIR_A)" in out
+
+
+def test_a_changed_container_header_lists_its_keys_and_still_compares_arrays(
+        two_runs, tmp_path):
+    changed = tmp_path / "changed"
+    shutil.copytree(two_runs[1], changed)
+    meta, arrays = read_container(changed / "operators.bin", "operators")
+    meta["r"] += 1
+    meta["extra"] = "new"
+    arrays["mass"] = arrays["mass"] * (1.0 + 1e-12)
+    write_container(changed / "operators.bin", "operators", meta, arrays)
+    status, out = compare(two_runs[0], changed, "--rtol", "1e-10")
+    assert status == 1
+    lines = out.splitlines()
+    assert "differs    operators.bin" in lines
+    assert "    metadata differs: extra, r" in lines
+    assert "    stiffness: bitwise equal" in lines
+    mass_line = next(line for line in lines if line.startswith("    mass:"))
+    assert 0.0 < float(mass_line.split()[-1]) <= 1e-11

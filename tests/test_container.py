@@ -9,6 +9,7 @@ from podflow.fom import (
     FlowCase,
     FOMConfig,
     FOMProblem,
+    SeparableForcing,
     load_snapshots,
     record_snapshots,
     run_fom,
@@ -28,7 +29,10 @@ def saved(tmp_path_factory):
     case = FlowCase(
         "enclosed",
         dirichlet={"inlet": ZERO_BC, "outlet": ZERO_BC, "wall": ZERO_BC},
-        forcing=lambda x, y, t: (np.sin(np.pi * y) * (1.0 + t), np.sin(np.pi * x)),
+        forcing=SeparableForcing(
+            (lambda x, y: (np.sin(np.pi * y), np.zeros_like(x)),
+             lambda x, y: (np.zeros_like(x), np.sin(np.pi * x))),
+            lambda t: np.array([1.0 + t, 1.0])),
         zero_mean_pressure=True,
     )
     cfg = FOMConfig(scheme="lps", nu=1e-2, dt=1e-2, t_final=0.05,

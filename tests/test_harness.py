@@ -217,6 +217,22 @@ def test_invalid_rom_fields_are_rejected():
         assert config_error_name(raw) == "rom_invalid"
 
 
+def test_the_pressure_indicator_coupling_is_not_an_option():
+    # it is the principal-angle cosine of each row's supremizers
+    raw = base_raw()
+    raw["rom"] = {"alpha": 0.5}
+    assert config_error_name(raw) == "unknown_key"
+
+
+def test_a_geometry_the_mesh_rejects_is_a_config_error():
+    # the hole's edges fall between the grid lines of the coarser mesh
+    cfg = ExperimentConfig.from_dict(apply_overrides(channel_raw(), ["geometry.nx=3"]))
+    with pytest.raises(ConfigError) as err:
+        cfg.geometry.build()
+    assert err.value.name == "geometry_invalid"
+    assert "not aligned" in str(err.value)
+
+
 @pytest.mark.parametrize("fom_integrator, rom_integrator", [
     ("bdf2_semi_implicit", "implicit_euler"),
     ("implicit_euler", "bdf2_semi_implicit")])
@@ -555,7 +571,7 @@ def test_pipeline_channel_case_reports_drag_and_lift(tmp_path):
 def test_channel_pipeline_without_supremizers_reports_nan_reduced_drag_and_lift(
         tmp_path, monkeypatch):
     # no supremizer recovery means no reduced pressure to test drag and lift
-    monkeypatch.setattr(podflow.harness, "compute_supremizers",
+    monkeypatch.setattr(podflow.rom, "compute_supremizers",
                         lambda problem, pres_basis: SimpleNamespace(
                             fields=np.zeros((problem.n_velocity, 0))))
     run_small_pipeline(tmp_path, channel_raw())
@@ -563,6 +579,33 @@ def test_channel_pipeline_without_supremizers_reports_nan_reduced_drag_and_lift(
     assert np.all(np.isfinite(qoi[:, 2:4]))
     rom = read_csv(tmp_path / "rom.csv")[1]
     assert np.all(np.isnan(rom[:, 4:6]))
+
+
+def test_grad_div_pipeline_recovers_pressure_with_rom_r_pressure_modes(tmp_path):
+    # the main run's reduced drag and lift recover pressure from
+    # rom.r_pressure supremizers, as the coupled scheme solves for as many
+    run_small_pipeline(tmp_path / "default", channel_raw())
+    raw = channel_raw()
+    raw["rom"]["r_pressure"] = 1
+    result = run_small_pipeline(tmp_path / "one", raw)
+    assert result.operators.recovery.coupling.shape == (1, 1)
+    default = read_csv(tmp_path / "default" / "rom.csv")[1]
+    one = read_csv(tmp_path / "one" / "rom.csv")[1]
+    assert np.array_equal(one[:, 2], default[:, 2])
+    assert not np.array_equal(one[:, 4], default[:, 4])
+
+
+def test_equal_order_channel_assembles_one_grad_div_matrix(tmp_path, count_calls):
+    # the reduced operators and the probe's projection share the problem's
+    # unit grad-div matrix
+    for module in (podflow.fom, podflow.rom):
+        if hasattr(module, "assemble_grad_div"):
+            count_calls(module, "assemble_grad_div", "grad_div")
+    raw = channel_raw()
+    raw["fom"]["scheme"] = "lps"
+    del raw["fom"]["stabilization"]
+    run_small_pipeline(tmp_path, raw)
+    assert count_calls.calls["grad_div"] == 1
 
 
 def test_full_rank_coupled_replay_reproduces_the_full_order_drag_and_lift(tmp_path):
@@ -845,7 +888,6 @@ def test_separable_loads_match_the_assembled_forcing(forced_problems, t):
 
 def _check_reduced_phase_builds_once_and_assembles_no_load(tmp_path, count_calls, raw):
     count_calls(podflow.fom, "assemble_load", "fom load")
-    count_calls(podflow.rom, "assemble_load", "rom load")
     count_calls(podflow.harness, "build_rom_operators", "build")
     count_calls(podflow.rom.PressureRecovery, "__init__", "recovery")
     count_calls(podflow.harness, "run_rom", "run_rom", scoped=True)
@@ -854,7 +896,6 @@ def _check_reduced_phase_builds_once_and_assembles_no_load(tmp_path, count_calls
     calls = count_calls.calls
     assert calls["run_rom"] == 4
     assert calls["build"] == 1 and calls["recovery"] == 1
-    assert calls["rom load"] == 0
     assert calls["fom load in run_rom"] == 0
     # one load per full-order step and one per separable forcing term, which
     # the reduced models share; reduced drag and lift assemble none

@@ -33,6 +33,7 @@ from podflow.rom import (
     orthonormalize_gradient,
     principal_angle_cosine,
     reduce_forcing,
+    reduced_pressure,
     rom_kinetic_energy,
     run_rom,
     save_operators,
@@ -54,6 +55,7 @@ def enclosed_case(forcing=None):
     )
 
 
+# the closed form of separable_swirl, for the full-order oracles
 def swirl_forcing(x, y, t):
     sx, sy = np.sin(np.pi * x), np.sin(np.pi * y)
     fx = sy * (1.0 + 0.4 * np.cos(20.0 * t)) + sx * sy * np.sin(35.0 * t + 0.3)
@@ -80,17 +82,17 @@ separable_swirl = SeparableForcing(
                         1.0 - 0.3 * np.sin(25.0 * t), np.cos(50.0 * t - 0.7)]))
 
 
-def strong_swirl(x, y, t):
-    fx, fy = swirl_forcing(x, y, t)
-    return (100.0 * fx, 100.0 * fy)
+strong_swirl = replace(separable_swirl, scale=100.0)
 
 
 def cavity_problem(scheme, nx=6, dt=1e-2, t_final=0.1, nu=5e-3, mu=0.3,
-                   window=None, stride=1, forcing=swirl_forcing):
+                   window=None, stride=1, forcing=separable_swirl,
+                   integrator="bdf2_semi_implicit"):
     mesh = build_rect_mesh(1.0, 1.0, nx, nx)
     cfg = FOMConfig(
         scheme=scheme, nu=nu, dt=dt, t_final=t_final,
         stabilization=StabilizationConfig(grad_div=mu),
+        time_integrator=integrator,
         snapshot_window=window, snapshot_stride=stride,
     )
     return FOMProblem(mesh, cfg, enclosed_case(forcing=forcing))
@@ -104,6 +106,11 @@ def cavity_setup(scheme, center=False, **kwargs):
     vel_basis = build_basis(vel_snaps, problem.mass)
     pres_basis = build_basis(pres_snaps, problem.pressure_mass)
     return problem, run, vel_snaps, pres_snaps, vel_basis, pres_basis
+
+
+def unforced(ops, **fom):
+    """``ops`` without its load, stepping with ``fom`` changed."""
+    return replace(ops, forcing_modes=None, forcing=None, fom=replace(ops.fom, **fom))
 
 
 # -- reduced operator structure -------------------------------------------------
@@ -186,20 +193,42 @@ def test_separable_forcing_projects_like_its_assembled_load():
     assert ops.forcing_modes.shape == (ops.r, 4)
     for t in (0.0, 0.013, 0.37):
         load = assemble_load(problem.vel_space, swirl_forcing, t)
-        for projected, modes in ((reduce_forcing(ops, separable_swirl, t), ops.vel_modes),
-                                 (reduce_forcing(recovery.operators, separable_swirl, t),
+        for projected, modes in ((reduce_forcing(ops, t), ops.vel_modes),
+                                 (reduce_forcing(recovery.operators, t),
                                   recovery.fields)):
             expected = modes.T @ load
             assert np.abs(projected - expected).max() \
                 <= 1e-12 * np.abs(expected).max()
-    # another callable, even an equal one, takes the assembly route
-    assert np.array_equal(reduce_forcing(ops, swirl_forcing, 0.37),
-                          ops.vel_modes.T @ assemble_load(problem.vel_space,
-                                                          swirl_forcing, 0.37))
     cut = truncate_operators(ops, 3)
     assert np.array_equal(cut.forcing_modes, ops.forcing_modes[:3])
-    assert np.array_equal(reduce_forcing(cut, separable_swirl, 0.37),
+    assert np.array_equal(reduce_forcing(cut, 0.37),
                           ops.forcing_modes[:3] @ separable_swirl.coefficients(0.37))
+    assert reduce_forcing(unforced(ops), 0.37) is None
+
+
+def test_reduced_models_need_a_separable_forcing():
+    problem, _, _, _, vel_basis, pres_basis = cavity_setup(
+        "graddiv", window=(0.02, 0.1), forcing=swirl_forcing)
+    with pytest.raises(ValueError, match="SeparableForcing"):
+        build_rom_operators(problem, vel_basis)
+    with pytest.raises(ValueError, match="SeparableForcing"):
+        PressureRecovery(problem, vel_basis, pres_basis,
+                         compute_supremizers(problem, pres_basis))
+
+
+def test_truncation_cuts_the_pressure_recovery():
+    problem, _, _, _, vel_basis, pres_basis = cavity_setup(
+        "graddiv", center=True, window=(0.02, 0.1))
+    ops = build_rom_operators(problem, vel_basis, pres_basis, r_pressure=3)
+    assert ops.recovery.operators.r == ops.r and ops.recovery.coupling.shape == (3, 3)
+    cut = truncate_operators(ops, 2, 2)
+    direct = build_rom_operators(problem, vel_basis, pres_basis, r=2, r_pressure=2)
+    assert_same_arrays(cut.recovery.operators, direct.recovery.operators)
+    assert np.abs(cut.recovery.coupling - direct.recovery.coupling).max() \
+        <= 1e-13 * np.abs(direct.recovery.coupling).max()
+    assert truncate_operators(ops, 2).recovery.coupling.shape == (3, 3)
+    assert truncate_operators(ops, 2, 4).recovery is None
+    assert build_rom_operators(problem, vel_basis).recovery is None
 
 
 def test_truncated_pressure_recovery_matches_direct_build():
@@ -279,51 +308,74 @@ def test_operator_build_validation():
 # -- single step against a dense full-order projection oracle --------------------
 
 
-@pytest.mark.parametrize("scheme", ["lps", "graddiv"])
-@pytest.mark.parametrize("center", [False, True])
-def test_step_matches_projected_full_order_system(scheme, center):
+def _check_step_against_the_projected_full_order_system(scheme, center, integrator):
     problem, run, vel_snaps, pres_snaps, vel_basis, pres_basis = cavity_setup(
-        scheme, center=center, window=(0.02, 0.1))
+        scheme, center=center, window=(0.02, 0.1), integrator=integrator)
     ops = build_rom_operators(
         problem, vel_basis, pres_basis if scheme == "lps" else None)
     rng = np.random.default_rng(7)
     a_now = rng.normal(size=ops.r)
     a_prev = rng.normal(size=ops.r)
-    dt, nu, mu = 2e-2, 5e-3, (0.0 if scheme == "lps" else 0.3)
+    dt, nu, mu = problem.config.dt, problem.config.nu, (0.0 if scheme == "lps" else 0.3)
     t = 0.37
-    f_r = reduce_forcing(ops, swirl_forcing, t)
-    a_new, b_new = step_rom(ops, a_now, a_prev, dt, nu, mu=mu, forcing=f_r)
+    a_new, b_new = step_rom(ops, a_now, a_prev, mu=mu, forcing=reduce_forcing(ops, t))
 
     # independent route: assemble the convecting full-order system around the
-    # reconstructed extrapolation and project it onto the modes afterwards
+    # reconstructed extrapolation (BDF2) or each Picard iterate (implicit
+    # Euler) and project it onto the modes afterwards
     phi = ops.vel_modes
     mean = ops.mean if ops.mean is not None else np.zeros(phi.shape[0])
     u_now = phi @ a_now + mean
     u_prev = phi @ a_prev + mean
-    u_hat = 2.0 * u_now - u_prev
-    conv = convection_matrix(problem.vel_space, FEField(problem.vel_space, u_hat))
-    k_full = 1.5 / dt * problem.mass + nu * problem.stiffness + conv
-    if problem.velocity_stabilization is not None:
-        k_full = k_full + problem.velocity_stabilization
-    if mu != 0.0:
-        k_full = k_full + mu * problem.grad_div
-    rhs_full = problem.mass @ ((4.0 * u_now - u_prev) / (2.0 * dt)) \
-        + problem.load_vector(t)
-    k_red = phi.T @ (k_full @ phi)
-    rhs_red = phi.T @ (rhs_full - k_full @ mean)
-    if scheme == "lps":
-        psi = ops.pres_modes
-        d_red = psi.T @ (problem.divergence @ phi)
-        sp_red = psi.T @ (problem.pressure_stabilization @ psi)
-        d_mean = psi.T @ (problem.divergence @ mean)
-        system = np.block([[k_red, -d_red.T], [d_red, sp_red]])
-        rhs = np.concatenate([rhs_red, -d_mean])
-        x = np.linalg.solve(system, rhs)
-        a_ref, b_ref = x[:ops.r], x[ops.r:]
-        assert np.abs(b_new - b_ref).max() <= 1e-10 * max(np.abs(b_ref).max(), 1.0)
+    if integrator == "bdf2_semi_implicit":
+        alpha, history, w = 1.5, (4.0 * u_now - u_prev) / (2.0 * dt), 2.0 * u_now - u_prev
     else:
-        a_ref = np.linalg.solve(k_red, rhs_red)
+        alpha, history, w = 1.0, u_now / dt, u_now
+    for _ in range(problem.config.nonlinear_max_iterations):
+        conv = convection_matrix(problem.vel_space, FEField(problem.vel_space, w))
+        k_full = alpha / dt * problem.mass + nu * problem.stiffness + conv
+        if problem.velocity_stabilization is not None:
+            k_full = k_full + problem.velocity_stabilization
+        if mu != 0.0:
+            k_full = k_full + mu * problem.grad_div
+        rhs_full = problem.mass @ history + problem.load_vector(t)
+        k_red = phi.T @ (k_full @ phi)
+        rhs_red = phi.T @ (rhs_full - k_full @ mean)
+        if scheme == "lps":
+            psi = ops.pres_modes
+            d_red = psi.T @ (problem.divergence @ phi)
+            sp_red = psi.T @ (problem.pressure_stabilization @ psi)
+            d_mean = psi.T @ (problem.divergence @ mean)
+            system = np.block([[k_red, -d_red.T], [d_red, sp_red]])
+            rhs = np.concatenate([rhs_red, -d_mean])
+            x = np.linalg.solve(system, rhs)
+            a_ref, b_ref = x[:ops.r], x[ops.r:]
+        else:
+            a_ref = np.linalg.solve(k_red, rhs_red)
+        if integrator == "bdf2_semi_implicit":
+            break
+        # the full-order model's stopping rule on the fluctuation phi a
+        change, fluctuation = phi @ a_ref + mean - w, phi @ a_ref
+        w = phi @ a_ref + mean
+        if np.sqrt(change @ (problem.mass @ change)) <= problem.config.nonlinear_tolerance \
+                * np.sqrt(fluctuation @ (problem.mass @ fluctuation)):
+            break
+    if scheme == "lps":
+        assert np.abs(b_new - b_ref).max() <= 1e-10 * max(np.abs(b_ref).max(), 1.0)
     assert np.abs(a_new - a_ref).max() <= 1e-10 * max(np.abs(a_ref).max(), 1.0)
+
+
+@pytest.mark.parametrize("scheme", ["lps", "graddiv"])
+@pytest.mark.parametrize("center", [False, True])
+def test_step_matches_projected_full_order_system(scheme, center):
+    _check_step_against_the_projected_full_order_system(scheme, center,
+                                                        "bdf2_semi_implicit")
+
+
+@pytest.mark.parametrize("scheme", ["lps", "graddiv"])
+@pytest.mark.parametrize("center", [False, True])
+def test_implicit_euler_step_matches_projected_full_order_system(scheme, center):
+    _check_step_against_the_projected_full_order_system(scheme, center, "implicit_euler")
 
 
 @pytest.mark.parametrize("integrator", ["bdf2_semi_implicit", "implicit_euler"])
@@ -331,17 +383,16 @@ def test_step_matches_projected_full_order_system(scheme, center):
 def test_step_residuals_match_the_full_order_residual_of_the_reconstruction(
         integrator, center):
     problem, _, _, _, vel_basis, _ = cavity_setup("graddiv", center=center,
-                                                  window=(0.02, 0.1))
+                                                  window=(0.02, 0.1), integrator=integrator)
     space = problem.vel_space
     phi, mean = vel_basis.modes[:, :vel_basis.r], vel_basis.mean
     rng = np.random.default_rng(17)
     test = rng.normal(size=(problem.n_velocity, 3))
     a_traj = rng.normal(size=(phi.shape[1], 4))
-    dt, nu = 2e-2, problem.config.nu
+    dt, nu = problem.config.dt, problem.config.nu
     mu = np.array([0.3, 0.4, 0.3, 0.5])
     times = 0.37 + dt * np.arange(4)
-    got = step_residuals(_project(problem, phi, mean, test), a_traj, dt, nu, mu,
-                         integrator, times, forcing=swirl_forcing)
+    got = step_residuals(_project(problem, phi, mean, test), a_traj, mu, times)
 
     # independent route: the full-order residual of u = mean + phi a, with the
     # time derivative and convecting field of each step (column 0 at rest)
@@ -371,7 +422,7 @@ def test_zero_data_stays_zero(scheme):
     problem, _, _, _, vel_basis, pres_basis = cavity_setup(scheme, window=(0.02, 0.1))
     ops = build_rom_operators(
         problem, vel_basis, pres_basis if scheme == "lps" else None)
-    run = run_rom(ops, dt=1e-2, n_steps=5, a0=np.zeros(ops.r), nu=5e-3)
+    run = run_rom(unforced(ops), 5, np.zeros(ops.r))
     assert np.all(run.a_traj == 0.0)
     assert np.all(run.energy_traj == 0.0)
 
@@ -383,9 +434,8 @@ def test_implicit_euler_rom_dissipates_without_forcing(scheme):
         problem, vel_basis, pres_basis if scheme == "lps" else None)
     rng = np.random.default_rng(5)
     a0 = rng.normal(size=ops.r)
-    run = run_rom(ops, dt=5e-3, n_steps=8, a0=a0, nu=5e-3,
-                  mu=(0.0 if scheme == "lps" else 0.3),
-                  integrator="implicit_euler")
+    run = run_rom(unforced(ops, dt=5e-3, time_integrator="implicit_euler"), 8, a0,
+                  mu=(0.0 if scheme == "lps" else 0.3))
     norms = np.sqrt(np.einsum("it,ij,jt->t", run.a_traj, ops.mass, run.a_traj))
     assert np.all(np.diff(norms) <= 1e-12 * norms[0])
 
@@ -395,9 +445,11 @@ def test_implicit_euler_rom_reports_nonconvergence():
     ops = build_rom_operators(problem, vel_basis)
     rng = np.random.default_rng(6)
     a0 = 50.0 * rng.normal(size=ops.r)
+    ops = replace(ops, fom=replace(ops.fom, dt=0.5, t_final=0.5,
+                                   time_integrator="implicit_euler",
+                                   nonlinear_tolerance=1e-16, nonlinear_max_iterations=1))
     with pytest.raises(NonlinearSolveError) as info:
-        step_rom(ops, a0, a0, dt=0.5, nu=5e-3, mu=0.3, integrator="implicit_euler",
-                 tolerance=1e-16, max_iterations=1)
+        step_rom(ops, a0, a0, mu=0.3)
     assert len(info.value.residual_history) == 1
 
 
@@ -407,7 +459,7 @@ def test_singular_reduced_system_raises():
     ops.divergence = np.zeros_like(ops.divergence)
     ops.lps_pressure = np.zeros_like(ops.lps_pressure)
     with pytest.raises(RuntimeError, match="singular"):
-        step_rom(ops, np.zeros(ops.r), np.zeros(ops.r), 1e-2, 5e-3)
+        step_rom(ops, np.zeros(ops.r), np.zeros(ops.r))
 
 
 def test_run_rom_validation():
@@ -415,22 +467,13 @@ def test_run_rom_validation():
     ops = build_rom_operators(problem, vel_basis, pres_basis)
     a0 = np.zeros(ops.r)
     with pytest.raises(ValueError):
-        run_rom(ops, dt=0.0, n_steps=1, a0=a0, nu=1e-2)
+        run_rom(ops, 0, a0)
     with pytest.raises(ValueError):
-        run_rom(ops, dt=1e-2, n_steps=0, a0=a0, nu=1e-2)
+        run_rom(ops, 1, a0[:-1])
     with pytest.raises(ValueError):
-        run_rom(ops, dt=1e-2, n_steps=1, a0=a0, nu=1e-2, integrator="rk4")
+        run_rom(ops, 1, a0, adaptive=AdaptiveMuConfig())
     with pytest.raises(ValueError):
-        run_rom(ops, dt=1e-2, n_steps=1, a0=a0[:-1], nu=1e-2)
-    with pytest.raises(ValueError):
-        run_rom(ops, dt=1e-2, n_steps=1, a0=a0, nu=1e-2,
-                adaptive=AdaptiveMuConfig())
-    with pytest.raises(ValueError):
-        run_rom(ops, dt=1e-2, n_steps=1, a0=a0, nu=1e-2,
-                adaptive=AdaptiveMuConfig(), fom_energy_table=[1.0])
-    with pytest.raises(ValueError):
-        run_rom(ops, dt=1e-2, n_steps=1, a0=a0, nu=1e-2,
-                forcing=lambda t: np.zeros(ops.r + 1))
+        run_rom(ops, 1, a0, adaptive=AdaptiveMuConfig(), fom_energy_table=[1.0])
 
 
 # -- snapshot replay --------------------------------------------------------------
@@ -460,10 +503,8 @@ def test_rom_replays_fom_snapshots(scheme, center):
         for j in range(times.size)
     ])
     mu = problem.mu if scheme == "graddiv" else 0.0
-    forcing = lambda t: reduce_forcing(ops, strong_swirl, t)
-    rom = run_rom(ops, dt=dt, n_steps=times.size - 2, a0=coeffs[:, 1],
-                  nu=problem.config.nu, a_prev=coeffs[:, 0],
-                  t_start=times[1], forcing=forcing, mu=mu)
+    rom = run_rom(ops, times.size - 2, coeffs[:, 1], a_prev=coeffs[:, 0],
+                  t_start=times[1], mu=mu)
 
     recon = ops.vel_modes @ rom.a_traj
     if ops.mean is not None:
@@ -532,8 +573,8 @@ def test_run_rom_updates_mu_only_at_schedule_multiples():
     cfg = AdaptiveMuConfig(frequency=5, delta=0.1, tolerance=1e-3, mu_min=0.1)
     # a zero reference table makes every comparison read "too much energy",
     # so the coefficient must climb by delta exactly at multiples of five
-    run = run_rom(ops, dt=1e-3, n_steps=17, a0=a0, nu=5e-3, mu=0.3,
-                  adaptive=cfg, fom_energy_table=[0.0], integrator="implicit_euler")
+    run = run_rom(unforced(ops, dt=1e-3, time_integrator="implicit_euler"), 17, a0,
+                  mu=0.3, adaptive=cfg, fom_energy_table=[0.0])
     changes = np.flatnonzero(np.diff(run.mu_traj) != 0.0) + 1
     assert list(changes) == [5, 10, 15]
     assert np.allclose(run.mu_traj[[0, 5, 10, 15]], [0.3, 0.4, 0.5, 0.6])
@@ -687,19 +728,18 @@ def test_pressure_recovery_requires_square_system():
 def test_pressure_recovery_trajectory_is_finite():
     problem, run, vel_snaps, pres_snaps, vel_basis, pres_basis = cavity_setup(
         "graddiv", window=(0.02, 0.1))
-    sup = compute_supremizers(problem, pres_basis)
-    recovery = PressureRecovery(problem, vel_basis, pres_basis, sup)
-    ops = build_rom_operators(problem, vel_basis)
-    rom = run_rom(ops, dt=1e-2, n_steps=6,
-                  a0=project_L2(vel_basis, problem.mass, vel_snaps.fields[:, 0]),
-                  nu=problem.config.nu, mu=problem.mu,
-                  forcing=lambda t: reduce_forcing(ops, swirl_forcing, t))
+    ops = build_rom_operators(problem, vel_basis, pres_basis)
+    rom = run_rom(ops, 6, project_L2(vel_basis, problem.mass, vel_snaps.fields[:, 0]),
+                  mu=problem.mu)
+    recovery = ops.recovery
     forcing_values = np.column_stack(
-        [reduce_forcing(recovery.operators, swirl_forcing, t) for t in rom.times])
-    b_traj = recovery.recover_trajectory(rom.a_traj, dt=1e-2, mu=problem.mu,
+        [reduce_forcing(recovery.operators, t) for t in rom.times])
+    b_traj = recovery.recover_trajectory(rom.a_traj, mu=problem.mu,
                                          forcing_values=forcing_values)
     assert b_traj.shape == (pres_basis.r, rom.times.size)
     assert np.all(np.isfinite(b_traj))
+    assert np.array_equal(reduced_pressure(ops, rom, problem.mu),
+                          recovery.operators.pres_modes @ b_traj)
 
 
 def test_pressure_recovery_trajectory_takes_one_mu_per_step():
@@ -709,9 +749,9 @@ def test_pressure_recovery_trajectory_takes_one_mu_per_step():
                                 compute_supremizers(problem, pres_basis))
     a_traj = np.column_stack([project_L2(vel_basis, problem.mass, u)
                               for u in vel_snaps.fields.T])
-    dt, nt = 1e-2, a_traj.shape[1]
+    dt, nt = problem.config.dt, a_traj.shape[1]
     mu = 0.3 + 0.1 * np.arange(nt)
-    b_traj = recovery.recover_trajectory(a_traj, dt, mu=mu)
+    b_traj = recovery.recover_trajectory(a_traj, mu=mu)
     for n in range(nt):
         if n == 0:
             dadt = np.zeros(a_traj.shape[0])
@@ -722,8 +762,8 @@ def test_pressure_recovery_trajectory_takes_one_mu_per_step():
                     + a_traj[:, n - 2]) / (2.0 * dt)
         column = recovery.recover(a_traj[:, n], dadt=dadt, mu=mu[n])
         assert np.array_equal(b_traj[:, n], column), n
-    assert np.array_equal(recovery.recover_trajectory(a_traj, dt, mu=0.3),
-                          recovery.recover_trajectory(a_traj, dt, mu=np.full(nt, 0.3)))
+    assert np.array_equal(recovery.recover_trajectory(a_traj, mu=0.3),
+                          recovery.recover_trajectory(a_traj, mu=np.full(nt, 0.3)))
 
 
 def test_operator_container_round_trip(tmp_path):
@@ -744,8 +784,25 @@ def test_operator_container_round_trip(tmp_path):
     with pytest.raises(ValueError):
         load_operators(path, expected_signature="deadbeef")
     # a loaded container can step the reduced system
-    a, b = step_rom(loaded, np.zeros(ops.r), np.zeros(ops.r), 1e-2, 5e-3)
+    a, b = step_rom(loaded, np.zeros(ops.r), np.zeros(ops.r))
     assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
+
+
+def test_loaded_operators_keep_their_full_order_configuration(tmp_path):
+    problem, _, _, _, vel_basis, _ = cavity_setup(
+        "graddiv", center=True, window=(0.02, 0.1), integrator="implicit_euler")
+    ops = build_rom_operators(problem, vel_basis)
+    path = tmp_path / "ops.bin"
+    save_operators(ops, path)
+    loaded = load_operators(path)
+    assert loaded.fom == problem.config and loaded.scheme == "graddiv"
+    assert loaded.fom.snapshot_window == (0.02, 0.1)
+    rng = np.random.default_rng(3)
+    a_now, a_prev = rng.normal(size=(2, ops.r))
+    load = reduce_forcing(ops, 0.37)
+    for got, want in zip(step_rom(loaded, a_now, a_prev, mu=0.3, forcing=load),
+                         step_rom(ops, a_now, a_prev, mu=0.3, forcing=load)):
+        assert np.array_equal(got, want) or got is want is None
 
 
 def test_velocity_only_operator_container_round_trip(tmp_path):
@@ -764,11 +821,13 @@ def test_velocity_only_operator_container_round_trip(tmp_path):
 def test_loaded_operators_reject_a_forcing(tmp_path):
     problem, _, _, _, vel_basis, _ = cavity_setup("graddiv", window=(0.02, 0.1))
     path = tmp_path / "ops.bin"
-    save_operators(build_rom_operators(problem, vel_basis), path)
+    ops = build_rom_operators(problem, vel_basis)
+    save_operators(ops, path)
     loaded = load_operators(path)
-    with pytest.raises(ValueError, match="no velocity space"):
-        run_rom(loaded, dt=1e-2, n_steps=1, a0=np.zeros(loaded.r), nu=5e-3,
-                forcing=lambda t: reduce_forcing(loaded, swirl_forcing, t))
+    assert np.array_equal(loaded.forcing_modes, ops.forcing_modes)
+    # its time factors are not saved, so it cannot evaluate its load
+    with pytest.raises(ValueError, match="no time factors"):
+        run_rom(loaded, 1, np.zeros(loaded.r))
 
 
 def test_principal_angle_cosine_bounds_and_extremes():

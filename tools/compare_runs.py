@@ -11,6 +11,9 @@ Every file under either directory is reported as one of:
   arrays, with each array bitwise equal or its largest relative difference;
 - ``differs``: anything else that is not byte-identical (another kind of
   file, a changed header, shape or metadata, or a file only one side has).
+  For a container whose metadata changed, the metadata keys that differ
+  are listed and, when the array names and shapes still line up, each
+  array is reported as above.
 
 A relative difference is ``|a - b| / max(1, |a|)``, with ``a`` from DIR_A
 (the reference run); two nan entries agree. The exit status is 0 when no
@@ -66,15 +69,16 @@ def _compare_csv(path_a, path_b):
 
 
 def _compare_container(path_a, path_b):
-    """{array: largest relative difference, 0 when bitwise equal}, or None
-    when the metadata, names or shapes differ."""
+    """(sorted metadata keys that differ, {array: largest relative
+    difference, 0 when bitwise equal}); the dict is None when the array
+    names or shapes differ."""
     (meta_a, arrays_a), (meta_b, arrays_b) = read_container(path_a), read_container(path_b)
-    if meta_a != meta_b or {n: a.shape for n, a in arrays_a.items()} \
-            != {n: b.shape for n, b in arrays_b.items()}:
-        return None
-    return {name: 0.0 if a.tobytes() == arrays_b[name].tobytes()
-            else relative_difference(a, arrays_b[name])
-            for name, a in arrays_a.items()}
+    changed = sorted(k for k in meta_a.keys() | meta_b.keys() if meta_a.get(k) != meta_b.get(k))
+    if {n: a.shape for n, a in arrays_a.items()} != {n: b.shape for n, b in arrays_b.items()}:
+        return changed, None
+    return changed, {name: 0.0 if a.tobytes() == arrays_b[name].tobytes()
+                     else relative_difference(a, arrays_b[name])
+                     for name, a in arrays_a.items()}
 
 
 def compare_dirs(dir_a, dir_b):
@@ -94,20 +98,23 @@ def compare_dirs(dir_a, dir_b):
         if path_a.read_bytes() == path_b.read_bytes():
             print(f"identical  {name}")
             continue
-        parts = None
+        parts, changed = None, []
         if name.endswith(".csv"):
             kind, parts = "csv", _compare_csv(path_a, path_b)
         elif name.endswith(".bin"):
+            kind = "container"
             try:
-                kind, parts = "container", _compare_container(path_a, path_b)
+                changed, parts = _compare_container(path_a, path_b)
             except ContainerError:
-                parts = None
-        if parts is None:
+                pass
+        if parts is None or changed:
             print(f"differs    {name}")
             worst = math.inf
-            continue
-        print(f"{kind:<10} {name}")
-        for part, value in parts.items():
+            if changed:
+                print(f"    metadata differs: {', '.join(changed)}")
+        else:
+            print(f"{kind:<10} {name}")
+        for part, value in (parts or {}).items():
             equal = "equal" if kind == "csv" else "bitwise equal"
             text = equal if value == 0.0 else f"max rel diff {value:.3e}"
             print(f"    {part}: {text}")
