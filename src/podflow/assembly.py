@@ -5,11 +5,21 @@ local-projection (fluctuation-based) stabilization matrices.
 All assembly is vectorized over elements and returns CSR matrices. Quadrature
 is exact: degree ``2 l`` for bilinear forms and ``3 l`` for the trilinear
 form, where ``l`` is the polynomial degree of the space.
+
+What depends only on the space is built once, on first use, and kept in
+its ``assembly_cache``: per quadrature degree the element geometry (rule,
+reference values, physical gradients and points, Jacobian determinants),
+and per block layout the CSR pattern with the gather that sums each
+entry's element contributions. A matrix equals SciPy's COO -> CSR
+conversion of the same local values bit for bit, so repeated assembly, of
+the convection matrix at every full-order sweep above all, costs only the
+element kernels and one gather.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,55 +74,130 @@ class LPSMatrices:
     pressure: sp.csr_matrix
 
 
+class _ElementTables:
+    """Quadrature on every element of a space at one degree: the rule, the
+    reference basis values ``(nq, nloc)``, the physical basis gradients
+    ``(nt, nq, nloc, 2)``, the physical quadrature points ``(nt, nq, 2)``
+    and the Jacobian determinants. The tables' own arrays are read-only;
+    the gradients and points are computed on first use."""
+
+    def __init__(self, space, qdegree):
+        self.rule = triangle_quadrature(qdegree)
+        values, self._ref_grads = reference_basis(space.degree, self.rule.points)
+        self.values = _frozen(values)
+        self._mesh = space.mesh
+        self.det = space.mesh.jacobians[2]
+
+    @cached_property
+    def grads(self):
+        _, inv_t, _ = self._mesh.jacobians
+        return _frozen(np.einsum("qib,eab->eqia", self._ref_grads, inv_t))
+
+    @cached_property
+    def points(self):
+        mesh = self._mesh
+        return _frozen(np.einsum("qk,ekd->eqd", self.rule.points,
+                                 mesh.vertices[mesh.triangles]))
+
+
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
 def _tables(space, qdegree):
-    rule = triangle_quadrature(qdegree)
-    values, ref_grads = reference_basis(space.degree, rule.points)
-    return rule, values, ref_grads
+    """The :class:`_ElementTables` of ``space`` at ``qdegree``, built once
+    per space and degree."""
+    key = ("tables", qdegree)
+    if key not in space.assembly_cache:
+        space.assembly_cache[key] = _ElementTables(space, qdegree)
+    return space.assembly_cache[key]
 
 
-def _phys_grads(space, ref_grads):
-    """Physical basis gradients, shape (nt, nq, nloc, 2)."""
-    _, inv_t, _ = space.mesh.jacobians
-    return np.einsum("qib,eab->eqia", ref_grads, inv_t)
+class _Scatter:
+    """The CSR pattern of one block layout and the gather that sums local
+    element values into it.
+
+    The values come flat, block after block, each block's local arrays in
+    C order, as ``(rows, cols)`` lists them. The result equals SciPy's
+    ``coo_matrix((values, (rows, cols))).tocsr()`` bit for bit: the entries
+    are ordered by SciPy's own row sort and column sort, run once on the
+    entry positions, and each CSR entry sums its duplicates one after the
+    other in that order, as ``csr_sum_duplicates`` does. Explicit zeros are
+    kept. ``first`` picks each entry's first term; ``layers[j]`` adds the
+    (j + 2)-th term of the entries that have one.
+    """
+
+    def __init__(self, rows, cols, shape):
+        n = rows.size
+        counts = np.bincount(rows, minlength=shape[0])
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        order = np.argsort(rows, kind="stable")  # coo_tocsr's counting sort
+        labelled = sp.csr_matrix((order.astype(np.float64), cols[order], indptr),
+                                 shape=shape)
+        labelled.sort_indices()
+        perm = labelled.data.astype(np.int64)
+        sorted_cols = labelled.indices
+        sorted_rows = np.repeat(np.arange(shape[0]), counts)
+        new = np.ones(n, dtype=bool)
+        new[1:] = (sorted_rows[1:] != sorted_rows[:-1]) | (sorted_cols[1:] != sorted_cols[:-1])
+        entry = np.cumsum(new) - 1
+        rank = np.arange(n) - np.flatnonzero(new)[entry]
+        index = np.int32 if max(n, *shape) < np.iinfo(np.int32).max else np.int64
+        self.shape = shape
+        # shared by every matrix of the layout, so read-only
+        self.indices = _frozen(sorted_cols[new].astype(index))
+        self.indptr = _frozen(np.concatenate(
+            [[0], np.cumsum(np.bincount(sorted_rows[new], minlength=shape[0]))]).astype(index))
+        self.first = perm[new].astype(index)
+        self.layers = [(entry[rank == j].astype(index), perm[rank == j].astype(index))
+                       for j in range(1, int(rank.max(initial=0)) + 1)]
+
+    def matrix(self, values):
+        data = values[self.first]
+        for out, src in self.layers:
+            data[out] += values[src]
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
-def _scatter(space, local, row_comp, col_comp, row_space=None):
-    """Accumulate per-element local blocks into COO triplets."""
-    row_sp = row_space if row_space is not None else space
-    rows = row_sp.cell_dofs(row_comp)[:, :, None]
-    cols = space.cell_dofs(col_comp)[:, None, :]
-    rows = np.broadcast_to(rows, local.shape).ravel()
-    cols = np.broadcast_to(cols, local.shape).ravel()
-    return rows, cols, local.ravel()
+def _assemble(space, blocks, local, row_space=None):
+    """CSR matrix of per-element local blocks: ``blocks`` lists the
+    (row component, column component) of each array in ``local``, rows from
+    ``row_space`` (default ``space``). The scatter is built once per layout
+    and kept on ``space``."""
+    key = ("scatter", row_space, tuple(blocks))
+    if key not in space.assembly_cache:
+        row_sp = space if row_space is None else row_space
+        shape = (len(row_sp.cell_scalar_dofs), row_sp.n_local, space.n_local)
+        rows, cols = [], []
+        for r, c in blocks:
+            rows.append(np.broadcast_to(row_sp.cell_dofs(r)[:, :, None], shape).ravel())
+            cols.append(np.broadcast_to(space.cell_dofs(c)[:, None, :], shape).ravel())
+        space.assembly_cache[key] = _Scatter(np.concatenate(rows), np.concatenate(cols),
+                                             (row_sp.n_dofs, space.n_dofs))
+    values = np.concatenate([a.ravel() for a in local])
+    return space.assembly_cache[key].matrix(values)
 
 
-def _blocks_to_csr(entries, shape):
-    rows = np.concatenate([e[0] for e in entries])
-    cols = np.concatenate([e[1] for e in entries])
-    vals = np.concatenate([e[2] for e in entries])
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+def _diagonal_blocks(space):
+    return [(c, c) for c in range(space.components)]
 
 
 def assemble_mass(space, qdegree=None):
     """L2 mass matrix; block-diagonal over components for vector spaces."""
-    rule, values, _ = _tables(space, qdegree or 2 * space.degree)
-    _, _, det = space.mesh.jacobians
-    ref_local = np.einsum("q,qi,qj->ij", rule.weights, values, values)
-    local = det[:, None, None] * ref_local
-    n = space.n_dofs
-    entries = [_scatter(space, local, c, c) for c in range(space.components)]
-    return _blocks_to_csr(entries, (n, n))
+    tab = _tables(space, qdegree or 2 * space.degree)
+    ref_local = np.einsum("q,qi,qj->ij", tab.rule.weights, tab.values, tab.values)
+    local = tab.det[:, None, None] * ref_local
+    blocks = _diagonal_blocks(space)
+    return _assemble(space, blocks, [local] * len(blocks))
 
 
 def assemble_stiffness(space, qdegree=None):
     """Gradient-gradient matrix; block-diagonal over components."""
-    rule, _, ref_grads = _tables(space, qdegree or 2 * space.degree)
-    _, _, det = space.mesh.jacobians
-    grads = _phys_grads(space, ref_grads)
-    local = np.einsum("q,e,eqia,eqja->eij", rule.weights, det, grads, grads)
-    n = space.n_dofs
-    entries = [_scatter(space, local, c, c) for c in range(space.components)]
-    return _blocks_to_csr(entries, (n, n))
+    tab = _tables(space, qdegree or 2 * space.degree)
+    local = np.einsum("q,e,eqia,eqja->eij", tab.rule.weights, tab.det, tab.grads, tab.grads)
+    blocks = _diagonal_blocks(space)
+    return _assemble(space, blocks, [local] * len(blocks))
 
 
 def assemble_divergence(vel_space, pres_space, qdegree=None):
@@ -125,17 +210,11 @@ def assemble_divergence(vel_space, pres_space, qdegree=None):
     if vel_space.components != 2 or pres_space.components != 1:
         raise ValueError("expected a 2-vector velocity space and scalar pressure space")
     qdeg = qdegree or 2 * max(vel_space.degree, pres_space.degree)
-    rule = triangle_quadrature(qdeg)
-    pres_values, _ = reference_basis(pres_space.degree, rule.points)
-    _, vel_ref_grads = reference_basis(vel_space.degree, rule.points)
-    grads = _phys_grads(vel_space, vel_ref_grads)
-    _, _, det = vel_space.mesh.jacobians
-    shape = (pres_space.n_scalar, vel_space.n_dofs)
-    entries = []
-    for c in range(2):
-        local = np.einsum("q,e,qi,eqj->eij", rule.weights, det, pres_values, grads[..., c])
-        entries.append(_scatter(vel_space, local, 0, c, row_space=pres_space))
-    return _blocks_to_csr(entries, shape)
+    pres_values = _tables(pres_space, qdeg).values
+    tab = _tables(vel_space, qdeg)
+    local = [np.einsum("q,e,qi,eqj->eij", tab.rule.weights, tab.det, pres_values,
+                       tab.grads[..., c]) for c in range(2)]
+    return _assemble(vel_space, [(0, 0), (0, 1)], local, row_space=pres_space)
 
 
 def assemble_grad_div(space, mu, qdegree=None):
@@ -144,30 +223,23 @@ def assemble_grad_div(space, mu, qdegree=None):
         raise ValueError("grad-div coefficient must be positive")
     if space.components != 2:
         raise ValueError("grad-div requires a vector space")
-    rule, _, ref_grads = _tables(space, qdegree or 2 * space.degree)
-    _, _, det = space.mesh.jacobians
-    grads = _phys_grads(space, ref_grads)
-    n = space.n_dofs
-    entries = []
-    for a in range(2):
-        for b in range(2):
-            local = mu * np.einsum(
-                "q,e,eqi,eqj->eij", rule.weights, det, grads[..., a], grads[..., b]
-            )
-            entries.append(_scatter(space, local, a, b))
-    return _blocks_to_csr(entries, (n, n))
+    tab = _tables(space, qdegree or 2 * space.degree)
+    grads = tab.grads
+    blocks = [(a, b) for a in range(2) for b in range(2)]
+    local = [mu * np.einsum("q,e,eqi,eqj->eij", tab.rule.weights, tab.det,
+                            grads[..., a], grads[..., b]) for a, b in blocks]
+    return _assemble(space, blocks, local)
 
 
-def _scalar_lps(space, tau, rule, ref_grads):
+def _scalar_lps(space, tau, tab):
     """Fluctuation stabilization of one scalar component.
 
     With the elementwise-constant projection target, the local form reduces to
     ``tau_K [ (grad u, grad v)_K - |K|^{-1} (int_K grad u) . (int_K grad v) ]``.
     """
-    _, _, det = space.mesh.jacobians
-    grads = _phys_grads(space, ref_grads)
-    stiff = np.einsum("q,e,eqia,eqja->eij", rule.weights, det, grads, grads)
-    mean_g = np.einsum("q,e,eqia->eia", rule.weights, det, grads)  # int_K grad phi_i
+    det, grads = tab.det, tab.grads
+    stiff = np.einsum("q,e,eqia,eqja->eij", tab.rule.weights, det, grads, grads)
+    mean_g = np.einsum("q,e,eqia->eia", tab.rule.weights, det, grads)  # int_K grad phi_i
     areas = 0.5 * det
     local = tau[:, None, None] * (stiff - np.einsum("eia,eja->eij", mean_g, mean_g) / areas[:, None, None])
     return local
@@ -181,17 +253,15 @@ def assemble_lps_matrices(vel_space, pres_space, config):
     """
     if vel_space.degree != 2 or pres_space.degree != 2:
         raise ValueError("LPS stabilization is set up for the equal-order P2/P2 pair")
-    rule, values, ref_grads = _tables(pres_space, 2 * pres_space.degree)
+    tab = _tables(pres_space, 2 * pres_space.degree)
     h_K = vel_space.mesh.h_K
 
-    local_v = _scalar_lps(pres_space, config.tau_velocity(h_K), rule, ref_grads)
-    n = vel_space.n_dofs
-    entries = [_scatter(vel_space, local_v, c, c) for c in range(vel_space.components)]
-    velocity = _blocks_to_csr(entries, (n, n))
+    local_v = _scalar_lps(pres_space, config.tau_velocity(h_K), tab)
+    blocks = _diagonal_blocks(vel_space)
+    velocity = _assemble(vel_space, blocks, [local_v] * len(blocks))
 
-    local_p = _scalar_lps(pres_space, config.tau_pressure(h_K), rule, ref_grads)
-    m = pres_space.n_dofs
-    pressure = _blocks_to_csr([_scatter(pres_space, local_p, 0, 0)], (m, m))
+    local_p = _scalar_lps(pres_space, config.tau_pressure(h_K), tab)
+    pressure = _assemble(pres_space, [(0, 0)], [local_p])
     return LPSMatrices(velocity=velocity, pressure=pressure)
 
 
@@ -211,20 +281,17 @@ def convection_matrix(space, convecting, qdegree=None):
 
     Entries are ``C[i, j] = ((w . grad) v_j, v_i) + 1/2 ((div w) v_j, v_i)``
     for the given convecting field ``w``; the block is identical for both
-    velocity components.
+    velocity components, and the pattern is that of :func:`assemble_mass`.
     """
     if space.components != 2:
         raise ValueError("convection requires a vector space")
-    rule, values, ref_grads = _tables(space, qdegree or 3 * space.degree)
-    grads = _phys_grads(space, ref_grads)
-    _, _, det = space.mesh.jacobians
-    w_vals, _, w_div = _field_at_quadrature(convecting, rule, values, grads)
+    tab = _tables(space, qdegree or 3 * space.degree)
+    weights, values, grads, det = tab.rule.weights, tab.values, tab.grads, tab.det
+    w_vals, _, w_div = _field_at_quadrature(convecting, tab.rule, values, grads)
     transport = np.einsum("eqc,eqjc->eqj", w_vals, grads)
-    local = np.einsum("q,e,eqj,qi->eij", rule.weights, det, transport, values)
-    local += 0.5 * np.einsum("q,e,eq,qj,qi->eij", rule.weights, det, w_div, values, values)
-    n = space.n_dofs
-    entries = [_scatter(space, local, c, c) for c in range(2)]
-    return _blocks_to_csr(entries, (n, n))
+    local = np.einsum("q,e,eqj,qi->eij", weights, det, transport, values)
+    local += 0.5 * np.einsum("q,e,eq,qj,qi->eij", weights, det, w_div, values, values)
+    return _assemble(space, _diagonal_blocks(space), [local, local])
 
 
 def apply_convection(u, v, w, qdegree=None):
@@ -235,16 +302,15 @@ def apply_convection(u, v, w, qdegree=None):
     space = u.space
     if not (space is v.space is w.space):
         raise ValueError("all three fields must share one space")
-    rule, values, ref_grads = _tables(space, qdegree or 3 * space.degree)
-    grads = _phys_grads(space, ref_grads)
-    _, _, det = space.mesh.jacobians
+    tab = _tables(space, qdegree or 3 * space.degree)
+    rule, values, grads = tab.rule, tab.values, tab.grads
     u_vals, _, u_div = _field_at_quadrature(u, rule, values, grads)
     v_vals, v_grads, _ = _field_at_quadrature(v, rule, values, grads)
     w_vals, _, _ = _field_at_quadrature(w, rule, values, grads)
     transport = np.einsum("eqa,eqca->eqc", u_vals, v_grads)
     integrand = np.einsum("eqc,eqc->eq", transport, w_vals)
     integrand += 0.5 * u_div * np.einsum("eqc,eqc->eq", v_vals, w_vals)
-    return float(np.einsum("q,e,eq->", rule.weights, det, integrand))
+    return float(np.einsum("q,e,eq->", rule.weights, tab.det, integrand))
 
 
 def assemble_load(space, g, t=None, qdegree=None):
@@ -253,18 +319,16 @@ def assemble_load(space, g, t=None, qdegree=None):
     ``g(x, y)`` (or ``g(x, y, t)``) must broadcast over arrays and return one
     array per component.
     """
-    rule, values, _ = _tables(space, qdegree or 3 * space.degree)
-    mesh = space.mesh
-    _, _, det = mesh.jacobians
-    pts = np.einsum("qk,ekd->eqd", rule.points, mesh.vertices[mesh.triangles])
-    x, y = pts[..., 0], pts[..., 1]
+    tab = _tables(space, qdegree or 3 * space.degree)
+    x, y = tab.points[..., 0], tab.points[..., 1]
     data = g(x, y) if t is None else g(x, y, t)
     if space.components == 1:
         data = (data,)
-    out = np.zeros(space.n_dofs)
+    out = []
     for c in range(space.components):
         gc = np.broadcast_to(np.asarray(data[c], dtype=np.float64), x.shape)
-        local = np.einsum("q,e,eq,qi->ei", rule.weights, det, gc, values)
-        np.add.at(out, space.cell_dofs(c), local)
-    return out
-
+        local = np.einsum("q,e,eq,qi->ei", tab.rule.weights, tab.det, gc, tab.values)
+        # bincount adds each DOF's terms in element order, as np.add.at did
+        out.append(np.bincount(space.cell_scalar_dofs.ravel(), weights=local.ravel(),
+                               minlength=space.n_scalar))
+    return np.concatenate(out)

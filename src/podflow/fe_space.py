@@ -138,6 +138,10 @@ class FESpace:
         self.n_dofs = self.components * self.n_scalar
         self.n_local = self.cell_scalar_dofs.shape[1]
         self._edge_lookup = None
+        # what assembly needs of the space alone (element geometry per
+        # quadrature degree, scatter patterns), built there on first use
+        # and freed with the space
+        self.assembly_cache = {}
 
     def __repr__(self):
         kind = "vector" if self.components == 2 else "scalar"

@@ -10,6 +10,15 @@ resolution of the convection nonlinearity. :func:`time_terms` holds the
 coefficients of both and :func:`solve_step` their sweeps, for the
 full-order and the reduced models alike. Each step keeps its momentum
 residual, zero on the free velocity DOFs, for drag and lift to test.
+
+A problem builds its saddle-point structures once, on first solve: the
+velocity block's pattern (mass, viscous and stabilization terms, and
+convection, which shares the mass pattern), the free x free system in CSC
+with the divergence and pressure stabilization blocks in place, and the
+free x fixed lifting of the boundary values. A sweep writes the velocity
+block's values into them and factors; the systems are bit for bit the ones
+SciPy's sparse sums, ``bmat`` and fancy indexing would build, exact zeros
+of the velocity block dropped as those sums drop them.
 """
 
 from __future__ import annotations
@@ -295,23 +304,42 @@ class FOMProblem:
         mean = float(np.ones(self.n_pressure) @ (self.pressure_mass @ p)) / self.mesh.area
         return p - mean
 
-    def solve_coupled(self, velocity_block, rhs_velocity, t):
-        """Solve one saddle-point system with boundary elimination."""
-        system = sp.bmat(
-            [
-                [velocity_block, -self.divergence.T],
-                [self.divergence, self.pressure_stabilization],
-            ],
-            format="csr",
-        )
+    @cached_property
+    def _saddle(self):
+        return _SaddleLayout(self)
+
+    def velocity_values(self, mass_scale, convection=None):
+        """Values of the velocity block ``mass_scale * mass + static +
+        convection`` on :meth:`velocity_block`'s pattern, where ``static``
+        is the viscous and stabilization part and ``convection`` a matrix
+        from :func:`~podflow.assembly.convection_matrix`. Each entry equals
+        the one SciPy's sparse sum of the same matrices gives, bit for bit;
+        the entries that sum drops are exactly zero here."""
+        layout = self._saddle
+        values = np.zeros(layout.indices.size)
+        values[layout.static_slots] = self._static_velocity_block.data
+        values[layout.mass_slots] += mass_scale * self.mass.data
+        if convection is not None:
+            values[layout.mass_slots] += convection.data
+        return values
+
+    def velocity_block(self, values):
+        """The velocity block with the given :meth:`velocity_values`."""
+        layout = self._saddle
+        return sp.csr_matrix((values, layout.indices, layout.indptr), shape=layout.shape)
+
+    def solve_coupled(self, velocity_values, rhs_velocity, boundary):
+        """Solve one saddle-point system with boundary elimination: the
+        velocity block has :meth:`velocity_values`, and ``boundary`` is
+        :meth:`boundary_values` at the new time."""
+        layout = self._saddle
         rhs = np.concatenate([rhs_velocity, np.zeros(self.n_pressure)])
-        values = np.zeros(self.n_velocity + self.n_pressure)
-        values[: self.n_velocity] = self.boundary_values(t)
+        values = np.concatenate([boundary, np.zeros(self.n_pressure)])
         free, fixed = self.free_global, self.constrained_global
         reduced_rhs = rhs[free]
         if fixed.size:
-            reduced_rhs = reduced_rhs - system[free][:, fixed] @ values[fixed]
-        solution = spla.splu(sp.csc_matrix(system[free][:, free])).solve(reduced_rhs)
+            reduced_rhs = reduced_rhs - layout.lifting(velocity_values) @ values[fixed]
+        solution = spla.splu(layout.system(velocity_values)).solve(reduced_rhs)
         if not np.all(np.isfinite(solution)):
             raise RuntimeError("singular or badly scaled coupled system")
         x = values
@@ -323,24 +351,114 @@ class FOMProblem:
         return u, p
 
 
+def _pattern(matrix):
+    """``matrix``'s pattern with unit values, which no sum cancels."""
+    return sp.csr_matrix((np.ones(matrix.nnz), matrix.indices, matrix.indptr),
+                         shape=matrix.shape)
+
+
+def _slots(pattern, matrix):
+    """Positions of ``matrix``'s entries in the canonical CSR ``pattern``,
+    which holds them all."""
+    def keys(a):
+        rows = np.repeat(np.arange(a.shape[0], dtype=np.int64), np.diff(a.indptr))
+        return rows * a.shape[1] + a.indices
+    return np.searchsorted(keys(pattern), keys(matrix)).astype(np.int32)
+
+
+def _take_positions(matrix, n_outer, n_inner):
+    """Where the leading ``n_outer`` x ``n_inner`` block of the compressed
+    ``matrix`` stores its entries, which hold velocity pattern positions
+    + 1: returns those places and positions, and zeroes the entries."""
+    slots = np.flatnonzero(matrix.indices[:matrix.indptr[n_outer]] < n_inner).astype(np.int32)
+    source = (matrix.data[slots] - 1.0).astype(np.int32)
+    matrix.data[slots] = 0.0
+    return slots, source
+
+
+class _SaddleLayout:
+    """The structures of one problem's saddle-point solves that only the
+    velocity block's values change, built once.
+
+    The velocity block's CSR pattern (``indices``, ``indptr``) is the union
+    of the mass and the static (viscous and stabilization) blocks, and
+    convection shares the mass pattern; ``mass_slots`` and ``static_slots``
+    place those blocks' values in it. The free x free system in CSC and the
+    free x fixed lifting in CSR hold -Bᵀ, B and the pressure stabilization
+    in place; ``*_slots`` are the places of their velocity entries,
+    ``*_source`` those entries' positions in the velocity pattern. Both are
+    stacked from the blocks cut to the free and fixed DOFs, with the
+    positions + 1 as the velocity values, so their entries are ordered as
+    ``sp.bmat`` of the whole system cut by fancy indexing orders them.
+    """
+
+    def __init__(self, problem):
+        static = problem._static_velocity_block
+        pattern = _pattern(problem.mass) + _pattern(static)
+        self.shape, self.indices, self.indptr = pattern.shape, pattern.indices, pattern.indptr
+        self.mass_slots = _slots(pattern, problem.mass)
+        self.static_slots = _slots(pattern, static)
+        pattern.data = np.arange(1.0, pattern.nnz + 1.0)
+
+        n_v = problem.n_velocity
+        free_v, fixed_v = problem.free_velocity, problem.constrained_velocity
+        free_p = problem.free_global[free_v.size:] - n_v
+        fixed_p = problem.constrained_global[fixed_v.size:] - n_v
+        div, stab = problem.divergence, problem.pressure_stabilization
+
+        def cut(cols_v, cols_p, fmt):
+            return sp.bmat([[pattern[free_v][:, cols_v], -div[cols_p][:, free_v].T],
+                            [div[free_p][:, cols_v],
+                             None if stab is None else stab[free_p][:, cols_p]]], format=fmt)
+
+        self._system = cut(free_v, free_p, "csc")
+        self.system_slots, self.system_source = _take_positions(
+            self._system, free_v.size, free_v.size)
+        self._lifting = cut(fixed_v, fixed_p, "csr")
+        self.lifting_slots, self.lifting_source = _take_positions(
+            self._lifting, free_v.size, fixed_v.size)
+
+    def lifting(self, values):
+        """The free x fixed block with the velocity ``values``; an entry that
+        is zero adds nothing to a product with finite boundary data."""
+        self._lifting.data[self.lifting_slots] = values[self.lifting_source]
+        return self._lifting
+
+    def system(self, values):
+        """The free x free system with the velocity ``values``, without the
+        velocity entries that are exactly zero, which SciPy's sparse sums
+        drop and the LU's column ordering would see."""
+        a = self._system
+        v = values[self.system_source]
+        a.data[self.system_slots] = v
+        zero = v == 0.0
+        if not zero.any():
+            return a
+        keep = np.ones(a.nnz, dtype=bool)
+        keep[self.system_slots[zero]] = False
+        dropped = np.concatenate([[0], np.cumsum(~keep)])[a.indptr]
+        return sp.csc_matrix((a.data[keep], a.indices[keep], a.indptr - dropped),
+                             shape=a.shape)
+
+
 def _step(problem, state):
     """One step of the configured integrator (see :func:`solve_step`)."""
     cfg = problem.config
     t_new = state.t + cfg.dt
     alpha, history, convecting = time_terms(
         cfg.time_integrator, state.u.coefficients, state.u_prev, cfg.dt)
-    static_block = alpha / cfg.dt * problem.mass + problem._static_velocity_block
     rhs = problem.mass @ history + problem.load_vector(t_new)
+    boundary = problem.boundary_values(t_new)
 
     def sweep(w):
-        block = static_block + convection_matrix(problem.vel_space,
-                                                 FEField(problem.vel_space, w))
-        u, p = problem.solve_coupled(block, rhs, t_new)
-        return u, (p, block)
+        values = problem.velocity_values(
+            alpha / cfg.dt, convection_matrix(problem.vel_space, FEField(problem.vel_space, w)))
+        u, p = problem.solve_coupled(values, rhs, boundary)
+        return u, (p, values)
 
     try:
-        u, (p, block) = solve_step(cfg.time_integrator, sweep, convecting, problem.mass,
-                                   cfg.nonlinear_tolerance, cfg.nonlinear_max_iterations)
+        u, (p, values) = solve_step(cfg.time_integrator, sweep, convecting, problem.mass,
+                                    cfg.nonlinear_tolerance, cfg.nonlinear_max_iterations)
     except NonlinearSolveError as exc:
         raise NonlinearSolveError(f"at t={t_new:.6g}: {exc}", exc.residual_history) from exc
     return FOMState(
@@ -349,7 +467,7 @@ def _step(problem, state):
         u_prev=state.u.coefficients.copy(),
         t=t_new,
         n=state.n + 1,
-        residual=block @ u - problem.divergence.T @ p - rhs,
+        residual=problem.velocity_block(values) @ u - problem.divergence.T @ p - rhs,
     )
 
 
@@ -530,7 +648,6 @@ def load_snapshots(path, expected_signature=None):
 
 def solve_stokes(problem, t=0.0):
     """Steady linear solve with the problem's viscous and stabilized forms."""
-    velocity_block = problem._static_velocity_block
     rhs = problem.load_vector(t)
-    u, p = problem.solve_coupled(velocity_block, rhs, t)
+    u, p = problem.solve_coupled(problem.velocity_values(0.0), rhs, problem.boundary_values(t))
     return FEField(problem.vel_space, u, t), FEField(problem.pres_space, p, t)

@@ -968,6 +968,9 @@ def run_pipeline(config, out_dir=None, stop_after=None):
             rp_main = config.rom.r_pressure
             if rp_main is None:
                 rp_main = min(start.r, pres_basis.rank)
+            elif rp_main > pres_basis.rank:
+                raise ConfigError("rom_invalid", f"rom.r_pressure={rp_main} exceeds the "
+                                                 f"pressure basis rank {pres_basis.rank}")
             sizes = _error_table_sizes(config, vel_basis, pres_basis)
             # One build at the largest sizes; every smaller model is its
             # leading block, because the modes are nested.
@@ -1106,7 +1109,8 @@ def reduced_error_table(config, problem, vel_snaps, pres_snaps, vel_basis,
         vel_error = discrete_l2_error(recon, raw_vel[:, compare],
                                       problem.mass, weight)
 
-        rom_pres = reduced_pressure(ops_r, rom, mu_value, a_prev_used)
+        rom_pres = reduced_pressure(ops_r, rom, mu_value, a_prev_used,
+                                    columns=snap_cols[1:])
         pres_error = np.nan
         if rom_pres is not None:
             pres_error = discrete_l2_error(rom_pres[:, snap_cols[1:]],

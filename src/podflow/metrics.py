@@ -27,21 +27,18 @@ def analytic_l2_error(field, g, t=None, qdegree=None):
     returning one array per component.
     """
     space = field.space
-    rule, values, _ = _tables(space, qdegree or 2 * space.degree + 2)
-    mesh = space.mesh
-    _, _, det = mesh.jacobians
-    pts = np.einsum("qk,ekd->eqd", rule.points, mesh.vertices[mesh.triangles])
-    x, y = pts[..., 0], pts[..., 1]
+    tab = _tables(space, qdegree or 2 * space.degree + 2)
+    x, y = tab.points[..., 0], tab.points[..., 1]
     data = g(x, y) if t is None else g(x, y, t)
     if space.components == 1:
         data = (data,)
     total = 0.0
     for c in range(space.components):
         local = field.coefficients[space.cell_dofs(c)]
-        fem = np.einsum("ei,qi->eq", local, values)
+        fem = np.einsum("ei,qi->eq", local, tab.values)
         exact = np.broadcast_to(np.asarray(data[c], dtype=float), x.shape)
         diff = fem - exact
-        total += float(np.einsum("q,e,eq->", rule.weights, det, diff * diff))
+        total += float(np.einsum("q,e,eq->", tab.rule.weights, tab.det, diff * diff))
     return float(np.sqrt(total))
 
 

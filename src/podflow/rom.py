@@ -22,7 +22,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .assembly import StabilizationConfig, convection_matrix
-from .container import read_container, write_container
+from .container import ContainerError, read_container, write_container
 from .fe_space import FEField
 from .fom import FOMConfig, solve_step, time_terms
 
@@ -148,12 +148,41 @@ def _leading_blocks(ops, r, t, p):
     return replace(ops, r=r, **cut)
 
 
-def _project(problem, phi, mean, test):
+@dataclass(frozen=True)
+class _Convected:
+    """The convection of the trial functions, before testing: ``modes[i]``
+    is C(phi_i) phi, and for a centered basis ``by_mean`` is C(mean) phi,
+    ``of_mean[j]`` is C(phi_j) mean and ``mean`` is C(mean) mean."""
+
+    modes: list
+    by_mean: np.ndarray = None
+    of_mean: list = None
+    mean: np.ndarray = None
+
+
+def _convect(problem, phi, mean):
+    """The :class:`_Convected` products of ``phi`` and ``mean``: one
+    convection matrix per mode (and the mean), each released once used."""
+    space = problem.vel_space
+    modes, of_mean = [], []
+    for w in phi.T:
+        c = convection_matrix(space, FEField(space, w))
+        modes.append(c @ phi)
+        if mean is not None:
+            of_mean.append(c @ mean)
+    if mean is None:
+        return _Convected(modes)
+    c = convection_matrix(space, FEField(space, mean))
+    return _Convected(modes, c @ phi, of_mean, c @ mean)
+
+
+def _project(problem, phi, mean, test, convected=None):
     """Galerkin projection of the momentum residual's velocity forms.
 
     The trial functions are the columns of ``phi``, lifted by ``mean``
     (None for an uncentered basis); the test functions are the columns of
-    ``test``. Returns the forms as a ROMOperators without pressure blocks;
+    ``test``. ``convected`` is their :func:`_convect`, computed when not
+    given. Returns the forms as a ROMOperators without pressure blocks;
     a form whose operator the problem lacks, and every mean lift of an
     uncentered basis, is zero. The problem's forcing must be separable.
     """
@@ -171,17 +200,14 @@ def _project(problem, phi, mean, test):
                 forms[lift] = test.T @ (matrix @ mean)
 
     r, n_test = phi.shape[1], test.shape[1]
-    convecting = phi if mean is None else np.column_stack([phi, mean])
-    conv = [convection_matrix(space, FEField(space, w)) for w in convecting.T]
+    conv = _convect(problem, phi, mean) if convected is None else convected
     forms["convection_tensor"] = np.empty((r, r, n_test))
     for i in range(r):
-        forms["convection_tensor"][i] = (test.T @ (conv[i] @ phi)).T
+        forms["convection_tensor"][i] = (test.T @ conv.modes[i]).T
     if mean is not None:
-        c_mean = conv[r]
-        forms["convect_by_mean"] = test.T @ (c_mean @ phi)
-        forms["transport_of_mean"] = np.column_stack([test.T @ (c_j @ mean)
-                                                      for c_j in conv[:r]])
-        forms["mean_convection"] = test.T @ (c_mean @ mean)
+        forms["convect_by_mean"] = test.T @ conv.by_mean
+        forms["transport_of_mean"] = np.column_stack([test.T @ c for c in conv.of_mean])
+        forms["mean_convection"] = test.T @ conv.mean
 
     sizes = {"r": r, "t": n_test}
     forms.update({name: np.zeros([sizes[x] for x in axes])
@@ -217,7 +243,8 @@ def build_rom_operators(problem, vel_basis, pres_basis=None, r=None,
     if not 1 <= r <= vel_basis.rank:
         raise ValueError(f"requested r={r} outside 1..{vel_basis.rank}")
     phi, mean = vel_basis.modes[:, :r], vel_basis.mean
-    ops = _project(problem, phi, mean, phi)
+    convected = _convect(problem, phi, mean)
+    ops = _project(problem, phi, mean, phi, convected)
     if pres_basis is None:
         if problem.config.scheme == "lps":
             raise ValueError("the equal-order reduced system needs a pressure basis")
@@ -232,7 +259,8 @@ def build_rom_operators(problem, vel_basis, pres_basis=None, r=None,
         z = compute_supremizers(problem, psi).fields
         if z.shape[1]:
             ops.recovery = PressureRecovery(problem, replace(vel_basis, r=r),
-                                            replace(pres_basis, r=z.shape[1]), z)
+                                            replace(pres_basis, r=z.shape[1]), z,
+                                            convected=convected)
         return ops
     return replace(
         ops,
@@ -634,11 +662,13 @@ class PressureRecovery:
     fields. The system is square: one supremizer per pressure mode.
     ``operators`` holds the velocity forms, projected as for the reduced
     model but with the supremizers as test functions, and the pressure
-    modes; ``coupling`` is the divergence block.
+    modes; ``coupling`` is the divergence block. ``convected`` passes on
+    the reduced model's convection products of the same modes (see
+    :func:`build_rom_operators`), so they are not assembled twice.
     """
 
     def __init__(self, problem, vel_basis, pres_basis, supremizers,
-                 include_convection=True):
+                 include_convection=True, convected=None):
         z = getattr(supremizers, "fields", supremizers)
         z = np.asarray(z, dtype=float)
         phi = vel_basis.modes[:, : vel_basis.r]
@@ -649,7 +679,7 @@ class PressureRecovery:
                 f"for {psi.shape[1]} modes"
             )
         self.include_convection = bool(include_convection)
-        self.operators = replace(_project(problem, phi, vel_basis.mean, z),
+        self.operators = replace(_project(problem, phi, vel_basis.mean, z, convected),
                                  pres_modes=psi)
         self.coupling = (psi.T @ (problem.divergence @ z)).T
 
@@ -699,7 +729,8 @@ class PressureRecovery:
             raise RuntimeError("pressure recovery produced non-finite values")
         return b
 
-    def recover_trajectory(self, a_traj, mu=0.0, a_prev=None, forcing_values=None):
+    def recover_trajectory(self, a_traj, mu=0.0, a_prev=None, forcing_values=None,
+                           columns=None):
         """Recover pressure along a trajectory with two-step time slopes.
 
         Column ``n >= 1`` uses the same difference stencil as the
@@ -708,14 +739,15 @@ class PressureRecovery:
         backward difference against ``a_prev`` when given and a zero slope
         otherwise. ``mu`` is one grad-div coefficient or one per column.
         ``forcing_values`` is an optional (n_supremizers, nt) array of
-        projected loads at the trajectory times.
+        projected loads at the trajectory times. With ``columns``, only
+        those columns are recovered and the others are NaN.
         """
         dt = self.operators.fom.dt
         a_traj = np.asarray(a_traj, dtype=float)
         nt = a_traj.shape[1]
         mu = np.broadcast_to(np.asarray(mu, dtype=float), (nt,))
-        out = np.empty((self.coupling.shape[0], nt))
-        for n in range(nt):
+        out = np.full((self.coupling.shape[0], nt), np.nan)
+        for n in range(nt) if columns is None else columns:
             if n == 0:
                 if a_prev is not None:
                     dadt = (a_traj[:, 0] - np.asarray(a_prev, dtype=float)) / dt
@@ -732,25 +764,29 @@ class PressureRecovery:
         return out
 
 
-def reduced_pressure(ops, run, mu, a_prev=None):
+def reduced_pressure(ops, run, mu, a_prev=None, columns=None):
     """Full-order pressure fields of the reduced run ``run`` of ``ops``, one
     column per time level.
 
     The coupled scheme solved for its pressure coefficients; the
     velocity-only scheme recovers them from the velocity trajectory through
-    ``ops.recovery`` (None when there is none, and then so is the result).
-    ``mu`` and ``a_prev`` are as in :meth:`PressureRecovery.recover_trajectory`.
+    ``ops.recovery`` (None when there is none, and then so is the result),
+    only at ``columns`` when given (the other columns are NaN). ``mu`` and
+    ``a_prev`` are as in :meth:`PressureRecovery.recover_trajectory`.
     """
     if ops.pres_modes is not None:
         return ops.pres_modes @ run.b_traj
     recovery = ops.recovery
     if recovery is None:
         return None
+    wanted = range(run.times.size) if columns is None else columns
     forcing_values = None
     if recovery.operators.forcing_modes is not None:
-        forcing_values = np.column_stack([reduce_forcing(recovery.operators, t)
-                                          for t in run.times])
-    b_traj = recovery.recover_trajectory(run.a_traj, mu, a_prev, forcing_values)
+        forcing_values = np.full((recovery.coupling.shape[0], run.times.size), np.nan)
+        for n in wanted:
+            forcing_values[:, n] = reduce_forcing(recovery.operators, run.times[n])
+    b_traj = recovery.recover_trajectory(run.a_traj, mu, a_prev, forcing_values, columns)
+    # every column is lifted, so the product is the one of the full trajectory
     return recovery.operators.pres_modes @ b_traj
 
 
@@ -800,6 +836,9 @@ def save_operators(ops, path):
 def load_operators(path, expected_signature=None):
     """Read a reduced-operator container written by :func:`save_operators`."""
     meta, arrays = read_container(path, "operators", expected_signature)
+    if "fom" not in meta:
+        raise ContainerError(path, "holds no full-order configuration ('fom'); it was "
+                                   "written by an older version, rebuild the operators")
     fom = meta["fom"]
     window = fom["snapshot_window"]
     return ROMOperators(

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,7 +20,9 @@ from podflow.assembly import (
     assemble_stiffness,
     convection_matrix,
 )
+import podflow.assembly
 from podflow.fe_space import FEField, FESpace, interpolate
+from podflow.fom import FlowCase, FOMConfig, FOMProblem, run_fom
 from podflow.mesh import Mesh, build_rect_mesh, refine_uniform
 
 
@@ -435,3 +440,132 @@ def test_quadrature_degree_sufficiency():
     for base, refined in pairs:
         scale = np.abs(base.toarray()).max()
         assert np.abs((base - refined).toarray()).max() <= 1e-12 * scale
+
+
+# -- fixed scatter and saddle layout against SciPy's own sparse paths -----
+
+
+def coo_reference(space, blocks, local, row_space=None):
+    """The reference for the fixed scatter: SciPy's own COO -> CSR
+    conversion of the per-element local blocks."""
+    row_sp = space if row_space is None else row_space
+    rows, cols = [], []
+    for (r, c), a in zip(blocks, local):
+        rows.append(np.broadcast_to(row_sp.cell_dofs(r)[:, :, None], a.shape).ravel())
+        cols.append(np.broadcast_to(space.cell_dofs(c)[:, None, :], a.shape).ravel())
+    values = np.concatenate([a.ravel() for a in local])
+    return sp.coo_matrix((values, (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(row_sp.n_dofs, space.n_dofs)).tocsr()
+
+
+def assert_bitwise_equal(got, want):
+    assert got.format == want.format and got.shape == want.shape
+    assert got.indices.dtype == want.indices.dtype
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    # bit patterns, so that -0.0 and 0.0 differ
+    assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(mesh=meshes(), seed=st.integers(0, 2**32 - 1))
+def test_every_assembler_matches_scipy_coo_to_csr_bit_for_bit(mesh, seed):
+    vel = FESpace(mesh, 2, components=2)
+    p1, p2 = FESpace(mesh, 1), FESpace(mesh, 2)
+    rng = np.random.default_rng(seed)
+    calls = []
+    scatter = podflow.assembly._assemble
+
+    def recording(space, blocks, local, row_space=None):
+        out = scatter(space, blocks, local, row_space)
+        calls.append((out, coo_reference(space, blocks, local, row_space)))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(podflow.assembly, "_assemble", recording)
+        for space in (vel, p1, p2):
+            assemble_mass(space)
+            assemble_stiffness(space)
+        assemble_divergence(vel, p1)
+        assemble_divergence(vel, p2)
+        assemble_grad_div(vel, 1.7)
+        assemble_lps_matrices(vel, p2, StabilizationConfig())
+        for _ in range(2):  # the second call reuses the scatter
+            convection_matrix(vel, FEField(vel, rng.standard_normal(vel.n_dofs)))
+        # duplicates of mixed magnitude, exact cancellations and signed
+        # zeros: the sum order and the sign of zero must both match
+        blocks = [(0, 0), (1, 1)]
+        shape = (len(mesh.triangles), vel.n_local, vel.n_local)
+        wild = rng.standard_normal(shape) * 10.0 ** rng.integers(-16, 17, shape)
+        signs = rng.choice([-1.0, -0.0, 0.0, 1.0], size=shape)
+        podflow.assembly._assemble(vel, blocks, [wild, signs])
+        podflow.assembly._assemble(vel, blocks, [signs, np.negative(signs)])
+    assert len(calls) == 15
+    for got, want in calls:
+        assert_bitwise_equal(got, want)
+
+
+def _saddle_problem(mesh, scheme, enclosed):
+    inflow = lambda x, y, t: (np.sin(3.0 * y + t), 0.25 * x)
+    zero = lambda x, y, t: (0.0 * x, 0.0 * x)
+    dirichlet = {"wall": zero, "inlet": inflow}
+    if enclosed:
+        dirichlet["outlet"] = zero
+    if "obstacle" in set(mesh.boundary_edges.values()):
+        dirichlet["obstacle"] = zero
+    cfg = FOMConfig(scheme=scheme, nu=1e-2, dt=0.1, t_final=0.1,
+                    stabilization=StabilizationConfig(grad_div=0.4))
+    case = FlowCase("saddle", dirichlet=dirichlet, zero_mean_pressure=enclosed)
+    return FOMProblem(mesh, cfg, case)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(mesh=meshes(), scheme=st.sampled_from(["lps", "graddiv"]),
+       enclosed=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_saddle_layout_matches_the_block_system_cut_by_scipy(mesh, scheme, enclosed, seed):
+    problem = _saddle_problem(mesh, scheme, enclosed)
+    rng = np.random.default_rng(seed)
+    space = problem.vel_space
+    conv = convection_matrix(space, FEField(space, rng.standard_normal(space.n_dofs)))
+    scale = 1.5 / problem.config.dt
+    base = scale * problem.mass + problem._static_velocity_block
+    # force an exact zero in a free x free velocity entry of the block:
+    # SciPy's sum drops it, and so must the layout
+    free_v = set(problem.free_velocity.tolist())
+    coo = conv.tocoo()
+    inside = [k for k in range(conv.nnz)
+              if coo.row[k] in free_v and coo.col[k] in free_v]
+    k = inside[rng.integers(len(inside))]
+    conv.data[k] = -base[coo.row[k], coo.col[k]]
+    block = base + conv
+    assert block[coo.row[k], coo.col[k]] == 0.0 and block.nnz < conv.nnz + base.nnz
+
+    values = problem.velocity_values(scale, conv)
+    system = sp.bmat([[block, -problem.divergence.T],
+                      [problem.divergence, problem.pressure_stabilization]], format="csr")
+    free, fixed = problem.free_global, problem.constrained_global
+    layout = problem._saddle
+    got = layout.system(values)
+    assert_bitwise_equal(got, sp.csc_matrix(system[free][:, free]))
+    assert got.nnz == layout._system.nnz - 1
+    boundary = np.concatenate([problem.boundary_values(0.3), np.zeros(problem.n_pressure)])
+    assert np.array_equal(layout.lifting(values) @ boundary[fixed],
+                          system[free][:, fixed] @ boundary[fixed])
+    u = rng.standard_normal(space.n_dofs)
+    assert np.array_equal(problem.velocity_block(values) @ u, block @ u)
+    # without the forced zero the full pattern is used as it stands
+    assert layout.system(problem.velocity_values(scale)) is layout._system
+
+
+def test_caches_are_freed_with_their_space_and_problem():
+    mesh = build_rect_mesh(1.0, 1.0, 3, 3)
+    problem = _saddle_problem(mesh, "graddiv", enclosed=True)
+    run_fom(problem, n_steps=1)
+    space = problem.vel_space
+    cached = [weakref.ref(problem._saddle), weakref.ref(problem._saddle.indices)]
+    cached += [weakref.ref(entry) for entry in space.assembly_cache.values()]
+    cached.append(weakref.ref(podflow.assembly._tables(space, 6).grads))
+    assert len(cached) >= 5
+    del problem, space
+    gc.collect()
+    assert [ref() for ref in cached] == [None] * len(cached)

@@ -87,6 +87,16 @@ def test_reduced_integrator_must_repeat_the_full_order_one(config_path, capsys):
     assert "rom_invalid" in capsys.readouterr().err
 
 
+def test_a_pressure_size_above_the_basis_rank_reports_a_config_error(config_path, capsys):
+    # the rank is known only after POD, so the rom stage raises it
+    code = main(["rom", "--config", str(config_path),
+                 "--override", "rom.r_pressure=9"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "rom_invalid" in err and "rom.r_pressure=9" in err
+    assert "pressure basis rank 5" in err
+
+
 def test_stage_failure_reports_a_runtime_error(config_path, tmp_path, capsys):
     code = main(["fom", "--config", str(config_path),
                  "--out-dir", str(tmp_path / "fail"),

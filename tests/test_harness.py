@@ -595,6 +595,36 @@ def test_grad_div_pipeline_recovers_pressure_with_rom_r_pressure_modes(tmp_path)
     assert not np.array_equal(one[:, 4], default[:, 4])
 
 
+@pytest.mark.parametrize("center", [False, True])
+def test_a_grad_div_build_assembles_one_convection_matrix_per_trial_function(
+        tmp_path, count_calls, center):
+    # the reduced model and its pressure recovery test the same convection
+    # products: r matrices, one more for the mean of a centred basis
+    count_calls(podflow.rom, "convection_matrix", "convection")
+    count_calls(podflow.harness, "build_rom_operators", "build", scoped=True)
+    raw = base_raw()
+    raw["pod"] = {"center": center}
+    result = run_small_pipeline(tmp_path, raw)
+    assert count_calls.calls["build"] == 1
+    assert result.operators.recovery is not None
+    r = result.operators.r
+    assert count_calls.calls["convection in build"] == r + center
+
+
+def test_the_error_table_recovers_pressure_only_at_compared_snapshots(tmp_path, count_calls):
+    # desk-like stride: every fourth reduced step is a snapshot
+    count_calls(podflow.rom.PressureRecovery, "recover", "recover")
+    count_calls(podflow.harness, "reduced_error_table", "table", scoped=True)
+    raw = base_raw()
+    raw["fom"]["dt"] = 2.5e-3
+    raw["fom"]["snapshot_stride"] = 4
+    raw["rom"] = {"r_values": [1, 2]}
+    run_small_pipeline(tmp_path, raw)
+    # each row runs 16 steps between 5 snapshots, and the first snapshot,
+    # the start, has no reduced pressure: 4 recoveries per row, not 17
+    assert count_calls.calls["recover in table"] == 2 * 4
+
+
 def test_equal_order_channel_assembles_one_grad_div_matrix(tmp_path, count_calls):
     # the reduced operators and the probe's projection share the problem's
     # unit grad-div matrix

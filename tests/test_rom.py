@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from podflow.assembly import StabilizationConfig, assemble_load, convection_matrix
+from podflow.container import ContainerError, write_container
 from podflow.fe_space import FEField
 from podflow.fom import (
     FlowCase,
@@ -816,6 +817,17 @@ def test_velocity_only_operator_container_round_trip(tmp_path):
     assert loaded.divergence is None and loaded.r_pressure is None
     assert np.array_equal(loaded.transport_of_mean, ops.transport_of_mean)
     assert loaded.mean_energy == ops.mean_energy
+
+
+def test_an_operator_container_without_its_full_order_configuration_names_the_file(tmp_path):
+    # the header an older version wrote: the scheme alone, no "fom"
+    path = tmp_path / "old_ops.bin"
+    write_container(path, "operators",
+                    {"signature": "", "scheme": "graddiv", "r": 1, "mean_energy": 0.0},
+                    {"mass": np.eye(1), "stiffness": np.eye(1)})
+    with pytest.raises(ContainerError, match="old_ops.bin") as err:
+        load_operators(path)
+    assert "'fom'" in str(err.value)
 
 
 def test_loaded_operators_reject_a_forcing(tmp_path):
