@@ -35,7 +35,6 @@ __all__ = [
     "assemble_grad_div",
     "assemble_lps_matrices",
     "convection_matrix",
-    "apply_convection",
     "assemble_load",
 ]
 
@@ -265,17 +264,6 @@ def assemble_lps_matrices(vel_space, pres_space, config):
     return LPSMatrices(velocity=velocity, pressure=pressure)
 
 
-def _field_at_quadrature(field, rule, values, grads):
-    """Values, gradients and divergence of a vector field at quadrature points."""
-    space = field.space
-    cells = space.cell_scalar_dofs
-    comp = [field.coefficients[c * space.n_scalar + cells] for c in range(2)]
-    w_vals = np.stack([np.einsum("ei,qi->eq", comp[c], values) for c in range(2)], axis=-1)
-    w_grads = np.stack([np.einsum("ei,eqia->eqa", comp[c], grads) for c in range(2)], axis=-2)
-    div = w_grads[..., 0, 0] + w_grads[..., 1, 1]
-    return w_vals, w_grads, div
-
-
 def convection_matrix(space, convecting, qdegree=None):
     """Matrix of the skew-symmetrized convection form with frozen first slot.
 
@@ -287,30 +275,15 @@ def convection_matrix(space, convecting, qdegree=None):
         raise ValueError("convection requires a vector space")
     tab = _tables(space, qdegree or 3 * space.degree)
     weights, values, grads, det = tab.rule.weights, tab.values, tab.grads, tab.det
-    w_vals, _, w_div = _field_at_quadrature(convecting, tab.rule, values, grads)
+    comp = [convecting.coefficients[c * space.n_scalar + space.cell_scalar_dofs]
+            for c in range(2)]
+    w_vals = np.stack([np.einsum("ei,qi->eq", comp[c], values) for c in range(2)], axis=-1)
+    w_grads = np.stack([np.einsum("ei,eqia->eqa", comp[c], grads) for c in range(2)], axis=-2)
+    w_div = w_grads[..., 0, 0] + w_grads[..., 1, 1]
     transport = np.einsum("eqc,eqjc->eqj", w_vals, grads)
     local = np.einsum("q,e,eqj,qi->eij", weights, det, transport, values)
     local += 0.5 * np.einsum("q,e,eq,qj,qi->eij", weights, det, w_div, values, values)
     return _assemble(space, _diagonal_blocks(space), [local, local])
-
-
-def apply_convection(u, v, w, qdegree=None):
-    """Evaluate the trilinear form ``((u . grad) v, w) + 1/2 ((div u) v, w)``.
-
-    Direct quadrature evaluation; does not assemble a matrix.
-    """
-    space = u.space
-    if not (space is v.space is w.space):
-        raise ValueError("all three fields must share one space")
-    tab = _tables(space, qdegree or 3 * space.degree)
-    rule, values, grads = tab.rule, tab.values, tab.grads
-    u_vals, _, u_div = _field_at_quadrature(u, rule, values, grads)
-    v_vals, v_grads, _ = _field_at_quadrature(v, rule, values, grads)
-    w_vals, _, _ = _field_at_quadrature(w, rule, values, grads)
-    transport = np.einsum("eqa,eqca->eqc", u_vals, v_grads)
-    integrand = np.einsum("eqc,eqc->eq", transport, w_vals)
-    integrand += 0.5 * u_div * np.einsum("eqc,eqc->eq", v_vals, w_vals)
-    return float(np.einsum("q,e,eq->", rule.weights, tab.det, integrand))
 
 
 def assemble_load(space, g, t=None, qdegree=None):

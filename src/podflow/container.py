@@ -1,5 +1,5 @@
-"""One binary container for every saved array: fields, snapshot sets, POD
-bases and reduced operators.
+"""One binary container for every saved array: snapshot sets, POD bases and
+reduced operators.
 
 A container is the magic ``PFC1``, the byte length of a JSON header as an
 unsigned little-endian 64-bit integer, the header itself, then each array as

@@ -1,6 +1,5 @@
 """Lagrange finite element spaces (P1, P2; scalar or 2-vector) on triangle
-meshes, reference-element quadrature, nodal interpolation, and saving a
-coefficient field in the package's binary container.
+meshes, reference-element quadrature and nodal interpolation.
 
 Vector spaces use a component-blocked layout: the global DOF of scalar DOF
 ``i`` in component ``c`` is ``c * n_scalar + i``.
@@ -15,8 +14,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
-from .container import read_container, write_container
-
 __all__ = [
     "QuadratureRule",
     "triangle_quadrature",
@@ -24,9 +21,6 @@ __all__ = [
     "FESpace",
     "FEField",
     "interpolate",
-    "eval_field",
-    "save_field",
-    "load_field",
 ]
 
 # gradients of the barycentric coordinates on the reference triangle
@@ -202,13 +196,6 @@ class FEField:
                 f"expected {self.space.n_dofs} coefficients, got {self.coefficients.shape}"
             )
 
-    def copy(self):
-        return FEField(self.space, self.coefficients.copy(), self.t)
-
-    def component(self, c):
-        """Scalar coefficient slice of one component."""
-        return self.coefficients[c * self.space.n_scalar : (c + 1) * self.space.n_scalar]
-
 
 def _coefficients(u):
     """Accept an FEField or a bare coefficient array."""
@@ -238,41 +225,3 @@ def interpolate(space, g, t=None):
         )
     return FEField(space, coeffs, 0.0 if t is None else t)
 
-
-def eval_field(field, triangle, point, gradient=False):
-    """Evaluate a field (and optionally its gradient) inside one triangle.
-
-    ``point`` is barycentric. Scalar spaces return a float (and a length-2
-    gradient); vector spaces return a length-2 value (and a 2x2 gradient with
-    ``grad[i, j] = d u_i / d x_j``).
-    """
-    space = field.space
-    lam = np.asarray(point, dtype=np.float64)
-    if lam.shape != (3,) or abs(lam.sum() - 1.0) > 1e-10 or lam.min() < -1e-12:
-        raise ValueError("point must be barycentric coordinates inside the triangle")
-    values, ref_grads = reference_basis(space.degree, lam[None, :])
-    _, inv_t, _ = space.mesh.jacobians
-    phys_grads = ref_grads[0] @ inv_t[triangle].T  # (nloc, 2)
-    dofs = space.cell_scalar_dofs[triangle]
-    comps = []
-    grads = []
-    for c in range(space.components):
-        coeffs = field.coefficients[c * space.n_scalar + dofs]
-        comps.append(float(values[0] @ coeffs))
-        grads.append(coeffs @ phys_grads)
-    if space.components == 1:
-        return (comps[0], grads[0]) if gradient else comps[0]
-    value = np.array(comps)
-    return (value, np.vstack(grads)) if gradient else value
-
-
-def save_field(field, path):
-    """Save a field with its time, keyed by the signature of its space."""
-    meta = {"signature": field.space.signature(), "t": float(field.t)}
-    write_container(path, "field", meta, {"coefficients": field.coefficients})
-
-
-def load_field(space, path):
-    """Read a field written by :func:`save_field`, validating the space."""
-    meta, arrays = read_container(path, "field", expected_signature=space.signature())
-    return FEField(space, arrays["coefficients"], meta["t"])

@@ -645,9 +645,3 @@ def load_snapshots(path, expected_signature=None):
     return SnapshotSet(space_signature=meta.pop("signature"), times=arrays["times"],
                        fields=arrays["fields"], mean=arrays.get("mean"), metadata=meta)
 
-
-def solve_stokes(problem, t=0.0):
-    """Steady linear solve with the problem's viscous and stabilized forms."""
-    rhs = problem.load_vector(t)
-    u, p = problem.solve_coupled(problem.velocity_values(0.0), rhs, problem.boundary_values(t))
-    return FEField(problem.vel_space, u, t), FEField(problem.pres_space, p, t)

@@ -17,7 +17,6 @@ __all__ = [
     "Mesh",
     "MeshError",
     "build_rect_mesh",
-    "mesh_stats",
     "refine_uniform",
     "save_mesh",
     "load_mesh",
@@ -72,10 +71,6 @@ class Mesh:
         e1 = np.linalg.norm(p[:, 2] - p[:, 0], axis=1)
         e2 = np.linalg.norm(p[:, 0] - p[:, 1], axis=1)
         return np.maximum(e0, np.maximum(e1, e2))
-
-    @property
-    def h(self):
-        return float(self.h_K.max())
 
     @cached_property
     def edges(self):
@@ -226,23 +221,6 @@ def build_rect_mesh(width, height, nx, ny, hole=None):
         boundary_edges[(int(a), int(b))] = tag
 
     return Mesh(vertices, triangles, boundary_edges)
-
-
-def mesh_stats(mesh):
-    """Return ``{"h", "min_angle", "quasi_uniformity_ratio"}`` (angle in degrees)."""
-    p = mesh.vertices[mesh.triangles]
-    angles = []
-    for k in range(3):
-        u = p[:, (k + 1) % 3] - p[:, k]
-        v = p[:, (k + 2) % 3] - p[:, k]
-        cosang = (u * v).sum(axis=1) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
-        angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
-    hk = mesh.h_K
-    return {
-        "h": mesh.h,
-        "min_angle": float(np.min(angles)),
-        "quasi_uniformity_ratio": float(hk.max() / hk.min()),
-    }
 
 
 def refine_uniform(mesh):

@@ -102,24 +102,6 @@ def discrete_l2_error(traj_a, traj_b, gram, dt):
     return float(np.sqrt(dt * total))
 
 
-def triple_norm(z, vel_modes, divergence, stiffness, s_pres):
-    """Dual-type pressure norm combining a reduced sup and a fluctuation term.
-
-    For a pressure coefficient vector z this returns
-    sup_{v in span(modes)} (z, div v)/||grad v|| + sqrt(s_pres(z, z)),
-    with the sup evaluated exactly through the reduced gradient Gram matrix.
-    """
-    z = _coefficients(z)
-    modes = np.asarray(vel_modes, dtype=float)
-    if modes.ndim == 1:
-        modes = modes[:, None]
-    g = (divergence @ modes).T @ z
-    s_r = modes.T @ (stiffness @ modes)
-    sup_term = float(np.sqrt(max(g @ np.linalg.solve(s_r, g), 0.0)))
-    fluct_term = float(np.sqrt(max(z @ (s_pres @ z), 0.0)))
-    return sup_term + fluct_term
-
-
 def error_indicators(scheme, sv_norm, velocity_tail, pressure_tail,
                      c_r_h1=None, alpha=1.0):
     """Spectral-tail error indicators for the velocity and the pressure.
@@ -142,10 +124,3 @@ def error_indicators(scheme, sv_norm, velocity_tail, pressure_tail,
         raise ValueError(f"unknown scheme {scheme!r}")
     return float(vel), float(pres)
 
-
-def rank_correlation(values_a, values_b):
-    """Kendall tau between two equally long sequences."""
-    from scipy.stats import kendalltau  # slow to import; only this needs it
-
-    tau = kendalltau(values_a, values_b).statistic
-    return float(tau)

@@ -15,7 +15,7 @@ run takes only the start state, the time origin and the grad-div coefficient.
 from __future__ import annotations
 
 import copy
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -69,7 +69,10 @@ class ROMOperators:
     both are ``None`` for an unforced problem, and a loaded set keeps only
     the former. ``recovery`` is the velocity-only scheme's supremizer
     :class:`PressureRecovery` at the same sizes, or ``None``; it is never
-    saved.
+    saved. ``convected`` holds the convection of the modes before testing
+    on a set fresh from :func:`build_rom_operators`, for another projection
+    of the same modes to reuse; it is ``None`` on a truncated or loaded set,
+    and a caller done with it may set it to ``None`` to free it.
     """
 
     fom: FOMConfig
@@ -98,6 +101,7 @@ class ROMOperators:
     forcing: object = None
     test: np.ndarray = None
     recovery: object = None
+    convected: object = field(default=None, init=False, repr=False)
 
     @property
     def scheme(self):
@@ -158,6 +162,13 @@ class _Convected:
     by_mean: np.ndarray = None
     of_mean: list = None
     mean: np.ndarray = None
+
+    def leading(self, r):
+        """The products of the leading ``r`` modes, sliced, not recomputed."""
+        if self.by_mean is None:
+            return _Convected([c[:, :r] for c in self.modes[:r]])
+        return _Convected([c[:, :r] for c in self.modes[:r]], self.by_mean[:, :r],
+                          self.of_mean[:r], self.mean)
 
 
 def _convect(problem, phi, mean):
@@ -245,6 +256,7 @@ def build_rom_operators(problem, vel_basis, pres_basis=None, r=None,
     phi, mean = vel_basis.modes[:, :r], vel_basis.mean
     convected = _convect(problem, phi, mean)
     ops = _project(problem, phi, mean, phi, convected)
+    ops.convected = convected
     if pres_basis is None:
         if problem.config.scheme == "lps":
             raise ValueError("the equal-order reduced system needs a pressure basis")
@@ -262,13 +274,11 @@ def build_rom_operators(problem, vel_basis, pres_basis=None, r=None,
                                             replace(pres_basis, r=z.shape[1]), z,
                                             convected=convected)
         return ops
-    return replace(
-        ops,
-        divergence=psi.T @ (problem.divergence @ phi),
-        lps_pressure=psi.T @ (problem.pressure_stabilization @ psi),
-        divergence_mean=np.zeros(rp) if mean is None else psi.T @ (problem.divergence @ mean),
-        pres_modes=psi,
-    )
+    ops.divergence = psi.T @ (problem.divergence @ phi)
+    ops.lps_pressure = psi.T @ (problem.pressure_stabilization @ psi)
+    ops.divergence_mean = np.zeros(rp) if mean is None else psi.T @ (problem.divergence @ mean)
+    ops.pres_modes = psi
+    return ops
 
 
 def truncate_operators(ops, r, r_pressure=None):
@@ -528,6 +538,10 @@ def run_rom(ops, n_steps, a0, *, a_prev=None, t_start=0.0, mu=0.0, adaptive=None
 
 # -- supremizer enrichment and pressure recovery -------------------------------
 
+# relative size below which a supremizer carries no divergence coupling, or
+# below which a column adds no direction to the span before it
+_DROP_TOLERANCE = 1e-10
+
 
 @dataclass
 class SupremizerSet:
@@ -545,18 +559,9 @@ class SupremizerSet:
     dropped: tuple
 
 
-def _pressure_mode_array(pres_modes, r=None):
-    modes = getattr(pres_modes, "modes", pres_modes)
-    modes = np.asarray(modes, dtype=float)
-    if modes.ndim == 1:
-        modes = modes[:, None]
-    if r is not None:
-        modes = modes[:, : int(r)]
-    return modes
-
-
-def compute_supremizers(problem, pres_modes, r=None, drop_tolerance=1e-10):
-    """Solve (grad s, grad v) = (psi, div v) for each pressure mode.
+def compute_supremizers(problem, psi):
+    """Solve (grad s, grad v) = (psi, div v) for each pressure mode, a
+    column of ``psi``.
 
     The test space carries the problem's velocity Dirichlet constraints, so
     each supremizer has zero boundary values. A solution whose gradient
@@ -564,7 +569,6 @@ def compute_supremizers(problem, pres_modes, r=None, drop_tolerance=1e-10):
     divergence coupling (a constant mode, for instance) and is dropped
     before orthonormalization.
     """
-    psi = _pressure_mode_array(pres_modes, r)
     free = problem.free_velocity
     a_ff = problem.stiffness.tocsr()[free][:, free].tocsc()
     lu = spla.splu(a_ff)
@@ -583,7 +587,7 @@ def compute_supremizers(problem, pres_modes, r=None, drop_tolerance=1e-10):
     psi_norms = np.sqrt(np.maximum(
         np.einsum("ik,ik->k", psi, problem.pressure_mass @ psi), 0.0))
     eligible = [k for k in range(m)
-                if sup_norms[k] > drop_tolerance * max(psi_norms[k], 1e-300)]
+                if sup_norms[k] > _DROP_TOLERANCE * max(psi_norms[k], 1e-300)]
     fields, kept_local = orthonormalize_gradient(raw[:, eligible],
                                                  problem.stiffness)
     kept = {eligible[i] for i in kept_local}
@@ -592,14 +596,14 @@ def compute_supremizers(problem, pres_modes, r=None, drop_tolerance=1e-10):
                          residuals=residuals, dropped=dropped)
 
 
-def orthonormalize_gradient(fields, stiffness, drop_tolerance=1e-10):
+def orthonormalize_gradient(fields, stiffness):
     """Modified Gram-Schmidt in the gradient inner product.
 
     One re-orthogonalization pass keeps the set orthonormal to rounding.
     A column is dropped when its gradient norm is negligible against the
     largest column (a roundoff-sized field would otherwise be normalized
     into noise) or when its projected remainder falls below
-    ``drop_tolerance`` times its original norm. Returns the orthonormal
+    ``_DROP_TOLERANCE`` times its original norm. Returns the orthonormal
     columns and the kept input indices.
     """
     fields = np.asarray(fields, dtype=float)
@@ -612,14 +616,14 @@ def orthonormalize_gradient(fields, stiffness, drop_tolerance=1e-10):
     kept_indices = []
     for k in range(fields.shape[1]):
         original = norms[k]
-        if original <= drop_tolerance * scale:
+        if original <= _DROP_TOLERANCE * scale:
             continue
         v = fields[:, k].copy()
         for _ in range(2):
             for q in kept_columns:
                 v -= float(q @ (stiffness @ v)) * q
         norm = np.sqrt(max(float(v @ (stiffness @ v)), 0.0))
-        if norm <= drop_tolerance * original:
+        if norm <= _DROP_TOLERANCE * original:
             continue
         kept_columns.append(v / norm)
         kept_indices.append(k)
@@ -630,21 +634,16 @@ def orthonormalize_gradient(fields, stiffness, drop_tolerance=1e-10):
     return out, kept_indices
 
 
-def supremizer_stability(supremizer_fields, pres_modes, divergence, mass,
-                         stiffness):
-    """Discrete inf-sup constant of the pressure modes over the enrichment.
+def supremizer_stability(z, psi, divergence, mass, stiffness):
+    """Discrete inf-sup constant of the pressure modes (the columns of
+    ``psi``) over the enrichment (the supremizers, the columns of ``z``).
 
     Computes the smallest singular value of the divergence coupling
     whitened by the full velocity norm (mass plus gradient) of the
     supremizer span.
     """
-    z = getattr(supremizer_fields, "fields", supremizer_fields)
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 1:
-        z = z[:, None]
     if z.shape[1] == 0:
         return 0.0
-    psi = _pressure_mode_array(pres_modes)
     coupling = (psi.T @ (divergence @ z)).T
     h = z.T @ (mass @ z) + z.T @ (stiffness @ z)
     chol = np.linalg.cholesky(0.5 * (h + h.T))
@@ -659,7 +658,8 @@ class PressureRecovery:
     ``(p, div z_k) = (du/dt, z_k) + conv(u, u, z_k) + mu (div u, div z_k)
     - (f, z_k)`` over the supremizer set; the viscous term is absent
     because supremizers annihilate it on discretely divergence-free
-    fields. The system is square: one supremizer per pressure mode.
+    fields. The system is square: one supremizer, a column of ``z``, per
+    pressure mode.
     ``operators`` holds the velocity forms, projected as for the reduced
     model but with the supremizers as test functions, and the pressure
     modes; ``coupling`` is the divergence block. ``convected`` passes on
@@ -667,10 +667,8 @@ class PressureRecovery:
     :func:`build_rom_operators`), so they are not assembled twice.
     """
 
-    def __init__(self, problem, vel_basis, pres_basis, supremizers,
+    def __init__(self, problem, vel_basis, pres_basis, z,
                  include_convection=True, convected=None):
-        z = getattr(supremizers, "fields", supremizers)
-        z = np.asarray(z, dtype=float)
         phi = vel_basis.modes[:, : vel_basis.r]
         psi = pres_basis.modes[:, : pres_basis.r]
         if z.shape[1] != psi.shape[1]:
@@ -790,20 +788,15 @@ def reduced_pressure(ops, run, mu, a_prev=None, columns=None):
     return recovery.operators.pres_modes @ b_traj
 
 
-def principal_angle_cosine(vel_modes, supremizer_fields, stiffness):
-    """Largest principal-angle cosine between two spans in the gradient metric.
+def principal_angle_cosine(phi, z, stiffness):
+    """Largest principal-angle cosine between the spans of the columns of
+    ``phi`` and ``z`` in the gradient metric.
 
     Measures how close the supremizer span comes to the reduced velocity
     span: 0 for gradient-orthogonal spaces, approaching 1 when they share a
     direction. Used as the coupling constant of the reduced pressure error
     indicator.
     """
-    phi = np.asarray(getattr(vel_modes, "modes", vel_modes), dtype=float)
-    z = np.asarray(getattr(supremizer_fields, "fields", supremizer_fields), dtype=float)
-    if phi.ndim == 1:
-        phi = phi[:, None]
-    if z.ndim == 1:
-        z = z[:, None]
     if phi.shape[1] == 0 or z.shape[1] == 0:
         return 0.0
     g_vv = phi.T @ (stiffness @ phi)

@@ -1,0 +1,159 @@
+"""Reference computations the tests check the package against.
+
+None of these is part of a run: each evaluates a quantity directly (by
+quadrature at a point, by summation over snapshots, by a dense solve) that
+the package obtains another way, or states one of the paper's identities
+as an executable check.
+"""
+
+import numpy as np
+
+from podflow.fe_space import FEField, reference_basis, triangle_quadrature
+from podflow.pod import spectral_diagnostics
+
+
+def mesh_stats(mesh):
+    """Return ``{"h", "min_angle", "quasi_uniformity_ratio"}`` (angle in degrees)."""
+    p = mesh.vertices[mesh.triangles]
+    angles = []
+    for k in range(3):
+        u = p[:, (k + 1) % 3] - p[:, k]
+        v = p[:, (k + 2) % 3] - p[:, k]
+        cosang = (u * v).sum(axis=1) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
+        angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
+    hk = mesh.h_K
+    return {
+        "h": float(hk.max()),
+        "min_angle": float(np.min(angles)),
+        "quasi_uniformity_ratio": float(hk.max() / hk.min()),
+    }
+
+
+def eval_field(field, triangle, point, gradient=False):
+    """Evaluate a field (and optionally its gradient) inside one triangle.
+
+    ``point`` is barycentric. Scalar spaces return a float (and a length-2
+    gradient); vector spaces return a length-2 value (and a 2x2 gradient with
+    ``grad[i, j] = d u_i / d x_j``).
+    """
+    space = field.space
+    lam = np.asarray(point, dtype=np.float64)
+    if lam.shape != (3,) or abs(lam.sum() - 1.0) > 1e-10 or lam.min() < -1e-12:
+        raise ValueError("point must be barycentric coordinates inside the triangle")
+    values, ref_grads = reference_basis(space.degree, lam[None, :])
+    _, inv_t, _ = space.mesh.jacobians
+    phys_grads = ref_grads[0] @ inv_t[triangle].T  # (nloc, 2)
+    dofs = space.cell_scalar_dofs[triangle]
+    comps = []
+    grads = []
+    for c in range(space.components):
+        coeffs = field.coefficients[c * space.n_scalar + dofs]
+        comps.append(float(values[0] @ coeffs))
+        grads.append(coeffs @ phys_grads)
+    if space.components == 1:
+        return (comps[0], grads[0]) if gradient else comps[0]
+    value = np.array(comps)
+    return (value, np.vstack(grads)) if gradient else value
+
+
+def apply_convection(u, v, w, qdegree=None):
+    """Evaluate the trilinear form ``((u . grad) v, w) + 1/2 ((div u) v, w)``
+    by quadrature on every element, without assembling a matrix."""
+    space = u.space
+    if not (space is v.space is w.space):
+        raise ValueError("all three fields must share one space")
+    rule = triangle_quadrature(qdegree or 3 * space.degree)
+    values, ref_grads = reference_basis(space.degree, rule.points)
+    _, inv_t, det = space.mesh.jacobians
+    grads = np.einsum("qib,eab->eqia", ref_grads, inv_t)
+
+    def at_points(field):
+        """Values (e, q, c) and gradients (e, q, c, a) = d f_c / d x_a."""
+        comp = [field.coefficients[c * space.n_scalar + space.cell_scalar_dofs]
+                for c in range(2)]
+        vals = np.stack([np.einsum("ei,qi->eq", a, values) for a in comp], axis=-1)
+        grad = np.stack([np.einsum("ei,eqia->eqa", a, grads) for a in comp], axis=-2)
+        return vals, grad
+
+    u_vals, u_grads = at_points(u)
+    v_vals, v_grads = at_points(v)
+    w_vals, _ = at_points(w)
+    u_div = u_grads[..., 0, 0] + u_grads[..., 1, 1]
+    transport = np.einsum("eqa,eqca->eqc", u_vals, v_grads)
+    integrand = np.einsum("eqc,eqc->eq", transport, w_vals)
+    integrand += 0.5 * u_div * np.einsum("eqc,eqc->eq", v_vals, w_vals)
+    return float(np.einsum("q,e,eq->", rule.weights, det, integrand))
+
+
+def solve_stokes(problem, t=0.0):
+    """Steady linear solve with the problem's viscous and stabilized forms."""
+    rhs = problem.load_vector(t)
+    u, p = problem.solve_coupled(problem.velocity_values(0.0), rhs, problem.boundary_values(t))
+    return FEField(problem.vel_space, u, t), FEField(problem.pres_space, p, t)
+
+
+def triple_norm(z, vel_modes, divergence, stiffness, s_pres):
+    """Dual-type pressure norm combining a reduced sup and a fluctuation term.
+
+    For a pressure coefficient vector z this returns
+    sup_{v in span(modes)} (z, div v)/||grad v|| + sqrt(s_pres(z, z)),
+    with the sup evaluated exactly through the reduced gradient Gram matrix.
+    """
+    g = (divergence @ vel_modes).T @ z
+    s_r = vel_modes.T @ (stiffness @ vel_modes)
+    sup_term = float(np.sqrt(max(g @ np.linalg.solve(s_r, g), 0.0)))
+    fluct_term = float(np.sqrt(max(z @ (s_pres @ z), 0.0)))
+    return sup_term + fluct_term
+
+
+def verify_spectral_identities(basis, snapshots, mass, stiffness, r=None,
+                               n_samples=100, seed=0):
+    """Check the POD tail identities and the inverse inequality.
+
+    Returns a report with the relative residuals of the mean squared
+    reconstruction error identities (mass norm and gradient seminorm
+    versions, Kunisch & Volkwein 2002) and the violation count of
+    ||grad v|| <= sqrt(s2) ||v|| over random members of the mode span,
+    where s2 is the spectral norm of the full-rank reduced stiffness matrix.
+    ``snapshots`` is a snapshot set or a bare (n, M) array.
+    """
+    fields = np.asarray(getattr(snapshots, "fields", snapshots), dtype=float)
+    m = fields.shape[1]
+    r = basis.r if r is None else int(r)
+    modes = basis.modes
+    coeffs = modes.T @ (mass @ fields)  # (d, M)
+    residual = fields - modes[:, :r] @ coeffs[:r]
+
+    total_l2 = float(np.sum(fields * (mass @ fields))) / m
+    lhs_l2 = float(np.sum(residual * (mass @ residual))) / m
+    rhs_l2 = float(np.sum(basis.eigenvalues[r:]))
+    l2_residual = abs(lhs_l2 - rhs_l2) / max(total_l2, 1e-300)
+
+    grad_norms_sq = np.einsum("ik,ik->k", modes, stiffness @ modes)
+    lhs_h1 = float(np.sum(residual * (stiffness @ residual))) / m
+    rhs_h1 = float(np.sum(basis.eigenvalues[r:] * grad_norms_sq[r:]))
+    total_h1 = float(np.sum(basis.eigenvalues * grad_norms_sq))
+    h1_residual = abs(lhs_h1 - rhs_h1) / max(total_h1, 1e-300)
+
+    s2 = spectral_diagnostics(basis, stiffness, r=r).spectral_norm
+    rng = np.random.default_rng(seed)
+    violations = 0
+    worst_margin = -np.inf
+    for _ in range(n_samples):
+        c = rng.standard_normal(basis.rank)
+        v = modes @ c
+        grad = np.sqrt(max(float(v @ (stiffness @ v)), 0.0))
+        bound = np.sqrt(s2) * np.sqrt(max(float(v @ (mass @ v)), 0.0))
+        margin = grad - bound
+        worst_margin = max(worst_margin, margin)
+        if margin > 1e-12 * max(bound, 1.0):
+            violations += 1
+
+    return {
+        "r": r,
+        "l2_tail_residual": l2_residual,
+        "h1_tail_residual": h1_residual,
+        "inverse_violations": violations,
+        "inverse_worst_margin": worst_margin,
+        "stiffness_norm": s2,
+    }

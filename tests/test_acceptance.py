@@ -10,8 +10,11 @@ import time
 
 import numpy as np
 import pytest
+from scipy.stats import kendalltau
 
-from podflow.assembly import StabilizationConfig, apply_convection
+from oracles import apply_convection, solve_stokes, verify_spectral_identities
+
+from podflow.assembly import StabilizationConfig
 from podflow.fe_space import FEField
 from podflow.fom import (
     FlowCase,
@@ -20,7 +23,6 @@ from podflow.fom import (
     SeparableForcing,
     record_snapshots,
     run_fom,
-    solve_stokes,
 )
 from podflow.harness import (
     ExperimentConfig,
@@ -30,8 +32,8 @@ from podflow.harness import (
     run_pipeline,
 )
 from podflow.mesh import build_rect_mesh
-from podflow.metrics import discrete_l2_error, rank_correlation, weak_divergence
-from podflow.pod import build_basis, project_L2, verify_spectral_identities
+from podflow.metrics import discrete_l2_error, weak_divergence
+from podflow.pod import build_basis, project_L2
 from podflow.rom import (
     AdaptiveMuConfig,
     PressureRecovery,
@@ -340,7 +342,7 @@ def test_spectral_indicators_track_measured_errors(desk, report):
         rows = desk[scheme].error_table
         errors = [row[1] for row in rows]
         indicators = [row[3] for row in rows]
-        taus[scheme] = rank_correlation(errors, indicators)
+        taus[scheme] = float(kendalltau(errors, indicators).statistic)
     ok = all(tau >= 0.5 for tau in taus.values())
     report(
         "tail indicators rank reduced errors across basis sizes",
@@ -391,16 +393,10 @@ def _steady_stokes_recovery_error():
         loads.append(steady.load_vector(0.0))
     vels = np.column_stack(velocities)
     pres = np.column_stack(pressures)
-    vel_basis = build_basis(
-        type("S", (), {"fields": vels, "mean": None,
-                       "space_signature": problem.vel_space.signature()})(),
-        problem.mass)
-    pres_basis = build_basis(
-        type("S", (), {"fields": pres, "mean": None,
-                       "space_signature": problem.pres_space.signature()})(),
-        problem.pressure_mass)
-    supremizers = compute_supremizers(problem, pres_basis)
-    recovery = PressureRecovery(problem, vel_basis, pres_basis, supremizers,
+    vel_basis = build_basis(vels, problem.mass)
+    pres_basis = build_basis(pres, problem.pressure_mass)
+    supremizers = compute_supremizers(problem, pres_basis.modes)
+    recovery = PressureRecovery(problem, vel_basis, pres_basis, supremizers.fields,
                                 include_convection=False)
     worst = 0.0
     for j, load in enumerate(loads):
@@ -422,7 +418,7 @@ def test_supremizers_recover_pressure_and_stay_uniformly_stable(
     config = ExperimentConfig.from_dict(resting_raw())
     result = run_pipeline(config, out_dir=tmp_path, stop_after="pod")
     problem, pres_basis = result.problem, result.pres_basis
-    supremizers = compute_supremizers(problem, pres_basis)
+    supremizers = compute_supremizers(problem, pres_basis.modes)
     betas = np.array([
         supremizer_stability(
             supremizers.fields[:, :r], pres_basis.modes[:, :r],

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lps_oracle import assemble_lps_fluctuation, gradient_sample_matrix
+from oracles import apply_convection
 
 from podflow.assembly import (
     StabilizationConfig,
-    apply_convection,
     assemble_divergence,
     assemble_grad_div,
     assemble_load,

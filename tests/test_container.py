@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from podflow.container import ContainerError, read_container
-from podflow.fe_space import load_field, save_field
+from podflow.fe_space import FESpace
 from podflow.fom import (
     FlowCase,
     FOMConfig,
@@ -24,7 +24,8 @@ ZERO_BC = lambda x, y, t: (np.zeros_like(x), np.zeros_like(x))
 
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
-    """One file of each container kind, with the loader that reads it."""
+    """One file of each container kind, with the loader that reads it, and
+    the space they were written on."""
     directory = tmp_path_factory.mktemp("containers")
     case = FlowCase(
         "enclosed",
@@ -44,19 +45,17 @@ def saved(tmp_path_factory):
     pres_basis = build_basis(pres_snaps, problem.pressure_mass)
     space = problem.vel_space
     paths = {kind: directory / f"{kind}.bin"
-             for kind in ("field", "snapshots", "basis", "operators")}
-    save_field(run.final_state.u, paths["field"])
+             for kind in ("snapshots", "basis", "operators")}
     save_snapshots(vel_snaps, paths["snapshots"])
     save_basis(vel_basis, paths["basis"])
     save_operators(build_rom_operators(problem, vel_basis, pres_basis),
                    paths["operators"])
     loaders = {
-        "field": lambda path: load_field(space, path),
         "snapshots": lambda path: load_snapshots(path, space.signature()),
         "basis": lambda path: load_basis(path, space.signature()),
         "operators": lambda path: load_operators(path, space.signature()),
     }
-    return paths, loaders
+    return paths, loaders, space
 
 
 def _damage(raw, how):
@@ -70,10 +69,10 @@ def _damage(raw, how):
     return b"XXXX" + raw[4:]
 
 
-@pytest.mark.parametrize("kind", ["field", "snapshots", "basis", "operators"])
+@pytest.mark.parametrize("kind", ["snapshots", "basis", "operators"])
 @pytest.mark.parametrize("how", ["header", "data", "short", "magic"])
 def test_damaged_container_names_the_file(saved, tmp_path, kind, how):
-    paths, loaders = saved
+    paths, loaders, _ = saved
     loaders[kind](paths[kind])  # the intact file loads
     bad = tmp_path / f"{kind}-{how}.bin"
     bad.write_bytes(_damage(paths[kind].read_bytes(), how))
@@ -82,6 +81,14 @@ def test_damaged_container_names_the_file(saved, tmp_path, kind, how):
 
 
 def test_container_kind_is_checked(saved):
-    paths, _ = saved
+    paths, _, _ = saved
     with pytest.raises(ContainerError, match="'basis' container, expected 'operators'"):
         read_container(paths["basis"], "operators")
+
+
+def test_container_load_rejects_wrong_space(saved):
+    paths, _, space = saved
+    other = FESpace(build_rect_mesh(1.0, 1.0, 4, 4), 2, components=2).signature()
+    message = f"{paths['basis']}: written on space {space.signature()}, expected {other}"
+    with pytest.raises(ContainerError, match=re.escape(message)):
+        load_basis(paths["basis"], other)

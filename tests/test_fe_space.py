@@ -5,15 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from podflow.container import ContainerError
+from oracles import eval_field
+
 from podflow.fe_space import (
     FEField,
     FESpace,
-    eval_field,
     interpolate,
-    load_field,
     reference_basis,
-    save_field,
     triangle_quadrature,
 )
 from podflow.mesh import build_rect_mesh
@@ -123,8 +121,8 @@ def test_vector_interpolation_blocks():
     space = FESpace(mesh, 2, components=2)
     f = interpolate(space, lambda x, y: (x + y, x - y))
     x, y = space.dof_coords[:, 0], space.dof_coords[:, 1]
-    assert np.allclose(f.component(0), x + y, atol=1e-14)
-    assert np.allclose(f.component(1), x - y, atol=1e-14)
+    assert np.allclose(f.coefficients[: space.n_scalar], x + y, atol=1e-14)
+    assert np.allclose(f.coefficients[space.n_scalar :], x - y, atol=1e-14)
     val = eval_field(f, 0, np.array([1 / 3, 1 / 3, 1 / 3]))
     p = mesh.vertices[mesh.triangles[0]].mean(axis=0)
     assert np.allclose(val, [p[0] + p[1], p[0] - p[1]], atol=1e-13)
@@ -178,29 +176,6 @@ def test_signature_stability_and_sensitivity():
     assert a != FESpace(mesh, 2, components=1).signature()
     other = build_rect_mesh(1.0, 1.0, 4, 3)
     assert a != FESpace(other, 2, components=2).signature()
-
-
-def test_field_round_trip(tmp_path):
-    mesh = build_rect_mesh(1.0, 1.0, 3, 3)
-    space = FESpace(mesh, 2, components=2)
-    rng = np.random.default_rng(17)
-    f = FEField(space, rng.standard_normal(space.n_dofs), t=1.25)
-    path = tmp_path / "field.bin"
-    save_field(f, path)
-    g = load_field(space, path)
-    assert g.t == 1.25
-    assert np.array_equal(g.coefficients, f.coefficients)
-
-
-def test_field_load_rejects_wrong_space(tmp_path):
-    mesh = build_rect_mesh(1.0, 1.0, 3, 3)
-    space = FESpace(mesh, 2, components=2)
-    f = FEField(space, np.zeros(space.n_dofs))
-    path = tmp_path / "field.bin"
-    save_field(f, path)
-    other = FESpace(build_rect_mesh(1.0, 1.0, 4, 4), 2, components=2)
-    with pytest.raises(ContainerError, match=str(path)):
-        load_field(other, path)
 
 
 def test_field_shape_validation():

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from lps_oracle import assemble_lps_fluctuation, gradient_sample_matrix
+from oracles import solve_stokes
 
 from podflow.assembly import StabilizationConfig, convection_matrix
 from podflow.fe_space import FEField, interpolate
@@ -16,7 +17,6 @@ from podflow.fom import (
     run_fom,
     save_snapshots,
     snapshot_steps,
-    solve_stokes,
     time_terms,
 )
 from podflow.mesh import build_rect_mesh

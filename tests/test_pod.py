@@ -3,20 +3,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import verify_spectral_identities
+
 from podflow.assembly import assemble_mass, assemble_stiffness
 from podflow.fe_space import FESpace, interpolate
 from podflow.mesh import build_rect_mesh
 from podflow.pod import (
     PODBasis,
     build_basis,
-    build_correlation,
-    compute_basis,
     load_basis,
     project_L2,
-    reconstruct,
     save_basis,
     spectral_diagnostics,
-    verify_spectral_identities,
 )
 
 
@@ -44,21 +42,32 @@ def cavity_setup(seed=0, n_source=6, m=12):
     return space, mass, stiffness, snaps
 
 
+def reconstruct(basis, coefficients):
+    """Full-order coefficients of a reduced state, the mean added back."""
+    out = basis.modes[:, : coefficients.size] @ coefficients
+    return out if basis.mean is None else out + basis.mean
+
+
 # -- correlation matrix -------------------------------------------------------
 
 
 def test_correlation_of_single_snapshot_is_its_squared_norm():
     space, mass, _, snaps = cavity_setup(m=1)
     u = snaps.fields[:, 0]
-    corr = build_correlation(snaps, mass)
-    assert corr.shape == (1, 1)
-    assert abs(corr[0, 0] - u @ (mass @ u)) <= 1e-12 * corr[0, 0]
+    basis = build_basis(snaps, mass)
+    assert basis.eigenvalues.shape == (1,)
+    assert abs(basis.eigenvalues[0] - u @ (mass @ u)) <= 1e-12 * basis.eigenvalues[0]
 
 
 def test_correlation_trace_is_mean_snapshot_energy():
+    # the spectrum reassembles the correlation matrix (u_i, u_j) / M, whose
+    # trace is the mean snapshot energy
     _, mass, _, snaps = cavity_setup(m=9)
-    corr = build_correlation(snaps, mass)
-    assert np.allclose(corr, corr.T, atol=0.0, rtol=0.0)
+    basis = build_basis(snaps, mass)
+    vecs = basis.eigenvectors
+    corr = (vecs * basis.eigenvalues) @ vecs.T
+    direct = snaps.fields.T @ (mass @ snaps.fields) / 9
+    assert np.abs(corr - direct).max() <= 1e-12 * np.abs(direct).max()
     energies = [u @ (mass @ u) for u in snaps.fields.T]
     expected = np.mean(energies)
     assert abs(np.trace(corr) - expected) <= 1e-12 * expected
@@ -67,12 +76,20 @@ def test_correlation_trace_is_mean_snapshot_energy():
 def test_correlation_rejects_bad_shapes():
     _, mass, _, snaps = cavity_setup(m=2)
     with pytest.raises(ValueError):
-        build_correlation(snaps.fields[:, 0], mass)
-    corr = build_correlation(snaps, mass)
+        build_basis(snaps.fields[:, 0], mass)
     with pytest.raises(ValueError):
-        compute_basis(np.eye(5), snaps)
+        build_basis(snaps.fields[:, :0], mass)
     with pytest.raises(ValueError):
-        compute_basis(corr, snaps, r=1, energy_threshold=0.9)
+        build_basis(snaps, mass, r=1, energy_threshold=0.9)
+
+
+def test_a_bare_array_gives_the_basis_of_a_snapshot_set_without_a_mean():
+    _, mass, _, snaps = cavity_setup()
+    bare = build_basis(snaps.fields, mass, r=3)
+    wrapped = build_basis(snaps, mass, r=3)
+    assert bare.mean is None and bare.space_signature == "" and bare.r == 3
+    assert np.array_equal(bare.modes, wrapped.modes)
+    assert np.array_equal(bare.eigenvalues, wrapped.eigenvalues)
 
 
 # -- basis structure ----------------------------------------------------------
@@ -282,7 +299,6 @@ def test_selection_validation():
         build_basis(snaps, mass, r=99)
     basis = build_basis(snaps, mass, r=4)
     assert basis.r == 4 and basis.rank == 6
-    assert basis.reduced_modes.shape[1] == 4
 
 
 def test_basis_container_validation():
