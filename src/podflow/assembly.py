@@ -14,6 +14,12 @@ entry's element contributions. A matrix equals SciPy's COO -> CSR
 conversion of the same local values bit for bit, so repeated assembly, of
 the convection matrix at every full-order sweep above all, costs only the
 element kernels and one gather.
+
+The convection kernel's sums of three or more factors are loops over whole
+arrays that add in the order NumPy's unoptimized ``einsum`` adds, one term
+after the other from zero, so its matrix is the einsum form's bit for bit
+at a fraction of the cost; two-operand einsums, which do not add in
+sequence, stay.
 """
 
 from __future__ import annotations
@@ -278,11 +284,29 @@ def convection_matrix(space, convecting, qdegree=None):
     comp = [convecting.coefficients[c * space.n_scalar + space.cell_scalar_dofs]
             for c in range(2)]
     w_vals = np.stack([np.einsum("ei,qi->eq", comp[c], values) for c in range(2)], axis=-1)
-    w_grads = np.stack([np.einsum("ei,eqia->eqa", comp[c], grads) for c in range(2)], axis=-2)
-    w_div = w_grads[..., 0, 0] + w_grads[..., 1, 1]
     transport = np.einsum("eqc,eqjc->eqj", w_vals, grads)
-    local = np.einsum("q,e,eqj,qi->eij", weights, det, transport, values)
-    local += 0.5 * np.einsum("q,e,eq,qj,qi->eij", weights, det, w_div, values, values)
+    # d w_c / d x_c at the points, summed over i as einsum sums
+    parts = [np.zeros(transport.shape[:2]) for _ in range(2)]
+    for c, part in enumerate(parts):
+        for i in range(space.n_local):
+            part += comp[c][:, i, None] * grads[:, :, i, c]
+    w_div = parts[0] + parts[1]
+    # sum_q w_q det_e transport_eqj v_qi and sum_q w_q det_e div_eq v_qj v_qi
+    # as einsum sums them, over (i, e, j) arrays one point at a time
+    wd = weights[:, None] * det
+    scaled_div = wd * w_div.T
+    shape = (space.n_local, det.size, space.n_local)
+    first, second, term = np.zeros(shape), np.zeros(shape), np.empty(shape)
+    row = np.empty(shape[1:])
+    for q in range(weights.size):
+        v = values[q, :, None, None]
+        np.multiply(wd[q, :, None], transport[:, q], out=row)
+        first += np.multiply(v, row, out=term)
+        np.multiply(scaled_div[q, :, None], values[q], out=row)
+        second += np.multiply(v, row, out=term)
+    second *= 0.5
+    first += second
+    local = np.ascontiguousarray(first.transpose(1, 0, 2))
     return _assemble(space, _diagonal_blocks(space), [local, local])
 
 

@@ -19,6 +19,11 @@ free x fixed lifting of the boundary values. A sweep writes the velocity
 block's values into them and factors; the systems are bit for bit the ones
 SciPy's sparse sums, ``bmat`` and fancy indexing would build, exact zeros
 of the velocity block dropped as those sums drop them.
+
+SuperLU's column ordering (COLAMD) depends on the pattern alone, which the
+free x free system keeps, so it is computed once: the system is relabelled
+by the first factorization's order and later ones factor it as stored,
+with the same pivots and solutions, bit for bit.
 """
 
 from __future__ import annotations
@@ -339,7 +344,7 @@ class FOMProblem:
         reduced_rhs = rhs[free]
         if fixed.size:
             reduced_rhs = reduced_rhs - layout.lifting(velocity_values) @ values[fixed]
-        solution = spla.splu(layout.system(velocity_values)).solve(reduced_rhs)
+        solution = layout.solve(velocity_values, reduced_rhs)
         if not np.all(np.isfinite(solution)):
             raise RuntimeError("singular or badly scaled coupled system")
         x = values
@@ -417,6 +422,7 @@ class _SaddleLayout:
         self._lifting = cut(fixed_v, fixed_p, "csr")
         self.lifting_slots, self.lifting_source = _take_positions(
             self._lifting, free_v.size, fixed_v.size)
+        self._order = self._labels = None  # set by the first solve of the full pattern
 
     def lifting(self, values):
         """The free x fixed block with the velocity ``values``; an entry that
@@ -424,21 +430,70 @@ class _SaddleLayout:
         self._lifting.data[self.lifting_slots] = values[self.lifting_source]
         return self._lifting
 
-    def system(self, values):
-        """The free x free system with the velocity ``values``, without the
-        velocity entries that are exactly zero, which SciPy's sparse sums
-        drop and the LU's column ordering would see."""
-        a = self._system
+    def _fill(self, values):
+        """Write the velocity ``values`` into the system; True where zero."""
         v = values[self.system_source]
-        a.data[self.system_slots] = v
-        zero = v == 0.0
-        if not zero.any():
+        self._system.data[self.system_slots] = v
+        return v == 0.0
+
+    def system(self, values):
+        """The free x free system with the velocity ``values`` in the original
+        order, without the velocity entries that are exactly zero, which
+        SciPy's sparse sums drop and the LU's column ordering would see."""
+        a = self._system
+        zero = self._fill(values)
+        if not zero.any() and self._order is None:
             return a
         keep = np.ones(a.nnz, dtype=bool)
         keep[self.system_slots[zero]] = False
         dropped = np.concatenate([[0], np.cumsum(~keep)])[a.indptr]
-        return sp.csc_matrix((a.data[keep], a.indices[keep], a.indptr - dropped),
-                             shape=a.shape)
+        arrays = a.data[keep], a.indices[keep], a.indptr - dropped
+        if self._order is not None:
+            arrays = _relabelled(*arrays, self._labels, self._order)[:3]
+        return sp.csc_matrix(arrays, shape=a.shape)
+
+    def solve(self, values, rhs):
+        """Solve the system with the velocity ``values`` for ``rhs``, bit for
+        bit as ``spla.splu(self.system(values))`` does: in the order of the
+        first factorization of the full pattern, or afresh for a system
+        that drops entries."""
+        if self._order is None or self._fill(values).any():
+            a = self.system(values)
+            lu = spla.splu(a)
+            x, perm_c = lu.solve(rhs), lu.perm_c.copy()
+            if a is self._system:
+                del lu  # free the factor before the relabelled copy is made
+                self._relabel(perm_c)
+            return x
+        x = np.empty_like(rhs)
+        x[self._order] = spla.splu(self._system, permc_spec="NATURAL").solve(rhs[self._order])
+        return x
+
+    def _relabel(self, perm_c):
+        """Rename row and column i of the system ``perm_c[i]``: the natural
+        order is then SuperLU's, the diagonal its pivoting prefers is kept,
+        and so is each column's entry sequence, which its pivot search also
+        follows and which the canonical flag keeps ``splu`` from sorting."""
+        a = self._system
+        order = np.argsort(perm_c).astype(perm_c.dtype)
+        data, indices, indptr, moved = _relabelled(a.data, a.indices, a.indptr, order, perm_c)
+        place = np.empty_like(moved)
+        place[moved] = np.arange(moved.size, dtype=moved.dtype)
+        self.system_slots = place[self.system_slots]
+        self._system = sp.csc_matrix((data, indices, indptr), shape=a.shape)
+        self._system.has_canonical_format = True
+        self._order, self._labels = order, perm_c
+
+
+def _relabelled(data, indices, indptr, order, labels):
+    """CSC arrays with the columns taken in ``order``, row i renamed
+    ``labels[i]`` and entries in stored sequence, and their old positions."""
+    counts = np.diff(indptr)[order]
+    new_indptr = np.zeros_like(indptr)
+    np.cumsum(counts, out=new_indptr[1:])
+    moved = (np.repeat(indptr[order] - new_indptr[:-1], counts)
+             + np.arange(new_indptr[-1], dtype=indptr.dtype))
+    return data[moved], labels[indices[moved]], new_indptr, moved
 
 
 def _step(problem, state):
@@ -502,7 +557,7 @@ class FOMRun:
     final_state: FOMState = None
 
 
-def snapshot_steps(config, n_steps=None):
+def snapshot_steps(config):
     """Step indices (0 = initial state) recorded by the snapshot window.
 
     Eligible indices are those whose time k*dt lies inside the window; the
@@ -511,21 +566,19 @@ def snapshot_steps(config, n_steps=None):
     """
     if config.snapshot_window is None:
         return np.empty(0, dtype=np.int64)
-    total = config.n_steps if n_steps is None else int(n_steps)
     t0, t1 = config.snapshot_window
-    k = np.arange(total + 1)
+    k = np.arange(config.n_steps + 1)
     times = k * config.dt
     eligible = k[(times >= t0 - _TIME_TOL) & (times <= t1 + _TIME_TOL)]
     return eligible[:: config.snapshot_stride]
 
 
-def run_fom(problem, initial_velocity=None, n_steps=None, probe=None):
+def run_fom(problem, initial_velocity=None, probe=None):
     """Integrate the configured scheme and record QoIs and snapshots; a
     :class:`~podflow.metrics.DragLiftProbe` tests each step's residual."""
     cfg = problem.config
-    total = cfg.n_steps if n_steps is None else int(n_steps)
     state = initial_state(problem, initial_velocity)
-    recorded = set(snapshot_steps(cfg, total).tolist())
+    recorded = set(snapshot_steps(cfg).tolist())
 
     times = []
     qoi_rows = []
@@ -538,7 +591,7 @@ def run_fom(problem, initial_velocity=None, n_steps=None, probe=None):
             snap_p.append(st.p.coefficients.copy())
 
     maybe_snapshot(state)
-    for _ in range(total):
+    for _ in range(cfg.n_steps):
         state = _step(problem, state)
         times.append(state.t)
         c_d = c_l = np.nan

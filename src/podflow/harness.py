@@ -714,7 +714,7 @@ def _resting_family_mixing(config):
     gram = raw.T @ (mass_p @ raw)
     lower = np.linalg.cholesky(0.5 * (gram + gram.T))
     orthonormal = np.linalg.solve(lower, raw.T).T
-    z = compute_supremizers(problem, orthonormal).fields
+    z = compute_supremizers(problem, orthonormal)
     coupling = (orthonormal.T @ (problem.divergence @ z)).T
     h = z.T @ ((problem.mass + problem.stiffness) @ z)
     chol = np.linalg.cholesky(0.5 * (h + h.T))

@@ -268,7 +268,7 @@ def build_rom_operators(problem, vel_basis, pres_basis=None, r=None,
         raise ValueError(f"requested pressure size {rp} outside 1..{pres_basis.rank}")
     psi = pres_basis.modes[:, :rp]
     if problem.config.scheme != "lps":
-        z = compute_supremizers(problem, psi).fields
+        z = compute_supremizers(problem, psi)
         if z.shape[1]:
             ops.recovery = PressureRecovery(problem, replace(vel_basis, r=r),
                                             replace(pres_basis, r=z.shape[1]), z,
@@ -543,57 +543,30 @@ def run_rom(ops, n_steps, a0, *, a_prev=None, t_start=0.0, mu=0.0, adaptive=None
 _DROP_TOLERANCE = 1e-10
 
 
-@dataclass
-class SupremizerSet:
-    """Velocity fields dual to pressure modes through the divergence form.
-
-    ``raw_fields`` solve the constrained gradient problem one pressure mode
-    at a time; ``fields`` are their gradient-orthonormalized span with
-    dependent or vanishing columns dropped (their indices in ``dropped``).
-    ``residuals`` record the relative algebraic residual of each solve.
-    """
-
-    raw_fields: np.ndarray
-    fields: np.ndarray
-    residuals: np.ndarray
-    dropped: tuple
-
-
 def compute_supremizers(problem, psi):
     """Solve (grad s, grad v) = (psi, div v) for each pressure mode, a
-    column of ``psi``.
+    column of ``psi``, and return the solutions' gradient-orthonormal span
+    (columns).
 
     The test space carries the problem's velocity Dirichlet constraints, so
     each supremizer has zero boundary values. A solution whose gradient
     norm is negligible against its pressure mode's norm carries no
     divergence coupling (a constant mode, for instance) and is dropped
-    before orthonormalization.
+    before orthonormalization, as are dependent ones.
     """
     free = problem.free_velocity
-    a_ff = problem.stiffness.tocsr()[free][:, free].tocsc()
-    lu = spla.splu(a_ff)
-    n = problem.n_velocity
-    m = psi.shape[1]
-    raw = np.zeros((n, m))
-    residuals = np.empty(m)
-    rhs_all = problem.divergence.T @ psi
-    for k in range(m):
-        rhs = rhs_all[free, k]
-        sol = lu.solve(rhs)
-        raw[free, k] = sol
-        residuals[k] = np.linalg.norm(a_ff @ sol - rhs) / max(np.linalg.norm(rhs), 1e-300)
+    lu = spla.splu(problem.stiffness.tocsr()[free][:, free].tocsc())
+    raw = np.zeros((problem.n_velocity, psi.shape[1]))
+    rhs = problem.divergence.T @ psi
+    for k in range(psi.shape[1]):
+        raw[free, k] = lu.solve(rhs[free, k])
     sup_norms = np.sqrt(np.maximum(
         np.einsum("ik,ik->k", raw, problem.stiffness @ raw), 0.0))
     psi_norms = np.sqrt(np.maximum(
         np.einsum("ik,ik->k", psi, problem.pressure_mass @ psi), 0.0))
-    eligible = [k for k in range(m)
+    eligible = [k for k in range(psi.shape[1])
                 if sup_norms[k] > _DROP_TOLERANCE * max(psi_norms[k], 1e-300)]
-    fields, kept_local = orthonormalize_gradient(raw[:, eligible],
-                                                 problem.stiffness)
-    kept = {eligible[i] for i in kept_local}
-    dropped = tuple(sorted(set(range(m)) - kept))
-    return SupremizerSet(raw_fields=raw, fields=fields,
-                         residuals=residuals, dropped=dropped)
+    return orthonormalize_gradient(raw[:, eligible], problem.stiffness)[0]
 
 
 def orthonormalize_gradient(fields, stiffness):

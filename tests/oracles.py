@@ -8,6 +8,7 @@ as an executable check.
 
 import numpy as np
 
+import podflow.assembly
 from podflow.fe_space import FEField, reference_basis, triangle_quadrature
 from podflow.pod import spectral_diagnostics
 
@@ -83,6 +84,37 @@ def apply_convection(u, v, w, qdegree=None):
     integrand = np.einsum("eqc,eqc->eq", transport, w_vals)
     integrand += 0.5 * u_div * np.einsum("eqc,eqc->eq", v_vals, w_vals)
     return float(np.einsum("q,e,eq->", rule.weights, det, integrand))
+
+
+def einsum_convection_local(space, convecting, qdegree=None):
+    """The element matrices ``(e, i, j)`` of the convection matrix as
+    NumPy's unoptimized ``einsum`` contracts them: the reference for the
+    bit-for-bit loops of :func:`podflow.assembly.convection_matrix`."""
+    tab = podflow.assembly._tables(space, qdegree or 3 * space.degree)
+    weights, values, grads, det = tab.rule.weights, tab.values, tab.grads, tab.det
+    comp = [convecting.coefficients[c * space.n_scalar + space.cell_scalar_dofs]
+            for c in range(2)]
+    w_vals = np.stack([np.einsum("ei,qi->eq", comp[c], values) for c in range(2)], axis=-1)
+    w_grads = np.stack([np.einsum("ei,eqia->eqa", comp[c], grads) for c in range(2)], axis=-2)
+    w_div = w_grads[..., 0, 0] + w_grads[..., 1, 1]
+    transport = np.einsum("eqc,eqjc->eqj", w_vals, grads)
+    local = np.einsum("q,e,eqj,qi->eij", weights, det, transport, values)
+    local += 0.5 * np.einsum("q,e,eq,qj,qi->eij", weights, det, w_div, values, values)
+    return local
+
+
+def supremizer_solutions(problem, psi):
+    """Each pressure mode's supremizer before orthonormalization, by a
+    dense solve of (grad s, grad v) = (psi, div v) on the free velocity
+    DOFs, and the relative algebraic residual of each solve."""
+    free = problem.free_velocity
+    a_ff = problem.stiffness.toarray()[np.ix_(free, free)]
+    rhs = (problem.divergence.T @ psi)[free]
+    raw = np.zeros((problem.n_velocity, psi.shape[1]))
+    raw[free] = np.linalg.solve(a_ff, rhs)
+    residuals = (np.linalg.norm(a_ff @ raw[free] - rhs, axis=0)
+                 / np.maximum(np.linalg.norm(rhs, axis=0), 1e-300))
+    return raw, residuals
 
 
 def solve_stokes(problem, t=0.0):

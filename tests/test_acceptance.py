@@ -396,13 +396,13 @@ def _steady_stokes_recovery_error():
     vel_basis = build_basis(vels, problem.mass)
     pres_basis = build_basis(pres, problem.pressure_mass)
     supremizers = compute_supremizers(problem, pres_basis.modes)
-    recovery = PressureRecovery(problem, vel_basis, pres_basis, supremizers.fields,
+    recovery = PressureRecovery(problem, vel_basis, pres_basis, supremizers,
                                 include_convection=False)
     worst = 0.0
     for j, load in enumerate(loads):
         a = project_L2(vel_basis, problem.mass, vels[:, j], r=vel_basis.rank)
         b = recovery.recover(a, mu=problem.mu,
-                             forcing=supremizers.fields.T @ load)
+                             forcing=supremizers.T @ load)
         recovered = pres_basis.modes[:, :pres_basis.rank] @ b
         diff = recovered - pres[:, j]
         err = np.sqrt(diff @ (problem.pressure_mass @ diff))
@@ -421,7 +421,7 @@ def test_supremizers_recover_pressure_and_stay_uniformly_stable(
     supremizers = compute_supremizers(problem, pres_basis.modes)
     betas = np.array([
         supremizer_stability(
-            supremizers.fields[:, :r], pres_basis.modes[:, :r],
+            supremizers[:, :r], pres_basis.modes[:, :r],
             problem.divergence, problem.mass, problem.stiffness)
         for r in range(1, 9)
     ])

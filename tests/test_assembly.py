@@ -4,11 +4,12 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lps_oracle import assemble_lps_fluctuation, gradient_sample_matrix
-from oracles import apply_convection
+from oracles import apply_convection, einsum_convection_local
 
 from podflow.assembly import (
     StabilizationConfig,
@@ -557,10 +558,89 @@ def test_saddle_layout_matches_the_block_system_cut_by_scipy(mesh, scheme, enclo
     assert layout.system(problem.velocity_values(scale)) is layout._system
 
 
+def _field_values(kind, n, rng):
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "random":
+        return rng.standard_normal(n)
+    if kind == "mixed":  # magnitudes 1e-3 ... 1e3
+        return rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    return rng.choice([-0.0, 0.0, -1.0, 1.0], size=n)  # signed zeros
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(mesh=meshes(), seed=st.integers(0, 2**32 - 1), qdegree=st.sampled_from([None, 8]))
+@example(mesh=refine_uniform(build_rect_mesh(2.2, 0.41, 4, 4, hole=(0.55, 0.1025, 1.1, 0.205))),
+         seed=7, qdegree=None)
+def test_convection_loops_equal_the_einsum_kernel_bit_for_bit(mesh, seed, qdegree):
+    space = FESpace(mesh, 2, components=2)
+    rng = np.random.default_rng(seed)
+    blocks = [(0, 0), (1, 1)]
+    for kind in ("zero", "random", "mixed", "signed"):
+        w = FEField(space, _field_values(kind, space.n_dofs, rng))
+        local = einsum_convection_local(space, w, qdegree)
+        want = podflow.assembly._assemble(space, blocks, [local, local])
+        got = convection_matrix(space, w, qdegree)
+        assert np.array_equal(got.indices, want.indices), kind
+        assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64)), kind
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(mesh=meshes(), scheme=st.sampled_from(["lps", "graddiv"]),
+       enclosed=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_layout_solves_equal_splu_of_the_scipy_system_bit_for_bit(mesh, scheme, enclosed, seed):
+    problem = _saddle_problem(mesh, scheme, enclosed)
+    rng = np.random.default_rng(seed)
+    space = problem.vel_space
+    free = problem.free_global
+    layout = problem._saddle
+    scale = 1.5 / problem.config.dt
+
+    def scipy_system(block):
+        system = sp.bmat([[block, -problem.divergence.T],
+                          [problem.divergence, problem.pressure_stabilization]], format="csr")
+        return sp.csc_matrix(system[free][:, free])
+
+    factors = []
+    with pytest.MonkeyPatch.context() as mp:
+        def recording(a, **kwargs):
+            lu = splu(a, **kwargs)
+            factors.append((kwargs.get("permc_spec", "COLAMD"), lu))
+            return lu
+        splu = spla.splu
+        mp.setattr(spla, "splu", recording)
+        base = scale * problem.mass + problem._static_velocity_block
+        free_v = set(problem.free_velocity.tolist())
+        for k in range(4):
+            conv = convection_matrix(space, FEField(space, rng.standard_normal(space.n_dofs)))
+            if k == 2:
+                # an exact zero in a free x free velocity entry: SciPy's sum
+                # drops it, and the layout factors the smaller pattern afresh
+                coo = conv.tocoo()
+                inside = [i for i in range(conv.nnz)
+                          if coo.row[i] in free_v and coo.col[i] in free_v]
+                i = inside[rng.integers(len(inside))]
+                conv.data[i] = -base[coo.row[i], coo.col[i]]
+            block = base + conv
+            values = problem.velocity_values(scale, conv)
+            want_system = scipy_system(block)
+            rhs = rng.standard_normal(free.size)
+            want = splu(want_system).solve(rhs)
+            got = layout.solve(values, rhs)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), k
+            # the layout's own system stays the SciPy one in the original order
+            assert_bitwise_equal(layout.system(values), want_system)
+    # COLAMD once, NATURAL after it, COLAMD for the dropped pattern, NATURAL
+    specs = [spec for spec, _ in factors]
+    assert specs == ["COLAMD", "NATURAL", "COLAMD", "NATURAL"]
+    identity = [np.array_equal(lu.perm_c, np.arange(free.size)) for _, lu in factors]
+    assert identity[1] and identity[3]
+
+
 def test_caches_are_freed_with_their_space_and_problem():
     mesh = build_rect_mesh(1.0, 1.0, 3, 3)
     problem = _saddle_problem(mesh, "graddiv", enclosed=True)
-    run_fom(problem, n_steps=1)
+    run_fom(problem)
     space = problem.vel_space
     cached = [weakref.ref(problem._saddle), weakref.ref(problem._saddle.indices)]
     cached += [weakref.ref(entry) for entry in space.assembly_cache.values()]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -126,8 +128,8 @@ def test_zero_data_stays_zero(scheme):
     mesh = build_rect_mesh(1.0, 1.0, 3, 3)
     cfg = FOMConfig(scheme=scheme, nu=1e-2, dt=1e-2, t_final=0.1,
                     stabilization=StabilizationConfig(grad_div=0.3))
-    problem = FOMProblem(mesh, cfg, enclosed_case())
-    state = run_fom(problem, n_steps=1).final_state
+    problem = FOMProblem(mesh, replace(cfg, t_final=cfg.dt), enclosed_case())
+    state = run_fom(problem).final_state
     assert np.abs(state.u.coefficients).max() == 0.0
     assert np.abs(state.p.coefficients).max() == 0.0
 
@@ -151,7 +153,7 @@ def test_one_step_matches_dense_row_replacement_solve(scheme, grid):
     problem = FOMProblem(mesh, cfg, enclosed_case(forcing=swirl_forcing))
     bump = lambda x, y: (x * (1 - x) * y * (1 - y), -x * (1 - x) * y * (1 - y))
     u0 = interpolate(problem.vel_space, bump).coefficients
-    state1 = run_fom(problem, initial_velocity=u0, n_steps=1).final_state
+    state1 = run_fom(problem, initial_velocity=u0).final_state
 
     n_v, n_p = problem.n_velocity, problem.n_pressure
     u_hat = u0  # extrapolation of equal history levels
@@ -217,11 +219,11 @@ def test_implicit_euler_energy_dissipates_without_forcing():
         cfg = FOMConfig(scheme=scheme, nu=5e-3, dt=0.02, t_final=0.1,
                         time_integrator="implicit_euler",
                         stabilization=StabilizationConfig(grad_div=0.3))
-        problem = FOMProblem(mesh, cfg, enclosed_case())
+        problem = FOMProblem(mesh, replace(cfg, t_final=5 * cfg.dt), enclosed_case())
         bump = lambda x, y: (np.sin(np.pi * x) * np.sin(np.pi * y) * y,
                              -np.sin(np.pi * x) * np.sin(np.pi * y) * x)
         u0 = interpolate(problem.vel_space, bump)
-        run = run_fom(problem, initial_velocity=u0, n_steps=5)
+        run = run_fom(problem, initial_velocity=u0)
         energies = [kinetic_energy(u0, problem.mass), *run.qoi[:, 1]]
         diffs = np.diff(energies)
         assert np.all(diffs <= 1e-9 * max(energies))
@@ -233,9 +235,10 @@ def test_implicit_euler_failure_raises_with_diagnostics():
                     time_integrator="implicit_euler",
                     nonlinear_max_iterations=1, nonlinear_tolerance=1e-16,
                     stabilization=StabilizationConfig(grad_div=0.3))
-    problem = FOMProblem(mesh, cfg, enclosed_case(forcing=swirl_forcing))
+    problem = FOMProblem(mesh, replace(cfg, t_final=cfg.dt),
+                         enclosed_case(forcing=swirl_forcing))
     with pytest.raises(NonlinearSolveError) as info:
-        run_fom(problem, n_steps=1)
+        run_fom(problem)
     assert len(info.value.residual_history) == 1
 
 
@@ -267,8 +270,9 @@ def test_lps_pressure_form_matches_weighted_fluctuation_norm():
     # integrate with tau-weighted local mass blocks
     mesh = build_rect_mesh(1.0, 1.0, 5, 5)
     cfg = FOMConfig(scheme="lps", nu=5e-3, dt=0.01, t_final=0.02)
-    problem = FOMProblem(mesh, cfg, enclosed_case(forcing=swirl_forcing))
-    p = run_fom(problem, n_steps=1).final_state.p.coefficients
+    problem = FOMProblem(mesh, replace(cfg, t_final=cfg.dt),
+                         enclosed_case(forcing=swirl_forcing))
+    p = run_fom(problem).final_state.p.coefficients
 
     direct = float(p @ (problem.pressure_stabilization @ p))
     g = gradient_sample_matrix(problem.pres_space)

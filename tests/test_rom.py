@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import solve_stokes
+from oracles import solve_stokes, supremizer_solutions
 
 from podflow.assembly import StabilizationConfig, assemble_load, convection_matrix
 from podflow.container import ContainerError, write_container
@@ -191,7 +191,7 @@ def test_separable_forcing_projects_like_its_assembled_load():
         "graddiv", center=True, window=(0.02, 0.1), forcing=separable_swirl)
     ops = build_rom_operators(problem, vel_basis)
     recovery = PressureRecovery(problem, vel_basis, pres_basis,
-                                compute_supremizers(problem, pres_basis.modes).fields)
+                                compute_supremizers(problem, pres_basis.modes))
     assert ops.forcing_modes.shape == (ops.r, 4)
     for t in (0.0, 0.013, 0.37):
         load = assemble_load(problem.vel_space, swirl_forcing, t)
@@ -215,7 +215,7 @@ def test_reduced_models_need_a_separable_forcing():
         build_rom_operators(problem, vel_basis)
     with pytest.raises(ValueError, match="SeparableForcing"):
         PressureRecovery(problem, vel_basis, pres_basis,
-                         compute_supremizers(problem, pres_basis.modes).fields)
+                         compute_supremizers(problem, pres_basis.modes))
 
 
 def test_truncation_cuts_the_pressure_recovery():
@@ -236,7 +236,7 @@ def test_truncation_cuts_the_pressure_recovery():
 def test_truncated_pressure_recovery_matches_direct_build():
     problem, _, _, _, vel_basis, pres_basis = cavity_setup(
         "graddiv", center=True, window=(0.02, 0.1), forcing=separable_swirl)
-    sup = compute_supremizers(problem, pres_basis.modes).fields
+    sup = compute_supremizers(problem, pres_basis.modes)
     assert vel_basis.rank >= 4 and sup.shape[1] >= 3
     full = PressureRecovery(problem, vel_basis, replace(pres_basis, r=sup.shape[1]),
                             sup)
@@ -265,7 +265,7 @@ def full_builds():
            build_rom_operators(problem, vel_basis, pres_basis))
     problem, _, _, _, vel_basis, pres_basis = cavity_setup(
         "graddiv", center=True, window=(0.02, 0.1), forcing=separable_swirl)
-    sup = compute_supremizers(problem, pres_basis.modes).fields
+    sup = compute_supremizers(problem, pres_basis.modes)
     recovery = PressureRecovery(problem, vel_basis, replace(pres_basis, r=sup.shape[1]),
                                 sup)
     graddiv = (problem, vel_basis, pres_basis, build_rom_operators(problem, vel_basis))
@@ -592,21 +592,24 @@ def test_run_rom_updates_mu_only_at_schedule_multiples():
 def test_supremizers_solve_their_equations():
     problem, _, _, _, _, pres_basis = cavity_setup("graddiv", window=(0.02, 0.1))
     sup = compute_supremizers(problem, pres_basis.modes)
-    assert sup.raw_fields.shape[1] == pres_basis.r
-    assert np.all(sup.residuals <= 1e-10)
+    raw, residuals = supremizer_solutions(problem, pres_basis.modes)
+    assert raw.shape[1] == pres_basis.r
+    assert np.all(residuals <= 1e-10)
     # zero values on the constrained boundary
-    assert np.abs(sup.raw_fields[problem.constrained_velocity]).max() == 0.0
-    gram = sup.fields.T @ (problem.stiffness @ sup.fields)
-    assert np.abs(gram - np.eye(sup.fields.shape[1])).max() <= 1e-10
+    assert np.abs(raw[problem.constrained_velocity]).max() == 0.0
+    gram = sup.T @ (problem.stiffness @ sup)
+    assert np.abs(gram - np.eye(sup.shape[1])).max() <= 1e-10
+    # the orthonormal fields span the solutions
+    coeffs = sup.T @ (problem.stiffness @ raw)
+    assert np.abs(sup @ coeffs - raw).max() <= 1e-9 * np.abs(raw).max()
 
 
 def test_constant_pressure_mode_gives_zero_supremizer():
     problem = cavity_problem("graddiv", nx=4)
     const = np.ones((problem.n_pressure, 1))
-    sup = compute_supremizers(problem, const)
-    assert np.abs(sup.raw_fields).max() <= 1e-12
-    assert sup.dropped == (0,)
-    assert sup.fields.shape[1] == 0
+    raw, _ = supremizer_solutions(problem, const)
+    assert np.abs(raw).max() <= 1e-12
+    assert compute_supremizers(problem, const).shape[1] == 0
 
 
 def test_orthonormalize_gradient_drops_dependent_columns():
@@ -625,14 +628,14 @@ def test_orthonormalize_gradient_drops_dependent_columns():
 def test_supremizer_stability_is_remix_invariant():
     problem, _, _, _, _, pres_basis = cavity_setup("graddiv", window=(0.02, 0.1))
     sup = compute_supremizers(problem, pres_basis.modes)
-    beta = supremizer_stability(sup.fields, pres_basis.modes[:, :pres_basis.r],
+    beta = supremizer_stability(sup, pres_basis.modes[:, :pres_basis.r],
                                 problem.divergence, problem.mass, problem.stiffness)
     assert beta > 0.0
     rng = np.random.default_rng(10)
-    remix = rng.normal(size=(sup.fields.shape[1],) * 2) \
-        + 3.0 * np.eye(sup.fields.shape[1])
+    remix = rng.normal(size=(sup.shape[1],) * 2) \
+        + 3.0 * np.eye(sup.shape[1])
     beta_remixed = supremizer_stability(
-        sup.fields @ remix, pres_basis.modes[:, :pres_basis.r],
+        sup @ remix, pres_basis.modes[:, :pres_basis.r],
         problem.divergence, problem.mass, problem.stiffness)
     assert abs(beta - beta_remixed) <= 1e-10 * beta
 
@@ -640,8 +643,7 @@ def test_supremizer_stability_is_remix_invariant():
 def test_supremizer_stability_matches_brute_force_for_two_modes():
     problem, _, _, _, _, pres_basis = cavity_setup("graddiv", window=(0.02, 0.1))
     psi = pres_basis.modes[:, :2]
-    sup = compute_supremizers(problem, psi)
-    z = sup.fields
+    z = compute_supremizers(problem, psi)
     beta = supremizer_stability(z, psi, problem.divergence, problem.mass,
                                 problem.stiffness)
     coupling = (psi.T @ (problem.divergence @ z)).T
@@ -680,11 +682,11 @@ def test_pressure_recovery_is_exact_for_steady_stokes():
     vel_basis = build_basis(vels, problem.mass)
     pres_basis = build_basis(pres, problem.pressure_mass)
     sup = compute_supremizers(problem, pres_basis.modes)
-    recovery = PressureRecovery(problem, vel_basis, pres_basis, sup.fields,
+    recovery = PressureRecovery(problem, vel_basis, pres_basis, sup,
                                 include_convection=False)
     for j, load in enumerate(loads):
         a = project_L2(vel_basis, problem.mass, vels[:, j], r=vel_basis.rank)
-        forcing_z = sup.fields.T @ load
+        forcing_z = sup.T @ load
         b = recovery.recover(a, mu=problem.mu, forcing=forcing_z)
         recovered = pres_basis.modes[:, :pres_basis.rank] @ b
         diff = recovered - pres[:, j]
@@ -697,7 +699,7 @@ def test_pressure_recovery_is_exact_for_steady_stokes():
 def test_pressure_recovery_right_hand_side_matches_full_order_residual(center):
     problem, _, _, _, vel_basis, pres_basis = cavity_setup(
         "graddiv", center=center, window=(0.02, 0.1))
-    sup = compute_supremizers(problem, pres_basis.modes).fields
+    sup = compute_supremizers(problem, pres_basis.modes)
     recovery = PressureRecovery(problem, vel_basis, pres_basis, sup)
     phi = vel_basis.modes[:, :vel_basis.r]
     rng = np.random.default_rng(13)
@@ -716,7 +718,7 @@ def test_pressure_recovery_right_hand_side_matches_full_order_residual(center):
 
 def test_pressure_recovery_requires_square_system():
     problem, _, _, _, vel_basis, pres_basis = cavity_setup("graddiv", window=(0.02, 0.1))
-    sup = compute_supremizers(problem, pres_basis.modes[:, : pres_basis.r - 1]).fields
+    sup = compute_supremizers(problem, pres_basis.modes[:, : pres_basis.r - 1])
     with pytest.raises(ValueError):
         PressureRecovery(problem, vel_basis, pres_basis, sup)
 
@@ -742,7 +744,7 @@ def test_pressure_recovery_trajectory_takes_one_mu_per_step():
     problem, _, vel_snaps, _, vel_basis, pres_basis = cavity_setup(
         "graddiv", window=(0.02, 0.1))
     recovery = PressureRecovery(problem, vel_basis, pres_basis,
-                                compute_supremizers(problem, pres_basis.modes).fields)
+                                compute_supremizers(problem, pres_basis.modes))
     a_traj = np.column_stack([project_L2(vel_basis, problem.mass, u)
                               for u in vel_snaps.fields.T])
     dt, nt = problem.config.dt, a_traj.shape[1]
@@ -840,11 +842,11 @@ def test_loaded_operators_reject_a_forcing(tmp_path):
 def test_principal_angle_cosine_bounds_and_extremes():
     problem, _, _, _, vel_basis, pres_basis = cavity_setup("graddiv", window=(0.02, 0.1))
     sup = compute_supremizers(problem, pres_basis.modes)
-    alpha = principal_angle_cosine(vel_basis.modes[:, : vel_basis.r], sup.fields,
+    alpha = principal_angle_cosine(vel_basis.modes[:, : vel_basis.r], sup,
                                    problem.stiffness)
     assert 0.0 <= alpha <= 1.0
     # a span compared against itself gives cosine one
-    self_alpha = principal_angle_cosine(sup.fields, sup.fields, problem.stiffness)
+    self_alpha = principal_angle_cosine(sup, sup, problem.stiffness)
     assert self_alpha == pytest.approx(1.0, abs=1e-10)
     # gradient-orthogonal complement gives cosine zero: gram-schmidt a random
     # field against the supremizers in the gradient metric
@@ -852,8 +854,8 @@ def test_principal_angle_cosine_bounds_and_extremes():
     w = rng.normal(size=problem.n_velocity)
     w[problem.constrained_velocity] = 0.0
     for _ in range(2):
-        for k in range(sup.fields.shape[1]):
-            q = sup.fields[:, k]
+        for k in range(sup.shape[1]):
+            q = sup[:, k]
             w -= float(q @ (problem.stiffness @ w)) * q
-    ortho_alpha = principal_angle_cosine(w[:, None], sup.fields, problem.stiffness)
+    ortho_alpha = principal_angle_cosine(w[:, None], sup, problem.stiffness)
     assert ortho_alpha <= 1e-8
