@@ -566,7 +566,7 @@ def compute_supremizers(problem, psi):
         np.einsum("ik,ik->k", psi, problem.pressure_mass @ psi), 0.0))
     eligible = [k for k in range(psi.shape[1])
                 if sup_norms[k] > _DROP_TOLERANCE * max(psi_norms[k], 1e-300)]
-    return orthonormalize_gradient(raw[:, eligible], problem.stiffness)[0]
+    return orthonormalize_gradient(raw[:, eligible], problem.stiffness)
 
 
 def orthonormalize_gradient(fields, stiffness):
@@ -577,7 +577,7 @@ def orthonormalize_gradient(fields, stiffness):
     largest column (a roundoff-sized field would otherwise be normalized
     into noise) or when its projected remainder falls below
     ``_DROP_TOLERANCE`` times its original norm. Returns the orthonormal
-    columns and the kept input indices.
+    columns.
     """
     fields = np.asarray(fields, dtype=float)
     norms = np.array([
@@ -586,7 +586,6 @@ def orthonormalize_gradient(fields, stiffness):
     ])
     scale = norms.max() if norms.size else 0.0
     kept_columns = []
-    kept_indices = []
     for k in range(fields.shape[1]):
         original = norms[k]
         if original <= _DROP_TOLERANCE * scale:
@@ -599,12 +598,9 @@ def orthonormalize_gradient(fields, stiffness):
         if norm <= _DROP_TOLERANCE * original:
             continue
         kept_columns.append(v / norm)
-        kept_indices.append(k)
     if kept_columns:
-        out = np.column_stack(kept_columns)
-    else:
-        out = np.zeros((fields.shape[0], 0))
-    return out, kept_indices
+        return np.column_stack(kept_columns)
+    return np.zeros((fields.shape[0], 0))
 
 
 def supremizer_stability(z, psi, divergence, mass, stiffness):

@@ -4,8 +4,6 @@ import contextlib
 import importlib.util
 import io
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -24,9 +22,7 @@ def sweep(ref_src, tmp_path):
 
 
 def test_the_run_list_covers_the_workloads_and_studies():
-    result = subprocess.run([sys.executable, str(TOOL), "--list"],
-                            capture_output=True, text=True, check=True)
-    names = result.stdout.split()
+    names = list(identity_sweep.runs())
     assert len(names) == len(set(names)) == 21
     for name in ("tiny_graddiv", "desk_lps", "cavity_lps_nx32_seed1",
                  "convergence_lps", "longhorizon_channel_picard"):

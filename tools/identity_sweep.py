@@ -1,16 +1,16 @@
 """Run a fixed set of pipelines and studies from two source trees and
 compare their output directories byte for byte.
 
-    python tools/identity_sweep.py --against REV [--only NAME ...] [--keep DIR]
-    python tools/identity_sweep.py --list
+    python tools/identity_sweep.py --against REV
 
 ``REV`` is a git revision of this repository. Its ``src/`` is exported with
 ``git archive`` into a temporary directory (no worktree is registered), and
 every run is made twice, each in its own process with BLAS and OpenMP
 pinned to one thread: once from ``REV``'s ``src/`` and once from the
-working tree's. Each pair of output directories is then compared with
-``compare_runs.compare_dirs``. A change that claims bit-for-bit identical
-arithmetic must leave every pair identical.
+working tree's. Each pair of output directories is then compared file by
+file, byte for byte; for a pair that differs, ``compare_runs.compare_dirs``
+prints where. A change that claims bit-for-bit identical arithmetic must
+leave every pair identical.
 
 The runs are the tiny configs (grad-div, LPS, adaptive μ, centred POD, the
 holed channel under both schemes, the steady ``stokes_poly`` case), the
@@ -18,13 +18,11 @@ three benchmark workloads at tiny size, the desk cavity under both schemes,
 the three workloads at full size with seeds 0 and 1, the convergence study
 of both schemes, and the long-horizon study on the tiny config and on
 ``channel_picard``. The configs come from the working tree, so both sides
-run the same inputs. ``--only`` selects runs by name, ``--keep`` keeps the
-outputs (``DIR/ref/<name>``, ``DIR/new/<name>``). The exit status is 0 when
-every pair is identical and 1 otherwise.
+run the same inputs. The exit status is 0 when every pair is identical and
+1 otherwise.
 """
 
 import argparse
-import contextlib
 import copy
 import io
 import json
@@ -145,6 +143,12 @@ def export_src(rev, dest):
     return Path(dest) / "src"
 
 
+def _files(directory):
+    """{relative name: bytes} of every file under ``directory``."""
+    return {p.relative_to(directory).as_posix(): p.read_bytes()
+            for p in directory.rglob("*") if p.is_file()}
+
+
 def sweep(ref_src, names, work):
     """Run ``names`` from the source tree ``ref_src`` and from the working
     tree, under ``work``; print one line per run and return the names that
@@ -156,12 +160,8 @@ def sweep(ref_src, names, work):
         start = time.perf_counter()
         dirs = [work / side / name for side in ("ref", "new")]
         errors = [run_one(src, kind, spec, d) for src, d in zip((ref_src, ROOT / "src"), dirs)]
-        report = io.StringIO()
-        with contextlib.redirect_stdout(report):
-            compare_dirs(*dirs)
-        lines = report.getvalue().splitlines()
-        same = errors == [None, None] and lines and all(
-            line.startswith("identical") for line in lines)
+        ref_files, new_files = (_files(d) for d in dirs)
+        same = errors == [None, None] and ref_files and ref_files == new_files
         print(f"{'identical' if same else 'DIFFERS':<10} {name} "
               f"({time.perf_counter() - start:.1f} s)", flush=True)
         if not same:
@@ -169,36 +169,19 @@ def sweep(ref_src, names, work):
             for side, error in zip(("ref", "new"), errors):
                 if error:
                     print(f"    {side} run failed: {error.splitlines()[-1]}")
-            for line in lines:
-                if not line.startswith("identical"):
-                    print(f"    {line}")
+            compare_dirs(*dirs)
     return differing
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="Compare the outputs of fixed runs from a git revision and the working tree.")
-    parser.add_argument("--against", metavar="REV", help="git revision to compare with")
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="runs to make (default all)")
-    parser.add_argument("--keep", metavar="DIR", help="keep the outputs under DIR")
-    parser.add_argument("--list", action="store_true", help="list the run names and exit")
+    parser.add_argument("--against", metavar="REV", required=True,
+                        help="git revision to compare with")
     args = parser.parse_args(argv)
-    plan = runs()
-    if args.list:
-        print("\n".join(plan))
-        return 0
-    if args.against is None:
-        parser.error("--against is required")
-    names = args.only or list(plan)
-    unknown = sorted(set(names) - set(plan))
-    if unknown:
-        parser.error(f"unknown runs {unknown}; see --list")
-    with contextlib.ExitStack() as stack:
-        if args.keep:
-            work = Path(args.keep)
-            work.mkdir(parents=True, exist_ok=False)
-        else:
-            work = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+    names = list(runs())
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
         differing = sweep(export_src(args.against, work / "tree"), names, work)
     print(f"{len(names) - len(differing)} of {len(names)} runs identical"
           + (f"; differ: {', '.join(differing)}" if differing else ""))
