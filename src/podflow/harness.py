@@ -53,7 +53,7 @@ from .metrics import (
     error_indicators,
     kinetic_energy,
 )
-from .pod import build_basis, project_L2, save_basis, spectral_diagnostics
+from .pod import build_basis, project_L2, reduced_stiffness, save_basis
 from .rom import (
     AdaptiveMuConfig,
     _project,
@@ -1084,8 +1084,7 @@ def reduced_error_table(config, problem, vel_snaps, pres_snaps, vel_basis,
     mu_value = config.effective_rom_mu()
     all_coeffs = _project_columns(vel_basis, problem.mass, raw_vel,
                                   max(r for r, _ in sizes))
-    diag_full = spectral_diagnostics(vel_basis, problem.stiffness,
-                                     r=vel_basis.rank)
+    s_full, spectral_norm = reduced_stiffness(vel_basis, problem.stiffness)
     pres_eigs = pres_basis.eigenvalues
 
     replay_seeded = stride == 1 and m >= 3
@@ -1126,12 +1125,11 @@ def reduced_error_table(config, problem, vel_snaps, pres_snaps, vel_basis,
             alpha = principal_angle_cosine(vel_basis.modes[:, :r],
                                            ops_r.recovery.fields, problem.stiffness)
 
-        diag_r = spectral_diagnostics(vel_basis, problem.stiffness, r=r)
-        vel_tail = diag_r.tail
+        vel_tail = float(vel_basis.eigenvalues[r:].sum())
         pres_tail = float(pres_eigs[rp:].sum())
+        c_r_h1 = float(np.sqrt(max(s_full[:r, :r].sum(), 0.0)))
         vel_ind, pres_ind = error_indicators(
-            scheme, diag_full.spectral_norm, vel_tail, pres_tail,
-            c_r_h1=diag_r.c_r_h1, alpha=alpha)
+            scheme, spectral_norm, vel_tail, pres_tail, c_r_h1=c_r_h1, alpha=alpha)
         rows.append((r, vel_error, pres_error, vel_ind, pres_ind))
     return rows
 

@@ -124,30 +124,15 @@ def project_L2(basis, mass, f, r=None):
     return basis.modes[:, :r].T @ (mass @ coeffs)
 
 
-@dataclass
-class SpectralDiagnostics:
-    """Spectral quantities of one basis used by the error indicators."""
-
-    spectral_norm: float  # two-norm of the full-rank reduced stiffness
-    tail: float  # eigenvalue sum beyond the first r
-    c_r_h1: float  # norm of the gradient of the summed first r modes
-
-
-def spectral_diagnostics(basis, stiffness, r=None):
-    """Compute the indicator building blocks for a basis at size r."""
-    r = basis.r if r is None else int(r)
+def reduced_stiffness(basis, stiffness):
+    """The stiffness projected onto every mode of ``basis``, symmetrized,
+    and its two-norm (largest eigenvalue), the spectral norm of the error
+    indicators. Its leading r x r block sums to the squared gradient norm
+    of the summed first r modes."""
     modes = basis.modes
     s_full = modes.T @ (stiffness @ modes)
     s_full = 0.5 * (s_full + s_full.T)
-    spectral_norm = float(np.linalg.eigvalsh(s_full).max())
-    tail = float(np.sum(basis.eigenvalues[r:]))
-    block = s_full[:r, :r]
-    c_r_h1 = float(np.sqrt(max(block.sum(), 0.0)))
-    return SpectralDiagnostics(
-        spectral_norm=spectral_norm,
-        tail=tail,
-        c_r_h1=c_r_h1,
-    )
+    return s_full, float(np.linalg.eigvalsh(s_full).max())
 
 
 def save_basis(basis, path):

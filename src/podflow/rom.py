@@ -623,12 +623,18 @@ def supremizer_stability(z, psi, divergence, mass, stiffness):
 class PressureRecovery:
     """Reduced pressure reconstruction tested against supremizers.
 
-    For a reduced velocity state the pressure coefficients solve
-    ``(p, div z_k) = (du/dt, z_k) + conv(u, u, z_k) + mu (div u, div z_k)
-    - (f, z_k)`` over the supremizer set; the viscous term is absent
-    because supremizers annihilate it on discretely divergence-free
-    fields. The system is square: one supremizer, a column of ``z``, per
-    pressure mode.
+    For a reduced velocity state ``a`` (the field u = mean + phi a), its
+    time slope ``dadt``, a grad-div coefficient ``mu`` and the projected
+    load ``forcing``, the pressure coefficients b solve
+    ``sum_j b_j (psi_j, div z_k) = (phi dadt, z_k) + conv(u, u, z_k)
+    + mu (div u, div z_k) - (f, z_k)`` over the supremizers z_k, one per
+    pressure mode, so the system is square. This is not the reduced step's
+    own residual: the viscous term is left out (it vanishes against the
+    supremizers only for a discretely divergence-free u with zero boundary
+    values), the convection is C(u) u rather than the step's convecting
+    field, and :func:`reduced_pressure` passes the three-level difference
+    as the slope under either integrator. ROADMAP.md item 1b replaces this
+    right-hand side with :func:`step_residuals`.
     ``operators`` holds the velocity forms, projected as for the reduced
     model but with the supremizers as test functions, and the pressure
     modes; ``coupling`` is the divergence block. ``convected`` passes on
@@ -636,8 +642,7 @@ class PressureRecovery:
     :func:`build_rom_operators`), so they are not assembled twice.
     """
 
-    def __init__(self, problem, vel_basis, pres_basis, z,
-                 include_convection=True, convected=None):
+    def __init__(self, problem, vel_basis, pres_basis, z, convected=None):
         phi = vel_basis.modes[:, : vel_basis.r]
         psi = pres_basis.modes[:, : pres_basis.r]
         if z.shape[1] != psi.shape[1]:
@@ -645,7 +650,6 @@ class PressureRecovery:
                 f"need one supremizer per pressure mode: got {z.shape[1]} "
                 f"for {psi.shape[1]} modes"
             )
-        self.include_convection = bool(include_convection)
         self.operators = replace(_project(problem, phi, vel_basis.mean, z, convected),
                                  pres_modes=psi)
         self.coupling = (psi.T @ (problem.divergence @ z)).T
@@ -669,25 +673,19 @@ class PressureRecovery:
         out.coupling = self.coupling[:r_pressure, :r_pressure]
         return out
 
-    def right_hand_side(self, a, dadt=None, mu=0.0, forcing=None):
+    def recover(self, a, dadt, mu, forcing):
+        """Pressure coefficients of one reduced velocity state; ``forcing``
+        is None for an unforced problem."""
         ops = self.operators
-        a = np.asarray(a, dtype=float)
         rhs = np.zeros(self.coupling.shape[0])
-        if dadt is not None:
-            rhs = rhs + ops.mass @ np.asarray(dadt, dtype=float)
-        if self.include_convection:
-            rhs = rhs + ops.mean_convection \
-                + ops.convect_by_mean @ a + ops.transport_of_mean @ a \
-                + np.einsum("i,ijk,j->k", a, ops.convection_tensor, a)
+        rhs = rhs + ops.mass @ dadt
+        rhs = rhs + ops.mean_convection \
+            + ops.convect_by_mean @ a + ops.transport_of_mean @ a \
+            + np.einsum("i,ijk,j->k", a, ops.convection_tensor, a)
         if mu != 0.0:
             rhs = rhs + mu * (ops.grad_div @ a + ops.grad_div_mean)
         if forcing is not None:
-            rhs = rhs - np.asarray(forcing, dtype=float)
-        return rhs
-
-    def recover(self, a, dadt=None, mu=0.0, forcing=None):
-        """Pressure coefficients of one reduced velocity state."""
-        rhs = self.right_hand_side(a, dadt=dadt, mu=mu, forcing=forcing)
+            rhs = rhs - forcing
         try:
             b = np.linalg.solve(self.coupling, rhs)
         except np.linalg.LinAlgError as exc:
@@ -696,63 +694,45 @@ class PressureRecovery:
             raise RuntimeError("pressure recovery produced non-finite values")
         return b
 
-    def recover_trajectory(self, a_traj, mu=0.0, a_prev=None, forcing_values=None,
-                           columns=None):
-        """Recover pressure along a trajectory with two-step time slopes.
-
-        Column ``n >= 1`` uses the same difference stencil as the
-        integrator: the three-level formula once two history levels exist,
-        the backward difference on the very first step. Column 0 uses the
-        backward difference against ``a_prev`` when given and a zero slope
-        otherwise. ``mu`` is one grad-div coefficient or one per column.
-        ``forcing_values`` is an optional (n_supremizers, nt) array of
-        projected loads at the trajectory times. With ``columns``, only
-        those columns are recovered and the others are NaN.
-        """
-        dt = self.operators.fom.dt
-        a_traj = np.asarray(a_traj, dtype=float)
-        nt = a_traj.shape[1]
-        mu = np.broadcast_to(np.asarray(mu, dtype=float), (nt,))
-        out = np.full((self.coupling.shape[0], nt), np.nan)
-        for n in range(nt) if columns is None else columns:
-            if n == 0:
-                if a_prev is not None:
-                    dadt = (a_traj[:, 0] - np.asarray(a_prev, dtype=float)) / dt
-                else:
-                    dadt = np.zeros(a_traj.shape[0])
-            elif n == 1 and a_prev is None:
-                dadt = (a_traj[:, 1] - a_traj[:, 0]) / dt
-            else:
-                back2 = np.asarray(a_prev, dtype=float) if n == 1 else a_traj[:, n - 2]
-                dadt = (3.0 * a_traj[:, n] - 4.0 * a_traj[:, n - 1] + back2) / (2.0 * dt)
-            f_n = None if forcing_values is None else forcing_values[:, n]
-            out[:, n] = self.recover(a_traj[:, n], dadt=dadt, mu=float(mu[n]),
-                                     forcing=f_n)
-        return out
-
 
 def reduced_pressure(ops, run, mu, a_prev=None, columns=None):
     """Full-order pressure fields of the reduced run ``run`` of ``ops``, one
     column per time level.
 
-    The coupled scheme solved for its pressure coefficients; the
-    velocity-only scheme recovers them from the velocity trajectory through
-    ``ops.recovery`` (None when there is none, and then so is the result),
-    only at ``columns`` when given (the other columns are NaN). ``mu`` and
-    ``a_prev`` are as in :meth:`PressureRecovery.recover_trajectory`.
+    The coupled scheme solved for its pressure coefficients. The
+    velocity-only scheme recovers them through ``ops.recovery`` (None when
+    there is none, and then so is the result), one
+    :meth:`PressureRecovery.recover` per level with the load at its time,
+    only at ``columns`` when given (the other columns are NaN). Column
+    ``n >= 1`` takes the three-level difference of the velocity once two
+    history levels exist and the backward difference on the very first
+    step; column 0 takes the backward difference against ``a_prev`` when
+    given and a zero slope otherwise. ``mu`` is one grad-div coefficient
+    or one per column.
     """
     if ops.pres_modes is not None:
         return ops.pres_modes @ run.b_traj
     recovery = ops.recovery
     if recovery is None:
         return None
-    wanted = range(run.times.size) if columns is None else columns
-    forcing_values = None
-    if recovery.operators.forcing_modes is not None:
-        forcing_values = np.full((recovery.coupling.shape[0], run.times.size), np.nan)
-        for n in wanted:
-            forcing_values[:, n] = reduce_forcing(recovery.operators, run.times[n])
-    b_traj = recovery.recover_trajectory(run.a_traj, mu, a_prev, forcing_values, columns)
+    dt = recovery.operators.fom.dt
+    a_traj = run.a_traj
+    nt = a_traj.shape[1]
+    mu = np.broadcast_to(np.asarray(mu, dtype=float), (nt,))
+    b_traj = np.full((recovery.coupling.shape[0], nt), np.nan)
+    for n in range(nt) if columns is None else columns:
+        if n == 0:
+            if a_prev is not None:
+                dadt = (a_traj[:, 0] - a_prev) / dt
+            else:
+                dadt = np.zeros(a_traj.shape[0])
+        elif n == 1 and a_prev is None:
+            dadt = (a_traj[:, 1] - a_traj[:, 0]) / dt
+        else:
+            back2 = a_prev if n == 1 else a_traj[:, n - 2]
+            dadt = (3.0 * a_traj[:, n] - 4.0 * a_traj[:, n - 1] + back2) / (2.0 * dt)
+        b_traj[:, n] = recovery.recover(a_traj[:, n], dadt, float(mu[n]),
+                                        reduce_forcing(recovery.operators, run.times[n]))
     # every column is lifted, so the product is the one of the full trajectory
     return recovery.operators.pres_modes @ b_traj
 

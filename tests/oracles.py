@@ -10,7 +10,7 @@ import numpy as np
 
 import podflow.assembly
 from podflow.fe_space import FEField, reference_basis, triangle_quadrature
-from podflow.pod import spectral_diagnostics
+from podflow.pod import reduced_stiffness
 
 
 def mesh_stats(mesh):
@@ -167,7 +167,7 @@ def verify_spectral_identities(basis, snapshots, mass, stiffness, r=None,
     total_h1 = float(np.sum(basis.eigenvalues * grad_norms_sq))
     h1_residual = abs(lhs_h1 - rhs_h1) / max(total_h1, 1e-300)
 
-    s2 = spectral_diagnostics(basis, stiffness, r=r).spectral_norm
+    s2 = reduced_stiffness(basis, stiffness)[1]
     rng = np.random.default_rng(seed)
     violations = 0
     worst_margin = -np.inf
@@ -189,3 +189,58 @@ def verify_spectral_identities(basis, snapshots, mass, stiffness, r=None,
         "inverse_worst_margin": worst_margin,
         "stiffness_norm": s2,
     }
+
+
+def recovered_pressure(ops, run, mu, a_prev=None, columns=None):
+    """Reference for :func:`podflow.rom.reduced_pressure` on the
+    velocity-only scheme, each floating-point operation in the same order:
+    the projected loads of the wanted columns in one table, the time slopes
+    of the whole trajectory, then per column its own right-hand side and
+    dense solve. Column ``n >= 1`` takes the three-level difference once
+    two history levels exist and the backward difference on the very first
+    step; column 0 the backward difference against ``a_prev`` when given
+    and a zero slope otherwise. Columns not in ``columns`` are NaN."""
+    recovery = ops.recovery
+    rec_ops = recovery.operators
+    dt = rec_ops.fom.dt
+    a_traj = np.asarray(run.a_traj, dtype=float)
+    nt = a_traj.shape[1]
+    wanted = range(nt) if columns is None else columns
+    forcing_values = None
+    if rec_ops.forcing_modes is not None:
+        forcing_values = np.full((recovery.coupling.shape[0], nt), np.nan)
+        for n in wanted:
+            forcing_values[:, n] = rec_ops.forcing_modes @ rec_ops.forcing.coefficients(
+                run.times[n])
+    mu = np.broadcast_to(np.asarray(mu, dtype=float), (nt,))
+    b_traj = np.full((recovery.coupling.shape[0], nt), np.nan)
+    for n in wanted:
+        if n == 0:
+            if a_prev is not None:
+                dadt = (a_traj[:, 0] - np.asarray(a_prev, dtype=float)) / dt
+            else:
+                dadt = np.zeros(a_traj.shape[0])
+        elif n == 1 and a_prev is None:
+            dadt = (a_traj[:, 1] - a_traj[:, 0]) / dt
+        else:
+            back2 = np.asarray(a_prev, dtype=float) if n == 1 else a_traj[:, n - 2]
+            dadt = (3.0 * a_traj[:, n] - 4.0 * a_traj[:, n - 1] + back2) / (2.0 * dt)
+        f_n = None if forcing_values is None else forcing_values[:, n]
+        rhs = _recovery_right_hand_side(rec_ops, a_traj[:, n], dadt, float(mu[n]), f_n)
+        b_traj[:, n] = np.linalg.solve(recovery.coupling, rhs)
+    return rec_ops.pres_modes @ b_traj
+
+
+def _recovery_right_hand_side(ops, a, dadt, mu, forcing):
+    """The supremizer-tested momentum terms of one level: time slope,
+    convection of the lifted field, grad-div (skipped for mu = 0) and load."""
+    rhs = np.zeros(ops.mass.shape[0])
+    rhs = rhs + ops.mass @ dadt
+    rhs = rhs + ops.mean_convection \
+        + ops.convect_by_mean @ a + ops.transport_of_mean @ a \
+        + np.einsum("i,ijk,j->k", a, ops.convection_tensor, a)
+    if mu != 0.0:
+        rhs = rhs + mu * (ops.grad_div @ a + ops.grad_div_mean)
+    if forcing is not None:
+        rhs = rhs - forcing
+    return rhs

@@ -638,6 +638,17 @@ def test_the_error_table_recovers_pressure_only_at_compared_snapshots(tmp_path, 
     assert count_calls.calls["recover in table"] == 2 * 4
 
 
+def test_the_error_table_builds_the_reduced_stiffness_once(tmp_path, count_calls):
+    # every row takes its c_r_h1 from a leading block of one full-rank matrix
+    count_calls(podflow.harness, "reduced_stiffness", "stiffness")
+    count_calls(podflow.harness, "reduced_error_table", "table", scoped=True)
+    raw = base_raw()
+    raw["rom"] = {"r_values": [1, 2, 3]}
+    run_small_pipeline(tmp_path, raw)
+    assert count_calls.calls["table"] == 1
+    assert count_calls.calls["stiffness in table"] == 1
+
+
 def test_equal_order_channel_assembles_one_grad_div_matrix(tmp_path, count_calls):
     # the reduced operators and the probe's projection share the problem's
     # unit grad-div matrix

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,8 +14,8 @@ from podflow.pod import (
     build_basis,
     load_basis,
     project_L2,
+    reduced_stiffness,
     save_basis,
-    spectral_diagnostics,
 )
 
 
@@ -250,18 +251,20 @@ def test_single_mode_diagnostics_reduce_to_gradient_norm():
         space_signature=space.signature(),
     )
     basis = build_basis(repeated, mass)
-    diag = spectral_diagnostics(basis, stiffness)
+    s_full, spectral_norm = reduced_stiffness(basis, stiffness)
     phi = basis.modes[:, 0]
     grad_sq = phi @ (stiffness @ phi)
-    assert abs(diag.spectral_norm - grad_sq) <= 1e-8 * grad_sq
-    assert abs(diag.c_r_h1 - np.sqrt(grad_sq)) <= 1e-10 * np.sqrt(grad_sq)
-    assert diag.tail == 0.0
+    assert abs(spectral_norm - grad_sq) <= 1e-8 * grad_sq
+    # the squared gradient norm of the summed first mode
+    assert abs(np.sqrt(s_full[:1, :1].sum()) - np.sqrt(grad_sq)) <= 1e-10 * np.sqrt(grad_sq)
+    assert basis.eigenvalues[1:].sum() == 0.0
 
 
 def test_spectral_norm_is_independent_of_r():
     _, mass, stiffness, snaps = cavity_setup()
     basis = build_basis(snaps, mass)
-    norms = {spectral_diagnostics(basis, stiffness, r=r).spectral_norm
+    # every mode counts, not the leading r the basis keeps
+    norms = {reduced_stiffness(replace(basis, r=r), stiffness)[1]
              for r in (1, 3, basis.rank)}
     assert len({round(v, 12) for v in norms}) == 1
 
@@ -269,8 +272,7 @@ def test_spectral_norm_is_independent_of_r():
 def test_tail_decreases_with_r():
     _, mass, stiffness, snaps = cavity_setup()
     basis = build_basis(snaps, mass)
-    tails = [spectral_diagnostics(basis, stiffness, r=r).tail
-             for r in range(basis.rank + 1)]
+    tails = [float(np.sum(basis.eigenvalues[r:])) for r in range(basis.rank + 1)]
     assert all(a > b for a, b in zip(tails, tails[1:]))
     assert tails[-1] == 0.0
 

@@ -1,11 +1,13 @@
+import copy
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import solve_stokes, supremizer_solutions
+from oracles import recovered_pressure, solve_stokes, supremizer_solutions
 
 from podflow.assembly import StabilizationConfig, assemble_load, convection_matrix
 from podflow.container import ContainerError, write_container
@@ -248,7 +250,7 @@ def test_truncated_pressure_recovery_matches_direct_build():
     assert np.abs(cut.coupling - direct.coupling).max() \
         <= 1e-13 * np.abs(direct.coupling).max()
     a = np.random.default_rng(2).normal(size=3)
-    assert np.allclose(cut.recover(a, dadt=a, mu=0.3), direct.recover(a, dadt=a, mu=0.3),
+    assert np.allclose(cut.recover(a, a, 0.3, None), direct.recover(a, a, 0.3, None),
                        rtol=1e-12, atol=0.0)
     for r, rp in ((0, 2), (3, 0), (vel_basis.r + 1, 2), (3, sup.shape[1] + 1)):
         with pytest.raises(ValueError):
@@ -692,12 +694,13 @@ def test_pressure_recovery_is_exact_for_steady_stokes():
     vel_basis = build_basis(vels, problem.mass)
     pres_basis = build_basis(pres, problem.pressure_mass)
     sup = compute_supremizers(problem, pres_basis.modes)
-    recovery = PressureRecovery(problem, vel_basis, pres_basis, sup,
-                                include_convection=False)
+    recovery = PressureRecovery(problem, vel_basis, pres_basis, sup)
+    # steady Stokes: no convection (the basis is uncentred) and no time slope
+    recovery.operators = replace(recovery.operators, convection_tensor=np.zeros_like(
+        recovery.operators.convection_tensor))
     for j, load in enumerate(loads):
         a = project_L2(vel_basis, problem.mass, vels[:, j], r=vel_basis.rank)
-        forcing_z = sup.T @ load
-        b = recovery.recover(a, mu=problem.mu, forcing=forcing_z)
+        b = recovery.recover(a, np.zeros_like(a), problem.mu, sup.T @ load)
         recovered = pres_basis.modes[:, :pres_basis.rank] @ b
         diff = recovered - pres[:, j]
         err = np.sqrt(diff @ (problem.pressure_mass @ diff))
@@ -722,7 +725,8 @@ def test_pressure_recovery_right_hand_side_matches_full_order_residual(center):
     c_u = convection_matrix(problem.vel_space, FEField(problem.vel_space, u))
     expected = sup.T @ (problem.mass @ (phi @ dadt) + c_u @ u
                         + mu * (problem.grad_div @ u) - load)
-    got = recovery.right_hand_side(a, dadt=dadt, mu=mu, forcing=sup.T @ load)
+    # the recovery solves coupling b = rhs, so coupling b is its right-hand side
+    got = recovery.coupling @ recovery.recover(a, dadt, mu, sup.T @ load)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
@@ -739,27 +743,23 @@ def test_pressure_recovery_trajectory_is_finite():
     ops = build_rom_operators(problem, vel_basis, pres_basis)
     rom = run_rom(ops, 6, project_L2(vel_basis, problem.mass, vel_snaps.fields[:, 0]),
                   mu=problem.mu)
-    recovery = ops.recovery
-    forcing_values = np.column_stack(
-        [reduce_forcing(recovery.operators, t) for t in rom.times])
-    b_traj = recovery.recover_trajectory(rom.a_traj, mu=problem.mu,
-                                         forcing_values=forcing_values)
-    assert b_traj.shape == (pres_basis.r, rom.times.size)
-    assert np.all(np.isfinite(b_traj))
-    assert np.array_equal(reduced_pressure(ops, rom, problem.mu),
-                          recovery.operators.pres_modes @ b_traj)
+    assert ops.recovery.coupling.shape == (pres_basis.r, pres_basis.r)
+    pressure = reduced_pressure(ops, rom, problem.mu)
+    assert pressure.shape == (problem.pres_space.n_dofs, rom.times.size)
+    assert np.all(np.isfinite(pressure))
 
 
 def test_pressure_recovery_trajectory_takes_one_mu_per_step():
     problem, _, vel_snaps, _, vel_basis, pres_basis = cavity_setup(
         "graddiv", window=(0.02, 0.1))
-    recovery = PressureRecovery(problem, vel_basis, pres_basis,
-                                compute_supremizers(problem, pres_basis.modes))
+    ops = build_rom_operators(problem, vel_basis, pres_basis)
+    recovery = ops.recovery
     a_traj = np.column_stack([project_L2(vel_basis, problem.mass, u)
                               for u in vel_snaps.fields.T])
+    run = SimpleNamespace(times=vel_snaps.times, a_traj=a_traj)
     dt, nt = problem.config.dt, a_traj.shape[1]
     mu = 0.3 + 0.1 * np.arange(nt)
-    b_traj = recovery.recover_trajectory(a_traj, mu=mu)
+    columns = []
     for n in range(nt):
         if n == 0:
             dadt = np.zeros(a_traj.shape[0])
@@ -768,10 +768,37 @@ def test_pressure_recovery_trajectory_takes_one_mu_per_step():
         else:
             dadt = (3.0 * a_traj[:, n] - 4.0 * a_traj[:, n - 1]
                     + a_traj[:, n - 2]) / (2.0 * dt)
-        column = recovery.recover(a_traj[:, n], dadt=dadt, mu=mu[n])
-        assert np.array_equal(b_traj[:, n], column), n
-    assert np.array_equal(recovery.recover_trajectory(a_traj, mu=0.3),
-                          recovery.recover_trajectory(a_traj, mu=np.full(nt, 0.3)))
+        columns.append(recovery.recover(a_traj[:, n], dadt, mu[n],
+                                        reduce_forcing(recovery.operators, run.times[n])))
+    assert np.array_equal(reduced_pressure(ops, run, mu),
+                          recovery.operators.pres_modes @ np.column_stack(columns))
+    assert np.array_equal(reduced_pressure(ops, run, 0.3),
+                          reduced_pressure(ops, run, np.full(nt, 0.3)))
+
+
+@pytest.mark.parametrize("center", [False, True])
+@pytest.mark.parametrize("forced", [False, True])
+def test_reduced_pressure_matches_its_oracle_bit_for_bit(center, forced):
+    problem, _, vel_snaps, _, vel_basis, pres_basis = cavity_setup(
+        "graddiv", center=center, window=(0.02, 0.1))
+    ops = build_rom_operators(problem, vel_basis, pres_basis)
+    if not forced:
+        recovery = copy.copy(ops.recovery)
+        recovery.operators = unforced(recovery.operators)
+        ops = replace(unforced(ops), recovery=recovery)
+    coeffs = np.column_stack([project_L2(vel_basis, problem.mass, u)
+                              for u in vel_snaps.fields.T])
+    rom = run_rom(ops, 6, coeffs[:, 1], a_prev=coeffs[:, 0], t_start=vel_snaps.times[1],
+                  mu=problem.mu)
+    nt = rom.times.size
+    # per-column mu starts at 0, where the grad-div term is skipped
+    for a_prev in (None, coeffs[:, 0]):
+        for columns in (None, [1, 4, 5]):
+            for mu in (0.3, 0.1 * np.arange(nt)):
+                got = reduced_pressure(ops, rom, mu, a_prev, columns)
+                want = recovered_pressure(ops, rom, mu, a_prev, columns)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+                    (a_prev is None, columns, np.ndim(mu))
 
 
 def test_operator_container_round_trip(tmp_path):
