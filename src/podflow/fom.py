@@ -24,6 +24,14 @@ SuperLU's column ordering (COLAMD) depends on the pattern alone, which the
 free x free system keeps, so it is computed once: the system is relabelled
 by the first factorization's order and later ones factor it as stored,
 with the same pivots and solutions, bit for bit.
+
+Every BDF2 solve, the first sweep of every implicit-Euler step and each
+system with an exactly-zero velocity entry is solved bit for bit as
+``splu`` of the system would solve it. A later Picard sweep of a step
+keeps the step's factor instead and refines its solution against it to a
+backward error of a few ulps (see :meth:`_SaddleLayout.solve`); a sweep
+whose refinement misses that within ``_REFINEMENT_CAP`` iterations
+factors afresh, bit for bit as ``splu`` again.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ SCHEMES = ("lps", "graddiv")
 TIME_INTEGRATORS = ("bdf2_semi_implicit", "implicit_euler")
 
 _TIME_TOL = 1e-9
+_REFINEMENT_CAP = 10  # corrections a lagged solve may take before it factors afresh
 
 
 class NonlinearSolveError(RuntimeError):
@@ -79,7 +88,10 @@ def solve_step(integrator, sweep, convecting, mass, tolerance, max_iterations):
     solved with convection by ``w``, and what else the model solves for.
     BDF2 sweeps once with the extrapolated ``convecting`` field; implicit
     Euler repeats the sweep, each convected by the last, until the relative
-    change in the ``mass`` norm reaches ``tolerance``."""
+    change in the ``mass`` norm reaches ``tolerance``. In the full-order
+    model the first sweep of a step, and so every BDF2 solve, is bit for
+    bit ``splu``'s; later sweeps refine against the step's factor (see
+    :meth:`_SaddleLayout.solve`)."""
     residuals = []
     while True:
         new, other = sweep(convecting)
@@ -262,14 +274,21 @@ class FOMProblem:
     def n_pressure(self):
         return self.pres_space.n_dofs
 
+    @cached_property
+    def _dirichlet_dofs(self):
+        """{tag: (scalar DOFs, their x, their y)} of each Dirichlet tag."""
+        coords, out = self.vel_space.dof_coords, {}
+        for tag in self.case.dirichlet:
+            dofs = self.vel_space.boundary_scalar_dofs(tag)
+            out[tag] = dofs, coords[dofs, 0], coords[dofs, 1]
+        return out
+
     def boundary_values(self, t):
         """Full-length velocity vector holding the prescribed boundary data."""
         g = np.zeros(self.n_velocity)
         n_scalar = self.vel_space.n_scalar
         for tag, fn in self.case.dirichlet.items():
-            dofs = self.vel_space.boundary_scalar_dofs(tag)
-            x = self.vel_space.dof_coords[dofs, 0]
-            y = self.vel_space.dof_coords[dofs, 1]
+            dofs, x, y = self._dirichlet_dofs[tag]
             gx, gy = fn(x, y, t)
             g[dofs] = np.broadcast_to(np.asarray(gx, dtype=float), x.shape)
             g[n_scalar + dofs] = np.broadcast_to(np.asarray(gy, dtype=float), x.shape)
@@ -333,10 +352,12 @@ class FOMProblem:
         layout = self._saddle
         return sp.csr_matrix((values, layout.indices, layout.indptr), shape=layout.shape)
 
-    def solve_coupled(self, velocity_values, rhs_velocity, boundary):
+    def solve_coupled(self, velocity_values, rhs_velocity, boundary, lagged=None):
         """Solve one saddle-point system with boundary elimination: the
         velocity block has :meth:`velocity_values`, and ``boundary`` is
-        :meth:`boundary_values` at the new time."""
+        :meth:`boundary_values` at the new time. ``lagged`` is a step's
+        list of its last factor, which :meth:`_SaddleLayout.solve` refines
+        against and renews."""
         layout = self._saddle
         rhs = np.concatenate([rhs_velocity, np.zeros(self.n_pressure)])
         values = np.concatenate([boundary, np.zeros(self.n_pressure)])
@@ -344,7 +365,7 @@ class FOMProblem:
         reduced_rhs = rhs[free]
         if fixed.size:
             reduced_rhs = reduced_rhs - layout.lifting(velocity_values) @ values[fixed]
-        solution = layout.solve(velocity_values, reduced_rhs)
+        solution = layout.solve(velocity_values, reduced_rhs, lagged)
         if not np.all(np.isfinite(solution)):
             raise RuntimeError("singular or badly scaled coupled system")
         x = values
@@ -452,11 +473,19 @@ class _SaddleLayout:
             arrays = _relabelled(*arrays, self._labels, self._order)[:3]
         return sp.csc_matrix(arrays, shape=a.shape)
 
-    def solve(self, values, rhs):
+    def solve(self, values, rhs, lagged=None):
         """Solve the system with the velocity ``values`` for ``rhs``, bit for
         bit as ``spla.splu(self.system(values))`` does: in the order of the
         first factorization of the full pattern, or afresh for a system
-        that drops entries."""
+        that drops entries.
+
+        ``lagged`` is a list of at most one factor, which a step's sweeps
+        share: a factor of the full pattern made here replaces its entry,
+        and while it holds one, a system of the full pattern is solved by
+        iterative refinement against it instead, to a backward error of
+        4 eps (see :func:`_refined`). Only when that misses within
+        ``_REFINEMENT_CAP`` corrections is the system factored afresh, bit
+        for bit as without ``lagged``."""
         if self._order is None or self._fill(values).any():
             a = self.system(values)
             lu = spla.splu(a)
@@ -465,8 +494,15 @@ class _SaddleLayout:
                 del lu  # free the factor before the relabelled copy is made
                 self._relabel(perm_c)
             return x
+        lagged = [] if lagged is None else lagged
+        b = rhs[self._order]
+        y = _refined(self._system, lagged[0], b) if lagged else None
+        if y is None:
+            lagged.clear()  # one factor at a time
+            lagged.append(spla.splu(self._system, permc_spec="NATURAL"))
+            y = lagged[0].solve(b)
         x = np.empty_like(rhs)
-        x[self._order] = spla.splu(self._system, permc_spec="NATURAL").solve(rhs[self._order])
+        x[self._order] = y
         return x
 
     def _relabel(self, perm_c):
@@ -485,6 +521,23 @@ class _SaddleLayout:
         self._order, self._labels = order, perm_c
 
 
+def _refined(a, lu, b):
+    """The solution of ``a x = b`` by iterative refinement with ``lu``, the
+    factor of a nearby system: x += lu⁻¹ (b - a x) until the residual's
+    infinity norm is at most 4 eps (‖a‖ ‖x‖ + ‖b‖), or None when
+    ``_REFINEMENT_CAP`` corrections do not get there."""
+    a_norm = np.bincount(a.indices, weights=np.abs(a.data), minlength=a.shape[0]).max()
+    tolerance = 4.0 * np.finfo(float).eps
+    b_norm = np.abs(b).max()
+    x = lu.solve(b)
+    for _ in range(_REFINEMENT_CAP):
+        r = b - a @ x
+        if np.abs(r).max() <= tolerance * (a_norm * np.abs(x).max() + b_norm):
+            return x
+        x += lu.solve(r)
+    return None
+
+
 def _relabelled(data, indices, indptr, order, labels):
     """CSC arrays with the columns taken in ``order``, row i renamed
     ``labels[i]`` and entries in stored sequence, and their old positions."""
@@ -497,18 +550,21 @@ def _relabelled(data, indices, indptr, order, labels):
 
 
 def _step(problem, state):
-    """One step of the configured integrator (see :func:`solve_step`)."""
+    """One step of the configured integrator (see :func:`solve_step`). Its
+    sweeps share one factor, which dies with the step: a factor kept across
+    steps would live next to the following step's new one."""
     cfg = problem.config
     t_new = state.t + cfg.dt
     alpha, history, convecting = time_terms(
         cfg.time_integrator, state.u.coefficients, state.u_prev, cfg.dt)
     rhs = problem.mass @ history + problem.load_vector(t_new)
     boundary = problem.boundary_values(t_new)
+    lagged = []
 
     def sweep(w):
         values = problem.velocity_values(
             alpha / cfg.dt, convection_matrix(problem.vel_space, FEField(problem.vel_space, w)))
-        u, p = problem.solve_coupled(values, rhs, boundary)
+        u, p = problem.solve_coupled(values, rhs, boundary, lagged)
         return u, (p, values)
 
     try:

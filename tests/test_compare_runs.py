@@ -76,11 +76,14 @@ def test_container_arrays_and_missing_files_are_reported(two_runs, tmp_path):
     shutil.copytree(two_runs[1], changed)
     meta, arrays = read_container(changed / "operators.bin", "operators")
     arrays["mass"] = arrays["mass"] * (1.0 + 1e-12)
+    assert meta["mean_energy"] == 0.0  # an uncentred basis
+    meta["mean_energy"] = 1e-13
     write_container(changed / "operators.bin", "operators", meta, arrays)
     status, out = compare(two_runs[0], changed, "--rtol", "1e-10")
     assert status == 0, out
     assert "container  operators.bin" in out
     assert "    stiffness: bitwise equal" in out
+    assert "    mean_energy (metadata): max rel diff 1.000e-13" in out
     mass_line = next(line for line in out.splitlines() if line.startswith("    mass:"))
     assert 0.0 < float(mass_line.split()[-1]) <= 1e-11
     (changed / "qoi.csv").unlink()

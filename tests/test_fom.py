@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from lps_oracle import assemble_lps_fluctuation, gradient_sample_matrix
 from oracles import solve_stokes
@@ -14,6 +15,7 @@ from podflow.fom import (
     FOMConfig,
     FOMProblem,
     NonlinearSolveError,
+    _SaddleLayout,
     load_snapshots,
     record_snapshots,
     run_fom,
@@ -71,6 +73,24 @@ def test_problem_rejects_unknown_boundary_tag():
     case = FlowCase("bad", dirichlet={"obstacle": ZERO_BC})
     with pytest.raises(ValueError):
         FOMProblem(mesh, cfg, case)
+
+
+def test_boundary_values_find_each_tags_dofs_once(monkeypatch):
+    inflow = lambda x, y, t: (np.sin(3.0 * y + t), 0.25 * x)
+    case = FlowCase("inflow", dirichlet={"inlet": inflow, "wall": ZERO_BC})
+    cfg = FOMConfig(scheme="graddiv", nu=1e-2, dt=1e-2, t_final=0.1)
+    problem = FOMProblem(build_rect_mesh(1.0, 1.0, 3, 3), cfg, case)
+    space = problem.vel_space
+    n, lookup, calls = space.n_scalar, space.boundary_scalar_dofs, []
+    monkeypatch.setattr(space, "boundary_scalar_dofs",
+                        lambda tags=None: calls.append(tags) or lookup(tags))
+    for t in (0.0, 0.1, 0.2):
+        want = np.zeros(problem.n_velocity)
+        for tag, fn in case.dirichlet.items():
+            dofs = lookup(tag)
+            want[dofs], want[n + dofs] = fn(*space.dof_coords[dofs].T, t)
+        assert np.array_equal(problem.boundary_values(t).view(np.int64), want.view(np.int64))
+    assert sorted(calls) == ["inlet", "wall"]
 
 
 # -- time discretization ---------------------------------------------------
@@ -240,6 +260,121 @@ def test_implicit_euler_failure_raises_with_diagnostics():
     with pytest.raises(NonlinearSolveError) as info:
         run_fom(problem)
     assert len(info.value.residual_history) == 1
+
+
+# -- a step's lagged factor -------------------------------------------------
+
+
+def strong_swirl(x, y, t):
+    fx, fy = swirl_forcing(x, y, t)
+    return 100.0 * fx, 100.0 * fy
+
+
+def euler_cavity():
+    """A strongly forced implicit-Euler cavity of three steps and its run."""
+    cfg = FOMConfig(scheme="graddiv", nu=5e-3, dt=1e-2, t_final=0.03,
+                    time_integrator="implicit_euler", snapshot_window=(0.0, 0.03),
+                    stabilization=StabilizationConfig(grad_div=0.3))
+    problem = FOMProblem(build_rect_mesh(1.0, 1.0, 4, 4), cfg, enclosed_case(strong_swirl))
+    return problem, run_fom(problem)
+
+
+def convected(problem, w):
+    """The velocity values of an implicit-Euler sweep convected by ``w``."""
+    space = problem.vel_space
+    return problem.velocity_values(1.0 / problem.config.dt,
+                                   convection_matrix(space, FEField(space, w)))
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """The column ordering of each ``splu`` call made while it is active."""
+    specs, splu = [], spla.splu
+
+    def recording(a, **kwargs):
+        specs.append(kwargs.get("permc_spec", "COLAMD"))
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    return specs
+
+
+def backward_error_bound(a, x, b):
+    """4 eps (‖a‖ ‖x‖ + ‖b‖) in the infinity norm."""
+    return 4.0 * np.finfo(float).eps * (spla.norm(a, np.inf) * np.abs(x).max()
+                                        + np.abs(b).max())
+
+
+def test_later_picard_sweeps_refine_to_the_backward_error_bound(monkeypatch, factored):
+    solves, solve = [], _SaddleLayout.solve
+
+    def recording(self, values, rhs, lagged=None):
+        before = len(factored)
+        x = solve(self, values, rhs, lagged)
+        solves.append((values.copy(), rhs.copy(), x, factored[before:]))
+        return x
+
+    monkeypatch.setattr(_SaddleLayout, "solve", recording)
+    problem, run = euler_cavity()
+    monkeypatch.undo()
+    # the ordering factorization, then one factor per step
+    assert [specs for *_, specs in solves if specs] == [["COLAMD"]] + [["NATURAL"]] * 3
+    refined = [(values, rhs, x) for values, rhs, x, specs in solves if not specs]
+    assert len(refined) >= 6
+    layout = problem._saddle
+    for values, rhs, x in refined:
+        a = layout.system(values)
+        want = spla.splu(a).solve(rhs)
+        assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(rhs - a @ x).max() <= backward_error_bound(a, x, rhs)
+
+
+def test_a_far_off_factor_falls_back_to_splu_bit_for_bit(factored):
+    problem, run = euler_cavity()
+    layout = problem._saddle
+    w = run.snapshot_velocity[:, -1]
+    near, far = convected(problem, w), convected(problem, 1e4 * w)
+    rhs = np.random.default_rng(5).standard_normal(problem.free_global.size)
+    lagged = []
+    layout.solve(far, rhs, lagged)
+    far_factor = lagged[0]
+    del factored[:]
+    got = layout.solve(near, rhs, lagged)
+    # refinement with the far factor misses the bound, so the system is
+    # factored afresh and that factor replaces the step's
+    assert factored == ["NATURAL"]
+    assert len(lagged) == 1 and lagged[0] is not far_factor
+    want = spla.splu(layout.system(near)).solve(rhs)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # the next sweep refines against the new factor
+    del factored[:]
+    layout.solve(convected(problem, 0.99 * w), rhs, lagged)
+    assert factored == []
+
+
+def test_a_system_that_drops_an_entry_keeps_the_direct_path(factored):
+    problem, run = euler_cavity()
+    layout = problem._saddle
+    space = problem.vel_space
+    w = run.snapshot_velocity[:, -1]
+    lagged = []
+    rhs = np.random.default_rng(6).standard_normal(problem.free_global.size)
+    layout.solve(convected(problem, w), rhs, lagged)
+    factor = lagged[0]
+    # an exact zero in a free x free velocity entry, which SciPy's sum drops
+    conv = convection_matrix(space, FEField(space, 0.99 * w))
+    scale = 1.0 / problem.config.dt
+    base = scale * problem.mass + problem._static_velocity_block
+    coo = conv.tocoo()
+    free_v = set(problem.free_velocity.tolist())
+    k = next(k for k in range(conv.nnz) if coo.row[k] in free_v and coo.col[k] in free_v)
+    conv.data[k] = -base[coo.row[k], coo.col[k]]
+    values = problem.velocity_values(scale, conv)
+    del factored[:]
+    got = layout.solve(values, rhs, lagged)
+    assert factored == ["COLAMD"] and len(lagged) == 1 and lagged[0] is factor
+    want = spla.splu(layout.system(values)).solve(rhs)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # -- divergence behavior of solved states ------------------------------------

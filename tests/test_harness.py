@@ -682,6 +682,29 @@ def test_full_rank_coupled_replay_reproduces_the_full_order_drag_and_lift(tmp_pa
                       <= 1e-9 * np.maximum(1.0, np.abs(ref[2:4])))
 
 
+@pytest.mark.parametrize("integrator", ["implicit_euler", "bdf2_semi_implicit"])
+def test_the_full_order_run_factors_once_per_step(integrator, count_calls):
+    # a BDF2 step solves once; an implicit-Euler step factors at its first
+    # Picard sweep and refines its later sweeps against that factor, and
+    # the first step factors once more, for the column ordering
+    raw = channel_raw() if integrator == "implicit_euler" else base_raw()
+    raw["fom"]["time_integrator"] = integrator
+    cfg = ExperimentConfig.from_dict(raw)
+    count_calls(podflow.harness, "run_fom", "run", scoped=True)
+    count_calls(podflow.fom.spla, "splu", "splu")
+    count_calls(podflow.fom.FOMProblem, "solve_coupled", "solve")
+    _full_order(cfg, cfg.geometry.build(), drag_lift=True)
+    steps = cfg.fom.n_steps
+    assert count_calls.calls["run"] == 1 and steps == 6
+    if integrator == "implicit_euler":
+        # the Picard sweeps, as many as when every sweep factored
+        assert count_calls.calls["solve in run"] == 31
+        assert count_calls.calls["splu in run"] == steps + 1
+    else:
+        assert count_calls.calls["solve in run"] == steps
+        assert count_calls.calls["splu in run"] == steps
+
+
 @pytest.fixture(scope="module", params=["bdf2_semi_implicit", "implicit_euler"])
 def channel_steps(request):
     raw = channel_raw()

@@ -33,7 +33,7 @@ def test_a_copy_of_the_tree_is_identical_and_a_changed_one_differs(tmp_path):
     copy = tmp_path / "copy" / "src"
     shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
     differing, out = sweep(copy, tmp_path / "same")
-    assert differing == [], out
+    assert differing == {}, out
     assert out.startswith("identical  tiny_graddiv")
     assert (tmp_path / "same" / "work" / "ref" / "tiny_graddiv" / "errors.csv").is_file()
 
@@ -44,8 +44,12 @@ def test_a_copy_of_the_tree_is_identical_and_a_changed_one_differs(tmp_path):
     assert text.count(marker) == 2
     fom.write_text(text.replace(marker, marker.replace("config.nu", "(config.nu * (1 - 2**-52))")))
     differing, out = sweep(copy, tmp_path / "changed")
-    assert differing == ["tiny_graddiv"]
-    assert out.startswith("DIFFERS    tiny_graddiv")
+    assert list(differing) == ["tiny_graddiv"]
+    # a rounding-level change: the run's line gives its size
+    assert 0.0 < differing["tiny_graddiv"] < 1e-6
+    first = out.splitlines()[0]
+    assert first.startswith("DIFFERS    tiny_graddiv (")
+    assert first.endswith(f", max rel diff {differing['tiny_graddiv']:.1e})")
 
 
 def test_a_git_revision_exports_its_source_tree(tmp_path):

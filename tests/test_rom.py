@@ -872,6 +872,10 @@ def test_loaded_operators_reject_a_forcing(tmp_path):
     loaded = load_operators(path)
     assert np.array_equal(loaded.forcing_modes, ops.forcing_modes)
     # its time factors are not saved, so it cannot evaluate its load
+    message = (r"this operator set has forcing modes but no time factors \(it was "
+               r"loaded from a container\), so its load cannot be evaluated")
+    with pytest.raises(ValueError, match=message):
+        reduce_forcing(loaded, 0.37)
     with pytest.raises(ValueError, match="no time factors"):
         run_rom(loaded, 1, np.zeros(loaded.r))
 

@@ -9,6 +9,7 @@ Every file under either directory is reported as one of:
   relative difference of each column;
 - ``container``: a podflow binary container with the same metadata and
   arrays, with each array bitwise equal or its largest relative difference;
+  a metadata value that is a float on both sides is reported like an array;
 - ``differs``: anything else that is not byte-identical (another kind of
   file, a changed header, shape or metadata, or a file only one side has).
   For a container whose metadata changed, the metadata keys that differ
@@ -69,16 +70,21 @@ def _compare_csv(path_a, path_b):
 
 
 def _compare_container(path_a, path_b):
-    """(sorted metadata keys that differ, {array: largest relative
-    difference, 0 when bitwise equal}); the dict is None when the array
-    names or shapes differ."""
+    """(sorted metadata keys that differ, {array or float metadata value:
+    largest relative difference, 0 when bitwise equal}); a metadata key
+    whose values are both floats is compared as a value, not listed; the
+    dict is None when the array names or shapes differ."""
     (meta_a, arrays_a), (meta_b, arrays_b) = read_container(path_a), read_container(path_b)
     changed = sorted(k for k in meta_a.keys() | meta_b.keys() if meta_a.get(k) != meta_b.get(k))
+    values = {k: relative_difference(meta_a[k], meta_b[k]) for k in changed
+              if isinstance(meta_a.get(k), float) and isinstance(meta_b.get(k), float)}
+    changed = [k for k in changed if k not in values]
     if {n: a.shape for n, a in arrays_a.items()} != {n: b.shape for n, b in arrays_b.items()}:
         return changed, None
-    return changed, {name: 0.0 if a.tobytes() == arrays_b[name].tobytes()
-                     else relative_difference(a, arrays_b[name])
-                     for name, a in arrays_a.items()}
+    return changed, {**{name: 0.0 if a.tobytes() == arrays_b[name].tobytes()
+                        else relative_difference(a, arrays_b[name])
+                        for name, a in arrays_a.items()},
+                     **{f"{k} (metadata)": v for k, v in values.items()}}
 
 
 def compare_dirs(dir_a, dir_b):

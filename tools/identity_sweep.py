@@ -9,8 +9,9 @@ every run is made twice, each in its own process with BLAS and OpenMP
 pinned to one thread: once from ``REV``'s ``src/`` and once from the
 working tree's. Each pair of output directories is then compared file by
 file, byte for byte; for a pair that differs, ``compare_runs.compare_dirs``
-prints where. A change that claims bit-for-bit identical arithmetic must
-leave every pair identical.
+prints where, and the run's line and the closing summary give the largest
+relative difference it found. A change that claims bit-for-bit identical
+arithmetic must leave every pair identical.
 
 The runs are the tiny configs (grad-div, LPS, adaptive μ, centred POD, the
 holed channel under both schemes, the steady ``stokes_poly`` case), the
@@ -23,9 +24,11 @@ run the same inputs. The exit status is 0 when every pair is identical and
 """
 
 import argparse
+import contextlib
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -151,25 +154,32 @@ def _files(directory):
 
 def sweep(ref_src, names, work):
     """Run ``names`` from the source tree ``ref_src`` and from the working
-    tree, under ``work``; print one line per run and return the names that
-    differ."""
+    tree, under ``work``; print one line per run and return {name: largest
+    relative difference} of the runs that differ (inf for a file that
+    differs in kind or a run that failed)."""
     plan = runs()
-    differing = []
+    differing = {}
     for name in names:
         kind, spec = plan[name]
         start = time.perf_counter()
         dirs = [work / side / name for side in ("ref", "new")]
         errors = [run_one(src, kind, spec, d) for src, d in zip((ref_src, ROOT / "src"), dirs)]
         ref_files, new_files = (_files(d) for d in dirs)
-        same = errors == [None, None] and ref_files and ref_files == new_files
-        print(f"{'identical' if same else 'DIFFERS':<10} {name} "
-              f"({time.perf_counter() - start:.1f} s)", flush=True)
-        if not same:
-            differing.append(name)
-            for side, error in zip(("ref", "new"), errors):
-                if error:
-                    print(f"    {side} run failed: {error.splitlines()[-1]}")
-            compare_dirs(*dirs)
+        seconds = time.perf_counter() - start
+        ran = errors == [None, None] and bool(ref_files)
+        if ran and ref_files == new_files:
+            print(f"{'identical':<10} {name} ({seconds:.1f} s)", flush=True)
+            continue
+        report = io.StringIO()
+        with contextlib.redirect_stdout(report):
+            worst = compare_dirs(*dirs)
+        differing[name] = worst if ran else math.inf
+        print(f"{'DIFFERS':<10} {name} ({seconds:.1f} s, max rel diff "
+              f"{differing[name]:.1e})", flush=True)
+        for side, error in zip(("ref", "new"), errors):
+            if error:
+                print(f"    {side} run failed: {error.splitlines()[-1]}")
+        print(report.getvalue(), end="", flush=True)
     return differing
 
 
@@ -184,7 +194,8 @@ def main(argv=None):
         work = Path(tmp)
         differing = sweep(export_src(args.against, work / "tree"), names, work)
     print(f"{len(names) - len(differing)} of {len(names)} runs identical"
-          + (f"; differ: {', '.join(differing)}" if differing else ""))
+          + (f"; differ: {', '.join(f'{n} ({w:.1e})' for n, w in differing.items())}"
+             if differing else ""))
     return 1 if differing else 0
 
 
