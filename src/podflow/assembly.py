@@ -222,17 +222,15 @@ def assemble_divergence(vel_space, pres_space, qdegree=None):
     return _assemble(vel_space, [(0, 0), (0, 1)], local, row_space=pres_space)
 
 
-def assemble_grad_div(space, mu, qdegree=None):
-    """Grad-div matrix ``mu * (div u, div v)`` on a vector space."""
-    if mu <= 0.0:
-        raise ValueError("grad-div coefficient must be positive")
+def assemble_grad_div(space, qdegree=None):
+    """Unit grad-div matrix ``(div u, div v)`` on a vector space."""
     if space.components != 2:
         raise ValueError("grad-div requires a vector space")
     tab = _tables(space, qdegree or 2 * space.degree)
     grads = tab.grads
     blocks = [(a, b) for a in range(2) for b in range(2)]
-    local = [mu * np.einsum("q,e,eqi,eqj->eij", tab.rule.weights, tab.det,
-                            grads[..., a], grads[..., b]) for a, b in blocks]
+    local = [np.einsum("q,e,eqi,eqj->eij", tab.rule.weights, tab.det,
+                       grads[..., a], grads[..., b]) for a, b in blocks]
     return _assemble(space, blocks, local)
 
 

@@ -17,21 +17,21 @@ convection, which shares the mass pattern), the free x free system in CSC
 with the divergence and pressure stabilization blocks in place, and the
 free x fixed lifting of the boundary values. A sweep writes the velocity
 block's values into them and factors; the systems are bit for bit the ones
-SciPy's sparse sums, ``bmat`` and fancy indexing would build, exact zeros
-of the velocity block dropped as those sums drop them.
+SciPy's sparse sums, ``bmat`` and fancy indexing would build, except that
+an exactly-zero velocity entry, which those sums drop, stays a stored zero.
 
 SuperLU's column ordering (COLAMD) depends on the pattern alone, which the
 free x free system keeps, so it is computed once: the system is relabelled
 by the first factorization's order and later ones factor it as stored,
 with the same pivots and solutions, bit for bit.
 
-Every BDF2 solve, the first sweep of every implicit-Euler step and each
-system with an exactly-zero velocity entry is solved bit for bit as
-``splu`` of the system would solve it. A later Picard sweep of a step
-keeps the step's factor instead and refines its solution against it to a
-backward error of a few ulps (see :meth:`_SaddleLayout.solve`); a sweep
-whose refinement misses that within ``_REFINEMENT_CAP`` iterations
-factors afresh, bit for bit as ``splu`` again.
+Every BDF2 solve and the first sweep of every implicit-Euler step is
+solved bit for bit as ``splu`` of the stored system would solve it. A
+later Picard sweep of a step keeps the step's factor instead and refines
+its solution against it to a backward error of a few ulps (see
+:meth:`_SaddleLayout.solve`); a sweep whose refinement misses that within
+``_REFINEMENT_CAP`` iterations factors afresh, bit for bit as ``splu``
+again.
 """
 
 from __future__ import annotations
@@ -299,7 +299,7 @@ class FOMProblem:
         """The unit grad-div matrix, ``mu`` times which the grad-div scheme
         adds to its velocity block; for the equal-order scheme it is
         assembled on first use, by the reduced models."""
-        return assemble_grad_div(self.vel_space, 1.0)
+        return assemble_grad_div(self.vel_space)
 
     @cached_property
     def load_shapes(self):
@@ -338,7 +338,7 @@ class FOMProblem:
         is the viscous and stabilization part and ``convection`` a matrix
         from :func:`~podflow.assembly.convection_matrix`. Each entry equals
         the one SciPy's sparse sum of the same matrices gives, bit for bit;
-        the entries that sum drops are exactly zero here."""
+        an entry that sum drops is a stored zero here, and in the system."""
         layout = self._saddle
         values = np.zeros(layout.indices.size)
         values[layout.static_slots] = self._static_velocity_block.data
@@ -352,7 +352,7 @@ class FOMProblem:
         layout = self._saddle
         return sp.csr_matrix((values, layout.indices, layout.indptr), shape=layout.shape)
 
-    def solve_coupled(self, velocity_values, rhs_velocity, boundary, lagged=None):
+    def solve_coupled(self, velocity_values, rhs_velocity, boundary, lagged):
         """Solve one saddle-point system with boundary elimination: the
         velocity block has :meth:`velocity_values`, and ``boundary`` is
         :meth:`boundary_values` at the new time. ``lagged`` is a step's
@@ -443,7 +443,7 @@ class _SaddleLayout:
         self._lifting = cut(fixed_v, fixed_p, "csr")
         self.lifting_slots, self.lifting_source = _take_positions(
             self._lifting, free_v.size, fixed_v.size)
-        self._order = self._labels = None  # set by the first solve of the full pattern
+        self._order = None  # set by the first solve
 
     def lifting(self, values):
         """The free x fixed block with the velocity ``values``; an entry that
@@ -451,50 +451,27 @@ class _SaddleLayout:
         self._lifting.data[self.lifting_slots] = values[self.lifting_source]
         return self._lifting
 
-    def _fill(self, values):
-        """Write the velocity ``values`` into the system; True where zero."""
-        v = values[self.system_source]
-        self._system.data[self.system_slots] = v
-        return v == 0.0
-
-    def system(self, values):
-        """The free x free system with the velocity ``values`` in the original
-        order, without the velocity entries that are exactly zero, which
-        SciPy's sparse sums drop and the LU's column ordering would see."""
-        a = self._system
-        zero = self._fill(values)
-        if not zero.any() and self._order is None:
-            return a
-        keep = np.ones(a.nnz, dtype=bool)
-        keep[self.system_slots[zero]] = False
-        dropped = np.concatenate([[0], np.cumsum(~keep)])[a.indptr]
-        arrays = a.data[keep], a.indices[keep], a.indptr - dropped
-        if self._order is not None:
-            arrays = _relabelled(*arrays, self._labels, self._order)[:3]
-        return sp.csc_matrix(arrays, shape=a.shape)
-
-    def solve(self, values, rhs, lagged=None):
+    def solve(self, values, rhs, lagged):
         """Solve the system with the velocity ``values`` for ``rhs``, bit for
-        bit as ``spla.splu(self.system(values))`` does: in the order of the
-        first factorization of the full pattern, or afresh for a system
-        that drops entries.
+        bit as ``splu`` of the stored system in the original order does: the
+        first solve factors it with COLAMD and relabels it by that order,
+        and later factors take it as stored. An exactly-zero velocity entry
+        stays in the pattern, so the factor is of that same matrix.
 
         ``lagged`` is a list of at most one factor, which a step's sweeps
-        share: a factor of the full pattern made here replaces its entry,
-        and while it holds one, a system of the full pattern is solved by
-        iterative refinement against it instead, to a backward error of
-        4 eps (see :func:`_refined`). Only when that misses within
-        ``_REFINEMENT_CAP`` corrections is the system factored afresh, bit
-        for bit as without ``lagged``."""
-        if self._order is None or self._fill(values).any():
-            a = self.system(values)
-            lu = spla.splu(a)
+        share: a factor made here after the first solve replaces its entry,
+        and while it holds one, the system is solved by iterative refinement
+        against it instead, to a backward error of 4 eps (see
+        :func:`_refined`). Only when that misses within ``_REFINEMENT_CAP``
+        corrections is the system factored afresh, bit for bit as with an
+        empty ``lagged``."""
+        self._system.data[self.system_slots] = values[self.system_source]
+        if self._order is None:
+            lu = spla.splu(self._system)
             x, perm_c = lu.solve(rhs), lu.perm_c.copy()
-            if a is self._system:
-                del lu  # free the factor before the relabelled copy is made
-                self._relabel(perm_c)
+            del lu  # free the factor before the relabelled copy is made
+            self._relabel(perm_c)
             return x
-        lagged = [] if lagged is None else lagged
         b = rhs[self._order]
         y = _refined(self._system, lagged[0], b) if lagged else None
         if y is None:
@@ -512,13 +489,19 @@ class _SaddleLayout:
         follows and which the canonical flag keeps ``splu`` from sorting."""
         a = self._system
         order = np.argsort(perm_c).astype(perm_c.dtype)
-        data, indices, indptr, moved = _relabelled(a.data, a.indices, a.indptr, order, perm_c)
+        counts = np.diff(a.indptr)[order]
+        indptr = np.zeros_like(a.indptr)
+        np.cumsum(counts, out=indptr[1:])
+        # the old position of each entry, columns in ``order``
+        moved = (np.repeat(a.indptr[order] - indptr[:-1], counts)
+                 + np.arange(indptr[-1], dtype=indptr.dtype))
         place = np.empty_like(moved)
         place[moved] = np.arange(moved.size, dtype=moved.dtype)
         self.system_slots = place[self.system_slots]
-        self._system = sp.csc_matrix((data, indices, indptr), shape=a.shape)
+        self._system = sp.csc_matrix((a.data[moved], perm_c[a.indices[moved]], indptr),
+                                     shape=a.shape)
         self._system.has_canonical_format = True
-        self._order, self._labels = order, perm_c
+        self._order = order
 
 
 def _refined(a, lu, b):
@@ -536,17 +519,6 @@ def _refined(a, lu, b):
             return x
         x += lu.solve(r)
     return None
-
-
-def _relabelled(data, indices, indptr, order, labels):
-    """CSC arrays with the columns taken in ``order``, row i renamed
-    ``labels[i]`` and entries in stored sequence, and their old positions."""
-    counts = np.diff(indptr)[order]
-    new_indptr = np.zeros_like(indptr)
-    np.cumsum(counts, out=new_indptr[1:])
-    moved = (np.repeat(indptr[order] - new_indptr[:-1], counts)
-             + np.arange(new_indptr[-1], dtype=indptr.dtype))
-    return data[moved], labels[indices[moved]], new_indptr, moved
 
 
 def _step(problem, state):

@@ -57,6 +57,7 @@ from .pod import build_basis, project_L2, reduced_stiffness, save_basis
 from .rom import (
     AdaptiveMuConfig,
     _project,
+    _whitened_coupling_svd,
     build_rom_operators,
     compute_supremizers,
     principal_angle_cosine,
@@ -715,11 +716,8 @@ def _resting_family_mixing(config):
     lower = np.linalg.cholesky(0.5 * (gram + gram.T))
     orthonormal = np.linalg.solve(lower, raw.T).T
     z = compute_supremizers(problem, orthonormal)
-    coupling = (orthonormal.T @ (problem.divergence @ z)).T
-    h = z.T @ ((problem.mass + problem.stiffness) @ z)
-    chol = np.linalg.cholesky(0.5 * (h + h.T))
-    whitened = np.linalg.solve(chol, coupling)
-    _, singular_values, vt = np.linalg.svd(whitened)
+    _, singular_values, vt = _whitened_coupling_svd(
+        z, orthonormal, problem.divergence, problem.mass, problem.stiffness)
     hardest_first = np.argsort(singular_values)
     mixing = vt.T[:, hardest_first]
     return np.linalg.solve(lower.T, mixing)

@@ -281,25 +281,21 @@ def build_rom_operators(problem, vel_basis, pres_basis=None, r=None,
     return ops
 
 
-def truncate_operators(ops, r, r_pressure=None):
+def truncate_operators(ops, r, r_pressure):
     """Restrict operators to a smaller leading block without reassembly.
 
-    ``r_pressure`` (default: all) cuts the coupled scheme's pressure modes,
-    or the recovery's pressure modes and supremizers; a recovery with fewer
+    ``r_pressure`` cuts the coupled scheme's pressure modes, or the
+    recovery's pressure modes and supremizers; a recovery with fewer
     supremizers than ``r_pressure`` becomes None.
     """
     if not 1 <= r <= ops.r:
         raise ValueError(f"truncation size {r} outside 1..{ops.r}")
-    rp = None
-    if ops.divergence is not None:
-        rp = ops.r_pressure if r_pressure is None else int(r_pressure)
-        if not 1 <= rp <= ops.r_pressure:
-            raise ValueError(f"pressure truncation {rp} outside 1..{ops.r_pressure}")
+    rp = int(r_pressure)
+    if ops.divergence is not None and not 1 <= rp <= ops.r_pressure:
+        raise ValueError(f"pressure truncation {rp} outside 1..{ops.r_pressure}")
     recovery = ops.recovery
     if recovery is not None:
-        n_sup = recovery.coupling.shape[0]
-        rp_sup = n_sup if r_pressure is None else int(r_pressure)
-        recovery = recovery.truncate(r, rp_sup) if rp_sup <= n_sup else None
+        recovery = recovery.truncate(r, rp) if rp <= recovery.coupling.shape[0] else None
     return replace(_leading_blocks(ops, int(r), int(r), rp), recovery=recovery)
 
 
@@ -613,11 +609,17 @@ def supremizer_stability(z, psi, divergence, mass, stiffness):
     """
     if z.shape[1] == 0:
         return 0.0
+    return float(_whitened_coupling_svd(z, psi, divergence, mass, stiffness)[1].min())
+
+
+def _whitened_coupling_svd(z, psi, divergence, mass, stiffness):
+    """SVD ``(u, s, vt)`` of the divergence coupling of the columns of
+    ``psi`` with those of ``z``, whitened by the Cholesky factor of the
+    Gram matrix of ``z`` in the full velocity norm (mass plus gradient)."""
     coupling = (psi.T @ (divergence @ z)).T
-    h = z.T @ (mass @ z) + z.T @ (stiffness @ z)
+    h = z.T @ ((mass + stiffness) @ z)
     chol = np.linalg.cholesky(0.5 * (h + h.T))
-    whitened = sla.solve_triangular(chol, coupling, lower=True)
-    return float(np.linalg.svd(whitened, compute_uv=False).min())
+    return np.linalg.svd(np.linalg.solve(chol, coupling))
 
 
 class PressureRecovery:

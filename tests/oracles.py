@@ -7,6 +7,7 @@ as an executable check.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 import podflow.assembly
 from podflow.fe_space import FEField, reference_basis, triangle_quadrature
@@ -120,8 +121,20 @@ def supremizer_solutions(problem, psi):
 def solve_stokes(problem, t=0.0):
     """Steady linear solve with the problem's viscous and stabilized forms."""
     rhs = problem.load_vector(t)
-    u, p = problem.solve_coupled(problem.velocity_values(0.0), rhs, problem.boundary_values(t))
+    u, p = problem.solve_coupled(problem.velocity_values(0.0), rhs,
+                                 problem.boundary_values(t), [])
     return FEField(problem.vel_space, u, t), FEField(problem.pres_space, p, t)
+
+
+def saddle_system(problem, values):
+    """The free x free saddle-point system in CSC, in the original DOF
+    order, with the velocity block of ``values`` (see
+    :meth:`~podflow.fom.FOMProblem.velocity_values`): the whole system by
+    ``bmat``, cut to the free DOFs by fancy indexing."""
+    system = sp.bmat([[problem.velocity_block(values), -problem.divergence.T],
+                      [problem.divergence, problem.pressure_stabilization]], format="csr")
+    free = problem.free_global
+    return sp.csc_matrix(system[free][:, free])
 
 
 def triple_norm(z, vel_modes, divergence, stiffness, s_pres):

@@ -145,29 +145,17 @@ def test_divergence_residual_vanishes_for_symmetric_field():
 
 def test_grad_div_rigid_rotation_in_kernel():
     space = FESpace(build_rect_mesh(1.0, 1.0, 4, 4), 2, components=2)
-    g = assemble_grad_div(space, mu=2.5)
+    g = assemble_grad_div(space)
     u = interpolate(space, lambda x, y: (-y, x))
     assert np.abs(g @ u.coefficients).max() < 1e-12
 
 
-def test_grad_div_exact_value_and_mu_scaling():
+def test_grad_div_exact_value():
     mesh = build_rect_mesh(1.0, 1.0, 4, 4)
     space = FESpace(mesh, 2, components=2)
     u = interpolate(space, lambda x, y: (x, y))
-    for mu in (1.0, 2.0):
-        g = assemble_grad_div(space, mu=mu)
-        assert u.coefficients @ g @ u.coefficients == pytest.approx(4.0 * mu * mesh.area, rel=1e-13)
-    g1 = assemble_grad_div(space, mu=1.0)
-    g2 = assemble_grad_div(space, mu=2.0)
-    assert np.allclose(2.0 * g1.toarray(), g2.toarray(), rtol=1e-14)
-
-
-def test_grad_div_rejects_nonpositive_mu():
-    space = FESpace(build_rect_mesh(1.0, 1.0, 2, 2), 2, components=2)
-    with pytest.raises(ValueError):
-        assemble_grad_div(space, mu=0.0)
-    with pytest.raises(ValueError):
-        assemble_grad_div(space, mu=-1.0)
+    g = assemble_grad_div(space)
+    assert u.coefficients @ g @ u.coefficients == pytest.approx(4.0 * mesh.area, rel=1e-13)
 
 
 # -- convection ---------------------------------------------------------
@@ -357,7 +345,7 @@ def test_lps_matches_factored_fluctuation_oracle():
     [
         lambda s: assemble_mass(s),
         lambda s: assemble_stiffness(s),
-        lambda s: assemble_grad_div(s, mu=1.7),
+        lambda s: assemble_grad_div(s),
     ],
 )
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -401,7 +389,7 @@ def test_operator_kernels_on_random_meshes(mesh, seed):
                                             c[1] + c[5] * x + c[6] * y))
     linear_p = interpolate(pres, lambda x, y: c[2] + c[7] * x + c[8] * y)
     assert _annihilates(assemble_stiffness(vel), constant.coefficients)
-    grad_div = assemble_grad_div(vel, mu=1.7)
+    grad_div = assemble_grad_div(vel)
     assert _annihilates(grad_div, constant.coefficients)
     assert _annihilates(grad_div, rotation.coefficients)
     lps = assemble_lps_matrices(vel, pres, StabilizationConfig())
@@ -434,7 +422,7 @@ def test_quadrature_degree_sufficiency():
     pairs = [
         (assemble_mass(vel), assemble_mass(vel, qdegree=6)),
         (assemble_stiffness(vel), assemble_stiffness(vel, qdegree=6)),
-        (assemble_grad_div(vel, 1.0), assemble_grad_div(vel, 1.0, qdegree=6)),
+        (assemble_grad_div(vel), assemble_grad_div(vel, qdegree=6)),
         (assemble_divergence(vel, pres2), assemble_divergence(vel, pres2, qdegree=6)),
         (convection_matrix(vel, w), convection_matrix(vel, w, qdegree=8)),
     ]
@@ -489,7 +477,7 @@ def test_every_assembler_matches_scipy_coo_to_csr_bit_for_bit(mesh, seed):
             assemble_stiffness(space)
         assemble_divergence(vel, p1)
         assemble_divergence(vel, p2)
-        assemble_grad_div(vel, 1.7)
+        assemble_grad_div(vel)
         assemble_lps_matrices(vel, p2, StabilizationConfig())
         for _ in range(2):  # the second call reuses the scatter
             convection_matrix(vel, FEField(vel, rng.standard_normal(vel.n_dofs)))
@@ -529,33 +517,23 @@ def test_saddle_layout_matches_the_block_system_cut_by_scipy(mesh, scheme, enclo
     space = problem.vel_space
     conv = convection_matrix(space, FEField(space, rng.standard_normal(space.n_dofs)))
     scale = 1.5 / problem.config.dt
-    base = scale * problem.mass + problem._static_velocity_block
-    # force an exact zero in a free x free velocity entry of the block:
-    # SciPy's sum drops it, and so must the layout
-    free_v = set(problem.free_velocity.tolist())
-    coo = conv.tocoo()
-    inside = [k for k in range(conv.nnz)
-              if coo.row[k] in free_v and coo.col[k] in free_v]
-    k = inside[rng.integers(len(inside))]
-    conv.data[k] = -base[coo.row[k], coo.col[k]]
-    block = base + conv
-    assert block[coo.row[k], coo.col[k]] == 0.0 and block.nnz < conv.nnz + base.nnz
+    block = scale * problem.mass + problem._static_velocity_block + conv
 
     values = problem.velocity_values(scale, conv)
     system = sp.bmat([[block, -problem.divergence.T],
                       [problem.divergence, problem.pressure_stabilization]], format="csr")
     free, fixed = problem.free_global, problem.constrained_global
     layout = problem._saddle
-    got = layout.system(values)
+    # the system before the first solve relabels it, the values written
+    # into its places as a solve writes them
+    got = layout._system.copy()
+    got.data[layout.system_slots] = values[layout.system_source]
     assert_bitwise_equal(got, sp.csc_matrix(system[free][:, free]))
-    assert got.nnz == layout._system.nnz - 1
     boundary = np.concatenate([problem.boundary_values(0.3), np.zeros(problem.n_pressure)])
     assert np.array_equal(layout.lifting(values) @ boundary[fixed],
                           system[free][:, fixed] @ boundary[fixed])
     u = rng.standard_normal(space.n_dofs)
     assert np.array_equal(problem.velocity_block(values) @ u, block @ u)
-    # without the forced zero the full pattern is used as it stands
-    assert layout.system(problem.velocity_values(scale)) is layout._system
 
 
 def _field_values(kind, n, rng):
@@ -610,31 +588,18 @@ def test_layout_solves_equal_splu_of_the_scipy_system_bit_for_bit(mesh, scheme, 
         splu = spla.splu
         mp.setattr(spla, "splu", recording)
         base = scale * problem.mass + problem._static_velocity_block
-        free_v = set(problem.free_velocity.tolist())
         for k in range(4):
             conv = convection_matrix(space, FEField(space, rng.standard_normal(space.n_dofs)))
-            if k == 2:
-                # an exact zero in a free x free velocity entry: SciPy's sum
-                # drops it, and the layout factors the smaller pattern afresh
-                coo = conv.tocoo()
-                inside = [i for i in range(conv.nnz)
-                          if coo.row[i] in free_v and coo.col[i] in free_v]
-                i = inside[rng.integers(len(inside))]
-                conv.data[i] = -base[coo.row[i], coo.col[i]]
-            block = base + conv
             values = problem.velocity_values(scale, conv)
-            want_system = scipy_system(block)
+            want_system = scipy_system(base + conv)
             rhs = rng.standard_normal(free.size)
             want = splu(want_system).solve(rhs)
-            got = layout.solve(values, rhs)
+            got = layout.solve(values, rhs, [])
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), k
-            # the layout's own system stays the SciPy one in the original order
-            assert_bitwise_equal(layout.system(values), want_system)
-    # COLAMD once, NATURAL after it, COLAMD for the dropped pattern, NATURAL
+    # COLAMD once, then NATURAL on the relabelled system
     specs = [spec for spec, _ in factors]
-    assert specs == ["COLAMD", "NATURAL", "COLAMD", "NATURAL"]
-    identity = [np.array_equal(lu.perm_c, np.arange(free.size)) for _, lu in factors]
-    assert identity[1] and identity[3]
+    assert specs == ["COLAMD", "NATURAL", "NATURAL", "NATURAL"]
+    assert all(np.array_equal(lu.perm_c, np.arange(free.size)) for _, lu in factors[1:])
 
 
 def test_caches_are_freed_with_their_space_and_problem():

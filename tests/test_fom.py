@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from lps_oracle import assemble_lps_fluctuation, gradient_sample_matrix
-from oracles import solve_stokes
+from oracles import saddle_system, solve_stokes
 
 from podflow.assembly import StabilizationConfig, convection_matrix
 from podflow.fe_space import FEField, interpolate
@@ -308,7 +308,7 @@ def backward_error_bound(a, x, b):
 def test_later_picard_sweeps_refine_to_the_backward_error_bound(monkeypatch, factored):
     solves, solve = [], _SaddleLayout.solve
 
-    def recording(self, values, rhs, lagged=None):
+    def recording(self, values, rhs, lagged):
         before = len(factored)
         x = solve(self, values, rhs, lagged)
         solves.append((values.copy(), rhs.copy(), x, factored[before:]))
@@ -321,9 +321,8 @@ def test_later_picard_sweeps_refine_to_the_backward_error_bound(monkeypatch, fac
     assert [specs for *_, specs in solves if specs] == [["COLAMD"]] + [["NATURAL"]] * 3
     refined = [(values, rhs, x) for values, rhs, x, specs in solves if not specs]
     assert len(refined) >= 6
-    layout = problem._saddle
     for values, rhs, x in refined:
-        a = layout.system(values)
+        a = saddle_system(problem, values)
         want = spla.splu(a).solve(rhs)
         assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
         assert np.abs(rhs - a @ x).max() <= backward_error_bound(a, x, rhs)
@@ -344,7 +343,7 @@ def test_a_far_off_factor_falls_back_to_splu_bit_for_bit(factored):
     # factored afresh and that factor replaces the step's
     assert factored == ["NATURAL"]
     assert len(lagged) == 1 and lagged[0] is not far_factor
-    want = spla.splu(layout.system(near)).solve(rhs)
+    want = spla.splu(saddle_system(problem, near)).solve(rhs)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     # the next sweep refines against the new factor
     del factored[:]
@@ -352,15 +351,12 @@ def test_a_far_off_factor_falls_back_to_splu_bit_for_bit(factored):
     assert factored == []
 
 
-def test_a_system_that_drops_an_entry_keeps_the_direct_path(factored):
+def test_an_exact_zero_stays_a_stored_zero_of_the_one_pattern(factored):
     problem, run = euler_cavity()
     layout = problem._saddle
     space = problem.vel_space
     w = run.snapshot_velocity[:, -1]
-    lagged = []
     rhs = np.random.default_rng(6).standard_normal(problem.free_global.size)
-    layout.solve(convected(problem, w), rhs, lagged)
-    factor = lagged[0]
     # an exact zero in a free x free velocity entry, which SciPy's sum drops
     conv = convection_matrix(space, FEField(space, 0.99 * w))
     scale = 1.0 / problem.config.dt
@@ -370,11 +366,18 @@ def test_a_system_that_drops_an_entry_keeps_the_direct_path(factored):
     k = next(k for k in range(conv.nnz) if coo.row[k] in free_v and coo.col[k] in free_v)
     conv.data[k] = -base[coo.row[k], coo.col[k]]
     values = problem.velocity_values(scale, conv)
+    assert problem.velocity_block(values)[coo.row[k], coo.col[k]] == 0.0
+    nnz = layout._system.nnz
     del factored[:]
-    got = layout.solve(values, rhs, lagged)
-    assert factored == ["COLAMD"] and len(lagged) == 1 and lagged[0] is factor
-    want = spla.splu(layout.system(values)).solve(rhs)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    x = layout.solve(values, rhs, [])
+    # the ordering of the run's first solve serves: one NATURAL factor of
+    # the same pattern, the zero kept in it
+    assert layout._system.nnz == nnz
+    assert factored == ["NATURAL"]
+    a = saddle_system(problem, values)
+    want = np.linalg.solve(a.toarray(), rhs)
+    assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(rhs - a @ x).max() <= backward_error_bound(a, x, rhs)
 
 
 # -- divergence behavior of solved states ------------------------------------

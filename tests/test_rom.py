@@ -203,7 +203,7 @@ def test_separable_forcing_projects_like_its_assembled_load():
             expected = modes.T @ load
             assert np.abs(projected - expected).max() \
                 <= 1e-12 * np.abs(expected).max()
-    cut = truncate_operators(ops, 3)
+    cut = truncate_operators(ops, 3, 3)
     assert np.array_equal(cut.forcing_modes, ops.forcing_modes[:3])
     assert np.array_equal(reduce_forcing(cut, 0.37),
                           ops.forcing_modes[:3] @ separable_swirl.coefficients(0.37))
@@ -230,7 +230,7 @@ def test_truncation_cuts_the_pressure_recovery():
     assert_same_arrays(cut.recovery.operators, direct.recovery.operators)
     assert np.abs(cut.recovery.coupling - direct.recovery.coupling).max() \
         <= 1e-13 * np.abs(direct.recovery.coupling).max()
-    assert truncate_operators(ops, 2).recovery.coupling.shape == (3, 3)
+    assert truncate_operators(ops, 2, 3).recovery.coupling.shape == (3, 3)
     assert truncate_operators(ops, 2, 4).recovery is None
     assert build_rom_operators(problem, vel_basis).recovery is None
 
@@ -288,7 +288,7 @@ def test_truncated_builds_match_direct_builds_at_random_sizes(full_builds, data)
     problem, vel_basis, pres_basis, full = graddiv
     r = data.draw(st.integers(1, full.r), label="r (velocity only)")
     rp = data.draw(st.integers(1, sup.shape[1]), label="supremizers")
-    assert_same_arrays(truncate_operators(full, r),
+    assert_same_arrays(truncate_operators(full, r, rp),
                        build_rom_operators(problem, vel_basis, r=r))
     cut = recovery.truncate(r, rp)
     direct = PressureRecovery(problem, replace(vel_basis, r=r),
