@@ -10,7 +10,8 @@ What depends only on the space is built once, on first use, and kept in
 its ``assembly_cache``: per quadrature degree the element geometry (rule,
 reference values, physical gradients and points, Jacobian determinants),
 and per block layout the CSR pattern with the gather that sums each
-entry's element contributions. A matrix equals SciPy's COO -> CSR
+entry's element contributions. :func:`_release_static_caches` frees what
+only a problem's static operators use. A matrix equals SciPy's COO -> CSR
 conversion of the same local values bit for bit, so repeated assembly, of
 the convection matrix at every full-order sweep above all, costs only the
 element kernels and one gather.
@@ -188,6 +189,14 @@ def _diagonal_blocks(space):
     return [(c, c) for c in range(space.components)]
 
 
+def _release_static_caches(vel_space, pres_space):
+    """Drop what the spaces cached for a problem's static operators alone:
+    all but the velocity mass scatter, which each convection reuses."""
+    key = ("scatter", None, tuple(_diagonal_blocks(vel_space)))
+    vel_space.assembly_cache = {k: v for k, v in vel_space.assembly_cache.items() if k == key}
+    pres_space.assembly_cache.clear()
+
+
 def assemble_mass(space, qdegree=None):
     """L2 mass matrix; block-diagonal over components for vector spaces."""
     tab = _tables(space, qdegree or 2 * space.degree)
@@ -308,22 +317,31 @@ def convection_matrix(space, convecting, qdegree=None):
     return _assemble(space, _diagonal_blocks(space), [local, local])
 
 
-def assemble_load(space, g, t=None, qdegree=None):
-    """Load vector ``(g, v)`` for an analytic source.
+def _load_points(space):
+    """The ``(nt, nq)`` x and y of the points :func:`assemble_load` samples."""
+    points = _tables(space, 3 * space.degree).points
+    return points[..., 0], points[..., 1]
 
-    ``g(x, y)`` (or ``g(x, y, t)``) must broadcast over arrays and return one
-    array per component.
-    """
-    tab = _tables(space, qdegree or 3 * space.degree)
-    x, y = tab.points[..., 0], tab.points[..., 1]
-    data = g(x, y) if t is None else g(x, y, t)
+
+def _integrate_load(space, data):
+    """Load vector ``(g, v)`` from ``data``, the values of ``g`` at
+    :func:`_load_points`: one array (or scalar) per component."""
+    tab = _tables(space, 3 * space.degree)
     if space.components == 1:
         data = (data,)
     out = []
     for c in range(space.components):
-        gc = np.broadcast_to(np.asarray(data[c], dtype=np.float64), x.shape)
+        gc = np.broadcast_to(np.asarray(data[c], dtype=np.float64), tab.points.shape[:2])
         local = np.einsum("q,e,eq,qi->ei", tab.rule.weights, tab.det, gc, tab.values)
         # bincount adds each DOF's terms in element order, as np.add.at did
         out.append(np.bincount(space.cell_scalar_dofs.ravel(), weights=local.ravel(),
                                minlength=space.n_scalar))
     return np.concatenate(out)
+
+
+def assemble_load(space, g, t=None):
+    """Load vector ``(g, v)`` for an analytic source ``g(x, y)`` (or
+    ``g(x, y, t)``), which must broadcast over arrays and return one array
+    per component."""
+    x, y = _load_points(space)
+    return _integrate_load(space, g(x, y) if t is None else g(x, y, t))

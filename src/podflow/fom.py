@@ -11,14 +11,15 @@ coefficients of both and :func:`solve_step` their sweeps, for the
 full-order and the reduced models alike. Each step keeps its momentum
 residual, zero on the free velocity DOFs, for drag and lift to test.
 
-A problem builds its saddle-point structures once, on first solve: the
-velocity block's pattern (mass, viscous and stabilization terms, and
-convection, which shares the mass pattern), the free x free system in CSC
-with the divergence and pressure stabilization blocks in place, and the
-free x fixed lifting of the boundary values. A sweep writes the velocity
-block's values into them and factors; the systems are bit for bit the ones
-SciPy's sparse sums, ``bmat`` and fancy indexing would build, except that
-an exactly-zero velocity entry, which those sums drop, stays a stored zero.
+A problem builds once what its steps do not change: a separable forcing's
+shape values at the load's quadrature points, the velocity block's part
+without convection per mass scale, and on first solve that block's pattern,
+the free x free system in CSC with the divergence and pressure
+stabilization blocks in place and the free x fixed lifting of the boundary
+values. A step sums the shapes with its time factors; a sweep adds its
+convection and factors. All is bit for bit what assembling afresh, SciPy's
+sparse sums, ``bmat`` and fancy indexing give, but an exactly-zero velocity
+entry, which those sums drop, stays a stored zero.
 
 SuperLU's column ordering (COLAMD) depends on the pattern alone, which the
 free x free system keeps, so it is computed once: the system is relabelled
@@ -45,6 +46,9 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (
     StabilizationConfig,
+    _integrate_load,
+    _load_points,
+    _release_static_caches,
     assemble_divergence,
     assemble_grad_div,
     assemble_load,
@@ -137,8 +141,8 @@ class SeparableForcing:
 
     ``shapes`` are the callables ``g_q(x, y)`` returning two components,
     ``coefficients(t)`` returns the Q time factors ``theta(t)`` and
-    ``scale`` is a constant amplitude. Calling the object evaluates the sum
-    term by term, so it serves wherever a forcing callable does.
+    ``scale`` is a constant amplitude. Calling the object sums the shapes
+    with :meth:`combine`, so it serves wherever a forcing callable does.
     """
 
     shapes: tuple
@@ -146,9 +150,12 @@ class SeparableForcing:
     scale: float = 1.0
 
     def __call__(self, x, y, t):
+        return self.combine([shape(x, y) for shape in self.shapes], t)
+
+    def combine(self, values, t):
+        """The force at time t from the shapes' ``(gx, gy)`` ``values``."""
         fx = fy = 0.0
-        for theta, shape in zip(self.coefficients(t), self.shapes):
-            gx, gy = shape(x, y)
+        for theta, (gx, gy) in zip(self.coefficients(t), values):
             fx = fx + theta * gx
             fy = fy + theta * gy
         return self.scale * fx, self.scale * fy
@@ -265,6 +272,8 @@ class FOMProblem:
             pres_pinned = np.empty(0, dtype=np.int64)
         self.free_global = np.concatenate([self.free_velocity, n_v + pres_free])
         self.constrained_global = np.concatenate([self.constrained_velocity, n_v + pres_pinned])
+        _release_static_caches(self.vel_space, self.pres_space)
+        self._velocity_base = None, None  # (mass scale, values), see velocity_values
 
     @property
     def n_velocity(self):
@@ -302,6 +311,12 @@ class FOMProblem:
         return assemble_grad_div(self.vel_space)
 
     @cached_property
+    def _shape_values(self):
+        """Each forcing shape's ``(gx, gy)`` at the load's quadrature points."""
+        x, y = _load_points(self.vel_space)
+        return [shape(x, y) for shape in self.case.forcing.shapes]
+
+    @cached_property
     def load_shapes(self):
         """(n, Q) loads of ``scale * g_q`` of the separable forcing, so that
         ``load_shapes @ coefficients(t)`` is its load at time t; None for an
@@ -314,15 +329,18 @@ class FOMProblem:
             raise ValueError("a reduced model projects its load through a SeparableForcing; "
                              f"the problem's forcing is a {type(forcing).__name__}")
         return forcing.scale * np.column_stack(
-            [assemble_load(self.vel_space, g) for g in forcing.shapes])
+            [_integrate_load(self.vel_space, g) for g in self._shape_values])
 
     def load_vector(self, t):
-        """Full-order load at time t, assembled from the forcing itself:
-        a full-order step costs O(mesh) anyway, and its trajectory then
-        does not depend on how the forcing is split into terms."""
-        if self.case.forcing is None:
+        """Full-order load at time t, bit for bit ``assemble_load`` of the
+        forcing: a separable one sums its kept shape values term by term
+        (``load_shapes @ coefficients(t)`` would round differently)."""
+        forcing = self.case.forcing
+        if forcing is None:
             return np.zeros(self.n_velocity)
-        return assemble_load(self.vel_space, self.case.forcing, t)
+        if not isinstance(forcing, SeparableForcing):
+            return assemble_load(self.vel_space, forcing, t)
+        return _integrate_load(self.vel_space, forcing.combine(self._shape_values, t))
 
     def remove_pressure_mean(self, p):
         mean = float(np.ones(self.n_pressure) @ (self.pressure_mass @ p)) / self.mesh.area
@@ -338,11 +356,15 @@ class FOMProblem:
         is the viscous and stabilization part and ``convection`` a matrix
         from :func:`~podflow.assembly.convection_matrix`. Each entry equals
         the one SciPy's sparse sum of the same matrices gives, bit for bit;
-        an entry that sum drops is a stored zero here, and in the system."""
+        an entry that sum drops is a stored zero here, and in the system. The
+        part without convection is kept for the last mass scale."""
         layout = self._saddle
-        values = np.zeros(layout.indices.size)
-        values[layout.static_slots] = self._static_velocity_block.data
-        values[layout.mass_slots] += mass_scale * self.mass.data
+        if self._velocity_base[0] != mass_scale:
+            base = np.zeros(layout.indices.size)
+            base[layout.static_slots] = self._static_velocity_block.data
+            base[layout.mass_slots] += mass_scale * self.mass.data
+            self._velocity_base = mass_scale, base
+        values = self._velocity_base[1].copy()
         if convection is not None:
             values[layout.mass_slots] += convection.data
         return values

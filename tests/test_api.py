@@ -4,13 +4,16 @@ Every public top-level function or class in ``src/podflow`` and every public
 method of a class there must be referenced somewhere in ``src/podflow``
 outside its own definition. Names in ``__all__`` are strings and imports
 are not references, so neither counts. A method counts as referenced only
-through an attribute read, ``x.name`` (for every method called ``name``,
-whatever ``x`` is); a top-level function or class only through a bare name
+through an attribute read, ``x.name``. When ``x`` is statically known, as
+``self`` inside a class or a package class by name, the read counts for
+that class's method alone; an attribute of a foreign module such as
+``np.copy`` counts for none; any other ``x`` counts for every method called
+``name``. A top-level function or class counts only through a bare name
 read, ``name``, or an attribute read of a package module, ``module.name``.
-So a variable or a foreign attribute named like a public name does not
-hide it. A function that only the tests call belongs in the tests
-(``tests/oracles.py`` holds such reference implementations), not in the
-package.
+So a variable, a foreign attribute or another class's method named like a
+public name does not hide it. A function that only the tests call belongs
+in the tests (``tests/oracles.py`` holds such reference implementations),
+not in the package.
 """
 
 import ast
@@ -49,46 +52,93 @@ def _package_modules(tree, modules):
     return names
 
 
-def _references(node, module_names):
-    """(bare names read, attribute names read) inside ``node``; an
-    attribute of a name in ``module_names`` counts as a bare name."""
+def _foreign_modules(tree, package):
+    """Names bound to a module outside the package by ``import m`` or
+    ``import m as n``."""
+    return {a.asname or a.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for a in node.names} - package
+
+
+def _receivers(tree):
+    """{id of a Name node: its class} for each read of a method's first
+    parameter (``self``, ``cls``) inside a top-level class of ``tree``."""
+    out = {}
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for item in cls.body:
+            if (isinstance(item, ast.FunctionDef) and item.args.args
+                    and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                for d in item.decorator_list)):
+                first = item.args.args[0].arg
+                out.update((id(n), cls.name) for n in ast.walk(item)
+                           if isinstance(n, ast.Name) and n.id == first)
+    return out
+
+
+def _references(node, scope):
+    """(bare names read, attribute reads) inside ``node``. ``scope`` holds
+    the module's package and foreign module names, its ``self`` receivers
+    and the package's class names. An attribute read is keyed by (class,
+    name) when its receiver is statically known, ``self`` in a method or a
+    package class by name, and by (None, name) when it is not. An attribute
+    of a package module counts as a bare name; one of a foreign module as
+    neither."""
+    package, foreign, receivers, classes = scope
     bare, attributes = collections.Counter(), collections.Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             bare[n.id] += 1
         elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
-            attributes[n.attr] += 1
-            if isinstance(n.value, ast.Name) and n.value.id in module_names:
-                bare[n.attr] += 1
+            owner = None
+            if isinstance(n.value, ast.Name):
+                if n.value.id in package:
+                    bare[n.attr] += 1
+                    continue
+                if n.value.id in foreign:
+                    continue
+                owner = receivers.get(id(n.value),
+                                      n.value.id if n.value.id in classes else None)
+            attributes[owner, n.attr] += 1
     return bare, attributes
 
 
 def _public_definitions(tree):
-    """(qualified name, simple name, node, is a method) of each public
+    """(qualified name, simple name, node, class or None) of each public
     top-level function or class, and each public method of any top-level
     class."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
         if not node.name.startswith("_"):
-            yield node.name, node.name, node, False
+            yield node.name, node.name, node, None
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item.name, item, True
+                    yield f"{node.name}.{item.name}", item.name, item, node.name
 
 
 def unreferenced_public_names(modules):
-    module_names = {name: _package_modules(tree, modules) for name, tree in modules.items()}
+    classes = {node.name for tree in modules.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    scopes = {}
+    for name, tree in modules.items():
+        package = _package_modules(tree, modules)
+        scopes[name] = (package, _foreign_modules(tree, package), _receivers(tree), classes)
     total = [collections.Counter(), collections.Counter()]
     for name, tree in modules.items():
-        for kind, counts in enumerate(_references(tree, module_names[name])):
+        for kind, counts in enumerate(_references(tree, scopes[name])):
             total[kind] += counts
     missing = []
     for module, tree in modules.items():
-        for qualified, name, node, is_method in _public_definitions(tree):
-            own = _references(node, module_names[module])[is_method]
-            if total[is_method][name] - own[name] <= 0:
+        for qualified, name, node, cls in _public_definitions(tree):
+            own = _references(node, scopes[module])
+            if cls is None:
+                count = total[0][name] - own[0][name]
+            else:  # through an unknown receiver or one known to be its class
+                count = sum(total[1][key] - own[1][key] for key in ((None, name), (cls, name)))
+            if count <= 0:
                 missing.append(f"{module}: {qualified}")
     return missing
 
@@ -133,3 +183,17 @@ def test_only_a_reference_of_the_right_kind_counts():
             "main()\n"),
     }
     assert unreferenced_public_names(modules) == ["m.py: Mesh.h", "m.py: copy"]
+
+
+def test_a_known_receiver_counts_for_its_own_class_alone():
+    # a dead method named like another class's live one, or like a function
+    # of a foreign module: each such read counted for it by name alone
+    modules = {"m.py": ast.parse(
+        "import numpy as np\n\n"
+        "class Field:\n    def copy(self):\n        return 1\n\n"
+        "    def scaled(self):\n        return 2\n\n"
+        "class Mesh:\n    def copy(self):\n        return 2\n\n"
+        "    def refine(self):\n        return self.copy(), Field.scaled(self)\n\n"
+        "def run(mesh, x):\n    return mesh.refine(), np.copy(x), Field()\n\n"
+        "run(Mesh(), 0)\n")}
+    assert unreferenced_public_names(modules) == ["m.py: Field.copy"]

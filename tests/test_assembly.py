@@ -602,6 +602,26 @@ def test_layout_solves_equal_splu_of_the_scipy_system_bit_for_bit(mesh, scheme, 
     assert all(np.array_equal(lu.perm_c, np.arange(free.size)) for _, lu in factors[1:])
 
 
+@pytest.mark.parametrize("scheme", ["lps", "graddiv"])
+def test_a_problem_keeps_only_the_caches_its_steps_use(scheme):
+    mesh = build_rect_mesh(1.0, 1.0, 3, 3)
+    problem = _saddle_problem(mesh, scheme, enclosed=True)
+    vel, pres = problem.vel_space, problem.pres_space
+    # the degree-4 tables and the divergence and grad-div scatters served
+    # the static operators alone; convection reuses the mass scatter
+    key = ("scatter", None, ((0, 0), (1, 1)))
+    scatter = vel.assembly_cache[key]
+    assert list(vel.assembly_cache) == [key] and pres.assembly_cache == {}
+    run_fom(problem)
+    assert vel.assembly_cache[key] is scatter
+    assert set(vel.assembly_cache) == {key, ("tables", 6)} and pres.assembly_cache == {}
+    # what a later call needs is rebuilt, with the same bits
+    fresh = FESpace(mesh, 2, components=2)
+    assert_bitwise_equal(problem.grad_div, assemble_grad_div(fresh))
+    assert_bitwise_equal(assemble_divergence(vel, pres),
+                         assemble_divergence(fresh, FESpace(mesh, pres.degree)))
+
+
 def test_caches_are_freed_with_their_space_and_problem():
     mesh = build_rect_mesh(1.0, 1.0, 3, 3)
     problem = _saddle_problem(mesh, "graddiv", enclosed=True)

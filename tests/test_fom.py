@@ -380,6 +380,31 @@ def test_an_exact_zero_stays_a_stored_zero_of_the_one_pattern(factored):
     assert np.abs(rhs - a @ x).max() <= backward_error_bound(a, x, rhs)
 
 
+def test_velocity_values_build_their_fixed_part_once_per_mass_scale():
+    cfg = FOMConfig(scheme="graddiv", nu=5e-3, dt=1e-2, t_final=0.03,
+                    stabilization=StabilizationConfig(grad_div=0.3))
+    problem = FOMProblem(build_rect_mesh(1.0, 1.0, 4, 4), cfg, enclosed_case())
+    space = problem.vel_space
+    rng = np.random.default_rng(8)
+    convections = [convection_matrix(space, FEField(space, rng.standard_normal(space.n_dofs)))
+                   for _ in range(2)]
+    bases = []
+    # BDF2's and implicit Euler's scales, then back: a base kept from the
+    # last scale would give the wrong values
+    for scale in (150.0, 150.0, 100.0, 150.0):
+        for conv in convections:
+            values = problem.velocity_values(scale, conv)
+            want = scale * problem.mass + problem._static_velocity_block + conv
+            got = problem.velocity_block(values)
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64)), scale
+            bases.append(problem._velocity_base[1])
+            assert not np.shares_memory(values, bases[-1])
+    # one base per run of equal scales: built anew at the two switches only
+    assert [k for k in range(1, 8) if bases[k] is not bases[k - 1]] == [4, 6]
+
+
 # -- divergence behavior of solved states ------------------------------------
 
 

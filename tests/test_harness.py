@@ -5,7 +5,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from podflow.assembly import StabilizationConfig
+from podflow.assembly import StabilizationConfig, assemble_load
 import podflow.fom
 import podflow.harness
 import podflow.metrics
@@ -963,8 +963,36 @@ def test_separable_loads_match_the_assembled_forcing(forced_problems, t):
             <= 1e-13 * np.abs(assembled).max(), name
 
 
+def test_full_order_loads_equal_the_assembled_forcing_bit_for_bit():
+    # the shapes are evaluated once per problem; each load sums their kept
+    # values with the same arithmetic as assembling the forcing itself
+    for name, raw in _forced_case_raws().items():
+        cfg = ExperimentConfig.from_dict(raw)
+        case = build_case(cfg).flow_case
+        forcing = case.forcing
+        counted = []
+
+        def counting(shape):
+            def call(x, y):
+                counted.append(shape)
+                return shape(x, y)
+            return call
+
+        wrapped = SeparableForcing(tuple(counting(g) for g in forcing.shapes),
+                                   forcing.coefficients, forcing.scale)
+        problem = FOMProblem(cfg.geometry.build(), cfg.fom, replace(case, forcing=wrapped))
+        for t in (0.0, 0.013, 0.05, 0.37, 1.9):
+            want = assemble_load(problem.vel_space, forcing, t)
+            got = problem.load_vector(t)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (name, t)
+        want = forcing.scale * np.column_stack(
+            [assemble_load(problem.vel_space, g) for g in forcing.shapes])
+        assert np.array_equal(problem.load_shapes.view(np.int64), want.view(np.int64)), name
+        assert counted == list(forcing.shapes), name
+
+
 def _check_reduced_phase_builds_once_and_assembles_no_load(tmp_path, count_calls, raw):
-    count_calls(podflow.fom, "assemble_load", "fom load")
+    count_calls(podflow.fom, "_integrate_load", "fom load")
     count_calls(podflow.harness, "build_rom_operators", "build")
     count_calls(podflow.rom.PressureRecovery, "__init__", "recovery")
     count_calls(podflow.harness, "run_rom", "run_rom", scoped=True)
@@ -974,8 +1002,8 @@ def _check_reduced_phase_builds_once_and_assembles_no_load(tmp_path, count_calls
     assert calls["run_rom"] == 4
     assert calls["build"] == 1 and calls["recovery"] == 1
     assert calls["fom load in run_rom"] == 0
-    # one load per full-order step and one per separable forcing term, which
-    # the reduced models share; reduced drag and lift assemble none
+    # one load quadrature per full-order step and one per separable forcing
+    # term, which the reduced models share; reduced drag and lift make none
     shapes = result.problem.case.forcing.shapes
     assert calls["fom load"] == result.fom_run.times.size + len(shapes)
 

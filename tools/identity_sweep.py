@@ -14,7 +14,9 @@ relative difference it found. A change that claims bit-for-bit identical
 arithmetic must leave every pair identical.
 
 The runs are the tiny configs (grad-div, LPS, adaptive μ, centred POD, the
-holed channel under both schemes, the steady ``stokes_poly`` case), the
+holed channel under both schemes, the steady ``stokes_poly`` case, and
+``resting_pressure``, whose forcing is built from gradient shapes and a
+mixing matrix), the
 three benchmark workloads at tiny size, the desk cavity under both schemes,
 the three workloads at full size with seeds 0 and 1, the convergence study
 of both schemes, and the long-horizon study on the tiny config and on
@@ -90,6 +92,8 @@ def runs():
         "tiny_stokes_poly": ("pipeline", _with(
             TINY, case={"name": "stokes_poly", "parameters": {}},
             fom={"nu": 0.05, "snapshot_window": [0.0, 0.06]})),
+        "tiny_resting_pressure": ("pipeline", _with(
+            TINY, case={"name": "resting_pressure", "parameters": {}})),
     }
     for name in WORKLOAD_NAMES:
         out[f"tiny_{name}"] = ("pipeline", workload_config(name, 0, "tiny"))
