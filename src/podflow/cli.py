@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,19 +39,15 @@ def _load_config(args):
     overrides = list(args.override or ())
     if args.seed is not None:
         overrides.append(f"seed={int(args.seed)}")
+    config = ExperimentConfig.from_json(args.config, overrides=overrides)
     if args.out_dir is not None:
-        overrides.append(f"output.directory={args.out_dir}")
-    return ExperimentConfig.from_json(args.config, overrides=overrides)
-
-
-def _out_dir(config, args):
-    return Path(config.output_directory if args.out_dir is None else args.out_dir)
+        config = replace(config, output_directory=args.out_dir)
+    return config
 
 
 def cmd_fom(args):
     config = _load_config(args)
-    result = run_pipeline(config, out_dir=_out_dir(config, args),
-                          stop_after="fom")
+    result = run_pipeline(config, stop_after="fom")
     qoi = result.fom_run.qoi
     print(f"full-order run: {qoi.shape[0]} recorded steps, "
           f"{result.vel_snapshots.n_snapshots} snapshots, "
@@ -60,8 +57,7 @@ def cmd_fom(args):
 
 def cmd_pod(args):
     config = _load_config(args)
-    result = run_pipeline(config, out_dir=_out_dir(config, args),
-                          stop_after="pod")
+    result = run_pipeline(config, stop_after="pod")
     basis = result.vel_basis
     eigs = basis.eigenvalues
     print(f"velocity basis: rank {basis.rank}, selected r={basis.r}, "
@@ -72,7 +68,7 @@ def cmd_pod(args):
 
 def cmd_rom(args):
     config = _load_config(args)
-    result = run_pipeline(config, out_dir=_out_dir(config, args))
+    result = run_pipeline(config)
     run = result.rom_run
     print(f"reduced run: r={result.operators.r}, {run.times.size - 1} steps, "
           f"final E_kin={run.energy_traj[-1]:.6g}, "
@@ -104,9 +100,8 @@ def cmd_study_convergence(args):
 
 def cmd_study_longhorizon(args):
     config = _load_config(args)
-    out = _out_dir(config, args)
     study = long_horizon_study(config, horizon_multiple=args.horizon,
-                               out_dir=out)
+                               out_dir=config.output_directory)
     print(f"horizon x{study.horizon_multiple:g}: "
           f"max|E_diff| constant={study.max_e_diff_constant:.6g} "
           f"adaptive={study.max_e_diff_adaptive:.6g}")

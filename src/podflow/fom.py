@@ -161,6 +161,11 @@ class SeparableForcing:
         return self.scale * fx, self.scale * fy
 
 
+def _whole_steps(t, dt):
+    """Whether ``t`` is a whole number of steps ``dt``, within ``_TIME_TOL``."""
+    return abs(round(t / dt) * dt - t) <= _TIME_TOL
+
+
 @dataclass(frozen=True)
 class FOMConfig:
     """Numerical parameters of a full-order run."""
@@ -190,6 +195,9 @@ class FOMConfig:
             raise ValueError("time step must be positive")
         if self.t_final < self.dt - _TIME_TOL:
             raise ValueError("final time must allow at least one step")
+        if not _whole_steps(self.t_final, self.dt):
+            raise ValueError(f"final time {self.t_final} is not a whole number of "
+                             f"steps of {self.dt}")
         if self.nonlinear_tolerance <= 0.0 or self.nonlinear_max_iterations < 1:
             raise ValueError("nonlinear solver parameters must be positive")
         if self.snapshot_stride < 1:

@@ -13,13 +13,14 @@ model and records its snapshots; ``_bases`` extracts the velocity and
 pressure bases; ``_reduced_start`` checks the reduced size and fixes what
 the reduced run starts from (coefficients, grad-div coefficient,
 adaptation, reference energies). ``run_pipeline`` composes them, builds the
-reduced operators, with their pressure recovery, once at the largest sizes,
-runs the reduced model and the reduced-size error sweep on their leading
-blocks, and writes deterministic CSV and binary artifacts; reduced drag and
-lift test the reduced steps' residuals. The studies compose the same stages:
-``convergence_study`` measures observed orders on the registry's decaying
-vortex, and ``long_horizon_study`` compares constant and adaptive
-grad-div coefficients of one full-order run over an extended horizon.
+reduced operators, with their pressure recovery and drag/lift forms, once at
+the largest sizes, runs the reduced model and the reduced-size error sweep
+on their leading blocks, and writes deterministic CSV and binary artifacts;
+reduced drag and lift test the reduced steps' residuals. The studies
+compose the same stages: ``convergence_study`` measures observed orders on
+the registry's decaying vortex, and ``long_horizon_study`` compares
+constant and adaptive grad-div coefficients of one full-order run over an
+extended horizon.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .fom import (
     FOMConfig,
     FOMProblem,
     SeparableForcing,
+    _whole_steps,
     record_snapshots,
     run_fom,
     save_snapshots,
@@ -56,7 +58,6 @@ from .metrics import (
 from .pod import build_basis, project_L2, reduced_stiffness, save_basis
 from .rom import (
     AdaptiveMuConfig,
-    _project,
     _whitened_coupling_svd,
     build_rom_operators,
     compute_supremizers,
@@ -289,6 +290,9 @@ class ExperimentConfig:
                 "rom_window",
                 f"rom.t_final={self.rom.t_final} ends before the snapshot "
                 f"window end {window_end}")
+        if self.rom.t_final is not None and not _whole_steps(self.rom.t_final, self.fom.dt):
+            raise ConfigError("rom_invalid", f"rom.t_final={self.rom.t_final} is not a "
+                              f"whole number of steps of fom.dt={self.fom.dt}")
         if self.rom.integrator not in (None, self.fom.time_integrator):
             raise ConfigError("rom_invalid", f"rom.integrator={self.rom.integrator!r} differs "
                               f"from fom.time_integrator={self.fom.time_integrator!r}")
@@ -970,20 +974,16 @@ def run_pipeline(config, out_dir=None, stop_after=None):
                 raise ConfigError("rom_invalid", f"rom.r_pressure={rp_main} exceeds the "
                                                  f"pressure basis rank {pres_basis.rank}")
             sizes = _error_table_sizes(config, vel_basis, pres_basis)
-            # One build at the largest sizes; every smaller model is its
-            # leading block, because the modes are nested.
+            # One build at the largest sizes; every smaller model, with its
+            # recovery and drag/lift forms, is its leading block, because the
+            # modes are nested.
             r_max = max([start.r] + [r for r, _ in sizes])
             rp_max = max([rp_main] + [rp for _, rp in sizes])
-            all_ops = build_rom_operators(problem, vel_basis, pres_basis,
-                                          r=r_max, r_pressure=rp_max)
-            ops = truncate_operators(all_ops, start.r, rp_main)
-            # the drag/lift probe tests the leading block of the build's
-            # convection products, which nothing needs after it
             probe = full.probe
-            probe_ops = None if probe is None else _project(
-                problem, ops.vel_modes, ops.mean, probe.fields,
-                all_ops.convected.leading(start.r))
-            all_ops.convected = None
+            all_ops = build_rom_operators(
+                problem, vel_basis, pres_basis, r=r_max, r_pressure=rp_max,
+                drag_lift=None if probe is None else probe.fields)
+            ops = truncate_operators(all_ops, start.r, rp_main)
             save_operators(ops, out / "operators.bin")
             artifacts["operators"] = out / "operators.bin"
 
@@ -1001,7 +1001,7 @@ def run_pipeline(config, out_dir=None, stop_after=None):
             pressure = None if probe is None else reduced_pressure(
                 ops, rom_run, rom_run.mu_traj)
             if pressure is not None:
-                tested = step_residuals(probe_ops, rom_run.a_traj, rom_run.mu_traj,
+                tested = step_residuals(ops.drag_lift, rom_run.a_traj, rom_run.mu_traj,
                                         rom_run.times)
                 cd, cl = probe.coefficients(
                     tested - probe.divergence_fields.T @ pressure)
@@ -1162,7 +1162,7 @@ def convergence_study(scheme, levels=3, base_nx=4, base_dt=2e-2,
     if levels < 2:
         raise ConfigError("study_invalid", "need at least two levels")
     # each level's step divides the base step, so one check covers them all
-    if abs(round(t_final / base_dt) * base_dt - t_final) > _TIME_TOL:
+    if not _whole_steps(t_final, base_dt):
         raise ConfigError("study_invalid", f"t_final={t_final:g} is not a "
                           f"whole number of steps of {base_dt:g}")
     errors = []

@@ -57,7 +57,10 @@ class DragLiftProbe:
     are (1, 0) and (0, 1) on the obstacle, zero on the other boundaries and
     discretely harmonic inside; R vanishes on the free DOFs, so the interior
     values do not matter. A reduced run tests :func:`~podflow.rom.step_residuals`
-    minus ``divergence_fields.T @ p``; its first row holds the start at rest.
+    of its build's ``drag_lift`` forms, which
+    :func:`~podflow.rom.build_rom_operators` projects onto ``fields`` in the
+    reduced model's own pass, minus ``divergence_fields.T @ p``; its first
+    row holds the start at rest.
     """
 
     def __init__(self, problem, reference_velocity, reference_length):

@@ -10,12 +10,14 @@ A :class:`ROMOperators` set is the whole reduced model: it carries the
 full-order configuration it was built from, its projected load and, for the
 divergence-stable scheme, its supremizer :class:`PressureRecovery`, so a
 run takes only the start state, the time origin and the grad-div coefficient.
+The model's forms, the recovery's and those a drag/lift probe tests are
+projections of the same trial functions against different test functions,
+made in one pass over the trial functions.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -59,20 +61,18 @@ class ROMOperators:
 
     The velocity forms test the momentum residual against the columns of
     ``test``: the modes themselves for the reduced model, the supremizers
-    for :class:`PressureRecovery`. ``convection_tensor[i, j, k]`` is the
-    trilinear form with mode ``i`` convecting mode ``j``, tested by test
-    function ``k``. The ``*_mean`` vectors and the mean/mode convection
-    couplings lift a centered basis; they are zero when the basis was
-    built from uncentered snapshots. Pressure-side blocks are ``None`` for
-    the velocity-only scheme. ``forcing_modes`` holds the projected loads
+    for :class:`PressureRecovery`, the probe fields for ``drag_lift``.
+    ``convection_tensor[i, j, k]`` is the trilinear form with mode ``i``
+    convecting mode ``j``, tested by test function ``k``. The ``*_mean``
+    vectors and the mean/mode convection couplings lift a centered basis;
+    they are zero when the basis was built from uncentered snapshots.
+    Pressure-side blocks are ``None`` for the velocity-only scheme. ``forcing_modes`` holds the projected loads
     of the shapes of ``forcing``, the problem's :class:`SeparableForcing`;
     both are ``None`` for an unforced problem, and a loaded set keeps only
     the former. ``recovery`` is the velocity-only scheme's supremizer
-    :class:`PressureRecovery` at the same sizes, or ``None``; it is never
-    saved. ``convected`` holds the convection of the modes before testing
-    on a set fresh from :func:`build_rom_operators`, for another projection
-    of the same modes to reuse; it is ``None`` on a truncated or loaded set,
-    and a caller done with it may set it to ``None`` to free it.
+    :class:`PressureRecovery` at the same sizes, or ``None``; ``drag_lift``
+    holds the same velocity forms tested by the fields of a drag/lift
+    probe, or ``None``. Neither is saved.
     """
 
     fom: FOMConfig
@@ -101,7 +101,7 @@ class ROMOperators:
     forcing: object = None
     test: np.ndarray = None
     recovery: object = None
-    convected: object = field(default=None, init=False, repr=False)
+    drag_lift: object = None
 
     @property
     def scheme(self):
@@ -143,7 +143,7 @@ _OPERATOR_AXES = {
 
 def _leading_blocks(ops, r, t, p):
     """``ops`` cut to its leading ``r`` modes, ``t`` test functions and
-    ``p`` pressure modes, without reassembly."""
+    ``p`` pressure modes (all of them for None), without reassembly."""
     sizes = {"r": r, "t": t, "p": p}
     cut = {}
     for name, axes in _OPERATOR_AXES.items():
@@ -152,101 +152,86 @@ def _leading_blocks(ops, r, t, p):
     return replace(ops, r=r, **cut)
 
 
-@dataclass(frozen=True)
-class _Convected:
-    """The convection of the trial functions, before testing: ``modes[i]``
-    is C(phi_i) phi, and for a centered basis ``by_mean`` is C(mean) phi,
-    ``of_mean[j]`` is C(phi_j) mean and ``mean`` is C(mean) mean."""
-
-    modes: list
-    by_mean: np.ndarray = None
-    of_mean: list = None
-    mean: np.ndarray = None
-
-    def leading(self, r):
-        """The products of the leading ``r`` modes, sliced, not recomputed."""
-        if self.by_mean is None:
-            return _Convected([c[:, :r] for c in self.modes[:r]])
-        return _Convected([c[:, :r] for c in self.modes[:r]], self.by_mean[:, :r],
-                          self.of_mean[:r], self.mean)
-
-
-def _convect(problem, phi, mean):
-    """The :class:`_Convected` products of ``phi`` and ``mean``: one
-    convection matrix per mode (and the mean), each released once used."""
-    space = problem.vel_space
-    modes, of_mean = [], []
-    for w in phi.T:
-        c = convection_matrix(space, FEField(space, w))
-        modes.append(c @ phi)
-        if mean is not None:
-            of_mean.append(c @ mean)
-    if mean is None:
-        return _Convected(modes)
-    c = convection_matrix(space, FEField(space, mean))
-    return _Convected(modes, c @ phi, of_mean, c @ mean)
-
-
-def _project(problem, phi, mean, test, convected=None):
+def _project(problem, phi, mean, tests):
     """Galerkin projection of the momentum residual's velocity forms.
 
     The trial functions are the columns of ``phi``, lifted by ``mean``
-    (None for an uncentered basis); the test functions are the columns of
-    ``test``. ``convected`` is their :func:`_convect`, computed when not
-    given. Returns the forms as a ROMOperators without pressure blocks;
-    a form whose operator the problem lacks, and every mean lift of an
-    uncentered basis, is zero. The problem's forcing must be separable.
+    (None for an uncentered basis); each entry of ``tests`` is a matrix whose
+    columns are test functions. One pass over the trial functions makes each
+    operator product, one convection matrix per trial function and the
+    mean, and tests it against every matrix before the next. Returns one
+    ROMOperators without pressure blocks per test matrix; a form whose
+    operator the problem lacks, and every mean lift of an uncentered basis,
+    is zero. The problem's forcing must be separable.
     """
     shapes = problem.load_shapes
     space = problem.vel_space
-    forms = {}
+    r = phi.shape[1]
+    forms = [{"convection_tensor": np.empty((r, r, test.shape[1]))} for test in tests]
     for name, lift, matrix in (
             ("mass", "mass_mean", problem.mass),
             ("stiffness", "viscous_mean", problem.stiffness),
             ("grad_div", "grad_div_mean", problem.grad_div),
             ("lps_velocity", "lps_velocity_mean", problem.velocity_stabilization)):
         if matrix is not None:
-            forms[name] = test.T @ (matrix @ phi)
+            products = {name: matrix @ phi}
             if mean is not None:
-                forms[lift] = test.T @ (matrix @ mean)
+                products[lift] = matrix @ mean
+            for f, test in zip(forms, tests):
+                f.update({key: test.T @ v for key, v in products.items()})
 
-    r, n_test = phi.shape[1], test.shape[1]
-    conv = _convect(problem, phi, mean) if convected is None else convected
-    forms["convection_tensor"] = np.empty((r, r, n_test))
-    for i in range(r):
-        forms["convection_tensor"][i] = (test.T @ conv.modes[i]).T
     if mean is not None:
-        forms["convect_by_mean"] = test.T @ conv.by_mean
-        forms["transport_of_mean"] = np.column_stack([test.T @ c for c in conv.of_mean])
-        forms["mean_convection"] = test.T @ conv.mean
+        for f, test in zip(forms, tests):
+            f["transport_of_mean"] = np.empty((test.shape[1], r))
+    for i, w in enumerate(phi.T):
+        c = convection_matrix(space, FEField(space, w))
+        by_mode = c @ phi
+        of_mean = None if mean is None else c @ mean
+        for f, test in zip(forms, tests):
+            f["convection_tensor"][i] = (test.T @ by_mode).T
+            if mean is not None:
+                f["transport_of_mean"][:, i] = test.T @ of_mean
+    if mean is not None:
+        c = convection_matrix(space, FEField(space, mean))
+        by_mean, of_mean = c @ phi, c @ mean
+        for f, test in zip(forms, tests):
+            f["convect_by_mean"] = test.T @ by_mean
+            f["mean_convection"] = test.T @ of_mean
 
-    sizes = {"r": r, "t": n_test}
-    forms.update({name: np.zeros([sizes[x] for x in axes])
+    mean_energy = 0.0 if mean is None else float(mean @ (problem.mass @ mean))
+    out = []
+    for f, test in zip(forms, tests):
+        sizes = {"r": r, "t": test.shape[1]}
+        f.update({name: np.zeros([sizes[x] for x in axes])
                   for name, axes in _OPERATOR_AXES.items()
-                  if name not in forms and set(axes) <= set(sizes)})
-    return ROMOperators(
-        fom=problem.config,
-        r=r,
-        mean_energy=0.0 if mean is None else float(mean @ (problem.mass @ mean)),
-        vel_modes=phi,
-        mean=None if mean is None else np.asarray(mean, dtype=float),
-        test=test,
-        vel_space=space,
-        forcing_modes=None if shapes is None else test.T @ shapes,
-        forcing=problem.case.forcing,
-        **forms,
-    )
+                  if name not in f and set(axes) <= set(sizes)})
+        out.append(ROMOperators(
+            fom=problem.config,
+            r=r,
+            mean_energy=mean_energy,
+            vel_modes=phi,
+            mean=None if mean is None else np.asarray(mean, dtype=float),
+            test=test,
+            vel_space=space,
+            forcing_modes=None if shapes is None else test.T @ shapes,
+            forcing=problem.case.forcing,
+            **f,
+        ))
+    return out
 
 
 def build_rom_operators(problem, vel_basis, pres_basis=None, r=None,
-                        r_pressure=None):
+                        r_pressure=None, drag_lift=None):
     """Project the problem's operators onto the first modes of the bases.
 
     The equal-order scheme requires a pressure basis for its coupled
     system. The velocity-only scheme recovers pressure through supremizers
     instead: with a pressure basis, its ``recovery`` tests against the
     supremizers of the first ``r_pressure`` pressure modes (None when none
-    survive).
+    survive). ``drag_lift`` is the fields of a
+    :class:`~podflow.metrics.DragLiftProbe`, or None; the set's
+    ``drag_lift`` then holds the forms they test. One :func:`_project` pass
+    builds the model's forms, the recovery's and the drag/lift forms.
     """
     if vel_basis.space_signature != problem.vel_space.signature():
         raise ValueError("velocity basis was built on a different space")
@@ -254,30 +239,33 @@ def build_rom_operators(problem, vel_basis, pres_basis=None, r=None,
     if not 1 <= r <= vel_basis.rank:
         raise ValueError(f"requested r={r} outside 1..{vel_basis.rank}")
     phi, mean = vel_basis.modes[:, :r], vel_basis.mean
-    convected = _convect(problem, phi, mean)
-    ops = _project(problem, phi, mean, phi, convected)
-    ops.convected = convected
-    if pres_basis is None:
-        if problem.config.scheme == "lps":
-            raise ValueError("the equal-order reduced system needs a pressure basis")
-        return ops
-    if pres_basis.space_signature != problem.pres_space.signature():
-        raise ValueError("pressure basis was built on a different space")
-    rp = pres_basis.r if r_pressure is None else int(r_pressure)
-    if not 1 <= rp <= pres_basis.rank:
-        raise ValueError(f"requested pressure size {rp} outside 1..{pres_basis.rank}")
-    psi = pres_basis.modes[:, :rp]
-    if problem.config.scheme != "lps":
-        z = compute_supremizers(problem, psi)
-        if z.shape[1]:
-            ops.recovery = PressureRecovery(problem, replace(vel_basis, r=r),
-                                            replace(pres_basis, r=z.shape[1]), z,
-                                            convected=convected)
-        return ops
-    ops.divergence = psi.T @ (problem.divergence @ phi)
-    ops.lps_pressure = psi.T @ (problem.pressure_stabilization @ psi)
-    ops.divergence_mean = np.zeros(rp) if mean is None else psi.T @ (problem.divergence @ mean)
-    ops.pres_modes = psi
+    psi = z = None
+    if pres_basis is not None:
+        if pres_basis.space_signature != problem.pres_space.signature():
+            raise ValueError("pressure basis was built on a different space")
+        rp = pres_basis.r if r_pressure is None else int(r_pressure)
+        if not 1 <= rp <= pres_basis.rank:
+            raise ValueError(f"requested pressure size {rp} outside 1..{pres_basis.rank}")
+        psi = pres_basis.modes[:, :rp]
+        if problem.config.scheme != "lps":
+            z = compute_supremizers(problem, psi)
+    elif problem.config.scheme == "lps":
+        raise ValueError("the equal-order reduced system needs a pressure basis")
+
+    tests = {"model": phi, "recovery": z, "drag_lift": drag_lift}
+    tests = {k: v for k, v in tests.items() if v is not None and v.shape[1]}
+    forms = dict(zip(tests, _project(problem, phi, mean, list(tests.values()))))
+    ops = forms["model"]
+    ops.drag_lift = forms.get("drag_lift")
+    if problem.config.scheme == "lps":
+        ops.divergence = psi.T @ (problem.divergence @ phi)
+        ops.lps_pressure = psi.T @ (problem.pressure_stabilization @ psi)
+        ops.divergence_mean = np.zeros(rp) if mean is None else psi.T @ (problem.divergence @ mean)
+        ops.pres_modes = psi
+    elif "recovery" in forms:
+        psi = psi[:, :z.shape[1]]
+        ops.recovery = PressureRecovery(replace(forms["recovery"], pres_modes=psi),
+                                        (psi.T @ (problem.divergence @ z)).T)
     return ops
 
 
@@ -286,17 +274,23 @@ def truncate_operators(ops, r, r_pressure):
 
     ``r_pressure`` cuts the coupled scheme's pressure modes, or the
     recovery's pressure modes and supremizers; a recovery with fewer
-    supremizers than ``r_pressure`` becomes None.
+    supremizers than ``r_pressure`` becomes None. The drag/lift forms keep
+    both probe fields.
     """
     if not 1 <= r <= ops.r:
         raise ValueError(f"truncation size {r} outside 1..{ops.r}")
-    rp = int(r_pressure)
-    if ops.divergence is not None and not 1 <= rp <= ops.r_pressure:
+    r, rp = int(r), int(r_pressure)
+    if rp < 1:
+        raise ValueError(f"pressure truncation {rp} is below 1")
+    if ops.divergence is not None and rp > ops.r_pressure:
         raise ValueError(f"pressure truncation {rp} outside 1..{ops.r_pressure}")
-    recovery = ops.recovery
+    recovery, drag_lift = ops.recovery, ops.drag_lift
     if recovery is not None:
-        recovery = recovery.truncate(r, rp) if rp <= recovery.coupling.shape[0] else None
-    return replace(_leading_blocks(ops, int(r), int(r), rp), recovery=recovery)
+        recovery = None if rp > recovery.coupling.shape[0] else PressureRecovery(
+            _leading_blocks(recovery.operators, r, rp, rp), recovery.coupling[:rp, :rp])
+    if drag_lift is not None:
+        drag_lift = _leading_blocks(drag_lift, r, None, None)
+    return replace(_leading_blocks(ops, r, r, rp), recovery=recovery, drag_lift=drag_lift)
 
 
 def rom_kinetic_energy(ops, a):
@@ -622,6 +616,7 @@ def _whitened_coupling_svd(z, psi, divergence, mass, stiffness):
     return np.linalg.svd(np.linalg.solve(chol, coupling))
 
 
+@dataclass
 class PressureRecovery:
     """Reduced pressure reconstruction tested against supremizers.
 
@@ -637,43 +632,25 @@ class PressureRecovery:
     field, and :func:`reduced_pressure` passes the three-level difference
     as the slope under either integrator. ROADMAP.md item 1b replaces this
     right-hand side with :func:`step_residuals`.
-    ``operators`` holds the velocity forms, projected as for the reduced
-    model but with the supremizers as test functions, and the pressure
-    modes; ``coupling`` is the divergence block. ``convected`` passes on
-    the reduced model's convection products of the same modes (see
-    :func:`build_rom_operators`), so they are not assembled twice.
+    ``operators`` holds the velocity forms with the supremizers as test
+    functions, projected in the reduced model's own pass (see
+    :func:`build_rom_operators`), and the pressure modes; ``coupling`` is
+    the divergence block. :func:`truncate_operators` cuts both.
     """
 
-    def __init__(self, problem, vel_basis, pres_basis, z, convected=None):
-        phi = vel_basis.modes[:, : vel_basis.r]
-        psi = pres_basis.modes[:, : pres_basis.r]
-        if z.shape[1] != psi.shape[1]:
+    operators: ROMOperators
+    coupling: np.ndarray
+
+    def __post_init__(self):
+        if self.coupling.shape[0] != self.coupling.shape[1]:
             raise ValueError(
-                f"need one supremizer per pressure mode: got {z.shape[1]} "
-                f"for {psi.shape[1]} modes"
-            )
-        self.operators = replace(_project(problem, phi, vel_basis.mean, z, convected),
-                                 pres_modes=psi)
-        self.coupling = (psi.T @ (problem.divergence @ z)).T
+                f"need one supremizer per pressure mode: got {self.coupling.shape[0]} "
+                f"for {self.coupling.shape[1]} modes")
 
     @property
     def fields(self):
         """The supremizers, one column per pressure mode."""
         return self.operators.test
-
-    def truncate(self, r, r_pressure):
-        """Recovery for the leading ``r`` velocity modes and ``r_pressure``
-        pressure modes and supremizers, sliced without reassembly."""
-        if not 1 <= r <= self.operators.r:
-            raise ValueError(f"truncation size {r} outside 1..{self.operators.r}")
-        if not 1 <= r_pressure <= self.coupling.shape[0]:
-            raise ValueError(
-                f"pressure truncation {r_pressure} outside 1..{self.coupling.shape[0]}")
-        out = copy.copy(self)
-        out.operators = _leading_blocks(self.operators, int(r), int(r_pressure),
-                                        int(r_pressure))
-        out.coupling = self.coupling[:r_pressure, :r_pressure]
-        return out
 
     def recover(self, a, dadt, mu, forcing):
         """Pressure coefficients of one reduced velocity state; ``forcing``

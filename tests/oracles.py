@@ -6,12 +6,15 @@ the package obtains another way, or states one of the paper's identities
 as an executable check.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import scipy.sparse as sp
 
 import podflow.assembly
 from podflow.fe_space import FEField, reference_basis, triangle_quadrature
 from podflow.pod import reduced_stiffness
+from podflow.rom import PressureRecovery, _project
 
 
 def mesh_stats(mesh):
@@ -202,6 +205,18 @@ def verify_spectral_identities(basis, snapshots, mass, stiffness, r=None,
         "inverse_worst_margin": worst_margin,
         "stiffness_norm": s2,
     }
+
+
+def pressure_recovery(problem, vel_basis, pres_basis, z):
+    """The :class:`~podflow.rom.PressureRecovery` of the first
+    ``vel_basis.r`` velocity modes and ``pres_basis.r`` pressure modes
+    against the supremizers ``z``, one column per pressure mode, made as
+    :func:`~podflow.rom.build_rom_operators` makes its own: the forms of a
+    projection onto ``z`` and the divergence coupling."""
+    psi = pres_basis.modes[:, :pres_basis.r]
+    operators, = _project(problem, vel_basis.modes[:, :vel_basis.r], vel_basis.mean, [z])
+    return PressureRecovery(replace(operators, pres_modes=psi),
+                            (psi.T @ (problem.divergence @ z)).T)
 
 
 def recovered_pressure(ops, run, mu, a_prev=None, columns=None):

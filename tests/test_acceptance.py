@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 from scipy.stats import kendalltau
 
-from oracles import apply_convection, solve_stokes, verify_spectral_identities
+from oracles import (
+    apply_convection,
+    pressure_recovery,
+    solve_stokes,
+    verify_spectral_identities,
+)
 
 from podflow.assembly import StabilizationConfig
 from podflow.fe_space import FEField
@@ -37,7 +42,6 @@ from podflow.metrics import discrete_l2_error, weak_divergence
 from podflow.pod import build_basis, project_L2
 from podflow.rom import (
     AdaptiveMuConfig,
-    PressureRecovery,
     adapt_mu,
     build_rom_operators,
     compute_supremizers,
@@ -397,7 +401,7 @@ def _steady_stokes_recovery_error():
     vel_basis = build_basis(vels, problem.mass)
     pres_basis = build_basis(pres, problem.pressure_mass)
     supremizers = compute_supremizers(problem, pres_basis.modes)
-    recovery = PressureRecovery(problem, vel_basis, pres_basis, supremizers)
+    recovery = pressure_recovery(problem, vel_basis, pres_basis, supremizers)
     # steady Stokes: no convection (the basis is uncentred) and no time slope
     recovery.operators = replace(recovery.operators, convection_tensor=np.zeros_like(
         recovery.operators.convection_tensor))

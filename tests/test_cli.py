@@ -143,6 +143,15 @@ def test_out_dir_flag_overrides_the_config_directory(config_path, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_out_dir_flag_is_taken_as_a_directory_name(config_path, tmp_path, monkeypatch):
+    # a numeric or quoted name is a path, not a JSON value
+    monkeypatch.chdir(tmp_path)
+    for name in ("2024", '"q"'):
+        assert main(["fom", "--config", str(config_path), "--out-dir", name]) == EXIT_OK
+        assert (tmp_path / name / "qoi.csv").exists()
+    assert not (tmp_path / "q").exists()
+
+
 def test_seed_flag_is_recorded_in_the_metadata(config_path, tmp_path):
     assert main(["fom", "--config", str(config_path), "--seed", "7"]) == EXIT_OK
     meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())

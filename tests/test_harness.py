@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_rom import assert_same_arrays
 
 from podflow.assembly import StabilizationConfig, assemble_load
 import podflow.fom
@@ -27,6 +28,7 @@ from podflow.harness import (
     PODBlock,
     ROMBlock,
     StageError,
+    _bases,
     _full_order,
     apply_overrides,
     build_case,
@@ -191,6 +193,18 @@ def test_reduced_window_must_reach_snapshot_end():
     assert config_error_name(raw) == "rom_window"
     raw["rom"]["t_final"] = 0.1
     assert ExperimentConfig.from_dict(raw).effective_rom_t_final() == 0.1
+
+
+def test_final_times_must_be_whole_numbers_of_steps():
+    # dt is 0.01: 0.066 would run to 0.07
+    raw = base_raw()
+    raw["fom"]["t_final"] = 0.066
+    assert config_error_name(raw) == "fom_invalid"
+    raw = base_raw()
+    raw["rom"]["t_final"] = 0.066
+    assert config_error_name(raw) == "rom_invalid"
+    raw["rom"]["t_final"] = 0.07
+    assert ExperimentConfig.from_dict(raw).effective_rom_t_final() == 0.07
 
 
 def test_adaptation_requires_divergence_stable_scheme():
@@ -596,17 +610,20 @@ def test_grad_div_pipeline_recovers_pressure_with_rom_r_pressure_modes(tmp_path)
 @pytest.mark.parametrize("center", [False, True])
 def test_a_grad_div_build_assembles_one_convection_matrix_per_trial_function(
         tmp_path, count_calls, center):
-    # the reduced model and its pressure recovery test the same convection
-    # products: r matrices, one more for the mean of a centred basis
+    # the reduced model, its pressure recovery and, on the channel, the
+    # drag/lift forms test the same convection products: r matrices, one
+    # more for the mean of a centred basis
     count_calls(podflow.rom, "convection_matrix", "convection")
     count_calls(podflow.harness, "build_rom_operators", "build", scoped=True)
-    raw = base_raw()
-    raw["pod"] = {"center": center}
-    result = run_small_pipeline(tmp_path, raw)
-    assert count_calls.calls["build"] == 1
-    assert result.operators.recovery is not None
-    r = result.operators.r
-    assert count_calls.calls["convection in build"] == r + center
+    for name, raw in (("cavity", base_raw()), ("channel", channel_raw())):
+        count_calls.calls.clear()
+        raw["pod"] = {"center": center}
+        result = run_small_pipeline(tmp_path / name, raw)
+        assert count_calls.calls["build"] == 1
+        assert result.operators.recovery is not None
+        assert (result.operators.drag_lift is not None) == (name == "channel")
+        r_max = max([result.operators.r, *raw["rom"].get("r_values", ())])
+        assert count_calls.calls["convection in build"] == r_max + center
 
 
 @pytest.mark.parametrize("center", [False, True])
@@ -622,6 +639,34 @@ def test_the_drag_lift_projection_reuses_the_build_s_convection(
     assert np.all(np.isfinite(read_csv(tmp_path / "rom.csv")[1][:, 4:6]))
     r_max = max(result.operators.r, *raw["rom"]["r_values"])
     assert count_calls.calls["convection"] == r_max + center
+
+
+@pytest.fixture(scope="module")
+def channel_builds():
+    """{center: (full-order stage, velocity basis, build at the full
+    velocity rank with its recovery and drag/lift forms)} of the channel."""
+    builds = {}
+    for center in (False, True):
+        raw = channel_raw()
+        raw["pod"] = {"center": center}
+        config = ExperimentConfig.from_dict(raw)
+        full = _full_order(config, config.geometry.build(), drag_lift=True)
+        vel_basis, pres_basis = _bases(config, full)
+        builds[center] = (full, vel_basis, podflow.rom.build_rom_operators(
+            full.problem, vel_basis, pres_basis, r=vel_basis.rank,
+            drag_lift=full.probe.fields))
+    return builds
+
+
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_truncated_drag_lift_forms_match_a_projection_at_that_size(channel_builds, data):
+    full, vel_basis, ops = channel_builds[data.draw(st.booleans(), label="center")]
+    rp = data.draw(st.integers(1, ops.recovery.coupling.shape[0]), label="rp")
+    for r in range(1, ops.r + 1):
+        direct, = podflow.rom._project(full.problem, vel_basis.modes[:, :r],
+                                       vel_basis.mean, [full.probe.fields])
+        assert_same_arrays(podflow.rom.truncate_operators(ops, r, rp).drag_lift, direct)
 
 
 def test_the_error_table_recovers_pressure_only_at_compared_snapshots(tmp_path, count_calls):
@@ -994,13 +1039,14 @@ def test_full_order_loads_equal_the_assembled_forcing_bit_for_bit():
 def _check_reduced_phase_builds_once_and_assembles_no_load(tmp_path, count_calls, raw):
     count_calls(podflow.fom, "_integrate_load", "fom load")
     count_calls(podflow.harness, "build_rom_operators", "build")
-    count_calls(podflow.rom.PressureRecovery, "__init__", "recovery")
+    count_calls(podflow.rom, "_project", "projection")
     count_calls(podflow.harness, "run_rom", "run_rom", scoped=True)
     raw["rom"]["r_values"] = [1, 2, 3]
     result = run_pipeline(ExperimentConfig.from_dict(raw), out_dir=tmp_path)
     calls = count_calls.calls
     assert calls["run_rom"] == 4
-    assert calls["build"] == 1 and calls["recovery"] == 1
+    # one projection pass makes the model, its recovery and drag/lift forms
+    assert calls["build"] == 1 and calls["projection"] == 1
     assert calls["fom load in run_rom"] == 0
     # one load quadrature per full-order step and one per separable forcing
     # term, which the reduced models share; reduced drag and lift make none

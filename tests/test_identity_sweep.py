@@ -23,9 +23,9 @@ def sweep(ref_src, tmp_path):
 
 def test_the_run_list_covers_the_workloads_and_studies():
     names = list(identity_sweep.runs())
-    assert len(names) == len(set(names)) == 22
-    for name in ("tiny_graddiv", "tiny_resting_pressure", "desk_lps", "cavity_lps_nx32_seed1",
-                 "convergence_lps", "longhorizon_channel_picard"):
+    assert len(names) == len(set(names)) == 23
+    for name in ("tiny_graddiv", "tiny_channel_small_r", "tiny_resting_pressure", "desk_lps",
+                 "cavity_lps_nx32_seed1", "convergence_lps", "longhorizon_channel_picard"):
         assert name in names
 
 

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import recovered_pressure, solve_stokes, supremizer_solutions
+from oracles import (
+    pressure_recovery,
+    recovered_pressure,
+    solve_stokes,
+    supremizer_solutions,
+)
 
 from podflow.assembly import StabilizationConfig, assemble_load, convection_matrix
 from podflow.container import ContainerError, write_container
@@ -28,7 +33,6 @@ from podflow.rom import (
     _OPERATOR_AXES,
     _project,
     AdaptiveMuConfig,
-    PressureRecovery,
     adapt_mu,
     build_rom_operators,
     compute_supremizers,
@@ -192,8 +196,8 @@ def test_separable_forcing_projects_like_its_assembled_load():
     problem, _, _, _, vel_basis, pres_basis = cavity_setup(
         "graddiv", center=True, window=(0.02, 0.1), forcing=separable_swirl)
     ops = build_rom_operators(problem, vel_basis)
-    recovery = PressureRecovery(problem, vel_basis, pres_basis,
-                                compute_supremizers(problem, pres_basis.modes))
+    recovery = pressure_recovery(problem, vel_basis, pres_basis,
+                                 compute_supremizers(problem, pres_basis.modes))
     assert ops.forcing_modes.shape == (ops.r, 4)
     for t in (0.0, 0.013, 0.37):
         load = assemble_load(problem.vel_space, swirl_forcing, t)
@@ -216,8 +220,8 @@ def test_reduced_models_need_a_separable_forcing():
     with pytest.raises(ValueError, match="SeparableForcing"):
         build_rom_operators(problem, vel_basis)
     with pytest.raises(ValueError, match="SeparableForcing"):
-        PressureRecovery(problem, vel_basis, pres_basis,
-                         compute_supremizers(problem, pres_basis.modes))
+        pressure_recovery(problem, vel_basis, pres_basis,
+                          compute_supremizers(problem, pres_basis.modes))
 
 
 def test_truncation_cuts_the_pressure_recovery():
@@ -235,16 +239,22 @@ def test_truncation_cuts_the_pressure_recovery():
     assert build_rom_operators(problem, vel_basis).recovery is None
 
 
+def cut_recovery(recovery, r, rp):
+    """``recovery`` cut by :func:`truncate_operators`, which cuts a recovery
+    only as part of a set: here its own velocity forms."""
+    return truncate_operators(replace(recovery.operators, recovery=recovery), r, rp).recovery
+
+
 def test_truncated_pressure_recovery_matches_direct_build():
     problem, _, _, _, vel_basis, pres_basis = cavity_setup(
         "graddiv", center=True, window=(0.02, 0.1), forcing=separable_swirl)
     sup = compute_supremizers(problem, pres_basis.modes)
     assert vel_basis.rank >= 4 and sup.shape[1] >= 3
-    full = PressureRecovery(problem, vel_basis, replace(pres_basis, r=sup.shape[1]),
-                            sup)
-    direct = PressureRecovery(problem, replace(vel_basis, r=3),
-                              replace(pres_basis, r=2), sup[:, :2])
-    cut = full.truncate(3, 2)
+    full = pressure_recovery(problem, vel_basis, replace(pres_basis, r=sup.shape[1]),
+                             sup)
+    direct = pressure_recovery(problem, replace(vel_basis, r=3),
+                               replace(pres_basis, r=2), sup[:, :2])
+    cut = cut_recovery(full, 3, 2)
     assert cut.operators.r == 3 and cut.fields.shape[1] == 2
     assert_same_arrays(cut.operators, direct.operators)
     assert np.abs(cut.coupling - direct.coupling).max() \
@@ -252,9 +262,10 @@ def test_truncated_pressure_recovery_matches_direct_build():
     a = np.random.default_rng(2).normal(size=3)
     assert np.allclose(cut.recover(a, a, 0.3, None), direct.recover(a, a, 0.3, None),
                        rtol=1e-12, atol=0.0)
-    for r, rp in ((0, 2), (3, 0), (vel_basis.r + 1, 2), (3, sup.shape[1] + 1)):
+    for r, rp in ((0, 2), (3, 0), (vel_basis.r + 1, 2)):
         with pytest.raises(ValueError):
-            full.truncate(r, rp)
+            cut_recovery(full, r, rp)
+    assert cut_recovery(full, 3, sup.shape[1] + 1) is None
 
 
 @pytest.fixture(scope="module")
@@ -268,8 +279,8 @@ def full_builds():
     problem, _, _, _, vel_basis, pres_basis = cavity_setup(
         "graddiv", center=True, window=(0.02, 0.1), forcing=separable_swirl)
     sup = compute_supremizers(problem, pres_basis.modes)
-    recovery = PressureRecovery(problem, vel_basis, replace(pres_basis, r=sup.shape[1]),
-                                sup)
+    recovery = pressure_recovery(problem, vel_basis, replace(pres_basis, r=sup.shape[1]),
+                                 sup)
     graddiv = (problem, vel_basis, pres_basis, build_rom_operators(problem, vel_basis))
     return lps, graddiv, sup, recovery
 
@@ -290,9 +301,9 @@ def test_truncated_builds_match_direct_builds_at_random_sizes(full_builds, data)
     rp = data.draw(st.integers(1, sup.shape[1]), label="supremizers")
     assert_same_arrays(truncate_operators(full, r, rp),
                        build_rom_operators(problem, vel_basis, r=r))
-    cut = recovery.truncate(r, rp)
-    direct = PressureRecovery(problem, replace(vel_basis, r=r),
-                              replace(pres_basis, r=rp), sup[:, :rp])
+    cut = cut_recovery(recovery, r, rp)
+    direct = pressure_recovery(problem, replace(vel_basis, r=r),
+                               replace(pres_basis, r=rp), sup[:, :rp])
     assert_same_arrays(cut.operators, direct.operators)
     assert np.abs(cut.coupling - direct.coupling).max() \
         <= 1e-13 * np.abs(direct.coupling).max()
@@ -396,7 +407,7 @@ def test_step_residuals_match_the_full_order_residual_of_the_reconstruction(
     dt, nu = problem.config.dt, problem.config.nu
     mu = np.array([0.3, 0.4, 0.3, 0.5])
     times = 0.37 + dt * np.arange(4)
-    got = step_residuals(_project(problem, phi, mean, test), a_traj, mu, times)
+    got = step_residuals(_project(problem, phi, mean, [test])[0], a_traj, mu, times)
 
     # independent route: the full-order residual of u = mean + phi a, with the
     # time derivative and convecting field of each step (column 0 at rest)
@@ -694,7 +705,7 @@ def test_pressure_recovery_is_exact_for_steady_stokes():
     vel_basis = build_basis(vels, problem.mass)
     pres_basis = build_basis(pres, problem.pressure_mass)
     sup = compute_supremizers(problem, pres_basis.modes)
-    recovery = PressureRecovery(problem, vel_basis, pres_basis, sup)
+    recovery = pressure_recovery(problem, vel_basis, pres_basis, sup)
     # steady Stokes: no convection (the basis is uncentred) and no time slope
     recovery.operators = replace(recovery.operators, convection_tensor=np.zeros_like(
         recovery.operators.convection_tensor))
@@ -713,7 +724,7 @@ def test_pressure_recovery_right_hand_side_matches_full_order_residual(center):
     problem, _, _, _, vel_basis, pres_basis = cavity_setup(
         "graddiv", center=center, window=(0.02, 0.1))
     sup = compute_supremizers(problem, pres_basis.modes)
-    recovery = PressureRecovery(problem, vel_basis, pres_basis, sup)
+    recovery = pressure_recovery(problem, vel_basis, pres_basis, sup)
     phi = vel_basis.modes[:, :vel_basis.r]
     rng = np.random.default_rng(13)
     a, dadt = rng.normal(size=(2, phi.shape[1]))
@@ -733,8 +744,8 @@ def test_pressure_recovery_right_hand_side_matches_full_order_residual(center):
 def test_pressure_recovery_requires_square_system():
     problem, _, _, _, vel_basis, pres_basis = cavity_setup("graddiv", window=(0.02, 0.1))
     sup = compute_supremizers(problem, pres_basis.modes[:, : pres_basis.r - 1])
-    with pytest.raises(ValueError):
-        PressureRecovery(problem, vel_basis, pres_basis, sup)
+    with pytest.raises(ValueError, match="one supremizer per pressure mode"):
+        pressure_recovery(problem, vel_basis, pres_basis, sup)
 
 
 def test_pressure_recovery_trajectory_is_finite():

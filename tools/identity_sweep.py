@@ -14,7 +14,8 @@ relative difference it found. A change that claims bit-for-bit identical
 arithmetic must leave every pair identical.
 
 The runs are the tiny configs (grad-div, LPS, adaptive μ, centred POD, the
-holed channel under both schemes, the steady ``stokes_poly`` case, and
+holed channel under both schemes and with its main reduced run smaller than
+its error table's largest, the steady ``stokes_poly`` case, and
 ``resting_pressure``, whose forcing is built from gradient shapes and a
 mixing matrix), the
 three benchmark workloads at tiny size, the desk cavity under both schemes,
@@ -87,6 +88,8 @@ def runs():
                                                                     "frequency": 2}})),
         "tiny_centred": ("pipeline", _with(TINY, pod={"center": True})),
         "tiny_channel": ("pipeline", CHANNEL),
+        # the main run's drag/lift forms are a leading block of a wider build
+        "tiny_channel_small_r": ("pipeline", _with(CHANNEL, rom={"r": 2, "r_values": [2, 4]})),
         "tiny_channel_lps_euler": ("pipeline", _with(
             CHANNEL, fom={**lps, "time_integrator": "implicit_euler"})),
         "tiny_stokes_poly": ("pipeline", _with(
