@@ -26,13 +26,14 @@ free x free system keeps, so it is computed once: the system is relabelled
 by the first factorization's order and later ones factor it as stored,
 with the same pivots and solutions, bit for bit.
 
-Every BDF2 solve and the first sweep of every implicit-Euler step is
-solved bit for bit as ``splu`` of the stored system would solve it. A
-later Picard sweep of a step keeps the step's factor instead and refines
-its solution against it to a backward error of a few ulps (see
+Three kinds of solve are bit for bit as ``splu`` of the stored system
+would solve it: every BDF2 solve, a problem's first (ordering) solve, and
+a fallback. Every other implicit-Euler Picard sweep, the first of each
+step included, refines against the run's one factor from the last
+solution to a backward error of a few ulps (see
 :meth:`_SaddleLayout.solve`); a sweep whose refinement misses that within
-``_REFINEMENT_CAP`` iterations factors afresh, bit for bit as ``splu``
-again.
+``_REFINEMENT_CAP`` iterations falls back: it factors afresh, and that
+factor becomes the run's.
 """
 
 from __future__ import annotations
@@ -93,9 +94,8 @@ def solve_step(integrator, sweep, convecting, mass, tolerance, max_iterations):
     BDF2 sweeps once with the extrapolated ``convecting`` field; implicit
     Euler repeats the sweep, each convected by the last, until the relative
     change in the ``mass`` norm reaches ``tolerance``. In the full-order
-    model the first sweep of a step, and so every BDF2 solve, is bit for
-    bit ``splu``'s; later sweeps refine against the step's factor (see
-    :meth:`_SaddleLayout.solve`)."""
+    model every BDF2 solve is bit for bit ``splu``'s; implicit-Euler sweeps
+    refine against the run's factor (see :meth:`_SaddleLayout.solve`)."""
     residuals = []
     while True:
         new, other = sweep(convecting)
@@ -385,9 +385,9 @@ class FOMProblem:
     def solve_coupled(self, velocity_values, rhs_velocity, boundary, lagged):
         """Solve one saddle-point system with boundary elimination: the
         velocity block has :meth:`velocity_values`, and ``boundary`` is
-        :meth:`boundary_values` at the new time. ``lagged`` is a step's
-        list of its last factor, which :meth:`_SaddleLayout.solve` refines
-        against and renews."""
+        :meth:`boundary_values` at the new time. ``lagged`` is a run's
+        holder of its factor and last solution, which
+        :meth:`_SaddleLayout.solve` refines from and renews."""
         layout = self._saddle
         rhs = np.concatenate([rhs_velocity, np.zeros(self.n_pressure)])
         values = np.concatenate([boundary, np.zeros(self.n_pressure)])
@@ -488,13 +488,14 @@ class _SaddleLayout:
         and later factors take it as stored. An exactly-zero velocity entry
         stays in the pattern, so the factor is of that same matrix.
 
-        ``lagged`` is a list of at most one factor, which a step's sweeps
-        share: a factor made here after the first solve replaces its entry,
-        and while it holds one, the system is solved by iterative refinement
-        against it instead, to a backward error of 4 eps (see
-        :func:`_refined`). Only when that misses within ``_REFINEMENT_CAP``
-        corrections is the system factored afresh, bit for bit as with an
-        empty ``lagged``."""
+        ``lagged`` holds a run's one factor and the last solution, in the
+        relabelled order, or is empty. While it holds them, the system is
+        solved by iterative refinement against that factor from that
+        solution, to a backward error of 4 eps (see :func:`_refined`). With
+        it empty, or when the refinement misses within ``_REFINEMENT_CAP``
+        corrections, the system is factored afresh, bit for bit ``splu``,
+        and that factor replaces the old one. The first (ordering) solve
+        stores nothing."""
         self._system.data[self.system_slots] = values[self.system_source]
         if self._order is None:
             lu = spla.splu(self._system)
@@ -503,11 +504,12 @@ class _SaddleLayout:
             self._relabel(perm_c)
             return x
         b = rhs[self._order]
-        y = _refined(self._system, lagged[0], b) if lagged else None
+        y = _refined(self._system, *lagged, b) if lagged else None
         if y is None:
             lagged.clear()  # one factor at a time
             lagged.append(spla.splu(self._system, permc_spec="NATURAL"))
             y = lagged[0].solve(b)
+        lagged[1:] = [y]
         x = np.empty_like(rhs)
         x[self._order] = y
         return x
@@ -534,15 +536,15 @@ class _SaddleLayout:
         self._order = order
 
 
-def _refined(a, lu, b):
+def _refined(a, lu, x, b):
     """The solution of ``a x = b`` by iterative refinement with ``lu``, the
-    factor of a nearby system: x += lu⁻¹ (b - a x) until the residual's
-    infinity norm is at most 4 eps (‖a‖ ‖x‖ + ‖b‖), or None when
-    ``_REFINEMENT_CAP`` corrections do not get there."""
+    factor of a nearby system, from the guess ``x``: x += lu⁻¹ (b - a x)
+    until the residual's infinity norm is at most 4 eps (‖a‖ ‖x‖ + ‖b‖),
+    or None when ``_REFINEMENT_CAP`` corrections do not get there."""
     a_norm = np.bincount(a.indices, weights=np.abs(a.data), minlength=a.shape[0]).max()
     tolerance = 4.0 * np.finfo(float).eps
     b_norm = np.abs(b).max()
-    x = lu.solve(b)
+    x = x + lu.solve(b - a @ x)
     for _ in range(_REFINEMENT_CAP):
         r = b - a @ x
         if np.abs(r).max() <= tolerance * (a_norm * np.abs(x).max() + b_norm):
@@ -551,17 +553,17 @@ def _refined(a, lu, b):
     return None
 
 
-def _step(problem, state):
-    """One step of the configured integrator (see :func:`solve_step`). Its
-    sweeps share one factor, which dies with the step: a factor kept across
-    steps would live next to the following step's new one."""
+def _step(problem, state, lagged):
+    """One step of the configured integrator (see :func:`solve_step`), whose
+    sweeps solve with the run's holder ``lagged``."""
     cfg = problem.config
     t_new = state.t + cfg.dt
     alpha, history, convecting = time_terms(
         cfg.time_integrator, state.u.coefficients, state.u_prev, cfg.dt)
     rhs = problem.mass @ history + problem.load_vector(t_new)
     boundary = problem.boundary_values(t_new)
-    lagged = []
+    if cfg.time_integrator == "bdf2_semi_implicit":
+        lagged.clear()  # bit for bit splu: a lagged factor moves cavity's indicators by 3e-8
 
     def sweep(w):
         values = problem.velocity_values(
@@ -633,7 +635,10 @@ def snapshot_steps(config):
 
 def run_fom(problem, initial_velocity=None, probe=None):
     """Integrate the configured scheme and record QoIs and snapshots; a
-    :class:`~podflow.metrics.DragLiftProbe` tests each step's residual."""
+    :class:`~podflow.metrics.DragLiftProbe` tests each step's residual.
+    The steps share one holder of a lagged factor (see
+    :meth:`_SaddleLayout.solve`), emptied on return, so no factor outlives
+    the run."""
     cfg = problem.config
     state = initial_state(problem, initial_velocity)
     recorded = set(snapshot_steps(cfg).tolist())
@@ -649,22 +654,26 @@ def run_fom(problem, initial_velocity=None, probe=None):
             snap_p.append(st.p.coefficients.copy())
 
     maybe_snapshot(state)
-    for _ in range(cfg.n_steps):
-        state = _step(problem, state)
-        times.append(state.t)
-        c_d = c_l = np.nan
-        if probe is not None:
-            c_d, c_l = probe.coefficients(probe.fields.T @ state.residual)
-        qoi_rows.append(
-            (
-                state.t,
-                kinetic_energy(state.u, problem.mass),
-                c_d,
-                c_l,
-                weak_divergence(state.u, problem.divergence, problem.pressure_mass),
+    lagged = []
+    try:
+        for _ in range(cfg.n_steps):
+            state = _step(problem, state, lagged)
+            times.append(state.t)
+            c_d = c_l = np.nan
+            if probe is not None:
+                c_d, c_l = probe.coefficients(probe.fields.T @ state.residual)
+            qoi_rows.append(
+                (
+                    state.t,
+                    kinetic_energy(state.u, problem.mass),
+                    c_d,
+                    c_l,
+                    weak_divergence(state.u, problem.divergence, problem.pressure_mass),
+                )
             )
-        )
-        maybe_snapshot(state)
+            maybe_snapshot(state)
+    finally:
+        lagged.clear()
 
     return FOMRun(
         problem=problem,

@@ -1,3 +1,4 @@
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.sparse.linalg as spla
 from lps_oracle import assemble_lps_fluctuation, gradient_sample_matrix
 from oracles import saddle_system, solve_stokes
 
+import podflow.fom
 from podflow.assembly import StabilizationConfig, convection_matrix
 from podflow.fe_space import FEField, interpolate
 from podflow.fom import (
@@ -262,7 +264,7 @@ def test_implicit_euler_failure_raises_with_diagnostics():
     assert len(info.value.residual_history) == 1
 
 
-# -- a step's lagged factor -------------------------------------------------
+# -- a run's lagged factor --------------------------------------------------
 
 
 def strong_swirl(x, y, t):
@@ -270,12 +272,17 @@ def strong_swirl(x, y, t):
     return 100.0 * fx, 100.0 * fy
 
 
-def euler_cavity():
-    """A strongly forced implicit-Euler cavity of three steps and its run."""
+def forced_cavity(integrator="implicit_euler", **fom):
+    """A strongly forced cavity problem of three steps."""
     cfg = FOMConfig(scheme="graddiv", nu=5e-3, dt=1e-2, t_final=0.03,
-                    time_integrator="implicit_euler", snapshot_window=(0.0, 0.03),
-                    stabilization=StabilizationConfig(grad_div=0.3))
-    problem = FOMProblem(build_rect_mesh(1.0, 1.0, 4, 4), cfg, enclosed_case(strong_swirl))
+                    time_integrator=integrator, snapshot_window=(0.0, 0.03),
+                    stabilization=StabilizationConfig(grad_div=0.3), **fom)
+    return FOMProblem(build_rect_mesh(1.0, 1.0, 4, 4), cfg, enclosed_case(strong_swirl))
+
+
+def euler_cavity():
+    """The implicit-Euler :func:`forced_cavity` and its run."""
+    problem = forced_cavity()
     return problem, run_fom(problem)
 
 
@@ -305,7 +312,10 @@ def backward_error_bound(a, x, b):
                                         + np.abs(b).max())
 
 
-def test_later_picard_sweeps_refine_to_the_backward_error_bound(monkeypatch, factored):
+@pytest.fixture
+def solves(monkeypatch, factored):
+    """(values, rhs, solution, orderings of its factors) of each saddle-point
+    solve made while it is active."""
     solves, solve = [], _SaddleLayout.solve
 
     def recording(self, values, rhs, lagged):
@@ -315,13 +325,21 @@ def test_later_picard_sweeps_refine_to_the_backward_error_bound(monkeypatch, fac
         return x
 
     monkeypatch.setattr(_SaddleLayout, "solve", recording)
+    return solves
+
+
+def test_later_picard_sweeps_refine_to_the_backward_error_bound(solves):
     problem, run = euler_cavity()
-    monkeypatch.undo()
-    # the ordering factorization, then one factor per step
-    assert [specs for *_, specs in solves if specs] == [["COLAMD"]] + [["NATURAL"]] * 3
-    refined = [(values, rhs, x) for values, rhs, x, specs in solves if not specs]
-    assert len(refined) >= 6
-    for values, rhs, x in refined:
+    # the ordering factorization, then the run's one factor
+    assert [specs for *_, specs in solves] == (
+        [["COLAMD"], ["NATURAL"]] + [[]] * (len(solves) - 2))
+    # a step's sweeps share its right-hand side: every later step's first
+    # sweep refines too
+    firsts = [k for k in range(1, len(solves))
+              if not np.array_equal(solves[k][1], solves[k - 1][1])]
+    assert len(firsts) == 2 and firsts[0] > 2
+    assert len(solves) >= 8
+    for values, rhs, x, _ in solves[2:]:
         a = saddle_system(problem, values)
         want = spla.splu(a).solve(rhs)
         assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
@@ -339,16 +357,57 @@ def test_a_far_off_factor_falls_back_to_splu_bit_for_bit(factored):
     far_factor = lagged[0]
     del factored[:]
     got = layout.solve(near, rhs, lagged)
-    # refinement with the far factor misses the bound, so the system is
-    # factored afresh and that factor replaces the step's
+    # refinement with the far factor from the far solution misses the
+    # bound, so the system is factored afresh, and the holder keeps that
+    # factor and its solution in the relabelled order
     assert factored == ["NATURAL"]
-    assert len(lagged) == 1 and lagged[0] is not far_factor
+    assert len(lagged) == 2 and lagged[0] is not far_factor
     want = spla.splu(saddle_system(problem, near)).solve(rhs)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    # the next sweep refines against the new factor
+    assert np.array_equal(lagged[1], got[layout._order])
+    # the next sweep refines against the new factor from that solution
     del factored[:]
-    layout.solve(convected(problem, 0.99 * w), rhs, lagged)
+    again = layout.solve(convected(problem, 0.99 * w), rhs, lagged)
     assert factored == []
+    assert np.array_equal(lagged[1], again[layout._order])
+
+
+def test_bdf2_solves_stay_bit_for_bit_splu_beside_the_run_holder(monkeypatch, solves):
+    def refined(*args):
+        raise AssertionError("a BDF2 solve refined")
+
+    monkeypatch.setattr(podflow.fom, "_refined", refined)
+    problem = forced_cavity("bdf2_semi_implicit")
+    run_fom(problem)
+    monkeypatch.undo()
+    # the ordering factorization, then one factor per step
+    assert [specs for *_, specs in solves] == [["COLAMD"]] + [["NATURAL"]] * 2
+    for values, rhs, x, _ in solves:
+        want = spla.splu(saddle_system(problem, values)).solve(rhs)
+        assert np.array_equal(x.view(np.int64), want.view(np.int64))
+
+
+def live_factors():
+    """The SuperLU factors held by objects the garbage collector tracks,
+    such as a list or the frame of a traceback."""
+    gc.collect()
+    return sum(isinstance(held, spla.SuperLU)
+               for obj in gc.get_objects() for held in gc.get_referents(obj))
+
+
+def test_no_factor_outlives_the_run(factored):
+    before = live_factors()
+    euler_cavity()
+    assert factored == ["COLAMD", "NATURAL"]
+    assert live_factors() == before
+    # the third sweep refines, then the error keeps run_fom's frame alive
+    del factored[:]
+    problem = forced_cavity(nonlinear_max_iterations=3, nonlinear_tolerance=1e-16)
+    with pytest.raises(NonlinearSolveError) as info:
+        run_fom(problem)
+    assert len(info.value.residual_history) == 3
+    assert factored == ["COLAMD", "NATURAL"]
+    assert live_factors() == before
 
 
 def test_an_exact_zero_stays_a_stored_zero_of_the_one_pattern(factored):

@@ -29,6 +29,20 @@ def test_the_run_list_covers_the_workloads_and_studies():
         assert name in names
 
 
+def test_the_summary_counts_runs_per_time_integrator():
+    plan = identity_sweep.runs()
+    euler = [name for name, run in plan.items()
+             if identity_sweep.integrator(*run) == "implicit_euler"]
+    assert euler == ["tiny_channel_lps_euler", "tiny_channel_picard", "channel_picard_seed0",
+                     "channel_picard_seed1", "longhorizon_channel_picard"]
+    assert identity_sweep.integrator(*plan["convergence_lps"]) == "bdf2_semi_implicit"
+    differing = {"channel_picard_seed1": 7.7e-9, "tiny_channel_picard": 1e-9}
+    assert identity_sweep.summary(list(plan), differing) == (
+        "21 of 23 runs identical (bdf2_semi_implicit: 18 identical, 0 differ, "
+        "implicit_euler: 3 identical, 2 differ); "
+        "differ: channel_picard_seed1 (7.7e-09), tiny_channel_picard (1.0e-09)")
+
+
 def test_a_copy_of_the_tree_is_identical_and_a_changed_one_differs(tmp_path):
     copy = tmp_path / "copy" / "src"
     shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))

@@ -22,8 +22,10 @@ three benchmark workloads at tiny size, the desk cavity under both schemes,
 the three workloads at full size with seeds 0 and 1, the convergence study
 of both schemes, and the long-horizon study on the tiny config and on
 ``channel_picard``. The configs come from the working tree, so both sides
-run the same inputs. The exit status is 0 when every pair is identical and
-1 otherwise.
+run the same inputs. The closing summary also counts identical and
+differing runs per time integrator, read from each run's spec (the
+convergence study runs the default, BDF2). The exit status is 0 when every
+pair is identical and 1 otherwise.
 """
 
 import argparse
@@ -68,6 +70,7 @@ CHANNEL = {
 }
 
 WORKLOAD_NAMES = ("desk_graddiv", "cavity_lps_nx32", "channel_picard")
+DEFAULT_INTEGRATOR = "bdf2_semi_implicit"  # FOMConfig's, which the convergence study runs
 
 
 def _with(raw, **sections):
@@ -110,6 +113,29 @@ def runs():
     out["longhorizon_channel_picard"] = ("longhorizon", {
         "config": workload_config("channel_picard"), "horizon": 2.0})
     return out
+
+
+def integrator(kind, spec):
+    """The time integrator of the run ``(kind, spec)``."""
+    if kind == "convergence":
+        return DEFAULT_INTEGRATOR
+    config = spec["config"] if kind == "longhorizon" else spec
+    return config["fom"].get("time_integrator", DEFAULT_INTEGRATOR)
+
+
+def summary(names, differing):
+    """The closing line: how many of ``names`` are identical, overall and
+    per time integrator, and the largest difference of each that differs."""
+    plan = runs()
+    tally = {}
+    for name in names:
+        counts = tally.setdefault(integrator(*plan[name]), [0, 0])
+        counts[name in differing] += 1
+    return (f"{len(names) - len(differing)} of {len(names)} runs identical ("
+            + ", ".join(f"{key}: {same} identical, {diff} differ"
+                        for key, (same, diff) in tally.items()) + ")"
+            + (f"; differ: {', '.join(f'{n} ({w:.1e})' for n, w in differing.items())}"
+               if differing else ""))
 
 
 # One run in a fresh process: argv is src, kind, JSON spec, output directory.
@@ -200,9 +226,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         differing = sweep(export_src(args.against, work / "tree"), names, work)
-    print(f"{len(names) - len(differing)} of {len(names)} runs identical"
-          + (f"; differ: {', '.join(f'{n} ({w:.1e})' for n, w in differing.items())}"
-             if differing else ""))
+    print(summary(names, differing))
     return 1 if differing else 0
 
 
