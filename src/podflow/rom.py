@@ -12,7 +12,8 @@ divergence-stable scheme, its supremizer :class:`PressureRecovery`, so a
 run takes only the start state, the time origin and the grad-div coefficient.
 The model's forms, the recovery's and those a drag/lift probe tests are
 projections of the same trial functions against different test functions,
-made in one pass over the trial functions.
+made in one pass over the trial functions: the POD modes, preceded for a
+centred basis by the snapshot mean, whose coefficient is fixed at 1.
 """
 
 from __future__ import annotations
@@ -62,14 +63,15 @@ class ROMOperators:
     The velocity forms test the momentum residual against the columns of
     ``test``: the modes themselves for the reduced model, the supremizers
     for :class:`PressureRecovery`, the probe fields for ``drag_lift``.
-    ``convection_tensor[i, j, k]`` is the trilinear form with mode ``i``
-    convecting mode ``j``, tested by test function ``k``. The ``*_mean``
-    vectors and the mean/mode convection couplings lift a centered basis;
-    they are zero when the basis was built from uncentered snapshots.
-    Pressure-side blocks are ``None`` for the velocity-only scheme. ``forcing_modes`` holds the projected loads
-    of the shapes of ``forcing``, the problem's :class:`SeparableForcing`;
-    both are ``None`` for an unforced problem, and a loaded set keeps only
-    the former. ``recovery`` is the velocity-only scheme's supremizer
+    Their trial axis runs over the trial set: the mean first for a centred
+    basis (``lift`` 1), then the ``r`` modes of ``vel_modes``.
+    ``convection_tensor[i, j, k]`` is the trilinear form with trial
+    function ``i`` convecting trial function ``j``, tested by test function
+    ``k``. Pressure-side blocks are ``None`` for the velocity-only scheme.
+    ``forcing_modes`` holds the projected loads of the shapes of
+    ``forcing``, the problem's :class:`SeparableForcing`; both are ``None``
+    for an unforced problem, and a loaded set keeps only the former.
+    ``recovery`` is the velocity-only scheme's supremizer
     :class:`PressureRecovery` at the same sizes, or ``None``; ``drag_lift``
     holds the same velocity forms tested by the fields of a drag/lift
     probe, or ``None``. Neither is saved.
@@ -82,19 +84,11 @@ class ROMOperators:
     grad_div: np.ndarray
     lps_velocity: np.ndarray
     convection_tensor: np.ndarray
-    convect_by_mean: np.ndarray
-    transport_of_mean: np.ndarray
-    mean_convection: np.ndarray
-    viscous_mean: np.ndarray
-    grad_div_mean: np.ndarray
-    lps_velocity_mean: np.ndarray
-    mass_mean: np.ndarray
     mean_energy: float
     vel_modes: np.ndarray
     mean: np.ndarray = None
     divergence: np.ndarray = None
     lps_pressure: np.ndarray = None
-    divergence_mean: np.ndarray = None
     pres_modes: np.ndarray = None
     vel_space: object = None
     forcing_modes: np.ndarray = None
@@ -111,40 +105,37 @@ class ROMOperators:
     def r_pressure(self):
         return None if self.divergence is None else int(self.divergence.shape[0])
 
+    @property
+    def lift(self):
+        """1 when the trial set starts with the mean of a centred basis, else 0."""
+        return self.stiffness.shape[1] - self.r
 
-# Axes of each array field of ROMOperators: r = velocity modes (trial),
-# t = test functions, p = pressure modes, n = full-order DOFs, q = separable
-# forcing terms. Truncation slices the r, t and p axes; only arrays without
-# an n axis are saved, so a loaded set has no modes, no mean and no test
-# functions.
+
+# Axes of each array field of ROMOperators: r = trial set (the mean of a
+# centred basis, then the velocity modes), m = velocity modes, t = test
+# functions, p = pressure modes, n = full-order DOFs, q = separable forcing
+# terms. Truncation slices the r, m, t and p axes; only arrays without an n
+# axis are saved, so a loaded set has no modes, mean or test functions.
 _OPERATOR_AXES = {
     "mass": "tr",
     "stiffness": "tr",
     "grad_div": "tr",
     "lps_velocity": "tr",
     "convection_tensor": "rrt",
-    "convect_by_mean": "tr",
-    "transport_of_mean": "tr",
-    "mean_convection": "t",
-    "viscous_mean": "t",
-    "grad_div_mean": "t",
-    "lps_velocity_mean": "t",
-    "mass_mean": "t",
-    "vel_modes": "nr",
+    "vel_modes": "nm",
     "mean": "n",
     "test": "nt",
     "divergence": "pr",
     "lps_pressure": "pp",
-    "divergence_mean": "p",
     "pres_modes": "np",
     "forcing_modes": "tq",
 }
 
 
 def _leading_blocks(ops, r, t, p):
-    """``ops`` cut to its leading ``r`` modes, ``t`` test functions and
-    ``p`` pressure modes (all of them for None), without reassembly."""
-    sizes = {"r": r, "t": t, "p": p}
+    """``ops`` cut to the mean and its leading ``r`` modes, ``t`` test
+    functions and ``p`` pressure modes (all for None), without reassembly."""
+    sizes = {"r": r + ops.lift, "m": r, "t": t, "p": p}
     cut = {}
     for name, axes in _OPERATOR_AXES.items():
         a = getattr(ops, name)
@@ -152,62 +143,51 @@ def _leading_blocks(ops, r, t, p):
     return replace(ops, r=r, **cut)
 
 
+def _trial_set(phi, mean):
+    """The trial functions as columns: ``mean`` (None for an uncentred
+    basis) first, then the modes ``phi``."""
+    return phi if mean is None else np.column_stack([mean, phi])
+
+
 def _project(problem, phi, mean, tests):
     """Galerkin projection of the momentum residual's velocity forms.
 
-    The trial functions are the columns of ``phi``, lifted by ``mean``
-    (None for an uncentered basis); each entry of ``tests`` is a matrix whose
-    columns are test functions. One pass over the trial functions makes each
-    operator product, one convection matrix per trial function and the
-    mean, and tests it against every matrix before the next. Returns one
-    ROMOperators without pressure blocks per test matrix; a form whose
-    operator the problem lacks, and every mean lift of an uncentered basis,
-    is zero. The problem's forcing must be separable.
+    The trial functions are those of :func:`_trial_set`: the modes
+    ``phi``, preceded by the mean of a centred basis (None for an
+    uncentred one). Each entry of ``tests`` is a matrix whose columns are
+    test functions. One pass over the trial functions makes each operator
+    product and convection matrix and tests it against every matrix before
+    the next. Returns one ROMOperators without pressure blocks per test
+    matrix; a form whose operator the problem lacks is zero. The
+    problem's forcing must be separable.
     """
     shapes = problem.load_shapes
     space = problem.vel_space
-    r = phi.shape[1]
-    forms = [{"convection_tensor": np.empty((r, r, test.shape[1]))} for test in tests]
-    for name, lift, matrix in (
-            ("mass", "mass_mean", problem.mass),
-            ("stiffness", "viscous_mean", problem.stiffness),
-            ("grad_div", "grad_div_mean", problem.grad_div),
-            ("lps_velocity", "lps_velocity_mean", problem.velocity_stabilization)):
+    trial = _trial_set(phi, mean)
+    n = trial.shape[1]
+    forms = [{"convection_tensor": np.empty((n, n, test.shape[1]))} for test in tests]
+    for name, matrix in (("mass", problem.mass), ("stiffness", problem.stiffness),
+                         ("grad_div", problem.grad_div),
+                         ("lps_velocity", problem.velocity_stabilization)):
         if matrix is not None:
-            products = {name: matrix @ phi}
-            if mean is not None:
-                products[lift] = matrix @ mean
+            product = matrix @ trial
             for f, test in zip(forms, tests):
-                f.update({key: test.T @ v for key, v in products.items()})
-
-    if mean is not None:
+                f[name] = test.T @ product
+    for i, w in enumerate(trial.T):
+        by_trial = convection_matrix(space, FEField(space, w)) @ trial
         for f, test in zip(forms, tests):
-            f["transport_of_mean"] = np.empty((test.shape[1], r))
-    for i, w in enumerate(phi.T):
-        c = convection_matrix(space, FEField(space, w))
-        by_mode = c @ phi
-        of_mean = None if mean is None else c @ mean
-        for f, test in zip(forms, tests):
-            f["convection_tensor"][i] = (test.T @ by_mode).T
-            if mean is not None:
-                f["transport_of_mean"][:, i] = test.T @ of_mean
-    if mean is not None:
-        c = convection_matrix(space, FEField(space, mean))
-        by_mean, of_mean = c @ phi, c @ mean
-        for f, test in zip(forms, tests):
-            f["convect_by_mean"] = test.T @ by_mean
-            f["mean_convection"] = test.T @ of_mean
+            f["convection_tensor"][i] = (test.T @ by_trial).T
 
     mean_energy = 0.0 if mean is None else float(mean @ (problem.mass @ mean))
     out = []
     for f, test in zip(forms, tests):
-        sizes = {"r": r, "t": test.shape[1]}
+        sizes = {"r": n, "t": test.shape[1]}
         f.update({name: np.zeros([sizes[x] for x in axes])
                   for name, axes in _OPERATOR_AXES.items()
                   if name not in f and set(axes) <= set(sizes)})
         out.append(ROMOperators(
             fom=problem.config,
-            r=r,
+            r=phi.shape[1],
             mean_energy=mean_energy,
             vel_modes=phi,
             mean=None if mean is None else np.asarray(mean, dtype=float),
@@ -258,9 +238,8 @@ def build_rom_operators(problem, vel_basis, pres_basis=None, r=None,
     ops = forms["model"]
     ops.drag_lift = forms.get("drag_lift")
     if problem.config.scheme == "lps":
-        ops.divergence = psi.T @ (problem.divergence @ phi)
+        ops.divergence = psi.T @ (problem.divergence @ _trial_set(phi, mean))
         ops.lps_pressure = psi.T @ (problem.pressure_stabilization @ psi)
-        ops.divergence_mean = np.zeros(rp) if mean is None else psi.T @ (problem.divergence @ mean)
         ops.pres_modes = psi
     elif "recovery" in forms:
         psi = psi[:, :z.shape[1]]
@@ -296,7 +275,8 @@ def truncate_operators(ops, r, r_pressure):
 def rom_kinetic_energy(ops, a):
     """Kinetic energy of the reconstructed full-order field."""
     a = np.asarray(a, dtype=float)
-    return 0.5 * float(a @ (ops.mass @ a) + 2.0 * (ops.mass_mean @ a) + ops.mean_energy)
+    mass, lift = _split(ops, ops.mass)
+    return 0.5 * float(a @ (mass @ a) + 2.0 * (lift @ a) + ops.mean_energy)
 
 
 def reduce_forcing(ops, t):
@@ -313,14 +293,24 @@ def reduce_forcing(ops, t):
     return ops.forcing_modes @ ops.forcing.coefficients(t)
 
 
-def _reduced_velocity_block(ops, a_hat, mu, alpha):
-    dt, nu = ops.fom.dt, ops.fom.nu  # the full-order step and viscosity
-    conv = ops.convect_by_mean + np.einsum("i,ijk->kj", a_hat, ops.convection_tensor)
-    block = (alpha / dt) * ops.mass + nu * ops.stiffness + ops.lps_velocity \
-        + mu * ops.grad_div + conv
-    lift = nu * ops.viscous_mean + ops.lps_velocity_mean + mu * ops.grad_div_mean \
-        + ops.mean_convection + ops.transport_of_mean @ a_hat
-    return block, lift
+def _lifted(ops, a):
+    """The trial coefficients of ``a``: the mean's fixed 1 first, if any."""
+    return np.concatenate(([1.0], a)) if ops.lift else a
+
+
+def _split(ops, form):
+    """``form``'s columns of the modes, and its column of the mean (or zeros)."""
+    return (form[:, 1:], form[:, 0]) if ops.lift else (form, np.zeros(len(form)))
+
+
+def _velocity_block(ops, mu, alpha):
+    """The velocity forms of one step as a function of the convecting mode
+    coefficients, the rest summed once: the time term on the modes (the
+    mean's cancels against its history), viscosity, stabilization, grad-div."""
+    time_term = (alpha / ops.fom.dt) * ops.mass
+    time_term[:, :ops.lift] = 0.0
+    static = time_term + ops.fom.nu * ops.stiffness + ops.lps_velocity + mu * ops.grad_div
+    return lambda w: static + np.einsum("i,ijk->kj", _lifted(ops, w), ops.convection_tensor)
 
 
 def _solve_reduced(ops, block, rhs_velocity):
@@ -333,11 +323,9 @@ def _solve_reduced(ops, block, rhs_velocity):
         if not np.all(np.isfinite(a)):
             raise RuntimeError("reduced velocity solve produced non-finite values")
         return a, None
-    system = np.block([
-        [block, -ops.divergence.T],
-        [ops.divergence, ops.lps_pressure],
-    ])
-    rhs = np.concatenate([rhs_velocity, -ops.divergence_mean])
+    divergence, lift = _split(ops, ops.divergence)
+    system = np.block([[block, -divergence.T], [divergence, ops.lps_pressure]])
+    rhs = np.concatenate([rhs_velocity, -lift])
     try:
         x = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
@@ -362,16 +350,18 @@ def step_rom(ops, a_now, a_prev, mu=0.0, forcing=None):
     a_now = np.asarray(a_now, dtype=float)
     a_prev = np.asarray(a_prev, dtype=float)
     alpha, history, convecting = time_terms(fom.time_integrator, a_now, a_prev, fom.dt)
-    rhs_time = ops.mass @ history
+    mass, _ = _split(ops, ops.mass)
+    rhs_time = mass @ history
+    velocity_block = _velocity_block(ops, mu, alpha)
 
     def sweep(w):
-        block, lift = _reduced_velocity_block(ops, w, mu, alpha)
+        block, lift = _split(ops, velocity_block(w))
         rhs = rhs_time - lift
         if forcing is not None:
             rhs = rhs + np.asarray(forcing, dtype=float)
         return _solve_reduced(ops, block, rhs)
 
-    return solve_step(fom.time_integrator, sweep, convecting, ops.mass,
+    return solve_step(fom.time_integrator, sweep, convecting, mass,
                       fom.nonlinear_tolerance, fom.nonlinear_max_iterations)
 
 
@@ -383,7 +373,8 @@ def step_residuals(ops, a_traj, mu, times):
     integrator, dt = ops.fom.time_integrator, ops.fom.dt
     a_traj = np.asarray(a_traj, dtype=float)
     mu = np.broadcast_to(mu, a_traj.shape[1:])
-    out = np.empty((ops.mass.shape[0], a_traj.shape[1]))
+    mass, _ = _split(ops, ops.mass)
+    out = np.empty((mass.shape[0], a_traj.shape[1]))
     for n, a in enumerate(a_traj.T):
         alpha, history, convecting = 0.0, np.zeros_like(a), a
         if n > 0:
@@ -391,8 +382,8 @@ def step_residuals(ops, a_traj, mu, times):
                 integrator, a_traj[:, n - 1], a_traj[:, max(n - 2, 0)], dt)
         if integrator != "bdf2_semi_implicit":  # Picard converged on the new level
             convecting = a
-        block, lift = _reduced_velocity_block(ops, convecting, mu[n], alpha)
-        out[:, n] = block @ a + lift - ops.mass @ history
+        block = _velocity_block(ops, mu[n], alpha)(convecting)  # on the trial set
+        out[:, n] = block @ _lifted(ops, a) - mass @ history
         load = reduce_forcing(ops, times[n])
         if load is not None:
             out[:, n] -= load
@@ -620,9 +611,10 @@ def _whitened_coupling_svd(z, psi, divergence, mass, stiffness):
 class PressureRecovery:
     """Reduced pressure reconstruction tested against supremizers.
 
-    For a reduced velocity state ``a`` (the field u = mean + phi a), its
-    time slope ``dadt``, a grad-div coefficient ``mu`` and the projected
-    load ``forcing``, the pressure coefficients b solve
+    For a reduced velocity state ``a`` (the field u = mean + phi a on the
+    trial set, whose mean is fixed at 1, or absent for an uncentred basis),
+    its time slope ``dadt``, a grad-div coefficient ``mu`` and the
+    projected load ``forcing``, the pressure coefficients b solve
     ``sum_j b_j (psi_j, div z_k) = (phi dadt, z_k) + conv(u, u, z_k)
     + mu (div u, div z_k) - (f, z_k)`` over the supremizers z_k, one per
     pressure mode, so the system is square. This is not the reduced step's
@@ -656,13 +648,12 @@ class PressureRecovery:
         """Pressure coefficients of one reduced velocity state; ``forcing``
         is None for an unforced problem."""
         ops = self.operators
+        u = _lifted(ops, a)
         rhs = np.zeros(self.coupling.shape[0])
-        rhs = rhs + ops.mass @ dadt
-        rhs = rhs + ops.mean_convection \
-            + ops.convect_by_mean @ a + ops.transport_of_mean @ a \
-            + np.einsum("i,ijk,j->k", a, ops.convection_tensor, a)
+        rhs = rhs + _split(ops, ops.mass)[0] @ dadt
+        rhs = rhs + np.einsum("i,ijk,j->k", u, ops.convection_tensor, u)
         if mu != 0.0:
-            rhs = rhs + mu * (ops.grad_div @ a + ops.grad_div_mean)
+            rhs = rhs + mu * (ops.grad_div @ u)
         if forcing is not None:
             rhs = rhs - forcing
         try:
@@ -757,9 +748,12 @@ def save_operators(ops, path):
 def load_operators(path, expected_signature=None):
     """Read a reduced-operator container written by :func:`save_operators`."""
     meta, arrays = read_container(path, "operators", expected_signature)
-    if "fom" not in meta:
-        raise ContainerError(path, "holds no full-order configuration ('fom'); it was "
-                                   "written by an older version, rebuild the operators")
+    unread = ", ".join(sorted(arrays.keys() - _OPERATOR_AXES.keys()))
+    if "fom" not in meta or unread:
+        held = f"arrays this version does not read ({unread})" if unread \
+            else "no full-order configuration ('fom')"
+        raise ContainerError(path, f"holds {held}; it was written by an older version, "
+                                   "rebuild the operators")
     fom = meta["fom"]
     window = fom["snapshot_window"]
     return ROMOperators(

@@ -260,15 +260,17 @@ def recovered_pressure(ops, run, mu, a_prev=None, columns=None):
 
 
 def _recovery_right_hand_side(ops, a, dadt, mu, forcing):
-    """The supremizer-tested momentum terms of one level: time slope,
-    convection of the lifted field, grad-div (skipped for mu = 0) and load."""
+    """The supremizer-tested momentum terms of one level: time slope on the
+    modes, convection and grad-div (skipped for mu = 0) of the lifted state
+    (the mean's coefficient 1 first for a centred basis, then ``a``) and
+    load."""
+    lift = ops.lift
+    u = np.concatenate([np.ones(lift), a])
     rhs = np.zeros(ops.mass.shape[0])
-    rhs = rhs + ops.mass @ dadt
-    rhs = rhs + ops.mean_convection \
-        + ops.convect_by_mean @ a + ops.transport_of_mean @ a \
-        + np.einsum("i,ijk,j->k", a, ops.convection_tensor, a)
+    rhs = rhs + ops.mass[:, lift:] @ dadt
+    rhs = rhs + np.einsum("i,ijk,j->k", u, ops.convection_tensor, u)
     if mu != 0.0:
-        rhs = rhs + mu * (ops.grad_div @ a + ops.grad_div_mean)
+        rhs = rhs + mu * (ops.grad_div @ u)
     if forcing is not None:
         rhs = rhs - forcing
     return rhs

@@ -15,7 +15,7 @@ from oracles import (
 )
 
 from podflow.assembly import StabilizationConfig, assemble_load, convection_matrix
-from podflow.container import ContainerError, write_container
+from podflow.container import ContainerError, read_container, write_container
 from podflow.fe_space import FEField
 from podflow.fom import (
     FlowCase,
@@ -180,16 +180,19 @@ def assert_same_arrays(cut, direct):
 
 
 def test_truncation_matches_direct_build():
-    problem, _, _, _, vel_basis, pres_basis = cavity_setup("lps", window=(0.02, 0.1))
-    full = build_rom_operators(problem, vel_basis, pres_basis)
-    assert full.r >= 4
-    direct = build_rom_operators(problem, vel_basis, pres_basis, r=3, r_pressure=2)
-    cut = truncate_operators(full, 3, r_pressure=2)
-    for name in ("mass", "stiffness", "grad_div", "lps_velocity",
-                 "convection_tensor", "convect_by_mean", "transport_of_mean",
-                 "mean_convection", "divergence", "lps_pressure"):
-        a, b = getattr(cut, name), getattr(direct, name)
-        assert np.allclose(a, b, rtol=1e-13, atol=1e-15), name
+    for center in (False, True):
+        problem, _, _, _, vel_basis, pres_basis = cavity_setup("lps", center=center,
+                                                               window=(0.02, 0.1))
+        full = build_rom_operators(problem, vel_basis, pres_basis)
+        assert full.r >= 4 and full.lift == int(center)
+        direct = build_rom_operators(problem, vel_basis, pres_basis, r=3, r_pressure=2)
+        cut = truncate_operators(full, 3, r_pressure=2)
+        assert cut.lift == direct.lift == int(center)
+        for name in ("mass", "stiffness", "grad_div", "lps_velocity",
+                     "convection_tensor", "divergence", "lps_pressure"):
+            a, b = getattr(cut, name), getattr(direct, name)
+            assert a.shape == b.shape, (center, name)
+            assert np.allclose(a, b, rtol=1e-13, atol=1e-15), (center, name)
 
 
 def test_separable_forcing_projects_like_its_assembled_load():
@@ -270,12 +273,15 @@ def test_truncated_pressure_recovery_matches_direct_build():
 
 @pytest.fixture(scope="module")
 def full_builds():
-    """(problem, vel_basis, pres_basis, operators at full rank) for a coupled
-    cavity and a centred velocity-only one, plus the latter's supremizers
-    and their recovery."""
-    problem, _, _, _, vel_basis, pres_basis = cavity_setup("lps", window=(0.02, 0.1))
-    lps = (problem, vel_basis, pres_basis,
-           build_rom_operators(problem, vel_basis, pres_basis))
+    """(problem, vel_basis, pres_basis, operators at full rank) for an
+    uncentred and a centred coupled cavity and a centred velocity-only one,
+    plus the latter's supremizers and their recovery."""
+    lps = []
+    for center in (False, True):
+        problem, _, _, _, vel_basis, pres_basis = cavity_setup("lps", center=center,
+                                                               window=(0.02, 0.1))
+        lps.append((problem, vel_basis, pres_basis,
+                    build_rom_operators(problem, vel_basis, pres_basis)))
     problem, _, _, _, vel_basis, pres_basis = cavity_setup(
         "graddiv", center=True, window=(0.02, 0.1), forcing=separable_swirl)
     sup = compute_supremizers(problem, pres_basis.modes)
@@ -289,12 +295,12 @@ def full_builds():
 @given(data=st.data())
 def test_truncated_builds_match_direct_builds_at_random_sizes(full_builds, data):
     lps, graddiv, sup, recovery = full_builds
-    problem, vel_basis, pres_basis, full = lps
-    r = data.draw(st.integers(1, full.r), label="r")
-    rp = data.draw(st.integers(1, full.r_pressure), label="rp")
-    assert_same_arrays(truncate_operators(full, r, rp),
-                       build_rom_operators(problem, vel_basis, pres_basis, r=r,
-                                           r_pressure=rp))
+    for center, (problem, vel_basis, pres_basis, full) in enumerate(lps):
+        r = data.draw(st.integers(1, full.r), label=f"r (coupled, centred {center})")
+        rp = data.draw(st.integers(1, full.r_pressure), label=f"rp (centred {center})")
+        assert_same_arrays(truncate_operators(full, r, rp),
+                           build_rom_operators(problem, vel_basis, pres_basis, r=r,
+                                               r_pressure=rp))
 
     problem, vel_basis, pres_basis, full = graddiv
     r = data.draw(st.integers(1, full.r), label="r (velocity only)")
@@ -813,25 +819,28 @@ def test_reduced_pressure_matches_its_oracle_bit_for_bit(center, forced):
 
 
 def test_operator_container_round_trip(tmp_path):
-    problem, _, _, _, vel_basis, pres_basis = cavity_setup("lps", window=(0.02, 0.1))
-    ops = build_rom_operators(problem, vel_basis, pres_basis)
-    path = tmp_path / "ops.bin"
-    save_operators(ops, path)
-    loaded = load_operators(path, expected_signature=problem.vel_space.signature())
-    assert loaded.scheme == "lps"
-    assert loaded.r == ops.r and loaded.r_pressure == ops.r_pressure
-    for name in ("mass", "stiffness", "grad_div", "lps_velocity",
-                 "convection_tensor", "convect_by_mean", "transport_of_mean",
-                 "mean_convection", "viscous_mean", "grad_div_mean",
-                 "lps_velocity_mean", "mass_mean", "divergence",
-                 "lps_pressure", "divergence_mean"):
-        assert np.array_equal(getattr(loaded, name), getattr(ops, name)), name
-    assert loaded.mean_energy == ops.mean_energy
-    with pytest.raises(ValueError):
-        load_operators(path, expected_signature="deadbeef")
-    # a loaded container can step the reduced system
-    a, b = step_rom(loaded, np.zeros(ops.r), np.zeros(ops.r))
-    assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
+    for center in (False, True):
+        problem, _, _, _, vel_basis, pres_basis = cavity_setup("lps", center=center,
+                                                               window=(0.02, 0.1))
+        ops = build_rom_operators(problem, vel_basis, pres_basis)
+        path = tmp_path / f"ops_{center}.bin"
+        save_operators(ops, path)
+        loaded = load_operators(path, expected_signature=problem.vel_space.signature())
+        assert loaded.scheme == "lps"
+        assert loaded.r == ops.r and loaded.r_pressure == ops.r_pressure
+        assert loaded.lift == ops.lift == int(center)
+        for name in ("mass", "stiffness", "grad_div", "lps_velocity",
+                     "convection_tensor", "divergence", "lps_pressure"):
+            assert np.array_equal(getattr(loaded, name), getattr(ops, name)), (center, name)
+        assert loaded.mean_energy == ops.mean_energy
+        with pytest.raises(ValueError):
+            load_operators(path, expected_signature="deadbeef")
+        # a loaded container steps the reduced system bit for bit like the built set
+        a_now, a_prev = np.random.default_rng(8).normal(size=(2, ops.r))
+        for got, want in zip(step_rom(loaded, a_now, a_prev), step_rom(ops, a_now, a_prev)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), center
+        a, b = step_rom(loaded, np.zeros(ops.r), np.zeros(ops.r))
+        assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
 
 
 def test_loaded_operators_keep_their_full_order_configuration(tmp_path):
@@ -860,7 +869,8 @@ def test_velocity_only_operator_container_round_trip(tmp_path):
     loaded = load_operators(path)
     assert loaded.scheme == "graddiv"
     assert loaded.divergence is None and loaded.r_pressure is None
-    assert np.array_equal(loaded.transport_of_mean, ops.transport_of_mean)
+    assert loaded.lift == ops.lift == 1
+    assert np.array_equal(loaded.convection_tensor, ops.convection_tensor)
     assert loaded.mean_energy == ops.mean_energy
 
 
@@ -873,6 +883,19 @@ def test_an_operator_container_without_its_full_order_configuration_names_the_fi
     with pytest.raises(ContainerError, match="old_ops.bin") as err:
         load_operators(path)
     assert "'fom'" in str(err.value)
+
+
+def test_an_operator_container_in_an_older_layout_names_the_file_and_the_array(tmp_path):
+    # the layout an older version wrote: the mean's lift in arrays of its own
+    problem, _, _, _, vel_basis, _ = cavity_setup("graddiv", window=(0.02, 0.1))
+    path = tmp_path / "old_ops.bin"
+    save_operators(build_rom_operators(problem, vel_basis), path)
+    meta, arrays = read_container(path, "operators")
+    arrays["transport_of_mean"] = np.zeros((vel_basis.r, vel_basis.r))
+    write_container(path, "operators", meta, arrays)
+    with pytest.raises(ContainerError, match="old_ops.bin") as err:
+        load_operators(path)
+    assert "transport_of_mean" in str(err.value)
 
 
 def test_loaded_operators_reject_a_forcing(tmp_path):
