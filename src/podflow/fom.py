@@ -6,10 +6,11 @@ on both gradient fluctuations. The divergence-stable scheme uses the
 quadratic/linear pair with a grad-div penalty. Time stepping is either
 semi-implicit two-step backward differentiation (extrapolated convecting
 field, one linear solve per step) or implicit Euler with fixed-point
-resolution of the convection nonlinearity. :func:`time_terms` holds the
-coefficients of both and :func:`solve_step` their sweeps, for the
-full-order and the reduced models alike. Each step keeps its momentum
-residual, zero on the free velocity DOFs, for drag and lift to test.
+resolution of the convection nonlinearity, started from the same
+extrapolation. :func:`time_terms` holds the coefficients of both and
+:func:`solve_step` their sweeps, for the full-order and the reduced models
+alike. A run with a drag/lift probe keeps each step's momentum residual,
+zero on the free velocity DOFs, for the probe to test.
 
 A problem builds once what its steps do not change: a separable forcing's
 shape values at the load's quadrature points, the velocity block's part
@@ -30,10 +31,12 @@ Three kinds of solve are bit for bit as ``splu`` of the stored system
 would solve it: every BDF2 solve, a problem's first (ordering) solve, and
 a fallback. Every other implicit-Euler Picard sweep, the first of each
 step included, refines against the run's one factor from the last
-solution to a backward error of a few ulps (see
-:meth:`_SaddleLayout.solve`); a sweep whose refinement misses that within
-``_REFINEMENT_CAP`` iterations falls back: it factors afresh, and that
-factor becomes the run's.
+solution (see :meth:`_SaddleLayout.solve`), only as far as Picard can use
+it: to a backward error of ``max(nonlinear_tolerance, 4 eps)``. Once a
+sweep is accepted, its own system is solved again from its solution to a
+backward error of 4 eps, and that is the step's result. A refinement that
+misses its target within ``_REFINEMENT_CAP`` iterations falls back: it
+factors afresh, and that factor becomes the run's.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ TIME_INTEGRATORS = ("bdf2_semi_implicit", "implicit_euler")
 
 _TIME_TOL = 1e-9
 _REFINEMENT_CAP = 10  # corrections a lagged solve may take before it factors afresh
+_BACKWARD_ERROR = 4.0 * np.finfo(float).eps  # the target of a solve whose result is kept
 
 
 class NonlinearSolveError(RuntimeError):
@@ -81,21 +85,26 @@ def time_terms(integrator, now, prev, dt):
     """The time discretization of one step from the levels ``now`` and
     ``prev``: ``(alpha, history, convecting)`` such that the time
     derivative at the new level is ``alpha / dt * u_new - history``, and
-    ``convecting`` is the field of the first convection sweep (the
-    extrapolation ``2 now - prev`` for BDF2, ``now`` for implicit Euler)."""
+    ``convecting`` is the field of the first convection sweep: for both
+    integrators the extrapolation ``2 now - prev``, exact on a linear
+    trajectory, which BDF2 sweeps with once and implicit Euler starts its
+    Picard iteration from."""
+    extrapolated = 2.0 * now - prev
     if integrator == "bdf2_semi_implicit":
-        return 1.5, (4.0 * now - prev) / (2.0 * dt), 2.0 * now - prev
-    return 1.0, now / dt, now
+        return 1.5, (4.0 * now - prev) / (2.0 * dt), extrapolated
+    return 1.0, now / dt, extrapolated
 
 
 def solve_step(integrator, sweep, convecting, mass, tolerance, max_iterations):
     """Solve one step of ``integrator``: ``sweep(w)`` returns the new level
     solved with convection by ``w``, and what else the model solves for.
     BDF2 sweeps once with the extrapolated ``convecting`` field; implicit
-    Euler repeats the sweep, each convected by the last, until the relative
-    change in the ``mass`` norm reaches ``tolerance``. In the full-order
-    model every BDF2 solve is bit for bit ``splu``'s; implicit-Euler sweeps
-    refine against the run's factor (see :meth:`_SaddleLayout.solve`)."""
+    Euler starts from it and repeats the sweep, each convected by the last,
+    until the relative change in the ``mass`` norm reaches ``tolerance``.
+    In the full-order model every BDF2 solve is bit for bit ``splu``'s;
+    implicit-Euler sweeps refine against the run's factor to a backward
+    error of ``max(tolerance, 4 eps)``, and the caller solves the accepted
+    sweep's system again to 4 eps (see :meth:`_SaddleLayout.solve`)."""
     residuals = []
     while True:
         new, other = sweep(convecting)
@@ -168,7 +177,13 @@ def _whole_steps(t, dt):
 
 @dataclass(frozen=True)
 class FOMConfig:
-    """Numerical parameters of a full-order run."""
+    """Numerical parameters of a full-order run.
+
+    ``nonlinear_tolerance`` is the relative change between implicit-Euler
+    Picard sweeps at which a step is accepted, and also the backward error
+    (at least 4 eps) to which the full-order model solves a sweep that
+    Picard may still reject.
+    """
 
     scheme: str
     nu: float
@@ -223,7 +238,7 @@ class FOMState:
     u_prev: np.ndarray
     t: float
     n: int
-    residual: np.ndarray = None  # the step's momentum residual; None at t = 0
+    residual: np.ndarray = None  # the step's momentum residual; None at t = 0 or unprobed
 
 
 class FOMProblem:
@@ -382,12 +397,14 @@ class FOMProblem:
         layout = self._saddle
         return sp.csr_matrix((values, layout.indices, layout.indptr), shape=layout.shape)
 
-    def solve_coupled(self, velocity_values, rhs_velocity, boundary, lagged):
+    def solve_coupled(self, velocity_values, rhs_velocity, boundary, lagged,
+                      target=_BACKWARD_ERROR):
         """Solve one saddle-point system with boundary elimination: the
         velocity block has :meth:`velocity_values`, and ``boundary`` is
         :meth:`boundary_values` at the new time. ``lagged`` is a run's
         holder of its factor and last solution, which
-        :meth:`_SaddleLayout.solve` refines from and renews."""
+        :meth:`_SaddleLayout.solve` refines from, to the backward error
+        ``target``, and renews."""
         layout = self._saddle
         rhs = np.concatenate([rhs_velocity, np.zeros(self.n_pressure)])
         values = np.concatenate([boundary, np.zeros(self.n_pressure)])
@@ -395,7 +412,7 @@ class FOMProblem:
         reduced_rhs = rhs[free]
         if fixed.size:
             reduced_rhs = reduced_rhs - layout.lifting(velocity_values) @ values[fixed]
-        solution = layout.solve(velocity_values, reduced_rhs, lagged)
+        solution = layout.solve(velocity_values, reduced_rhs, lagged, target)
         if not np.all(np.isfinite(solution)):
             raise RuntimeError("singular or badly scaled coupled system")
         x = values
@@ -481,7 +498,7 @@ class _SaddleLayout:
         self._lifting.data[self.lifting_slots] = values[self.lifting_source]
         return self._lifting
 
-    def solve(self, values, rhs, lagged):
+    def solve(self, values, rhs, lagged, target=_BACKWARD_ERROR):
         """Solve the system with the velocity ``values`` for ``rhs``, bit for
         bit as ``splu`` of the stored system in the original order does: the
         first solve factors it with COLAMD and relabels it by that order,
@@ -491,11 +508,12 @@ class _SaddleLayout:
         ``lagged`` holds a run's one factor and the last solution, in the
         relabelled order, or is empty. While it holds them, the system is
         solved by iterative refinement against that factor from that
-        solution, to a backward error of 4 eps (see :func:`_refined`). With
-        it empty, or when the refinement misses within ``_REFINEMENT_CAP``
-        corrections, the system is factored afresh, bit for bit ``splu``,
-        and that factor replaces the old one. The first (ordering) solve
-        stores nothing."""
+        solution, to the backward error ``target`` (see :func:`_refined`):
+        4 eps for a solution that is kept, looser for a Picard sweep that
+        may yet be rejected. With it empty, or when the refinement misses
+        within ``_REFINEMENT_CAP`` corrections, the system is factored
+        afresh, bit for bit ``splu``, and that factor replaces the old one.
+        The first (ordering) solve stores nothing."""
         self._system.data[self.system_slots] = values[self.system_source]
         if self._order is None:
             lu = spla.splu(self._system)
@@ -504,7 +522,7 @@ class _SaddleLayout:
             self._relabel(perm_c)
             return x
         b = rhs[self._order]
-        y = _refined(self._system, *lagged, b) if lagged else None
+        y = _refined(self._system, *lagged, b, target) if lagged else None
         if y is None:
             lagged.clear()  # one factor at a time
             lagged.append(spla.splu(self._system, permc_spec="NATURAL"))
@@ -536,39 +554,41 @@ class _SaddleLayout:
         self._order = order
 
 
-def _refined(a, lu, x, b):
+def _refined(a, lu, x, b, target):
     """The solution of ``a x = b`` by iterative refinement with ``lu``, the
     factor of a nearby system, from the guess ``x``: x += lu⁻¹ (b - a x)
-    until the residual's infinity norm is at most 4 eps (‖a‖ ‖x‖ + ‖b‖),
-    or None when ``_REFINEMENT_CAP`` corrections do not get there."""
+    until the residual's infinity norm is at most ``target`` (‖a‖ ‖x‖ +
+    ‖b‖), or None when ``_REFINEMENT_CAP`` corrections do not get there."""
     a_norm = np.bincount(a.indices, weights=np.abs(a.data), minlength=a.shape[0]).max()
-    tolerance = 4.0 * np.finfo(float).eps
     b_norm = np.abs(b).max()
     x = x + lu.solve(b - a @ x)
     for _ in range(_REFINEMENT_CAP):
         r = b - a @ x
-        if np.abs(r).max() <= tolerance * (a_norm * np.abs(x).max() + b_norm):
+        if np.abs(r).max() <= target * (a_norm * np.abs(x).max() + b_norm):
             return x
         x += lu.solve(r)
     return None
 
 
-def _step(problem, state, lagged):
+def _step(problem, state, lagged, with_residual):
     """One step of the configured integrator (see :func:`solve_step`), whose
-    sweeps solve with the run's holder ``lagged``."""
+    sweeps solve with the run's holder ``lagged``; the momentum residual is
+    formed only ``with_residual``."""
     cfg = problem.config
     t_new = state.t + cfg.dt
     alpha, history, convecting = time_terms(
         cfg.time_integrator, state.u.coefficients, state.u_prev, cfg.dt)
     rhs = problem.mass @ history + problem.load_vector(t_new)
     boundary = problem.boundary_values(t_new)
-    if cfg.time_integrator == "bdf2_semi_implicit":
+    implicit = cfg.time_integrator != "bdf2_semi_implicit"
+    if not implicit:
         lagged.clear()  # bit for bit splu: a lagged factor moves cavity's indicators by 3e-8
+    loose = max(cfg.nonlinear_tolerance, _BACKWARD_ERROR)
 
     def sweep(w):
         values = problem.velocity_values(
             alpha / cfg.dt, convection_matrix(problem.vel_space, FEField(problem.vel_space, w)))
-        u, p = problem.solve_coupled(values, rhs, boundary, lagged)
+        u, p = problem.solve_coupled(values, rhs, boundary, lagged, loose)
         return u, (p, values)
 
     try:
@@ -576,13 +596,18 @@ def _step(problem, state, lagged):
                                     cfg.nonlinear_tolerance, cfg.nonlinear_max_iterations)
     except NonlinearSolveError as exc:
         raise NonlinearSolveError(f"at t={t_new:.6g}: {exc}", exc.residual_history) from exc
+    if implicit:  # the accepted sweep's system, from its solution to 4 eps
+        u, p = problem.solve_coupled(values, rhs, boundary, lagged)
+    residual = None
+    if with_residual:
+        residual = problem.velocity_block(values) @ u - problem.divergence.T @ p - rhs
     return FOMState(
         u=FEField(problem.vel_space, u, t_new),
         p=FEField(problem.pres_space, p, t_new),
         u_prev=state.u.coefficients.copy(),
         t=t_new,
         n=state.n + 1,
-        residual=problem.velocity_block(values) @ u - problem.divergence.T @ p - rhs,
+        residual=residual,
     )
 
 
@@ -657,7 +682,7 @@ def run_fom(problem, initial_velocity=None, probe=None):
     lagged = []
     try:
         for _ in range(cfg.n_steps):
-            state = _step(problem, state, lagged)
+            state = _step(problem, state, lagged, probe is not None)
             times.append(state.t)
             c_d = c_l = np.nan
             if probe is not None:

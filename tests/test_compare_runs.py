@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from podflow.container import read_container, write_container
@@ -67,8 +68,29 @@ def test_a_changed_csv_value_fails_above_rtol(two_runs, tmp_path):
     status, out = compare(two_runs[0], changed)
     assert status == 1
     assert "csv        errors.csv" in out
-    assert "    vel_error: max rel diff" in out
+    # an error below 1: the gate reads its absolute change, the plain
+    # difference how far it moved
+    value = float(cells[1])
+    assert value < 1.0
+    line = next(line for line in out.splitlines() if line.startswith("    vel_error:"))
+    plain, gate = (float(word.strip(",")) for word in line.split()[4::4])
+    assert line == f"    vel_error: plain rel diff {plain:.3e}, max rel diff {gate:.3e}"
+    assert plain == pytest.approx(1e-9, rel=1e-3)
+    assert gate == pytest.approx(1e-9 * value, rel=1e-3)
+    assert out.splitlines()[-1].startswith(f"worst relative difference {gate:.3e} "
+                                           f"(plain {plain:.3e}): ABOVE")
     assert compare(two_runs[0], changed, "--rtol", "1e-8")[0] == 0
+
+
+def test_the_plain_relative_difference_skips_zero_reference_entries():
+    a = [0.0, 1e-6, 4.0, np.nan, 2.0]
+    b = [1e-3, 1e-6 * (1 + 1e-6), 4.0, np.nan, 2.0 * (1 - 1e-9)]
+    gate, plain = compare_runs.relative_differences(a, b)
+    # the zero entry moves the gate alone; the nan entries agree
+    assert gate == pytest.approx(1e-3, rel=1e-12)
+    assert plain == pytest.approx(1e-6, rel=1e-9)
+    assert compare_runs.relative_differences(a, a) == (0.0, 0.0)
+    assert compare_runs.relative_differences([1.0], [np.nan]) == (np.inf, np.inf)
 
 
 def test_container_arrays_and_missing_files_are_reported(two_runs, tmp_path):
@@ -83,7 +105,9 @@ def test_container_arrays_and_missing_files_are_reported(two_runs, tmp_path):
     assert status == 0, out
     assert "container  operators.bin" in out
     assert "    stiffness: bitwise equal" in out
-    assert "    mean_energy (metadata): max rel diff 1.000e-13" in out
+    # a zero reference value has no plain relative difference
+    assert ("    mean_energy (metadata): plain rel diff 0.000e+00, max rel diff 1.000e-13"
+            in out)
     mass_line = next(line for line in out.splitlines() if line.startswith("    mass:"))
     assert 0.0 < float(mass_line.split()[-1]) <= 1e-11
     (changed / "qoi.csv").unlink()

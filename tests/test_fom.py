@@ -123,7 +123,8 @@ def test_implicit_euler_time_terms_are_exact_on_linears():
     linear = lambda s: 3.0 * s - 1.0
     derivative, convecting = _one_step("implicit_euler", linear, t, dt)
     assert derivative == pytest.approx(3.0, rel=1e-12)
-    assert convecting == linear(t)
+    # Picard starts from the extrapolation, which a linear trajectory meets
+    assert convecting == pytest.approx(linear(t + dt), rel=1e-14)
 
 
 # -- snapshot window arithmetic -------------------------------------------
@@ -306,44 +307,74 @@ def factored(monkeypatch):
     return specs
 
 
-def backward_error_bound(a, x, b):
-    """4 eps (‖a‖ ‖x‖ + ‖b‖) in the infinity norm."""
-    return 4.0 * np.finfo(float).eps * (spla.norm(a, np.inf) * np.abs(x).max()
-                                        + np.abs(b).max())
+EPS4 = 4.0 * np.finfo(float).eps
+
+
+def backward_error_bound(a, x, b, target=EPS4):
+    """target (‖a‖ ‖x‖ + ‖b‖) in the infinity norm."""
+    return target * (spla.norm(a, np.inf) * np.abs(x).max() + np.abs(b).max())
 
 
 @pytest.fixture
 def solves(monkeypatch, factored):
-    """(values, rhs, solution, orderings of its factors) of each saddle-point
-    solve made while it is active."""
+    """(values, rhs, solution, orderings of its factors, backward error
+    target) of each saddle-point solve made while it is active."""
     solves, solve = [], _SaddleLayout.solve
 
-    def recording(self, values, rhs, lagged):
+    def recording(self, values, rhs, lagged, target=EPS4):
         before = len(factored)
-        x = solve(self, values, rhs, lagged)
-        solves.append((values.copy(), rhs.copy(), x, factored[before:]))
+        x = solve(self, values, rhs, lagged, target)
+        solves.append((values.copy(), rhs.copy(), x, factored[before:], target))
         return x
 
     monkeypatch.setattr(_SaddleLayout, "solve", recording)
     return solves
 
 
-def test_later_picard_sweeps_refine_to_the_backward_error_bound(solves):
+def picard_solves(solves):
+    """The implicit-Euler :func:`euler_cavity` run's solves, each step's
+    accepted sweep solved last, to 4 eps, and its Picard sweeps before it
+    to the nonlinear tolerance."""
     problem, run = euler_cavity()
     # the ordering factorization, then the run's one factor
-    assert [specs for *_, specs in solves] == (
+    assert [specs for *_, specs, _ in solves] == (
         [["COLAMD"], ["NATURAL"]] + [[]] * (len(solves) - 2))
-    # a step's sweeps share its right-hand side: every later step's first
+    # a step's solves share its right-hand side: every later step's first
     # sweep refines too
     firsts = [k for k in range(1, len(solves))
               if not np.array_equal(solves[k][1], solves[k - 1][1])]
     assert len(firsts) == 2 and firsts[0] > 2
     assert len(solves) >= 8
-    for values, rhs, x, _ in solves[2:]:
+    targets = [target for *_, target in solves]
+    tolerance = problem.config.nonlinear_tolerance
+    assert [k + 1 for k, target in enumerate(targets) if target == EPS4] == firsts + [len(solves)]
+    assert set(targets) == {EPS4, tolerance}
+    return problem, solves
+
+
+def test_accepted_picard_sweeps_refine_to_the_backward_error_bound(solves):
+    problem, solves = picard_solves(solves)
+    accepted = [solve for solve in solves if solve[-1] == EPS4]
+    assert len(accepted) == problem.config.n_steps
+    for values, rhs, x, *_ in accepted:
         a = saddle_system(problem, values)
         want = spla.splu(a).solve(rhs)
         assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
         assert np.abs(rhs - a @ x).max() <= backward_error_bound(a, x, rhs)
+
+
+def test_intermediate_picard_sweeps_refine_to_the_nonlinear_tolerance(solves):
+    problem, solves = picard_solves(solves)
+    tolerance = problem.config.nonlinear_tolerance
+    short_of_4_eps = 0
+    for values, rhs, x, _, target in solves:
+        if target == tolerance:
+            a = saddle_system(problem, values)
+            error = np.abs(rhs - a @ x).max()
+            assert error <= backward_error_bound(a, x, rhs, tolerance)
+            short_of_4_eps += error > backward_error_bound(a, x, rhs)
+    # the refinement stops there, short of what the accepted sweep needs
+    assert short_of_4_eps > 0
 
 
 def test_a_far_off_factor_falls_back_to_splu_bit_for_bit(factored):
@@ -381,8 +412,8 @@ def test_bdf2_solves_stay_bit_for_bit_splu_beside_the_run_holder(monkeypatch, so
     run_fom(problem)
     monkeypatch.undo()
     # the ordering factorization, then one factor per step
-    assert [specs for *_, specs in solves] == [["COLAMD"]] + [["NATURAL"]] * 2
-    for values, rhs, x, _ in solves:
+    assert [specs for *_, specs, _ in solves] == [["COLAMD"]] + [["NATURAL"]] * 2
+    for values, rhs, x, *_ in solves:
         want = spla.splu(saddle_system(problem, values)).solve(rhs)
         assert np.array_equal(x.view(np.int64), want.view(np.int64))
 
@@ -408,6 +439,23 @@ def test_no_factor_outlives_the_run(factored):
     assert len(info.value.residual_history) == 3
     assert factored == ["COLAMD", "NATURAL"]
     assert live_factors() == before
+
+
+@pytest.mark.parametrize("integrator", ["bdf2_semi_implicit", "implicit_euler"])
+def test_only_a_probed_run_forms_the_step_residual(integrator):
+    problem = forced_cavity(integrator)
+    assert run_fom(problem).final_state.residual is None
+
+    class Probe:
+        fields = np.eye(problem.n_velocity)[:, :2]
+        coefficients = staticmethod(tuple)
+
+    run = run_fom(problem, probe=Probe())
+    residual = run.final_state.residual
+    assert np.array_equal(run.qoi[-1, 2:4], Probe.fields.T @ residual)
+    # the momentum residual vanishes on the free velocity DOFs
+    free = np.abs(residual[problem.free_velocity]).max()
+    assert free <= 1e-10 * np.abs(residual).max()
 
 
 def test_an_exact_zero_stays_a_stored_zero_of_the_one_pattern(factored):

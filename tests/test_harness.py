@@ -727,6 +727,38 @@ def test_full_rank_coupled_replay_reproduces_the_full_order_drag_and_lift(tmp_pa
                       <= 1e-9 * np.maximum(1.0, np.abs(ref[2:4])))
 
 
+# the implicit-Euler channel_raw() run's full-order Picard sweeps and
+# triangular solves
+SWEEPS, LU_SOLVES = 32, 68
+
+
+class _Factor:
+    """A SuperLU factor whose solves :func:`count_calls` can count."""
+
+    def __init__(self, lu):
+        self.lu, self.perm_c = lu, lu.perm_c
+
+    def solve(self, b):
+        return self.lu.solve(b)
+
+
+def test_implicit_euler_sweeps_solve_only_as_exactly_as_picard_needs(count_calls, monkeypatch):
+    # Picard starts from the extrapolated level and refines a sweep it may
+    # still reject to the nonlinear tolerance alone; only the accepted
+    # sweep's system is solved again to 4 eps
+    raw = channel_raw()
+    raw["fom"]["time_integrator"] = "implicit_euler"
+    cfg = ExperimentConfig.from_dict(raw)
+    splu = podflow.fom.spla.splu
+    monkeypatch.setattr(podflow.fom.spla, "splu", lambda a, **kwargs: _Factor(splu(a, **kwargs)))
+    count_calls(podflow.harness, "run_fom", "run", scoped=True)
+    count_calls(podflow.fom, "convection_matrix", "sweep")
+    count_calls(_Factor, "solve", "lu solve")
+    _full_order(cfg, cfg.geometry.build(), drag_lift=True)
+    assert count_calls.calls["sweep in run"] == SWEEPS
+    assert count_calls.calls["lu solve in run"] == LU_SOLVES
+
+
 @pytest.mark.parametrize("integrator", ["implicit_euler", "bdf2_semi_implicit"])
 def test_bdf2_factors_every_step_and_implicit_euler_twice_per_run(integrator, count_calls):
     # a BDF2 step solves once, bit for bit splu; implicit-Euler sweeps
@@ -742,8 +774,8 @@ def test_bdf2_factors_every_step_and_implicit_euler_twice_per_run(integrator, co
     steps = cfg.fom.n_steps
     assert count_calls.calls["run"] == 1 and steps == 6
     if integrator == "implicit_euler":
-        # the Picard sweeps, as many as when every sweep factored
-        assert count_calls.calls["solve in run"] == 31
+        # the Picard sweeps, and each step's accepted sweep solved again
+        assert count_calls.calls["solve in run"] == SWEEPS + steps
         assert count_calls.calls["splu in run"] == 2
     else:
         assert count_calls.calls["solve in run"] == steps

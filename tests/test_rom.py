@@ -342,16 +342,17 @@ def _check_step_against_the_projected_full_order_system(scheme, center, integrat
     a_new, b_new = step_rom(ops, a_now, a_prev, mu=mu, forcing=reduce_forcing(ops, t))
 
     # independent route: assemble the convecting full-order system around the
-    # reconstructed extrapolation (BDF2) or each Picard iterate (implicit
-    # Euler) and project it onto the modes afterwards
+    # reconstructed extrapolation (BDF2) or each Picard iterate from it
+    # (implicit Euler) and project it onto the modes afterwards
     phi = ops.vel_modes
     mean = ops.mean if ops.mean is not None else np.zeros(phi.shape[0])
     u_now = phi @ a_now + mean
     u_prev = phi @ a_prev + mean
+    w = 2.0 * u_now - u_prev
     if integrator == "bdf2_semi_implicit":
-        alpha, history, w = 1.5, (4.0 * u_now - u_prev) / (2.0 * dt), 2.0 * u_now - u_prev
+        alpha, history = 1.5, (4.0 * u_now - u_prev) / (2.0 * dt)
     else:
-        alpha, history, w = 1.0, u_now / dt, u_now
+        alpha, history = 1.0, u_now / dt
     for _ in range(problem.config.nonlinear_max_iterations):
         conv = convection_matrix(problem.vel_space, FEField(problem.vel_space, w))
         k_full = alpha / dt * problem.mass + nu * problem.stiffness + conv

@@ -9,8 +9,9 @@ every run is made twice, each in its own process with BLAS and OpenMP
 pinned to one thread: once from ``REV``'s ``src/`` and once from the
 working tree's. Each pair of output directories is then compared file by
 file, byte for byte; for a pair that differs, ``compare_runs.compare_dirs``
-prints where, and the run's line and the closing summary give the largest
-relative difference it found. A change that claims bit-for-bit identical
+prints where, the run's line gives the largest plain and gate relative
+differences it found (see ``compare_runs``), and the closing summary the
+gate's. A change that claims bit-for-bit identical
 arithmetic must leave every pair identical.
 
 The runs are the tiny configs (grad-div, LPS, adaptive μ, centred POD, the
@@ -188,7 +189,7 @@ def _files(directory):
 def sweep(ref_src, names, work):
     """Run ``names`` from the source tree ``ref_src`` and from the working
     tree, under ``work``; print one line per run and return {name: largest
-    relative difference} of the runs that differ (inf for a file that
+    gate relative difference} of the runs that differ (inf for a file that
     differs in kind or a run that failed)."""
     plan = runs()
     differing = {}
@@ -205,10 +206,11 @@ def sweep(ref_src, names, work):
             continue
         report = io.StringIO()
         with contextlib.redirect_stdout(report):
-            worst = compare_dirs(*dirs)
+            worst, plain = compare_dirs(*dirs)
         differing[name] = worst if ran else math.inf
-        print(f"{'DIFFERS':<10} {name} ({seconds:.1f} s, max rel diff "
-              f"{differing[name]:.1e})", flush=True)
+        print(f"{'DIFFERS':<10} {name} ({seconds:.1f} s, plain rel diff "
+              f"{plain if ran else math.inf:.1e}, max rel diff {differing[name]:.1e})",
+              flush=True)
         for side, error in zip(("ref", "new"), errors):
             if error:
                 print(f"    {side} run failed: {error.splitlines()[-1]}")
