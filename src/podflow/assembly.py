@@ -8,8 +8,9 @@ form, where ``l`` is the polynomial degree of the space.
 
 What depends only on the space is built once, on first use, and kept in
 its ``assembly_cache``: per quadrature degree the element geometry (rule,
-reference values, physical gradients and points, Jacobian determinants),
-and per block layout the CSR pattern with the gather that sums each
+reference values, physical gradients and points, Jacobian determinants)
+and the element stiffness, which the stiffness matrix and both LPS forms
+share, and per block layout the CSR pattern with the gather that sums each
 entry's element contributions. :func:`_release_static_caches` frees what
 only a problem's static operators use. A matrix equals SciPy's COO -> CSR
 conversion of the same local values bit for bit, so repeated assembly, of
@@ -83,9 +84,10 @@ class LPSMatrices:
 class _ElementTables:
     """Quadrature on every element of a space at one degree: the rule, the
     reference basis values ``(nq, nloc)``, the physical basis gradients
-    ``(nt, nq, nloc, 2)``, the physical quadrature points ``(nt, nq, 2)``
-    and the Jacobian determinants. The tables' own arrays are read-only;
-    the gradients and points are computed on first use."""
+    ``(nt, nq, nloc, 2)``, the physical quadrature points ``(nt, nq, 2)``,
+    the Jacobian determinants and the scalar element stiffness
+    ``(nt, nloc, nloc)``. The tables' own arrays are read-only; the
+    gradients, points and stiffness are computed on first use."""
 
     def __init__(self, space, qdegree):
         self.rule = triangle_quadrature(qdegree)
@@ -98,6 +100,11 @@ class _ElementTables:
     def grads(self):
         _, inv_t, _ = self._mesh.jacobians
         return _frozen(np.einsum("qib,eab->eqia", self._ref_grads, inv_t))
+
+    @cached_property
+    def stiffness(self):
+        return _frozen(np.einsum("q,e,eqia,eqja->eij", self.rule.weights, self.det,
+                                 self.grads, self.grads))
 
     @cached_property
     def points(self):
@@ -208,8 +215,7 @@ def assemble_mass(space, qdegree=None):
 
 def assemble_stiffness(space, qdegree=None):
     """Gradient-gradient matrix; block-diagonal over components."""
-    tab = _tables(space, qdegree or 2 * space.degree)
-    local = np.einsum("q,e,eqia,eqja->eij", tab.rule.weights, tab.det, tab.grads, tab.grads)
+    local = _tables(space, qdegree or 2 * space.degree).stiffness
     blocks = _diagonal_blocks(space)
     return _assemble(space, blocks, [local] * len(blocks))
 
@@ -243,36 +249,29 @@ def assemble_grad_div(space, qdegree=None):
     return _assemble(space, blocks, local)
 
 
-def _scalar_lps(space, tau, tab):
-    """Fluctuation stabilization of one scalar component.
-
-    With the elementwise-constant projection target, the local form reduces to
-    ``tau_K [ (grad u, grad v)_K - |K|^{-1} (int_K grad u) . (int_K grad v) ]``.
-    """
-    det, grads = tab.det, tab.grads
-    stiff = np.einsum("q,e,eqia,eqja->eij", tab.rule.weights, det, grads, grads)
-    mean_g = np.einsum("q,e,eqia->eia", tab.rule.weights, det, grads)  # int_K grad phi_i
-    areas = 0.5 * det
-    local = tau[:, None, None] * (stiff - np.einsum("eia,eja->eij", mean_g, mean_g) / areas[:, None, None])
-    return local
-
-
 def assemble_lps_matrices(vel_space, pres_space, config):
     """Velocity and pressure LPS matrices for the equal-order pair.
 
     Both are symmetric positive semidefinite; the quadratic form equals the
-    ``tau``-weighted L2 norm of the gradient fluctuation.
+    ``tau``-weighted L2 norm of the gradient fluctuation. With the
+    elementwise-constant projection target, the local form of one scalar
+    component is ``tau_K [ (grad u, grad v)_K - |K|^{-1} (int_K grad u) .
+    (int_K grad v) ]``; both spaces are P2 on one mesh, so the fluctuation
+    is formed once, on the velocity space's tables.
     """
     if vel_space.degree != 2 or pres_space.degree != 2:
         raise ValueError("LPS stabilization is set up for the equal-order P2/P2 pair")
-    tab = _tables(pres_space, 2 * pres_space.degree)
+    tab = _tables(vel_space, 2 * vel_space.degree)
     h_K = vel_space.mesh.h_K
+    mean_g = np.einsum("q,e,eqia->eia", tab.rule.weights, tab.det, tab.grads)  # int_K grad phi_i
+    areas = 0.5 * tab.det
+    fluctuation = tab.stiffness - np.einsum("eia,eja->eij", mean_g, mean_g) / areas[:, None, None]
 
-    local_v = _scalar_lps(pres_space, config.tau_velocity(h_K), tab)
+    local_v = config.tau_velocity(h_K)[:, None, None] * fluctuation
     blocks = _diagonal_blocks(vel_space)
     velocity = _assemble(vel_space, blocks, [local_v] * len(blocks))
 
-    local_p = _scalar_lps(pres_space, config.tau_pressure(h_K), tab)
+    local_p = config.tau_pressure(h_K)[:, None, None] * fluctuation
     pressure = _assemble(pres_space, [(0, 0)], [local_p])
     return LPSMatrices(velocity=velocity, pressure=pressure)
 

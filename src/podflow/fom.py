@@ -46,7 +46,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import (
     StabilizationConfig,
@@ -514,6 +513,7 @@ class _SaddleLayout:
         within ``_REFINEMENT_CAP`` corrections, the system is factored
         afresh, bit for bit ``splu``, and that factor replaces the old one.
         The first (ordering) solve stores nothing."""
+        import scipy.sparse.linalg as spla  # slow to import, and set-up never calls this
         self._system.data[self.system_slots] = values[self.system_source]
         if self._order is None:
             lu = spla.splu(self._system)

@@ -8,7 +8,6 @@ and lift test the momentum residual of the step that produced the fields.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .assembly import _tables
 from .fe_space import _coefficients
@@ -64,6 +63,7 @@ class DragLiftProbe:
     """
 
     def __init__(self, problem, reference_velocity, reference_length):
+        import scipy.sparse.linalg as spla  # slow to import, and set-up never calls this
         space = problem.vel_space
         if "obstacle" not in set(space.mesh.boundary_edges.values()):
             raise ValueError("drag/lift probe requires an obstacle boundary")

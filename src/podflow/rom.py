@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
 from .assembly import StabilizationConfig, convection_matrix
 from .container import ContainerError, read_container, write_container
@@ -272,11 +270,22 @@ def truncate_operators(ops, r, r_pressure):
     return replace(_leading_blocks(ops, r, r, rp), recovery=recovery, drag_lift=drag_lift)
 
 
-def rom_kinetic_energy(ops, a):
-    """Kinetic energy of the reconstructed full-order field."""
+def rom_kinetic_energy(ops, a, factor=None):
+    """Kinetic energy of the reconstructed full-order field; for a centred set
+    ½‖R u‖² of the lifted state u, R its :func:`_energy_factor` or ``factor``."""
     a = np.asarray(a, dtype=float)
+    if not ops.lift:
+        return 0.5 * float(a @ (ops.mass @ a))
+    y = (_energy_factor(ops) if factor is None else factor) @ _lifted(ops, a)
+    return 0.5 * float(y @ y)
+
+
+def _energy_factor(ops):
+    """R with RᵀR the Gram matrix [mean | φ]ᵀ M [mean | φ] of a centred set,
+    an eigenvalue that rounding puts below zero taken as zero: ‖R u‖² ≥ 0."""
     mass, lift = _split(ops, ops.mass)
-    return 0.5 * float(a @ (mass @ a) + 2.0 * (lift @ a) + ops.mean_energy)
+    values, vectors = np.linalg.eigh(np.block([[ops.mean_energy, lift], [lift[:, None], mass]]))
+    return np.sqrt(np.maximum(values, 0.0))[:, None] * vectors.T
 
 
 def reduce_forcing(ops, t):
@@ -480,7 +489,8 @@ def run_rom(ops, n_steps, a0, *, a_prev=None, t_start=0.0, mu=0.0, adaptive=None
     mu_traj[0] = mu
     e_diff_traj = np.full(nt, np.nan)
     energy_traj = np.empty(nt)
-    energy_traj[0] = rom_kinetic_energy(ops, a)
+    factor = _energy_factor(ops) if ops.lift else None
+    energy_traj[0] = rom_kinetic_energy(ops, a, factor)
 
     for n in range(1, nt):
         t = times[n]
@@ -488,7 +498,7 @@ def run_rom(ops, n_steps, a0, *, a_prev=None, t_start=0.0, mu=0.0, adaptive=None
         try:
             a_new, b_new = step_rom(ops, a, previous, mu=mu, forcing=f_r)
             if adaptive is not None:
-                trial_energy = rom_kinetic_energy(ops, a_new)
+                trial_energy = rom_kinetic_energy(ops, a_new, factor)
                 mu_new, re_step = adapt_mu(mu, trial_energy, fom_energy_table,
                                            adaptive, n)
                 if re_step:
@@ -497,7 +507,7 @@ def run_rom(ops, n_steps, a0, *, a_prev=None, t_start=0.0, mu=0.0, adaptive=None
         except RuntimeError as exc:
             raise RuntimeError(f"reduced step {n} at t={t:.6g} failed: {exc}") from exc
 
-        energy = rom_kinetic_energy(ops, a_new)
+        energy = rom_kinetic_energy(ops, a_new, factor)
         if fom_energy_table is not None:
             e_diff_traj[n] = energy_mismatch(energy, fom_energy_table, n)
         a_traj[:, n] = a_new
@@ -535,6 +545,7 @@ def compute_supremizers(problem, psi):
     divergence coupling (a constant mode, for instance) and is dropped
     before orthonormalization, as are dependent ones.
     """
+    import scipy.sparse.linalg as spla  # slow to import, and set-up never calls this
     free = problem.free_velocity
     lu = spla.splu(problem.stiffness.tocsr()[free][:, free].tocsc())
     raw = np.zeros((problem.n_velocity, psi.shape[1]))
@@ -716,6 +727,7 @@ def principal_angle_cosine(phi, z, stiffness):
     direction. Used as the coupling constant of the reduced pressure error
     indicator.
     """
+    import scipy.linalg as sla  # slow to import, and set-up never calls this
     if phi.shape[1] == 0 or z.shape[1] == 0:
         return 0.0
     g_vv = phi.T @ (stiffness @ phi)

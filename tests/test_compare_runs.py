@@ -68,29 +68,38 @@ def test_a_changed_csv_value_fails_above_rtol(two_runs, tmp_path):
     status, out = compare(two_runs[0], changed)
     assert status == 1
     assert "csv        errors.csv" in out
-    # an error below 1: the gate reads its absolute change, the plain
-    # difference how far it moved
+    # an error below 1: the gate reads its absolute change, the column
+    # figure that change against the column's largest entry
     value = float(cells[1])
     assert value < 1.0
+    largest = max(abs(float(row.split(",")[1])) for row in lines[1:])
     line = next(line for line in out.splitlines() if line.startswith("    vel_error:"))
-    plain, gate = (float(word.strip(",")) for word in line.split()[4::4])
-    assert line == f"    vel_error: plain rel diff {plain:.3e}, max rel diff {gate:.3e}"
-    assert plain == pytest.approx(1e-9, rel=1e-3)
+    column, gate = (float(word.strip(",")) for word in line.split()[4::4])
+    assert line == f"    vel_error: column rel diff {column:.3e}, max rel diff {gate:.3e}"
+    assert column == pytest.approx(1e-9 * value / largest, rel=1e-3)
     assert gate == pytest.approx(1e-9 * value, rel=1e-3)
     assert out.splitlines()[-1].startswith(f"worst relative difference {gate:.3e} "
-                                           f"(plain {plain:.3e}): ABOVE")
+                                           f"(column {column:.3e}): ABOVE")
     assert compare(two_runs[0], changed, "--rtol", "1e-8")[0] == 0
+    # --rtol gates the gate measure, whatever the column figure reads
+    assert gate < 1e-10 < column
+    assert compare(two_runs[0], changed, "--rtol", "1e-10")[0] == 0
 
 
-def test_the_plain_relative_difference_skips_zero_reference_entries():
+def test_the_column_figure_scales_by_the_largest_reference_entry():
     a = [0.0, 1e-6, 4.0, np.nan, 2.0]
     b = [1e-3, 1e-6 * (1 + 1e-6), 4.0, np.nan, 2.0 * (1 - 1e-9)]
-    gate, plain = compare_runs.relative_differences(a, b)
-    # the zero entry moves the gate alone; the nan entries agree
+    gate, column = compare_runs.relative_differences(a, b)
+    # the zero entry moves both, the column figure against the largest
+    # entry, 4; the nan entries agree
     assert gate == pytest.approx(1e-3, rel=1e-12)
-    assert plain == pytest.approx(1e-6, rel=1e-9)
+    assert column == pytest.approx(1e-3 / 4.0, rel=1e-12)
+    # a near-zero entry that doubles leaves the column figure small
+    assert compare_runs.relative_differences([1e-12, 4.0], [2e-12, 4.0]) == (
+        pytest.approx(1e-12), pytest.approx(2.5e-13))
     assert compare_runs.relative_differences(a, a) == (0.0, 0.0)
     assert compare_runs.relative_differences([1.0], [np.nan]) == (np.inf, np.inf)
+    assert compare_runs.relative_differences([0.0, 0.0], [0.0, 1e-13]) == (1e-13, np.inf)
 
 
 def test_container_arrays_and_missing_files_are_reported(two_runs, tmp_path):
@@ -105,9 +114,8 @@ def test_container_arrays_and_missing_files_are_reported(two_runs, tmp_path):
     assert status == 0, out
     assert "container  operators.bin" in out
     assert "    stiffness: bitwise equal" in out
-    # a zero reference value has no plain relative difference
-    assert ("    mean_energy (metadata): plain rel diff 0.000e+00, max rel diff 1.000e-13"
-            in out)
+    # a change to a zero reference value has no scale to be relative to
+    assert "    mean_energy (metadata): column rel diff inf, max rel diff 1.000e-13" in out
     mass_line = next(line for line in out.splitlines() if line.startswith("    mass:"))
     assert 0.0 < float(mass_line.split()[-1]) <= 1e-11
     (changed / "qoi.csv").unlink()

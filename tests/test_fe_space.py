@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import eval_field
 
+from podflow import fe_space
 from podflow.fe_space import (
     FEField,
     FESpace,
@@ -22,7 +23,7 @@ def exact_monomial(a, b):
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
 
 
-@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 5, 6, 7, 8, 10])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15])
 def test_quadrature_exactness(degree):
     rule = triangle_quadrature(degree)
     assert rule.weights.sum() == pytest.approx(0.5, rel=1e-14)
@@ -32,6 +33,25 @@ def test_quadrature_exactness(degree):
         for b in range(degree + 1 - a):
             val = np.sum(rule.weights * x**a * y**b)
             assert val == pytest.approx(exact_monomial(a, b), rel=1e-13, abs=1e-16)
+
+
+def test_quadrature_stops_at_degree_15():
+    with pytest.raises(ValueError, match="0..15"):
+        triangle_quadrature(16)
+    with pytest.raises(ValueError, match="0..15"):
+        triangle_quadrature(-1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_gauss_jacobi_table_is_scipys_rule(n):
+    from scipy.special import roots_jacobi
+
+    nodes, weights = (np.array(v) for v in fe_space._GAUSS_JACOBI[n])
+    want_nodes, want_weights = roots_jacobi(n, 1.0, 0.0)
+    # each entry to 1e-15 relative: the table holds today's doubles, and a
+    # SciPy that rounds the last bits differently still passes
+    assert np.all(np.abs(nodes - want_nodes) <= 1e-15 * np.abs(want_nodes))
+    assert np.all(np.abs(weights - want_weights) <= 1e-15 * np.abs(want_weights))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

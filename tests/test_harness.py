@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_rom import assert_same_arrays
@@ -40,7 +41,7 @@ from podflow.harness import (
     write_convergence_csv,
     write_csv,
 )
-from podflow.metrics import discrete_l2_error
+from podflow.metrics import discrete_l2_error, kinetic_energy
 
 
 # -- manufactured solutions ---------------------------------------------------------
@@ -516,12 +517,7 @@ def test_pipeline_velocity_error_vanishes_when_basis_replays_snapshots(tmp_path)
 
 
 def test_pipeline_centered_basis_still_replays_snapshots(tmp_path):
-    raw = base_raw()
-    raw["fom"]["t_final"] = 0.09
-    raw["fom"]["snapshot_window"] = [0.045, 0.09]
-    raw["pod"] = {"center": True}
-    raw["rom"] = {"r_values": [4]}
-    result = run_small_pipeline(tmp_path, raw)
+    result = run_small_pipeline(tmp_path, centred_raws()["cavity"])
     assert result.vel_basis.rank == 4
     assert result.vel_basis.mean is not None
     header, errors = read_csv(tmp_path / "errors.csv")
@@ -579,6 +575,40 @@ def test_pipeline_channel_case_reports_drag_and_lift(tmp_path):
     header, rom = read_csv(tmp_path / "rom.csv")
     assert np.all(np.isfinite(rom[:, 4]))
     assert result.vel_basis.mean is not None
+
+
+def centred_raws():
+    """The centred configs of this suite's pipelines: the cavity, and the
+    channel under both integrators from a window that starts at rest,
+    whose first reconstruction is the mean minus its own projection."""
+    cavity = base_raw()
+    cavity["fom"].update(t_final=0.09, snapshot_window=[0.045, 0.09])
+    cavity["pod"], cavity["rom"] = {"center": True}, {"r_values": [4]}
+    raws = {"cavity": cavity, "channel": channel_raw()}
+    for integrator in ("bdf2_semi_implicit", "implicit_euler"):
+        raw = channel_raw()
+        raw["fom"].update(time_integrator=integrator, t_final=0.03,
+                          snapshot_window=[0.0, 0.03])
+        raw["rom"] = {"integrator": integrator, "r_values": [1, 2]}
+        raws[f"channel_from_rest_{integrator}"] = raw
+    return raws
+
+
+@pytest.mark.parametrize("name", list(centred_raws()))
+def test_a_centred_reduced_energy_is_never_negative(tmp_path, name):
+    # near rest the terms of ½(aᵀMa + 2 mᵀa + ‖mean‖²) cancel, and their sum
+    # can fall below zero; ½‖R [1, a]‖², R a factor of the Gram matrix, cannot
+    result = run_small_pipeline(tmp_path, centred_raws()[name])
+    ops, run = result.operators, result.rom_run
+    assert ops.lift == 1
+    mass = result.problem.mass
+    for a, got in zip(run.a_traj.T, run.energy_traj):
+        mean, moved = ops.mean, ops.vel_modes @ a
+        # the terms cancel near rest, so the error is relative to their size
+        scale = (np.sqrt(kinetic_energy(mean, mass)) + np.sqrt(kinetic_energy(moved, mass)))**2
+        assert abs(got - kinetic_energy(mean + moved, mass)) <= 1e-12 * scale
+    header, rom = read_csv(tmp_path / "rom.csv")
+    assert np.all(rom[:, header.index("E_kin")] >= 0.0)
 
 
 def test_channel_pipeline_without_supremizers_reports_nan_reduced_drag_and_lift(
@@ -749,8 +779,9 @@ def test_implicit_euler_sweeps_solve_only_as_exactly_as_picard_needs(count_calls
     raw = channel_raw()
     raw["fom"]["time_integrator"] = "implicit_euler"
     cfg = ExperimentConfig.from_dict(raw)
-    splu = podflow.fom.spla.splu
-    monkeypatch.setattr(podflow.fom.spla, "splu", lambda a, **kwargs: _Factor(splu(a, **kwargs)))
+    splu = scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda a, **kwargs: _Factor(splu(a, **kwargs)))
     count_calls(podflow.harness, "run_fom", "run", scoped=True)
     count_calls(podflow.fom, "convection_matrix", "sweep")
     count_calls(_Factor, "solve", "lu solve")
@@ -768,7 +799,7 @@ def test_bdf2_factors_every_step_and_implicit_euler_twice_per_run(integrator, co
     raw["fom"]["time_integrator"] = integrator
     cfg = ExperimentConfig.from_dict(raw)
     count_calls(podflow.harness, "run_fom", "run", scoped=True)
-    count_calls(podflow.fom.spla, "splu", "splu")
+    count_calls(scipy.sparse.linalg, "splu", "splu")
     count_calls(podflow.fom.FOMProblem, "solve_coupled", "solve")
     _full_order(cfg, cfg.geometry.build(), drag_lift=True)
     steps = cfg.fom.n_steps
@@ -1098,9 +1129,21 @@ def test_channel_reduced_phase_builds_once_and_assembles_no_load(tmp_path, count
 
 
 def test_importing_the_package_skips_the_slow_optional_modules():
-    code = ("import sys, podflow; "
-            "print(sorted(m for m in ('sympy', 'scipy.stats') if m in sys.modules))")
+    # set-up (import, config, mesh, FOMProblem) of both schemes loads none
+    # of the modules that only solves, studies and tests call
+    code = """
+import json, sys
+import podflow
+from podflow.harness import ExperimentConfig, build_case
+for raw in json.loads(sys.argv[1]):
+    config = ExperimentConfig.from_dict(raw)
+    podflow.FOMProblem(config.geometry.build(), config.fom, build_case(config).flow_case)
+slow = ("scipy.special", "scipy.linalg", "scipy.sparse.linalg", "sympy", "scipy.stats")
+print(sorted(m for m in slow if m in sys.modules))
+"""
+    lps = base_raw()
+    lps["fom"].update(scheme="lps", stabilization={})
     env = {**os.environ, "PYTHONPATH": str(Path(podflow.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout
+    out = subprocess.run([sys.executable, "-c", code, json.dumps([lps, base_raw()])],
+                         capture_output=True, text=True, check=True, env=env).stdout
     assert out.strip() == "[]"

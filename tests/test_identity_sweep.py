@@ -64,7 +64,7 @@ def test_a_copy_of_the_tree_is_identical_and_a_changed_one_differs(tmp_path):
     first = out.splitlines()[0]
     assert first.startswith("DIFFERS    tiny_graddiv (")
     assert first.endswith(f", max rel diff {differing['tiny_graddiv']:.1e})")
-    assert ", plain rel diff " in first
+    assert ", column rel diff " in first
 
 
 def test_a_git_revision_exports_its_source_tree(tmp_path):

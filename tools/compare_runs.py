@@ -18,12 +18,15 @@ Every file under either directory is reported as one of:
 
 Each differing column or array gets two relative differences, with ``a``
 from DIR_A (the reference run); two nan entries agree. ``max rel diff``,
-the gate, is ``|a - b| / max(1, |a|)``: for an entry below 1 that is the
-absolute difference, so an error of 6.4e-6 that moved by 9e-13 relative
-reads 5.8e-18. ``plain rel diff`` is ``|a - b| / |a|`` over the
-entries where ``a`` is not zero, and shows how far such small values
-moved. The exit status is 0 when no gate difference exceeds ``--rtol``
-(default 0: bitwise equal values) and 1 otherwise.
+the gate, is the largest ``|a - b| / max(1, |a|)``: for an entry below 1
+that is the absolute difference, so an error of 6.4e-6 that moved by
+9e-13 relative reads 5.8e-18. ``column rel diff`` is the largest
+``|a - b|`` over the largest ``|a|`` of the column or array, one figure
+for the whole of it: it shows how far small values moved against their
+column's size, and a near-zero entry of a velocity mode cannot inflate
+it. A change to a column of zeros reads inf. The exit status is 0 when
+no gate difference exceeds ``--rtol`` (default 0: bitwise equal values)
+and 1 otherwise.
 """
 
 import argparse
@@ -41,18 +44,17 @@ from podflow.container import ContainerError, read_container  # noqa: E402
 
 def relative_differences(a, b):
     """The largest ``|a - b| / max(1, |a|)`` over two equal-shape arrays,
-    and the largest ``|a - b| / |a|`` over the entries where ``a`` is not
-    zero."""
+    and the largest ``|a - b|`` over the largest ``|a|`` (inf for a change
+    to all zeros); an entry nan on one side only differs by inf."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a.size == 0:
-        return 0.0, 0.0
     differ = ~((a == b) | (np.isnan(a) & np.isnan(b)))
+    if not differ.any():
+        return 0.0, 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
-        gap = np.abs(a - b)
-        gate = np.nan_to_num(gap / np.maximum(1.0, np.abs(a)), nan=math.inf)
-        plain = np.nan_to_num(gap / np.abs(a), nan=math.inf)
-    return (float(np.where(differ, gate, 0.0).max()),
-            float(np.where(differ & (a != 0.0), plain, 0.0).max()))
+        gap = np.abs(a[differ] - b[differ])
+        gate = (gap / np.maximum(1.0, np.abs(a[differ]))).max()
+        column = gap.max() / np.abs(a[~np.isnan(a)]).max(initial=0.0)
+    return tuple(math.inf if math.isnan(v) else float(v) for v in (gate, column))
 
 
 def _read_csv(path):
@@ -98,18 +100,18 @@ def _compare_container(path_a, path_b):
 
 def compare_dirs(dir_a, dir_b):
     """Print one report line per file (and per column or array); return
-    the largest gate and plain relative differences found, inf for a file
+    the largest gate and column relative differences found, inf for a file
     that differs."""
     dir_a, dir_b = Path(dir_a), Path(dir_b)
     names = sorted({p.relative_to(d).as_posix() for d in (dir_a, dir_b)
                     for p in d.rglob("*") if p.is_file()})
-    worst = plain = 0.0
+    worst = column = 0.0
     for name in names:
         path_a, path_b = dir_a / name, dir_b / name
         if not (path_a.is_file() and path_b.is_file()):
             side = "DIR_A" if path_a.is_file() else "DIR_B"
             print(f"differs    {name} (only in {side})")
-            worst = plain = math.inf
+            worst = column = math.inf
             continue
         if path_a.read_bytes() == path_b.read_bytes():
             print(f"identical  {name}")
@@ -125,18 +127,18 @@ def compare_dirs(dir_a, dir_b):
                 pass
         if parts is None or changed:
             print(f"differs    {name}")
-            worst = plain = math.inf
+            worst = column = math.inf
             if changed:
                 print(f"    metadata differs: {', '.join(changed)}")
         else:
             print(f"{kind:<10} {name}")
-        for part, (value, part_plain) in (parts or {}).items():
+        for part, (value, part_column) in (parts or {}).items():
             equal = "equal" if kind == "csv" else "bitwise equal"
             text = equal if value == 0.0 else (
-                f"plain rel diff {part_plain:.3e}, max rel diff {value:.3e}")
+                f"column rel diff {part_column:.3e}, max rel diff {value:.3e}")
             print(f"    {part}: {text}")
-            worst, plain = max(worst, value), max(plain, part_plain)
-    return worst, plain
+            worst, column = max(worst, value), max(column, part_column)
+    return worst, column
 
 
 def main(argv=None):
@@ -150,9 +152,9 @@ def main(argv=None):
     for d in (args.dir_a, args.dir_b):
         if not Path(d).is_dir():
             parser.error(f"{d} is not a directory")
-    worst, plain = compare_dirs(args.dir_a, args.dir_b)
+    worst, column = compare_dirs(args.dir_a, args.dir_b)
     ok = worst <= args.rtol
-    print(f"worst relative difference {worst:.3e} (plain {plain:.3e}): "
+    print(f"worst relative difference {worst:.3e} (column {column:.3e}): "
           f"{'within' if ok else 'ABOVE'} rtol {args.rtol:.1e}")
     return 0 if ok else 1
 

@@ -9,7 +9,7 @@ every run is made twice, each in its own process with BLAS and OpenMP
 pinned to one thread: once from ``REV``'s ``src/`` and once from the
 working tree's. Each pair of output directories is then compared file by
 file, byte for byte; for a pair that differs, ``compare_runs.compare_dirs``
-prints where, the run's line gives the largest plain and gate relative
+prints where, the run's line gives the largest column and gate relative
 differences it found (see ``compare_runs``), and the closing summary the
 gate's. A change that claims bit-for-bit identical
 arithmetic must leave every pair identical.
@@ -206,10 +206,10 @@ def sweep(ref_src, names, work):
             continue
         report = io.StringIO()
         with contextlib.redirect_stdout(report):
-            worst, plain = compare_dirs(*dirs)
+            worst, column = compare_dirs(*dirs)
         differing[name] = worst if ran else math.inf
-        print(f"{'DIFFERS':<10} {name} ({seconds:.1f} s, plain rel diff "
-              f"{plain if ran else math.inf:.1e}, max rel diff {differing[name]:.1e})",
+        print(f"{'DIFFERS':<10} {name} ({seconds:.1f} s, column rel diff "
+              f"{column if ran else math.inf:.1e}, max rel diff {differing[name]:.1e})",
               flush=True)
         for side, error in zip(("ref", "new"), errors):
             if error:
