@@ -7,6 +7,12 @@ keys with their defaults; a value is checked against its field's annotation
 (a nested dataclass reads a nested section), and every malformed input
 raises a :class:`ConfigError` whose name says what was wrong.
 
+The flow cases are the forced cavity, the holed channel, the resting
+pressure family and two closed forms written as NumPy expressions: the
+decaying Taylor-Green vortex, whose velocity is the boundary data, the
+initial state and the convergence study's reference, and the steady
+``stokes_poly`` flow, whose body force is derived by hand.
+
 The pipeline is three stages that return values and write nothing:
 ``_full_order`` poses the configured case on a mesh, runs the full-order
 model and records its snapshots; ``_bases`` extracts the velocity and
@@ -378,114 +384,40 @@ def apply_overrides(raw, overrides):
     return raw
 
 
-# -- manufactured solutions --------------------------------------------------------
+# -- closed-form cases ------------------------------------------------------------
 
 
-def _vectorize_pair(fx, fy):
-    def call(x, y, t):
-        x = np.asarray(x, dtype=float)
-        shape = x.shape
-        t_val = 0.0 if t is None else t
-        u = np.broadcast_to(np.asarray(fx(x, y, t_val), dtype=float), shape)
-        v = np.broadcast_to(np.asarray(fy(x, y, t_val), dtype=float), shape)
-        return u.copy(), v.copy()
+def _taylor_green(nu):
+    """The decaying vortex (Taylor & Green 1937): ``velocity(x, y, t)``
+    solves the Navier-Stokes equations on the unit square with zero body
+    force and pressure -(cos 2 pi x + cos 2 pi y) decay^2 / 4."""
+    def velocity(x, y, t):
+        decay = np.exp(-(2.0 * nu) * np.pi**2 * t)
+        return (-decay * np.sin(np.pi * y) * np.cos(np.pi * x),
+                decay * np.sin(np.pi * x) * np.cos(np.pi * y))
 
-    return call
-
-
-def _vectorize_scalar(fp):
-    def call(x, y, t):
-        x = np.asarray(x, dtype=float)
-        t_val = 0.0 if t is None else t
-        return np.broadcast_to(
-            np.asarray(fp(x, y, t_val), dtype=float), x.shape).copy()
-
-    return call
+    return velocity
 
 
-@dataclass(frozen=True)
-class ManufacturedSolution:
-    """Closed-form velocity/pressure/forcing triple solving the momentum
-    equation, with the sampled residual recorded."""
+def _stokes_poly_forcing(nu):
+    """The body force ``(x, y) -> (fx, fy)`` that makes the steady flow of
+    stream function X(x) Y(y), X = x^2 (1 - x)^2 and Y likewise, with
+    pressure x^3 + y^3 - 1/2 solve the Navier-Stokes equations; the
+    velocity is u = X Y', v = -X' Y and vanishes on the unit square's
+    boundary."""
+    def derivatives(s):
+        return (s**2 * (1.0 - s) ** 2, 2.0 * s * (1.0 - s) * (1.0 - 2.0 * s),
+                2.0 - 12.0 * s + 12.0 * s**2, 24.0 * s - 12.0)
 
-    name: str
-    nu: float
-    velocity: object
-    pressure: object
-    forcing: object  # None encodes an identically zero body force
-    max_residual: float
+    def forcing(x, y):
+        X, X1, X2, X3 = derivatives(x)
+        Y, Y1, Y2, Y3 = derivatives(y)
+        u, v = X * Y1, -X1 * Y
+        fx = -nu * (X2 * Y1 + X * Y3) + u * X1 * Y1 + v * X * Y2 + 3.0 * x**2
+        fy = nu * (X3 * Y + X1 * Y2) - u * X2 * Y - v * X1 * Y1 + 3.0 * y**2
+        return fx, fy
 
-
-MANUFACTURED_NAMES = ("taylor_green", "stokes_poly")
-
-
-def manufactured_solution(name, nu, residual_tolerance=1e-10):
-    """Build a named manufactured solution and verify it by residual sampling.
-
-    ``taylor_green`` is the decaying vortex on the unit square with zero
-    body force; ``stokes_poly`` is a steady polynomial stream-function flow
-    whose body force carries the viscous, convective, and pressure terms.
-    The momentum and continuity residuals are sampled on random interior
-    points and must stay below ``residual_tolerance``.
-    """
-    if name not in MANUFACTURED_NAMES:
-        raise ConfigError(
-            "case_unknown",
-            f"unknown manufactured solution {name!r}; available: "
-            f"{MANUFACTURED_NAMES}")
-    import sympy as sp  # slow to import; only manufactured solutions need it
-
-    nu = float(nu)
-    x, y, t = sp.symbols("x y t")
-    nu_s = sp.Float(nu)
-    if name == "taylor_green":
-        decay = sp.exp(-2 * sp.pi**2 * nu_s * t)
-        u = -sp.cos(sp.pi * x) * sp.sin(sp.pi * y) * decay
-        v = sp.sin(sp.pi * x) * sp.cos(sp.pi * y) * decay
-        p = -(sp.cos(2 * sp.pi * x) + sp.cos(2 * sp.pi * y)) / 4 * decay**2
-        f1 = sp.Integer(0)
-        f2 = sp.Integer(0)
-        has_forcing = False
-    else:
-        psi = x**2 * (1 - x) ** 2 * y**2 * (1 - y) ** 2
-        u = sp.diff(psi, y)
-        v = -sp.diff(psi, x)
-        p = x**3 + y**3 - sp.Rational(1, 2)
-        f1 = (-nu_s * (sp.diff(u, x, 2) + sp.diff(u, y, 2))
-              + u * sp.diff(u, x) + v * sp.diff(u, y) + sp.diff(p, x))
-        f2 = (-nu_s * (sp.diff(v, x, 2) + sp.diff(v, y, 2))
-              + u * sp.diff(v, x) + v * sp.diff(v, y) + sp.diff(p, y))
-        has_forcing = True
-
-    res1 = (sp.diff(u, t) - nu_s * (sp.diff(u, x, 2) + sp.diff(u, y, 2))
-            + u * sp.diff(u, x) + v * sp.diff(u, y) + sp.diff(p, x) - f1)
-    res2 = (sp.diff(v, t) - nu_s * (sp.diff(v, x, 2) + sp.diff(v, y, 2))
-            + u * sp.diff(v, x) + v * sp.diff(v, y) + sp.diff(p, y) - f2)
-    res_div = sp.diff(u, x) + sp.diff(v, y)
-
-    args = (x, y, t)
-    lam = lambda expr: sp.lambdify(args, expr, "numpy")
-    velocity = _vectorize_pair(lam(u), lam(v))
-    pressure = _vectorize_scalar(lam(p))
-    forcing = _vectorize_pair(lam(f1), lam(f2)) if has_forcing else None
-
-    rng = np.random.default_rng(0)
-    xs = rng.uniform(0.05, 0.95, size=40)
-    ys = rng.uniform(0.05, 0.95, size=40)
-    worst = 0.0
-    samplers = [lam(res1), lam(res2), lam(res_div)]
-    for t_val in (0.0, 0.13, 0.77):
-        for fn in samplers:
-            vals = np.broadcast_to(
-                np.asarray(fn(xs, ys, t_val), dtype=float), xs.shape)
-            worst = max(worst, float(np.abs(vals).max()))
-    if worst > residual_tolerance:
-        raise RuntimeError(
-            f"manufactured solution {name!r} violates its equations: "
-            f"sampled residual {worst:.3e}")
-    return ManufacturedSolution(name=name, nu=nu, velocity=velocity,
-                                pressure=pressure, forcing=forcing,
-                                max_residual=worst)
+    return forcing
 
 
 # -- flow case registry -------------------------------------------------------------
@@ -496,11 +428,11 @@ class CaseBundle:
     """Everything the pipeline needs to pose one flow problem."""
 
     flow_case: FlowCase
-    initial_velocity: object = None  # callable problem -> coefficients
     has_obstacle: bool = False
     reference_velocity: float = None
     reference_length: float = None
-    manufactured: ManufacturedSolution = None
+    # the closed-form velocity(x, y, t) the run starts from at t = 0
+    exact_velocity: object = None
 
 
 def _zero_bc(x, y, t):
@@ -633,33 +565,27 @@ def _case_channel(config):
 
 def _case_taylor_green(config):
     _check_params(config.case_parameters, (), "taylor_green")
-    ms = manufactured_solution("taylor_green", config.fom.nu)
-    bc = ms.velocity
+    velocity = _taylor_green(config.fom.nu)
     case = FlowCase(
         "taylor_green",
-        dirichlet={tag: bc for tag in _outer_tags(config)},
+        dirichlet={tag: velocity for tag in _outer_tags(config)},
         forcing=None,
         zero_mean_pressure=True,
     )
-
-    def initial(problem):
-        return interpolate(problem.vel_space, ms.velocity, t=0.0)
-
-    return CaseBundle(flow_case=case, initial_velocity=initial, manufactured=ms)
+    return CaseBundle(flow_case=case, exact_velocity=velocity)
 
 
 def _case_stokes_poly(config):
     _check_params(config.case_parameters, (), "stokes_poly")
-    ms = manufactured_solution("stokes_poly", config.fom.nu)
     case = FlowCase(
         "stokes_poly",
         dirichlet={tag: _zero_bc for tag in _outer_tags(config)},
         # the flow is steady: one term with a unit time factor
-        forcing=SeparableForcing((lambda x, y: ms.forcing(x, y, 0.0),),
+        forcing=SeparableForcing((_stokes_poly_forcing(config.fom.nu),),
                                  lambda t: np.ones(1)),
         zero_mean_pressure=True,
     )
-    return CaseBundle(flow_case=case, manufactured=ms)
+    return CaseBundle(flow_case=case)
 
 
 def _trig_shape(a, b, sin_in_x):
@@ -876,8 +802,8 @@ def _full_order(config, mesh, drag_lift=False):
         probe = DragLiftProbe(problem, bundle.reference_velocity,
                               bundle.reference_length)
     initial = None
-    if bundle.initial_velocity is not None:
-        initial = bundle.initial_velocity(problem)
+    if bundle.exact_velocity is not None:
+        initial = interpolate(problem.vel_space, bundle.exact_velocity, t=0.0)
     run = run_fom(problem, initial_velocity=initial, probe=probe)
     vel_snaps, pres_snaps = record_snapshots(run, center_velocity=config.pod.center)
     if vel_snaps.n_snapshots < 2:
@@ -933,7 +859,7 @@ def run_pipeline(config, out_dir=None, stop_after=None):
     failure is re-raised as a :class:`StageError` tagged with the stage
     name.
     """
-    if stop_after not in (None, "fom", "pod", "rom"):
+    if stop_after not in (None, "fom", "pod"):
         raise ConfigError("stage_unknown", f"unknown stage {stop_after!r}")
     out = Path(config.output_directory if out_dir is None else out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -964,7 +890,7 @@ def run_pipeline(config, out_dir=None, stop_after=None):
             artifacts["basis_velocity"] = out / "basis_velocity.bin"
             artifacts["basis_pressure"] = out / "basis_pressure.bin"
 
-    if stop_after in (None, "rom"):
+    if stop_after is None:
         with _stage("rom"):
             start = _reduced_start(config, full, vel_basis)
             rp_main = config.rom.r_pressure
@@ -1181,7 +1107,7 @@ def convergence_study(scheme, levels=3, base_nx=4, base_dt=2e-2,
                           snapshot_window=(0.0, t_final)),
             pod=PODBlock(), rom=ROMBlock())
         full = _full_order(config, config.geometry.build())
-        exact = full.bundle.manufactured.velocity
+        exact = full.bundle.exact_velocity
         errors.append(analytic_l2_error(full.run.final_state.u, exact, t=t_final))
         interp = interpolate(full.problem.vel_space, exact, t=t_final)
         interp_errors.append(analytic_l2_error(interp, exact, t=t_final))

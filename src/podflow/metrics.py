@@ -19,14 +19,14 @@ def kinetic_energy(u, mass):
     return 0.5 * float(c @ (mass @ c))
 
 
-def analytic_l2_error(field, g, t=None, qdegree=None):
+def analytic_l2_error(field, g, t=None):
     """Quadrature-evaluated L2 distance between a field and a callable.
 
     ``g`` follows the load-vector convention: ``g(x, y)`` or ``g(x, y, t)``,
     returning one array per component.
     """
     space = field.space
-    tab = _tables(space, qdegree or 2 * space.degree + 2)
+    tab = _tables(space, 2 * space.degree + 2)
     x, y = tab.points[..., 0], tab.points[..., 1]
     data = g(x, y) if t is None else g(x, y, t)
     if space.components == 1:

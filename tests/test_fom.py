@@ -25,6 +25,7 @@ from podflow.fom import (
     snapshot_steps,
     time_terms,
 )
+from podflow.harness import _taylor_green
 from podflow.mesh import build_rect_mesh
 from podflow.metrics import analytic_l2_error, kinetic_energy, weak_divergence
 
@@ -202,22 +203,13 @@ def test_one_step_matches_dense_row_replacement_solve(scheme, grid):
         assert np.abs(state1.p.coefficients - p_ref).max() <= 1e-10 * max(np.abs(p_ref).max(), 1.0)
 
 
-# -- manufactured decay: quick order check ----------------------------------
-
-
-def taylor_green(nu):
-    def u(x, y, t):
-        d = np.exp(-2.0 * np.pi**2 * nu * t)
-        return (-np.cos(np.pi * x) * np.sin(np.pi * y) * d,
-                np.sin(np.pi * x) * np.cos(np.pi * y) * d)
-
-    return u
+# -- decaying vortex: quick order check -------------------------------------
 
 
 @pytest.mark.parametrize("scheme,floor", [("lps", 2.0), ("graddiv", 1.6)])
 def test_two_level_velocity_order(scheme, floor):
     nu, t_final = 0.01, 0.1
-    exact = taylor_green(nu)
+    exact = _taylor_green(nu)
     bc = {"inlet": exact, "outlet": exact, "wall": exact}
     errs = []
     for level, n in enumerate((4, 8)):

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_rom import assert_same_arrays
@@ -35,7 +36,6 @@ from podflow.harness import (
     build_case,
     convergence_study,
     long_horizon_study,
-    manufactured_solution,
     read_csv,
     run_pipeline,
     write_convergence_csv,
@@ -44,43 +44,64 @@ from podflow.harness import (
 from podflow.metrics import discrete_l2_error, kinetic_energy
 
 
-# -- manufactured solutions ---------------------------------------------------------
+# -- closed-form cases --------------------------------------------------------------
 
 
-def test_decaying_vortex_solution_satisfies_momentum_and_continuity():
-    ms = manufactured_solution("taylor_green", nu=0.01)
-    assert ms.max_residual <= 1e-10
-    assert ms.forcing is None
-    x = np.array([0.25, 0.5])
-    u, v = ms.velocity(x, np.array([0.25, 0.75]), 0.3)
-    assert u.shape == (2,) and v.shape == (2,)
-    p = ms.pressure(x, np.array([0.25, 0.75]), 0.3)
-    assert p.shape == (2,)
+def _symbolic_case(name, x, y, t, nu):
+    """Velocity, pressure and body force of a closed-form case, derived
+    with sympy."""
+    if name == "taylor_green":
+        decay = sp.exp(-2 * sp.pi**2 * nu * t)
+        u = -sp.cos(sp.pi * x) * sp.sin(sp.pi * y) * decay
+        v = sp.sin(sp.pi * x) * sp.cos(sp.pi * y) * decay
+        p = -(sp.cos(2 * sp.pi * x) + sp.cos(2 * sp.pi * y)) / 4 * decay**2
+        return u, v, p, (sp.Integer(0), sp.Integer(0))
+    psi = x**2 * (1 - x) ** 2 * y**2 * (1 - y) ** 2
+    u, v = sp.diff(psi, y), -sp.diff(psi, x)
+    p = x**3 + y**3 - sp.Rational(1, 2)
+    forcing = tuple(
+        -nu * (sp.diff(w, x, 2) + sp.diff(w, y, 2)) + u * sp.diff(w, x)
+        + v * sp.diff(w, y) + sp.diff(p, s) for w, s in ((u, x), (v, y)))
+    return u, v, p, forcing
 
 
-def test_polynomial_stream_solution_satisfies_momentum_and_continuity():
-    ms = manufactured_solution("stokes_poly", nu=0.05)
-    assert ms.max_residual <= 1e-10
-    assert ms.forcing is not None
-    u, v = ms.velocity(0.3, 0.4, 0.0)
-    assert np.asarray(u).shape == ()
-    fx, fy = ms.forcing(np.linspace(0.1, 0.9, 5), np.full(5, 0.5), 0.0)
-    assert fx.shape == (5,) and np.all(np.isfinite(fy))
+@pytest.mark.parametrize("name,nu", [("taylor_green", 0.01), ("taylor_green", 0.02),
+                                     ("stokes_poly", 0.05)])
+def test_closed_form_cases_solve_the_equations_and_match_sympy(name, nu):
+    x, y, t = sp.symbols("x y t")
+    nu_s = sp.Float(nu)
+    u, v, p, (f1, f2) = _symbolic_case(name, x, y, t, nu_s)
+    residuals = [sp.diff(w, t) - nu_s * (sp.diff(w, x, 2) + sp.diff(w, y, 2))
+                 + u * sp.diff(w, x) + v * sp.diff(w, y) + sp.diff(p, s) - f
+                 for w, s, f in ((u, x, f1), (v, y, f2))]
+    residuals.append(sp.diff(u, x) + sp.diff(v, y))
+    lam = lambda expr: sp.lambdify((x, y, t), expr, "numpy")
+
+    rng = np.random.default_rng(0)
+    xs = rng.uniform(0.05, 0.95, size=40)
+    ys = rng.uniform(0.05, 0.95, size=40)
+    for t_val in (0.0, 0.13, 0.77):
+        for res in residuals:
+            values = np.broadcast_to(lam(res)(xs, ys, t_val), xs.shape)
+            assert np.abs(values).max() <= 1e-10
+        if name == "taylor_green":
+            got = podflow.harness._taylor_green(nu)(xs, ys, t_val)
+            want = (u, v)
+        else:
+            got = podflow.harness._stokes_poly_forcing(nu)(xs, ys)
+            want = (f1, f2)
+        for component, expr in zip(got, want):
+            ref = lam(expr)(xs, ys, t_val)
+            assert np.abs(component - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_decaying_vortex_velocity_is_divergence_free_pointwise():
-    ms = manufactured_solution("taylor_green", nu=0.02)
+    velocity = podflow.harness._taylor_green(0.02)
     eps = 1e-6
     x, y, t = 0.37, 0.61, 0.2
-    ux = (ms.velocity(x + eps, y, t)[0] - ms.velocity(x - eps, y, t)[0]) / (2 * eps)
-    vy = (ms.velocity(x, y + eps, t)[1] - ms.velocity(x, y - eps, t)[1]) / (2 * eps)
+    ux = (velocity(x + eps, y, t)[0] - velocity(x - eps, y, t)[0]) / (2 * eps)
+    vy = (velocity(x, y + eps, t)[1] - velocity(x, y - eps, t)[1]) / (2 * eps)
     assert abs(ux + vy) < 1e-8
-
-
-def test_unknown_manufactured_name_is_rejected():
-    with pytest.raises(ConfigError) as err:
-        manufactured_solution("vortex_street", nu=0.01)
-    assert err.value.name == "case_unknown"
 
 
 # -- configuration parsing and validation -------------------------------------------
@@ -479,8 +500,10 @@ def test_pipeline_stops_after_requested_stage(tmp_path):
     assert "basis_velocity.bin" in names and "operators.bin" not in names
     assert result.vel_basis is not None and result.rom_run is None
 
-    with pytest.raises(ConfigError):
-        run_small_pipeline(tmp_path / "bad", stop_after="solve")
+    for stage in ("solve", "rom"):
+        with pytest.raises(ConfigError) as err:
+            run_small_pipeline(tmp_path / "bad", stop_after=stage)
+        assert err.value.name == "stage_unknown"
 
 
 def test_pipeline_equal_order_scheme_produces_reduced_pressure(tmp_path):
@@ -1129,8 +1152,9 @@ def test_channel_reduced_phase_builds_once_and_assembles_no_load(tmp_path, count
 
 
 def test_importing_the_package_skips_the_slow_optional_modules():
-    # set-up (import, config, mesh, FOMProblem) of both schemes loads none
-    # of the modules that only solves, studies and tests call
+    # set-up (import, config, mesh, FOMProblem) of both schemes and of the
+    # closed-form cases loads none of the modules that only solves, studies
+    # and tests call
     code = """
 import json, sys
 import podflow
@@ -1143,7 +1167,13 @@ print(sorted(m for m in slow if m in sys.modules))
 """
     lps = base_raw()
     lps["fom"].update(scheme="lps", stabilization={})
+    closed_forms = []
+    for name in ("taylor_green", "stokes_poly"):
+        raw = base_raw()
+        raw["case"] = {"name": name, "parameters": {}}
+        closed_forms.append(raw)
     env = {**os.environ, "PYTHONPATH": str(Path(podflow.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code, json.dumps([lps, base_raw()])],
+    out = subprocess.run([sys.executable, "-c", code,
+                          json.dumps([lps, base_raw(), *closed_forms])],
                          capture_output=True, text=True, check=True, env=env).stdout
     assert out.strip() == "[]"
