@@ -7,11 +7,11 @@ keys with their defaults; a value is checked against its field's annotation
 (a nested dataclass reads a nested section), and every malformed input
 raises a :class:`ConfigError` whose name says what was wrong.
 
-The flow cases are the forced cavity, the holed channel, the resting
-pressure family and two closed forms written as NumPy expressions: the
-decaying Taylor-Green vortex, whose velocity is the boundary data, the
-initial state and the convergence study's reference, and the steady
-``stokes_poly`` flow, whose body force is derived by hand.
+The flow cases are the forced cavity, the holed channel and two closed
+forms written as NumPy expressions: the decaying Taylor-Green vortex,
+whose velocity is the boundary data, the initial state and the convergence
+study's reference, and the steady ``stokes_poly`` flow, whose body force
+is derived by hand.
 
 The pipeline is three stages that return values and write nothing:
 ``_full_order`` poses the configured case on a mesh, runs the full-order
@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -64,9 +64,7 @@ from .metrics import (
 from .pod import build_basis, project_L2, reduced_stiffness, save_basis
 from .rom import (
     AdaptiveMuConfig,
-    _whitened_coupling_svd,
     build_rom_operators,
-    compute_supremizers,
     principal_angle_cosine,
     reduced_pressure,
     run_rom,
@@ -236,6 +234,10 @@ class AdaptiveBlock:
     frequency: int = 5
     delta: float = 0.1
     tolerance: float = 1e-3
+
+    def __post_init__(self):
+        if self.mu_init is not None and self.mu_init < 0.0:
+            raise ConfigError("adaptive_invalid", "mu_init must be nonnegative")
 
     def to_rom_config(self):
         try:
@@ -588,118 +590,11 @@ def _case_stokes_poly(config):
     return CaseBundle(flow_case=case)
 
 
-def _trig_shape(a, b, sin_in_x):
-    """Analytic zero-mean pressure shape and its gradient.
-
-    ``sin(a pi x) cos(b pi y)`` when ``sin_in_x`` else
-    ``cos(a pi x) sin(b pi y)``; both integrate to zero over the unit
-    square for integer frequencies.
-    """
-    api, bpi = a * np.pi, b * np.pi
-    if sin_in_x:
-        value = lambda x, y: np.sin(api * x) * np.cos(bpi * y)
-        grad_x = lambda x, y: api * np.cos(api * x) * np.cos(bpi * y)
-        grad_y = lambda x, y: -bpi * np.sin(api * x) * np.sin(bpi * y)
-    else:
-        value = lambda x, y: np.cos(api * x) * np.sin(bpi * y)
-        grad_x = lambda x, y: -api * np.sin(api * x) * np.sin(bpi * y)
-        grad_y = lambda x, y: bpi * np.cos(api * x) * np.cos(bpi * y)
-    return value, grad_x, grad_y
-
-
-# Trig pressure shapes whose individual discrete inf-sup responses sit in
-# one narrow band on coarse unit-square meshes; the remix below flattens
-# the band further so every leading subfamily shares one stability level.
-_RESTING_SHAPES = tuple(
-    _trig_shape(a, b, sin_in_x)
-    for a, b, sin_in_x in (
-        (2, 2, False), (2, 2, True), (3, 3, False), (3, 3, True),
-        (1, 2, True), (2, 1, False), (3, 2, False), (2, 3, True),
-    )
-)
-
-
-def _resting_family_mixing(config):
-    """Coefficients that remix the raw shapes into a family whose leading
-    subfamilies all couple to their velocity enrichments with the same
-    stability constant.
-
-    The raw shapes are orthonormalized in the discrete pressure mass
-    inner product, their enrichment coupling is whitened by the full
-    velocity norm, and the singular directions are reordered so the
-    hardest-to-control direction leads. Returns the (n_shapes, n_shapes)
-    matrix mapping raw shape coefficients to mixed family coefficients.
-    """
-    mesh = config.geometry.build()
-    scratch = FlowCase(
-        "resting_pressure",
-        dirichlet={tag: _zero_bc for tag in _outer_tags(config)},
-        forcing=None,
-        zero_mean_pressure=True,
-    )
-    problem = FOMProblem(mesh, config.fom, scratch)
-    mass_p = problem.pressure_mass
-    raw = np.column_stack([
-        interpolate(problem.pres_space, value).coefficients
-        for value, _, _ in _RESTING_SHAPES])
-    gram = raw.T @ (mass_p @ raw)
-    lower = np.linalg.cholesky(0.5 * (gram + gram.T))
-    orthonormal = np.linalg.solve(lower, raw.T).T
-    z = compute_supremizers(problem, orthonormal)
-    _, singular_values, vt = _whitened_coupling_svd(
-        z, orthonormal, problem.divergence, problem.mass, problem.stiffness)
-    hardest_first = np.argsort(singular_values)
-    mixing = vt.T[:, hardest_first]
-    return np.linalg.solve(lower.T, mixing)
-
-
-def _case_resting_pressure(config):
-    """Fluid at rest under a time-periodic gradient body force.
-
-    The force is the exact gradient of a pressure family, so the exact
-    velocity stays zero while the discrete pressure sweeps through eight
-    spatial shapes. Mutually orthogonal cosine signals with geometrically
-    decaying amplitudes keep the snapshot spectrum ordered, and the shapes
-    are remixed so every leading subfamily couples to its velocity
-    enrichment with one uniform stability constant. The case exercises
-    pressure extraction and enrichment on a field with a known exact
-    solution (zero velocity, analytic pressure).
-    """
-    params = _check_params(config.case_parameters,
-                           ("amplitude", "period", "decay"), "resting_pressure")
-    amplitude = params.get("amplitude", 1.0)
-    period = params.get("period", 0.2)
-    decay = params.get("decay", 0.35)
-    if period <= 0.0:
-        raise ConfigError("case_parameter", "period must be positive")
-    if not 0.0 < decay < 1.0:
-        raise ConfigError("case_parameter", "decay must be inside (0, 1)")
-
-    mixing = _resting_family_mixing(config)
-    n_shapes = mixing.shape[1]
-    signal_amps = amplitude * decay ** np.arange(n_shapes)
-    signal_freqs = 2.0 * np.pi * np.arange(1, n_shapes + 1) / period
-
-    def gradient(grad_x, grad_y):
-        return lambda x, y: (grad_x(x, y), grad_y(x, y))
-
-    case = FlowCase(
-        "resting_pressure",
-        dirichlet={tag: _zero_bc for tag in _outer_tags(config)},
-        forcing=SeparableForcing(
-            tuple(gradient(gx, gy) for _, gx, gy in _RESTING_SHAPES),
-            lambda t: mixing @ (signal_amps * np.cos(signal_freqs * t))),
-        zero_mean_pressure=True,
-    )
-    return CaseBundle(flow_case=case)
-
-
 _CASES = {
     "cavity": _case_cavity,
     "channel": _case_channel,
     "taylor_green": _case_taylor_green,
     "stokes_poly": _case_stokes_poly,
-    "resting_pressure": _case_resting_pressure,
 }
 
 
@@ -813,9 +708,19 @@ def _full_order(config, mesh, drag_lift=False):
 
 def _bases(config, full):
     """The velocity and pressure bases of the snapshots: the second stage."""
-    vel_basis = build_basis(full.vel_snaps, full.problem.mass, r=config.pod.r,
+    vel_basis = build_basis(full.vel_snaps, full.problem.mass,
                             energy_threshold=config.pod.energy_threshold)
+    if config.pod.r is not None:
+        _check_size("pod", "pod.r", config.pod.r, vel_basis.rank)
+        vel_basis = replace(vel_basis, r=config.pod.r)
     return vel_basis, build_basis(full.pres_snaps, full.problem.pressure_mass)
+
+
+def _check_size(section, key, size, rank, basis="basis"):
+    """Reject a configured size above a basis rank, known only after POD."""
+    if size > rank:
+        raise ConfigError(f"{section}_invalid",
+                          f"{key}={size} exceeds the {basis} rank {rank}")
 
 
 @dataclass(frozen=True)
@@ -835,8 +740,7 @@ def _reduced_start(config, full, vel_basis):
     adaptation is enabled), the adaptation settings and the reference
     energies of :func:`_snapshot_energy_table`."""
     r = vel_basis.r if config.rom.r is None else config.rom.r
-    if r > vel_basis.rank:
-        raise ValueError(f"rom.r={r} exceeds the basis rank {vel_basis.rank}")
+    _check_size("rom", "rom.r", r, vel_basis.rank)
     mu = config.effective_rom_mu()
     adaptive = None
     if config.rom.adaptive.enabled:
@@ -896,9 +800,9 @@ def run_pipeline(config, out_dir=None, stop_after=None):
             rp_main = config.rom.r_pressure
             if rp_main is None:
                 rp_main = min(start.r, pres_basis.rank)
-            elif rp_main > pres_basis.rank:
-                raise ConfigError("rom_invalid", f"rom.r_pressure={rp_main} exceeds the "
-                                                 f"pressure basis rank {pres_basis.rank}")
+            else:
+                _check_size("rom", "rom.r_pressure", rp_main, pres_basis.rank,
+                            basis="pressure basis")
             sizes = _error_table_sizes(config, vel_basis, pres_basis)
             # One build at the largest sizes; every smaller model, with its
             # recovery and drag/lift forms, is its leading block, because the
@@ -974,10 +878,7 @@ def _error_table_sizes(config, vel_basis, pres_basis):
     r_values = config.rom.r_values
     if r_values is None:
         r_values = (vel_basis.r,)
-    bad = [r for r in r_values if r > vel_basis.rank]
-    if bad:
-        raise ValueError(
-            f"r_values {bad} exceed the basis rank {vel_basis.rank}")
+    _check_size("rom", "max(rom.r_values)", max(r_values), vel_basis.rank)
     return [(r, min(r, pres_basis.rank))
             for r in sorted(set(int(v) for v in r_values))]
 

@@ -600,22 +600,16 @@ def supremizer_stability(z, psi, divergence, mass, stiffness):
     ``psi``) over the enrichment (the supremizers, the columns of ``z``).
 
     Computes the smallest singular value of the divergence coupling
-    whitened by the full velocity norm (mass plus gradient) of the
-    supremizer span.
+    whitened by the Cholesky factor of the supremizers' Gram matrix in the
+    full velocity norm (mass plus gradient).
     """
     if z.shape[1] == 0:
         return 0.0
-    return float(_whitened_coupling_svd(z, psi, divergence, mass, stiffness)[1].min())
-
-
-def _whitened_coupling_svd(z, psi, divergence, mass, stiffness):
-    """SVD ``(u, s, vt)`` of the divergence coupling of the columns of
-    ``psi`` with those of ``z``, whitened by the Cholesky factor of the
-    Gram matrix of ``z`` in the full velocity norm (mass plus gradient)."""
     coupling = (psi.T @ (divergence @ z)).T
     h = z.T @ ((mass + stiffness) @ z)
     chol = np.linalg.cholesky(0.5 * (h + h.T))
-    return np.linalg.svd(np.linalg.solve(chol, coupling))
+    return float(np.linalg.svd(np.linalg.solve(chol, coupling),
+                               compute_uv=False).min())
 
 
 @dataclass

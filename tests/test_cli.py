@@ -87,14 +87,18 @@ def test_reduced_integrator_must_repeat_the_full_order_one(config_path, capsys):
     assert "rom_invalid" in capsys.readouterr().err
 
 
-def test_a_pressure_size_above_the_basis_rank_reports_a_config_error(config_path, capsys):
-    # the rank is known only after POD, so the rom stage raises it
-    code = main(["rom", "--config", str(config_path),
-                 "--override", "rom.r_pressure=9"])
+@pytest.mark.parametrize("override, message", [
+    ("rom.r_pressure=9", "rom_invalid: rom.r_pressure=9 exceeds the pressure basis rank 5"),
+    ("rom.r=50", "rom_invalid: rom.r=50 exceeds the basis rank 5"),
+    ("rom.r_values=[2, 50]", "rom_invalid: max(rom.r_values)=50 exceeds the basis rank 5"),
+    ("pod.r=50", "pod_invalid: pod.r=50 exceeds the basis rank 5"),
+], ids=["rom.r_pressure", "rom.r", "rom.r_values", "pod.r"])
+def test_a_size_above_the_basis_rank_reports_a_config_error(
+        config_path, capsys, override, message):
+    # the rank is known only after POD, so the pod or rom stage raises it
+    code = main(["rom", "--config", str(config_path), "--override", override])
     assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "rom_invalid" in err and "rom.r_pressure=9" in err
-    assert "pressure basis rank 5" in err
+    assert message in capsys.readouterr().err
 
 
 def test_stage_failure_reports_a_runtime_error(config_path, tmp_path, capsys):

@@ -159,9 +159,15 @@ def test_missing_required_section_is_rejected():
 
 
 def test_unknown_case_name_is_rejected():
-    raw = base_raw()
-    raw["case"]["name"] = "mystery"
-    assert config_error_name(raw) == "case_unknown"
+    # a retired case name fails like any other unknown name
+    for name in ("mystery", "resting_pressure"):
+        raw = base_raw()
+        raw["case"]["name"] = name
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(raw)
+        assert err.value.name == "case_unknown"
+        assert str(err.value).endswith(
+            "available: ['cavity', 'channel', 'stokes_poly', 'taylor_green']")
 
 
 def test_unknown_case_parameter_is_rejected():
@@ -242,6 +248,10 @@ def test_invalid_adaptive_settings_are_rejected():
     with pytest.raises(ConfigError) as err:
         block.to_rom_config()
     assert err.value.name == "adaptive_invalid"
+    # a negative starting coefficient, like a negative rom.mu
+    raw = base_raw()
+    raw["rom"]["adaptive"] = {"enabled": True, "mu_init": -5.0}
+    assert config_error_name(raw) == "adaptive_invalid"
 
 
 def test_invalid_rom_fields_are_rejected():
@@ -870,52 +880,6 @@ def test_pipeline_channel_case_requires_a_hole(tmp_path):
     assert err.value.name == "case_geometry"
 
 
-def resting_raw(nx=6):
-    return {
-        "geometry": {"nx": nx},
-        "case": {"name": "resting_pressure", "parameters": {}},
-        "fom": {
-            "scheme": "graddiv",
-            "nu": 5e-3,
-            "dt": 2.5e-3,
-            "t_final": 0.2,
-            "stabilization": {"grad_div": 0.3},
-            "snapshot_window": [0.0, 0.2],
-            "snapshot_stride": 4,
-        },
-        "pod": {},
-        "rom": {"r": 2},
-    }
-
-
-def test_resting_pressure_case_keeps_the_fluid_nearly_at_rest(tmp_path):
-    result = run_small_pipeline(tmp_path, resting_raw(), stop_after="pod")
-    pres_scale = np.abs(result.pres_snapshots.raw_fields()).max()
-    vel_scale = np.abs(result.vel_snapshots.raw_fields()).max()
-    assert vel_scale <= 0.1 * pres_scale
-    assert result.pres_basis.rank >= 8
-
-
-def test_resting_pressure_family_mixing_is_deterministic():
-    from podflow.harness import _resting_family_mixing
-
-    cfg = ExperimentConfig.from_dict(resting_raw())
-    first = _resting_family_mixing(cfg)
-    second = _resting_family_mixing(cfg)
-    assert first.shape == (8, 8)
-    assert np.array_equal(first, second)
-
-
-def test_resting_pressure_case_rejects_bad_parameters():
-    for params in ({"decay": 1.5}, {"decay": 0.0}, {"period": -0.1}):
-        raw = resting_raw()
-        raw["case"]["parameters"] = params
-        cfg = ExperimentConfig.from_dict(raw)
-        with pytest.raises(ConfigError) as err:
-            build_case(cfg)
-        assert err.value.name == "case_parameter"
-
-
 def test_reduced_run_takes_the_full_order_integrator(tmp_path):
     raw = base_raw()
     raw["fom"]["time_integrator"] = "implicit_euler"
@@ -1068,8 +1032,7 @@ def _forced_case_raws():
                        "parameters": {"pulse_amplitude": 5.0, "pulse_period": 0.1}}
     stokes = base_raw()
     stokes["case"] = {"name": "stokes_poly", "parameters": {}}
-    return {"cavity": base_raw(), "channel": channel, "stokes_poly": stokes,
-            "resting_pressure": resting_raw(nx=4)}
+    return {"cavity": base_raw(), "channel": channel, "stokes_poly": stokes}
 
 
 @pytest.fixture(scope="module")

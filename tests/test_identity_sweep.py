@@ -6,6 +6,8 @@ import io
 import shutil
 from pathlib import Path
 
+from podflow.harness import _CASES
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "identity_sweep.py"
 
@@ -23,10 +25,21 @@ def sweep(ref_src, tmp_path):
 
 def test_the_run_list_covers_the_workloads_and_studies():
     names = list(identity_sweep.runs())
-    assert len(names) == len(set(names)) == 23
-    for name in ("tiny_graddiv", "tiny_channel_small_r", "tiny_resting_pressure", "desk_lps",
+    assert len(names) == len(set(names)) == 22
+    for name in ("tiny_graddiv", "tiny_channel_small_r", "tiny_stokes_poly", "desk_lps",
                  "cavity_lps_nx32_seed1", "convergence_lps", "longhorizon_channel_picard"):
         assert name in names
+
+
+def test_the_runs_pose_exactly_the_registry_cases():
+    posed = set()
+    for kind, spec in identity_sweep.runs().values():
+        if kind == "convergence":
+            posed.add("taylor_green")  # the study poses the decaying vortex
+        else:
+            config = spec["config"] if kind == "longhorizon" else spec
+            posed.add(config["case"]["name"])
+    assert posed == set(_CASES)
 
 
 def test_the_summary_counts_runs_per_time_integrator():
@@ -38,7 +51,7 @@ def test_the_summary_counts_runs_per_time_integrator():
     assert identity_sweep.integrator(*plan["convergence_lps"]) == "bdf2_semi_implicit"
     differing = {"channel_picard_seed1": 7.7e-9, "tiny_channel_picard": 1e-9}
     assert identity_sweep.summary(list(plan), differing) == (
-        "21 of 23 runs identical (bdf2_semi_implicit: 18 identical, 0 differ, "
+        "20 of 22 runs identical (bdf2_semi_implicit: 17 identical, 0 differ, "
         "implicit_euler: 3 identical, 2 differ); "
         "differ: channel_picard_seed1 (7.7e-09), tiny_channel_picard (1.0e-09)")
 

@@ -16,10 +16,8 @@ arithmetic must leave every pair identical.
 
 The runs are the tiny configs (grad-div, LPS, adaptive μ, centred POD, the
 holed channel under both schemes and with its main reduced run smaller than
-its error table's largest, the steady ``stokes_poly`` case, and
-``resting_pressure``, whose forcing is built from gradient shapes and a
-mixing matrix), the
-three benchmark workloads at tiny size, the desk cavity under both schemes,
+its error table's largest, and the steady ``stokes_poly`` case), the three
+benchmark workloads at tiny size, the desk cavity under both schemes,
 the three workloads at full size with seeds 0 and 1, the convergence study
 of both schemes, and the long-horizon study on the tiny config and on
 ``channel_picard``. The configs come from the working tree, so both sides
@@ -99,8 +97,6 @@ def runs():
         "tiny_stokes_poly": ("pipeline", _with(
             TINY, case={"name": "stokes_poly", "parameters": {}},
             fom={"nu": 0.05, "snapshot_window": [0.0, 0.06]})),
-        "tiny_resting_pressure": ("pipeline", _with(
-            TINY, case={"name": "resting_pressure", "parameters": {}})),
     }
     for name in WORKLOAD_NAMES:
         out[f"tiny_{name}"] = ("pipeline", workload_config(name, 0, "tiny"))
