@@ -166,18 +166,22 @@ class _Scatter:
         self.layers = [(entry[rank == j].astype(index), perm[rank == j].astype(index))
                        for j in range(1, int(rank.max(initial=0)) + 1)]
 
-    def matrix(self, values):
-        data = values[self.first]
+    def sums(self, values, n=None):
+        """The entries' sums, or the first ``n`` entries' (a layer's ascend)."""
+        data = values[self.first[:n]]
         for out, src in self.layers:
-            data[out] += values[src]
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+            k = None if n is None else np.searchsorted(out, n)
+            data[out[:k]] += values[src[:k]]
+        return data
+
+    def matrix(self, values):
+        return sp.csr_matrix((self.sums(values), self.indices, self.indptr), shape=self.shape)
 
 
-def _assemble(space, blocks, local, row_space=None):
-    """CSR matrix of per-element local blocks: ``blocks`` lists the
-    (row component, column component) of each array in ``local``, rows from
-    ``row_space`` (default ``space``). The scatter is built once per layout
-    and kept on ``space``."""
+def _scatter(space, blocks, row_space=None):
+    """The :class:`_Scatter` of ``blocks``, the (row component, column
+    component) of each local array, rows from ``row_space`` (default
+    ``space``), built once per layout and kept on ``space``."""
     key = ("scatter", row_space, tuple(blocks))
     if key not in space.assembly_cache:
         row_sp = space if row_space is None else row_space
@@ -188,8 +192,12 @@ def _assemble(space, blocks, local, row_space=None):
             cols.append(np.broadcast_to(space.cell_dofs(c)[:, None, :], shape).ravel())
         space.assembly_cache[key] = _Scatter(np.concatenate(rows), np.concatenate(cols),
                                              (row_sp.n_dofs, space.n_dofs))
-    values = np.concatenate([a.ravel() for a in local])
-    return space.assembly_cache[key].matrix(values)
+    return space.assembly_cache[key]
+
+
+def _assemble(space, blocks, local, row_space=None):
+    """CSR matrix of per-element local blocks, one per entry of ``blocks``."""
+    return _scatter(space, blocks, row_space).matrix(np.concatenate([a.ravel() for a in local]))
 
 
 def _diagonal_blocks(space):
@@ -281,7 +289,8 @@ def convection_matrix(space, convecting, qdegree=None):
 
     Entries are ``C[i, j] = ((w . grad) v_j, v_i) + 1/2 ((div w) v_j, v_i)``
     for the given convecting field ``w``; the block is identical for both
-    velocity components, and the pattern is that of :func:`assemble_mass`.
+    velocity components, so the first component's entries are gathered
+    and repeated, and the pattern is that of :func:`assemble_mass`.
     """
     if space.components != 2:
         raise ValueError("convection requires a vector space")
@@ -312,8 +321,10 @@ def convection_matrix(space, convecting, qdegree=None):
         second += np.multiply(v, row, out=term)
     second *= 0.5
     first += second
-    local = np.ascontiguousarray(first.transpose(1, 0, 2))
-    return _assemble(space, _diagonal_blocks(space), [local, local])
+    both = _scatter(space, _diagonal_blocks(space))
+    block = both.sums(first.transpose(1, 0, 2).ravel(), both.indptr[space.n_scalar])
+    return sp.csr_matrix((np.concatenate([block, block]), both.indices, both.indptr),
+                         shape=both.shape)
 
 
 def _load_points(space):

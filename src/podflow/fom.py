@@ -30,13 +30,14 @@ with the same pivots and solutions, bit for bit.
 Three kinds of solve are bit for bit as ``splu`` of the stored system
 would solve it: every BDF2 solve, a problem's first (ordering) solve, and
 a fallback. Every other implicit-Euler Picard sweep, the first of each
-step included, refines against the run's one factor from the last
-solution (see :meth:`_SaddleLayout.solve`), only as far as Picard can use
-it: to a backward error of ``max(nonlinear_tolerance, 4 eps)``. Once a
-sweep is accepted, its own system is solved again from its solution to a
-backward error of 4 eps, and that is the step's result. A refinement that
-misses its target within ``_REFINEMENT_CAP`` iterations falls back: it
-factors afresh, and that factor becomes the run's.
+step included, makes one correction against the run's one factor from its
+convecting field and the last pressure (see :meth:`_SaddleLayout.solve`),
+a chord iteration with Picard's fixed point. The accepted sweep's system
+is solved again from its solution by iterative refinement to a backward
+error of 4 eps, the step's result. A correction that would need more
+than ``_REFINEMENT_CAP`` of its kind to reach ``nonlinear_tolerance``, or
+a refinement that misses 4 eps within as many, falls back: it factors
+afresh, and that factor becomes the run's.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ SCHEMES = ("lps", "graddiv")
 TIME_INTEGRATORS = ("bdf2_semi_implicit", "implicit_euler")
 
 _TIME_TOL = 1e-9
-_REFINEMENT_CAP = 10  # corrections a lagged solve may take before it factors afresh
+_REFINEMENT_CAP = 10  # corrections a lagged factor may need for a solve before it is renewed
 _BACKWARD_ERROR = 4.0 * np.finfo(float).eps  # the target of a solve whose result is kept
 
 
@@ -99,11 +100,8 @@ def solve_step(integrator, sweep, convecting, mass, tolerance, max_iterations):
     solved with convection by ``w``, and what else the model solves for.
     BDF2 sweeps once with the extrapolated ``convecting`` field; implicit
     Euler starts from it and repeats the sweep, each convected by the last,
-    until the relative change in the ``mass`` norm reaches ``tolerance``.
-    In the full-order model every BDF2 solve is bit for bit ``splu``'s;
-    implicit-Euler sweeps refine against the run's factor to a backward
-    error of ``max(tolerance, 4 eps)``, and the caller solves the accepted
-    sweep's system again to 4 eps (see :meth:`_SaddleLayout.solve`)."""
+    until the relative change in the ``mass`` norm reaches ``tolerance``;
+    the module docstring says how the full-order model solves a sweep."""
     residuals = []
     while True:
         new, other = sweep(convecting)
@@ -178,10 +176,10 @@ def _whole_steps(t, dt):
 class FOMConfig:
     """Numerical parameters of a full-order run.
 
-    ``nonlinear_tolerance`` is the relative change between implicit-Euler
-    Picard sweeps at which a step is accepted, and also the backward error
-    (at least 4 eps) to which the full-order model solves a sweep that
-    Picard may still reject.
+    ``nonlinear_tolerance``, at least 4 eps, is the relative change between
+    implicit-Euler Picard sweeps at which a step is accepted; the full-order
+    model factors afresh when its factor would need more than
+    ``_REFINEMENT_CAP`` corrections to reach it.
     """
 
     scheme: str
@@ -212,8 +210,8 @@ class FOMConfig:
         if not _whole_steps(self.t_final, self.dt):
             raise ValueError(f"final time {self.t_final} is not a whole number of "
                              f"steps of {self.dt}")
-        if self.nonlinear_tolerance <= 0.0 or self.nonlinear_max_iterations < 1:
-            raise ValueError("nonlinear solver parameters must be positive")
+        if self.nonlinear_tolerance < _BACKWARD_ERROR or self.nonlinear_max_iterations < 1:
+            raise ValueError("nonlinear solver parameters must be positive, tolerance >= 4 eps")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot stride must be at least 1")
         if self.snapshot_window is not None:
@@ -396,14 +394,13 @@ class FOMProblem:
         layout = self._saddle
         return sp.csr_matrix((values, layout.indices, layout.indptr), shape=layout.shape)
 
-    def solve_coupled(self, velocity_values, rhs_velocity, boundary, lagged,
-                      target=_BACKWARD_ERROR):
+    def solve_coupled(self, velocity_values, rhs_velocity, boundary, lagged, velocity=None):
         """Solve one saddle-point system with boundary elimination: the
         velocity block has :meth:`velocity_values`, and ``boundary`` is
         :meth:`boundary_values` at the new time. ``lagged`` is a run's
         holder of its factor and last solution, which
-        :meth:`_SaddleLayout.solve` refines from, to the backward error
-        ``target``, and renews."""
+        :meth:`_SaddleLayout.solve` solves from and renews; a Picard sweep
+        gives the free entries of its convecting field as ``velocity``."""
         layout = self._saddle
         rhs = np.concatenate([rhs_velocity, np.zeros(self.n_pressure)])
         values = np.concatenate([boundary, np.zeros(self.n_pressure)])
@@ -411,7 +408,7 @@ class FOMProblem:
         reduced_rhs = rhs[free]
         if fixed.size:
             reduced_rhs = reduced_rhs - layout.lifting(velocity_values) @ values[fixed]
-        solution = layout.solve(velocity_values, reduced_rhs, lagged, target)
+        solution = layout.solve(velocity_values, reduced_rhs, lagged, velocity)
         if not np.all(np.isfinite(solution)):
             raise RuntimeError("singular or badly scaled coupled system")
         x = values
@@ -465,6 +462,8 @@ class _SaddleLayout:
     """
 
     def __init__(self, problem):
+        # the rate that reaches the nonlinear tolerance in the cap's corrections
+        self.contraction = problem.config.nonlinear_tolerance ** (1.0 / _REFINEMENT_CAP)
         static = problem._static_velocity_block
         pattern = _pattern(problem.mass) + _pattern(static)
         self.shape, self.indices, self.indptr = pattern.shape, pattern.indices, pattern.indptr
@@ -497,7 +496,7 @@ class _SaddleLayout:
         self._lifting.data[self.lifting_slots] = values[self.lifting_source]
         return self._lifting
 
-    def solve(self, values, rhs, lagged, target=_BACKWARD_ERROR):
+    def solve(self, values, rhs, lagged, velocity=None):
         """Solve the system with the velocity ``values`` for ``rhs``, bit for
         bit as ``splu`` of the stored system in the original order does: the
         first solve factors it with COLAMD and relabels it by that order,
@@ -505,14 +504,14 @@ class _SaddleLayout:
         stays in the pattern, so the factor is of that same matrix.
 
         ``lagged`` holds a run's one factor and the last solution, in the
-        relabelled order, or is empty. While it holds them, the system is
-        solved by iterative refinement against that factor from that
-        solution, to the backward error ``target`` (see :func:`_refined`):
-        4 eps for a solution that is kept, looser for a Picard sweep that
-        may yet be rejected. With it empty, or when the refinement misses
-        within ``_REFINEMENT_CAP`` corrections, the system is factored
-        afresh, bit for bit ``splu``, and that factor replaces the old one.
-        The first (ordering) solve stores nothing."""
+        relabelled order, or is empty. While it holds them, a Picard sweep
+        (given its free convecting ``velocity``) makes one correction
+        y + lu⁻¹ (b - a y) from that velocity and the last pressure, which
+        misses if it shrinks the residual by less than ``contraction``; any
+        other solve refines from the last solution to 4 eps (:func:`_refined`).
+        With the holder empty, or on a miss, the system is factored afresh,
+        bit for bit ``splu``, replacing the old factor. The first (ordering)
+        solve stores nothing."""
         import scipy.sparse.linalg as spla  # slow to import, and set-up never calls this
         self._system.data[self.system_slots] = values[self.system_source]
         if self._order is None:
@@ -522,15 +521,21 @@ class _SaddleLayout:
             self._relabel(perm_c)
             return x
         b = rhs[self._order]
-        y = _refined(self._system, *lagged, b, target) if lagged else None
+        if lagged and velocity is not None:
+            y = lagged[1].copy()
+            y[self._labels[:velocity.size]] = velocity
+            r = b - self._system @ y
+            y += lagged[0].solve(r)
+            if np.abs(b - self._system @ y).max() > self.contraction * np.abs(r).max():
+                y = None
+        else:
+            y = _refined(self._system, *lagged, b) if lagged else None
         if y is None:
             lagged.clear()  # one factor at a time
             lagged.append(spla.splu(self._system, permc_spec="NATURAL"))
             y = lagged[0].solve(b)
         lagged[1:] = [y]
-        x = np.empty_like(rhs)
-        x[self._order] = y
-        return x
+        return y[self._labels]
 
     def _relabel(self, perm_c):
         """Rename row and column i of the system ``perm_c[i]``: the natural
@@ -551,20 +556,20 @@ class _SaddleLayout:
         self._system = sp.csc_matrix((a.data[moved], perm_c[a.indices[moved]], indptr),
                                      shape=a.shape)
         self._system.has_canonical_format = True
-        self._order = order
+        self._order, self._labels = order, perm_c
 
 
-def _refined(a, lu, x, b, target):
+def _refined(a, lu, x, b):
     """The solution of ``a x = b`` by iterative refinement with ``lu``, the
     factor of a nearby system, from the guess ``x``: x += lu⁻¹ (b - a x)
-    until the residual's infinity norm is at most ``target`` (‖a‖ ‖x‖ +
-    ‖b‖), or None when ``_REFINEMENT_CAP`` corrections do not get there."""
+    until the residual's infinity norm is at most 4 eps (‖a‖ ‖x‖ + ‖b‖),
+    or None when ``_REFINEMENT_CAP`` corrections do not get there."""
     a_norm = np.bincount(a.indices, weights=np.abs(a.data), minlength=a.shape[0]).max()
     b_norm = np.abs(b).max()
     x = x + lu.solve(b - a @ x)
     for _ in range(_REFINEMENT_CAP):
         r = b - a @ x
-        if np.abs(r).max() <= target * (a_norm * np.abs(x).max() + b_norm):
+        if np.abs(r).max() <= _BACKWARD_ERROR * (a_norm * np.abs(x).max() + b_norm):
             return x
         x += lu.solve(r)
     return None
@@ -583,12 +588,11 @@ def _step(problem, state, lagged, with_residual):
     implicit = cfg.time_integrator != "bdf2_semi_implicit"
     if not implicit:
         lagged.clear()  # bit for bit splu: a lagged factor moves cavity's indicators by 3e-8
-    loose = max(cfg.nonlinear_tolerance, _BACKWARD_ERROR)
 
     def sweep(w):
         values = problem.velocity_values(
             alpha / cfg.dt, convection_matrix(problem.vel_space, FEField(problem.vel_space, w)))
-        u, p = problem.solve_coupled(values, rhs, boundary, lagged, loose)
+        u, p = problem.solve_coupled(values, rhs, boundary, lagged, w[problem.free_velocity])
         return u, (p, values)
 
     try:

@@ -48,15 +48,16 @@ class PODBasis:
         return int(self.eigenvalues.size)
 
 
-def build_basis(snapshots, mass, r=None, energy_threshold=None):
+def build_basis(snapshots, mass, energy_threshold=None):
     """Diagonalize the snapshot correlation matrix K[i, j] = (u_i, u_j) / M
     and assemble the modes.
 
     ``snapshots`` is a :class:`~podflow.fom.SnapshotSet` or a bare (n, M)
-    array, which has no mean. Exactly one of ``r`` and ``energy_threshold``
-    may be given; with neither, all modes above the rank cutoff are
-    selected. Mode signs are fixed by making each mode's largest-magnitude
-    coefficient positive.
+    array, which has no mean. ``energy_threshold`` selects the smallest r
+    whose modes carry that share of the energy, and all modes above the
+    rank cutoff are selected without it; ``dataclasses.replace`` selects
+    any other r. Mode signs are fixed by making each mode's
+    largest-magnitude coefficient positive.
     """
     if isinstance(snapshots, np.ndarray):
         fields, mean, signature = snapshots, None, ""
@@ -66,8 +67,6 @@ def build_basis(snapshots, mass, r=None, energy_threshold=None):
     fields = np.asarray(fields, dtype=float)
     if fields.ndim != 2 or fields.shape[1] < 1:
         raise ValueError("snapshots must form a nonempty (n_dofs, M) array")
-    if r is not None and energy_threshold is not None:
-        raise ValueError("give either r or energy_threshold, not both")
 
     m = fields.shape[1]
     corr = fields.T @ (mass @ fields) / m
@@ -89,16 +88,12 @@ def build_basis(snapshots, mass, r=None, energy_threshold=None):
             modes[:, k] = -modes[:, k]
             eigvecs[:, k] = -eigvecs[:, k]
 
+    r = d
     if energy_threshold is not None:
         if not 0.0 < energy_threshold <= 1.0:
             raise ValueError("energy threshold must lie in (0, 1]")
         fractions = np.cumsum(eigvals) / np.sum(eigvals)
-        r = int(np.searchsorted(fractions, energy_threshold - 1e-15) + 1)
-        r = min(r, d)
-    elif r is None:
-        r = d
-    elif not 1 <= r <= d:
-        raise ValueError(f"requested r={r} exceeds the retained rank {d}")
+        r = min(int(np.searchsorted(fractions, energy_threshold - 1e-15) + 1), d)
 
     return PODBasis(
         space_signature=signature,
@@ -106,7 +101,7 @@ def build_basis(snapshots, mass, r=None, energy_threshold=None):
         eigenvalues=eigvals,
         eigenvectors=eigvecs,
         n_snapshots=m,
-        r=int(r),
+        r=r,
         mean=None if mean is None else np.asarray(mean, dtype=float),
     )
 

@@ -106,7 +106,7 @@ def test_stage_failure_reports_a_runtime_error(config_path, tmp_path, capsys):
                  "--out-dir", str(tmp_path / "fail"),
                  "--override", "fom.time_integrator=implicit_euler",
                  "--override", "fom.nonlinear_max_iterations=1",
-                 "--override", "fom.nonlinear_tolerance=1e-16"])
+                 "--override", "fom.nonlinear_tolerance=1e-15"])
     assert code == EXIT_RUNTIME
     assert "stage 'fom'" in capsys.readouterr().err
 

@@ -1,4 +1,5 @@
 import gc
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -248,7 +249,7 @@ def test_implicit_euler_failure_raises_with_diagnostics():
     mesh = build_rect_mesh(1.0, 1.0, 3, 3)
     cfg = FOMConfig(scheme="graddiv", nu=5e-3, dt=0.02, t_final=0.1,
                     time_integrator="implicit_euler",
-                    nonlinear_max_iterations=1, nonlinear_tolerance=1e-16,
+                    nonlinear_max_iterations=1, nonlinear_tolerance=1e-15,
                     stabilization=StabilizationConfig(grad_div=0.3))
     problem = FOMProblem(mesh, replace(cfg, t_final=cfg.dt),
                          enclosed_case(forcing=swirl_forcing))
@@ -302,51 +303,65 @@ def factored(monkeypatch):
 EPS4 = 4.0 * np.finfo(float).eps
 
 
-def backward_error_bound(a, x, b, target=EPS4):
-    """target (‖a‖ ‖x‖ + ‖b‖) in the infinity norm."""
-    return target * (spla.norm(a, np.inf) * np.abs(x).max() + np.abs(b).max())
+def backward_error_bound(a, x, b):
+    """4 eps (‖a‖ ‖x‖ + ‖b‖) in the infinity norm."""
+    return EPS4 * (spla.norm(a, np.inf) * np.abs(x).max() + np.abs(b).max())
+
+
+Solve = namedtuple("Solve", "values rhs x specs velocity triangular")
 
 
 @pytest.fixture
 def solves(monkeypatch, factored):
-    """(values, rhs, solution, orderings of its factors, backward error
-    target) of each saddle-point solve made while it is active."""
-    solves, solve = [], _SaddleLayout.solve
+    """A :class:`Solve` of each saddle-point solve made while it is active:
+    its velocity values, right-hand side and solution, the orderings of its
+    factors, a Picard sweep's free convecting velocity (None for any other
+    solve) and its count of triangular solves."""
+    solves, solve, splu, triangular = [], _SaddleLayout.solve, spla.splu, [0]
 
-    def recording(self, values, rhs, lagged, target=EPS4):
-        before = len(factored)
-        x = solve(self, values, rhs, lagged, target)
-        solves.append((values.copy(), rhs.copy(), x, factored[before:], target))
+    class Counted:
+        def __init__(self, lu):
+            self.lu, self.perm_c = lu, lu.perm_c
+
+        def solve(self, b):
+            triangular[0] += 1
+            return self.lu.solve(b)
+
+    def recording(self, values, rhs, lagged, velocity=None):
+        before, count = len(factored), triangular[0]
+        x = solve(self, values, rhs, lagged, velocity)
+        solves.append(Solve(values.copy(), rhs.copy(), x, factored[before:],
+                            None if velocity is None else velocity.copy(),
+                            triangular[0] - count))
         return x
 
+    monkeypatch.setattr(spla, "splu", lambda a, **kwargs: Counted(splu(a, **kwargs)))
     monkeypatch.setattr(_SaddleLayout, "solve", recording)
     return solves
 
 
 def picard_solves(solves):
-    """The implicit-Euler :func:`euler_cavity` run's solves, each step's
-    accepted sweep solved last, to 4 eps, and its Picard sweeps before it
-    to the nonlinear tolerance."""
+    """The implicit-Euler :func:`euler_cavity` run's solves: each step's
+    Picard sweeps, which start from their convecting field, then its
+    accepted sweep solved again, to 4 eps."""
     problem, run = euler_cavity()
     # the ordering factorization, then the run's one factor
-    assert [specs for *_, specs, _ in solves] == (
+    assert [solve.specs for solve in solves] == (
         [["COLAMD"], ["NATURAL"]] + [[]] * (len(solves) - 2))
     # a step's solves share its right-hand side: every later step's first
-    # sweep refines too
+    # sweep corrects against the factor too
     firsts = [k for k in range(1, len(solves))
-              if not np.array_equal(solves[k][1], solves[k - 1][1])]
+              if not np.array_equal(solves[k].rhs, solves[k - 1].rhs)]
     assert len(firsts) == 2 and firsts[0] > 2
     assert len(solves) >= 8
-    targets = [target for *_, target in solves]
-    tolerance = problem.config.nonlinear_tolerance
-    assert [k + 1 for k, target in enumerate(targets) if target == EPS4] == firsts + [len(solves)]
-    assert set(targets) == {EPS4, tolerance}
+    resolves = [k + 1 for k, solve in enumerate(solves) if solve.velocity is None]
+    assert resolves == firsts + [len(solves)]
     return problem, solves
 
 
 def test_accepted_picard_sweeps_refine_to_the_backward_error_bound(solves):
     problem, solves = picard_solves(solves)
-    accepted = [solve for solve in solves if solve[-1] == EPS4]
+    accepted = [solve for solve in solves if solve.velocity is None]
     assert len(accepted) == problem.config.n_steps
     for values, rhs, x, *_ in accepted:
         a = saddle_system(problem, values)
@@ -355,17 +370,23 @@ def test_accepted_picard_sweeps_refine_to_the_backward_error_bound(solves):
         assert np.abs(rhs - a @ x).max() <= backward_error_bound(a, x, rhs)
 
 
-def test_intermediate_picard_sweeps_refine_to_the_nonlinear_tolerance(solves):
+def test_intermediate_picard_sweeps_make_one_correction_each(solves):
     problem, solves = picard_solves(solves)
-    tolerance = problem.config.nonlinear_tolerance
+    n_free = problem.free_velocity.size
+    contraction = problem.config.nonlinear_tolerance ** (1 / podflow.fom._REFINEMENT_CAP)
     short_of_4_eps = 0
-    for values, rhs, x, _, target in solves:
-        if target == tolerance:
-            a = saddle_system(problem, values)
-            error = np.abs(rhs - a @ x).max()
-            assert error <= backward_error_bound(a, x, rhs, tolerance)
-            short_of_4_eps += error > backward_error_bound(a, x, rhs)
-    # the refinement stops there, short of what the accepted sweep needs
+    for last, solve in zip(solves, solves[1:]):
+        if solve.velocity is None:
+            continue
+        # one triangular solve, from the convecting field and the last
+        # pressure, which shrinks the residual by the contraction at least
+        assert solve.triangular == 1
+        a = saddle_system(problem, solve.values)
+        start = np.concatenate([solve.velocity, last.x[n_free:]])
+        error = np.abs(solve.rhs - a @ solve.x).max()
+        assert error <= contraction * np.abs(solve.rhs - a @ start).max()
+        short_of_4_eps += error > backward_error_bound(a, solve.x, solve.rhs)
+    # the sweeps stop short of what the accepted sweep needs
     assert short_of_4_eps > 0
 
 
@@ -395,6 +416,46 @@ def test_a_far_off_factor_falls_back_to_splu_bit_for_bit(factored):
     assert np.array_equal(lagged[1], again[layout._order])
 
 
+def test_a_far_off_factor_in_the_holder_makes_a_step_factor_afresh_once(factored):
+    problem, run = euler_cavity()
+    w = run.snapshot_velocity[:, -1]
+    # a step whose first sweep factors, and the holder it leaves, with the
+    # factor swapped for that of a system convected far harder
+    lagged = []
+    want = podflow.fom._step(problem, run.final_state, lagged, False)
+    far = []
+    problem._saddle.solve(convected(problem, 1e4 * w), np.ones(problem.free_global.size), far)
+    lagged[0] = far[0]
+    del factored[:]
+    got = podflow.fom._step(problem, run.final_state, lagged, False)
+    # the first sweep's correction contracts too little, so it factors
+    # afresh, and the later sweeps correct against that factor: the step
+    # is bit for bit the one with the empty holder
+    assert factored == ["NATURAL"]
+    assert np.array_equal(got.u.coefficients, want.u.coefficients)
+    assert np.array_equal(got.p.coefficients, want.p.coefficients)
+
+
+def test_a_run_matches_picard_with_an_exact_factor_per_sweep(monkeypatch, factored):
+    problem, run = euler_cavity()
+    solve = _SaddleLayout.solve
+
+    def exact(self, values, rhs, lagged, velocity=None):
+        if velocity is not None:
+            lagged.clear()
+        return solve(self, values, rhs, lagged, velocity)
+
+    monkeypatch.setattr(_SaddleLayout, "solve", exact)
+    del factored[:]
+    want = run_fom(forced_cavity())
+    # every sweep but the ordering one factored afresh
+    assert len(factored) > problem.config.n_steps + 2
+    for got, ref in ((run.snapshot_velocity, want.snapshot_velocity),
+                     (run.snapshot_pressure, want.snapshot_pressure)):
+        for k in range(1, ref.shape[1]):
+            assert np.abs(got[:, k] - ref[:, k]).max() <= 1e-9 * np.abs(ref[:, k]).max()
+
+
 def test_bdf2_solves_stay_bit_for_bit_splu_beside_the_run_holder(monkeypatch, solves):
     def refined(*args):
         raise AssertionError("a BDF2 solve refined")
@@ -404,7 +465,7 @@ def test_bdf2_solves_stay_bit_for_bit_splu_beside_the_run_holder(monkeypatch, so
     run_fom(problem)
     monkeypatch.undo()
     # the ordering factorization, then one factor per step
-    assert [specs for *_, specs, _ in solves] == [["COLAMD"]] + [["NATURAL"]] * 2
+    assert [solve.specs for solve in solves] == [["COLAMD"]] + [["NATURAL"]] * 2
     for values, rhs, x, *_ in solves:
         want = spla.splu(saddle_system(problem, values)).solve(rhs)
         assert np.array_equal(x.view(np.int64), want.view(np.int64))
@@ -423,9 +484,9 @@ def test_no_factor_outlives_the_run(factored):
     euler_cavity()
     assert factored == ["COLAMD", "NATURAL"]
     assert live_factors() == before
-    # the third sweep refines, then the error keeps run_fom's frame alive
+    # the third sweep corrects, then the error keeps run_fom's frame alive
     del factored[:]
-    problem = forced_cavity(nonlinear_max_iterations=3, nonlinear_tolerance=1e-16)
+    problem = forced_cavity(nonlinear_max_iterations=3, nonlinear_tolerance=1e-15)
     with pytest.raises(NonlinearSolveError) as info:
         run_fom(problem)
     assert len(info.value.residual_history) == 3

@@ -203,6 +203,16 @@ def test_invalid_fom_field_is_rejected():
     assert config_error_name(raw) == "fom_invalid"
 
 
+def test_a_nonlinear_tolerance_below_the_backward_error_is_rejected():
+    # no solve gets below 4 eps, so Picard increments would never meet it
+    raw = base_raw()
+    raw["fom"]["time_integrator"] = "implicit_euler"
+    raw["fom"]["nonlinear_tolerance"] = 1e-17
+    assert config_error_name(raw) == "fom_invalid"
+    eps4 = raw["fom"]["nonlinear_tolerance"] = 4.0 * np.finfo(float).eps
+    assert ExperimentConfig.from_dict(raw).fom.nonlinear_tolerance == eps4
+
+
 def test_pod_selector_conflict_is_rejected():
     raw = base_raw()
     raw["pod"] = {"r": 3, "energy_threshold": 0.99}
@@ -792,7 +802,7 @@ def test_full_rank_coupled_replay_reproduces_the_full_order_drag_and_lift(tmp_pa
 
 # the implicit-Euler channel_raw() run's full-order Picard sweeps and
 # triangular solves
-SWEEPS, LU_SOLVES = 32, 68
+SWEEPS, LU_SOLVES = 32, 38
 
 
 class _Factor:
@@ -806,9 +816,11 @@ class _Factor:
 
 
 def test_implicit_euler_sweeps_solve_only_as_exactly_as_picard_needs(count_calls, monkeypatch):
-    # Picard starts from the extrapolated level and refines a sweep it may
-    # still reject to the nonlinear tolerance alone; only the accepted
-    # sweep's system is solved again to 4 eps
+    # Picard starts from the extrapolated level, and a sweep makes one
+    # correction against the run's factor from its convecting field: one
+    # triangular solve each, the ordering and the factoring sweeps' too.
+    # Only the accepted sweep's system is solved again to 4 eps, here with
+    # one correction per step
     raw = channel_raw()
     raw["fom"]["time_integrator"] = "implicit_euler"
     cfg = ExperimentConfig.from_dict(raw)
@@ -820,13 +832,13 @@ def test_implicit_euler_sweeps_solve_only_as_exactly_as_picard_needs(count_calls
     count_calls(_Factor, "solve", "lu solve")
     _full_order(cfg, cfg.geometry.build(), drag_lift=True)
     assert count_calls.calls["sweep in run"] == SWEEPS
-    assert count_calls.calls["lu solve in run"] == LU_SOLVES
+    assert count_calls.calls["lu solve in run"] == LU_SOLVES == SWEEPS + cfg.fom.n_steps
 
 
 @pytest.mark.parametrize("integrator", ["implicit_euler", "bdf2_semi_implicit"])
 def test_bdf2_factors_every_step_and_implicit_euler_twice_per_run(integrator, count_calls):
     # a BDF2 step solves once, bit for bit splu; implicit-Euler sweeps
-    # refine against the run's one factor, made at the second sweep after
+    # correct against the run's one factor, made at the second sweep after
     # the first step's ordering factorization
     raw = channel_raw() if integrator == "implicit_euler" else base_raw()
     raw["fom"]["time_integrator"] = integrator
@@ -894,7 +906,7 @@ def test_pipeline_wraps_runtime_failures_with_the_stage_name(tmp_path):
     raw = base_raw()
     raw["fom"]["time_integrator"] = "implicit_euler"
     raw["fom"]["nonlinear_max_iterations"] = 1
-    raw["fom"]["nonlinear_tolerance"] = 1e-16
+    raw["fom"]["nonlinear_tolerance"] = 1e-15
     cfg = ExperimentConfig.from_dict(raw)
     with pytest.raises(StageError) as err:
         run_pipeline(cfg, out_dir=tmp_path)

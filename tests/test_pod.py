@@ -80,15 +80,13 @@ def test_correlation_rejects_bad_shapes():
         build_basis(snaps.fields[:, 0], mass)
     with pytest.raises(ValueError):
         build_basis(snaps.fields[:, :0], mass)
-    with pytest.raises(ValueError):
-        build_basis(snaps, mass, r=1, energy_threshold=0.9)
 
 
 def test_a_bare_array_gives_the_basis_of_a_snapshot_set_without_a_mean():
     _, mass, _, snaps = cavity_setup()
-    bare = build_basis(snaps.fields, mass, r=3)
-    wrapped = build_basis(snaps, mass, r=3)
-    assert bare.mean is None and bare.space_signature == "" and bare.r == 3
+    bare = build_basis(snaps.fields, mass)
+    wrapped = build_basis(snaps, mass)
+    assert bare.mean is None and bare.space_signature == "" and bare.r == wrapped.r
     assert np.array_equal(bare.modes, wrapped.modes)
     assert np.array_equal(bare.eigenvalues, wrapped.eigenvalues)
 
@@ -173,7 +171,7 @@ def test_full_rank_reconstruction_reproduces_snapshots():
 
 def test_projection_is_idempotent():
     _, mass, _, snaps = cavity_setup()
-    basis = build_basis(snaps, mass, r=3)
+    basis = replace(build_basis(snaps, mass), r=3)
     u = snaps.fields[:, 0]
     coeffs = project_L2(basis, mass, u)
     again = project_L2(basis, mass, reconstruct(basis, coeffs))
@@ -297,9 +295,10 @@ def test_selection_validation():
         build_basis(snaps, mass, energy_threshold=0.0)
     with pytest.raises(ValueError):
         build_basis(snaps, mass, energy_threshold=1.5)
+    basis = build_basis(snaps, mass)
     with pytest.raises(ValueError):
-        build_basis(snaps, mass, r=99)
-    basis = build_basis(snaps, mass, r=4)
+        replace(basis, r=99)
+    basis = replace(basis, r=4)
     assert basis.r == 4 and basis.rank == 6
 
 
@@ -336,7 +335,7 @@ def test_save_load_round_trip(tmp_path):
         fields=snaps.fields - mean[:, None], mean=mean,
         space_signature=space.signature(),
     )
-    basis = build_basis(centered, mass, r=3)
+    basis = replace(build_basis(centered, mass), r=3)
     path = tmp_path / "basis.bin"
     save_basis(basis, path)
     loaded = load_basis(path, expected_signature=space.signature())
