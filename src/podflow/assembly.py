@@ -137,8 +137,8 @@ class _Scatter:
     are ordered by SciPy's own row sort and column sort, run once on the
     entry positions, and each CSR entry sums its duplicates one after the
     other in that order, as ``csr_sum_duplicates`` does. Explicit zeros are
-    kept. ``first`` picks each entry's first term; ``layers[j]`` adds the
-    (j + 2)-th term of the entries that have one.
+    kept. ``entry[k]`` is the entry of the k-th term in that order and
+    ``perm[k]`` its place in the values; ``entry`` ascends.
     """
 
     def __init__(self, rows, cols, shape):
@@ -154,24 +154,21 @@ class _Scatter:
         sorted_rows = np.repeat(np.arange(shape[0]), counts)
         new = np.ones(n, dtype=bool)
         new[1:] = (sorted_rows[1:] != sorted_rows[:-1]) | (sorted_cols[1:] != sorted_cols[:-1])
-        entry = np.cumsum(new) - 1
-        rank = np.arange(n) - np.flatnonzero(new)[entry]
         index = np.int32 if max(n, *shape) < np.iinfo(np.int32).max else np.int64
         self.shape = shape
         # shared by every matrix of the layout, so read-only
         self.indices = _frozen(sorted_cols[new].astype(index))
         self.indptr = _frozen(np.concatenate(
             [[0], np.cumsum(np.bincount(sorted_rows[new], minlength=shape[0]))]).astype(index))
-        self.first = perm[new].astype(index)
-        self.layers = [(entry[rank == j].astype(index), perm[rank == j].astype(index))
-                       for j in range(1, int(rank.max(initial=0)) + 1)]
+        self.entry = np.cumsum(new, dtype=np.intp) - 1  # np.add.at is fastest on intp
+        self.perm = perm.astype(index)
 
     def sums(self, values, n=None):
-        """The entries' sums, or the first ``n`` entries' (a layer's ascend)."""
-        data = values[self.first[:n]]
-        for out, src in self.layers:
-            k = None if n is None else np.searchsorted(out, n)
-            data[out[:k]] += values[src[:k]]
+        """The entries' sums, or the first ``n`` entries'. Each starts from
+        -0.0, the identity of IEEE addition, so even a zero keeps its sign."""
+        k = None if n is None else np.searchsorted(self.entry, n)
+        data = np.full(self.indices.size if n is None else n, -0.0)
+        np.add.at(data, self.entry[:k], values[self.perm[:k]])
         return data
 
     def matrix(self, values):
@@ -284,20 +281,19 @@ def assemble_lps_matrices(vel_space, pres_space, config):
     return LPSMatrices(velocity=velocity, pressure=pressure)
 
 
-def convection_matrix(space, convecting, qdegree=None):
+def convection_matrix(space, w, qdegree=None):
     """Matrix of the skew-symmetrized convection form with frozen first slot.
 
     Entries are ``C[i, j] = ((w . grad) v_j, v_i) + 1/2 ((div w) v_j, v_i)``
-    for the given convecting field ``w``; the block is identical for both
-    velocity components, so the first component's entries are gathered
-    and repeated, and the pattern is that of :func:`assemble_mass`.
+    for the convecting field of coefficients ``w``; the block is identical
+    for both velocity components, so the first component's entries are
+    gathered and repeated, and the pattern is that of :func:`assemble_mass`.
     """
     if space.components != 2:
         raise ValueError("convection requires a vector space")
     tab = _tables(space, qdegree or 3 * space.degree)
     weights, values, grads, det = tab.rule.weights, tab.values, tab.grads, tab.det
-    comp = [convecting.coefficients[c * space.n_scalar + space.cell_scalar_dofs]
-            for c in range(2)]
+    comp = [w[c * space.n_scalar + space.cell_scalar_dofs] for c in range(2)]
     w_vals = np.stack([np.einsum("ei,qi->eq", comp[c], values) for c in range(2)], axis=-1)
     transport = np.einsum("eqc,eqjc->eqj", w_vals, grads)
     # d w_c / d x_c at the points, summed over i as einsum sums

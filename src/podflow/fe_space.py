@@ -1,8 +1,9 @@
 """Lagrange finite element spaces (P1, P2; scalar or 2-vector) on triangle
 meshes, reference-element quadrature and nodal interpolation.
 
-Vector spaces use a component-blocked layout: the global DOF of scalar DOF
-``i`` in component ``c`` is ``c * n_scalar + i``.
+A field on a space is its coefficient array, of length ``n_dofs``. Vector
+spaces use a component-blocked layout: the global DOF of scalar DOF ``i``
+in component ``c`` is ``c * n_scalar + i``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ __all__ = [
     "triangle_quadrature",
     "reference_basis",
     "FESpace",
-    "FEField",
     "interpolate",
 ]
 
@@ -196,47 +196,15 @@ class FESpace:
         return h.hexdigest()[:16]
 
 
-@dataclass
-class FEField:
-    """Coefficient vector on a space, stamped with a solution time."""
+def interpolate(space, g, t):
+    """Coefficients of the nodal interpolant of ``g`` at time ``t``.
 
-    space: FESpace
-    coefficients: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
-        if self.coefficients.shape != (self.space.n_dofs,):
-            raise ValueError(
-                f"expected {self.space.n_dofs} coefficients, got {self.coefficients.shape}"
-            )
-
-
-def _coefficients(u):
-    """Accept an FEField or a bare coefficient array."""
-    if isinstance(u, FEField):
-        return u.coefficients
-    return np.asarray(u, dtype=float)
-
-
-def interpolate(space, g, t=None):
-    """Nodal interpolant of a callable.
-
-    ``g(x, y)`` (or ``g(x, y, t)`` when ``t`` is given) must broadcast over
-    coordinate arrays and return one array for scalar spaces or a pair of
-    arrays for vector spaces.
+    ``g(x, y, t)`` must broadcast over coordinate arrays and return one
+    array for scalar spaces or a pair of arrays for vector spaces.
     """
     x, y = space.dof_coords[:, 0], space.dof_coords[:, 1]
-    values = g(x, y) if t is None else g(x, y, t)
+    values = g(x, y, t)
     if space.components == 1:
-        coeffs = np.broadcast_to(np.asarray(values, dtype=np.float64), x.shape).copy()
-    else:
-        u, v = values
-        coeffs = np.concatenate(
-            [
-                np.broadcast_to(np.asarray(u, dtype=np.float64), x.shape),
-                np.broadcast_to(np.asarray(v, dtype=np.float64), x.shape),
-            ]
-        )
-    return FEField(space, coeffs, 0.0 if t is None else t)
-
+        return np.broadcast_to(np.asarray(values, dtype=np.float64), x.shape).copy()
+    return np.concatenate([np.broadcast_to(np.asarray(v, dtype=np.float64), x.shape)
+                           for v in values])

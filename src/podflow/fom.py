@@ -10,10 +10,12 @@ resolution of the convection nonlinearity, started from the same
 extrapolation. :func:`time_terms` holds the coefficients of both and
 :func:`solve_step` their sweeps, for the full-order and the reduced models
 alike. A run with a drag/lift probe keeps each step's momentum residual,
-zero on the free velocity DOFs, for the probe to test.
+zero on the free velocity DOFs, for the probe to test. A state's velocity
+and pressure are coefficient arrays, and a body force is a
+:class:`SeparableForcing`.
 
-A problem builds once what its steps do not change: a separable forcing's
-shape values at the load's quadrature points, the velocity block's part
+A problem builds once what its steps do not change: the forcing's shape
+values at the load's quadrature points, the velocity block's part
 without convection per mass scale, and on first solve that block's pattern,
 the free x free system in CSC with the divergence and pressure
 stabilization blocks in place and the free x fixed lifting of the boundary
@@ -55,14 +57,13 @@ from .assembly import (
     _release_static_caches,
     assemble_divergence,
     assemble_grad_div,
-    assemble_load,
     assemble_lps_matrices,
     assemble_mass,
     assemble_stiffness,
     convection_matrix,
 )
 from .container import read_container, write_container
-from .fe_space import FEField, FESpace, _coefficients
+from .fe_space import FESpace
 from .metrics import kinetic_energy, weak_divergence
 
 SCHEMES = ("lps", "graddiv")
@@ -126,19 +127,24 @@ class FlowCase:
 
     ``dirichlet`` maps boundary tag names to callables ``g(x, y, t)``
     returning the two velocity components; tags absent from the map keep
-    their natural (do-nothing) condition. ``forcing`` is ``f(x, y, t)``
-    returning two components, or ``None`` for an unforced flow. The
-    reduced models need a :class:`SeparableForcing`, a callable whose terms
-    the problem assembles once, so that they project its load at any time
-    with one (r, Q) product; the full-order model takes any callable.
-    ``zero_mean_pressure`` selects the enclosed-flow pressure gauge (one
-    pinned value during the solve, mean removed afterwards).
+    their natural (do-nothing) condition. ``forcing`` is a
+    :class:`SeparableForcing`, whose shapes the problem evaluates and
+    assembles once, so that a reduced model projects its load at any time
+    with one (r, Q) product, or ``None`` for an unforced flow; any other
+    forcing is rejected. ``zero_mean_pressure`` selects the enclosed-flow
+    pressure gauge (one pinned value during the solve, mean removed
+    afterwards).
     """
 
     name: str
     dirichlet: dict = field(default_factory=dict)
-    forcing: object = None
+    forcing: SeparableForcing = None
     zero_mean_pressure: bool = False
+
+    def __post_init__(self):
+        if not isinstance(self.forcing, (SeparableForcing, type(None))):
+            raise ValueError("a flow case's forcing is a SeparableForcing or None, "
+                             f"not a {type(self.forcing).__name__}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,16 +153,12 @@ class SeparableForcing:
 
     ``shapes`` are the callables ``g_q(x, y)`` returning two components,
     ``coefficients(t)`` returns the Q time factors ``theta(t)`` and
-    ``scale`` is a constant amplitude. Calling the object sums the shapes
-    with :meth:`combine`, so it serves wherever a forcing callable does.
+    ``scale`` is a constant amplitude.
     """
 
     shapes: tuple
     coefficients: object
     scale: float = 1.0
-
-    def __call__(self, x, y, t):
-        return self.combine([shape(x, y) for shape in self.shapes], t)
 
     def combine(self, values, t):
         """The force at time t from the shapes' ``(gx, gy)`` ``values``."""
@@ -228,10 +230,11 @@ class FOMConfig:
 
 @dataclass
 class FOMState:
-    """One time level of a run plus the history the integrator needs."""
+    """One time level of a run, velocity and pressure coefficients, plus the
+    history the integrator needs."""
 
-    u: FEField
-    p: FEField
+    u: np.ndarray
+    p: np.ndarray
     u_prev: np.ndarray
     t: float
     n: int
@@ -340,26 +343,21 @@ class FOMProblem:
     def load_shapes(self):
         """(n, Q) loads of ``scale * g_q`` of the separable forcing, so that
         ``load_shapes @ coefficients(t)`` is its load at time t; None for an
-        unforced problem. Assembled on first use, by the reduced models,
-        which project no other forcing."""
+        unforced problem. Assembled on first use, by the reduced models."""
         forcing = self.case.forcing
         if forcing is None:
             return None
-        if not isinstance(forcing, SeparableForcing):
-            raise ValueError("a reduced model projects its load through a SeparableForcing; "
-                             f"the problem's forcing is a {type(forcing).__name__}")
         return forcing.scale * np.column_stack(
             [_integrate_load(self.vel_space, g) for g in self._shape_values])
 
     def load_vector(self, t):
-        """Full-order load at time t, bit for bit ``assemble_load`` of the
-        forcing: a separable one sums its kept shape values term by term
-        (``load_shapes @ coefficients(t)`` would round differently)."""
+        """Full-order load at time t: the kept shape values summed term by
+        term with their time factors, then integrated, bit for bit
+        ``assemble_load`` of that sum (``load_shapes @ coefficients(t)``
+        would round differently)."""
         forcing = self.case.forcing
         if forcing is None:
             return np.zeros(self.n_velocity)
-        if not isinstance(forcing, SeparableForcing):
-            return assemble_load(self.vel_space, forcing, t)
         return _integrate_load(self.vel_space, forcing.combine(self._shape_values, t))
 
     def remove_pressure_mean(self, p):
@@ -581,8 +579,7 @@ def _step(problem, state, lagged, with_residual):
     formed only ``with_residual``."""
     cfg = problem.config
     t_new = state.t + cfg.dt
-    alpha, history, convecting = time_terms(
-        cfg.time_integrator, state.u.coefficients, state.u_prev, cfg.dt)
+    alpha, history, convecting = time_terms(cfg.time_integrator, state.u, state.u_prev, cfg.dt)
     rhs = problem.mass @ history + problem.load_vector(t_new)
     boundary = problem.boundary_values(t_new)
     implicit = cfg.time_integrator != "bdf2_semi_implicit"
@@ -590,8 +587,7 @@ def _step(problem, state, lagged, with_residual):
         lagged.clear()  # bit for bit splu: a lagged factor moves cavity's indicators by 3e-8
 
     def sweep(w):
-        values = problem.velocity_values(
-            alpha / cfg.dt, convection_matrix(problem.vel_space, FEField(problem.vel_space, w)))
+        values = problem.velocity_values(alpha / cfg.dt, convection_matrix(problem.vel_space, w))
         u, p = problem.solve_coupled(values, rhs, boundary, lagged, w[problem.free_velocity])
         return u, (p, values)
 
@@ -605,32 +601,20 @@ def _step(problem, state, lagged, with_residual):
     residual = None
     if with_residual:
         residual = problem.velocity_block(values) @ u - problem.divergence.T @ p - rhs
-    return FOMState(
-        u=FEField(problem.vel_space, u, t_new),
-        p=FEField(problem.pres_space, p, t_new),
-        u_prev=state.u.coefficients.copy(),
-        t=t_new,
-        n=state.n + 1,
-        residual=residual,
-    )
+    return FOMState(u=u, p=p, u_prev=state.u.copy(), t=t_new, n=state.n + 1,
+                    residual=residual)
 
 
 def initial_state(problem, initial_velocity=None):
-    """State at t = 0; the default is the impulsive (zero-velocity) start."""
+    """State at t = 0 from the coefficients ``initial_velocity``; the
+    default is the impulsive (zero-velocity) start."""
     if initial_velocity is None:
         u0 = np.zeros(problem.n_velocity)
     else:
-        u0 = _coefficients(initial_velocity).copy()
+        u0 = np.array(initial_velocity, dtype=float)
         if u0.shape != (problem.n_velocity,):
             raise ValueError("initial velocity has the wrong length")
-    p0 = np.zeros(problem.n_pressure)
-    return FOMState(
-        u=FEField(problem.vel_space, u0, 0.0),
-        p=FEField(problem.pres_space, p0, 0.0),
-        u_prev=u0.copy(),
-        t=0.0,
-        n=0,
-    )
+    return FOMState(u=u0, p=np.zeros(problem.n_pressure), u_prev=u0.copy(), t=0.0, n=0)
 
 
 @dataclass
@@ -679,8 +663,8 @@ def run_fom(problem, initial_velocity=None, probe=None):
     def maybe_snapshot(st):
         if st.n in recorded:
             snap_times.append(st.t)
-            snap_u.append(st.u.coefficients.copy())
-            snap_p.append(st.p.coefficients.copy())
+            snap_u.append(st.u.copy())
+            snap_p.append(st.p.copy())
 
     maybe_snapshot(state)
     lagged = []

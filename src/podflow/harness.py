@@ -698,7 +698,7 @@ def _full_order(config, mesh, drag_lift=False):
                               bundle.reference_length)
     initial = None
     if bundle.exact_velocity is not None:
-        initial = interpolate(problem.vel_space, bundle.exact_velocity, t=0.0)
+        initial = interpolate(problem.vel_space, bundle.exact_velocity, 0.0)
     run = run_fom(problem, initial_velocity=initial, probe=probe)
     vel_snaps, pres_snaps = record_snapshots(run, center_velocity=config.pod.center)
     if vel_snaps.n_snapshots < 2:
@@ -1009,9 +1009,10 @@ def convergence_study(scheme, levels=3, base_nx=4, base_dt=2e-2,
             pod=PODBlock(), rom=ROMBlock())
         full = _full_order(config, config.geometry.build())
         exact = full.bundle.exact_velocity
-        errors.append(analytic_l2_error(full.run.final_state.u, exact, t=t_final))
-        interp = interpolate(full.problem.vel_space, exact, t=t_final)
-        interp_errors.append(analytic_l2_error(interp, exact, t=t_final))
+        space = full.problem.vel_space
+        errors.append(analytic_l2_error(space, full.run.final_state.u, exact, t_final))
+        interp = interpolate(space, exact, t_final)
+        interp_errors.append(analytic_l2_error(space, interp, exact, t_final))
         mesh_sizes.append(nx)
         step_sizes.append(dt)
     orders = [float(np.log2(errors[k] / errors[k + 1]))

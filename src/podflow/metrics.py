@@ -10,30 +10,26 @@ from __future__ import annotations
 import numpy as np
 
 from .assembly import _tables
-from .fe_space import _coefficients
 
 
 def kinetic_energy(u, mass):
-    """Half the squared mass-weighted norm of a velocity field."""
-    c = _coefficients(u)
-    return 0.5 * float(c @ (mass @ c))
+    """Half the squared mass-weighted norm of the velocity coefficients ``u``."""
+    return 0.5 * float(u @ (mass @ u))
 
 
-def analytic_l2_error(field, g, t=None):
-    """Quadrature-evaluated L2 distance between a field and a callable.
-
-    ``g`` follows the load-vector convention: ``g(x, y)`` or ``g(x, y, t)``,
-    returning one array per component.
+def analytic_l2_error(space, u, g, t):
+    """Quadrature-evaluated L2 distance between the field of coefficients
+    ``u`` on ``space`` and ``g(x, y, t)``, which returns one array per
+    component.
     """
-    space = field.space
     tab = _tables(space, 2 * space.degree + 2)
     x, y = tab.points[..., 0], tab.points[..., 1]
-    data = g(x, y) if t is None else g(x, y, t)
+    data = g(x, y, t)
     if space.components == 1:
         data = (data,)
     total = 0.0
     for c in range(space.components):
-        local = field.coefficients[space.cell_dofs(c)]
+        local = u[space.cell_dofs(c)]
         fem = np.einsum("ei,qi->eq", local, tab.values)
         exact = np.broadcast_to(np.asarray(data[c], dtype=float), x.shape)
         diff = fem - exact
@@ -46,7 +42,7 @@ def weak_divergence(u, divergence, pressure_mass):
 
     Returns max_i |(q_i, div u)| / ||q_i|| over the nodal pressure basis.
     """
-    r = divergence @ _coefficients(u)
+    r = divergence @ u
     return float(np.max(np.abs(r) / np.sqrt(pressure_mass.diagonal())))
 
 

@@ -52,23 +52,15 @@ def build_basis(snapshots, mass, energy_threshold=None):
     """Diagonalize the snapshot correlation matrix K[i, j] = (u_i, u_j) / M
     and assemble the modes.
 
-    ``snapshots`` is a :class:`~podflow.fom.SnapshotSet` or a bare (n, M)
-    array, which has no mean. ``energy_threshold`` selects the smallest r
-    whose modes carry that share of the energy, and all modes above the
-    rank cutoff are selected without it; ``dataclasses.replace`` selects
-    any other r. Mode signs are fixed by making each mode's
-    largest-magnitude coefficient positive.
+    ``snapshots`` is a :class:`~podflow.fom.SnapshotSet`.
+    ``energy_threshold`` selects the smallest r whose modes carry that
+    share of the energy, and all modes above the rank cutoff are selected
+    without it; ``dataclasses.replace`` selects any other r. Mode signs are
+    fixed by making each mode's largest-magnitude coefficient positive.
     """
-    if isinstance(snapshots, np.ndarray):
-        fields, mean, signature = snapshots, None, ""
-    else:
-        fields, mean, signature = (snapshots.fields, snapshots.mean,
-                                   snapshots.space_signature)
-    fields = np.asarray(fields, dtype=float)
-    if fields.ndim != 2 or fields.shape[1] < 1:
-        raise ValueError("snapshots must form a nonempty (n_dofs, M) array")
-
-    m = fields.shape[1]
+    fields, m = snapshots.fields, snapshots.n_snapshots
+    if m < 1:
+        raise ValueError("the snapshot set is empty")
     corr = fields.T @ (mass @ fields) / m
     eigvals, eigvecs = np.linalg.eigh(0.5 * (corr + corr.T))
     order = np.argsort(eigvals)[::-1]
@@ -96,13 +88,13 @@ def build_basis(snapshots, mass, energy_threshold=None):
         r = min(int(np.searchsorted(fractions, energy_threshold - 1e-15) + 1), d)
 
     return PODBasis(
-        space_signature=signature,
+        space_signature=snapshots.space_signature,
         modes=modes,
         eigenvalues=eigvals,
         eigenvectors=eigvecs,
         n_snapshots=m,
         r=r,
-        mean=None if mean is None else np.asarray(mean, dtype=float),
+        mean=snapshots.mean,
     )
 
 

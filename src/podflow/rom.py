@@ -24,7 +24,6 @@ import numpy as np
 
 from .assembly import StabilizationConfig, convection_matrix
 from .container import ContainerError, read_container, write_container
-from .fe_space import FEField
 from .fom import FOMConfig, solve_step, time_terms
 
 
@@ -156,8 +155,7 @@ def _project(problem, phi, mean, tests):
     test functions. One pass over the trial functions makes each operator
     product and convection matrix and tests it against every matrix before
     the next. Returns one ROMOperators without pressure blocks per test
-    matrix; a form whose operator the problem lacks is zero. The
-    problem's forcing must be separable.
+    matrix; a form whose operator the problem lacks is zero.
     """
     shapes = problem.load_shapes
     space = problem.vel_space
@@ -172,7 +170,7 @@ def _project(problem, phi, mean, tests):
             for f, test in zip(forms, tests):
                 f[name] = test.T @ product
     for i, w in enumerate(trial.T):
-        by_trial = convection_matrix(space, FEField(space, w)) @ trial
+        by_trial = convection_matrix(space, w) @ trial
         for f, test in zip(forms, tests):
             f["convection_tensor"][i] = (test.T @ by_trial).T
 

@@ -1,4 +1,5 @@
-"""Reference computations the tests check the package against.
+"""Reference computations the tests check the package against, and the
+forcings several test modules share.
 
 None of these is part of a run: each evaluates a quantity directly (by
 quadrature at a point, by summation over snapshots, by a dense solve) that
@@ -12,7 +13,8 @@ import numpy as np
 import scipy.sparse as sp
 
 import podflow.assembly
-from podflow.fe_space import FEField, reference_basis, triangle_quadrature
+from podflow.fe_space import reference_basis, triangle_quadrature
+from podflow.fom import SeparableForcing
 from podflow.pod import reduced_stiffness
 from podflow.rom import PressureRecovery, _project
 
@@ -34,14 +36,14 @@ def mesh_stats(mesh):
     }
 
 
-def eval_field(field, triangle, point, gradient=False):
-    """Evaluate a field (and optionally its gradient) inside one triangle.
+def eval_field(space, field, triangle, point, gradient=False):
+    """Evaluate the field of coefficients ``field`` on ``space`` (and
+    optionally its gradient) inside one triangle.
 
     ``point`` is barycentric. Scalar spaces return a float (and a length-2
     gradient); vector spaces return a length-2 value (and a 2x2 gradient with
     ``grad[i, j] = d u_i / d x_j``).
     """
-    space = field.space
     lam = np.asarray(point, dtype=np.float64)
     if lam.shape != (3,) or abs(lam.sum() - 1.0) > 1e-10 or lam.min() < -1e-12:
         raise ValueError("point must be barycentric coordinates inside the triangle")
@@ -52,7 +54,7 @@ def eval_field(field, triangle, point, gradient=False):
     comps = []
     grads = []
     for c in range(space.components):
-        coeffs = field.coefficients[c * space.n_scalar + dofs]
+        coeffs = field[c * space.n_scalar + dofs]
         comps.append(float(values[0] @ coeffs))
         grads.append(coeffs @ phys_grads)
     if space.components == 1:
@@ -61,12 +63,10 @@ def eval_field(field, triangle, point, gradient=False):
     return (value, np.vstack(grads)) if gradient else value
 
 
-def apply_convection(u, v, w, qdegree=None):
+def apply_convection(space, u, v, w, qdegree=None):
     """Evaluate the trilinear form ``((u . grad) v, w) + 1/2 ((div u) v, w)``
-    by quadrature on every element, without assembling a matrix."""
-    space = u.space
-    if not (space is v.space is w.space):
-        raise ValueError("all three fields must share one space")
+    of three coefficient arrays on ``space`` by quadrature on every
+    element, without assembling a matrix."""
     rule = triangle_quadrature(qdegree or 3 * space.degree)
     values, ref_grads = reference_basis(space.degree, rule.points)
     _, inv_t, det = space.mesh.jacobians
@@ -74,8 +74,7 @@ def apply_convection(u, v, w, qdegree=None):
 
     def at_points(field):
         """Values (e, q, c) and gradients (e, q, c, a) = d f_c / d x_a."""
-        comp = [field.coefficients[c * space.n_scalar + space.cell_scalar_dofs]
-                for c in range(2)]
+        comp = [field[c * space.n_scalar + space.cell_scalar_dofs] for c in range(2)]
         vals = np.stack([np.einsum("ei,qi->eq", a, values) for a in comp], axis=-1)
         grad = np.stack([np.einsum("ei,eqia->eqa", a, grads) for a in comp], axis=-2)
         return vals, grad
@@ -96,8 +95,7 @@ def einsum_convection_local(space, convecting, qdegree=None):
     bit-for-bit loops of :func:`podflow.assembly.convection_matrix`."""
     tab = podflow.assembly._tables(space, qdegree or 3 * space.degree)
     weights, values, grads, det = tab.rule.weights, tab.values, tab.grads, tab.det
-    comp = [convecting.coefficients[c * space.n_scalar + space.cell_scalar_dofs]
-            for c in range(2)]
+    comp = [convecting[c * space.n_scalar + space.cell_scalar_dofs] for c in range(2)]
     w_vals = np.stack([np.einsum("ei,qi->eq", comp[c], values) for c in range(2)], axis=-1)
     w_grads = np.stack([np.einsum("ei,eqia->eqa", comp[c], grads) for c in range(2)], axis=-2)
     w_div = w_grads[..., 0, 0] + w_grads[..., 1, 1]
@@ -122,11 +120,11 @@ def supremizer_solutions(problem, psi):
 
 
 def solve_stokes(problem, t=0.0):
-    """Steady linear solve with the problem's viscous and stabilized forms."""
+    """Steady linear solve with the problem's viscous and stabilized forms:
+    the velocity and pressure coefficients."""
     rhs = problem.load_vector(t)
-    u, p = problem.solve_coupled(problem.velocity_values(0.0), rhs,
+    return problem.solve_coupled(problem.velocity_values(0.0), rhs,
                                  problem.boundary_values(t), [])
-    return FEField(problem.vel_space, u, t), FEField(problem.pres_space, p, t)
 
 
 def saddle_system(problem, values):
@@ -274,3 +272,57 @@ def _recovery_right_hand_side(ops, a, dadt, mu, forcing):
     if forcing is not None:
         rhs = rhs - forcing
     return rhs
+
+
+# -- forcings -------------------------------------------------------------------
+
+
+def summed_forcing(forcing):
+    """``f(x, y, t)`` of a :class:`~podflow.fom.SeparableForcing`, its
+    shapes evaluated afresh and summed term by term with their time
+    factors, then scaled: the reference for the full-order load."""
+    def f(x, y, t):
+        fx = fy = 0.0
+        for theta, shape in zip(forcing.coefficients(t), forcing.shapes):
+            gx, gy = shape(x, y)
+            fx = fx + theta * gx
+            fy = fy + theta * gy
+        return forcing.scale * fx, forcing.scale * fy
+
+    return f
+
+
+def steady_forcing(shape):
+    """The time-independent forcing of one shape ``(x, y) -> (fx, fy)``."""
+    return SeparableForcing((shape,), lambda t: np.ones(1))
+
+
+# the closed form of separable_swirl, for the full-order oracles
+def swirl_forcing(x, y, t):
+    sx, sy = np.sin(np.pi * x), np.sin(np.pi * y)
+    fx = sy * (1.0 + 0.4 * np.cos(20.0 * t)) + sx * sy * np.sin(35.0 * t + 0.3)
+    fy = sx * (1.0 - 0.3 * np.sin(25.0 * t)) \
+        + np.sin(2.0 * np.pi * x) * sy * np.cos(50.0 * t - 0.7)
+    return (fx, fy)
+
+
+def _in_x(value):
+    return lambda x, y: (value(x, y), np.zeros_like(x))
+
+
+def _in_y(value):
+    return lambda x, y: (np.zeros_like(x), value(x, y))
+
+
+# swirl_forcing written as its four space-time terms
+separable_swirl = SeparableForcing(
+    (_in_x(lambda x, y: np.sin(np.pi * y)),
+     _in_x(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)),
+     _in_y(lambda x, y: np.sin(np.pi * x)),
+     _in_y(lambda x, y: np.sin(2.0 * np.pi * x) * np.sin(np.pi * y))),
+    lambda t: np.array([1.0 + 0.4 * np.cos(20.0 * t), np.sin(35.0 * t + 0.3),
+                        1.0 - 0.3 * np.sin(25.0 * t), np.cos(50.0 * t - 0.7)]))
+
+# a strong swirl, so every snapshot direction of a short run clears the
+# basis truncation threshold
+strong_swirl = replace(separable_swirl, scale=100.0)

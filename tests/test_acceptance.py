@@ -17,16 +17,17 @@ from oracles import (
     apply_convection,
     pressure_recovery,
     solve_stokes,
+    steady_forcing,
+    strong_swirl,
     verify_spectral_identities,
 )
 
 from podflow.assembly import StabilizationConfig
-from podflow.fe_space import FEField
 from podflow.fom import (
     FlowCase,
     FOMConfig,
     FOMProblem,
-    SeparableForcing,
+    SnapshotSet,
     record_snapshots,
     run_fom,
 )
@@ -163,8 +164,7 @@ def test_convection_form_and_reduced_tensor_are_skew_symmetric(desk, report):
         cu = rng.standard_normal(space.n_dofs)
         cu[problem.constrained_velocity] = 0.0
         cv = rng.standard_normal(space.n_dofs)
-        value = apply_convection(FEField(space, cu), FEField(space, cv),
-                                 FEField(space, cv))
+        value = apply_convection(space, cu, cv, cv)
         norm_u = np.sqrt(cu @ (h1_form @ cu))
         norm_v = np.sqrt(cv @ (h1_form @ cv))
         worst_form = max(worst_form, abs(value) / (norm_u * norm_v**2))
@@ -239,24 +239,6 @@ def _zero_pair(x, y, t):
     return (np.zeros_like(x), np.zeros_like(x))
 
 
-def _shape(fx, fy):
-    return lambda x, y: (fx(x, y), fy(x, y))
-
-
-_zero = lambda x, y: np.zeros_like(x)
-
-# a strong four-term swirl, so every snapshot direction clears the basis
-# truncation threshold
-_replay_forcing = SeparableForcing(
-    (_shape(lambda x, y: np.sin(np.pi * y), _zero),
-     _shape(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), _zero),
-     _shape(_zero, lambda x, y: np.sin(np.pi * x)),
-     _shape(_zero, lambda x, y: np.sin(2.0 * np.pi * x) * np.sin(np.pi * y))),
-    lambda t: np.array([1.0 + 0.4 * np.cos(20.0 * t), np.sin(35.0 * t + 0.3),
-                        1.0 - 0.3 * np.sin(25.0 * t), np.cos(50.0 * t - 0.7)]),
-    scale=100.0)
-
-
 def _replay_errors(scheme):
     """Relative replay errors of a full-rank reduced run on a short cavity."""
     dt = 1e-2
@@ -264,7 +246,7 @@ def _replay_errors(scheme):
     case = FlowCase(
         "enclosed",
         dirichlet={"inlet": _zero_pair, "outlet": _zero_pair, "wall": _zero_pair},
-        forcing=_replay_forcing,
+        forcing=strong_swirl,
         zero_mean_pressure=True,
     )
     config = FOMConfig(
@@ -364,8 +346,8 @@ def _steady_stokes_recovery_error():
     problem = FOMProblem(mesh, config.fom, bundle.flow_case)
     forcings = [
         bundle.flow_case.forcing,
-        lambda x, y, t: (np.sin(np.pi * y), np.sin(np.pi * x)),
-        lambda x, y, t: (np.cos(np.pi * x) * y, np.zeros_like(x)),
+        steady_forcing(lambda x, y: (np.sin(np.pi * y), np.sin(np.pi * x))),
+        steady_forcing(lambda x, y: (np.cos(np.pi * x) * y, np.zeros_like(x))),
     ]
     velocities, pressures, loads = [], [], []
     for forcing in forcings:
@@ -374,13 +356,14 @@ def _steady_stokes_recovery_error():
             forcing=forcing, zero_mean_pressure=True)
         steady = FOMProblem(problem.mesh, problem.config, steady_case)
         u, p = solve_stokes(steady)
-        velocities.append(u.coefficients)
-        pressures.append(p.coefficients)
+        velocities.append(u)
+        pressures.append(p)
         loads.append(steady.load_vector(0.0))
     vels = np.column_stack(velocities)
     pres = np.column_stack(pressures)
-    vel_basis = build_basis(vels, problem.mass)
-    pres_basis = build_basis(pres, problem.pressure_mass)
+    times = np.zeros(len(forcings))  # steady solutions, each at t = 0
+    vel_basis = build_basis(SnapshotSet("", times, vels), problem.mass)
+    pres_basis = build_basis(SnapshotSet("", times, pres), problem.pressure_mass)
     supremizers = compute_supremizers(problem, pres_basis.modes)
     recovery = pressure_recovery(problem, vel_basis, pres_basis, supremizers)
     # steady Stokes: no convection (the basis is uncentred) and no time slope

@@ -30,6 +30,9 @@ KEPT_WITHOUT_CALLER = {
     "load_operators": "reads back the operators.bin artifact of a run",
     "supremizer_stability": "the recovery's inf-sup constant, which the run "
                             "record is to report",
+    "assemble_load": "the reference the load tests compare a problem's loads "
+                     "against, and the benchmark tracer's load-assembly target, "
+                     "whose per-layer metrics are absent without it",
 }
 
 

@@ -22,7 +22,7 @@ from podflow.assembly import (
     convection_matrix,
 )
 import podflow.assembly
-from podflow.fe_space import FEField, FESpace, interpolate
+from podflow.fe_space import FESpace, interpolate
 from podflow.fom import FlowCase, FOMConfig, FOMProblem, run_fom
 from podflow.mesh import Mesh, build_rect_mesh, refine_uniform
 
@@ -34,12 +34,12 @@ def reference_triangle_mesh():
 
 
 def zero_boundary_field(space, rng):
-    """Random vector field vanishing at every boundary DOF."""
+    """Coefficients of a random vector field vanishing at every boundary DOF."""
     coeffs = rng.standard_normal(space.n_dofs)
     bdofs = space.boundary_scalar_dofs()
     for c in range(space.components):
         coeffs[c * space.n_scalar + bdofs] = 0.0
-    return FEField(space, coeffs)
+    return coeffs
 
 
 # -- mass ---------------------------------------------------------------
@@ -68,8 +68,8 @@ def test_mass_quadratic_form_converges(degree):
     errs = []
     for n in (8, 16):
         space = FESpace(build_rect_mesh(1.0, 1.0, n, n), degree)
-        f = interpolate(space, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
-        val = f.coefficients @ assemble_mass(space) @ f.coefficients
+        f = interpolate(space, lambda x, y, t: np.sin(np.pi * x) * np.sin(np.pi * y), 0.0)
+        val = f @ assemble_mass(space) @ f
         errs.append(abs(val - exact))
     order = np.log2(errs[0] / errs[1])
     assert order >= degree + 0.8
@@ -88,13 +88,13 @@ def test_stiffness_annihilates_constants():
 def test_stiffness_exact_energies():
     space = FESpace(build_rect_mesh(1.0, 1.0, 5, 5), 2, components=2)
     a = assemble_stiffness(space)
-    u = interpolate(space, lambda x, y: (x, np.zeros_like(x)))
-    assert u.coefficients @ a @ u.coefficients == pytest.approx(1.0, rel=1e-13)
+    u = interpolate(space, lambda x, y, t: (x, np.zeros_like(x)), 0.0)
+    assert u @ a @ u == pytest.approx(1.0, rel=1e-13)
     scalar = FESpace(space.mesh, 2)
-    q = interpolate(scalar, lambda x, y: x**2)
+    q = interpolate(scalar, lambda x, y, t: x**2, 0.0)
     a2 = assemble_stiffness(scalar)
     # int |grad x^2|^2 = int 4 x^2 = 4/3 on the unit square; P2 is exact
-    assert q.coefficients @ a2 @ q.coefficients == pytest.approx(4.0 / 3.0, rel=1e-13)
+    assert q @ a2 @ q == pytest.approx(4.0 / 3.0, rel=1e-13)
 
 
 # -- divergence ---------------------------------------------------------
@@ -105,11 +105,11 @@ def test_divergence_exact_values():
     vel = FESpace(mesh, 2, components=2)
     pres = FESpace(mesh, 1)
     b = assemble_divergence(vel, pres)
-    u = interpolate(vel, lambda x, y: (x, y))
+    u = interpolate(vel, lambda x, y, t: (x, y), 0.0)
     ones = np.ones(pres.n_scalar)
-    assert ones @ (b @ u.coefficients) == pytest.approx(2.0 * mesh.area, rel=1e-13)
-    const = interpolate(vel, lambda x, y: (np.ones_like(x), np.full_like(x, 2.0)))
-    assert np.abs(b @ const.coefficients).max() < 1e-13
+    assert ones @ (b @ u) == pytest.approx(2.0 * mesh.area, rel=1e-13)
+    const = interpolate(vel, lambda x, y, t: (np.ones_like(x), np.full_like(x, 2.0)), 0.0)
+    assert np.abs(b @ const).max() < 1e-13
 
 
 def weak_divergence_residual(n, field):
@@ -118,8 +118,8 @@ def weak_divergence_residual(n, field):
     pres = FESpace(mesh, 1)
     b = assemble_divergence(vel, pres)
     m_p = assemble_mass(pres)
-    u = interpolate(vel, field)
-    r = b @ u.coefficients
+    u = interpolate(vel, lambda x, y, t: field(x, y), 0.0)
+    r = b @ u
     return np.max(np.abs(r) / np.sqrt(m_p.diagonal()))
 
 
@@ -146,16 +146,16 @@ def test_divergence_residual_vanishes_for_symmetric_field():
 def test_grad_div_rigid_rotation_in_kernel():
     space = FESpace(build_rect_mesh(1.0, 1.0, 4, 4), 2, components=2)
     g = assemble_grad_div(space)
-    u = interpolate(space, lambda x, y: (-y, x))
-    assert np.abs(g @ u.coefficients).max() < 1e-12
+    u = interpolate(space, lambda x, y, t: (-y, x), 0.0)
+    assert np.abs(g @ u).max() < 1e-12
 
 
 def test_grad_div_exact_value():
     mesh = build_rect_mesh(1.0, 1.0, 4, 4)
     space = FESpace(mesh, 2, components=2)
-    u = interpolate(space, lambda x, y: (x, y))
+    u = interpolate(space, lambda x, y, t: (x, y), 0.0)
     g = assemble_grad_div(space)
-    assert u.coefficients @ g @ u.coefficients == pytest.approx(4.0 * mesh.area, rel=1e-13)
+    assert u @ g @ u == pytest.approx(4.0 * mesh.area, rel=1e-13)
 
 
 # -- convection ---------------------------------------------------------
@@ -169,11 +169,11 @@ def test_convection_skew_symmetry_random_triples():
         u = zero_boundary_field(space, rng)
         v = zero_boundary_field(space, rng)
         w = zero_boundary_field(space, rng)
-        norm = lambda f: np.sqrt(f.coefficients @ m @ f.coefficients)
-        b1 = apply_convection(u, v, w)
-        b2 = apply_convection(u, w, v)
+        norm = lambda f: np.sqrt(f @ m @ f)
+        b1 = apply_convection(space, u, v, w)
+        b2 = apply_convection(space, u, w, v)
         assert abs(b1 + b2) <= 1e-12 * max(1.0, norm(u) * norm(v) * norm(w))
-        assert abs(apply_convection(u, v, v)) <= 1e-12 * max(1.0, norm(u) * norm(v) ** 2)
+        assert abs(apply_convection(space, u, v, v)) <= 1e-12 * max(1.0, norm(u) * norm(v) ** 2)
 
 
 @st.composite
@@ -206,9 +206,9 @@ def test_convection_matrix_is_skew_for_random_fields_on_random_meshes(mesh, seed
     # any convecting u once v is zero on every boundary, the hole's included
     space = FESpace(mesh, 2, components=2)
     rng = np.random.default_rng(seed)
-    u = FEField(space, rng.standard_normal(space.n_dofs))
-    v = zero_boundary_field(space, rng).coefficients
-    w = zero_boundary_field(space, rng).coefficients
+    u = rng.standard_normal(space.n_dofs)
+    v = zero_boundary_field(space, rng)
+    w = zero_boundary_field(space, rng)
     c = convection_matrix(space, u)
     scale = max(np.abs(v) @ (abs(c) @ np.abs(v)), np.abs(w) @ (abs(c) @ np.abs(v)))
     assert abs(v @ (c @ v)) <= 1e-12 * scale
@@ -217,21 +217,21 @@ def test_convection_matrix_is_skew_for_random_fields_on_random_meshes(mesh, seed
 
 def test_convection_exact_value():
     space = FESpace(build_rect_mesh(1.0, 1.0, 4, 4), 2, components=2)
-    u = interpolate(space, lambda x, y: (np.ones_like(x), np.zeros_like(x)))
-    v = interpolate(space, lambda x, y: (x, np.zeros_like(x)))
+    u = interpolate(space, lambda x, y, t: (np.ones_like(x), np.zeros_like(x)), 0.0)
+    v = interpolate(space, lambda x, y, t: (x, np.zeros_like(x)), 0.0)
     # ((1,0).grad)(x,0) = (1,0); inner product with (x,0) integrates x over the square
-    assert apply_convection(u, v, v) == pytest.approx(0.5, rel=1e-13)
+    assert apply_convection(space, u, v, v) == pytest.approx(0.5, rel=1e-13)
 
 
 def test_convection_matrix_matches_direct_evaluation():
     space = FESpace(build_rect_mesh(1.0, 1.0, 4, 4), 2, components=2)
     rng = np.random.default_rng(3)
-    u = FEField(space, rng.standard_normal(space.n_dofs))
-    v = FEField(space, rng.standard_normal(space.n_dofs))
-    w = FEField(space, rng.standard_normal(space.n_dofs))
+    u = rng.standard_normal(space.n_dofs)
+    v = rng.standard_normal(space.n_dofs)
+    w = rng.standard_normal(space.n_dofs)
     c = convection_matrix(space, u)
-    direct = apply_convection(u, v, w)
-    assert w.coefficients @ c @ v.coefficients == pytest.approx(direct, rel=1e-12, abs=1e-13)
+    direct = apply_convection(space, u, v, w)
+    assert w @ c @ v == pytest.approx(direct, rel=1e-12, abs=1e-13)
 
 
 # -- LPS stabilization --------------------------------------------------
@@ -253,10 +253,10 @@ def test_lps_annihilates_linear_fields():
     vel = FESpace(mesh, 2, components=2)
     pres = FESpace(mesh, 2)
     mats = assemble_lps_matrices(vel, pres, StabilizationConfig())
-    u = interpolate(vel, lambda x, y: (1.0 + 2.0 * x - y, 3.0 * x + 4.0 * y))
-    p = interpolate(pres, lambda x, y: 2.0 - x + 5.0 * y)
-    assert np.abs(mats.velocity @ u.coefficients).max() < 1e-13
-    assert np.abs(mats.pressure @ p.coefficients).max() < 1e-13
+    u = interpolate(vel, lambda x, y, t: (1.0 + 2.0 * x - y, 3.0 * x + 4.0 * y), 0.0)
+    p = interpolate(pres, lambda x, y, t: 2.0 - x + 5.0 * y, 0.0)
+    assert np.abs(mats.velocity @ u).max() < 1e-13
+    assert np.abs(mats.pressure @ p).max() < 1e-13
 
 
 def test_fluctuation_projector_idempotent_and_local():
@@ -267,16 +267,16 @@ def test_fluctuation_projector_idempotent_and_local():
     assert np.abs(d).max() < 1e-13
     # annihilates gradients of piecewise (here globally) linear fields
     g = gradient_sample_matrix(pres)
-    lin = interpolate(pres, lambda x, y: 1.0 + 4.0 * x - 2.0 * y)
-    assert np.abs(f @ (g @ lin.coefficients)).max() < 1e-12
+    lin = interpolate(pres, lambda x, y, t: 1.0 + 4.0 * x - 2.0 * y, 0.0)
+    assert np.abs(f @ (g @ lin)).max() < 1e-12
 
 
 def test_gradient_samples_match_analytic_gradient():
     mesh = build_rect_mesh(1.0, 1.0, 3, 3)
     pres = FESpace(mesh, 2)
     g = gradient_sample_matrix(pres)
-    q = interpolate(pres, lambda x, y: x**2)
-    samples = (g @ q.coefficients).reshape(len(mesh.triangles), 2, 3)
+    q = interpolate(pres, lambda x, y, t: x**2, 0.0)
+    samples = (g @ q).reshape(len(mesh.triangles), 2, 3)
     corners = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
     assert np.allclose(samples[:, 0, :], 2.0 * corners[:, :, 0], atol=1e-12)
     assert np.allclose(samples[:, 1, :], 0.0, atol=1e-12)
@@ -291,8 +291,8 @@ def test_fluctuation_of_quadratic_nonzero_with_exact_scaling():
         vel = FESpace(mesh, 2, components=2)
         pres = FESpace(mesh, 2)
         mats = assemble_lps_matrices(vel, pres, StabilizationConfig())
-        q = interpolate(pres, lambda x, y: x**2)
-        values.append(q.coefficients @ mats.pressure @ q.coefficients)
+        q = interpolate(pres, lambda x, y, t: x**2, 0.0)
+        values.append(q @ mats.pressure @ q)
         mesh = refine_uniform(mesh)
     assert values[0] > 1e-8
     assert values[0] / values[1] == pytest.approx(8.0, rel=1e-10)
@@ -383,18 +383,19 @@ def test_operator_kernels_on_random_meshes(mesh, seed):
     vel = FESpace(mesh, 2, components=2)
     pres = FESpace(mesh, 2)
     c = np.random.default_rng(seed).standard_normal(9)
-    constant = interpolate(vel, lambda x, y: (np.full_like(x, c[0]), np.full_like(x, c[1])))
-    rotation = interpolate(vel, lambda x, y: (-c[2] * y, c[2] * x))
-    linear = interpolate(vel, lambda x, y: (c[0] + c[3] * x + c[4] * y,
-                                            c[1] + c[5] * x + c[6] * y))
-    linear_p = interpolate(pres, lambda x, y: c[2] + c[7] * x + c[8] * y)
-    assert _annihilates(assemble_stiffness(vel), constant.coefficients)
+    constant = interpolate(vel, lambda x, y, t: (np.full_like(x, c[0]), np.full_like(x, c[1])),
+                           0.0)
+    rotation = interpolate(vel, lambda x, y, t: (-c[2] * y, c[2] * x), 0.0)
+    linear = interpolate(vel, lambda x, y, t: (c[0] + c[3] * x + c[4] * y,
+                                               c[1] + c[5] * x + c[6] * y), 0.0)
+    linear_p = interpolate(pres, lambda x, y, t: c[2] + c[7] * x + c[8] * y, 0.0)
+    assert _annihilates(assemble_stiffness(vel), constant)
     grad_div = assemble_grad_div(vel)
-    assert _annihilates(grad_div, constant.coefficients)
-    assert _annihilates(grad_div, rotation.coefficients)
+    assert _annihilates(grad_div, constant)
+    assert _annihilates(grad_div, rotation)
     lps = assemble_lps_matrices(vel, pres, StabilizationConfig())
-    assert _annihilates(lps.velocity, linear.coefficients)
-    assert _annihilates(lps.pressure, linear_p.coefficients)
+    assert _annihilates(lps.velocity, linear)
+    assert _annihilates(lps.pressure, linear_p)
 
 
 # -- loads, quadrature sufficiency, export ------------------------------
@@ -408,9 +409,9 @@ def test_load_constant_and_polynomial_consistency():
     # for polynomial data inside the space, (f, v) == (M f_I, v) exactly
     f = lambda x, y: (x * y, x - y**2)
     load2 = assemble_load(space, f)
-    fi = interpolate(space, f)
+    fi = interpolate(space, lambda x, y, t: f(x, y), 0.0)
     m = assemble_mass(space)
-    assert np.allclose(load2, m @ fi.coefficients, atol=1e-13)
+    assert np.allclose(load2, m @ fi, atol=1e-13)
 
 
 def test_quadrature_degree_sufficiency():
@@ -418,7 +419,7 @@ def test_quadrature_degree_sufficiency():
     vel = FESpace(mesh, 2, components=2)
     pres2 = FESpace(mesh, 2)
     rng = np.random.default_rng(9)
-    w = FEField(vel, rng.standard_normal(vel.n_dofs))
+    w = rng.standard_normal(vel.n_dofs)
     pairs = [
         (assemble_mass(vel), assemble_mass(vel, qdegree=6)),
         (assemble_stiffness(vel), assemble_stiffness(vel, qdegree=6)),
@@ -516,7 +517,7 @@ def test_saddle_layout_matches_the_block_system_cut_by_scipy(mesh, scheme, enclo
     problem = _saddle_problem(mesh, scheme, enclosed)
     rng = np.random.default_rng(seed)
     space = problem.vel_space
-    conv = convection_matrix(space, FEField(space, rng.standard_normal(space.n_dofs)))
+    conv = convection_matrix(space, rng.standard_normal(space.n_dofs))
     scale = 1.5 / problem.config.dt
     block = scale * problem.mass + problem._static_velocity_block + conv
 
@@ -556,7 +557,7 @@ def test_convection_loops_equal_the_einsum_kernel_bit_for_bit(mesh, seed, qdegre
     rng = np.random.default_rng(seed)
     blocks = [(0, 0), (1, 1)]
     for kind in ("zero", "random", "mixed", "signed"):
-        w = FEField(space, _field_values(kind, space.n_dofs, rng))
+        w = _field_values(kind, space.n_dofs, rng)
         local = einsum_convection_local(space, w, qdegree)
         want = podflow.assembly._assemble(space, blocks, [local, local])
         got = convection_matrix(space, w, qdegree)
@@ -590,7 +591,7 @@ def test_layout_solves_equal_splu_of_the_scipy_system_bit_for_bit(mesh, scheme, 
         mp.setattr(spla, "splu", recording)
         base = scale * problem.mass + problem._static_velocity_block
         for k in range(4):
-            conv = convection_matrix(space, FEField(space, rng.standard_normal(space.n_dofs)))
+            conv = convection_matrix(space, rng.standard_normal(space.n_dofs))
             values = problem.velocity_values(scale, conv)
             want_system = scipy_system(base + conv)
             rhs = rng.standard_normal(free.size)

@@ -9,7 +9,6 @@ from oracles import eval_field
 
 from podflow import fe_space
 from podflow.fe_space import (
-    FEField,
     FESpace,
     interpolate,
     reference_basis,
@@ -99,11 +98,11 @@ def test_partition_of_unity(degree):
 def test_p1_reproduces_linears():
     mesh = build_rect_mesh(1.0, 1.0, 3, 3)
     space = FESpace(mesh, 1)
-    f = interpolate(space, lambda x, y: 2.0 * x - 3.0 * y + 0.5)
+    f = interpolate(space, lambda x, y, t: 2.0 * x - 3.0 * y + 0.5, 0.0)
     rng = np.random.default_rng(3)
     for tri in rng.integers(0, len(mesh.triangles), size=10):
         lam = rng.dirichlet([1, 1, 1])
-        val, grad = eval_field(f, int(tri), lam, gradient=True)
+        val, grad = eval_field(space, f, int(tri), lam, gradient=True)
         p = lam @ mesh.vertices[mesh.triangles[tri]]
         assert val == pytest.approx(2.0 * p[0] - 3.0 * p[1] + 0.5, abs=1e-13)
         assert np.allclose(grad, [2.0, -3.0], atol=1e-12)
@@ -112,7 +111,7 @@ def test_p1_reproduces_linears():
 def test_p2_reproduces_quadratics_exactly():
     mesh = build_rect_mesh(1.0, 1.0, 2, 2)
     space = FESpace(mesh, 2)
-    f = interpolate(space, lambda x, y: x**2)
+    f = interpolate(space, lambda x, y, t: x**2, 0.0)
     rng = np.random.default_rng(11)
     # exact at edge midpoints and at arbitrary interior points
     pts = [np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.5, 0.5]), np.array([0.5, 0.0, 0.5])]
@@ -120,7 +119,7 @@ def test_p2_reproduces_quadratics_exactly():
     for tri in range(len(mesh.triangles)):
         for lam in pts:
             p = lam @ mesh.vertices[mesh.triangles[tri]]
-            val, grad = eval_field(f, tri, lam, gradient=True)
+            val, grad = eval_field(space, f, tri, lam, gradient=True)
             assert val == pytest.approx(p[0] ** 2, abs=1e-13)
             assert np.allclose(grad, [2.0 * p[0], 0.0], atol=1e-12)
 
@@ -129,21 +128,21 @@ def test_vertex_evaluation_picks_coefficient():
     mesh = build_rect_mesh(1.0, 1.0, 2, 2)
     space = FESpace(mesh, 2)
     rng = np.random.default_rng(5)
-    f = FEField(space, rng.standard_normal(space.n_dofs))
+    f = rng.standard_normal(space.n_dofs)
     tri = 3
     for k, lam in enumerate(np.eye(3)):
         dof = space.cell_scalar_dofs[tri, k]
-        assert eval_field(f, tri, lam) == pytest.approx(f.coefficients[dof], abs=1e-14)
+        assert eval_field(space, f, tri, lam) == pytest.approx(f[dof], abs=1e-14)
 
 
 def test_vector_interpolation_blocks():
     mesh = build_rect_mesh(2.0, 1.0, 4, 2)
     space = FESpace(mesh, 2, components=2)
-    f = interpolate(space, lambda x, y: (x + y, x - y))
+    f = interpolate(space, lambda x, y, t: (x + y, x - y), 0.0)
     x, y = space.dof_coords[:, 0], space.dof_coords[:, 1]
-    assert np.allclose(f.coefficients[: space.n_scalar], x + y, atol=1e-14)
-    assert np.allclose(f.coefficients[space.n_scalar :], x - y, atol=1e-14)
-    val = eval_field(f, 0, np.array([1 / 3, 1 / 3, 1 / 3]))
+    assert np.allclose(f[: space.n_scalar], x + y, atol=1e-14)
+    assert np.allclose(f[space.n_scalar :], x - y, atol=1e-14)
+    val = eval_field(space, f, 0, np.array([1 / 3, 1 / 3, 1 / 3]))
     p = mesh.vertices[mesh.triangles[0]].mean(axis=0)
     assert np.allclose(val, [p[0] + p[1], p[0] - p[1]], atol=1e-13)
 
@@ -177,14 +176,14 @@ def test_inflow_profile_values_on_inlet():
     mesh = build_rect_mesh(2.2, height, 22, 4)
     space = FESpace(mesh, 2, components=2)
     profile = lambda y: 4.0 * u_max * y * (height - y) / height**2
-    f = interpolate(space, lambda x, y: (profile(y), np.zeros_like(y)))
+    f = interpolate(space, lambda x, y, t: (profile(y), np.zeros_like(y)), 0.0)
     inlet = space.boundary_scalar_dofs("inlet")
     y = space.dof_coords[inlet, 1]
-    assert np.allclose(f.coefficients[inlet], profile(y), atol=1e-14)
-    assert np.allclose(f.coefficients[space.n_scalar + inlet], 0.0)
+    assert np.allclose(f[inlet], profile(y), atol=1e-14)
+    assert np.allclose(f[space.n_scalar + inlet], 0.0)
     # mid-channel value equals the analytic peak
     mid = np.argmin(np.abs(space.dof_coords[inlet, 1] - height / 2))
-    assert f.coefficients[inlet[mid]] == pytest.approx(u_max, rel=1e-12)
+    assert f[inlet[mid]] == pytest.approx(u_max, rel=1e-12)
 
 
 def test_signature_stability_and_sensitivity():
@@ -198,8 +197,13 @@ def test_signature_stability_and_sensitivity():
     assert a != FESpace(other, 2, components=2).signature()
 
 
-def test_field_shape_validation():
+def test_interpolation_samples_g_at_its_time_and_broadcasts_constants():
     mesh = build_rect_mesh(1.0, 1.0, 2, 2)
-    space = FESpace(mesh, 1)
-    with pytest.raises(ValueError):
-        FEField(space, np.zeros(space.n_dofs + 1))
+    scalar, vector = FESpace(mesh, 2), FESpace(mesh, 2, components=2)
+    x = scalar.dof_coords[:, 0]
+    got = interpolate(scalar, lambda x, y, t: t, 2.5)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.full(scalar.n_dofs, 2.5))
+    got = interpolate(vector, lambda x, y, t: (x * t, 1), 2.0)
+    assert got.dtype == np.float64 and got.shape == (vector.n_dofs,)
+    assert np.array_equal(got, np.concatenate([2.0 * x, np.ones_like(x)]))

@@ -8,16 +8,17 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from lps_oracle import assemble_lps_fluctuation, gradient_sample_matrix
-from oracles import saddle_system, solve_stokes
+from oracles import saddle_system, separable_swirl, solve_stokes, steady_forcing
 
 import podflow.fom
 from podflow.assembly import StabilizationConfig, convection_matrix
-from podflow.fe_space import FEField, interpolate
+from podflow.fe_space import interpolate
 from podflow.fom import (
     FlowCase,
     FOMConfig,
     FOMProblem,
     NonlinearSolveError,
+    SeparableForcing,
     _SaddleLayout,
     load_snapshots,
     record_snapshots,
@@ -39,13 +40,6 @@ def enclosed_case(forcing=None):
         dirichlet={"inlet": ZERO_BC, "outlet": ZERO_BC, "wall": ZERO_BC},
         forcing=forcing,
         zero_mean_pressure=True,
-    )
-
-
-def swirl_forcing(x, y, t):
-    return (
-        np.sin(np.pi * y) * (1.0 + 0.3 * np.cos(t)),
-        np.sin(np.pi * x) * (1.0 - 0.2 * np.sin(t)),
     )
 
 
@@ -155,8 +149,16 @@ def test_zero_data_stays_zero(scheme):
                     stabilization=StabilizationConfig(grad_div=0.3))
     problem = FOMProblem(mesh, replace(cfg, t_final=cfg.dt), enclosed_case())
     state = run_fom(problem).final_state
-    assert np.abs(state.u.coefficients).max() == 0.0
-    assert np.abs(state.p.coefficients).max() == 0.0
+    assert np.abs(state.u).max() == 0.0
+    assert np.abs(state.p).max() == 0.0
+
+
+def test_an_initial_velocity_of_the_wrong_length_is_rejected():
+    mesh = build_rect_mesh(1.0, 1.0, 2, 2)
+    cfg = FOMConfig(scheme="graddiv", nu=1e-2, dt=1e-2, t_final=1e-2)
+    problem = FOMProblem(mesh, cfg, enclosed_case())
+    with pytest.raises(ValueError, match="wrong length"):
+        run_fom(problem, initial_velocity=np.zeros(problem.n_velocity + 1))
 
 
 # -- one-step dense oracle ---------------------------------------------------
@@ -175,14 +177,14 @@ def test_one_step_matches_dense_row_replacement_solve(scheme, grid):
     dt, nu = 0.05, 1e-2
     cfg = FOMConfig(scheme=scheme, nu=nu, dt=dt, t_final=dt,
                     stabilization=StabilizationConfig(grad_div=0.4))
-    problem = FOMProblem(mesh, cfg, enclosed_case(forcing=swirl_forcing))
-    bump = lambda x, y: (x * (1 - x) * y * (1 - y), -x * (1 - x) * y * (1 - y))
-    u0 = interpolate(problem.vel_space, bump).coefficients
+    problem = FOMProblem(mesh, cfg, enclosed_case(forcing=separable_swirl))
+    bump = lambda x, y, t: (x * (1 - x) * y * (1 - y), -x * (1 - x) * y * (1 - y))
+    u0 = interpolate(problem.vel_space, bump, 0.0)
     state1 = run_fom(problem, initial_velocity=u0).final_state
 
     n_v, n_p = problem.n_velocity, problem.n_pressure
     u_hat = u0  # extrapolation of equal history levels
-    conv = convection_matrix(problem.vel_space, FEField(problem.vel_space, u_hat))
+    conv = convection_matrix(problem.vel_space, u_hat)
     k_v = 1.5 / dt * problem.mass + problem._static_velocity_block + conv
     system = sp.bmat(
         [[k_v, -problem.divergence.T], [problem.divergence, problem.pressure_stabilization]]
@@ -199,9 +201,9 @@ def test_one_step_matches_dense_row_replacement_solve(scheme, grid):
     p_ref = p_ref - (np.ones(n_p) @ (problem.pressure_mass @ p_ref)) / mesh.area
 
     scale = max(np.abs(u_ref).max(), 1.0)
-    assert np.abs(state1.u.coefficients - u_ref).max() <= 1e-10 * scale
+    assert np.abs(state1.u - u_ref).max() <= 1e-10 * scale
     if grid > 1:
-        assert np.abs(state1.p.coefficients - p_ref).max() <= 1e-10 * max(np.abs(p_ref).max(), 1.0)
+        assert np.abs(state1.p - p_ref).max() <= 1e-10 * max(np.abs(p_ref).max(), 1.0)
 
 
 # -- decaying vortex: quick order check -------------------------------------
@@ -220,9 +222,9 @@ def test_two_level_velocity_order(scheme, floor):
             build_rect_mesh(1.0, 1.0, n, n), cfg,
             FlowCase("decay", dirichlet=bc, zero_mean_pressure=True),
         )
-        u0 = interpolate(problem.vel_space, lambda x, y: exact(x, y, 0.0))
+        u0 = interpolate(problem.vel_space, exact, 0.0)
         run = run_fom(problem, initial_velocity=u0)
-        errs.append(analytic_l2_error(run.final_state.u, exact, t=t_final))
+        errs.append(analytic_l2_error(problem.vel_space, run.final_state.u, exact, t_final))
     assert np.log2(errs[0] / errs[1]) >= floor
 
 
@@ -236,9 +238,9 @@ def test_implicit_euler_energy_dissipates_without_forcing():
                         time_integrator="implicit_euler",
                         stabilization=StabilizationConfig(grad_div=0.3))
         problem = FOMProblem(mesh, replace(cfg, t_final=5 * cfg.dt), enclosed_case())
-        bump = lambda x, y: (np.sin(np.pi * x) * np.sin(np.pi * y) * y,
-                             -np.sin(np.pi * x) * np.sin(np.pi * y) * x)
-        u0 = interpolate(problem.vel_space, bump)
+        bump = lambda x, y, t: (np.sin(np.pi * x) * np.sin(np.pi * y) * y,
+                                -np.sin(np.pi * x) * np.sin(np.pi * y) * x)
+        u0 = interpolate(problem.vel_space, bump, 0.0)
         run = run_fom(problem, initial_velocity=u0)
         energies = [kinetic_energy(u0, problem.mass), *run.qoi[:, 1]]
         diffs = np.diff(energies)
@@ -252,7 +254,7 @@ def test_implicit_euler_failure_raises_with_diagnostics():
                     nonlinear_max_iterations=1, nonlinear_tolerance=1e-15,
                     stabilization=StabilizationConfig(grad_div=0.3))
     problem = FOMProblem(mesh, replace(cfg, t_final=cfg.dt),
-                         enclosed_case(forcing=swirl_forcing))
+                         enclosed_case(forcing=separable_swirl))
     with pytest.raises(NonlinearSolveError) as info:
         run_fom(problem)
     assert len(info.value.residual_history) == 1
@@ -261,9 +263,11 @@ def test_implicit_euler_failure_raises_with_diagnostics():
 # -- a run's lagged factor --------------------------------------------------
 
 
-def strong_swirl(x, y, t):
-    fx, fy = swirl_forcing(x, y, t)
-    return 100.0 * fx, 100.0 * fy
+# a strong force that varies slowly, so one factor serves a short run
+slow_swirl = SeparableForcing(
+    (lambda x, y: (np.sin(np.pi * y), np.zeros_like(x)),
+     lambda x, y: (np.zeros_like(x), np.sin(np.pi * x))),
+    lambda t: np.array([1.0 + 0.3 * np.cos(t), 1.0 - 0.2 * np.sin(t)]), scale=100.0)
 
 
 def forced_cavity(integrator="implicit_euler", **fom):
@@ -271,7 +275,7 @@ def forced_cavity(integrator="implicit_euler", **fom):
     cfg = FOMConfig(scheme="graddiv", nu=5e-3, dt=1e-2, t_final=0.03,
                     time_integrator=integrator, snapshot_window=(0.0, 0.03),
                     stabilization=StabilizationConfig(grad_div=0.3), **fom)
-    return FOMProblem(build_rect_mesh(1.0, 1.0, 4, 4), cfg, enclosed_case(strong_swirl))
+    return FOMProblem(build_rect_mesh(1.0, 1.0, 4, 4), cfg, enclosed_case(slow_swirl))
 
 
 def euler_cavity():
@@ -284,7 +288,7 @@ def convected(problem, w):
     """The velocity values of an implicit-Euler sweep convected by ``w``."""
     space = problem.vel_space
     return problem.velocity_values(1.0 / problem.config.dt,
-                                   convection_matrix(space, FEField(space, w)))
+                                   convection_matrix(space, w))
 
 
 @pytest.fixture
@@ -432,8 +436,8 @@ def test_a_far_off_factor_in_the_holder_makes_a_step_factor_afresh_once(factored
     # afresh, and the later sweeps correct against that factor: the step
     # is bit for bit the one with the empty holder
     assert factored == ["NATURAL"]
-    assert np.array_equal(got.u.coefficients, want.u.coefficients)
-    assert np.array_equal(got.p.coefficients, want.p.coefficients)
+    assert np.array_equal(got.u, want.u)
+    assert np.array_equal(got.p, want.p)
 
 
 def test_a_run_matches_picard_with_an_exact_factor_per_sweep(monkeypatch, factored):
@@ -518,7 +522,7 @@ def test_an_exact_zero_stays_a_stored_zero_of_the_one_pattern(factored):
     w = run.snapshot_velocity[:, -1]
     rhs = np.random.default_rng(6).standard_normal(problem.free_global.size)
     # an exact zero in a free x free velocity entry, which SciPy's sum drops
-    conv = convection_matrix(space, FEField(space, 0.99 * w))
+    conv = convection_matrix(space, 0.99 * w)
     scale = 1.0 / problem.config.dt
     base = scale * problem.mass + problem._static_velocity_block
     coo = conv.tocoo()
@@ -546,7 +550,7 @@ def test_velocity_values_build_their_fixed_part_once_per_mass_scale():
     problem = FOMProblem(build_rect_mesh(1.0, 1.0, 4, 4), cfg, enclosed_case())
     space = problem.vel_space
     rng = np.random.default_rng(8)
-    convections = [convection_matrix(space, FEField(space, rng.standard_normal(space.n_dofs)))
+    convections = [convection_matrix(space, rng.standard_normal(space.n_dofs))
                    for _ in range(2)]
     bases = []
     # BDF2's and implicit Euler's scales, then back: a base kept from the
@@ -575,7 +579,7 @@ def test_divergence_contrast_between_schemes():
         cfg = FOMConfig(scheme=scheme, nu=5e-3, dt=0.01, t_final=0.05,
                         stabilization=StabilizationConfig(grad_div=0.3),
                         snapshot_window=(0.01, 0.05))
-        problem = FOMProblem(mesh, cfg, enclosed_case(forcing=swirl_forcing))
+        problem = FOMProblem(mesh, cfg, enclosed_case(forcing=separable_swirl))
         run = run_fom(problem)
         divs = [
             weak_divergence(run.snapshot_velocity[:, j], problem.divergence,
@@ -594,8 +598,8 @@ def test_lps_pressure_form_matches_weighted_fluctuation_norm():
     mesh = build_rect_mesh(1.0, 1.0, 5, 5)
     cfg = FOMConfig(scheme="lps", nu=5e-3, dt=0.01, t_final=0.02)
     problem = FOMProblem(mesh, replace(cfg, t_final=cfg.dt),
-                         enclosed_case(forcing=swirl_forcing))
-    p = run_fom(problem).final_state.p.coefficients
+                         enclosed_case(forcing=separable_swirl))
+    p = run_fom(problem).final_state.p
 
     direct = float(p @ (problem.pressure_stabilization @ p))
     g = gradient_sample_matrix(problem.pres_space)
@@ -621,7 +625,7 @@ def make_small_run(center=False):
     cfg = FOMConfig(scheme="graddiv", nu=5e-3, dt=0.01, t_final=0.04,
                     stabilization=StabilizationConfig(grad_div=0.3),
                     snapshot_window=(0.01, 0.04))
-    problem = FOMProblem(mesh, cfg, enclosed_case(forcing=swirl_forcing))
+    problem = FOMProblem(mesh, cfg, enclosed_case(forcing=separable_swirl))
     run = run_fom(problem)
     return problem, run, record_snapshots(run, center_velocity=center)
 
@@ -669,12 +673,12 @@ def test_steady_solve_is_the_time_limit_of_unforced_dynamics():
     # with steady forcing the linear steady solve satisfies the same
     # boundary conditions and divergence structure as the time stepper
     mesh = build_rect_mesh(1.0, 1.0, 4, 4)
-    steady = lambda x, y, t: (np.sin(np.pi * y), np.sin(np.pi * x))
+    steady = steady_forcing(lambda x, y: (np.sin(np.pi * y), np.sin(np.pi * x)))
     cfg = FOMConfig(scheme="graddiv", nu=5e-3, dt=0.01, t_final=0.02,
                     stabilization=StabilizationConfig(grad_div=0.3))
     problem = FOMProblem(mesh, cfg, enclosed_case(forcing=steady))
     u, p = solve_stokes(problem)
     assert weak_divergence(u, problem.divergence, problem.pressure_mass) <= 1e-10
-    mean = np.ones(problem.n_pressure) @ (problem.pressure_mass @ p.coefficients)
+    mean = np.ones(problem.n_pressure) @ (problem.pressure_mass @ p)
     assert abs(mean) < 1e-12
-    assert np.abs(u.coefficients[problem.constrained_velocity]).max() == 0.0
+    assert np.abs(u[problem.constrained_velocity]).max() == 0.0

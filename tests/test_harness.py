@@ -14,6 +14,7 @@ import scipy.sparse.linalg
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import summed_forcing
 from test_rom import assert_same_arrays
 
 from podflow.assembly import StabilizationConfig, assemble_load
@@ -1088,7 +1089,7 @@ def test_full_order_loads_equal_the_assembled_forcing_bit_for_bit():
                                    forcing.coefficients, forcing.scale)
         problem = FOMProblem(cfg.geometry.build(), cfg.fom, replace(case, forcing=wrapped))
         for t in (0.0, 0.013, 0.05, 0.37, 1.9):
-            want = assemble_load(problem.vel_space, forcing, t)
+            want = assemble_load(problem.vel_space, summed_forcing(forcing), t)
             got = problem.load_vector(t)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (name, t)
         want = forcing.scale * np.column_stack(

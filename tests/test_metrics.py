@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import sympy as sym
 
-from oracles import eval_field, solve_stokes, triple_norm
+from oracles import eval_field, solve_stokes, steady_forcing, triple_norm
 
 from podflow.assembly import (
     StabilizationConfig,
@@ -12,7 +12,7 @@ from podflow.assembly import (
     assemble_mass,
     assemble_stiffness,
 )
-from podflow.fe_space import FESpace, FEField, interpolate
+from podflow.fe_space import FESpace, interpolate
 from podflow.fom import FlowCase, FOMConfig, FOMProblem
 from podflow.mesh import build_rect_mesh, refine_uniform
 from podflow.metrics import (
@@ -34,12 +34,9 @@ def test_kinetic_energy_of_constant_and_zero_fields():
     mesh = build_rect_mesh(1.0, 1.0, 4, 4)
     space = FESpace(mesh, degree=2, components=2)
     mass = assemble_mass(space)
-    const = interpolate(space, lambda x, y: (np.ones_like(x), np.zeros_like(x)))
+    const = interpolate(space, lambda x, y, t: (np.ones_like(x), np.zeros_like(x)), 0.0)
     assert abs(kinetic_energy(const, mass) - 0.5) <= 1e-13
-    zero = FEField(space, np.zeros(space.n_dofs))
-    assert kinetic_energy(zero, mass) == 0.0
-    # bare array input takes the same route
-    assert kinetic_energy(const.coefficients, mass) == kinetic_energy(const, mass)
+    assert kinetic_energy(np.zeros(space.n_dofs), mass) == 0.0
 
 
 def test_kinetic_energy_matches_closed_form_for_trig_field():
@@ -49,7 +46,8 @@ def test_kinetic_energy_matches_closed_form_for_trig_field():
     mass = assemble_mass(space)
     u = interpolate(
         space,
-        lambda x, y: (np.sin(np.pi * x) * np.sin(np.pi * y), np.zeros_like(x)),
+        lambda x, y, t: (np.sin(np.pi * x) * np.sin(np.pi * y), np.zeros_like(x)),
+        0.0,
     )
     assert abs(kinetic_energy(u, mass) - 0.125) <= 5e-6
 
@@ -60,26 +58,25 @@ def test_kinetic_energy_matches_closed_form_for_trig_field():
 def test_analytic_l2_error_is_zero_for_representable_field():
     mesh = build_rect_mesh(1.0, 1.0, 3, 3)
     space = FESpace(mesh, degree=2, components=2)
-    g = lambda x, y: (x**2 + 2.0 * y, x * y - 1.0)
-    field = interpolate(space, g)
-    assert analytic_l2_error(field, g) <= 1e-12
+    g = lambda x, y, t: (x**2 + 2.0 * y, x * y - 1.0)
+    field = interpolate(space, g, 0.0)
+    assert analytic_l2_error(space, field, g, 0.0) <= 1e-12
 
 
 def test_analytic_l2_error_of_zero_field_is_function_norm():
     mesh = build_rect_mesh(2.0, 1.0, 4, 4)
     space = FESpace(mesh, degree=2, components=2)
-    zero = FEField(space, np.zeros(space.n_dofs))
-    g = lambda x, y: (np.ones_like(x), np.zeros_like(x))
-    assert abs(analytic_l2_error(zero, g) - np.sqrt(2.0)) <= 1e-12
+    g = lambda x, y, t: (np.ones_like(x), np.zeros_like(x))
+    assert abs(analytic_l2_error(space, np.zeros(space.n_dofs), g, 0.0) - np.sqrt(2.0)) <= 1e-12
 
 
 def test_analytic_l2_error_of_interpolant_decays_at_cubic_order():
-    g = lambda x, y: (np.sin(2 * x + y), np.cos(x - y))
+    g = lambda x, y, t: (np.sin(2 * x + y), np.cos(x - y))
     errors = []
     for n in (4, 8, 16):
         mesh = build_rect_mesh(1.0, 1.0, n, n)
         space = FESpace(mesh, degree=2, components=2)
-        errors.append(analytic_l2_error(interpolate(space, g), g))
+        errors.append(analytic_l2_error(space, interpolate(space, g, 0.0), g, 0.0))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert orders.min() >= 2.8
 
@@ -88,9 +85,9 @@ def test_analytic_l2_error_passes_time_argument():
     mesh = build_rect_mesh(1.0, 1.0, 3, 3)
     space = FESpace(mesh, degree=2, components=1)
     g = lambda x, y, t: x * y * t
-    field = interpolate(space, g, t=2.5)
-    assert analytic_l2_error(field, g, t=2.5) <= 1e-13
-    assert analytic_l2_error(field, g, t=5.0) > 1e-2
+    field = interpolate(space, g, 2.5)
+    assert analytic_l2_error(space, field, g, 2.5) <= 1e-13
+    assert analytic_l2_error(space, field, g, 5.0) > 1e-2
 
 
 # -- weak divergence --------------------------------------------------------
@@ -102,7 +99,7 @@ def test_weak_divergence_vanishes_for_constant_field():
     pres = FESpace(mesh, degree=1, components=1)
     div = assemble_divergence(vel, pres)
     pmass = assemble_mass(pres)
-    u = interpolate(vel, lambda x, y: (np.ones_like(x), -np.ones_like(x) * 2.0))
+    u = interpolate(vel, lambda x, y, t: (np.ones_like(x), -np.ones_like(x) * 2.0), 0.0)
     assert weak_divergence(u, div, pmass) <= 1e-13
 
 
@@ -114,7 +111,7 @@ def test_weak_divergence_matches_load_vector_route():
     pres = FESpace(mesh, degree=1, components=1)
     div = assemble_divergence(vel, pres)
     pmass = assemble_mass(pres)
-    u = interpolate(vel, lambda x, y: (x, y))
+    u = interpolate(vel, lambda x, y, t: (x, y), 0.0)
     ones = assemble_load(pres, lambda x, y: np.ones_like(x))
     expected = np.max(2.0 * np.abs(ones) / np.sqrt(pmass.diagonal()))
     got = weak_divergence(u, div, pmass)
@@ -156,8 +153,8 @@ def _channel_probe(problem):
 
 def _stokes_residual(problem, u, p):
     """The steady momentum residual of a Stokes solution."""
-    return problem._static_velocity_block @ u.coefficients \
-        - problem.divergence.T @ p.coefficients - problem.load_vector(0.0)
+    return problem._static_velocity_block @ u - problem.divergence.T @ p \
+        - problem.load_vector(0.0)
 
 
 def test_drag_and_lift_are_zero_for_zero_fields():
@@ -166,19 +163,19 @@ def test_drag_and_lift_are_zero_for_zero_fields():
                     stabilization=StabilizationConfig(grad_div=0.1))
     problem = FOMProblem(mesh, cfg, channel_case())
     probe = _channel_probe(problem)
-    zero_u = FEField(problem.vel_space, np.zeros(problem.n_velocity))
-    zero_p = FEField(problem.pres_space, np.zeros(problem.n_pressure))
+    zero_u, zero_p = np.zeros(problem.n_velocity), np.zeros(problem.n_pressure)
     tested = probe.fields.T @ _stokes_residual(problem, zero_u, zero_p)
     c_d, c_l = probe.coefficients(tested)
     assert c_d == 0.0 and c_l == 0.0
 
 
-def _boundary_traction_force(mesh, u, p, nu):
+def _boundary_traction_force(problem, u, p, nu):
     """Integrate the pseudo-traction nu (grad u) n - p n over the obstacle.
 
     The normal points out of the fluid (into the obstacle), and fields are
     evaluated from the fluid-side triangle with three-point Gauss per edge.
     """
+    mesh = problem.mesh
     owner = {}
     for e, tri in enumerate(mesh.triangles):
         for k in range(3):
@@ -204,8 +201,8 @@ def _boundary_traction_force(mesh, u, p, nu):
         for t, w in zip(gauss_t, gauss_w):
             lam = np.zeros(3)
             lam[loc_a], lam[loc_b] = 1.0 - t, t
-            _, grad = eval_field(u, e, lam, gradient=True)
-            p_val = eval_field(p, e, lam)
+            _, grad = eval_field(problem.vel_space, u, e, lam, gradient=True)
+            p_val = eval_field(problem.pres_space, p, e, lam)
             force += w * length * (nu * grad @ normal - p_val * normal)
     return force
 
@@ -230,7 +227,7 @@ def _manufactured_stokes_case(nu):
     u0, u1, f0, f1 = (sym.lambdify((xs, ys), e, "numpy")
                       for e in (u0s, u1s, f0s, f1s))
     trace = lambda x, y, t: (u0(x, y), u1(x, y))
-    forcing = lambda x, y, t: (f0(x, y), f1(x, y))
+    forcing = steady_forcing(lambda x, y: (f0(x, y), f1(x, y)))
     case = FlowCase(
         "manufactured_stokes",
         dirichlet={k: trace for k in ("inlet", "outlet", "wall", "obstacle")},
@@ -257,7 +254,7 @@ def test_stokes_drag_volume_route_matches_boundary_traction():
     c_d, c_l = probe.coefficients(probe.fields.T @ _stokes_residual(problem, u, p))
 
     fine_problem, u_fine, p_fine = solve(refine_uniform(base))
-    force = _boundary_traction_force(fine_problem.vel_space.mesh, u_fine, p_fine, nu)
+    force = _boundary_traction_force(fine_problem, u_fine, p_fine, nu)
     scale = -2.0 / (0.1 * 0.2**2)
     c_d_tr, c_l_tr = scale * force
     assert abs(c_d_tr) > 0.1 and abs(c_l_tr) > 0.1

@@ -1,5 +1,4 @@
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from oracles import verify_spectral_identities
 
 from podflow.assembly import assemble_mass, assemble_stiffness
 from podflow.fe_space import FESpace, interpolate
+from podflow.fom import SnapshotSet
 from podflow.mesh import build_rect_mesh
 from podflow.pod import (
     PODBasis,
@@ -17,6 +17,12 @@ from podflow.pod import (
     reduced_stiffness,
     save_basis,
 )
+
+
+def snapshot_set(space, fields, mean=None):
+    """``fields`` as the snapshot set of ``space``, one per unit time."""
+    return SnapshotSet(space.signature(), np.arange(fields.shape[-1], dtype=float),
+                       fields, mean)
 
 
 def cavity_setup(seed=0, n_source=6, m=12):
@@ -30,16 +36,15 @@ def cavity_setup(seed=0, n_source=6, m=12):
     for k in range(1, n_source + 1):
         field = interpolate(
             space,
-            lambda x, y, k=k: (
+            lambda x, y, t, k=k: (
                 np.sin(k * x + 0.3 * k) * np.cos((k + 1) * y),
                 np.cos(k * y - 0.2) * np.sin((k + 2) * x),
             ),
+            0.0,
         )
-        sources.append(field.coefficients)
+        sources.append(field)
     fields = np.column_stack(sources) @ rng.normal(size=(n_source, m))
-    snaps = SimpleNamespace(
-        fields=fields, mean=None, space_signature=space.signature()
-    )
+    snaps = snapshot_set(space, fields)
     return space, mass, stiffness, snaps
 
 
@@ -75,20 +80,11 @@ def test_correlation_trace_is_mean_snapshot_energy():
 
 
 def test_correlation_rejects_bad_shapes():
-    _, mass, _, snaps = cavity_setup(m=2)
+    space, mass, _, snaps = cavity_setup(m=2)
     with pytest.raises(ValueError):
-        build_basis(snaps.fields[:, 0], mass)
+        build_basis(snapshot_set(space, snaps.fields[:, 0]), mass)
     with pytest.raises(ValueError):
-        build_basis(snaps.fields[:, :0], mass)
-
-
-def test_a_bare_array_gives_the_basis_of_a_snapshot_set_without_a_mean():
-    _, mass, _, snaps = cavity_setup()
-    bare = build_basis(snaps.fields, mass)
-    wrapped = build_basis(snaps, mass)
-    assert bare.mean is None and bare.space_signature == "" and bare.r == wrapped.r
-    assert np.array_equal(bare.modes, wrapped.modes)
-    assert np.array_equal(bare.eigenvalues, wrapped.eigenvalues)
+        build_basis(snapshot_set(space, snaps.fields[:, :0]), mass)
 
 
 # -- basis structure ----------------------------------------------------------
@@ -97,10 +93,7 @@ def test_a_bare_array_gives_the_basis_of_a_snapshot_set_without_a_mean():
 def test_identical_snapshots_give_one_normalized_mode():
     space, mass, _, snaps = cavity_setup(m=1)
     u = snaps.fields[:, 0]
-    repeated = SimpleNamespace(
-        fields=np.column_stack([u] * 5), mean=None,
-        space_signature=space.signature(),
-    )
+    repeated = snapshot_set(space, np.column_stack([u] * 5))
     basis = build_basis(repeated, mass)
     assert basis.rank == 1
     energy = u @ (mass @ u)
@@ -139,10 +132,7 @@ def test_rank_cutoff_drops_null_directions():
 
 def test_zero_snapshots_are_rejected():
     space, mass, _, snaps = cavity_setup(m=3)
-    zero = SimpleNamespace(
-        fields=np.zeros_like(snaps.fields), mean=None,
-        space_signature=space.signature(),
-    )
+    zero = snapshot_set(space, np.zeros_like(snaps.fields))
     with pytest.raises(ValueError):
         build_basis(zero, mass)
 
@@ -182,10 +172,7 @@ def test_projection_is_idempotent():
 def test_centered_basis_round_trip():
     space, mass, _, snaps = cavity_setup()
     mean = snaps.fields.mean(axis=1)
-    centered = SimpleNamespace(
-        fields=snaps.fields - mean[:, None], mean=mean,
-        space_signature=space.signature(),
-    )
+    centered = snapshot_set(space, snaps.fields - mean[:, None], mean)
     basis = build_basis(centered, mass)
     # the mean itself projects to zero fluctuation coefficients
     assert np.abs(project_L2(basis, mass, mean)).max() <= 1e-12
@@ -202,10 +189,7 @@ def test_degenerate_pair_reproduces_the_span():
     v -= (u @ (mass @ v)) / (u @ (mass @ u)) * u
     u *= 2.0 / np.sqrt(u @ (mass @ u))
     v *= 2.0 / np.sqrt(v @ (mass @ v))
-    pair = SimpleNamespace(
-        fields=np.column_stack([u, v]), mean=None,
-        space_signature=space.signature(),
-    )
+    pair = snapshot_set(space, np.column_stack([u, v]))
     basis = build_basis(pair, mass)
     assert basis.rank == 2
     assert abs(basis.eigenvalues[0] - basis.eigenvalues[1]) <= 1e-10 * basis.eigenvalues[0]
@@ -244,10 +228,7 @@ def test_tail_at_rank_zero_is_total_energy():
 def test_single_mode_diagnostics_reduce_to_gradient_norm():
     space, mass, stiffness, snaps = cavity_setup(m=1)
     u = snaps.fields[:, 0]
-    repeated = SimpleNamespace(
-        fields=np.column_stack([u, u, u]), mean=None,
-        space_signature=space.signature(),
-    )
+    repeated = snapshot_set(space, np.column_stack([u, u, u]))
     basis = build_basis(repeated, mass)
     s_full, spectral_norm = reduced_stiffness(basis, stiffness)
     phi = basis.modes[:, 0]
@@ -331,10 +312,7 @@ def test_basis_container_validation():
 def test_save_load_round_trip(tmp_path):
     space, mass, _, snaps = cavity_setup()
     mean = snaps.fields.mean(axis=1)
-    centered = SimpleNamespace(
-        fields=snaps.fields - mean[:, None], mean=mean,
-        space_signature=space.signature(),
-    )
+    centered = snapshot_set(space, snaps.fields - mean[:, None], mean)
     basis = replace(build_basis(centered, mass), r=3)
     path = tmp_path / "basis.bin"
     save_basis(basis, path)

@@ -10,19 +10,22 @@ from hypothesis import strategies as st
 from oracles import (
     pressure_recovery,
     recovered_pressure,
+    separable_swirl,
     solve_stokes,
+    steady_forcing,
+    strong_swirl,
     supremizer_solutions,
+    swirl_forcing,
 )
 
 from podflow.assembly import StabilizationConfig, assemble_load, convection_matrix
 from podflow.container import ContainerError, read_container, write_container
-from podflow.fe_space import FEField
 from podflow.fom import (
     FlowCase,
     FOMConfig,
     FOMProblem,
     NonlinearSolveError,
-    SeparableForcing,
+    SnapshotSet,
     record_snapshots,
     run_fom,
 )
@@ -61,36 +64,6 @@ def enclosed_case(forcing=None):
         forcing=forcing,
         zero_mean_pressure=True,
     )
-
-
-# the closed form of separable_swirl, for the full-order oracles
-def swirl_forcing(x, y, t):
-    sx, sy = np.sin(np.pi * x), np.sin(np.pi * y)
-    fx = sy * (1.0 + 0.4 * np.cos(20.0 * t)) + sx * sy * np.sin(35.0 * t + 0.3)
-    fy = sx * (1.0 - 0.3 * np.sin(25.0 * t)) \
-        + np.sin(2.0 * np.pi * x) * sy * np.cos(50.0 * t - 0.7)
-    return (fx, fy)
-
-
-def _in_x(value):
-    return lambda x, y: (value(x, y), np.zeros_like(x))
-
-
-def _in_y(value):
-    return lambda x, y: (np.zeros_like(x), value(x, y))
-
-
-# swirl_forcing written as its four space-time terms
-separable_swirl = SeparableForcing(
-    (_in_x(lambda x, y: np.sin(np.pi * y)),
-     _in_x(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)),
-     _in_y(lambda x, y: np.sin(np.pi * x)),
-     _in_y(lambda x, y: np.sin(2.0 * np.pi * x) * np.sin(np.pi * y))),
-    lambda t: np.array([1.0 + 0.4 * np.cos(20.0 * t), np.sin(35.0 * t + 0.3),
-                        1.0 - 0.3 * np.sin(25.0 * t), np.cos(50.0 * t - 0.7)]))
-
-
-strong_swirl = replace(separable_swirl, scale=100.0)
 
 
 def cavity_problem(scheme, nx=6, dt=1e-2, t_final=0.1, nu=5e-3, mu=0.3,
@@ -217,14 +190,13 @@ def test_separable_forcing_projects_like_its_assembled_load():
     assert reduce_forcing(unforced(ops), 0.37) is None
 
 
-def test_reduced_models_need_a_separable_forcing():
-    problem, _, _, _, vel_basis, pres_basis = cavity_setup(
-        "graddiv", window=(0.02, 0.1), forcing=swirl_forcing)
+def test_a_flow_case_takes_only_a_separable_forcing():
+    # a reduced model projects the shapes of its problem's forcing, so a
+    # case is posed with a SeparableForcing or none at all
+    assert enclosed_case().forcing is None
+    assert enclosed_case(separable_swirl).forcing is separable_swirl
     with pytest.raises(ValueError, match="SeparableForcing"):
-        build_rom_operators(problem, vel_basis)
-    with pytest.raises(ValueError, match="SeparableForcing"):
-        pressure_recovery(problem, vel_basis, pres_basis,
-                          compute_supremizers(problem, pres_basis.modes))
+        enclosed_case(forcing=swirl_forcing)
 
 
 def test_truncation_cuts_the_pressure_recovery():
@@ -354,7 +326,7 @@ def _check_step_against_the_projected_full_order_system(scheme, center, integrat
     else:
         alpha, history = 1.0, u_now / dt
     for _ in range(problem.config.nonlinear_max_iterations):
-        conv = convection_matrix(problem.vel_space, FEField(problem.vel_space, w))
+        conv = convection_matrix(problem.vel_space, w)
         k_full = alpha / dt * problem.mass + nu * problem.stiffness + conv
         if problem.velocity_stabilization is not None:
             k_full = k_full + problem.velocity_stabilization
@@ -429,7 +401,7 @@ def test_step_residuals_match_the_full_order_residual_of_the_reconstruction(
             else:
                 dudt, w = (u[:, n] - prev) / dt, u[:, n]
         k = nu * problem.stiffness + mu[n] * problem.grad_div \
-            + convection_matrix(space, FEField(space, w))
+            + convection_matrix(space, w)
         residual = problem.mass @ dudt + k @ u[:, n] \
             - assemble_load(space, swirl_forcing, times[n])
         expected = test.T @ residual
@@ -688,15 +660,16 @@ def test_supremizer_stability_matches_brute_force_for_two_modes():
 
 
 def stokes_snapshots(problem, forcings):
-    """Steady solutions of the problem for a list of body forces."""
+    """Steady solutions of the problem for a list of body forces, each at
+    t = 0."""
     velocities, pressures, loads = [], [], []
     for f in forcings:
         steady_case = FlowCase(problem.case.name, dirichlet=problem.case.dirichlet,
                                forcing=f, zero_mean_pressure=True)
         steady = FOMProblem(problem.mesh, problem.config, steady_case)
         u, p = solve_stokes(steady)
-        velocities.append(u.coefficients)
-        pressures.append(p.coefficients)
+        velocities.append(u)
+        pressures.append(p)
         loads.append(steady.load_vector(0.0))
     return np.column_stack(velocities), np.column_stack(pressures), loads
 
@@ -704,13 +677,14 @@ def stokes_snapshots(problem, forcings):
 def test_pressure_recovery_is_exact_for_steady_stokes():
     problem = cavity_problem("graddiv", nx=6, mu=0.4)
     forcings = [
-        lambda x, y, t: (np.sin(np.pi * y), np.sin(np.pi * x)),
-        lambda x, y, t: (np.cos(np.pi * x) * y, np.zeros_like(x)),
-        lambda x, y, t: (x * (1 - x), -y * (1 - y)),
+        steady_forcing(lambda x, y: (np.sin(np.pi * y), np.sin(np.pi * x))),
+        steady_forcing(lambda x, y: (np.cos(np.pi * x) * y, np.zeros_like(x))),
+        steady_forcing(lambda x, y: (x * (1 - x), -y * (1 - y))),
     ]
     vels, pres, loads = stokes_snapshots(problem, forcings)
-    vel_basis = build_basis(vels, problem.mass)
-    pres_basis = build_basis(pres, problem.pressure_mass)
+    times = np.zeros(len(forcings))
+    vel_basis = build_basis(SnapshotSet("", times, vels), problem.mass)
+    pres_basis = build_basis(SnapshotSet("", times, pres), problem.pressure_mass)
     sup = compute_supremizers(problem, pres_basis.modes)
     recovery = pressure_recovery(problem, vel_basis, pres_basis, sup)
     # steady Stokes: no convection (the basis is uncentred) and no time slope
@@ -740,7 +714,7 @@ def test_pressure_recovery_right_hand_side_matches_full_order_residual(center):
 
     # the residual of the full field u = mean + phi a, tested by the supremizers
     u = phi @ a if vel_basis.mean is None else vel_basis.mean + phi @ a
-    c_u = convection_matrix(problem.vel_space, FEField(problem.vel_space, u))
+    c_u = convection_matrix(problem.vel_space, u)
     expected = sup.T @ (problem.mass @ (phi @ dadt) + c_u @ u
                         + mu * (problem.grad_div @ u) - load)
     # the recovery solves coupling b = rhs, so coupling b is its right-hand side
