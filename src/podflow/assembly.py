@@ -14,8 +14,10 @@ share, and per block layout the CSR pattern with the gather that sums each
 entry's element contributions. :func:`_release_static_caches` frees what
 only a problem's static operators use. A matrix equals SciPy's COO -> CSR
 conversion of the same local values bit for bit, so repeated assembly, of
-the convection matrix at every full-order sweep above all, costs only the
-element kernels and one gather.
+the convection matrix above all, costs only the element kernels and one
+gather. :func:`convection_action` applies that matrix without assembling
+it, for the full-order chord corrections: element matrices of the same
+integrand, contracted with a vector's local values.
 
 The convection kernel's sums of three or more factors are loops over whole
 arrays that add in the order NumPy's unoptimized ``einsum`` adds, one term
@@ -43,6 +45,7 @@ __all__ = [
     "assemble_grad_div",
     "assemble_lps_matrices",
     "convection_matrix",
+    "convection_action",
     "assemble_load",
 ]
 
@@ -281,18 +284,12 @@ def assemble_lps_matrices(vel_space, pres_space, config):
     return LPSMatrices(velocity=velocity, pressure=pressure)
 
 
-def convection_matrix(space, w, qdegree=None):
-    """Matrix of the skew-symmetrized convection form with frozen first slot.
-
-    Entries are ``C[i, j] = ((w . grad) v_j, v_i) + 1/2 ((div w) v_j, v_i)``
-    for the convecting field of coefficients ``w``; the block is identical
-    for both velocity components, so the first component's entries are
-    gathered and repeated, and the pattern is that of :func:`assemble_mass`.
-    """
+def _convecting(space, tab, w):
+    """The convecting field of coefficients ``w`` at ``tab``'s points: the
+    transport ``w . grad v_j`` ``(nt, nq, nloc)`` and ``div w`` ``(nt, nq)``."""
     if space.components != 2:
         raise ValueError("convection requires a vector space")
-    tab = _tables(space, qdegree or 3 * space.degree)
-    weights, values, grads, det = tab.rule.weights, tab.values, tab.grads, tab.det
+    values, grads = tab.values, tab.grads
     comp = [w[c * space.n_scalar + space.cell_scalar_dofs] for c in range(2)]
     w_vals = np.stack([np.einsum("ei,qi->eq", comp[c], values) for c in range(2)], axis=-1)
     transport = np.einsum("eqc,eqjc->eqj", w_vals, grads)
@@ -301,7 +298,20 @@ def convection_matrix(space, w, qdegree=None):
     for c, part in enumerate(parts):
         for i in range(space.n_local):
             part += comp[c][:, i, None] * grads[:, :, i, c]
-    w_div = parts[0] + parts[1]
+    return transport, parts[0] + parts[1]
+
+
+def convection_matrix(space, w, qdegree=None):
+    """Matrix of the skew-symmetrized convection form with frozen first slot.
+
+    Entries are ``C[i, j] = ((w . grad) v_j, v_i) + 1/2 ((div w) v_j, v_i)``
+    for the convecting field of coefficients ``w``; the block is identical
+    for both velocity components, so the first component's entries are
+    gathered and repeated, and the pattern is that of :func:`assemble_mass`.
+    """
+    tab = _tables(space, qdegree or 3 * space.degree)
+    weights, values, det = tab.rule.weights, tab.values, tab.det
+    transport, w_div = _convecting(space, tab, w)
     # sum_q w_q det_e transport_eqj v_qi and sum_q w_q det_e div_eq v_qj v_qi
     # as einsum sums them, over (i, e, j) arrays one point at a time
     wd = weights[:, None] * det
@@ -321,6 +331,19 @@ def convection_matrix(space, w, qdegree=None):
     block = both.sums(first.transpose(1, 0, 2).ravel(), both.indptr[space.n_scalar])
     return sp.csr_matrix((np.concatenate([block, block]), both.indices, both.indptr),
                          shape=both.shape)
+
+
+def convection_action(space, w, qdegree=None):
+    """The map ``z -> C z`` of :func:`convection_matrix`'s ``C``, equal to
+    ``C @ z`` up to rounding: its element matrices contracted with ``z``'s
+    local values and summed per DOF by ``bincount``."""
+    tab = _tables(space, qdegree or 3 * space.degree)
+    transport, w_div = _convecting(space, tab, w)
+    wd = (tab.rule.weights[:, None] * tab.det).T[..., None]
+    local = np.matmul(tab.values.T, wd * (transport + 0.5 * w_div[..., None] * tab.values))
+    index = np.stack([space.cell_scalar_dofs, space.cell_scalar_dofs + space.n_scalar], axis=-1)
+    return lambda z: np.bincount(index.ravel(), weights=np.matmul(local, z[index]).ravel(),
+                                 minlength=space.n_dofs)
 
 
 def _load_points(space):

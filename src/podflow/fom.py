@@ -19,8 +19,8 @@ values at the load's quadrature points, the velocity block's part
 without convection per mass scale, and on first solve that block's pattern,
 the free x free system in CSC with the divergence and pressure
 stabilization blocks in place and the free x fixed lifting of the boundary
-values. A step sums the shapes with its time factors; a sweep adds its
-convection and factors. All is bit for bit what assembling afresh, SciPy's
+values. A step sums the shapes with its time factors; an assembled sweep
+adds its convection and factors. All is bit for bit what assembling afresh, SciPy's
 sparse sums, ``bmat`` and fancy indexing give, but an exactly-zero velocity
 entry, which those sums drop, stays a stored zero.
 
@@ -31,15 +31,16 @@ with the same pivots and solutions, bit for bit.
 
 Three kinds of solve are bit for bit as ``splu`` of the stored system
 would solve it: every BDF2 solve, a problem's first (ordering) solve, and
-a fallback. Every other implicit-Euler Picard sweep, the first of each
-step included, makes one correction against the run's one factor from its
-convecting field and the last pressure (see :meth:`_SaddleLayout.solve`),
-a chord iteration with Picard's fixed point. The accepted sweep's system
-is solved again from its solution by iterative refinement to a backward
-error of 4 eps, the step's result. A correction that would need more
-than ``_REFINEMENT_CAP`` of its kind to reach ``nonlinear_tolerance``, or
-a refinement that misses 4 eps within as many, falls back: it factors
-afresh, and that factor becomes the run's.
+a fallback. Every other implicit-Euler Picard sweep makes one chord
+correction against the run's one factor from its convecting field and the
+last pressure (:meth:`FOMProblem.correct`), its residual formed from a
+static saddle matrix and the convection's action, never assembled. Each
+step assembles its accepted sweep's system and refines from that sweep's
+solution to a backward error of 4 eps, the step's result. A correction
+that would need more than ``_REFINEMENT_CAP`` of its kind to reach
+``nonlinear_tolerance``, or a refinement that misses 4 eps within as many,
+falls back: it assembles and factors afresh, and that factor becomes the
+run's.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .assembly import (
     assemble_lps_matrices,
     assemble_mass,
     assemble_stiffness,
+    convection_action,
     convection_matrix,
 )
 from .container import read_container, write_container
@@ -297,6 +299,7 @@ class FOMProblem:
         self.constrained_global = np.concatenate([self.constrained_velocity, n_v + pres_pinned])
         _release_static_caches(self.vel_space, self.pres_space)
         self._velocity_base = None, None  # (mass scale, values), see velocity_values
+        self._static_saddle = None, None  # (mass scale, matrix), see correct
 
     @property
     def n_velocity(self):
@@ -332,6 +335,11 @@ class FOMProblem:
         adds to its velocity block; for the equal-order scheme it is
         assembled on first use, by the reduced models."""
         return assemble_grad_div(self.vel_space)
+
+    @cached_property
+    def divergence_t(self):
+        """``divergence.T`` (CSC), the pressure gradient's -1 times."""
+        return self.divergence.T
 
     @cached_property
     def _shape_values(self):
@@ -392,13 +400,12 @@ class FOMProblem:
         layout = self._saddle
         return sp.csr_matrix((values, layout.indices, layout.indptr), shape=layout.shape)
 
-    def solve_coupled(self, velocity_values, rhs_velocity, boundary, lagged, velocity=None):
+    def solve_coupled(self, velocity_values, rhs_velocity, boundary, lagged):
         """Solve one saddle-point system with boundary elimination: the
         velocity block has :meth:`velocity_values`, and ``boundary`` is
         :meth:`boundary_values` at the new time. ``lagged`` is a run's
         holder of its factor and last solution, which
-        :meth:`_SaddleLayout.solve` solves from and renews; a Picard sweep
-        gives the free entries of its convecting field as ``velocity``."""
+        :meth:`_SaddleLayout.solve` solves from and renews."""
         layout = self._saddle
         rhs = np.concatenate([rhs_velocity, np.zeros(self.n_pressure)])
         values = np.concatenate([boundary, np.zeros(self.n_pressure)])
@@ -406,16 +413,47 @@ class FOMProblem:
         reduced_rhs = rhs[free]
         if fixed.size:
             reduced_rhs = reduced_rhs - layout.lifting(velocity_values) @ values[fixed]
-        solution = layout.solve(velocity_values, reduced_rhs, lagged, velocity)
+        solution = layout.solve(velocity_values, reduced_rhs, lagged)
         if not np.all(np.isfinite(solution)):
             raise RuntimeError("singular or badly scaled coupled system")
-        x = values
-        x[free] = solution
-        u = x[: self.n_velocity]
+        values[free] = solution
+        return self._split(values)
+
+    def correct(self, mass_scale, w, rhs_velocity, boundary, lagged):
+        """One chord correction x += lu⁻¹ r of the Picard sweep convected by
+        ``w``, against ``lagged``'s factor, from x = (``w`` on the free
+        DOFs, ``boundary``, the last pressure): r = rhs - S x - [C(w) u; 0]
+        on the free DOFs, with S the static saddle matrix of ``mass_scale``
+        and C(w) by :func:`~podflow.assembly.convection_action`. Returns the
+        velocity and pressure, or None and empties ``lagged`` when the
+        residual shrinks by less than the layout's contraction."""
+        if self._static_saddle[0] != mass_scale:
+            self._static_saddle = mass_scale, sp.bmat(
+                [[self.velocity_block(self.velocity_values(mass_scale)), -self.divergence_t],
+                 [self.divergence, self.pressure_stabilization]], format="csr")
+        static, convect = self._static_saddle[1], convection_action(self.vel_space, w)
+        pick, zero = self._saddle.pick, np.zeros(self.n_pressure)
+        rhs, x = np.concatenate([rhs_velocity, zero]), np.concatenate([boundary, zero])
+        x[pick] = lagged[1]
+        x[self.free_velocity] = w[self.free_velocity]
+
+        def residual():
+            return (rhs - static @ x - np.concatenate([convect(x[:w.size]), zero]))[pick]
+
+        r = residual()
+        x[pick] += lagged[0].solve(r)
+        if not np.abs(residual()).max() <= self._saddle.contraction * np.abs(r).max():
+            lagged.clear()  # a miss, or a result that is not finite
+            return None
+        lagged[1] = x[pick]
+        return self._split(x)
+
+    def _split(self, x):
+        """Velocity and (gauged) pressure of a full solution vector."""
         p = x[self.n_velocity :]
         if self.case.zero_mean_pressure:
             p = self.remove_pressure_mean(p)
-        return u, p
+        return x[: self.n_velocity], p
 
 
 def _pattern(matrix):
@@ -456,7 +494,10 @@ class _SaddleLayout:
     ``*_source`` those entries' positions in the velocity pattern. Both are
     stacked from the blocks cut to the free and fixed DOFs, with the
     positions + 1 as the velocity values, so their entries are ordered as
-    ``sp.bmat`` of the whole system cut by fancy indexing orders them.
+    ``sp.bmat`` of the whole system cut by fancy indexing orders them. After
+    the first solve, ``pick`` holds each relabelled DOF's place in a whole
+    solution vector, and ``contraction`` is what a chord correction must
+    shrink its residual by (:meth:`FOMProblem.correct`).
     """
 
     def __init__(self, problem):
@@ -486,7 +527,7 @@ class _SaddleLayout:
         self._lifting = cut(fixed_v, fixed_p, "csr")
         self.lifting_slots, self.lifting_source = _take_positions(
             self._lifting, free_v.size, fixed_v.size)
-        self._order = None  # set by the first solve
+        self._order, self.pick = None, problem.free_global  # both set by the first solve
 
     def lifting(self, values):
         """The free x fixed block with the velocity ``values``; an entry that
@@ -494,7 +535,7 @@ class _SaddleLayout:
         self._lifting.data[self.lifting_slots] = values[self.lifting_source]
         return self._lifting
 
-    def solve(self, values, rhs, lagged, velocity=None):
+    def solve(self, values, rhs, lagged):
         """Solve the system with the velocity ``values`` for ``rhs``, bit for
         bit as ``splu`` of the stored system in the original order does: the
         first solve factors it with COLAMD and relabels it by that order,
@@ -502,14 +543,11 @@ class _SaddleLayout:
         stays in the pattern, so the factor is of that same matrix.
 
         ``lagged`` holds a run's one factor and the last solution, in the
-        relabelled order, or is empty. While it holds them, a Picard sweep
-        (given its free convecting ``velocity``) makes one correction
-        y + lu⁻¹ (b - a y) from that velocity and the last pressure, which
-        misses if it shrinks the residual by less than ``contraction``; any
-        other solve refines from the last solution to 4 eps (:func:`_refined`).
-        With the holder empty, or on a miss, the system is factored afresh,
-        bit for bit ``splu``, replacing the old factor. The first (ordering)
-        solve stores nothing."""
+        relabelled order, or is empty. While it holds them, the solve
+        refines from the last solution to 4 eps (:func:`_refined`). With
+        the holder empty, or when refinement misses, the system is factored
+        afresh, bit for bit ``splu``, replacing the old factor. The first
+        (ordering) solve stores nothing."""
         import scipy.sparse.linalg as spla  # slow to import, and set-up never calls this
         self._system.data[self.system_slots] = values[self.system_source]
         if self._order is None:
@@ -519,15 +557,7 @@ class _SaddleLayout:
             self._relabel(perm_c)
             return x
         b = rhs[self._order]
-        if lagged and velocity is not None:
-            y = lagged[1].copy()
-            y[self._labels[:velocity.size]] = velocity
-            r = b - self._system @ y
-            y += lagged[0].solve(r)
-            if np.abs(b - self._system @ y).max() > self.contraction * np.abs(r).max():
-                y = None
-        else:
-            y = _refined(self._system, *lagged, b) if lagged else None
+        y = _refined(self._system, *lagged, b) if lagged else None
         if y is None:
             lagged.clear()  # one factor at a time
             lagged.append(spla.splu(self._system, permc_spec="NATURAL"))
@@ -555,6 +585,7 @@ class _SaddleLayout:
                                      shape=a.shape)
         self._system.has_canonical_format = True
         self._order, self._labels = order, perm_c
+        self.pick = self.pick[order]
 
 
 def _refined(a, lu, x, b):
@@ -580,6 +611,7 @@ def _step(problem, state, lagged, with_residual):
     cfg = problem.config
     t_new = state.t + cfg.dt
     alpha, history, convecting = time_terms(cfg.time_integrator, state.u, state.u_prev, cfg.dt)
+    scale = alpha / cfg.dt
     rhs = problem.mass @ history + problem.load_vector(t_new)
     boundary = problem.boundary_values(t_new)
     implicit = cfg.time_integrator != "bdf2_semi_implicit"
@@ -587,20 +619,25 @@ def _step(problem, state, lagged, with_residual):
         lagged.clear()  # bit for bit splu: a lagged factor moves cavity's indicators by 3e-8
 
     def sweep(w):
-        values = problem.velocity_values(alpha / cfg.dt, convection_matrix(problem.vel_space, w))
-        u, p = problem.solve_coupled(values, rhs, boundary, lagged, w[problem.free_velocity])
-        return u, (p, values)
+        solved = implicit and lagged and problem.correct(scale, w, rhs, boundary, lagged)
+        if solved:
+            return solved[0], (solved[1], w, None)
+        values = problem.velocity_values(scale, convection_matrix(problem.vel_space, w))
+        u, p = problem.solve_coupled(values, rhs, boundary, lagged)
+        return u, (p, w, values)
 
     try:
-        u, (p, values) = solve_step(cfg.time_integrator, sweep, convecting, problem.mass,
-                                    cfg.nonlinear_tolerance, cfg.nonlinear_max_iterations)
+        u, (p, w, values) = solve_step(cfg.time_integrator, sweep, convecting, problem.mass,
+                                       cfg.nonlinear_tolerance, cfg.nonlinear_max_iterations)
     except NonlinearSolveError as exc:
         raise NonlinearSolveError(f"at t={t_new:.6g}: {exc}", exc.residual_history) from exc
     if implicit:  # the accepted sweep's system, from its solution to 4 eps
+        if values is None:
+            values = problem.velocity_values(scale, convection_matrix(problem.vel_space, w))
         u, p = problem.solve_coupled(values, rhs, boundary, lagged)
     residual = None
     if with_residual:
-        residual = problem.velocity_block(values) @ u - problem.divergence.T @ p - rhs
+        residual = problem.velocity_block(values) @ u - problem.divergence_t @ p - rhs
     return FOMState(u=u, p=p, u_prev=state.u.copy(), t=t_new, n=state.n + 1,
                     residual=residual)
 

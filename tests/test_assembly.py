@@ -19,6 +19,7 @@ from podflow.assembly import (
     assemble_lps_matrices,
     assemble_mass,
     assemble_stiffness,
+    convection_action,
     convection_matrix,
 )
 import podflow.assembly
@@ -213,6 +214,20 @@ def test_convection_matrix_is_skew_for_random_fields_on_random_meshes(mesh, seed
     scale = max(np.abs(v) @ (abs(c) @ np.abs(v)), np.abs(w) @ (abs(c) @ np.abs(v)))
     assert abs(v @ (c @ v)) <= 1e-12 * scale
     assert abs(w @ (c @ v) + v @ (c @ w)) <= 1e-12 * scale
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(mesh=meshes(), seed=st.integers(0, 2**32 - 1))
+def test_convection_action_is_the_matrix_product_on_random_meshes(mesh, seed):
+    space = FESpace(mesh, 2, components=2)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(space.n_dofs)
+    assert np.all(z[space.boundary_scalar_dofs()] != 0.0)  # boundary entries act too
+    for w in (rng.standard_normal(space.n_dofs), np.zeros(space.n_dofs)):
+        c = convection_matrix(space, w)
+        got = convection_action(space, w)(z)
+        # to rounding of the terms' magnitudes; exactly zero for w = 0
+        assert np.abs(got - c @ z).max() <= 1e-13 * (abs(c) @ np.abs(z)).max()
 
 
 def test_convection_exact_value():

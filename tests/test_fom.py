@@ -1,4 +1,5 @@
 import gc
+import re
 from collections import namedtuple
 from dataclasses import replace
 
@@ -312,16 +313,32 @@ def backward_error_bound(a, x, b):
     return EPS4 * (spla.norm(a, np.inf) * np.abs(x).max() + np.abs(b).max())
 
 
-Solve = namedtuple("Solve", "values rhs x specs velocity triangular")
+Solve = namedtuple("Solve", "values rhs x specs triangular")
+Chord = namedtuple("Chord", "w rhs boundary x triangular")
+
+
+def reduced_rhs(problem, values, chord):
+    """The free right-hand side of a chord's system, whose velocity block
+    has ``values``: its load less the lifting of its boundary values."""
+    whole = sp.bmat([[problem.velocity_block(values), -problem.divergence.T],
+                     [problem.divergence, problem.pressure_stabilization]], format="csr")
+    lifted = np.concatenate([chord.boundary, np.zeros(problem.n_pressure)])
+    lifted[problem.free_global] = 0.0
+    rhs = np.concatenate([chord.rhs, np.zeros(problem.n_pressure)])
+    return (rhs - whole @ lifted)[problem.free_global]
 
 
 @pytest.fixture
 def solves(monkeypatch, factored):
-    """A :class:`Solve` of each saddle-point solve made while it is active:
-    its velocity values, right-hand side and solution, the orderings of its
-    factors, a Picard sweep's free convecting velocity (None for any other
-    solve) and its count of triangular solves."""
-    solves, solve, splu, triangular = [], _SaddleLayout.solve, spla.splu, [0]
+    """In call order, a :class:`Solve` of each assembled saddle-point solve
+    made while it is active (its velocity values, right-hand side and
+    solution, the orderings of its factors and its count of triangular
+    solves) and a :class:`Chord` of each Picard sweep's correction against
+    the run's factor (its convecting field, velocity right-hand side,
+    boundary values, solution on the free DOFs, None on a miss, and its
+    count of triangular solves)."""
+    solves, solve, correct, splu, triangular = (
+        [], _SaddleLayout.solve, FOMProblem.correct, spla.splu, [0])
 
     class Counted:
         def __init__(self, lu):
@@ -331,41 +348,43 @@ def solves(monkeypatch, factored):
             triangular[0] += 1
             return self.lu.solve(b)
 
-    def recording(self, values, rhs, lagged, velocity=None):
+    def recording(self, values, rhs, lagged):
         before, count = len(factored), triangular[0]
-        x = solve(self, values, rhs, lagged, velocity)
+        x = solve(self, values, rhs, lagged)
         solves.append(Solve(values.copy(), rhs.copy(), x, factored[before:],
-                            None if velocity is None else velocity.copy(),
                             triangular[0] - count))
         return x
 
+    def correcting(self, mass_scale, w, rhs, boundary, lagged):
+        count = triangular[0]
+        got = correct(self, mass_scale, w, rhs, boundary, lagged)
+        solves.append(Chord(w.copy(), rhs.copy(), boundary.copy(),
+                            lagged[1][self._saddle._labels] if lagged else None,
+                            triangular[0] - count))
+        return got
+
     monkeypatch.setattr(spla, "splu", lambda a, **kwargs: Counted(splu(a, **kwargs)))
     monkeypatch.setattr(_SaddleLayout, "solve", recording)
+    monkeypatch.setattr(FOMProblem, "correct", correcting)
     return solves
 
 
 def picard_solves(solves):
-    """The implicit-Euler :func:`euler_cavity` run's solves: each step's
-    Picard sweeps, which start from their convecting field, then its
-    accepted sweep solved again, to 4 eps."""
+    """The implicit-Euler :func:`euler_cavity` run's solves: the first
+    step's ordering and factoring sweeps, then each step's corrections
+    against that factor, none missing, and its accepted sweep's system
+    solved again, to 4 eps."""
     problem, run = euler_cavity()
-    # the ordering factorization, then the run's one factor
-    assert [solve.specs for solve in solves] == (
-        [["COLAMD"], ["NATURAL"]] + [[]] * (len(solves) - 2))
-    # a step's solves share its right-hand side: every later step's first
-    # sweep corrects against the factor too
-    firsts = [k for k in range(1, len(solves))
-              if not np.array_equal(solves[k].rhs, solves[k - 1].rhs)]
-    assert len(firsts) == 2 and firsts[0] > 2
-    assert len(solves) >= 8
-    resolves = [k + 1 for k, solve in enumerate(solves) if solve.velocity is None]
-    assert resolves == firsts + [len(solves)]
+    kinds = "".join("c" if isinstance(solve, Chord) else "s" for solve in solves)
+    assert re.fullmatch(f"ss(cc+s){{{problem.config.n_steps}}}", kinds), kinds
+    assert [solve.specs for solve in solves if isinstance(solve, Solve)] == (
+        [["COLAMD"], ["NATURAL"]] + [[]] * problem.config.n_steps)
     return problem, solves
 
 
 def test_accepted_picard_sweeps_refine_to_the_backward_error_bound(solves):
     problem, solves = picard_solves(solves)
-    accepted = [solve for solve in solves if solve.velocity is None]
+    accepted = [solve for solve in solves if isinstance(solve, Solve)][2:]
     assert len(accepted) == problem.config.n_steps
     for values, rhs, x, *_ in accepted:
         a = saddle_system(problem, values)
@@ -379,17 +398,19 @@ def test_intermediate_picard_sweeps_make_one_correction_each(solves):
     n_free = problem.free_velocity.size
     contraction = problem.config.nonlinear_tolerance ** (1 / podflow.fom._REFINEMENT_CAP)
     short_of_4_eps = 0
-    for last, solve in zip(solves, solves[1:]):
-        if solve.velocity is None:
+    for last, chord in zip(solves, solves[1:]):
+        if not isinstance(chord, Chord):
             continue
         # one triangular solve, from the convecting field and the last
-        # pressure, which shrinks the residual by the contraction at least
-        assert solve.triangular == 1
-        a = saddle_system(problem, solve.values)
-        start = np.concatenate([solve.velocity, last.x[n_free:]])
-        error = np.abs(solve.rhs - a @ solve.x).max()
-        assert error <= contraction * np.abs(solve.rhs - a @ start).max()
-        short_of_4_eps += error > backward_error_bound(a, solve.x, solve.rhs)
+        # pressure, which shrinks the residual of the sweep's assembled
+        # system by the contraction at least
+        assert chord.triangular == 1
+        values = convected(problem, chord.w)
+        a, b = saddle_system(problem, values), reduced_rhs(problem, values, chord)
+        start = np.concatenate([chord.w[problem.free_velocity], last.x[n_free:]])
+        error = np.abs(b - a @ chord.x).max()
+        assert error <= contraction * np.abs(b - a @ start).max()
+        short_of_4_eps += error > backward_error_bound(a, chord.x, b)
     # the sweeps stop short of what the accepted sweep needs
     assert short_of_4_eps > 0
 
@@ -442,14 +463,11 @@ def test_a_far_off_factor_in_the_holder_makes_a_step_factor_afresh_once(factored
 
 def test_a_run_matches_picard_with_an_exact_factor_per_sweep(monkeypatch, factored):
     problem, run = euler_cavity()
-    solve = _SaddleLayout.solve
 
-    def exact(self, values, rhs, lagged, velocity=None):
-        if velocity is not None:
-            lagged.clear()
-        return solve(self, values, rhs, lagged, velocity)
+    def miss(self, mass_scale, w, rhs, boundary, lagged):
+        lagged.clear()
 
-    monkeypatch.setattr(_SaddleLayout, "solve", exact)
+    monkeypatch.setattr(FOMProblem, "correct", miss)
     del factored[:]
     want = run_fom(forced_cavity())
     # every sweep but the ordering one factored afresh
@@ -473,6 +491,14 @@ def test_bdf2_solves_stay_bit_for_bit_splu_beside_the_run_holder(monkeypatch, so
     for values, rhs, x, *_ in solves:
         want = spla.splu(saddle_system(problem, values)).solve(rhs)
         assert np.array_equal(x.view(np.int64), want.view(np.int64))
+
+
+def test_a_bdf2_run_never_acts_with_convection(monkeypatch):
+    def action(*args):
+        raise AssertionError("a BDF2 sweep corrected against a lagged factor")
+
+    monkeypatch.setattr(podflow.fom, "convection_action", action)
+    run_fom(forced_cavity("bdf2_semi_implicit"))
 
 
 def live_factors():

@@ -816,6 +816,19 @@ class _Factor:
         return self.lu.solve(b)
 
 
+def count_sweeps(monkeypatch, count_calls):
+    """Count each full-order Picard sweep as ``"sweep"``."""
+    solve_step = podflow.fom.solve_step
+
+    def counting(integrator, sweep, *args):
+        def counted(w):
+            count_calls.calls["sweep"] += 1
+            return sweep(w)
+        return solve_step(integrator, counted, *args)
+
+    monkeypatch.setattr(podflow.fom, "solve_step", counting)
+
+
 def test_implicit_euler_sweeps_solve_only_as_exactly_as_picard_needs(count_calls, monkeypatch):
     # Picard starts from the extrapolated level, and a sweep makes one
     # correction against the run's factor from its convecting field: one
@@ -828,12 +841,29 @@ def test_implicit_euler_sweeps_solve_only_as_exactly_as_picard_needs(count_calls
     splu = scipy.sparse.linalg.splu
     monkeypatch.setattr(scipy.sparse.linalg, "splu",
                         lambda a, **kwargs: _Factor(splu(a, **kwargs)))
+    count_sweeps(monkeypatch, count_calls)
     count_calls(podflow.harness, "run_fom", "run", scoped=True)
-    count_calls(podflow.fom, "convection_matrix", "sweep")
     count_calls(_Factor, "solve", "lu solve")
     _full_order(cfg, cfg.geometry.build(), drag_lift=True)
-    assert count_calls.calls["sweep in run"] == SWEEPS
+    assert count_calls.calls["sweep"] == SWEEPS
     assert count_calls.calls["lu solve in run"] == LU_SOLVES == SWEEPS + cfg.fom.n_steps
+
+
+def test_implicit_euler_assembles_convection_for_the_first_two_sweeps_and_each_step(
+        count_calls, monkeypatch):
+    # the ordering and the factoring sweeps assemble their convection, the
+    # corrections act with it unassembled, and each step's accepted sweep
+    # assembles its own for the 4 eps solve and the probe's residual
+    raw = channel_raw()
+    raw["fom"]["time_integrator"] = "implicit_euler"
+    cfg = ExperimentConfig.from_dict(raw)
+    count_sweeps(monkeypatch, count_calls)
+    count_calls(podflow.harness, "run_fom", "run", scoped=True)
+    count_calls(podflow.fom, "convection_matrix", "convection")
+    count_calls(podflow.fom.FOMProblem, "correct", "chord")
+    _full_order(cfg, cfg.geometry.build(), drag_lift=True)
+    assert count_calls.calls["convection in run"] == cfg.fom.n_steps + 2
+    assert count_calls.calls["chord in run"] == count_calls.calls["sweep"] - 2 == SWEEPS - 2
 
 
 @pytest.mark.parametrize("integrator", ["implicit_euler", "bdf2_semi_implicit"])
@@ -851,8 +881,9 @@ def test_bdf2_factors_every_step_and_implicit_euler_twice_per_run(integrator, co
     steps = cfg.fom.n_steps
     assert count_calls.calls["run"] == 1 and steps == 6
     if integrator == "implicit_euler":
-        # the Picard sweeps, and each step's accepted sweep solved again
-        assert count_calls.calls["solve in run"] == SWEEPS + steps
+        # the ordering and the factoring sweeps, and each step's accepted
+        # sweep solved again; the other sweeps correct unassembled
+        assert count_calls.calls["solve in run"] == 2 + steps
         assert count_calls.calls["splu in run"] == 2
     else:
         assert count_calls.calls["solve in run"] == steps
