@@ -15,9 +15,7 @@ entry's element contributions. :func:`_release_static_caches` frees what
 only a problem's static operators use. A matrix equals SciPy's COO -> CSR
 conversion of the same local values bit for bit, so repeated assembly, of
 the convection matrix above all, costs only the element kernels and one
-gather. :func:`convection_action` applies that matrix without assembling
-it, for the full-order chord corrections: element matrices of the same
-integrand, contracted with a vector's local values.
+gather; :func:`convection_action` applies that matrix unassembled.
 
 The convection kernel's sums of three or more factors are loops over whole
 arrays that add in the order NumPy's unoptimized ``einsum`` adds, one term
@@ -289,15 +287,14 @@ def _convecting(space, tab, w):
     transport ``w . grad v_j`` ``(nt, nq, nloc)`` and ``div w`` ``(nt, nq)``."""
     if space.components != 2:
         raise ValueError("convection requires a vector space")
-    values, grads = tab.values, tab.grads
     comp = [w[c * space.n_scalar + space.cell_scalar_dofs] for c in range(2)]
-    w_vals = np.stack([np.einsum("ei,qi->eq", comp[c], values) for c in range(2)], axis=-1)
-    transport = np.einsum("eqc,eqjc->eqj", w_vals, grads)
+    w_vals = np.stack([np.einsum("ei,qi->eq", comp[c], tab.values) for c in range(2)], axis=-1)
+    transport = np.einsum("eqc,eqjc->eqj", w_vals, tab.grads)
     # d w_c / d x_c at the points, summed over i as einsum sums
     parts = [np.zeros(transport.shape[:2]) for _ in range(2)]
     for c, part in enumerate(parts):
         for i in range(space.n_local):
-            part += comp[c][:, i, None] * grads[:, :, i, c]
+            part += comp[c][:, i, None] * tab.grads[:, :, i, c]
     return transport, parts[0] + parts[1]
 
 
@@ -333,17 +330,15 @@ def convection_matrix(space, w, qdegree=None):
                          shape=both.shape)
 
 
-def convection_action(space, w, qdegree=None):
-    """The map ``z -> C z`` of :func:`convection_matrix`'s ``C``, equal to
-    ``C @ z`` up to rounding: its element matrices contracted with ``z``'s
-    local values and summed per DOF by ``bincount``."""
-    tab = _tables(space, qdegree or 3 * space.degree)
+def convection_action(space, w):
+    """The map ``z -> C z`` of :func:`convection_matrix`'s ``C``, up to
+    rounding: the element matrices contracted with ``z``'s local values."""
+    tab = _tables(space, 3 * space.degree)
     transport, w_div = _convecting(space, tab, w)
     wd = (tab.rule.weights[:, None] * tab.det).T[..., None]
     local = np.matmul(tab.values.T, wd * (transport + 0.5 * w_div[..., None] * tab.values))
-    index = np.stack([space.cell_scalar_dofs, space.cell_scalar_dofs + space.n_scalar], axis=-1)
-    return lambda z: np.bincount(index.ravel(), weights=np.matmul(local, z[index]).ravel(),
-                                 minlength=space.n_dofs)
+    index = space.cell_scalar_dofs[..., None] + [0, space.n_scalar]  # (nt, nloc, component)
+    return lambda z: np.bincount(index.ravel(), np.matmul(local, z[index]).ravel(), space.n_dofs)
 
 
 def _load_points(space):

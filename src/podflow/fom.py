@@ -20,27 +20,24 @@ without convection per mass scale, and on first solve that block's pattern,
 the free x free system in CSC with the divergence and pressure
 stabilization blocks in place and the free x fixed lifting of the boundary
 values. A step sums the shapes with its time factors; an assembled sweep
-adds its convection and factors. All is bit for bit what assembling afresh, SciPy's
-sparse sums, ``bmat`` and fancy indexing give, but an exactly-zero velocity
-entry, which those sums drop, stays a stored zero.
+adds its convection and factors. All is bit for bit what assembling
+afresh, SciPy's sparse sums, ``bmat`` and fancy indexing give, but an
+exactly-zero velocity entry, which those sums drop, stays a stored zero.
 
 SuperLU's column ordering (COLAMD) depends on the pattern alone, which the
 free x free system keeps, so it is computed once: the system is relabelled
 by the first factorization's order and later ones factor it as stored,
 with the same pivots and solutions, bit for bit.
 
-Three kinds of solve are bit for bit as ``splu`` of the stored system
-would solve it: every BDF2 solve, a problem's first (ordering) solve, and
-a fallback. Every other implicit-Euler Picard sweep makes one chord
-correction against the run's one factor from its convecting field and the
-last pressure (:meth:`FOMProblem.correct`), its residual formed from a
-static saddle matrix and the convection's action, never assembled. Each
-step assembles its accepted sweep's system and refines from that sweep's
-solution to a backward error of 4 eps, the step's result. A correction
-that would need more than ``_REFINEMENT_CAP`` of its kind to reach
-``nonlinear_tolerance``, or a refinement that misses 4 eps within as many,
-falls back: it assembles and factors afresh, and that factor becomes the
-run's.
+Three kinds of solve are bit for bit ``splu`` of the stored system: every
+BDF2 solve, a problem's first (ordering) solve, and a fallback. Every
+other implicit-Euler Picard sweep makes one unassembled chord correction
+against the run's one factor (:meth:`FOMProblem.correct`); each step
+assembles its accepted sweep's system and refines its solution to a
+backward error of 4 eps. A correction that would need more than
+``_REFINEMENT_CAP`` of its kind to reach ``nonlinear_tolerance``, or a
+refinement that misses 4 eps within as many, falls back to a fresh
+factor, which becomes the run's.
 """
 
 from __future__ import annotations
@@ -299,7 +296,6 @@ class FOMProblem:
         self.constrained_global = np.concatenate([self.constrained_velocity, n_v + pres_pinned])
         _release_static_caches(self.vel_space, self.pres_space)
         self._velocity_base = None, None  # (mass scale, values), see velocity_values
-        self._static_saddle = None, None  # (mass scale, matrix), see correct
 
     @property
     def n_velocity(self):
@@ -340,6 +336,13 @@ class FOMProblem:
     def divergence_t(self):
         """``divergence.T`` (CSC), the pressure gradient's -1 times."""
         return self.divergence.T
+
+    @cached_property
+    def _static_saddle(self):
+        """The saddle matrix without convection at implicit Euler's mass scale."""
+        return sp.bmat([[self.velocity_block(self.velocity_values(1.0 / self.config.dt)),
+                         -self.divergence_t], [self.divergence, self.pressure_stabilization]],
+                       format="csr")
 
     @cached_property
     def _shape_values(self):
@@ -419,19 +422,14 @@ class FOMProblem:
         values[free] = solution
         return self._split(values)
 
-    def correct(self, mass_scale, w, rhs_velocity, boundary, lagged):
+    def correct(self, w, rhs_velocity, boundary, lagged):
         """One chord correction x += lu⁻¹ r of the Picard sweep convected by
-        ``w``, against ``lagged``'s factor, from x = (``w`` on the free
-        DOFs, ``boundary``, the last pressure): r = rhs - S x - [C(w) u; 0]
-        on the free DOFs, with S the static saddle matrix of ``mass_scale``
-        and C(w) by :func:`~podflow.assembly.convection_action`. Returns the
-        velocity and pressure, or None and empties ``lagged`` when the
-        residual shrinks by less than the layout's contraction."""
-        if self._static_saddle[0] != mass_scale:
-            self._static_saddle = mass_scale, sp.bmat(
-                [[self.velocity_block(self.velocity_values(mass_scale)), -self.divergence_t],
-                 [self.divergence, self.pressure_stabilization]], format="csr")
-        static, convect = self._static_saddle[1], convection_action(self.vel_space, w)
+        ``w`` against ``lagged``'s factor, from x = (``w`` free, ``boundary``,
+        the last pressure), r = rhs - S x - [C(w) u; 0] on the free DOFs.
+        Returns u and p, or None and empties ``lagged`` when r shrinks by less
+        than a rate that reaches ``nonlinear_tolerance`` in ``_REFINEMENT_CAP``."""
+        rate = self.config.nonlinear_tolerance ** (1.0 / _REFINEMENT_CAP)
+        static, convect = self._static_saddle, convection_action(self.vel_space, w)
         pick, zero = self._saddle.pick, np.zeros(self.n_pressure)
         rhs, x = np.concatenate([rhs_velocity, zero]), np.concatenate([boundary, zero])
         x[pick] = lagged[1]
@@ -439,10 +437,9 @@ class FOMProblem:
 
         def residual():
             return (rhs - static @ x - np.concatenate([convect(x[:w.size]), zero]))[pick]
-
         r = residual()
         x[pick] += lagged[0].solve(r)
-        if not np.abs(residual()).max() <= self._saddle.contraction * np.abs(r).max():
+        if not np.abs(residual()).max() <= rate * np.abs(r).max():
             lagged.clear()  # a miss, or a result that is not finite
             return None
         lagged[1] = x[pick]
@@ -494,15 +491,10 @@ class _SaddleLayout:
     ``*_source`` those entries' positions in the velocity pattern. Both are
     stacked from the blocks cut to the free and fixed DOFs, with the
     positions + 1 as the velocity values, so their entries are ordered as
-    ``sp.bmat`` of the whole system cut by fancy indexing orders them. After
-    the first solve, ``pick`` holds each relabelled DOF's place in a whole
-    solution vector, and ``contraction`` is what a chord correction must
-    shrink its residual by (:meth:`FOMProblem.correct`).
+    ``sp.bmat`` of the whole system cut by fancy indexing orders them.
     """
 
     def __init__(self, problem):
-        # the rate that reaches the nonlinear tolerance in the cap's corrections
-        self.contraction = problem.config.nonlinear_tolerance ** (1.0 / _REFINEMENT_CAP)
         static = problem._static_velocity_block
         pattern = _pattern(problem.mass) + _pattern(static)
         self.shape, self.indices, self.indptr = pattern.shape, pattern.indices, pattern.indptr
@@ -543,11 +535,10 @@ class _SaddleLayout:
         stays in the pattern, so the factor is of that same matrix.
 
         ``lagged`` holds a run's one factor and the last solution, in the
-        relabelled order, or is empty. While it holds them, the solve
-        refines from the last solution to 4 eps (:func:`_refined`). With
-        the holder empty, or when refinement misses, the system is factored
-        afresh, bit for bit ``splu``, replacing the old factor. The first
-        (ordering) solve stores nothing."""
+        relabelled order, or is empty. The solve refines from them to 4 eps
+        (:func:`_refined`); if the holder is empty or refinement misses, it
+        factors afresh, bit for bit ``splu``, and keeps that factor. The
+        first (ordering) solve stores nothing."""
         import scipy.sparse.linalg as spla  # slow to import, and set-up never calls this
         self._system.data[self.system_slots] = values[self.system_source]
         if self._order is None:
@@ -585,7 +576,7 @@ class _SaddleLayout:
                                      shape=a.shape)
         self._system.has_canonical_format = True
         self._order, self._labels = order, perm_c
-        self.pick = self.pick[order]
+        self.pick = self.pick[order]  # each relabelled DOF's place in a whole vector
 
 
 def _refined(a, lu, x, b):
@@ -611,18 +602,16 @@ def _step(problem, state, lagged, with_residual):
     cfg = problem.config
     t_new = state.t + cfg.dt
     alpha, history, convecting = time_terms(cfg.time_integrator, state.u, state.u_prev, cfg.dt)
-    scale = alpha / cfg.dt
     rhs = problem.mass @ history + problem.load_vector(t_new)
     boundary = problem.boundary_values(t_new)
     implicit = cfg.time_integrator != "bdf2_semi_implicit"
     if not implicit:
         lagged.clear()  # bit for bit splu: a lagged factor moves cavity's indicators by 3e-8
 
-    def sweep(w):
-        solved = implicit and lagged and problem.correct(scale, w, rhs, boundary, lagged)
-        if solved:
+    def sweep(w):  # BDF2 cleared ``lagged``: it never corrects
+        if lagged and (solved := problem.correct(w, rhs, boundary, lagged)):
             return solved[0], (solved[1], w, None)
-        values = problem.velocity_values(scale, convection_matrix(problem.vel_space, w))
+        values = problem.velocity_values(alpha / cfg.dt, convection_matrix(problem.vel_space, w))
         u, p = problem.solve_coupled(values, rhs, boundary, lagged)
         return u, (p, w, values)
 
@@ -633,7 +622,8 @@ def _step(problem, state, lagged, with_residual):
         raise NonlinearSolveError(f"at t={t_new:.6g}: {exc}", exc.residual_history) from exc
     if implicit:  # the accepted sweep's system, from its solution to 4 eps
         if values is None:
-            values = problem.velocity_values(scale, convection_matrix(problem.vel_space, w))
+            values = problem.velocity_values(alpha / cfg.dt,
+                                             convection_matrix(problem.vel_space, w))
         u, p = problem.solve_coupled(values, rhs, boundary, lagged)
     residual = None
     if with_residual:

@@ -355,9 +355,9 @@ def solves(monkeypatch, factored):
                             triangular[0] - count))
         return x
 
-    def correcting(self, mass_scale, w, rhs, boundary, lagged):
+    def correcting(self, w, rhs, boundary, lagged):
         count = triangular[0]
-        got = correct(self, mass_scale, w, rhs, boundary, lagged)
+        got = correct(self, w, rhs, boundary, lagged)
         solves.append(Chord(w.copy(), rhs.copy(), boundary.copy(),
                             lagged[1][self._saddle._labels] if lagged else None,
                             triangular[0] - count))
@@ -464,7 +464,7 @@ def test_a_far_off_factor_in_the_holder_makes_a_step_factor_afresh_once(factored
 def test_a_run_matches_picard_with_an_exact_factor_per_sweep(monkeypatch, factored):
     problem, run = euler_cavity()
 
-    def miss(self, mass_scale, w, rhs, boundary, lagged):
+    def miss(self, w, rhs, boundary, lagged):
         lagged.clear()
 
     monkeypatch.setattr(FOMProblem, "correct", miss)
