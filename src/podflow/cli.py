@@ -4,8 +4,10 @@
 ``rom``), the two studies under ``study``, and ``report`` for turning run
 artifacts into summaries and plot scripts. Every run is driven by a JSON
 configuration file plus optional ``--override section.key=value``
-assignments. Exit codes: 0 on success, 1 on a configuration error, 2 on a
-runtime failure inside a stage.
+assignments. ``pod`` resumes fom, and ``rom`` fom and pod, from the output
+directory while their config sections are unchanged (see
+``podflow.harness``); a new ``--out-dir`` recomputes them. Exit codes: 0 on
+success, 1 on a configuration error, 2 on a runtime failure inside a stage.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ def cmd_fom(args):
 def cmd_pod(args):
     config = _load_config(args)
     result = run_pipeline(config, stop_after="pod")
+    print(f"resumed stages: {', '.join(result.resumed) or 'none'}")
     basis = result.vel_basis
     eigs = basis.eigenvalues
     print(f"velocity basis: rank {basis.rank}, selected r={basis.r}, "
@@ -69,6 +72,7 @@ def cmd_pod(args):
 def cmd_rom(args):
     config = _load_config(args)
     result = run_pipeline(config)
+    print(f"resumed stages: {', '.join(result.resumed) or 'none'}")
     run = result.rom_run
     print(f"reduced run: r={result.operators.r}, {run.times.size - 1} steps, "
           f"final E_kin={run.energy_traj[-1]:.6g}, "
@@ -229,17 +233,15 @@ def build_parser():
         description="Stabilized reduced-order models of incompressible flow")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fom = sub.add_parser("fom", help="run the full-order solver")
-    _add_config_arguments(p_fom)
-    p_fom.set_defaults(func=cmd_fom)
-
-    p_pod = sub.add_parser("pod", help="extract the reduced bases")
-    _add_config_arguments(p_pod)
-    p_pod.set_defaults(func=cmd_pod)
-
-    p_rom = sub.add_parser("rom", help="run the reduced model")
-    _add_config_arguments(p_rom)
-    p_rom.set_defaults(func=cmd_rom)
+    resumes = (" from the output directory while the config each read (geometry, case, fom "
+               "and pod.center; also pod for pod) is unchanged; a new --out-dir recomputes")
+    for name, func, text, description in (
+            ("fom", cmd_fom, "run the full-order solver", "It always runs afresh"),
+            ("pod", cmd_pod, "extract the reduced bases", "Resumes fom" + resumes),
+            ("rom", cmd_rom, "run the reduced model", "Resumes fom and pod" + resumes)):
+        stage = sub.add_parser(name, help=text, description=f"{text}. {description}.")
+        _add_config_arguments(stage)
+        stage.set_defaults(func=func)
 
     p_study = sub.add_parser("study", help="parameter studies")
     study_sub = p_study.add_subparsers(dest="study_command", required=True)

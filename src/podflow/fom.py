@@ -800,8 +800,8 @@ def save_snapshots(snapshots, path):
 
 
 def load_snapshots(path, expected_signature=None):
-    """Read a snapshot container written by :func:`save_snapshots`."""
+    """Read a :func:`save_snapshots` container, fields column-major as recorded."""
     meta, arrays = read_container(path, "snapshots", expected_signature)
-    return SnapshotSet(space_signature=meta.pop("signature"), times=arrays["times"],
-                       fields=arrays["fields"], mean=arrays.get("mean"), metadata=meta)
+    return SnapshotSet(meta.pop("signature"), arrays["times"], np.asfortranarray(arrays["fields"]),
+                       mean=arrays.get("mean"), metadata=meta)
 

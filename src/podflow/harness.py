@@ -26,7 +26,11 @@ reduced drag and lift test the reduced steps' residuals. The studies
 compose the same stages: ``convergence_study`` measures observed orders on
 the registry's decaying vortex, and ``long_horizon_study`` compares
 constant and adaptive grad-div coefficients of one full-order run over an
-extended horizon.
+extended horizon. A run's ``run_meta.json`` records its config and stages;
+a later run into its directory resumes the fom and pod stages before its
+last while the config they read is unchanged (geometry, case, fom and
+``pod.center``, which centres the saved snapshots, for fom; also pod for
+pod). From the first stage that differs, or in a new directory, all run.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from itertools import takewhile
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -49,11 +54,12 @@ from .fom import (
     FOMProblem,
     SeparableForcing,
     _whole_steps,
+    load_snapshots,
     record_snapshots,
     run_fom,
     save_snapshots,
 )
-from .mesh import MeshError, build_rect_mesh, refine_uniform, save_mesh
+from .mesh import MeshError, build_rect_mesh, load_mesh, refine_uniform, save_mesh
 from .metrics import (
     DragLiftProbe,
     analytic_l2_error,
@@ -61,7 +67,7 @@ from .metrics import (
     error_indicators,
     kinetic_energy,
 )
-from .pod import build_basis, project_L2, reduced_stiffness, save_basis
+from .pod import build_basis, load_basis, project_L2, reduced_stiffness, save_basis
 from .rom import (
     AdaptiveMuConfig,
     build_rom_operators,
@@ -636,7 +642,9 @@ def read_csv(path):
 
 @dataclass
 class PipelineResult:
-    """In-memory handles to everything a pipeline run produced."""
+    """In-memory handles to everything a pipeline run produced. ``resumed``
+    names the stages read back (``fom_run`` is then None): fom, and pod on a
+    full run, while the config they read is unchanged; a new directory recomputes."""
 
     config: ExperimentConfig
     problem: FOMProblem
@@ -648,7 +656,7 @@ class PipelineResult:
     operators: object
     rom_run: object
     error_table: list
-    artifacts: dict
+    resumed: tuple
 
 
 def _snapshot_energy_table(problem, vel_snapshots, dt):
@@ -686,16 +694,26 @@ class _FullOrder:
     pres_snaps: object
 
 
-def _full_order(config, mesh, drag_lift=False):
-    """Pose the configured case on ``mesh``, run the full-order model and
-    record its snapshots; with ``drag_lift``, a case with an obstacle gets
-    the drag/lift probe, evaluated at every step."""
+def _load_pair(load, out, stem, problem):
+    spaces = {"velocity": problem.vel_space, "pressure": problem.pres_space}
+    return [load(out / f"{stem}_{name}.bin", space.signature()) for name, space in spaces.items()]
+
+
+def _full_order(config, saved=None, drag_lift=False):
+    """Pose the configured case, run the full-order model and record its
+    snapshots; with ``drag_lift``, a case with an obstacle gets the
+    drag/lift probe, evaluated at every step. With ``saved``, a run directory,
+    the case is posed on its mesh, its snapshots are read and ``run`` is None."""
+    mesh = config.geometry.build() if saved is None else load_mesh(saved / "mesh.txt")
     bundle = build_case(config)
     problem = FOMProblem(mesh, config.fom, bundle.flow_case)
     probe = None
     if drag_lift and bundle.has_obstacle:
         probe = DragLiftProbe(problem, bundle.reference_velocity,
                               bundle.reference_length)
+    if saved is not None:
+        return _FullOrder(bundle, problem, probe, None,
+                          *_load_pair(load_snapshots, saved, "snapshots", problem))
     initial = None
     if bundle.exact_velocity is not None:
         initial = interpolate(problem.vel_space, bundle.exact_velocity, 0.0)
@@ -706,8 +724,10 @@ def _full_order(config, mesh, drag_lift=False):
     return _FullOrder(bundle, problem, probe, run, vel_snaps, pres_snaps)
 
 
-def _bases(config, full):
-    """The velocity and pressure bases of the snapshots: the second stage."""
+def _bases(config, full, saved=None):
+    """The second stage: the snapshots' velocity and pressure bases, or ``saved``'s."""
+    if saved is not None:
+        return _load_pair(load_basis, saved, "basis", full.problem)
     vel_basis = build_basis(full.vel_snaps, full.problem.mass,
                             energy_threshold=config.pod.energy_threshold)
     if config.pod.r is not None:
@@ -753,46 +773,65 @@ def _reduced_start(config, full, vel_basis):
     return _ReducedStart(r, a0, mu, adaptive, table)
 
 
+def _resumable(config, out, stages):
+    """``config``'s record (JSON values, no output directory) and {stage: ``out``}
+    for the leading ``stages`` that ``out``'s record lists under the same config."""
+    record = {k: v for k, v in json.loads(json.dumps(asdict(config))).items()
+              if k != "output_directory"}
+    inputs = lambda r, stage: [r["geometry"], r["case_name"], r["case_parameters"],
+                               r["fom"], r["pod"] if stage == "pod" else r["pod"]["center"]]
+    try:
+        meta = json.loads((Path(out) / "run_meta.json").read_text())
+        return record, dict.fromkeys(takewhile(
+            lambda stage: stage in meta["stages"]
+            and inputs(meta["config"], stage) == inputs(record, stage), stages), Path(out))
+    except (OSError, ValueError, LookupError, TypeError):
+        return record, {}
+
+
 def run_pipeline(config, out_dir=None, stop_after=None):
     """Execute the pipeline and write deterministic artifacts.
 
-    Stages: the mesh, the full-order run with QoI and snapshot recording,
-    basis extraction, and the reduced run (with optional adaptation) with
-    the reduced-size error sweep. ``stop_after`` ends the run early after
-    ``"fom"`` or ``"pod"``; later result fields stay None. Any stage
-    failure is re-raised as a :class:`StageError` tagged with the stage
-    name.
+    Stages: fom (the mesh and the full-order run with QoI and snapshot
+    recording), pod (basis extraction) and rom (the reduced run, with
+    optional adaptation, and the reduced-size error sweep). ``stop_after``
+    ends the run early after ``"fom"`` or ``"pod"``; later result fields
+    stay None. fom, and pod on a full run, resume from ``out_dir`` while
+    the config they read is unchanged (see the module docstring); a new
+    ``out_dir`` recomputes them. Any stage failure is re-raised as a
+    :class:`StageError` tagged with the stage name.
     """
     if stop_after not in (None, "fom", "pod"):
         raise ConfigError("stage_unknown", f"unknown stage {stop_after!r}")
     out = Path(config.output_directory if out_dir is None else out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    artifacts = {}
+    stages = ("fom", "pod", "rom")[:("fom", "pod", None).index(stop_after) + 1]
+    record, saved = _resumable(config, out, stages[:-1])
+    # an interrupted run must not leave a record of artifacts it did not write
+    (out / "run_meta.json").unlink(missing_ok=True)
+    artifacts = {Path(name).stem: name for name in (
+        "mesh.txt", "qoi.csv", "snapshots_velocity.bin", "snapshots_pressure.bin",
+        *(("basis_velocity.bin", "basis_pressure.bin") if "pod" in stages else ()),
+        *(("operators.bin", "rom.csv", "errors.csv") if "rom" in stages else ()),
+        *(("mu.csv",) if "rom" in stages and config.rom.adaptive.enabled else ()))}
     vel_basis = pres_basis = ops = rom_run = error_table = None
 
-    with _stage("mesh"):
-        mesh = config.geometry.build()
-        save_mesh(mesh, out / "mesh.txt")
-        artifacts["mesh"] = out / "mesh.txt"
-
     with _stage("fom"):
-        full = _full_order(config, mesh, drag_lift=True)
+        full = _full_order(config, saved.get("fom"), drag_lift=True)
         problem = full.problem
-        artifacts["qoi"] = write_csv(
-            out / "qoi.csv", ("t", "E_kin", "c_D", "c_L", "weak_div"),
-            full.run.qoi)
-        save_snapshots(full.vel_snaps, out / "snapshots_velocity.bin")
-        save_snapshots(full.pres_snaps, out / "snapshots_pressure.bin")
-        artifacts["snapshots_velocity"] = out / "snapshots_velocity.bin"
-        artifacts["snapshots_pressure"] = out / "snapshots_pressure.bin"
+        if full.run is not None:
+            save_mesh(problem.mesh, out / "mesh.txt")
+            write_csv(out / "qoi.csv", ("t", "E_kin", "c_D", "c_L", "weak_div"),
+                      full.run.qoi)
+            save_snapshots(full.vel_snaps, out / "snapshots_velocity.bin")
+            save_snapshots(full.pres_snaps, out / "snapshots_pressure.bin")
 
-    if stop_after != "fom":
+    if "pod" in stages:
         with _stage("pod"):
-            vel_basis, pres_basis = _bases(config, full)
-            save_basis(vel_basis, out / "basis_velocity.bin")
-            save_basis(pres_basis, out / "basis_pressure.bin")
-            artifacts["basis_velocity"] = out / "basis_velocity.bin"
-            artifacts["basis_pressure"] = out / "basis_pressure.bin"
+            vel_basis, pres_basis = _bases(config, full, saved.get("pod"))
+            if "pod" not in saved:
+                save_basis(vel_basis, out / "basis_velocity.bin")
+                save_basis(pres_basis, out / "basis_pressure.bin")
 
     if stop_after is None:
         with _stage("rom"):
@@ -815,7 +854,6 @@ def run_pipeline(config, out_dir=None, stop_after=None):
                 drag_lift=None if probe is None else probe.fields)
             ops = truncate_operators(all_ops, start.r, rp_main)
             save_operators(ops, out / "operators.bin")
-            artifacts["operators"] = out / "operators.bin"
 
             times = full.vel_snaps.times
             n_steps = int(round((config.effective_rom_t_final() - times[0])
@@ -839,38 +877,35 @@ def run_pipeline(config, out_dir=None, stop_after=None):
             rom_rows = list(zip(rom_run.times, rom_run.mu_traj,
                                 rom_run.energy_traj, rom_run.e_diff_traj,
                                 cd, cl, a_norms))
-            artifacts["rom"] = write_csv(
-                out / "rom.csv",
-                ("t", "mu", "E_kin", "E_diff", "c_D", "c_L", "a_norm"), rom_rows)
+            write_csv(out / "rom.csv", ("t", "mu", "E_kin", "E_diff", "c_D", "c_L", "a_norm"),
+                      rom_rows)
             if config.rom.adaptive.enabled:
-                artifacts["mu"] = write_csv(
-                    out / "mu.csv", ("t", "mu", "E_diff"),
-                    zip(rom_run.times, rom_run.mu_traj, rom_run.e_diff_traj))
+                write_csv(out / "mu.csv", ("t", "mu", "E_diff"),
+                          zip(rom_run.times, rom_run.mu_traj, rom_run.e_diff_traj))
 
             error_table = reduced_error_table(
                 config, problem, full.vel_snaps, full.pres_snaps, vel_basis,
                 pres_basis, sizes, all_ops)
-            artifacts["errors"] = write_csv(
-                out / "errors.csv",
-                ("r", "vel_error", "pres_error", "vel_indicator", "pres_indicator"),
-                error_table)
+            write_csv(out / "errors.csv", ("r", "vel_error", "pres_error", "vel_indicator",
+                                           "pres_indicator"), error_table)
 
     meta = {
         "case": config.case_name,
         "scheme": config.fom.scheme,
         "rom_scheme": config.fom.scheme,
         "seed": config.seed,
-        "artifacts": {k: str(Path(v).name) for k, v in artifacts.items()},
+        "artifacts": artifacts,
+        "config": record,
+        "stages": list(stages),
     }
     with open(out / "run_meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    artifacts["meta"] = out / "run_meta.json"
     return PipelineResult(
         config=config, problem=problem, fom_run=full.run,
         vel_snapshots=full.vel_snaps, pres_snapshots=full.pres_snaps,
         vel_basis=vel_basis, pres_basis=pres_basis, operators=ops,
-        rom_run=rom_run, error_table=error_table, artifacts=artifacts)
+        rom_run=rom_run, error_table=error_table, resumed=tuple(saved))
 
 
 def _error_table_sizes(config, vel_basis, pres_basis):
@@ -1007,7 +1042,7 @@ def convergence_study(scheme, levels=3, base_nx=4, base_dt=2e-2,
                           stabilization=StabilizationConfig(grad_div=0.3),
                           snapshot_window=(0.0, t_final)),
             pod=PODBlock(), rom=ROMBlock())
-        full = _full_order(config, config.geometry.build())
+        full = _full_order(config)
         exact = full.bundle.exact_velocity
         space = full.problem.vel_space
         errors.append(analytic_l2_error(space, full.run.final_state.u, exact, t_final))
@@ -1067,15 +1102,16 @@ def long_horizon_study(config, horizon_multiple=10.0, out_dir=None):
     run; only the adaptation differs, and when the config disables it the
     two are one run. The operators are built directly at the reduced size.
     Blow-up (a thousandfold growth of the coefficient norm) is recorded,
-    not fatal.
+    not fatal. fom and pod resume from a pipeline run in ``out_dir``.
     """
     if horizon_multiple <= 0.0:
         raise ConfigError("study_invalid", "horizon multiple must be positive")
     if config.fom.scheme != "graddiv":
         raise ConfigError("study_invalid",
                           "the long-horizon study drives the grad-div scheme")
-    full = _full_order(config, config.geometry.build())
-    vel_basis, _ = _bases(config, full)
+    saved = {} if out_dir is None else _resumable(config, out_dir, ("fom", "pod"))[1]
+    full = _full_order(config, saved.get("fom"))
+    vel_basis, _ = _bases(config, full, saved.get("pod"))
     start = _reduced_start(config, full, vel_basis)
     ops = build_rom_operators(full.problem, vel_basis, r=start.r)
 
@@ -1106,7 +1142,4 @@ def long_horizon_study(config, horizon_multiple=10.0, out_dir=None):
                       ("t", "mu", "E_kin", "E_diff", "a_norm"),
                       zip(run.times, run.mu_traj, run.energy_traj,
                           run.e_diff_traj, np.linalg.norm(run.a_traj, axis=0)))
-        write_csv(out / "mu.csv", ("t", "mu", "E_diff"),
-                  zip(adaptive_run.times, adaptive_run.mu_traj,
-                      adaptive_run.e_diff_traj))
     return study

@@ -24,9 +24,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "podflow"
 
 # Public names a run does not call, each kept for a stated reason.
 KEPT_WITHOUT_CALLER = {
-    "load_mesh": "reads back the mesh.txt artifact of a run",
-    "load_snapshots": "reads back the snapshots_*.bin artifacts of a run",
-    "load_basis": "reads back the basis_*.bin artifacts of a run",
     "load_operators": "reads back the operators.bin artifact of a run",
     "supremizer_stability": "the recovery's inf-sup constant, which the run "
                             "record is to report",

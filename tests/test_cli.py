@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import podflow.harness
 from podflow.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 
 
@@ -154,6 +155,26 @@ def test_out_dir_flag_is_taken_as_a_directory_name(config_path, tmp_path, monkey
         assert main(["fom", "--config", str(config_path), "--out-dir", name]) == EXIT_OK
         assert (tmp_path / name / "qoi.csv").exists()
     assert not (tmp_path / "q").exists()
+
+
+def test_rom_after_pod_resumes_both_stages_and_writes_a_fresh_runs_files(
+        config_path, tmp_path, monkeypatch, capsys):
+    fresh, resumed = tmp_path / "fresh", tmp_path / "resumed"
+    assert main(["rom", "--config", str(config_path), "--out-dir", str(fresh)]) == EXIT_OK
+    assert "resumed stages: none" in capsys.readouterr().out
+    assert main(["pod", "--config", str(config_path), "--out-dir", str(resumed)]) == EXIT_OK
+    assert "resumed stages: none" in capsys.readouterr().out
+
+    def recomputed(*args, **kwargs):
+        raise AssertionError("a resumed stage was computed again")
+
+    # a call to either would fail the command with a runtime error
+    monkeypatch.setattr(podflow.harness, "run_fom", recomputed)
+    monkeypatch.setattr(podflow.harness, "build_basis", recomputed)
+    assert main(["rom", "--config", str(config_path), "--out-dir", str(resumed)]) == EXIT_OK
+    assert "resumed stages: fom, pod" in capsys.readouterr().out.splitlines()
+    files = [{p.name: p.read_bytes() for p in d.iterdir()} for d in (fresh, resumed)]
+    assert "run_meta.json" in files[0] and files[0] == files[1]
 
 
 def test_seed_flag_is_recorded_in_the_metadata(config_path, tmp_path):

@@ -3,6 +3,7 @@
 import contextlib
 import importlib.util
 import io
+import json
 import shutil
 import subprocess
 import sys
@@ -141,3 +142,57 @@ def test_a_changed_container_header_lists_its_keys_and_still_compares_arrays(
     assert "    stiffness: bitwise equal" in lines
     mass_line = next(line for line in lines if line.startswith("    mass:"))
     assert 0.0 < float(mass_line.split()[-1]) <= 1e-11
+
+
+def test_a_json_object_lists_one_sided_keys_and_gates_on_its_shared_values(
+        two_runs, tmp_path):
+    changed = tmp_path / "changed"
+    shutil.copytree(two_runs[1], changed)
+    path = changed / "run_meta.json"
+    meta = json.loads(path.read_text())
+    del meta["scheme"]
+    meta["added"] = {"stages": ["fom"]}
+    path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    status, out = compare(two_runs[0], changed, "--rtol", "1e-10")
+    lines = out.splitlines()
+    assert "differs    run_meta.json" in lines
+    assert "    keys only in DIR_A: scheme" in lines
+    assert "    keys only in DIR_B: added" in lines
+    assert "    seed: equal" in lines and "    artifacts: equal" in lines
+    # the file still differs, but its gate figure reads only the shared
+    # values, which are equal
+    assert status == 1
+    assert lines[-1] == ("worst relative difference 0.000e+00 (column 0.000e+00): "
+                         "within rtol 1.0e-10; files that differ: run_meta.json")
+    found = compare_runs.compare_dirs(two_runs[0], changed)
+    assert found == (0.0, 0.0, None, ["run_meta.json"])
+
+    # a shared number is gated by its relative difference, any other
+    # shared value that changed reads inf
+    meta["seed"] = 1e-12
+    path.write_text(json.dumps(meta))
+    status, out = compare(two_runs[0], changed, "--rtol", "1e-10")
+    assert status == 1
+    assert "    seed: column rel diff inf, max rel diff 1.000e-12" in out.splitlines()
+    assert compare_runs.compare_dirs(two_runs[0], changed).gate == 1e-12
+    meta["case"] = "channel"
+    path.write_text(json.dumps(meta))
+    found = compare_runs.compare_dirs(two_runs[0], changed)
+    assert found.gate == found.column == np.inf
+    assert found.column_at == "run_meta.json:case"
+
+
+def test_the_column_figure_names_its_file_and_column(two_runs, tmp_path):
+    changed = tmp_path / "changed"
+    shutil.copytree(two_runs[1], changed)
+    path = changed / "qoi.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[1] = repr(float(cells[1]) * (1.0 + 1e-9))
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    found = compare_runs.compare_dirs(two_runs[0], changed)
+    assert found.column_at == "qoi.csv:E_kin" and found.differs == []
+    (changed / "mesh.txt").unlink()
+    found = compare_runs.compare_dirs(two_runs[0], changed)
+    assert found.column_at == "mesh.txt" and found.differs == ["mesh.txt"]

@@ -21,6 +21,7 @@ from podflow.assembly import StabilizationConfig, assemble_load
 import podflow.fom
 import podflow.harness
 import podflow.metrics
+import podflow.pod
 import podflow.rom
 from podflow.fom import FOMConfig, FOMProblem, SeparableForcing, snapshot_steps
 from podflow.harness import (
@@ -594,6 +595,118 @@ def test_pipeline_runs_are_byte_identical(tmp_path):
             (tmp_path / "b" / name).read_bytes(), name
 
 
+# -- stages resume from their artifacts ----------------------------------------------
+
+
+def files_of(directory):
+    return {p.name: p.read_bytes() for p in Path(directory).iterdir()}
+
+
+def count_offline_work(count_calls):
+    count_calls(podflow.harness, "run_fom", "run_fom")
+    count_calls(podflow.harness, "build_basis", "build_basis")
+    return count_calls.calls
+
+
+def test_loaded_snapshots_give_the_bases_of_the_run_bit_for_bit(tmp_path):
+    # the benchmark's LPS cavity at tiny size: row-major snapshots read back
+    # changed its bases in the last bits, column-major ones do not
+    raw = base_raw()
+    raw["case"]["parameters"] = {"amplitude": 120.0, "period": 0.2}
+    raw["fom"].update(scheme="lps", stabilization={}, t_final=0.03,
+                      snapshot_window=[0.0, 0.03])
+    full = _full_order(ExperimentConfig.from_dict(raw))
+    for snaps, mass in ((full.vel_snaps, full.problem.mass),
+                        (full.pres_snaps, full.problem.pressure_mass)):
+        podflow.fom.save_snapshots(snaps, tmp_path / "snapshots.bin")
+        loaded = podflow.fom.load_snapshots(tmp_path / "snapshots.bin")
+        want, got = (podflow.pod.build_basis(s, mass) for s in (snaps, loaded))
+        for name in ("modes", "eigenvalues", "eigenvectors"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_a_full_run_after_pod_resumes_both_stages_and_writes_a_fresh_runs_files(
+        tmp_path, count_calls):
+    raw = base_raw()
+    raw["rom"] = {"r_values": [1, 2]}
+    run_small_pipeline(tmp_path / "fresh", raw)
+    run_small_pipeline(tmp_path / "resumed", raw, stop_after="pod")
+    calls = count_offline_work(count_calls)
+    result = run_small_pipeline(tmp_path / "resumed", raw)
+    assert result.resumed == ("fom", "pod") and result.fom_run is None
+    assert calls["run_fom"] == calls["build_basis"] == 0
+    assert files_of(tmp_path / "resumed") == files_of(tmp_path / "fresh")
+    meta = json.loads((tmp_path / "fresh" / "run_meta.json").read_text())
+    assert meta["stages"] == ["fom", "pod", "rom"]
+    assert "output_directory" not in meta["config"]
+
+
+@pytest.mark.parametrize("section,key,value,resumed", [
+    ("rom", "r_values", [2], ("fom", "pod")),
+    ("rom", "mu", 0.4, ("fom", "pod")),
+    ("pod", "r", 2, ("fom",)),
+    ("pod", "energy_threshold", 0.99, ("fom",)),
+    ("geometry", "ny", 5, ()),
+    ("case", "parameters", {"amplitude": 90.0}, ()),
+    ("fom", "nu", 4e-3, ()),
+    # the velocity snapshots are saved centred
+    ("pod", "center", True, ()),
+])
+def test_a_stage_resumes_only_while_the_config_it_reads_is_unchanged(
+        tmp_path, count_calls, section, key, value, resumed):
+    raw = base_raw()
+    run_small_pipeline(tmp_path / "resumed", raw)
+    raw[section] = {**raw[section], key: value}
+    run_small_pipeline(tmp_path / "fresh", raw)
+    calls = count_offline_work(count_calls)
+    result = run_small_pipeline(tmp_path / "resumed", raw)
+    assert result.resumed == resumed
+    assert calls["run_fom"] == ("fom" not in resumed)
+    assert calls["build_basis"] == 2 * ("pod" not in resumed)
+    assert files_of(tmp_path / "resumed") == files_of(tmp_path / "fresh")
+
+
+def test_the_named_stage_always_runs(tmp_path, count_calls):
+    run_small_pipeline(tmp_path)
+    calls = count_offline_work(count_calls)
+    assert run_small_pipeline(tmp_path, stop_after="pod").resumed == ("fom",)
+    assert (calls["run_fom"], calls["build_basis"]) == (0, 2)
+    assert run_small_pipeline(tmp_path, stop_after="fom").resumed == ()
+    assert calls["run_fom"] == 1
+    meta = json.loads((tmp_path / "run_meta.json").read_text())
+    assert meta["stages"] == ["fom"] and "basis_velocity" not in meta["artifacts"]
+
+
+@pytest.mark.parametrize("record", [
+    None, b"{not json", b"\xff\xfe", b"[1, 2]", b'{"stages": "fom pod"}',
+    b'{"stages": ["fom", "pod"], "config": {"geometry": 1}}'])
+def test_a_record_that_is_missing_or_unreadable_resumes_nothing(
+        tmp_path, count_calls, record):
+    run_small_pipeline(tmp_path)
+    path = tmp_path / "run_meta.json"
+    if record is None:  # a record without the config, as older runs wrote it
+        meta = json.loads(path.read_text())
+        del meta["config"], meta["stages"]
+        record = json.dumps(meta).encode()
+    path.write_bytes(record)
+    calls = count_offline_work(count_calls)
+    assert run_small_pipeline(tmp_path).resumed == ()
+    assert (calls["run_fom"], calls["build_basis"]) == (1, 2)
+
+
+def test_a_run_that_fails_after_rewriting_an_artifact_leaves_no_record(tmp_path):
+    run_small_pipeline(tmp_path)
+    raw = base_raw()
+    raw["fom"]["nu"] = 4e-3
+    raw["pod"] = {"r": 50}
+    with pytest.raises(ConfigError) as err:
+        run_small_pipeline(tmp_path, raw)
+    assert err.value.name == "pod_invalid"
+    assert not (tmp_path / "run_meta.json").exists()
+    # so the next run computes every stage again
+    assert run_small_pipeline(tmp_path).resumed == ()
+
+
 def channel_raw():
     return {
         "geometry": {"width": 2.0, "height": 1.0, "nx": 8, "ny": 4,
@@ -724,7 +837,7 @@ def channel_builds():
         raw = channel_raw()
         raw["pod"] = {"center": center}
         config = ExperimentConfig.from_dict(raw)
-        full = _full_order(config, config.geometry.build(), drag_lift=True)
+        full = _full_order(config, drag_lift=True)
         vel_basis, pres_basis = _bases(config, full)
         builds[center] = (full, vel_basis, podflow.rom.build_rom_operators(
             full.problem, vel_basis, pres_basis, r=vel_basis.rank,
@@ -844,7 +957,7 @@ def test_implicit_euler_sweeps_solve_only_as_exactly_as_picard_needs(count_calls
     count_sweeps(monkeypatch, count_calls)
     count_calls(podflow.harness, "run_fom", "run", scoped=True)
     count_calls(_Factor, "solve", "lu solve")
-    _full_order(cfg, cfg.geometry.build(), drag_lift=True)
+    _full_order(cfg, drag_lift=True)
     assert count_calls.calls["sweep"] == SWEEPS
     assert count_calls.calls["lu solve in run"] == LU_SOLVES == SWEEPS + cfg.fom.n_steps
 
@@ -861,7 +974,7 @@ def test_implicit_euler_assembles_convection_for_the_first_two_sweeps_and_each_s
     count_calls(podflow.harness, "run_fom", "run", scoped=True)
     count_calls(podflow.fom, "convection_matrix", "convection")
     count_calls(podflow.fom.FOMProblem, "correct", "chord")
-    _full_order(cfg, cfg.geometry.build(), drag_lift=True)
+    _full_order(cfg, drag_lift=True)
     assert count_calls.calls["convection in run"] == cfg.fom.n_steps + 2
     assert count_calls.calls["chord in run"] == count_calls.calls["sweep"] - 2 == SWEEPS - 2
 
@@ -877,7 +990,7 @@ def test_bdf2_factors_every_step_and_implicit_euler_twice_per_run(integrator, co
     count_calls(podflow.harness, "run_fom", "run", scoped=True)
     count_calls(scipy.sparse.linalg, "splu", "splu")
     count_calls(podflow.fom.FOMProblem, "solve_coupled", "solve")
-    _full_order(cfg, cfg.geometry.build(), drag_lift=True)
+    _full_order(cfg, drag_lift=True)
     steps = cfg.fom.n_steps
     assert count_calls.calls["run"] == 1 and steps == 6
     if integrator == "implicit_euler":
@@ -895,7 +1008,7 @@ def channel_steps(request):
     raw = channel_raw()
     raw["fom"]["time_integrator"] = request.param
     cfg = ExperimentConfig.from_dict(raw)
-    full = _full_order(cfg, cfg.geometry.build(), drag_lift=True)
+    full = _full_order(cfg, drag_lift=True)
     return full.problem, full.probe, full.run.final_state.residual
 
 
@@ -1016,8 +1129,8 @@ def test_long_horizon_adaptive_run_diverges_from_constant_when_enabled(tmp_path)
     cfg = ExperimentConfig.from_dict(raw)
     study = long_horizon_study(cfg, horizon_multiple=2.0, out_dir=tmp_path)
     assert np.isfinite(study.max_e_diff_adaptive)
-    mu = read_csv(tmp_path / "mu.csv")[1]
-    assert np.any(np.diff(mu[:, 1]) != 0.0)
+    header, adaptive = read_csv(tmp_path / "longhorizon_adaptive.csv")
+    assert np.any(np.diff(adaptive[:, header.index("mu")]) != 0.0)
 
 
 def test_long_horizon_study_requires_the_divergence_stable_scheme(count_calls):
@@ -1043,6 +1156,25 @@ def test_long_horizon_study_runs_one_full_order_model_and_one_build(
     # with adaptation disabled the adaptive run is the constant one
     assert count_calls.calls == {"run_fom": 1, "build_rom_operators": 1,
                                  "run_rom": rom_runs}
+
+
+def test_long_horizon_study_resumes_a_matching_pipeline_run(tmp_path, count_calls):
+    raw = base_raw()
+    raw["pod"] = {"r": 2}
+    raw["rom"] = {"adaptive": {"enabled": True, "frequency": 2}}
+    cfg = ExperimentConfig.from_dict(raw)
+    long_horizon_study(cfg, horizon_multiple=2.0, out_dir=tmp_path / "fresh")
+    run_pipeline(cfg, out_dir=tmp_path / "run")
+    pipeline = files_of(tmp_path / "run")
+    calls = count_offline_work(count_calls)
+    long_horizon_study(cfg, horizon_multiple=2.0, out_dir=tmp_path / "run")
+    assert calls["run_fom"] == calls["build_basis"] == 0
+    after = files_of(tmp_path / "run")
+    fresh = files_of(tmp_path / "fresh")
+    assert sorted(fresh) == ["longhorizon_adaptive.csv", "longhorizon_constant.csv"]
+    # the study's tables are a fresh study's, and the pipeline's artifacts,
+    # its mu.csv included, are left as they were
+    assert after == {**pipeline, **fresh}
 
 
 def test_long_horizon_study_evaluates_no_drag_and_lift(count_calls):

@@ -10,6 +10,11 @@ Every file under either directory is reported as one of:
 - ``container``: a podflow binary container with the same metadata and
   arrays, with each array bitwise equal or its largest relative differences;
   a metadata value that is a float on both sides is reported like an array;
+- ``differs``: a JSON object (such as ``run_meta.json``) whose bytes
+  differ. The keys only one side has are listed, and the value of each
+  shared key is reported as equal, by its relative differences when it is
+  a number on both sides, or as differing (inf). The file always counts as
+  differing, but its gate figure comes from the shared values alone;
 - ``differs``: anything else that is not byte-identical (another kind of
   file, a changed header, shape or metadata, or a file only one side has).
   For a container whose metadata changed, the metadata keys that differ
@@ -25,15 +30,17 @@ that is the absolute difference, so an error of 6.4e-6 that moved by
 for the whole of it: it shows how far small values moved against their
 column's size, and a near-zero entry of a velocity mode cannot inflate
 it. A change to a column of zeros reads inf. The exit status is 0 when
-no gate difference exceeds ``--rtol`` (default 0: bitwise equal values)
-and 1 otherwise.
+no file differs and no gate difference exceeds ``--rtol`` (default 0:
+bitwise equal values), and 1 otherwise.
 """
 
 import argparse
 import csv
+import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,47 +105,96 @@ def _compare_container(path_a, path_b):
                      **{f"{k} (metadata)": v for k, v in values.items()}}
 
 
+def _compare_json(path_a, path_b):
+    """(sorted keys only in DIR_A, sorted keys only in DIR_B, {shared key:
+    largest relative differences}) of two JSON objects; a shared value that
+    is not a number on both sides and differs reads inf. None when either
+    file is not a JSON object."""
+    try:
+        obj_a, obj_b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
+    except ValueError:
+        return None
+    if not (isinstance(obj_a, dict) and isinstance(obj_b, dict)):
+        return None
+    number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    shared = {k: relative_differences(obj_a[k], obj_b[k])
+              if number(obj_a[k]) and number(obj_b[k])
+              else (0.0, 0.0) if obj_a[k] == obj_b[k] else (math.inf, math.inf)
+              for k in sorted(obj_a.keys() & obj_b.keys())}
+    return sorted(obj_a.keys() - obj_b.keys()), sorted(obj_b.keys() - obj_a.keys()), shared
+
+
+class Comparison(NamedTuple):
+    """What :func:`compare_dirs` found: the largest gate and column relative
+    differences, the ``file:part`` whose column figure is the largest (the
+    file alone when the whole file set it; None when nothing differs), and
+    the files reported as ``differs``."""
+
+    gate: float
+    column: float
+    column_at: str
+    differs: list
+
+
 def compare_dirs(dir_a, dir_b):
-    """Print one report line per file (and per column or array); return
-    the largest gate and column relative differences found, inf for a file
-    that differs."""
+    """Print one report line per file (and per column, array or key);
+    return a :class:`Comparison`. A file that differs counts with inf
+    relative differences, except a JSON object, which counts with those of
+    its shared values."""
     dir_a, dir_b = Path(dir_a), Path(dir_b)
     names = sorted({p.relative_to(d).as_posix() for d in (dir_a, dir_b)
                     for p in d.rglob("*") if p.is_file()})
     worst = column = 0.0
+    column_at, differs = None, []
+
+    def record(value, part_column, at):
+        nonlocal worst, column, column_at
+        worst = max(worst, value)
+        if part_column > column:
+            column, column_at = part_column, at
+
     for name in names:
         path_a, path_b = dir_a / name, dir_b / name
         if not (path_a.is_file() and path_b.is_file()):
             side = "DIR_A" if path_a.is_file() else "DIR_B"
             print(f"differs    {name} (only in {side})")
-            worst = column = math.inf
+            differs.append(name)
+            record(math.inf, math.inf, name)
             continue
         if path_a.read_bytes() == path_b.read_bytes():
             print(f"identical  {name}")
             continue
-        parts, changed = None, []
+        kind, parts, notes = None, None, []
         if name.endswith(".csv"):
             kind, parts = "csv", _compare_csv(path_a, path_b)
         elif name.endswith(".bin"):
             kind = "container"
             try:
                 changed, parts = _compare_container(path_a, path_b)
+                notes = [f"metadata differs: {', '.join(changed)}"] if changed else []
             except ContainerError:
                 pass
-        if parts is None or changed:
+        elif name.endswith(".json") and (found := _compare_json(path_a, path_b)):
+            kind, (*only, parts) = "json", found
+            notes = [f"keys only in {side}: {', '.join(keys)}"
+                     for side, keys in zip(("DIR_A", "DIR_B"), only) if keys]
+        # a JSON object always differs, with the gate of its shared values
+        if parts is None or notes or kind == "json":
             print(f"differs    {name}")
-            worst = column = math.inf
-            if changed:
-                print(f"    metadata differs: {', '.join(changed)}")
+            differs.append(name)
+            if kind != "json":
+                record(math.inf, math.inf, name)
         else:
             print(f"{kind:<10} {name}")
+        for note in notes:
+            print(f"    {note}")
         for part, (value, part_column) in (parts or {}).items():
-            equal = "equal" if kind == "csv" else "bitwise equal"
+            equal = "bitwise equal" if kind == "container" else "equal"
             text = equal if value == 0.0 else (
                 f"column rel diff {part_column:.3e}, max rel diff {value:.3e}")
             print(f"    {part}: {text}")
-            worst, column = max(worst, value), max(column, part_column)
-    return worst, column
+            record(value, part_column, f"{name}:{part}")
+    return Comparison(worst, column, column_at, differs)
 
 
 def main(argv=None):
@@ -152,11 +208,12 @@ def main(argv=None):
     for d in (args.dir_a, args.dir_b):
         if not Path(d).is_dir():
             parser.error(f"{d} is not a directory")
-    worst, column = compare_dirs(args.dir_a, args.dir_b)
-    ok = worst <= args.rtol
-    print(f"worst relative difference {worst:.3e} (column {column:.3e}): "
-          f"{'within' if ok else 'ABOVE'} rtol {args.rtol:.1e}")
-    return 0 if ok else 1
+    found = compare_dirs(args.dir_a, args.dir_b)
+    within = found.gate <= args.rtol
+    print(f"worst relative difference {found.gate:.3e} (column {found.column:.3e}): "
+          f"{'within' if within else 'ABOVE'} rtol {args.rtol:.1e}"
+          + (f"; files that differ: {', '.join(found.differs)}" if found.differs else ""))
+    return 0 if within and not found.differs else 1
 
 
 if __name__ == "__main__":

@@ -9,8 +9,9 @@ every run is made twice, each in its own process with BLAS and OpenMP
 pinned to one thread: once from ``REV``'s ``src/`` and once from the
 working tree's. Each pair of output directories is then compared file by
 file, byte for byte; for a pair that differs, ``compare_runs.compare_dirs``
-prints where, the run's line gives the largest column and gate relative
-differences it found (see ``compare_runs``), and the closing summary the
+prints where, the run's line gives the largest column relative difference
+it found with the ``file:column`` it comes from and the largest gate
+relative difference (see ``compare_runs``), and the closing summary the
 gate's. A change that claims bit-for-bit identical
 arithmetic must leave every pair identical.
 
@@ -19,12 +20,15 @@ holed channel under both schemes and with its main reduced run smaller than
 its error table's largest, and the steady ``stokes_poly`` case), the three
 benchmark workloads at tiny size, the desk cavity under both schemes,
 the three workloads at full size with seeds 0 and 1, the convergence study
-of both schemes, and the long-horizon study on the tiny config and on
-``channel_picard``. The configs come from the working tree, so both sides
-run the same inputs. The closing summary also counts identical and
-differing runs per time integrator, read from each run's spec (the
-convergence study runs the default, BDF2). The exit status is 0 when every
-pair is identical and 1 otherwise.
+of both schemes, the long-horizon study on the tiny config and on
+``channel_picard``, and three resumed pipelines (the tiny config,
+``tiny_channel`` and ``channel_picard``), each run with ``stop_after="pod"``
+and then in full into one directory, so the full run resumes its fom and
+pod stages from the first run's artifacts. The configs come from the
+working tree, so both sides run the same inputs. The closing summary also
+counts identical and differing runs per time integrator, read from each
+run's spec (the convergence study runs the default, BDF2). The exit status
+is 0 when every pair is identical and 1 otherwise.
 """
 
 import argparse
@@ -109,6 +113,8 @@ def runs():
     out["longhorizon_tiny"] = ("longhorizon", {"config": TINY, "horizon": 10.0})
     out["longhorizon_channel_picard"] = ("longhorizon", {
         "config": workload_config("channel_picard"), "horizon": 2.0})
+    for name in ("tiny_graddiv", "tiny_channel", "channel_picard_seed0"):
+        out[f"resumed_{name}"] = ("resumed", out[name][1])
     return out
 
 
@@ -142,8 +148,11 @@ from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 from podflow import harness
 kind, spec, out = sys.argv[2], json.loads(sys.argv[3]), Path(sys.argv[4])
-if kind == "pipeline":
-    harness.run_pipeline(harness.ExperimentConfig.from_dict(spec), out_dir=out)
+if kind in ("pipeline", "resumed"):
+    config = harness.ExperimentConfig.from_dict(spec)
+    if kind == "resumed":
+        harness.run_pipeline(config, out_dir=out, stop_after="pod")
+    harness.run_pipeline(config, out_dir=out)
 elif kind == "convergence":
     harness.write_convergence_csv(harness.convergence_study(spec), out / "convergence.csv")
 else:
@@ -202,11 +211,12 @@ def sweep(ref_src, names, work):
             continue
         report = io.StringIO()
         with contextlib.redirect_stdout(report):
-            worst, column = compare_dirs(*dirs)
-        differing[name] = worst if ran else math.inf
-        print(f"{'DIFFERS':<10} {name} ({seconds:.1f} s, column rel diff "
-              f"{column if ran else math.inf:.1e}, max rel diff {differing[name]:.1e})",
-              flush=True)
+            found = compare_dirs(*dirs)
+        differing[name] = found.gate if ran else math.inf
+        column = (f"{found.column:.1e}" + (f" at {found.column_at}" if found.column_at else "")
+                  if ran else f"{math.inf:.1e}")
+        print(f"{'DIFFERS':<10} {name} ({seconds:.1f} s, column rel diff {column}, "
+              f"max rel diff {differing[name]:.1e})", flush=True)
         for side, error in zip(("ref", "new"), errors):
             if error:
                 print(f"    {side} run failed: {error.splitlines()[-1]}")
