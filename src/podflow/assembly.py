@@ -7,21 +7,19 @@ is exact: degree ``2 l`` for bilinear forms and ``3 l`` for the trilinear
 form, where ``l`` is the polynomial degree of the space.
 
 What depends only on the space is built once, on first use, and kept in
-its ``assembly_cache``: per quadrature degree the element geometry (rule,
-reference values, physical gradients and points, Jacobian determinants)
-and the element stiffness, which the stiffness matrix and both LPS forms
-share, and per block layout the CSR pattern with the gather that sums each
-entry's element contributions. :func:`_release_static_caches` frees what
-only a problem's static operators use. A matrix equals SciPy's COO -> CSR
-conversion of the same local values bit for bit, so repeated assembly, of
-the convection matrix above all, costs only the element kernels and one
-gather; :func:`convection_action` applies that matrix unassembled.
+its ``assembly_cache``: per quadrature degree the element geometry, the
+element stiffness (shared by the stiffness matrix and both LPS forms) and
+the convection kernel's tables, and per block layout the CSR pattern with
+the gather that sums each entry's element contributions, which equals
+SciPy's COO -> CSR conversion bit for bit. :func:`_release_static_caches`
+frees what only a problem's static operators use.
 
-The convection kernel's sums of three or more factors are loops over whole
-arrays that add in the order NumPy's unoptimized ``einsum`` adds, one term
-after the other from zero, so its matrix is the einsum form's bit for bit
-at a fraction of the cost; two-operand einsums, which do not add in
-sequence, stay.
+Convection has two kernels. :func:`convection_action`, three matrix
+products on the affine elements, serves the full-order implicit-Euler
+Picard sweeps. :func:`convection_matrix` replays NumPy's unoptimized
+``einsum`` term by term, bit for bit, only for the sweeps that factor (all
+of BDF2's) and the reduced builds, until the gate can take their rounding
+(ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -106,6 +104,23 @@ class _ElementTables:
     def stiffness(self):
         return _frozen(np.einsum("q,e,eqia,eqja->eij", self.rule.weights, self.det,
                                  self.grads, self.grads))
+
+    @cached_property
+    def convection(self):
+        """:func:`convection_action`'s tables: the reference values and xi, eta
+        derivatives stacked ``(nloc, 3 nq)``; the map of w's stacked rows to
+        ``det`` (1/2 div w, w's xi and eta parts) ``(nt, 3, 6)``; and each
+        stacked row's weighted products with the values ``(3 nq, nloc**2)``."""
+        _, inv_t, det = self._mesh.jacobians
+        stack = np.concatenate([self.values, self._ref_grads[..., 0], self._ref_grads[..., 1]])
+        scaled = det[:, None, None] * inv_t  # (nt, component, reference axis)
+        to_terms = np.zeros((det.size, 3, 2, 3))  # (nt, term, component, stacked row)
+        to_terms[:, 0, :, 1:] = 0.5 * scaled
+        to_terms[:, 1:, :, 0] = scaled.transpose(0, 2, 1)
+        products = np.einsum("q,qi,kqj->kqij", self.rule.weights, self.values,
+                             stack.reshape(3, *self.values.shape))
+        return tuple(map(_frozen, (stack.T.copy(), to_terms.reshape(det.size, 3, 6),
+                                   products.reshape(len(stack), -1))))
 
     @cached_property
     def points(self):
@@ -282,22 +297,6 @@ def assemble_lps_matrices(vel_space, pres_space, config):
     return LPSMatrices(velocity=velocity, pressure=pressure)
 
 
-def _convecting(space, tab, w):
-    """The convecting field of coefficients ``w`` at ``tab``'s points: the
-    transport ``w . grad v_j`` ``(nt, nq, nloc)`` and ``div w`` ``(nt, nq)``."""
-    if space.components != 2:
-        raise ValueError("convection requires a vector space")
-    comp = [w[c * space.n_scalar + space.cell_scalar_dofs] for c in range(2)]
-    w_vals = np.stack([np.einsum("ei,qi->eq", comp[c], tab.values) for c in range(2)], axis=-1)
-    transport = np.einsum("eqc,eqjc->eqj", w_vals, tab.grads)
-    # d w_c / d x_c at the points, summed over i as einsum sums
-    parts = [np.zeros(transport.shape[:2]) for _ in range(2)]
-    for c, part in enumerate(parts):
-        for i in range(space.n_local):
-            part += comp[c][:, i, None] * tab.grads[:, :, i, c]
-    return transport, parts[0] + parts[1]
-
-
 def convection_matrix(space, w, qdegree=None):
     """Matrix of the skew-symmetrized convection form with frozen first slot.
 
@@ -306,13 +305,22 @@ def convection_matrix(space, w, qdegree=None):
     for both velocity components, so the first component's entries are
     gathered and repeated, and the pattern is that of :func:`assemble_mass`.
     """
+    if space.components != 2:
+        raise ValueError("convection requires a vector space")
     tab = _tables(space, qdegree or 3 * space.degree)
     weights, values, det = tab.rule.weights, tab.values, tab.det
-    transport, w_div = _convecting(space, tab, w)
+    comp = [w[c * space.n_scalar + space.cell_scalar_dofs] for c in range(2)]
+    w_vals = np.stack([np.einsum("ei,qi->eq", comp[c], values) for c in range(2)], axis=-1)
+    transport = np.einsum("eqc,eqjc->eqj", w_vals, tab.grads)
+    # d w_c / d x_c at the points, summed over i as einsum sums
+    parts = [np.zeros(transport.shape[:2]) for _ in range(2)]
+    for c, part in enumerate(parts):
+        for i in range(space.n_local):
+            part += comp[c][:, i, None] * tab.grads[:, :, i, c]
     # sum_q w_q det_e transport_eqj v_qi and sum_q w_q det_e div_eq v_qj v_qi
     # as einsum sums them, over (i, e, j) arrays one point at a time
     wd = weights[:, None] * det
-    scaled_div = wd * w_div.T
+    scaled_div = wd * (parts[0] + parts[1]).T
     shape = (space.n_local, det.size, space.n_local)
     first, second, term = np.zeros(shape), np.zeros(shape), np.empty(shape)
     row = np.empty(shape[1:])
@@ -324,21 +332,36 @@ def convection_matrix(space, w, qdegree=None):
         second += np.multiply(v, row, out=term)
     second *= 0.5
     first += second
-    both = _scatter(space, _diagonal_blocks(space))
-    block = both.sums(first.transpose(1, 0, 2).ravel(), both.indptr[space.n_scalar])
-    return sp.csr_matrix((np.concatenate([block, block]), both.indices, both.indptr),
-                         shape=both.shape)
+    return _ConvectionAction(space, None, first.transpose(1, 0, 2)).matrix()
+
+
+class _ConvectionAction:
+    """``z -> C z`` of the element matrices ``local`` on the DOFs ``index``."""
+
+    def __init__(self, space, index, local):
+        self.space, self.index, self.local = space, index, local
+
+    def __call__(self, z):
+        out = np.matmul(self.local, z[self.index])
+        return np.bincount(self.index.ravel(), out.ravel(), self.space.n_dofs)
+
+    def matrix(self):
+        """``C``, the element matrices summed on :func:`assemble_mass`'s pattern."""
+        both = _scatter(self.space, _diagonal_blocks(self.space))
+        block = both.sums(self.local.ravel(), both.indptr[self.space.n_scalar])
+        return sp.csr_matrix((np.tile(block, 2), both.indices, both.indptr), shape=both.shape)
 
 
 def convection_action(space, w):
-    """The map ``z -> C z`` of :func:`convection_matrix`'s ``C``, up to
-    rounding: the element matrices contracted with ``z``'s local values."""
-    tab = _tables(space, 3 * space.degree)
-    transport, w_div = _convecting(space, tab, w)
-    wd = (tab.rule.weights[:, None] * tab.det).T[..., None]
-    local = np.matmul(tab.values.T, wd * (transport + 0.5 * w_div[..., None] * tab.values))
+    """:func:`convection_matrix`'s ``C`` unassembled, up to rounding: three
+    products with :attr:`_ElementTables.convection` give its element matrices
+    (w at the points, 1/2 div w and w in reference axes, their contraction)."""
+    stack, to_terms, products = _tables(space, 3 * space.degree).convection
+    nt, nloc = space.cell_scalar_dofs.shape
     index = space.cell_scalar_dofs[..., None] + [0, space.n_scalar]  # (nt, nloc, component)
-    return lambda z: np.bincount(index.ravel(), np.matmul(local, z[index]).ravel(), space.n_dofs)
+    at_points = (w[index.transpose(0, 2, 1)].reshape(2 * nt, nloc) @ stack).reshape(nt, 6, -1)
+    local = np.matmul(to_terms, at_points).reshape(nt, -1) @ products
+    return _ConvectionAction(space, index, local.reshape(nt, nloc, nloc))
 
 
 def _load_points(space):

@@ -33,11 +33,11 @@ Three kinds of solve are bit for bit ``splu`` of the stored system: every
 BDF2 solve, a problem's first (ordering) solve, and a fallback. Every
 other implicit-Euler Picard sweep makes one unassembled chord correction
 against the run's one factor (:meth:`FOMProblem.correct`); each step
-assembles its accepted sweep's system and refines its solution to a
-backward error of 4 eps. A correction that would need more than
-``_REFINEMENT_CAP`` of its kind to reach ``nonlinear_tolerance``, or a
-refinement that misses 4 eps within as many, falls back to a fresh
-factor, which becomes the run's.
+refines its accepted sweep's solution to a backward error of 4 eps in the
+system that sweep assembled or corrected with. A correction that would
+need more than ``_REFINEMENT_CAP`` of its kind to reach
+``nonlinear_tolerance``, or a refinement that misses 4 eps within as many,
+falls back to a fresh factor, which becomes the run's.
 """
 
 from __future__ import annotations
@@ -382,11 +382,11 @@ class FOMProblem:
     def velocity_values(self, mass_scale, convection=None):
         """Values of the velocity block ``mass_scale * mass + static +
         convection`` on :meth:`velocity_block`'s pattern, where ``static``
-        is the viscous and stabilization part and ``convection`` a matrix
-        from :func:`~podflow.assembly.convection_matrix`. Each entry equals
-        the one SciPy's sparse sum of the same matrices gives, bit for bit;
-        an entry that sum drops is a stored zero here, and in the system. The
-        part without convection is kept for the last mass scale."""
+        is the viscous and stabilization part and ``convection`` a matrix on
+        the mass pattern, as :mod:`~podflow.assembly`'s convection kernels give.
+        Each entry equals the one SciPy's sparse sum of the same matrices gives,
+        bit for bit; an entry that sum drops is a stored zero here, and in the
+        system. The part without convection is kept for the last mass scale."""
         layout = self._saddle
         if self._velocity_base[0] != mass_scale:
             base = np.zeros(layout.indices.size)
@@ -426,8 +426,10 @@ class FOMProblem:
         """One chord correction x += lu⁻¹ r of the Picard sweep convected by
         ``w`` against ``lagged``'s factor, from x = (``w`` free, ``boundary``,
         the last pressure), r = rhs - S x - [C(w) u; 0] on the free DOFs.
-        Returns u and p, or None and empties ``lagged`` when r shrinks by less
-        than a rate that reaches ``nonlinear_tolerance`` in ``_REFINEMENT_CAP``."""
+        Returns u, p and the action C(w), or None and empties ``lagged`` when r
+        shrinks by less than a rate that reaches ``nonlinear_tolerance`` in
+        ``_REFINEMENT_CAP``, measured from the sweep's own start: a far-off
+        start may pass one poor correction and renew the factor a sweep late."""
         rate = self.config.nonlinear_tolerance ** (1.0 / _REFINEMENT_CAP)
         static, convect = self._static_saddle, convection_action(self.vel_space, w)
         pick, zero = self._saddle.pick, np.zeros(self.n_pressure)
@@ -443,7 +445,7 @@ class FOMProblem:
             lagged.clear()  # a miss, or a result that is not finite
             return None
         lagged[1] = x[pick]
-        return self._split(x)
+        return *self._split(x), convect
 
     def _split(self, x):
         """Velocity and (gauged) pressure of a full solution vector."""
@@ -597,8 +599,9 @@ def _refined(a, lu, x, b):
 
 def _step(problem, state, lagged, with_residual):
     """One step of the configured integrator (see :func:`solve_step`), whose
-    sweeps solve with the run's holder ``lagged``; the momentum residual is
-    formed only ``with_residual``."""
+    sweeps solve with the run's holder ``lagged``; implicit Euler solves the
+    accepted sweep's system, assembled or its correction's, again to 4 eps.
+    The momentum residual is formed only ``with_residual``."""
     cfg = problem.config
     t_new = state.t + cfg.dt
     alpha, history, convecting = time_terms(cfg.time_integrator, state.u, state.u_prev, cfg.dt)
@@ -608,22 +611,21 @@ def _step(problem, state, lagged, with_residual):
     if not implicit:
         lagged.clear()  # bit for bit splu: a lagged factor moves cavity's indicators by 3e-8
 
-    def sweep(w):  # BDF2 cleared ``lagged``: it never corrects
+    def sweep(w):  # BDF2 cleared ``lagged``: it never corrects; each returns its system
         if lagged and (solved := problem.correct(w, rhs, boundary, lagged)):
-            return solved[0], (solved[1], w, None)
+            u, p, action = solved
+            return u, (p, lambda: problem.velocity_values(alpha / cfg.dt, action.matrix()))
         values = problem.velocity_values(alpha / cfg.dt, convection_matrix(problem.vel_space, w))
         u, p = problem.solve_coupled(values, rhs, boundary, lagged)
-        return u, (p, w, values)
+        return u, (p, lambda: values)
 
     try:
-        u, (p, w, values) = solve_step(cfg.time_integrator, sweep, convecting, problem.mass,
-                                       cfg.nonlinear_tolerance, cfg.nonlinear_max_iterations)
+        u, (p, system) = solve_step(cfg.time_integrator, sweep, convecting, problem.mass,
+                                    cfg.nonlinear_tolerance, cfg.nonlinear_max_iterations)
     except NonlinearSolveError as exc:
         raise NonlinearSolveError(f"at t={t_new:.6g}: {exc}", exc.residual_history) from exc
-    if implicit:  # the accepted sweep's system, from its solution to 4 eps
-        if values is None:
-            values = problem.velocity_values(alpha / cfg.dt,
-                                             convection_matrix(problem.vel_space, w))
+    values = system()
+    if implicit:
         u, p = problem.solve_coupled(values, rhs, boundary, lagged)
     residual = None
     if with_residual:

@@ -817,7 +817,7 @@ def run_pipeline(config, out_dir=None, stop_after=None):
     vel_basis = pres_basis = ops = rom_run = error_table = None
 
     with _stage("fom"):
-        full = _full_order(config, saved.get("fom"), drag_lift=True)
+        full = _full_order(config, saved.get("fom"), drag_lift=not saved or "rom" in stages)
         problem = full.problem
         if full.run is not None:
             save_mesh(problem.mesh, out / "mesh.txt")

@@ -223,11 +223,17 @@ def test_convection_action_is_the_matrix_product_on_random_meshes(mesh, seed):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(space.n_dofs)
     assert np.all(z[space.boundary_scalar_dofs()] != 0.0)  # boundary entries act too
-    for w in (rng.standard_normal(space.n_dofs), np.zeros(space.n_dofs)):
+    for kind in ("zero", "random", "mixed", "signed"):
+        w = _field_values(kind, space.n_dofs, rng)
         c = convection_matrix(space, w)
-        got = convection_action(space, w)(z)
+        action = convection_action(space, w)
+        got = action(z)
         # to rounding of the terms' magnitudes; exactly zero for w = 0
-        assert np.abs(got - c @ z).max() <= 1e-13 * (abs(c) @ np.abs(z)).max()
+        assert np.abs(got - c @ z).max() <= 1e-13 * (abs(c) @ np.abs(z)).max(), kind
+        # its element matrices, summed, are the matrix on the same pattern
+        m = action.matrix()
+        assert np.array_equal(m.indptr, c.indptr) and np.array_equal(m.indices, c.indices)
+        assert np.abs(m.data - c.data).max() <= 1e-13 * np.abs(c.data).max(), kind
 
 
 def test_convection_exact_value():

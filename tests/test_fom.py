@@ -314,7 +314,7 @@ def backward_error_bound(a, x, b):
 
 
 Solve = namedtuple("Solve", "values rhs x specs triangular")
-Chord = namedtuple("Chord", "w rhs boundary x triangular")
+Chord = namedtuple("Chord", "w rhs boundary x triangular action")
 
 
 def reduced_rhs(problem, values, chord):
@@ -335,8 +335,8 @@ def solves(monkeypatch, factored):
     solution, the orderings of its factors and its count of triangular
     solves) and a :class:`Chord` of each Picard sweep's correction against
     the run's factor (its convecting field, velocity right-hand side,
-    boundary values, solution on the free DOFs, None on a miss, and its
-    count of triangular solves)."""
+    boundary values, solution on the free DOFs, None on a miss, its count
+    of triangular solves and the convection action it returned)."""
     solves, solve, correct, splu, triangular = (
         [], _SaddleLayout.solve, FOMProblem.correct, spla.splu, [0])
 
@@ -360,7 +360,7 @@ def solves(monkeypatch, factored):
         got = correct(self, w, rhs, boundary, lagged)
         solves.append(Chord(w.copy(), rhs.copy(), boundary.copy(),
                             lagged[1][self._saddle._labels] if lagged else None,
-                            triangular[0] - count))
+                            triangular[0] - count, got and got[2]))
         return got
 
     monkeypatch.setattr(spla, "splu", lambda a, **kwargs: Counted(splu(a, **kwargs)))
@@ -415,6 +415,30 @@ def test_intermediate_picard_sweeps_make_one_correction_each(solves):
     assert short_of_4_eps > 0
 
 
+def test_the_accepted_sweep_solves_the_system_its_last_correction_applied(solves):
+    problem, solves = picard_solves(solves)
+    space = problem.vel_space
+    shape = (len(space.cell_scalar_dofs), space.n_local, space.n_local)
+    rows = np.concatenate([np.broadcast_to(space.cell_dofs(c)[:, :, None], shape).ravel()
+                           for c in range(2)])
+    cols = np.concatenate([np.broadcast_to(space.cell_dofs(c)[:, None, :], shape).ravel()
+                           for c in range(2)])
+    accepted = 0
+    for chord, solve in zip(solves, solves[1:]):
+        if isinstance(chord, Chord) and isinstance(solve, Solve):
+            # SciPy's sum of the correction's element matrices, the same
+            # for both components
+            local = chord.action.local.ravel()
+            m = sp.coo_matrix((np.tile(local, 2), (rows, cols)),
+                              shape=(space.n_dofs, space.n_dofs)).tocsr()
+            assert np.array_equal(m.indptr, problem.mass.indptr)
+            assert np.array_equal(m.indices, problem.mass.indices)
+            want = problem.velocity_values(1.0 / problem.config.dt, m)
+            assert np.array_equal(solve.values.view(np.int64), want.view(np.int64))
+            accepted += 1
+    assert accepted == problem.config.n_steps
+
+
 def test_a_far_off_factor_falls_back_to_splu_bit_for_bit(factored):
     problem, run = euler_cavity()
     layout = problem._saddle
@@ -459,6 +483,34 @@ def test_a_far_off_factor_in_the_holder_makes_a_step_factor_afresh_once(factored
     assert factored == ["NATURAL"]
     assert np.array_equal(got.u, want.u)
     assert np.array_equal(got.p, want.p)
+
+
+def test_a_far_off_start_passes_one_poor_correction_and_renews_the_factor_a_sweep_late(
+        monkeypatch, factored):
+    problem, run = euler_cavity()
+    w = run.snapshot_velocity[:, -1]
+    want = podflow.fom._step(problem, run.final_state, [], False)
+    # the factor of a system convected far harder, with that system's own
+    # solution as the last one, so the first sweep starts far off too
+    far = []
+    problem._saddle.solve(convected(problem, 1e4 * w), np.ones(problem.free_global.size), far)
+    passed, correct = [], FOMProblem.correct
+
+    def recording(self, *args):
+        passed.append((got := correct(self, *args)) is not None)
+        return got
+
+    monkeypatch.setattr(FOMProblem, "correct", recording)
+    del factored[:]
+    got = podflow.fom._step(problem, run.final_state, far, False)
+    # the rule measures a correction from its own start: the first passes,
+    # the second misses and factors, and the step factors no more
+    assert passed[:2] == [True, False] and all(passed[2:])
+    assert factored == ["NATURAL"]
+    diff = got.u - want.u
+    mass = problem.mass
+    assert np.sqrt(diff @ (mass @ diff)) <= (problem.config.nonlinear_tolerance
+                                            * np.sqrt(want.u @ (mass @ want.u)))
 
 
 def test_a_run_matches_picard_with_an_exact_factor_per_sweep(monkeypatch, factored):

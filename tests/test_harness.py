@@ -724,6 +724,18 @@ def channel_raw():
     }
 
 
+def test_a_resumed_pod_stage_builds_no_drag_lift_probe(tmp_path, count_calls):
+    # only a fom stage that runs (for qoi.csv) and the rom stage read it
+    raw = channel_raw()
+    count_calls(podflow.harness, "DragLiftProbe", "probe")
+    run_small_pipeline(tmp_path, raw, stop_after="fom")
+    assert count_calls.calls["probe"] == 1
+    assert run_small_pipeline(tmp_path, raw, stop_after="pod").resumed == ("fom",)
+    assert count_calls.calls["probe"] == 1
+    assert run_small_pipeline(tmp_path, raw).resumed == ("fom", "pod")
+    assert count_calls.calls["probe"] == 2
+
+
 def test_pipeline_channel_case_reports_drag_and_lift(tmp_path):
     result = run_small_pipeline(tmp_path, channel_raw())
     header, qoi = read_csv(tmp_path / "qoi.csv")
@@ -962,11 +974,12 @@ def test_implicit_euler_sweeps_solve_only_as_exactly_as_picard_needs(count_calls
     assert count_calls.calls["lu solve in run"] == LU_SOLVES == SWEEPS + cfg.fom.n_steps
 
 
-def test_implicit_euler_assembles_convection_for_the_first_two_sweeps_and_each_step(
+def test_implicit_euler_assembles_convection_only_on_the_sweeps_that_factor(
         count_calls, monkeypatch):
-    # the ordering and the factoring sweeps assemble their convection, the
+    # the ordering and the factoring sweeps assemble their convection; the
     # corrections act with it unassembled, and each step's accepted sweep
-    # assembles its own for the 4 eps solve and the probe's residual
+    # sums the element matrices of its correction for the 4 eps solve and
+    # the probe's residual
     raw = channel_raw()
     raw["fom"]["time_integrator"] = "implicit_euler"
     cfg = ExperimentConfig.from_dict(raw)
@@ -975,7 +988,7 @@ def test_implicit_euler_assembles_convection_for_the_first_two_sweeps_and_each_s
     count_calls(podflow.fom, "convection_matrix", "convection")
     count_calls(podflow.fom.FOMProblem, "correct", "chord")
     _full_order(cfg, drag_lift=True)
-    assert count_calls.calls["convection in run"] == cfg.fom.n_steps + 2
+    assert count_calls.calls["convection in run"] == 2
     assert count_calls.calls["chord in run"] == count_calls.calls["sweep"] - 2 == SWEEPS - 2
 
 
