@@ -173,6 +173,9 @@ def cmd_report(args):
         e_diff = data[:, header.index("E_diff")]
         if np.any(np.isfinite(e_diff)):
             summary["rom_max_E_diff"] = float(np.nanmax(np.abs(e_diff)))
+        mu = data[:, header.index("mu")]
+        summary["mu_changes"] = int(np.sum(np.diff(mu) != 0.0))
+        summary["mu_final"] = float(mu[-1])
         written.append(_write_plot_script(
             out, "rom.csv", "t", ["E_kin", "mu"], "reduced run"))
 
@@ -184,15 +187,6 @@ def cmd_report(args):
         written.append(_write_plot_script(
             out, "errors.csv", "r", ["vel_error", "vel_indicator"],
             "reduced error against its indicator"))
-
-    mu_path = out / "mu.csv"
-    if mu_path.exists():
-        header, data = read_csv(mu_path)
-        mu_col = data[:, header.index("mu")]
-        summary["mu_changes"] = int(np.sum(np.diff(mu_col) != 0.0))
-        summary["mu_final"] = float(mu_col[-1])
-        written.append(_write_plot_script(
-            out, "mu.csv", "t", ["mu"], "adaptive grad-div coefficient"))
 
     conv_path = out / "convergence.csv"
     if conv_path.exists():

@@ -736,7 +736,6 @@ class SnapshotSet:
     times: np.ndarray
     fields: np.ndarray  # (n_dofs, M); centered when mean is not None
     mean: np.ndarray = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -763,14 +762,6 @@ def record_snapshots(run, center_velocity=False):
     """Package a run's stored fields as velocity and pressure snapshot sets."""
     if run.snapshot_times.size == 0:
         raise ValueError("run recorded no snapshots; check the snapshot window")
-    cfg = run.problem.config
-    meta = {
-        "scheme": cfg.scheme,
-        "dt": cfg.dt,
-        "stride": cfg.snapshot_stride,
-        "t_start": float(run.snapshot_times[0]),
-        "t_end": float(run.snapshot_times[-1]),
-    }
     vel_fields = run.snapshot_velocity
     mean = None
     if center_velocity:
@@ -781,29 +772,26 @@ def record_snapshots(run, center_velocity=False):
         times=run.snapshot_times.copy(),
         fields=vel_fields,
         mean=mean,
-        metadata=dict(meta),
     )
     pressure = SnapshotSet(
         space_signature=run.problem.pres_space.signature(),
         times=run.snapshot_times.copy(),
         fields=run.snapshot_pressure,
-        metadata=dict(meta),
     )
     return velocity, pressure
 
 
 def save_snapshots(snapshots, path):
-    """Write a snapshot set and its metadata as a binary container."""
+    """Write a snapshot set and its space signature as a binary container."""
     arrays = {"times": snapshots.times, "fields": snapshots.fields}
     if snapshots.mean is not None:
         arrays["mean"] = snapshots.mean
-    meta = {**snapshots.metadata, "signature": snapshots.space_signature}
-    write_container(path, "snapshots", meta, arrays)
+    write_container(path, "snapshots", {"signature": snapshots.space_signature}, arrays)
 
 
 def load_snapshots(path, expected_signature=None):
     """Read a :func:`save_snapshots` container, fields column-major as recorded."""
     meta, arrays = read_container(path, "snapshots", expected_signature)
-    return SnapshotSet(meta.pop("signature"), arrays["times"], np.asfortranarray(arrays["fields"]),
-                       mean=arrays.get("mean"), metadata=meta)
+    return SnapshotSet(meta["signature"], arrays["times"], np.asfortranarray(arrays["fields"]),
+                       mean=arrays.get("mean"))
 

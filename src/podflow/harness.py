@@ -26,8 +26,9 @@ reduced drag and lift test the reduced steps' residuals. The studies
 compose the same stages: ``convergence_study`` measures observed orders on
 the registry's decaying vortex, and ``long_horizon_study`` compares
 constant and adaptive grad-div coefficients of one full-order run over an
-extended horizon. A run's ``run_meta.json`` records its config and stages;
-a later run into its directory resumes the fom and pod stages before its
+extended horizon. A run's ``run_meta.json`` records its artifacts, config
+and stages, and its ``rom.csv`` the reduced run's grad-div coefficient; a
+later run into its directory resumes the fom and pod stages before its
 last while the config they read is unchanged (geometry, case, fom and
 ``pod.center``, which centres the saved snapshots, for fom; also pod for
 pod). From the first stage that differs, or in a new directory, all run.
@@ -231,24 +232,19 @@ class PODBlock:
 
 
 @dataclass(frozen=True)
-class AdaptiveBlock:
-    """Adaptive grad-div controller settings."""
+class AdaptiveBlock(AdaptiveMuConfig):
+    """The reduced run's grad-div controller: its update rule, whether it
+    runs, and the coefficient it starts from (the run's own when None)."""
 
     enabled: bool = False
     mu_init: float = None
-    mu_min: float = 0.1
-    frequency: int = 5
-    delta: float = 0.1
-    tolerance: float = 1e-3
 
     def __post_init__(self):
-        if self.mu_init is not None and self.mu_init < 0.0:
-            raise ConfigError("adaptive_invalid", "mu_init must be nonnegative")
-
-    def to_rom_config(self):
+        # a nested section's bare ValueError would read rom_invalid
         try:
-            return AdaptiveMuConfig(frequency=self.frequency, delta=self.delta,
-                                    tolerance=self.tolerance, mu_min=self.mu_min)
+            super().__post_init__()
+            if self.mu_init is not None and self.mu_init < 0.0:
+                raise ValueError("mu_init must be nonnegative")
         except ValueError as exc:
             raise ConfigError("adaptive_invalid", str(exc)) from exc
 
@@ -750,7 +746,7 @@ class _ReducedStart:
     r: int
     a0: np.ndarray
     mu: float
-    adaptive: AdaptiveMuConfig  # None when adaptation is disabled
+    adaptive: AdaptiveBlock  # None when adaptation is disabled
     energy_table: np.ndarray
 
 
@@ -762,11 +758,9 @@ def _reduced_start(config, full, vel_basis):
     r = vel_basis.r if config.rom.r is None else config.rom.r
     _check_size("rom", "rom.r", r, vel_basis.rank)
     mu = config.effective_rom_mu()
-    adaptive = None
-    if config.rom.adaptive.enabled:
-        adaptive = config.rom.adaptive.to_rom_config()
-        if config.rom.adaptive.mu_init is not None:
-            mu = config.rom.adaptive.mu_init
+    adaptive = config.rom.adaptive if config.rom.adaptive.enabled else None
+    if adaptive is not None and adaptive.mu_init is not None:
+        mu = adaptive.mu_init
     raw = full.vel_snaps.raw_fields()
     a0 = project_L2(vel_basis, full.problem.mass, raw[:, 0], r=r)
     table = _snapshot_energy_table(full.problem, full.vel_snaps, config.fom.dt)
@@ -794,7 +788,9 @@ def run_pipeline(config, out_dir=None, stop_after=None):
 
     Stages: fom (the mesh and the full-order run with QoI and snapshot
     recording), pod (basis extraction) and rom (the reduced run, with
-    optional adaptation, and the reduced-size error sweep). ``stop_after``
+    optional adaptation, whose coefficient ``rom.csv`` records, and the
+    reduced-size error sweep). ``run_meta.json`` lists the artifacts, the
+    config and the stages. ``stop_after``
     ends the run early after ``"fom"`` or ``"pod"``; later result fields
     stay None. fom, and pod on a full run, resume from ``out_dir`` while
     the config they read is unchanged (see the module docstring); a new
@@ -812,8 +808,7 @@ def run_pipeline(config, out_dir=None, stop_after=None):
     artifacts = {Path(name).stem: name for name in (
         "mesh.txt", "qoi.csv", "snapshots_velocity.bin", "snapshots_pressure.bin",
         *(("basis_velocity.bin", "basis_pressure.bin") if "pod" in stages else ()),
-        *(("operators.bin", "rom.csv", "errors.csv") if "rom" in stages else ()),
-        *(("mu.csv",) if "rom" in stages and config.rom.adaptive.enabled else ()))}
+        *(("operators.bin", "rom.csv", "errors.csv") if "rom" in stages else ()))}
     vel_basis = pres_basis = ops = rom_run = error_table = None
 
     with _stage("fom"):
@@ -879,9 +874,6 @@ def run_pipeline(config, out_dir=None, stop_after=None):
                                 cd, cl, a_norms))
             write_csv(out / "rom.csv", ("t", "mu", "E_kin", "E_diff", "c_D", "c_L", "a_norm"),
                       rom_rows)
-            if config.rom.adaptive.enabled:
-                write_csv(out / "mu.csv", ("t", "mu", "E_diff"),
-                          zip(rom_run.times, rom_run.mu_traj, rom_run.e_diff_traj))
 
             error_table = reduced_error_table(
                 config, problem, full.vel_snaps, full.pres_snaps, vel_basis,
@@ -889,17 +881,9 @@ def run_pipeline(config, out_dir=None, stop_after=None):
             write_csv(out / "errors.csv", ("r", "vel_error", "pres_error", "vel_indicator",
                                            "pres_indicator"), error_table)
 
-    meta = {
-        "case": config.case_name,
-        "scheme": config.fom.scheme,
-        "rom_scheme": config.fom.scheme,
-        "seed": config.seed,
-        "artifacts": artifacts,
-        "config": record,
-        "stages": list(stages),
-    }
     with open(out / "run_meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        json.dump({"artifacts": artifacts, "config": record, "stages": list(stages)},
+                  fh, indent=2, sort_keys=True)
         fh.write("\n")
     return PipelineResult(
         config=config, problem=problem, fom_run=full.run,

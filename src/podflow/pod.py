@@ -32,7 +32,6 @@ class PODBasis:
     modes: np.ndarray  # (n_dofs, d)
     eigenvalues: np.ndarray  # (d,)
     eigenvectors: np.ndarray  # (M, d)
-    n_snapshots: int
     r: int
     mean: np.ndarray = None
 
@@ -92,7 +91,6 @@ def build_basis(snapshots, mass, energy_threshold=None):
         modes=modes,
         eigenvalues=eigvals,
         eigenvectors=eigvecs,
-        n_snapshots=m,
         r=r,
         mean=snapshots.mean,
     )
@@ -128,9 +126,8 @@ def save_basis(basis, path):
               "modes": basis.modes}
     if basis.mean is not None:
         arrays["mean"] = basis.mean
-    meta = {"signature": basis.space_signature, "n_snapshots": int(basis.n_snapshots),
-            "r": int(basis.r)}
-    write_container(path, "basis", meta, arrays)
+    write_container(path, "basis", {"signature": basis.space_signature, "r": int(basis.r)},
+                    arrays)
 
 
 def load_basis(path, expected_signature=None):
@@ -141,7 +138,6 @@ def load_basis(path, expected_signature=None):
         modes=arrays["modes"],
         eigenvalues=arrays["eigenvalues"],
         eigenvectors=arrays["eigenvectors"],
-        n_snapshots=meta["n_snapshots"],
         r=meta["r"],
         mean=arrays.get("mean"),
     )

@@ -60,7 +60,6 @@ READ_THROUGH_UNRESOLVED_RECEIVERS_ONLY = {
     "fom.py: SnapshotSet.n_snapshots",
     "fom.py: SnapshotSet.raw_fields",
     "harness.py: GeometryConfig.build",
-    "harness.py: AdaptiveBlock.to_rom_config",
     "harness.py: ExperimentConfig.effective_rom_mu",
     "harness.py: ExperimentConfig.effective_rom_t_final",
     "mesh.py: Mesh.jacobians",

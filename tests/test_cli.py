@@ -180,7 +180,7 @@ def test_rom_after_pod_resumes_both_stages_and_writes_a_fresh_runs_files(
 def test_seed_flag_is_recorded_in_the_metadata(config_path, tmp_path):
     assert main(["fom", "--config", str(config_path), "--seed", "7"]) == EXIT_OK
     meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
-    assert meta["seed"] == 7
+    assert meta["config"]["seed"] == 7
 
 
 def test_convergence_study_subcommand_writes_its_table(tmp_path, capsys):
@@ -222,6 +222,8 @@ def test_report_summarizes_artifacts_and_writes_plot_scripts(
     summary = json.loads((out / "report.json").read_text())
     assert summary["error_table_sizes"] == [1, 2]
     assert "fom_final_E_kin" in summary
+    # the coefficient comes from rom.csv: constant at the config's 0.3
+    assert summary["mu_changes"] == 0 and summary["mu_final"] == 0.3
     scripts = sorted(p.name for p in out.glob("plot_*.py"))
     assert scripts == ["plot_errors.py", "plot_qoi.py", "plot_rom.py"]
     for name in scripts:

@@ -146,14 +146,18 @@ def test_a_changed_container_header_lists_its_keys_and_still_compares_arrays(
 
 def test_a_json_object_lists_one_sided_keys_and_gates_on_its_shared_values(
         two_runs, tmp_path):
-    changed = tmp_path / "changed"
-    shutil.copytree(two_runs[1], changed)
-    path = changed / "run_meta.json"
-    meta = json.loads(path.read_text())
+    # both records get the same top-level keys, a string and a number among them
+    base, changed = tmp_path / "base", tmp_path / "changed"
+    for run, copy in zip(two_runs, (base, changed)):
+        shutil.copytree(run, copy)
+        path = copy / "run_meta.json"
+        meta = {**json.loads(path.read_text()), "scheme": "graddiv", "seed": 0,
+                "case": "cavity"}
+        path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     del meta["scheme"]
     meta["added"] = {"stages": ["fom"]}
     path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    status, out = compare(two_runs[0], changed, "--rtol", "1e-10")
+    status, out = compare(base, changed, "--rtol", "1e-10")
     lines = out.splitlines()
     assert "differs    run_meta.json" in lines
     assert "    keys only in DIR_A: scheme" in lines
@@ -164,20 +168,20 @@ def test_a_json_object_lists_one_sided_keys_and_gates_on_its_shared_values(
     assert status == 1
     assert lines[-1] == ("worst relative difference 0.000e+00 (column 0.000e+00): "
                          "within rtol 1.0e-10; files that differ: run_meta.json")
-    found = compare_runs.compare_dirs(two_runs[0], changed)
+    found = compare_runs.compare_dirs(base, changed)
     assert found == (0.0, 0.0, None, ["run_meta.json"])
 
     # a shared number is gated by its relative difference, any other
     # shared value that changed reads inf
     meta["seed"] = 1e-12
     path.write_text(json.dumps(meta))
-    status, out = compare(two_runs[0], changed, "--rtol", "1e-10")
+    status, out = compare(base, changed, "--rtol", "1e-10")
     assert status == 1
     assert "    seed: column rel diff inf, max rel diff 1.000e-12" in out.splitlines()
-    assert compare_runs.compare_dirs(two_runs[0], changed).gate == 1e-12
+    assert compare_runs.compare_dirs(base, changed).gate == 1e-12
     meta["case"] = "channel"
     path.write_text(json.dumps(meta))
-    found = compare_runs.compare_dirs(two_runs[0], changed)
+    found = compare_runs.compare_dirs(base, changed)
     assert found.gate == found.column == np.inf
     assert found.column_at == "run_meta.json:case"
 

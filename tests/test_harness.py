@@ -23,6 +23,8 @@ import podflow.harness
 import podflow.metrics
 import podflow.pod
 import podflow.rom
+from podflow.cli import EXIT_CONFIG, main
+from podflow.container import read_container, write_container
 from podflow.fom import FOMConfig, FOMProblem, SeparableForcing, snapshot_steps
 from podflow.harness import (
     AdaptiveBlock,
@@ -256,14 +258,27 @@ def test_adaptation_requires_divergence_stable_scheme():
 
 
 def test_invalid_adaptive_settings_are_rejected():
-    block = AdaptiveBlock(enabled=True, frequency=0)
     with pytest.raises(ConfigError) as err:
-        block.to_rom_config()
+        AdaptiveBlock(enabled=True, frequency=0)
     assert err.value.name == "adaptive_invalid"
     # a negative starting coefficient, like a negative rom.mu
     raw = base_raw()
     raw["rom"]["adaptive"] = {"enabled": True, "mu_init": -5.0}
     assert config_error_name(raw) == "adaptive_invalid"
+
+
+@pytest.mark.parametrize("block", [{"enabled": True, "frequency": 0}, {"delta": -1}])
+def test_malformed_adaptive_settings_fail_at_load_before_any_stage(
+        tmp_path, count_calls, block):
+    # the controller's own checks run at load, whether or not it is enabled
+    raw = base_raw()
+    raw["rom"]["adaptive"] = block
+    assert config_error_name(raw) == "adaptive_invalid"
+    count_calls(podflow.harness, "run_fom", "run_fom")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["rom", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert count_calls.calls["run_fom"] == 0
 
 
 def test_invalid_rom_fields_are_rejected():
@@ -507,8 +522,11 @@ def test_pipeline_writes_every_artifact(tmp_path):
     header, errors = read_csv(tmp_path / "errors.csv")
     assert header == ["r", "vel_error", "pres_error", "vel_indicator",
                       "pres_indicator"]
+    # the record holds each value once: the scheme, case and seed in its config
     meta = json.loads((tmp_path / "run_meta.json").read_text())
-    assert meta["case"] == "cavity" and meta["rom_scheme"] == "graddiv"
+    assert sorted(meta) == ["artifacts", "config", "stages"]
+    assert meta["config"]["case_name"] == "cavity"
+    assert meta["config"]["fom"]["scheme"] == "graddiv"
 
 
 def test_pipeline_stops_after_requested_stage(tmp_path):
@@ -577,12 +595,14 @@ def test_pipeline_adaptation_changes_mu_only_on_its_schedule(tmp_path):
                      "mu_min": 0.05, "delta": 0.1, "tolerance": 1e-6},
     }
     run_small_pipeline(tmp_path, raw)
-    header, mu = read_csv(tmp_path / "mu.csv")
-    assert header == ["t", "mu", "E_diff"]
-    changes = np.nonzero(np.diff(mu[:, 1]) != 0.0)[0] + 1
+    # rom.csv records the coefficient; no separate table repeats it
+    assert not (tmp_path / "mu.csv").exists()
+    header, rom = read_csv(tmp_path / "rom.csv")
+    mu, e_diff = rom[:, header.index("mu")], rom[:, header.index("E_diff")]
+    changes = np.nonzero(np.diff(mu) != 0.0)[0] + 1
     assert changes.size > 0
     assert np.all(changes % 5 == 0)
-    assert np.all(np.isfinite(mu[1:, 2]))
+    assert np.all(np.isfinite(e_diff[1:]))
 
 
 def test_pipeline_runs_are_byte_identical(tmp_path):
@@ -639,6 +659,35 @@ def test_a_full_run_after_pod_resumes_both_stages_and_writes_a_fresh_runs_files(
     meta = json.loads((tmp_path / "fresh" / "run_meta.json").read_text())
     assert meta["stages"] == ["fom", "pod", "rom"]
     assert "output_directory" not in meta["config"]
+
+
+def test_a_run_directory_written_with_the_older_echoed_keys_still_resumes(
+        tmp_path, count_calls):
+    # earlier records repeated the config's case, scheme and seed, snapshot
+    # headers its step, stride and window, and basis headers the snapshot count
+    run_small_pipeline(tmp_path / "fresh")
+    old = tmp_path / "old"
+    run_small_pipeline(old, stop_after="pod")
+    path = old / "run_meta.json"
+    meta = json.loads(path.read_text())
+    path.write_text(json.dumps({**meta, "case": "cavity", "scheme": "graddiv",
+                                "rom_scheme": "graddiv", "seed": 0}))
+    echoed = {"snapshots": {"scheme": "graddiv", "dt": 0.01, "stride": 1,
+                            "t_start": 0.02, "t_end": 0.06},
+              "basis": {"n_snapshots": 5}}
+    rewritten = []
+    for kind, keys in echoed.items():
+        for name in ("velocity", "pressure"):
+            rewritten.append(old / f"{kind}_{name}.bin")
+            header, arrays = read_container(rewritten[-1], kind)
+            write_container(rewritten[-1], kind, {**header, **keys}, arrays)
+    calls = count_offline_work(count_calls)
+    assert run_small_pipeline(old).resumed == ("fom", "pod")
+    assert calls["run_fom"] == calls["build_basis"] == 0
+    # every file the resumed run wrote, its record included, is a fresh run's
+    fresh = files_of(tmp_path / "fresh")
+    for name, data in files_of(old).items():
+        assert data == fresh[name] or old / name in rewritten, name
 
 
 @pytest.mark.parametrize("section,key,value,resumed", [
@@ -1185,8 +1234,8 @@ def test_long_horizon_study_resumes_a_matching_pipeline_run(tmp_path, count_call
     after = files_of(tmp_path / "run")
     fresh = files_of(tmp_path / "fresh")
     assert sorted(fresh) == ["longhorizon_adaptive.csv", "longhorizon_constant.csv"]
-    # the study's tables are a fresh study's, and the pipeline's artifacts,
-    # its mu.csv included, are left as they were
+    # the study's tables are a fresh study's, and the pipeline's artifacts
+    # are left as they were
     assert after == {**pipeline, **fresh}
 
 
