@@ -93,6 +93,7 @@ class _ElementTables:
         values, self._ref_grads = reference_basis(space.degree, self.rule.points)
         self.values = _frozen(values)
         self._mesh = space.mesh
+        self._dofs = space.cell_scalar_dofs, space.n_scalar
         self.det = space.mesh.jacobians[2]
 
     @cached_property
@@ -107,11 +108,13 @@ class _ElementTables:
 
     @cached_property
     def convection(self):
-        """:func:`convection_action`'s tables: the reference values and xi, eta
+        """:func:`convection_action`'s tables: each element's DOFs of both
+        components ``(nt, nloc, 2)``; the reference values and xi, eta
         derivatives stacked ``(nloc, 3 nq)``; the map of w's stacked rows to
         ``det`` (1/2 div w, w's xi and eta parts) ``(nt, 3, 6)``; and each
         stacked row's weighted products with the values ``(3 nq, nloc**2)``."""
         _, inv_t, det = self._mesh.jacobians
+        dofs, n_scalar = self._dofs
         stack = np.concatenate([self.values, self._ref_grads[..., 0], self._ref_grads[..., 1]])
         scaled = det[:, None, None] * inv_t  # (nt, component, reference axis)
         to_terms = np.zeros((det.size, 3, 2, 3))  # (nt, term, component, stacked row)
@@ -119,7 +122,8 @@ class _ElementTables:
         to_terms[:, 1:, :, 0] = scaled.transpose(0, 2, 1)
         products = np.einsum("q,qi,kqj->kqij", self.rule.weights, self.values,
                              stack.reshape(3, *self.values.shape))
-        return tuple(map(_frozen, (stack.T.copy(), to_terms.reshape(det.size, 3, 6),
+        return tuple(map(_frozen, (dofs[..., None] + [0, n_scalar], stack.T.copy(),
+                                   to_terms.reshape(det.size, 3, 6),
                                    products.reshape(len(stack), -1))))
 
     @cached_property
@@ -356,9 +360,8 @@ def convection_action(space, w):
     """:func:`convection_matrix`'s ``C`` unassembled, up to rounding: three
     products with :attr:`_ElementTables.convection` give its element matrices
     (w at the points, 1/2 div w and w in reference axes, their contraction)."""
-    stack, to_terms, products = _tables(space, 3 * space.degree).convection
-    nt, nloc = space.cell_scalar_dofs.shape
-    index = space.cell_scalar_dofs[..., None] + [0, space.n_scalar]  # (nt, nloc, component)
+    index, stack, to_terms, products = _tables(space, 3 * space.degree).convection
+    nt, nloc, _ = index.shape
     at_points = (w[index.transpose(0, 2, 1)].reshape(2 * nt, nloc) @ stack).reshape(nt, 6, -1)
     local = np.matmul(to_terms, at_points).reshape(nt, -1) @ products
     return _ConvectionAction(space, index, local.reshape(nt, nloc, nloc))

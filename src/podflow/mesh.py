@@ -25,6 +25,7 @@ __all__ = [
 BOUNDARY_TAGS = ("inlet", "outlet", "wall", "obstacle")
 
 _ALIGN_TOL = 1e-9
+_QUASI_UNIFORMITY_BOUND = 4.0  # the admissible max h_K / min h_K
 
 
 class MeshError(ValueError):
@@ -41,13 +42,11 @@ class Mesh:
     triangles : (nt, 3) int array of vertex indices, counterclockwise.
     boundary_edges : dict mapping a sorted vertex pair ``(a, b)`` to one of
         the tags ``inlet``, ``outlet``, ``wall``, ``obstacle``.
-    quasi_uniformity_bound : admissible ratio ``max h_K / min h_K``.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_edges: dict = field(repr=False)
-    quasi_uniformity_bound: float = 4.0
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=np.float64))
@@ -136,7 +135,7 @@ class Mesh:
             raise MeshError(f"unknown boundary tags: {sorted(bad)}")
 
         hk = self.h_K
-        if hk.max() / hk.min() > self.quasi_uniformity_bound + _ALIGN_TOL:
+        if hk.max() / hk.min() > _QUASI_UNIFORMITY_BOUND + _ALIGN_TOL:
             raise MeshError("mesh violates the quasi-uniformity bound")
 
 
@@ -253,7 +252,7 @@ def refine_uniform(mesh):
         boundary_edges[tuple(sorted((a, m)))] = tag
         boundary_edges[tuple(sorted((m, b)))] = tag
 
-    return Mesh(vertices, children, boundary_edges, mesh.quasi_uniformity_bound)
+    return Mesh(vertices, children, boundary_edges)
 
 
 def save_mesh(mesh, path):

@@ -112,8 +112,7 @@ def error_indicators(scheme, sv_norm, velocity_tail, pressure_tail,
     recoverability factor alpha * c_r_h1.
     """
     if scheme == "lps":
-        vel = sv_norm * velocity_tail + pressure_tail
-        pres = sv_norm * velocity_tail + pressure_tail
+        vel = pres = sv_norm * velocity_tail + pressure_tail
     elif scheme == "graddiv":
         vel = sv_norm * velocity_tail
         if c_r_h1 is None:
