@@ -16,10 +16,10 @@ frees what only a problem's static operators use.
 
 Convection has two kernels. :func:`convection_action`, three matrix
 products on the affine elements, serves the full-order implicit-Euler
-Picard sweeps. :func:`convection_matrix` replays NumPy's unoptimized
-``einsum`` term by term, bit for bit, only for the sweeps that factor (all
-of BDF2's) and the reduced builds, until the gate can take their rounding
-(ROADMAP item 1).
+Picard sweeps and the reduced builds. :func:`convection_matrix` replays
+NumPy's unoptimized ``einsum`` term by term, bit for bit, only for the
+full-order sweeps that factor (all of BDF2's), until the gate can take
+their rounding (ROADMAP item 1).
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .assembly import StabilizationConfig, convection_matrix
+from .assembly import StabilizationConfig, convection_action
 from .container import ContainerError, read_container, write_container
 from .fom import FOMConfig, solve_step, time_terms
 
@@ -170,7 +170,7 @@ def _project(problem, phi, mean, tests):
             for f, test in zip(forms, tests):
                 f[name] = test.T @ product
     for i, w in enumerate(trial.T):
-        by_trial = convection_matrix(space, w) @ trial
+        by_trial = convection_action(space, w).matrix() @ trial
         for f, test in zip(forms, tests):
             f["convection_tensor"][i] = (test.T @ by_trial).T
 

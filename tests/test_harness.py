@@ -861,7 +861,7 @@ def test_a_grad_div_build_assembles_one_convection_matrix_per_trial_function(
     # the reduced model, its pressure recovery and, on the channel, the
     # drag/lift forms test the same convection products: r matrices, one
     # more for the mean of a centred basis
-    count_calls(podflow.rom, "convection_matrix", "convection")
+    count_calls(podflow.rom, "convection_action", "convection")
     count_calls(podflow.harness, "build_rom_operators", "build", scoped=True)
     for name, raw in (("cavity", base_raw()), ("channel", channel_raw())):
         count_calls.calls.clear()
@@ -879,7 +879,7 @@ def test_the_drag_lift_projection_reuses_the_build_s_convection(
         tmp_path, count_calls, center):
     # the reduced model, its recovery and the drag/lift probe all test the
     # convection of the largest build's modes: no matrix is assembled twice
-    count_calls(podflow.rom, "convection_matrix", "convection")
+    count_calls(podflow.rom, "convection_action", "convection")
     raw = channel_raw()
     raw["pod"] = {"center": center}
     result = run_small_pipeline(tmp_path, raw)
