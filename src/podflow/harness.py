@@ -881,9 +881,13 @@ def run_pipeline(config, out_dir=None, stop_after=None):
             write_csv(out / "errors.csv", ("r", "vel_error", "pres_error", "vel_indicator",
                                            "pres_indicator"), error_table)
 
+    meta = {
+        "artifacts": artifacts,
+        "config": record,
+        "stages": list(stages),
+    }
     with open(out / "run_meta.json", "w") as fh:
-        json.dump({"artifacts": artifacts, "config": record, "stages": list(stages)},
-                  fh, indent=2, sort_keys=True)
+        json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return PipelineResult(
         config=config, problem=problem, fom_run=full.run,

@@ -13,7 +13,7 @@ from oracles import saddle_system, separable_swirl, solve_stokes, steady_forcing
 
 import podflow.fom
 from podflow.assembly import StabilizationConfig, convection_matrix
-from podflow.container import read_container, write_container
+from podflow.container import read_container
 from podflow.fe_space import interpolate
 from podflow.fom import (
     FlowCase,
@@ -744,18 +744,6 @@ def test_snapshot_container_round_trip(tmp_path):
     back_p = load_snapshots(tmp_path / "pres.snap")
     assert back_p.mean is None
     assert np.array_equal(back_p.fields, pres.fields)
-
-
-def test_a_snapshot_container_with_the_older_header_keys_still_loads(tmp_path):
-    problem, _, (vel, _) = make_small_run(center=True)
-    meta = {"signature": vel.space_signature, "scheme": "graddiv", "dt": 0.01,
-            "stride": 1, "t_start": 0.01, "t_end": 0.04}
-    write_container(tmp_path / "vel.snap", "snapshots", meta,
-                    {"times": vel.times, "fields": vel.fields, "mean": vel.mean})
-    back = load_snapshots(tmp_path / "vel.snap",
-                          expected_signature=problem.vel_space.signature())
-    for name in ("times", "fields", "mean"):
-        assert np.array_equal(getattr(back, name), getattr(vel, name))
 
 
 # -- steady solve -------------------------------------------------------------

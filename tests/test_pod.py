@@ -6,7 +6,7 @@ import pytest
 from oracles import verify_spectral_identities
 
 from podflow.assembly import assemble_mass, assemble_stiffness
-from podflow.container import read_container, write_container
+from podflow.container import read_container
 from podflow.fe_space import FESpace, interpolate
 from podflow.fom import SnapshotSet
 from podflow.mesh import build_rect_mesh
@@ -324,17 +324,6 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.eigenvectors, basis.eigenvectors)
     assert np.array_equal(loaded.mean, basis.mean)
 
-
-def test_a_basis_container_with_the_older_snapshot_count_still_loads(tmp_path):
-    space, mass, _, snaps = cavity_setup()
-    basis = replace(build_basis(snaps, mass), r=2)
-    meta = {"signature": basis.space_signature, "n_snapshots": snaps.n_snapshots, "r": 2}
-    arrays = {name: getattr(basis, name) for name in ("eigenvalues", "eigenvectors", "modes")}
-    write_container(tmp_path / "basis.bin", "basis", meta, arrays)
-    loaded = load_basis(tmp_path / "basis.bin", expected_signature=space.signature())
-    assert loaded.r == 2 and loaded.mean is None
-    for name in arrays:
-        assert np.array_equal(getattr(loaded, name), arrays[name])
 
 
 def test_load_rejects_wrong_signature_and_magic(tmp_path):
