@@ -790,12 +790,12 @@ def run_pipeline(config, out_dir=None, stop_after=None):
     recording), pod (basis extraction) and rom (the reduced run, with
     optional adaptation, whose coefficient ``rom.csv`` records, and the
     reduced-size error sweep). ``run_meta.json`` lists the artifacts, the
-    config and the stages. ``stop_after``
-    ends the run early after ``"fom"`` or ``"pod"``; later result fields
-    stay None. fom, and pod on a full run, resume from ``out_dir`` while
-    the config they read is unchanged (see the module docstring); a new
-    ``out_dir`` recomputes them. Any stage failure is re-raised as a
-    :class:`StageError` tagged with the stage name.
+    config and the stages. ``stop_after`` ends the run early after
+    ``"fom"`` or ``"pod"``; later result fields stay None. fom, and pod on
+    a full run, resume from ``out_dir`` while the config they read is
+    unchanged (see the module docstring); a new ``out_dir`` recomputes
+    them. Any stage failure is re-raised as a :class:`StageError` tagged
+    with the stage name.
     """
     if stop_after not in (None, "fom", "pod"):
         raise ConfigError("stage_unknown", f"unknown stage {stop_after!r}")

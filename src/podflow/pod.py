@@ -126,8 +126,8 @@ def save_basis(basis, path):
               "modes": basis.modes}
     if basis.mean is not None:
         arrays["mean"] = basis.mean
-    write_container(path, "basis", {"signature": basis.space_signature, "r": int(basis.r)},
-                    arrays)
+    meta = {"signature": basis.space_signature, "r": int(basis.r)}
+    write_container(path, "basis", meta, arrays)
 
 
 def load_basis(path, expected_signature=None):
