@@ -18,6 +18,7 @@ centred basis by the snapshot mean, whose coefficient is fixed at 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -269,13 +270,13 @@ def truncate_operators(ops, r, r_pressure):
 
 
 def rom_kinetic_energy(ops, a, factor=None):
-    """Kinetic energy of the reconstructed full-order field; for a centred set
-    ½‖R u‖² of the lifted state u, R its :func:`_energy_factor` or ``factor``."""
+    """Kinetic energy of the reconstructed field, per column of a 2-D ``a``;
+    for a centred set ½‖R u‖² of the lifted u, R its :func:`_energy_factor` or ``factor``."""
     a = np.asarray(a, dtype=float)
     if not ops.lift:
-        return 0.5 * float(a @ (ops.mass @ a))
+        return 0.5 * np.einsum("i...,i...->...", a, ops.mass @ a)
     y = (_energy_factor(ops) if factor is None else factor) @ _lifted(ops, a)
-    return 0.5 * float(y @ y)
+    return 0.5 * np.einsum("i...,i...->...", y, y)
 
 
 def _energy_factor(ops):
@@ -289,20 +290,22 @@ def _energy_factor(ops):
 def reduce_forcing(ops, t):
     """The problem's load at time ``t`` tested by the test functions of
     ``ops`` (the velocity modes, or the supremizers of a recovery): one
-    (t, Q) product of the projected shapes and the time factors; None for
-    an unforced problem."""
+    (t, Q) product of the projected shapes and the time factors, a column per
+    time of an array ``t``; None for an unforced problem."""
     if ops.forcing_modes is None:
         return None
     if ops.forcing is None:
         raise ValueError(
             "this operator set has forcing modes but no time factors (it was "
             "loaded from a container), so its load cannot be evaluated")
-    return ops.forcing_modes @ ops.forcing.coefficients(t)
+    coefficients = ops.forcing.coefficients  # faster on floats than NumPy scalars
+    return ops.forcing_modes @ (coefficients(t) if np.ndim(t) == 0
+                                else np.array([coefficients(s) for s in map(float, t)]).T)
 
 
 def _lifted(ops, a):
     """The trial coefficients of ``a``: the mean's fixed 1 first, if any."""
-    return np.concatenate(([1.0], a)) if ops.lift else a
+    return np.concatenate((np.ones((1,) + a.shape[1:]), a)) if ops.lift else a
 
 
 def _split(ops, form):
@@ -310,66 +313,77 @@ def _split(ops, form):
     return (form[:, 1:], form[:, 0]) if ops.lift else (form, np.zeros(len(form)))
 
 
-def _velocity_block(ops, mu, alpha):
-    """The velocity forms of one step as a function of the convecting mode
-    coefficients, the rest summed once: the time term on the modes (the
-    mean's cancels against its history), viscosity, stabilization, grad-div."""
-    time_term = (alpha / ops.fom.dt) * ops.mass
-    time_term[:, :ops.lift] = 0.0
-    static = time_term + ops.fom.nu * ops.stiffness + ops.lps_velocity + mu * ops.grad_div
-    return lambda w: static + np.einsum("i,ijk->kj", _lifted(ops, w), ops.convection_tensor)
+class ReducedStepper:
+    """What the steps of a run of ``ops`` at the grad-div coefficient ``mu``
+    share (see :func:`step_rom`): the velocity forms without convection,
+    summed once per time-term coefficient, and the convection tensor as a
+    (trial, trial · test) matrix, both transposed so one product adds a
+    sweep's convection; and the system, whose coupled pressure blocks are
+    placed once, so a sweep writes only its velocity block."""
+
+    def __init__(self, ops, mu=0.0):
+        from scipy.linalg.lapack import dgesv  # slow to import, and set-up never calls this
+        self.ops, self.mu, self._gesv = ops, float(mu), dgesv
+        self.mass = _split(ops, ops.mass)[0]
+        self._convection = ops.convection_tensor.reshape(len(ops.convection_tensor), -1)
+        self._static = {}
+        if ops.divergence is not None:
+            divergence, lift = _split(ops, ops.divergence)
+            r, size = ops.r, ops.r + ops.r_pressure
+            self._system, self._rhs = np.zeros((size, size), order="F"), np.zeros(size)
+            self._system[:r, r:], self._system[r:, :r] = -divergence.T, divergence
+            self._system[r:, r:], self._rhs[r:] = ops.lps_pressure, -lift
+
+    def forms(self, alpha, w):
+        """The velocity forms of a step, transposed: the time term ``alpha /
+        dt`` on the modes (the mean's cancels against its history),
+        viscosity, stabilization, grad-div and convection by the modes ``w``."""
+        static = self._static.get(alpha)
+        if static is None:
+            ops = self.ops
+            time_term = (alpha / ops.fom.dt) * ops.mass
+            time_term[:, :ops.lift] = 0.0
+            static = (time_term + ops.fom.nu * ops.stiffness + ops.lps_velocity
+                      + self.mu * ops.grad_div)
+            static = self._static[alpha] = np.ascontiguousarray(static.T)
+        return static + (_lifted(self.ops, w) @ self._convection).reshape(static.shape)
+
+    def solve(self, forms, rhs):
+        """The velocity coefficients, and the coupled scheme's pressure ones,
+        of a sweep with the transposed ``forms`` and velocity load ``rhs``."""
+        r, lift = self.ops.r, self.ops.lift
+        system = forms[lift:].T
+        if lift:
+            rhs = rhs - forms[0]
+        if self.ops.divergence is not None:
+            self._system[:r, :r], self._rhs[:r] = system, rhs
+            system, rhs = self._system, self._rhs
+        x, info = self._gesv(system, rhs)[2:]
+        if info > 0:
+            raise RuntimeError(f"reduced system of {r} velocity and {self.ops.r_pressure or 0}"
+                               " pressure modes is singular")
+        if not np.isfinite(x).all():
+            raise RuntimeError("reduced solve produced non-finite values")
+        return x[:r], None if self.ops.divergence is None else x[r:]
 
 
-def _solve_reduced(ops, block, rhs_velocity):
-    r = ops.r
-    if ops.divergence is None:
-        try:
-            a = np.linalg.solve(block, rhs_velocity)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"reduced velocity system of size {r} is singular") from exc
-        if not np.all(np.isfinite(a)):
-            raise RuntimeError("reduced velocity solve produced non-finite values")
-        return a, None
-    divergence, lift = _split(ops, ops.divergence)
-    system = np.block([[block, -divergence.T], [divergence, ops.lps_pressure]])
-    rhs = np.concatenate([rhs_velocity, -lift])
-    try:
-        x = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"coupled reduced system ({r} velocity, {ops.r_pressure} pressure modes)"
-            " is singular"
-        ) from exc
-    if not np.all(np.isfinite(x)):
-        raise RuntimeError("coupled reduced solve produced non-finite values")
-    return x[:r], x[r:]
-
-
-def step_rom(ops, a_now, a_prev, mu=0.0, forcing=None):
+def step_rom(stepper, a_now, a_prev, forcing=None):
     """One step of the full-order integrator with its time terms and sweeps
-    (:func:`~podflow.fom.solve_step`); ``forcing`` is the reduced load of
-    the new level.
+    (:func:`~podflow.fom.solve_step`) on the :class:`ReducedStepper`
+    ``stepper``; ``forcing`` is the reduced load of the new level.
 
     Returns the new velocity coefficients and, for the coupled scheme, the
     pressure coefficients of the same time level.
     """
-    fom = ops.fom
-    a_now = np.asarray(a_now, dtype=float)
-    a_prev = np.asarray(a_prev, dtype=float)
-    alpha, history, convecting = time_terms(fom.time_integrator, a_now, a_prev, fom.dt)
-    mass, _ = _split(ops, ops.mass)
-    rhs_time = mass @ history
-    velocity_block = _velocity_block(ops, mu, alpha)
-
-    def sweep(w):
-        block, lift = _split(ops, velocity_block(w))
-        rhs = rhs_time - lift
-        if forcing is not None:
-            rhs = rhs + np.asarray(forcing, dtype=float)
-        return _solve_reduced(ops, block, rhs)
-
-    return solve_step(fom.time_integrator, sweep, convecting, mass,
-                      fom.nonlinear_tolerance, fom.nonlinear_max_iterations)
+    fom = stepper.ops.fom
+    alpha, history, convecting = time_terms(fom.time_integrator, np.asarray(a_now, dtype=float),
+                                            np.asarray(a_prev, dtype=float), fom.dt)
+    rhs = stepper.mass @ history
+    if forcing is not None:
+        rhs = rhs + forcing
+    return solve_step(fom.time_integrator, lambda w: stepper.solve(stepper.forms(alpha, w), rhs),
+                      convecting, stepper.mass, fom.nonlinear_tolerance,
+                      fom.nonlinear_max_iterations)
 
 
 def step_residuals(ops, a_traj, mu, times):
@@ -381,6 +395,7 @@ def step_residuals(ops, a_traj, mu, times):
     a_traj = np.asarray(a_traj, dtype=float)
     mu = np.broadcast_to(mu, a_traj.shape[1:])
     mass, _ = _split(ops, ops.mass)
+    steppers = functools.cache(functools.partial(ReducedStepper, ops))  # one per μ
     out = np.empty((mass.shape[0], a_traj.shape[1]))
     for n, a in enumerate(a_traj.T):
         alpha, history, convecting = 0.0, np.zeros_like(a), a
@@ -389,28 +404,21 @@ def step_residuals(ops, a_traj, mu, times):
                 integrator, a_traj[:, n - 1], a_traj[:, max(n - 2, 0)], dt)
         if integrator != "bdf2_semi_implicit":  # Picard converged on the new level
             convecting = a
-        block = _velocity_block(ops, mu[n], alpha)(convecting)  # on the trial set
-        out[:, n] = block @ _lifted(ops, a) - mass @ history
-        load = reduce_forcing(ops, times[n])
-        if load is not None:
-            out[:, n] -= load
-    return out
+        out[:, n] = steppers(mu[n]).forms(alpha, convecting).T @ _lifted(ops, a) - mass @ history
+    return out if ops.forcing_modes is None else out - reduce_forcing(ops, times)
 
 
 def energy_mismatch(rom_energy, fom_energy_table, step_index):
     """Energy difference against the periodic reference at this step.
 
     The table holds one period of full-order energies at steps ``1..M``;
-    step ``n`` compares against entry ``n mod M`` with ``0`` meaning ``M``.
+    step ``n`` compares against entry ``n mod M`` with ``0`` meaning ``M``,
+    elementwise for arrays of energies and steps.
     """
     table = np.asarray(fom_energy_table, dtype=float)
-    m = table.size
-    if m == 0:
+    if table.size == 0:
         raise ValueError("reference energy table is empty")
-    idx = step_index % m
-    if idx == 0:
-        idx = m
-    return float(rom_energy - table[idx - 1])
+    return rom_energy - table[(step_index - 1) % table.size]
 
 
 def adapt_mu(mu, rom_energy, fom_energy_table, config, step_index):
@@ -449,7 +457,8 @@ class ROMRun:
 def run_rom(ops, n_steps, a0, *, a_prev=None, t_start=0.0, mu=0.0, adaptive=None,
             fom_energy_table=None):
     """Integrate the reduced model over ``n_steps`` steps of :func:`step_rom`,
-    forced by the problem's load.
+    forced by the problem's load, with one :class:`ReducedStepper` per
+    grad-div coefficient the run takes.
 
     ``a0`` is the state at ``t_start``; ``a_prev`` optionally supplies the
     previous level so the two-step formula starts from genuine history.
@@ -483,38 +492,32 @@ def run_rom(ops, n_steps, a0, *, a_prev=None, t_start=0.0, mu=0.0, adaptive=None
     b_traj = None
     if ops.divergence is not None:
         b_traj = np.zeros((ops.r_pressure, nt))
-    mu_traj = np.empty(nt)
-    mu_traj[0] = mu
-    e_diff_traj = np.full(nt, np.nan)
-    energy_traj = np.empty(nt)
+    mu_traj = np.full(nt, mu)
     factor = _energy_factor(ops) if ops.lift else None
-    energy_traj[0] = rom_kinetic_energy(ops, a, factor)
+    steppers = functools.cache(functools.partial(ReducedStepper, ops))  # one per μ
+    loads = reduce_forcing(ops, times)
 
     for n in range(1, nt):
-        t = times[n]
-        f_r = reduce_forcing(ops, t)
+        f_r = None if loads is None else loads[:, n]
         try:
-            a_new, b_new = step_rom(ops, a, previous, mu=mu, forcing=f_r)
+            a_new, b_new = step_rom(steppers(mu), a, previous, f_r)
             if adaptive is not None:
                 trial_energy = rom_kinetic_energy(ops, a_new, factor)
-                mu_new, re_step = adapt_mu(mu, trial_energy, fom_energy_table,
-                                           adaptive, n)
+                mu, re_step = adapt_mu(mu, trial_energy, fom_energy_table, adaptive, n)
                 if re_step:
-                    mu = mu_new
-                    a_new, b_new = step_rom(ops, a, previous, mu=mu, forcing=f_r)
+                    a_new, b_new = step_rom(steppers(mu), a, previous, f_r)
         except RuntimeError as exc:
-            raise RuntimeError(f"reduced step {n} at t={t:.6g} failed: {exc}") from exc
-
-        energy = rom_kinetic_energy(ops, a_new, factor)
-        if fom_energy_table is not None:
-            e_diff_traj[n] = energy_mismatch(energy, fom_energy_table, n)
+            raise RuntimeError(f"reduced step {n} at t={times[n]:.6g} failed: {exc}") from exc
         a_traj[:, n] = a_new
         if b_traj is not None:
             b_traj[:, n] = b_new
         mu_traj[n] = mu
-        energy_traj[n] = energy
         previous, a = a, a_new
 
+    energy_traj = rom_kinetic_energy(ops, a_traj, factor)
+    e_diff_traj = np.full(nt, np.nan)
+    if fom_energy_table is not None:
+        e_diff_traj[1:] = energy_mismatch(energy_traj[1:], fom_energy_table, np.arange(1, nt))
     return ROMRun(
         times=times,
         a_traj=a_traj,
@@ -547,9 +550,7 @@ def compute_supremizers(problem, psi):
     free = problem.free_velocity
     lu = spla.splu(problem.stiffness.tocsr()[free][:, free].tocsc())
     raw = np.zeros((problem.n_velocity, psi.shape[1]))
-    rhs = problem.divergence.T @ psi
-    for k in range(psi.shape[1]):
-        raw[free, k] = lu.solve(rhs[free, k])
+    raw[free] = lu.solve((problem.divergence.T @ psi)[free])
     sup_norms = np.sqrt(np.maximum(
         np.einsum("ik,ik->k", raw, problem.stiffness @ raw), 0.0))
     psi_norms = np.sqrt(np.maximum(
@@ -560,9 +561,11 @@ def compute_supremizers(problem, psi):
 
 
 def orthonormalize_gradient(fields, stiffness):
-    """Modified Gram-Schmidt in the gradient inner product.
+    """Classical Gram-Schmidt run twice in the gradient inner product, as
+    orthonormal to rounding as the modified form (Giraud, Langou &
+    Rozložník, Comput. Math. Appl. 50, 2005). S q is kept beside each
+    orthonormal column q, so each kept column costs one stiffness product.
 
-    One re-orthogonalization pass keeps the set orthonormal to rounding.
     A column is dropped when its gradient norm is negligible against the
     largest column (a roundoff-sized field would otherwise be normalized
     into noise) or when its projected remainder falls below
@@ -570,27 +573,19 @@ def orthonormalize_gradient(fields, stiffness):
     columns.
     """
     fields = np.asarray(fields, dtype=float)
-    norms = np.array([
-        np.sqrt(max(float(fields[:, k] @ (stiffness @ fields[:, k])), 0.0))
-        for k in range(fields.shape[1])
-    ])
+    norms = np.sqrt(np.maximum(np.einsum("ik,ik->k", fields, stiffness @ fields), 0.0))
     scale = norms.max() if norms.size else 0.0
-    kept_columns = []
-    for k in range(fields.shape[1]):
-        original = norms[k]
-        if original <= _DROP_TOLERANCE * scale:
-            continue
-        v = fields[:, k].copy()
+    kept = s_kept = np.zeros((fields.shape[0], 0))
+    for k in np.flatnonzero(norms > _DROP_TOLERANCE * scale):
+        v = fields[:, k]
         for _ in range(2):
-            for q in kept_columns:
-                v -= float(q @ (stiffness @ v)) * q
-        norm = np.sqrt(max(float(v @ (stiffness @ v)), 0.0))
-        if norm <= _DROP_TOLERANCE * original:
-            continue
-        kept_columns.append(v / norm)
-    if kept_columns:
-        return np.column_stack(kept_columns)
-    return np.zeros((fields.shape[0], 0))
+            v = v - kept @ (s_kept.T @ v)
+        s_v = stiffness @ v
+        norm = np.sqrt(max(float(v @ s_v), 0.0))
+        if norm > _DROP_TOLERANCE * norms[k]:
+            kept = np.column_stack([kept, v / norm])
+            s_kept = np.column_stack([s_kept, s_v / norm])
+    return kept
 
 
 def supremizer_stability(z, psi, divergence, mass, stiffness):
@@ -625,7 +620,8 @@ class PressureRecovery:
     supremizers only for a discretely divergence-free u with zero boundary
     values), the convection is C(u) u rather than the step's convecting
     field, and :func:`reduced_pressure` passes the three-level difference
-    as the slope under either integrator. ROADMAP.md item 1b replaces this
+    as the slope under either integrator. The ROADMAP item "Pressure
+    recovery on the integrator's own reduced system" replaces this
     right-hand side with :func:`step_residuals`.
     ``operators`` holds the velocity forms with the supremizers as test
     functions, projected in the reduced model's own pass (see
@@ -652,8 +648,7 @@ class PressureRecovery:
         is None for an unforced problem."""
         ops = self.operators
         u = _lifted(ops, a)
-        rhs = np.zeros(self.coupling.shape[0])
-        rhs = rhs + _split(ops, ops.mass)[0] @ dadt
+        rhs = _split(ops, ops.mass)[0] @ dadt
         rhs = rhs + np.einsum("i,ijk,j->k", u, ops.convection_tensor, u)
         if mu != 0.0:
             rhs = rhs + mu * (ops.grad_div @ u)

@@ -119,6 +119,24 @@ def supremizer_solutions(problem, psi):
     return raw, residuals
 
 
+def modified_gram_schmidt(fields, stiffness, drop=1e-10):
+    """Pairwise modified Gram-Schmidt in the gradient inner product, each
+    column swept twice against the kept ones, with the two drop rules of
+    :func:`~podflow.rom.orthonormalize_gradient`: a column negligible against
+    the largest, or one whose remainder is negligible against itself."""
+    norms = np.sqrt(np.maximum(np.einsum("ik,ik->k", fields, stiffness @ fields), 0.0))
+    kept = []
+    for k in np.flatnonzero(norms > drop * norms.max()):
+        v = fields[:, k].copy()
+        for _ in range(2):
+            for q in kept:
+                v -= float(q @ (stiffness @ v)) * q
+        norm = np.sqrt(max(float(v @ (stiffness @ v)), 0.0))
+        if norm > drop * norms[k]:
+            kept.append(v / norm)
+    return np.column_stack(kept)
+
+
 def solve_stokes(problem, t=0.0):
     """Steady linear solve with the problem's viscous and stabilized forms:
     the velocity and pressure coefficients."""

@@ -69,6 +69,8 @@ READ_THROUGH_UNRESOLVED_RECEIVERS_ONLY = {
     "rom.py: ROMOperators.scheme",
     "rom.py: ROMOperators.r_pressure",
     "rom.py: ROMOperators.lift",
+    "rom.py: ReducedStepper.forms",
+    "rom.py: ReducedStepper.solve",
     "rom.py: PressureRecovery.fields",
     "rom.py: PressureRecovery.recover",
 }

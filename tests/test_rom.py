@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    modified_gram_schmidt,
     pressure_recovery,
     recovered_pressure,
     separable_swirl,
@@ -32,10 +33,12 @@ from podflow.fom import (
 from podflow.mesh import build_rect_mesh
 from podflow.metrics import discrete_l2_error, kinetic_energy
 from podflow.pod import build_basis, project_L2
+import podflow.rom
 from podflow.rom import (
     _OPERATOR_AXES,
     _project,
     AdaptiveMuConfig,
+    ReducedStepper,
     adapt_mu,
     build_rom_operators,
     compute_supremizers,
@@ -311,7 +314,7 @@ def _check_step_against_the_projected_full_order_system(scheme, center, integrat
     a_prev = rng.normal(size=ops.r)
     dt, nu, mu = problem.config.dt, problem.config.nu, (0.0 if scheme == "lps" else 0.3)
     t = 0.37
-    a_new, b_new = step_rom(ops, a_now, a_prev, mu=mu, forcing=reduce_forcing(ops, t))
+    a_new, b_new = step_rom(ReducedStepper(ops, mu), a_now, a_prev, reduce_forcing(ops, t))
 
     # independent route: assemble the convecting full-order system around the
     # reconstructed extrapolation (BDF2) or each Picard iterate from it
@@ -443,7 +446,7 @@ def test_implicit_euler_rom_reports_nonconvergence():
                                    time_integrator="implicit_euler",
                                    nonlinear_tolerance=1e-15, nonlinear_max_iterations=1))
     with pytest.raises(NonlinearSolveError) as info:
-        step_rom(ops, a0, a0, mu=0.3)
+        step_rom(ReducedStepper(ops, 0.3), a0, a0)
     assert len(info.value.residual_history) == 1
 
 
@@ -453,7 +456,7 @@ def test_singular_reduced_system_raises():
     ops.divergence = np.zeros_like(ops.divergence)
     ops.lps_pressure = np.zeros_like(ops.lps_pressure)
     with pytest.raises(RuntimeError, match="singular"):
-        step_rom(ops, np.zeros(ops.r), np.zeros(ops.r))
+        step_rom(ReducedStepper(ops), np.zeros(ops.r), np.zeros(ops.r))
 
 
 def test_run_rom_validation():
@@ -549,6 +552,36 @@ def test_adapt_mu_no_restep_at_floor():
     assert mu == 0.1 and not re_step
 
 
+def test_an_adaptive_run_builds_one_stepper_per_coefficient(monkeypatch):
+    problem, _, _, _, vel_basis, _ = cavity_setup("graddiv", window=(0.02, 0.1))
+    ops = build_rom_operators(problem, vel_basis)
+    built = []
+
+    class Counting(ReducedStepper):
+        def __init__(self, ops, mu=0.0):
+            built.append(mu)
+            super().__init__(ops, mu)
+
+    monkeypatch.setattr(podflow.rom, "ReducedStepper", Counting)
+    a0 = np.random.default_rng(8).normal(size=ops.r)
+    cfg = AdaptiveMuConfig(frequency=5, delta=0.1, tolerance=1e-3, mu_min=0.1)
+    run = run_rom(unforced(ops, dt=1e-3, time_integrator="implicit_euler"), 17, a0,
+                  mu=0.3, adaptive=cfg, fom_energy_table=[0.0])
+    assert len(np.unique(run.mu_traj)) == 4
+    assert sorted(built) == sorted(np.unique(run.mu_traj))
+
+
+def test_reduce_forcing_of_several_times_is_a_column_per_time():
+    problem, _, _, _, vel_basis, _ = cavity_setup("graddiv", window=(0.02, 0.1))
+    ops = build_rom_operators(problem, vel_basis)
+    times = 0.37 + 0.01 * np.arange(5)
+    loads = reduce_forcing(ops, times)
+    assert loads.shape == (ops.r, times.size)
+    for n, t in enumerate(times):
+        assert np.abs(loads[:, n] - reduce_forcing(ops, t)).max() \
+            <= 1e-14 * np.abs(loads).max()
+
+
 def test_energy_mismatch_wraps_periodically():
     table = [10.0, 20.0, 30.0]
     assert energy_mismatch(11.0, table, 1) == pytest.approx(1.0)
@@ -625,6 +658,45 @@ def test_orthonormalize_gradient_drops_dependent_columns():
     # the two kept columns span both independent inputs
     coeffs = ortho.T @ (problem.stiffness @ base)
     assert np.abs(ortho @ coeffs - base).max() <= 1e-10 * np.abs(base).max()
+
+
+class _CountingStiffness:
+    """A stiffness matrix that counts the columns it multiplies."""
+
+    def __init__(self, matrix):
+        self.matrix, self.columns = matrix, 0
+
+    def __matmul__(self, fields):
+        self.columns += 1 if fields.ndim == 1 else fields.shape[1]
+        return self.matrix @ fields
+
+
+def test_orthonormalize_gradient_makes_one_stiffness_product_per_kept_column(desk):
+    # pairwise Gram-Schmidt multiplied every column against every kept one:
+    # k (k + 1) products for k columns
+    result = desk["graddiv"]
+    raw, _ = supremizer_solutions(result.problem, result.pres_basis.modes)
+    counting = _CountingStiffness(result.problem.stiffness)
+    ortho = orthonormalize_gradient(raw, counting)
+    assert ortho.shape[1] == raw.shape[1] > 1
+    assert counting.columns <= 2 * raw.shape[1]
+
+
+def test_orthonormalize_gradient_spans_the_pairwise_result_on_the_desk_pressure_modes(desk):
+    result = desk["graddiv"]
+    stiffness = result.problem.stiffness
+    raw, _ = supremizer_solutions(result.problem, result.pres_basis.modes)
+    ortho = orthonormalize_gradient(raw, stiffness)
+    assert np.abs(ortho.T @ (stiffness @ ortho) - np.eye(ortho.shape[1])).max() <= 1e-12
+    # the sine of the largest principal angle to the pairwise result's span
+    pairwise = modified_gram_schmidt(raw, stiffness)
+    assert pairwise.shape == ortho.shape
+    rest = pairwise - ortho @ (ortho.T @ (stiffness @ pairwise))
+    assert np.sqrt(max(np.linalg.eigvalsh(rest.T @ (stiffness @ rest)).max(), 0.0)) <= 1e-10
+    # a column inside the span of the others adds nothing
+    dependent = raw @ np.random.default_rng(12).normal(size=raw.shape[1])
+    assert orthonormalize_gradient(np.column_stack([raw, dependent]),
+                                   stiffness).shape == ortho.shape
 
 
 def test_supremizer_stability_is_remix_invariant():
@@ -812,9 +884,10 @@ def test_operator_container_round_trip(tmp_path):
             load_operators(path, expected_signature="deadbeef")
         # a loaded container steps the reduced system bit for bit like the built set
         a_now, a_prev = np.random.default_rng(8).normal(size=(2, ops.r))
-        for got, want in zip(step_rom(loaded, a_now, a_prev), step_rom(ops, a_now, a_prev)):
+        for got, want in zip(step_rom(ReducedStepper(loaded), a_now, a_prev),
+                             step_rom(ReducedStepper(ops), a_now, a_prev)):
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), center
-        a, b = step_rom(loaded, np.zeros(ops.r), np.zeros(ops.r))
+        a, b = step_rom(ReducedStepper(loaded), np.zeros(ops.r), np.zeros(ops.r))
         assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
 
 
@@ -830,8 +903,8 @@ def test_loaded_operators_keep_their_full_order_configuration(tmp_path):
     rng = np.random.default_rng(3)
     a_now, a_prev = rng.normal(size=(2, ops.r))
     load = reduce_forcing(ops, 0.37)
-    for got, want in zip(step_rom(loaded, a_now, a_prev, mu=0.3, forcing=load),
-                         step_rom(ops, a_now, a_prev, mu=0.3, forcing=load)):
+    for got, want in zip(step_rom(ReducedStepper(loaded, 0.3), a_now, a_prev, load),
+                         step_rom(ReducedStepper(ops, 0.3), a_now, a_prev, load)):
         assert np.array_equal(got, want) or got is want is None
 
 
