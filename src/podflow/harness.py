@@ -934,6 +934,10 @@ def reduced_error_table(config, problem, vel_snaps, pres_snaps, vel_basis,
                                   max(r for r, _ in sizes))
     s_full, spectral_norm = reduced_stiffness(vel_basis, problem.stiffness)
     pres_eigs = pres_basis.eigenvalues
+    if operators.recovery is not None:
+        # a row's principal angles: coordinate columns pick its blocks of one Gram matrix
+        basis = np.column_stack([operators.vel_modes, operators.recovery.fields])
+        gram, coords = basis.T @ (problem.stiffness @ basis), np.eye(basis.shape[1])
 
     replay_seeded = stride == 1 and m >= 3
     rows = []
@@ -970,8 +974,8 @@ def reduced_error_table(config, problem, vel_snaps, pres_snaps, vel_basis,
                                            problem.pressure_mass, weight)
         alpha = 1.0
         if ops_r.recovery is not None:
-            alpha = principal_angle_cosine(vel_basis.modes[:, :r],
-                                           ops_r.recovery.fields, problem.stiffness)
+            alpha = principal_angle_cosine(coords[:, :r], coords[:, operators.r:][:, :rp],
+                                           gram)
 
         vel_tail = float(vel_basis.eigenvalues[r:].sum())
         pres_tail = float(pres_eigs[rp:].sum())

@@ -942,6 +942,31 @@ def test_the_error_table_builds_the_reduced_stiffness_once(tmp_path, count_calls
     assert count_calls.calls["stiffness in table"] == 1
 
 
+def test_the_error_table_takes_each_rows_principal_angles_from_one_gram_matrix(
+        tmp_path, monkeypatch):
+    # each row's coupling constant is the one of its own modes and
+    # supremizers, measured in a small dense metric, not the full stiffness
+    angles = []
+    principal_angle_cosine = podflow.harness.principal_angle_cosine
+
+    def record(phi, z, metric):
+        angles.append((phi.shape[1], z.shape[1], metric.shape[0],
+                       principal_angle_cosine(phi, z, metric)))
+        return angles[-1][-1]
+
+    monkeypatch.setattr(podflow.harness, "principal_angle_cosine", record)
+    raw = base_raw()
+    raw["rom"] = {"r_values": [1, 2, 3]}
+    result = run_small_pipeline(tmp_path, raw)
+    problem = result.problem
+    assert [r for r, _, _, _ in angles] == [1, 2, 3]
+    for r, rp, size, alpha in angles:
+        assert size < problem.n_velocity
+        z = podflow.rom.compute_supremizers(problem, result.pres_basis.modes[:, :rp])
+        direct = principal_angle_cosine(result.vel_basis.modes[:, :r], z, problem.stiffness)
+        assert abs(alpha - direct) <= 1e-12, r
+
+
 def test_equal_order_channel_assembles_one_grad_div_matrix(tmp_path, count_calls):
     # the reduced operators and the probe's projection share the problem's
     # unit grad-div matrix
