@@ -5,8 +5,8 @@
 artifacts into summaries and plot scripts. Every run is driven by a JSON
 configuration file plus optional ``--override section.key=value``
 assignments. ``pod`` resumes fom, and ``rom`` fom and pod, from the output
-directory while their config sections are unchanged (see
-``podflow.harness``); a new ``--out-dir`` recomputes them. Exit codes: 0 on
+directory while the package source and their config sections are unchanged
+(see ``podflow.harness``); a new ``--out-dir`` recomputes them. Exit codes: 0 on
 success, 1 on a configuration error, 2 on a runtime failure inside a stage.
 """
 
@@ -38,10 +38,7 @@ EXIT_RUNTIME = 2
 
 
 def _load_config(args):
-    overrides = list(args.override or ())
-    if args.seed is not None:
-        overrides.append(f"seed={int(args.seed)}")
-    config = ExperimentConfig.from_json(args.config, overrides=overrides)
+    config = ExperimentConfig.from_json(args.config, overrides=args.override)
     if args.out_dir is not None:
         config = replace(config, output_directory=args.out_dir)
     return config
@@ -214,8 +211,6 @@ def _add_config_arguments(parser):
                         help="JSON experiment configuration")
     parser.add_argument("--out-dir", default=None,
                         help="artifact directory (defaults to the config's)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed recorded in the run metadata")
     parser.add_argument("--override", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="config override such as rom.mu=0.4 (repeatable)")
@@ -227,8 +222,9 @@ def build_parser():
         description="Stabilized reduced-order models of incompressible flow")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    resumes = (" from the output directory while the config each read (geometry, case, fom "
-               "and pod.center; also pod for pod) is unchanged; a new --out-dir recomputes")
+    resumes = (" from the output directory while the source and the config each read "
+               "(geometry, case, fom and pod.center; also pod for pod) are unchanged; "
+               "a new --out-dir recomputes")
     for name, func, text, description in (
             ("fom", cmd_fom, "run the full-order solver", "It always runs afresh"),
             ("pod", cmd_pod, "extract the reduced bases", "Resumes fom" + resumes),

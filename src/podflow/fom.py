@@ -151,8 +151,9 @@ class SeparableForcing:
     """Body force ``f(x, y, t) = scale * sum_q theta_q(t) g_q(x, y)``.
 
     ``shapes`` are the callables ``g_q(x, y)`` returning two components,
-    ``coefficients(t)`` returns the Q time factors ``theta(t)`` and
-    ``scale`` is a constant amplitude.
+    ``coefficients(t)`` returns the Q time factors ``theta(t)``, of shape
+    ``(Q,) + np.shape(t)`` for a time or an array of times, and ``scale``
+    is a constant amplitude.
     """
 
     shapes: tuple

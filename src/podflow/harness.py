@@ -26,16 +26,19 @@ reduced drag and lift test the reduced steps' residuals. The studies
 compose the same stages: ``convergence_study`` measures observed orders on
 the registry's decaying vortex, and ``long_horizon_study`` compares
 constant and adaptive grad-div coefficients of one full-order run over an
-extended horizon. A run's ``run_meta.json`` records its artifacts, config
-and stages, and its ``rom.csv`` the reduced run's grad-div coefficient; a
-later run into its directory resumes the fom and pod stages before its
-last while the config they read is unchanged (geometry, case, fom and
+extended horizon. A run's ``run_meta.json`` records its artifacts, config,
+stages and the SHA-256 of the package source that wrote it, and its
+``rom.csv`` the reduced run's grad-div coefficient; a later run into its
+directory resumes the fom and pod stages before its last while the source
+and the config they read are unchanged (geometry, case, fom and
 ``pod.center``, which centres the saved snapshots, for fom; also pod for
 pod). From the first stage that differs, or in a new directory, all run.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import sys
 from contextlib import contextmanager
@@ -60,7 +63,7 @@ from .fom import (
     run_fom,
     save_snapshots,
 )
-from .mesh import MeshError, build_rect_mesh, load_mesh, refine_uniform, save_mesh
+from .mesh import MeshError, build_rect_mesh, load_mesh, save_mesh
 from .metrics import (
     DragLiftProbe,
     analytic_l2_error,
@@ -190,27 +193,21 @@ class GeometryConfig:
     nx: int = 8
     ny: int = 8
     hole: tuple[float, ...] = None
-    refine: int = 0
 
     def __post_init__(self):
         if self.width <= 0.0 or self.height <= 0.0:
             raise ConfigError("geometry_invalid", "width and height must be positive")
         if self.nx < 1 or self.ny < 1:
             raise ConfigError("geometry_invalid", "nx and ny must be at least 1")
-        if self.refine < 0:
-            raise ConfigError("geometry_invalid", "refine must be nonnegative")
         if self.hole is not None and len(self.hole) != 4:
             raise ConfigError("geometry_invalid", "hole needs (x0, y0, x1, y1)")
 
     def build(self):
         try:
-            mesh = build_rect_mesh(self.width, self.height, self.nx, self.ny,
+            return build_rect_mesh(self.width, self.height, self.nx, self.ny,
                                    hole=self.hole)
         except MeshError as exc:
             raise ConfigError("geometry_invalid", str(exc)) from exc
-        for _ in range(self.refine):
-            mesh = refine_uniform(mesh)
-        return mesh
 
 
 @dataclass(frozen=True)
@@ -284,7 +281,6 @@ class ExperimentConfig:
     pod: PODBlock
     rom: ROMBlock
     output_directory: str = "out"
-    seed: int = 0
 
     def __post_init__(self):
         if self.case_name not in _CASES:
@@ -324,8 +320,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        _require_keys(raw, ("geometry", "case", "fom", "pod", "rom", "output",
-                            "seed"), ("geometry", "case", "fom"), "config")
+        _require_keys(raw, ("geometry", "case", "fom", "pod", "rom", "output"),
+                      ("geometry", "case", "fom"), "config")
         case_block = raw["case"]
         _require_keys(case_block, ("name", "parameters"), ("name",), "case")
         output_block = raw.get("output", {})
@@ -341,7 +337,6 @@ class ExperimentConfig:
             rom=_read_section(ROMBlock, raw.get("rom", {}), "rom"),
             output_directory=_read_value(str, output_block.get("directory", "out"),
                                          "output.directory", "config_type"),
-            seed=_read_value(int, raw.get("seed", 0), "seed", "config_type"),
         )
 
     @classmethod
@@ -521,8 +516,7 @@ def _case_cavity(config):
 
 def _case_channel(config):
     params = _check_params(config.case_parameters,
-                           ("u_max", "pulse_amplitude", "pulse_period",
-                            "pulse_x", "pulse_y", "pulse_width"), "channel")
+                           ("u_max", "pulse_amplitude", "pulse_period"), "channel")
     geometry = config.geometry
     if geometry.hole is None:
         raise ConfigError("case_geometry",
@@ -532,12 +526,11 @@ def _case_channel(config):
     u_max = params.get("u_max", 0.3)
     amplitude = params.get("pulse_amplitude", 0.0)
     period = params.get("pulse_period", 0.5)
-    x0 = params.get("pulse_x", hx1 + 0.75 * (hx1 - hx0))
-    y0 = params.get("pulse_y", 0.5 * (hy0 + hy1))
-    width = params.get("pulse_width", 0.5 * (hy1 - hy0))
-    if period <= 0.0 or width <= 0.0:
-        raise ConfigError("case_parameter",
-                          "pulse_period and pulse_width must be positive")
+    if period <= 0.0:
+        raise ConfigError("case_parameter", "pulse_period must be positive")
+    # the pulse sits in the obstacle's wake, as wide as half its height
+    x0, y0 = hx1 + 0.75 * (hx1 - hx0), 0.5 * (hy0 + hy1)
+    width = 0.5 * (hy1 - hy0)
 
     def inflow(x, y, t, um=u_max, h=height):
         u = 4.0 * um * y * (h - y) / h**2
@@ -586,7 +579,7 @@ def _case_stokes_poly(config):
         dirichlet={tag: _zero_bc for tag in _outer_tags(config)},
         # the flow is steady: one term with a unit time factor
         forcing=SeparableForcing((_stokes_poly_forcing(config.fom.nu),),
-                                 lambda t: np.ones(1)),
+                                 lambda t: np.ones((1,) + np.shape(t))),
         zero_mean_pressure=True,
     )
     return CaseBundle(flow_case=case)
@@ -640,7 +633,8 @@ def read_csv(path):
 class PipelineResult:
     """In-memory handles to everything a pipeline run produced. ``resumed``
     names the stages read back (``fom_run`` is then None): fom, and pod on a
-    full run, while the config they read is unchanged; a new directory recomputes."""
+    full run, while the source and the config they read are unchanged; a new
+    directory recomputes."""
 
     config: ExperimentConfig
     problem: FOMProblem
@@ -767,17 +761,29 @@ def _reduced_start(config, full, vel_basis):
     return _ReducedStart(r, a0, mu, adaptive, table)
 
 
+@functools.cache
+def _source_sha256():
+    """The SHA-256 of the package's modules, each file's name and bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
 def _resumable(config, out, stages):
     """``config``'s record (JSON values, no output directory) and {stage: ``out``}
-    for the leading ``stages`` that ``out``'s record lists under the same config."""
+    for the leading ``stages`` that ``out``'s record lists under the same
+    source and config."""
     record = {k: v for k, v in json.loads(json.dumps(asdict(config))).items()
               if k != "output_directory"}
     inputs = lambda r, stage: [r["geometry"], r["case_name"], r["case_parameters"],
                                r["fom"], r["pod"] if stage == "pod" else r["pod"]["center"]]
     try:
         meta = json.loads((Path(out) / "run_meta.json").read_text())
+        same_source = meta["source_sha256"] == _source_sha256()
         return record, dict.fromkeys(takewhile(
-            lambda stage: stage in meta["stages"]
+            lambda stage: same_source and stage in meta["stages"]
             and inputs(meta["config"], stage) == inputs(record, stage), stages), Path(out))
     except (OSError, ValueError, LookupError, TypeError):
         return record, {}
@@ -790,12 +796,12 @@ def run_pipeline(config, out_dir=None, stop_after=None):
     recording), pod (basis extraction) and rom (the reduced run, with
     optional adaptation, whose coefficient ``rom.csv`` records, and the
     reduced-size error sweep). ``run_meta.json`` lists the artifacts, the
-    config and the stages. ``stop_after`` ends the run early after
-    ``"fom"`` or ``"pod"``; later result fields stay None. fom, and pod on
-    a full run, resume from ``out_dir`` while the config they read is
-    unchanged (see the module docstring); a new ``out_dir`` recomputes
-    them. Any stage failure is re-raised as a :class:`StageError` tagged
-    with the stage name.
+    config, the stages and the source's SHA-256. ``stop_after`` ends the run
+    early after ``"fom"`` or ``"pod"``; later result fields stay None. fom,
+    and pod on a full run, resume from ``out_dir`` while the source and the
+    config they read are unchanged (see the module docstring); a new
+    ``out_dir`` recomputes them. Any stage failure is re-raised as a
+    :class:`StageError` tagged with the stage name.
     """
     if stop_after not in (None, "fom", "pod"):
         raise ConfigError("stage_unknown", f"unknown stage {stop_after!r}")
@@ -884,6 +890,7 @@ def run_pipeline(config, out_dir=None, stop_after=None):
     meta = {
         "artifacts": artifacts,
         "config": record,
+        "source_sha256": _source_sha256(),
         "stages": list(stages),
     }
     with open(out / "run_meta.json", "w") as fh:

@@ -17,7 +17,6 @@ __all__ = [
     "Mesh",
     "MeshError",
     "build_rect_mesh",
-    "refine_uniform",
     "save_mesh",
     "load_mesh",
 ]
@@ -220,39 +219,6 @@ def build_rect_mesh(width, height, nx, ny, hole=None):
         boundary_edges[(int(a), int(b))] = tag
 
     return Mesh(vertices, triangles, boundary_edges)
-
-
-def refine_uniform(mesh):
-    """Red refinement: each triangle is split into four via edge midpoints.
-
-    Children are similar to the parent, so every local diameter is halved and
-    the triangle count grows by a factor of four. Boundary tags are inherited
-    by the two half-edges of each tagged edge.
-    """
-    nv = len(mesh.vertices)
-    edges = mesh.edges
-    midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
-    vertices = np.vstack([mesh.vertices, midpoints])
-
-    mid = nv + mesh.triangle_edges  # (nt, 3), midpoint of edge opposite vertex k
-    t = mesh.triangles
-    children = np.concatenate(
-        [
-            np.stack([t[:, 0], mid[:, 2], mid[:, 1]], axis=1),
-            np.stack([t[:, 1], mid[:, 0], mid[:, 2]], axis=1),
-            np.stack([t[:, 2], mid[:, 1], mid[:, 0]], axis=1),
-            np.stack([mid[:, 0], mid[:, 1], mid[:, 2]], axis=1),
-        ]
-    )
-
-    edge_index = {tuple(e): i for i, e in enumerate(edges)}
-    boundary_edges = {}
-    for (a, b), tag in mesh.boundary_edges.items():
-        m = nv + edge_index[tuple(sorted((a, b)))]
-        boundary_edges[tuple(sorted((a, m)))] = tag
-        boundary_edges[tuple(sorted((m, b)))] = tag
-
-    return Mesh(vertices, children, boundary_edges)
 
 
 def save_mesh(mesh, path):

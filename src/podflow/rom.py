@@ -298,9 +298,9 @@ def reduce_forcing(ops, t):
         raise ValueError(
             "this operator set has forcing modes but no time factors (it was "
             "loaded from a container), so its load cannot be evaluated")
-    coefficients = ops.forcing.coefficients  # faster on floats than NumPy scalars
-    return ops.forcing_modes @ (coefficients(t) if np.ndim(t) == 0
-                                else np.array([coefficients(s) for s in map(float, t)]).T)
+    # column-major, as per-time factors stacked a column per time are: with
+    # one mode the product's rounding follows the operands' layout
+    return ops.forcing_modes @ np.asfortranarray(ops.forcing.coefficients(t))
 
 
 def _lifted(ops, a):

@@ -1,10 +1,11 @@
-"""Reference computations the tests check the package against, and the
-forcings several test modules share.
+"""Reference computations the tests check the package against, the
+forcings several test modules share, and the uniform mesh refinement of
+their refinement checks.
 
 None of these is part of a run: each evaluates a quantity directly (by
 quadrature at a point, by summation over snapshots, by a dense solve) that
-the package obtains another way, or states one of the paper's identities
-as an executable check.
+the package obtains another way, states one of the paper's identities as
+an executable check, or builds a test's input.
 """
 
 from dataclasses import replace
@@ -15,6 +16,7 @@ import scipy.sparse as sp
 import podflow.assembly
 from podflow.fe_space import reference_basis, triangle_quadrature
 from podflow.fom import SeparableForcing
+from podflow.mesh import Mesh
 from podflow.pod import reduced_stiffness
 from podflow.rom import PressureRecovery, _project
 
@@ -34,6 +36,39 @@ def mesh_stats(mesh):
         "min_angle": float(np.min(angles)),
         "quasi_uniformity_ratio": float(hk.max() / hk.min()),
     }
+
+
+def refine_uniform(mesh):
+    """Red refinement: each triangle is split into four via edge midpoints.
+
+    Children are similar to the parent, so every local diameter is halved and
+    the triangle count grows by a factor of four. Boundary tags are inherited
+    by the two half-edges of each tagged edge.
+    """
+    nv = len(mesh.vertices)
+    edges = mesh.edges
+    midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
+    vertices = np.vstack([mesh.vertices, midpoints])
+
+    mid = nv + mesh.triangle_edges  # (nt, 3), midpoint of edge opposite vertex k
+    t = mesh.triangles
+    children = np.concatenate(
+        [
+            np.stack([t[:, 0], mid[:, 2], mid[:, 1]], axis=1),
+            np.stack([t[:, 1], mid[:, 0], mid[:, 2]], axis=1),
+            np.stack([t[:, 2], mid[:, 1], mid[:, 0]], axis=1),
+            np.stack([mid[:, 0], mid[:, 1], mid[:, 2]], axis=1),
+        ]
+    )
+
+    edge_index = {tuple(e): i for i, e in enumerate(edges)}
+    boundary_edges = {}
+    for (a, b), tag in mesh.boundary_edges.items():
+        m = nv + edge_index[tuple(sorted((a, b)))]
+        boundary_edges[tuple(sorted((a, m)))] = tag
+        boundary_edges[tuple(sorted((m, b)))] = tag
+
+    return Mesh(vertices, children, boundary_edges)
 
 
 def eval_field(space, field, triangle, point, gradient=False):

@@ -4,11 +4,13 @@ Every public top-level function or class in ``src/podflow`` and every public
 method of a class there must be referenced somewhere in ``src/podflow``
 outside its own definition. Names in ``__all__`` are strings and imports
 are not references, so neither counts. A method counts as referenced only
-through an attribute read, ``x.name``. When ``x`` is statically known, as
-``self`` inside a class or a package class by name, the read counts for
-that class's method alone; an attribute of a foreign module such as
-``np.copy`` counts for none; any other ``x`` counts for every method called
-``name``. A top-level function or class counts only through a bare name
+through an attribute read, ``x.name``. When ``x`` is statically known, the
+read counts for that class's method alone: ``self`` inside a class, a
+package class by name, a constructor call ``C(...)``, a name that such a
+call binds in the same function (every binding of it there being one), or
+an attribute of ``self`` that such a call binds in the same class. An
+attribute of a foreign module such as ``np.copy`` counts for none; any
+other ``x`` counts for every method called ``name``. A top-level function or class counts only through a bare name
 read, ``name``, or an attribute read of a package module, ``module.name``.
 So a variable, a foreign attribute or another class's method named like a
 public name does not hide it. A function that only the tests call belongs
@@ -34,9 +36,9 @@ KEPT_WITHOUT_CALLER = {
 }
 
 # Public methods whose every reference is a read through a receiver the rule
-# cannot resolve (``problem.correct``, ``tab.stiffness``), so that any other
-# method of the same name would count as their caller. Each new one shows
-# up here, in review.
+# cannot resolve (a parameter such as ``problem.correct``, the result of a
+# function such as ``tab.stiffness``), so that any other method of the same
+# name would count as their caller. Each new one shows up here, in review.
 READ_THROUGH_UNRESOLVED_RECEIVERS_ONLY = {
     "assembly.py: StabilizationConfig.tau_velocity",
     "assembly.py: StabilizationConfig.tau_pressure",
@@ -44,9 +46,7 @@ READ_THROUGH_UNRESOLVED_RECEIVERS_ONLY = {
     "assembly.py: _ElementTables.convection",
     "assembly.py: _ElementTables.points",
     "assembly.py: _Scatter.matrix",
-    "assembly.py: _ConvectionAction.matrix",
     "fe_space.py: FESpace.cell_dofs",
-    "fe_space.py: FESpace.boundary_scalar_dofs",
     "fe_space.py: FESpace.signature",
     "fom.py: SeparableForcing.combine",
     "fom.py: FOMConfig.n_steps",
@@ -103,20 +103,68 @@ def _foreign_modules(tree, package):
             for a in node.names} - package
 
 
-def _receivers(tree):
-    """{id of a Name node: its class} for each read of a method's first
-    parameter (``self``, ``cls``) inside a top-level class of ``tree``."""
-    out = {}
+def _constructed(node, classes):
+    """The package class that ``node`` constructs, ``C(...)``, or None."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in classes:
+        return node.func.id
+    return None
+
+
+def _bound_by_constructors(scopes, key, classes, blocked=()):
+    """{target: class} of the targets whose every binding in ``scopes`` is a
+    lone assignment of a constructor call of that one class. ``key`` gives
+    the target a stored node binds, None for any other node; the targets in
+    ``blocked`` are bound elsewhere, by a parameter or a class body."""
+    found = collections.defaultdict(set)
+    for target in blocked:
+        found[target].add(None)
+    for scope in scopes:
+        assigned = {id(node.targets[0]): _constructed(node.value, classes)
+                    for node in ast.walk(scope)
+                    if isinstance(node, ast.Assign) and len(node.targets) == 1}
+        for node in ast.walk(scope):
+            if isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)) and key(node):
+                found[key(node)].add(assigned.get(id(node)))
+    return {target: kinds.pop() for target, kinds in found.items()
+            if len(kinds) == 1 and None not in kinds}
+
+
+def _receivers(tree, classes):
+    """{id of a receiver node: its class} in ``tree``: a read of a method's
+    first parameter (``self``, ``cls``) inside a top-level class; a
+    constructor call of a package class, ``C(...)``; a name that such a
+    call binds in the same top-level function or method; and an attribute of
+    ``self`` that such a call binds in the same class."""
+    out = {id(n): _constructed(n, classes) for n in ast.walk(tree)
+           if _constructed(n, classes)}
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
     for cls in tree.body:
         if not isinstance(cls, ast.ClassDef):
             continue
-        for item in cls.body:
-            if (isinstance(item, ast.FunctionDef) and item.args.args
-                    and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
-                                for d in item.decorator_list)):
+        methods = [item for item in cls.body if isinstance(item, ast.FunctionDef)]
+        functions += methods
+        selves = set()
+        for item in methods:
+            if item.args.args and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                          for d in item.decorator_list):
                 first = item.args.args[0].arg
-                out.update((id(n), cls.name) for n in ast.walk(item)
-                           if isinstance(n, ast.Name) and n.id == first)
+                selves.update(id(n) for n in ast.walk(item)
+                              if isinstance(n, ast.Name) and n.id == first)
+        out.update(dict.fromkeys(selves, cls.name))
+        own = lambda n: n.attr if isinstance(n, ast.Attribute) and id(n.value) in selves else None
+        fields = [t.id for item in cls.body if isinstance(item, (ast.Assign, ast.AnnAssign))
+                  for t in (item.targets if isinstance(item, ast.Assign) else [item.target])
+                  if isinstance(t, ast.Name)]
+        bound = _bound_by_constructors(methods, own, classes, fields)
+        out.update((id(n), bound[own(n)]) for item in methods for n in ast.walk(item)
+                   if isinstance(getattr(n, "ctx", None), ast.Load) and own(n) in bound)
+    for function in functions:
+        name = lambda n: n.id if isinstance(n, ast.Name) else None
+        parameters = [a.arg for n in ast.walk(function) if isinstance(n, ast.arguments)
+                      for a in n.posonlyargs + n.args + n.kwonlyargs + [n.vararg, n.kwarg] if a]
+        bound = _bound_by_constructors([function], name, classes, parameters)
+        out.update((id(n), bound[n.id]) for n in ast.walk(function)
+                   if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in bound)
     return out
 
 
@@ -134,16 +182,12 @@ def _references(node, scope):
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             bare[n.id] += 1
         elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
-            owner = None
-            if isinstance(n.value, ast.Name):
-                if n.value.id in package:
-                    bare[n.attr] += 1
-                    continue
-                if n.value.id in foreign:
-                    continue
-                owner = receivers.get(id(n.value),
-                                      n.value.id if n.value.id in classes else None)
-            attributes[owner, n.attr] += 1
+            name = n.value.id if isinstance(n.value, ast.Name) else None
+            if name in package:
+                bare[n.attr] += 1
+            elif name not in foreign:
+                attributes[receivers.get(id(n.value), name if name in classes else None),
+                           n.attr] += 1
     return bare, attributes
 
 
@@ -172,7 +216,8 @@ def _reference_counts(modules):
     scopes = {}
     for name, tree in modules.items():
         package = _package_modules(tree, modules)
-        scopes[name] = (package, _foreign_modules(tree, package), _receivers(tree), classes)
+        scopes[name] = (package, _foreign_modules(tree, package), _receivers(tree, classes),
+                        classes)
     total = [collections.Counter(), collections.Counter()]
     for name, tree in modules.items():
         for kind, counts in enumerate(_references(tree, scopes[name])):
@@ -268,3 +313,23 @@ def test_a_method_read_through_its_own_class_is_not_read_only_through_unresolved
         "def run(mesh):\n    return mesh.h(), mesh.refine(), Mesh.area(mesh)\n\n"
         "run(Mesh())\n")}
     assert read_only_through_unresolved_receivers(modules) == ["m.py: Mesh.h", "m.py: Mesh.refine"]
+
+
+def test_a_receiver_a_constructor_call_binds_counts_for_its_class_alone():
+    # a name, or an attribute of self, bound only by one class's constructor
+    # in its function or class; a name bound otherwise stays unresolved
+    modules = {"m.py": ast.parse(
+        "class Space:\n    def dofs(self):\n        return 1\n\n"
+        "    def size(self):\n        return 2\n\n"
+        "    def shape(self):\n        return 3\n\n"
+        "class Grid:\n    def dofs(self):\n        return 4\n\n"
+        "    def size(self):\n        return 5\n\n"
+        "    def shape(self):\n        return 6\n\n"
+        "class Problem:\n    def __init__(self):\n        self.space = Space()\n\n"
+        "    def count(self):\n        return self.space.dofs()\n\n"
+        "def run(grid):\n    space = Space()\n    other = Space()\n    other = grid\n"
+        "    return space.size(), other.shape(), Grid().size()\n\n"
+        "run(Problem().count())\n")}
+    assert unreferenced_public_names(modules) == ["m.py: Grid.dofs"]
+    assert read_only_through_unresolved_receivers(modules) == [
+        "m.py: Space.shape", "m.py: Grid.shape"]

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lps_oracle import assemble_lps_fluctuation, gradient_sample_matrix
-from oracles import apply_convection, einsum_convection_local
+from oracles import apply_convection, einsum_convection_local, refine_uniform
 
 from podflow.assembly import (
     StabilizationConfig,
@@ -25,7 +25,7 @@ from podflow.assembly import (
 import podflow.assembly
 from podflow.fe_space import FESpace, interpolate
 from podflow.fom import FlowCase, FOMConfig, FOMProblem, run_fom
-from podflow.mesh import Mesh, build_rect_mesh, refine_uniform
+from podflow.mesh import Mesh, build_rect_mesh
 
 
 def reference_triangle_mesh():

@@ -177,10 +177,10 @@ def test_rom_after_pod_resumes_both_stages_and_writes_a_fresh_runs_files(
     assert "run_meta.json" in files[0] and files[0] == files[1]
 
 
-def test_seed_flag_is_recorded_in_the_metadata(config_path, tmp_path):
-    assert main(["fom", "--config", str(config_path), "--seed", "7"]) == EXIT_OK
-    meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
-    assert meta["config"]["seed"] == 7
+def test_the_seed_flag_is_a_usage_error(config_path, tmp_path):
+    # podflow draws no random numbers, so there is no seed to set
+    assert main(["fom", "--config", str(config_path), "--seed", "1"]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
 
 
 def test_convergence_study_subcommand_writes_its_table(tmp_path, capsys):

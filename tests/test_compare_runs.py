@@ -57,6 +57,29 @@ def test_two_runs_of_one_config_compare_identical(two_runs):
         assert f"identical  {name}" in lines
 
 
+def test_a_record_differing_only_by_its_source_digest_compares_identical(two_runs, tmp_path):
+    # a tree without the digest, and one with another digest, wrote the same run
+    dirs = [tmp_path / "without", tmp_path / "other"]
+    for run, copy in zip(two_runs, dirs):
+        shutil.copytree(run, copy)
+    path = dirs[0] / "run_meta.json"
+    meta = json.loads(path.read_text())
+    assert len(meta.pop("source_sha256")) == 64
+    path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    path = dirs[1] / "run_meta.json"
+    path.write_text(path.read_text().replace(meta_digest(two_runs[1]), "0" * 64))
+    status, out = compare(*dirs)
+    assert status == 0, out
+    assert "identical  run_meta.json" in out.splitlines()
+    # any other change to the record still differs
+    path.write_text(path.read_text().replace('"fom"', '"pod"', 1))
+    assert compare_runs.compare_dirs(*dirs).differs == ["run_meta.json"]
+
+
+def meta_digest(run):
+    return json.loads((run / "run_meta.json").read_text())["source_sha256"]
+
+
 def test_a_changed_csv_value_fails_above_rtol(two_runs, tmp_path):
     changed = tmp_path / "changed"
     shutil.copytree(two_runs[1], changed)

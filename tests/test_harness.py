@@ -1,6 +1,7 @@
 """Tests for the experiment configuration, cases, and pipeline drivers."""
 
 import collections
+import importlib.util
 import json
 import os
 import subprocess
@@ -183,6 +184,32 @@ def test_unknown_case_parameter_is_rejected():
     assert err.value.name == "case_parameter"
 
 
+@pytest.mark.parametrize("dotted", ["seed", "geometry.refine"])
+def test_a_removed_setting_is_an_unknown_key(dotted):
+    # podflow draws no random numbers, and a run meshes its geometry as given
+    raw = apply_overrides(base_raw(), [f"{dotted}=1"])
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(raw)
+    assert err.value.name == "unknown_key"
+    assert repr(dotted.split(".")[-1]) in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["pulse_x", "pulse_y", "pulse_width"])
+def test_the_channel_pulse_is_placed_by_the_hole_alone(name):
+    raw = channel_raw()
+    raw["case"]["parameters"][name] = 1.0
+    with pytest.raises(ConfigError) as err:
+        build_case(ExperimentConfig.from_dict(raw))
+    assert err.value.name == "case_parameter"
+    assert name in str(err.value)
+    # the hole (0.5, 0.25)-(0.75, 0.5) puts the pulse's centre behind it by
+    # 3/4 of its width at its mid-height, and makes the pulse half as wide
+    # as the hole is high
+    bump = build_case(ExperimentConfig.from_dict(channel_raw())).flow_case.forcing.shapes[0]
+    x = np.array([0.9375, 0.9375 + 0.125])
+    assert bump(x, np.full(2, 0.375))[1].tolist() == [1.0, np.exp(-1.0)]
+
+
 @pytest.mark.parametrize("value", ["abc", True, None, [1.0], {"a": 1.0},
                                    float("nan"), float("inf")])
 def test_case_parameters_must_be_finite_numbers(value):
@@ -327,7 +354,6 @@ def test_invalid_pod_fields_are_rejected():
 _MALFORMED = [
     ("geometry.nx", "abc", "geometry_invalid"),
     ("geometry.hole", 5, "geometry_invalid"),
-    ("geometry.refine", 1.5, "geometry_invalid"),
     ("rom.r_values", 3, "rom_invalid"),
     ("rom.adaptive", 5, "config_type"),
     ("rom.adaptive.enabled", 1, "rom_invalid"),
@@ -341,7 +367,6 @@ _MALFORMED = [
     ("pod.center", "false", "pod_invalid"),
     ("case.parameters", [1], "config_type"),
     ("case.name", 5, "config_type"),
-    ("seed", "1", "config_type"),
     ("output", None, "config_type"),
 ]
 
@@ -357,7 +382,7 @@ def test_malformed_values_raise_a_config_error_naming_the_key(dotted, value, nam
 
 
 def _dotted_keys():
-    keys = ["seed", "output.directory", "case.name", "case.parameters"]
+    keys = ["output.directory", "case.name", "case.parameters"]
     for prefix, cls in (("geometry", GeometryConfig), ("fom", FOMConfig),
                         ("fom.stabilization", StabilizationConfig),
                         ("pod", PODBlock), ("rom", ROMBlock),
@@ -425,7 +450,7 @@ def test_malformed_overrides_are_rejected():
 
 def test_overrides_and_configs_need_an_object_root():
     with pytest.raises(ConfigError) as err:
-        apply_overrides([1, 2], ["seed=1"])
+        apply_overrides([1, 2], ["rom.mu=1"])
     assert err.value.name == "config_type"
     assert config_error_name([1, 2]) == "config_type"
 
@@ -435,8 +460,6 @@ def test_geometry_with_hole_builds_an_obstacle_boundary():
                           hole=(0.5, 0.25, 0.75, 0.5))
     mesh = geom.build()
     assert "obstacle" in set(mesh.boundary_edges.values())
-    refined = GeometryConfig(nx=2, ny=2, refine=1).build()
-    assert len(refined.triangles) == 4 * len(GeometryConfig(nx=2, ny=2).build().triangles)
 
 
 def test_snapshot_count_matches_window_arithmetic():
@@ -522,9 +545,9 @@ def test_pipeline_writes_every_artifact(tmp_path):
     header, errors = read_csv(tmp_path / "errors.csv")
     assert header == ["r", "vel_error", "pres_error", "vel_indicator",
                       "pres_indicator"]
-    # the record holds each value once: the scheme, case and seed in its config
+    # the record holds each value once: the scheme and case in its config
     meta = json.loads((tmp_path / "run_meta.json").read_text())
-    assert sorted(meta) == ["artifacts", "config", "stages"]
+    assert sorted(meta) == ["artifacts", "config", "source_sha256", "stages"]
     assert meta["config"]["case_name"] == "cavity"
     assert meta["config"]["fom"]["scheme"] == "graddiv"
 
@@ -659,6 +682,24 @@ def test_a_full_run_after_pod_resumes_both_stages_and_writes_a_fresh_runs_files(
     meta = json.loads((tmp_path / "fresh" / "run_meta.json").read_text())
     assert meta["stages"] == ["fom", "pod", "rom"]
     assert "output_directory" not in meta["config"]
+
+
+@pytest.mark.parametrize("digest", [None, "0" * 64])
+def test_a_run_directory_written_by_other_source_resumes_nothing(tmp_path, count_calls, digest):
+    # a directory written by another version of the package, or by one that
+    # recorded no digest, may hold snapshots and bases this code does not make
+    run_small_pipeline(tmp_path / "fresh")
+    old = tmp_path / "old"
+    run_small_pipeline(old, stop_after="pod")
+    path = old / "run_meta.json"
+    meta = json.loads(path.read_text())
+    assert meta["source_sha256"] == podflow.harness._source_sha256()
+    meta["source_sha256"] = digest
+    path.write_text(json.dumps({k: v for k, v in meta.items() if v is not None}))
+    calls = count_offline_work(count_calls)
+    assert run_small_pipeline(old).resumed == ()
+    assert (calls["run_fom"], calls["build_basis"]) == (1, 2)  # velocity and pressure
+    assert files_of(old) == files_of(tmp_path / "fresh")
 
 
 def test_a_run_directory_written_with_the_older_echoed_keys_still_resumes(
@@ -1346,6 +1387,45 @@ def test_full_order_loads_equal_the_assembled_forcing_bit_for_bit():
             [assemble_load(problem.vel_space, g) for g in forcing.shapes])
         assert np.array_equal(problem.load_shapes.view(np.int64), want.view(np.int64)), name
         assert counted == list(forcing.shapes), name
+
+
+_workloads_spec = importlib.util.spec_from_file_location(
+    "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_workloads_spec)
+_workloads_spec.loader.exec_module(workloads)
+
+
+def _time_levels(config):
+    """The full-order run's time levels, summed step by step as it steps,
+    and the levels of the reduced runs from its first two snapshots on."""
+    fom = config.fom
+    levels = [0.0]
+    for _ in range(fom.n_steps):
+        levels.append(levels[-1] + fom.dt)
+    levels = np.array(levels)
+    starts = levels[snapshot_steps(fom)[:2]]
+    n = round((config.effective_rom_t_final() - starts[0]) / fom.dt) + 1
+    return [levels] + [t0 + fom.dt * np.arange(n) for t0 in starts]
+
+
+@pytest.mark.parametrize("case", ["own", "stokes_poly"])
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_time_factors_of_an_array_of_times_are_the_per_time_ones_bit_for_bit(name, case):
+    # a reduced run takes all its loads from one call on its time levels;
+    # each must be the load of a per-time call, as the full-order run makes
+    raw = workloads.workload_config(name)
+    if case != "own":
+        raw["case"] = {"name": case, "parameters": {}}
+    config = ExperimentConfig.from_dict(raw)
+    forcing = build_case(config).flow_case.forcing
+    for times in _time_levels(config):
+        got = forcing.coefficients(times)
+        assert got.shape == (len(forcing.shapes), times.size)
+        for t, column in zip(times, got.T):
+            for scalar in (float(t), t):
+                want = forcing.coefficients(scalar)
+                assert want.shape == (len(forcing.shapes),)
+                assert np.array_equal(column.view(np.int64), want.view(np.int64)), (t, scalar)
 
 
 def _check_reduced_phase_builds_once_and_assembles_no_load(tmp_path, count_calls, raw):

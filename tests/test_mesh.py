@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import mesh_stats
+from oracles import mesh_stats, refine_uniform
 
 from podflow.mesh import (
     Mesh,
     MeshError,
     build_rect_mesh,
     load_mesh,
-    refine_uniform,
     save_mesh,
 )
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import sympy as sym
 
-from oracles import eval_field, solve_stokes, steady_forcing, triple_norm
+from oracles import eval_field, refine_uniform, solve_stokes, steady_forcing, triple_norm
 
 from podflow.assembly import (
     StabilizationConfig,
@@ -14,7 +14,7 @@ from podflow.assembly import (
 )
 from podflow.fe_space import FESpace, interpolate
 from podflow.fom import FlowCase, FOMConfig, FOMProblem
-from podflow.mesh import build_rect_mesh, refine_uniform
+from podflow.mesh import build_rect_mesh
 from podflow.metrics import (
     DragLiftProbe,
     analytic_l2_error,

@@ -2,7 +2,10 @@
 
     python tools/compare_runs.py DIR_A DIR_B [--rtol RTOL]
 
-Every file under either directory is reported as one of:
+Every file under either directory is reported as one of, after the
+``source_sha256`` key is taken out of a JSON object that has it (the
+digest of the source that wrote ``run_meta.json``, which differs between
+any two trees whose outputs are compared):
 
 - ``identical``: the bytes are equal;
 - ``csv``: a table with the same header and row count, with the largest
@@ -47,6 +50,23 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from podflow.container import ContainerError, read_container  # noqa: E402
+
+SKIPPED_KEY = "source_sha256"
+
+
+def comparable_bytes(path):
+    """The bytes of ``path``; for a JSON object with ``SKIPPED_KEY``, those
+    of the same object written without it as the pipeline writes
+    ``run_meta.json`` (indented by 2, keys sorted, a closing newline)."""
+    data = Path(path).read_bytes()
+    if Path(path).suffix == ".json" and SKIPPED_KEY.encode() in data:
+        try:
+            obj = json.loads(data)
+        except ValueError:
+            return data
+        if isinstance(obj, dict) and obj.pop(SKIPPED_KEY, None) is not None:
+            return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+    return data
 
 
 def relative_differences(a, b):
@@ -111,7 +131,7 @@ def _compare_json(path_a, path_b):
     is not a number on both sides and differs reads inf. None when either
     file is not a JSON object."""
     try:
-        obj_a, obj_b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
+        obj_a, obj_b = (json.loads(comparable_bytes(p)) for p in (path_a, path_b))
     except ValueError:
         return None
     if not (isinstance(obj_a, dict) and isinstance(obj_b, dict)):
@@ -161,7 +181,7 @@ def compare_dirs(dir_a, dir_b):
             differs.append(name)
             record(math.inf, math.inf, name)
             continue
-        if path_a.read_bytes() == path_b.read_bytes():
+        if comparable_bytes(path_a) == comparable_bytes(path_b):
             print(f"identical  {name}")
             continue
         kind, parts, notes = None, None, []

@@ -8,12 +8,13 @@ compare their output directories byte for byte.
 every run is made twice, each in its own process with BLAS and OpenMP
 pinned to one thread: once from ``REV``'s ``src/`` and once from the
 working tree's. Each pair of output directories is then compared file by
-file, byte for byte; for a pair that differs, ``compare_runs.compare_dirs``
-prints where, the run's line gives the largest column relative difference
-it found with the ``file:column`` it comes from and the largest gate
-relative difference (see ``compare_runs``), and the closing summary the
-gate's. A change that claims bit-for-bit identical
-arithmetic must leave every pair identical.
+file, byte for byte (``run_meta.json`` without its ``source_sha256``,
+which differs between any two trees); for a pair that differs,
+``compare_runs.compare_dirs`` prints where, the run's line gives the
+largest column relative difference it found with the ``file:column`` it
+comes from and the largest gate relative difference (see
+``compare_runs``), and the closing summary the gate's. A change that
+claims bit-for-bit identical arithmetic must leave every pair identical.
 
 The runs are the tiny configs (grad-div, LPS, adaptive μ, centred POD, the
 holed channel under both schemes and with its main reduced run smaller than
@@ -49,7 +50,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from compare_runs import compare_dirs  # noqa: E402
+from compare_runs import comparable_bytes, compare_dirs  # noqa: E402
 from workloads import workload_config  # noqa: E402
 
 TINY = {
@@ -186,8 +187,9 @@ def export_src(rev, dest):
 
 
 def _files(directory):
-    """{relative name: bytes} of every file under ``directory``."""
-    return {p.relative_to(directory).as_posix(): p.read_bytes()
+    """{relative name: bytes} of every file under ``directory``, as
+    ``compare_runs`` compares them."""
+    return {p.relative_to(directory).as_posix(): comparable_bytes(p)
             for p in directory.rglob("*") if p.is_file()}
 
 
