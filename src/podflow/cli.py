@@ -2,12 +2,13 @@
 
 ``podflow`` exposes one subcommand per pipeline stage (``fom``, ``pod``,
 ``rom``), the two studies under ``study``, and ``report`` for turning run
-artifacts into summaries and plot scripts. Every run is driven by a JSON
-configuration file plus optional ``--override section.key=value``
-assignments. ``pod`` resumes fom, and ``rom`` fom and pod, from the output
-directory while the package source and their config sections are unchanged
-(see ``podflow.harness``); a new ``--out-dir`` recomputes them. Exit codes: 0 on
-success, 1 on a configuration error, 2 on a runtime failure inside a stage.
+artifacts into summaries and plot scripts. Every run and study is driven by
+a JSON configuration file plus optional ``--override section.key=value``
+assignments, and writes into ``--out-dir`` (``out`` by default). ``pod``
+resumes fom, and ``rom`` fom and pod, from that directory while the package
+source and their config sections are unchanged (see ``podflow.harness``); a
+new ``--out-dir`` recomputes them. Exit codes: 0 on success, 1 on a
+configuration or usage error, 2 on a runtime failure inside a stage.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +28,6 @@ from .harness import (
     long_horizon_study,
     read_csv,
     run_pipeline,
-    write_convergence_csv,
-    write_csv,
 )
 
 EXIT_OK = 0
@@ -38,15 +36,12 @@ EXIT_RUNTIME = 2
 
 
 def _load_config(args):
-    config = ExperimentConfig.from_json(args.config, overrides=args.override)
-    if args.out_dir is not None:
-        config = replace(config, output_directory=args.out_dir)
-    return config
+    return ExperimentConfig.from_json(args.config, overrides=args.override)
 
 
 def cmd_fom(args):
     config = _load_config(args)
-    result = run_pipeline(config, stop_after="fom")
+    result = run_pipeline(config, args.out_dir, stop_after="fom")
     qoi = result.fom_run.qoi
     print(f"full-order run: {qoi.shape[0]} recorded steps, "
           f"{result.vel_snapshots.n_snapshots} snapshots, "
@@ -56,7 +51,7 @@ def cmd_fom(args):
 
 def cmd_pod(args):
     config = _load_config(args)
-    result = run_pipeline(config, stop_after="pod")
+    result = run_pipeline(config, args.out_dir, stop_after="pod")
     print(f"resumed stages: {', '.join(result.resumed) or 'none'}")
     basis = result.vel_basis
     eigs = basis.eigenvalues
@@ -68,7 +63,7 @@ def cmd_pod(args):
 
 def cmd_rom(args):
     config = _load_config(args)
-    result = run_pipeline(config)
+    result = run_pipeline(config, args.out_dir)
     print(f"resumed stages: {', '.join(result.resumed) or 'none'}")
     run = result.rom_run
     print(f"reduced run: r={result.operators.r}, {run.times.size - 1} steps, "
@@ -81,28 +76,19 @@ def cmd_rom(args):
 
 
 def cmd_study_convergence(args):
-    study = convergence_study(
-        args.scheme, levels=args.levels, base_nx=args.base_nx,
-        base_dt=args.base_dt, t_final=args.t_final, nu=args.nu)
-    out = Path(args.out_dir or "out")
-    out.mkdir(parents=True, exist_ok=True)
-    path = write_convergence_csv(study, out / "convergence.csv")
-    for k in range(len(study.mesh_sizes)):
-        order = f"{study.orders[k - 1]:.3f}" if k > 0 else "-"
-        print(f"nx={study.mesh_sizes[k]:4d} dt={study.step_sizes[k]:.3e} "
-              f"error={study.errors[k]:.6e} order={order}")
-    print(f"interpolation orders: "
-          f"{[f'{o:.3f}' for o in study.interpolation_orders]}")
-    if study.non_monotone:
+    rows = convergence_study(_load_config(args), levels=args.levels, out_dir=args.out_dir)
+    for nx, dt, error, order, _, _ in rows:
+        print(f"nx={nx:4d} dt={dt:.3e} error={error:.6e} order={order:.3f}")
+    print(f"interpolation orders: {[f'{row[5]:.3f}' for row in rows[1:]]}")
+    if any(finer[2] >= coarser[2] for coarser, finer in zip(rows, rows[1:])):
         print("warning: the error sequence is not monotone")
-    print(f"wrote {path}")
+    print(f"wrote {Path(args.out_dir) / 'convergence.csv'}")
     return EXIT_OK
 
 
 def cmd_study_longhorizon(args):
     config = _load_config(args)
-    study = long_horizon_study(config, horizon_multiple=args.horizon,
-                               out_dir=config.output_directory)
+    study = long_horizon_study(config, horizon_multiple=args.horizon, out_dir=args.out_dir)
     print(f"horizon x{study.horizon_multiple:g}: "
           f"max|E_diff| constant={study.max_e_diff_constant:.6g} "
           f"adaptive={study.max_e_diff_adaptive:.6g}")
@@ -146,7 +132,7 @@ def _write_plot_script(out, csv_name, x, series, title):
 
 
 def cmd_report(args):
-    out = Path(args.out_dir or "out")
+    out = Path(args.out_dir)
     if not out.is_dir():
         raise ConfigError("report_missing", f"no run directory at {out}")
     summary = {}
@@ -209,8 +195,8 @@ def cmd_report(args):
 def _add_config_arguments(parser):
     parser.add_argument("--config", required=True,
                         help="JSON experiment configuration")
-    parser.add_argument("--out-dir", default=None,
-                        help="artifact directory (defaults to the config's)")
+    parser.add_argument("--out-dir", default="out",
+                        help="artifact directory (default: out)")
     parser.add_argument("--override", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="config override such as rom.mu=0.4 (repeatable)")
@@ -236,15 +222,15 @@ def build_parser():
     p_study = sub.add_parser("study", help="parameter studies")
     study_sub = p_study.add_subparsers(dest="study_command", required=True)
 
-    p_conv = study_sub.add_parser("convergence",
-                                  help="refinement study on the decaying vortex")
-    p_conv.add_argument("--scheme", choices=("lps", "graddiv"), default="lps")
-    p_conv.add_argument("--levels", type=int, default=3)
-    p_conv.add_argument("--base-nx", type=int, default=4)
-    p_conv.add_argument("--base-dt", type=float, default=2e-2)
-    p_conv.add_argument("--t-final", type=float, default=8e-2)
-    p_conv.add_argument("--nu", type=float, default=1e-2)
-    p_conv.add_argument("--out-dir", default=None)
+    text = "refinement study on the decaying vortex"
+    p_conv = study_sub.add_parser(
+        "convergence", help=text,
+        description=f"{text}. The config is level 0 and must pose the taylor_green case; "
+                    "level k multiplies geometry.nx and geometry.ny by 2^k and divides "
+                    "fom.dt by 4^k. Writes convergence.csv.")
+    _add_config_arguments(p_conv)
+    p_conv.add_argument("--levels", type=int, default=3,
+                        help="number of refinement levels, at least 2 (default 3)")
     p_conv.set_defaults(func=cmd_study_convergence)
 
     p_long = study_sub.add_parser("longhorizon",

@@ -24,7 +24,7 @@ the largest sizes, runs the reduced model and the reduced-size error sweep
 on their leading blocks, and writes deterministic CSV and binary artifacts;
 reduced drag and lift test the reduced steps' residuals. The studies
 compose the same stages: ``convergence_study`` measures observed orders on
-the registry's decaying vortex, and ``long_horizon_study`` compares
+refinements of a decaying-vortex config, and ``long_horizon_study`` compares
 constant and adaptive grad-div coefficients of one full-order run over an
 extended horizon. A run's ``run_meta.json`` records its artifacts, config,
 stages and the SHA-256 of the package source that wrote it, and its
@@ -49,7 +49,6 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .assembly import StabilizationConfig
 from .fe_space import interpolate
 from .fom import (
     _TIME_TOL,
@@ -280,7 +279,6 @@ class ExperimentConfig:
     fom: FOMConfig
     pod: PODBlock
     rom: ROMBlock
-    output_directory: str = "out"
 
     def __post_init__(self):
         if self.case_name not in _CASES:
@@ -320,12 +318,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        _require_keys(raw, ("geometry", "case", "fom", "pod", "rom", "output"),
+        _require_keys(raw, ("geometry", "case", "fom", "pod", "rom"),
                       ("geometry", "case", "fom"), "config")
         case_block = raw["case"]
         _require_keys(case_block, ("name", "parameters"), ("name",), "case")
-        output_block = raw.get("output", {})
-        _require_keys(output_block, ("directory",), (), "output")
         return cls(
             geometry=_read_section(GeometryConfig, raw["geometry"], "geometry"),
             case_name=_read_value(str, case_block["name"], "case.name",
@@ -335,8 +331,6 @@ class ExperimentConfig:
             fom=_read_section(FOMConfig, raw["fom"], "fom"),
             pod=_read_section(PODBlock, raw.get("pod", {}), "pod"),
             rom=_read_section(ROMBlock, raw.get("rom", {}), "rom"),
-            output_directory=_read_value(str, output_block.get("directory", "out"),
-                                         "output.directory", "config_type"),
         )
 
     @classmethod
@@ -772,11 +766,10 @@ def _source_sha256():
 
 
 def _resumable(config, out, stages):
-    """``config``'s record (JSON values, no output directory) and {stage: ``out``}
-    for the leading ``stages`` that ``out``'s record lists under the same
-    source and config."""
-    record = {k: v for k, v in json.loads(json.dumps(asdict(config))).items()
-              if k != "output_directory"}
+    """``config``'s record (its JSON values) and {stage: ``out``} for the
+    leading ``stages`` that ``out``'s record lists under the same source and
+    config."""
+    record = json.loads(json.dumps(asdict(config)))
     inputs = lambda r, stage: [r["geometry"], r["case_name"], r["case_parameters"],
                                r["fom"], r["pod"] if stage == "pod" else r["pod"]["center"]]
     try:
@@ -789,8 +782,8 @@ def _resumable(config, out, stages):
         return record, {}
 
 
-def run_pipeline(config, out_dir=None, stop_after=None):
-    """Execute the pipeline and write deterministic artifacts.
+def run_pipeline(config, out_dir, stop_after=None):
+    """Execute the pipeline and write deterministic artifacts into ``out_dir``.
 
     Stages: fom (the mesh and the full-order run with QoI and snapshot
     recording), pod (basis extraction) and rom (the reduced run, with
@@ -805,7 +798,7 @@ def run_pipeline(config, out_dir=None, stop_after=None):
     """
     if stop_after not in (None, "fom", "pod"):
         raise ConfigError("stage_unknown", f"unknown stage {stop_after!r}")
-    out = Path(config.output_directory if out_dir is None else out_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stages = ("fom", "pod", "rom")[:("fom", "pod", None).index(stop_after) + 1]
     record, saved = _resumable(config, out, stages[:-1])
@@ -996,83 +989,46 @@ def reduced_error_table(config, problem, vel_snaps, pres_snaps, vel_basis,
 # -- studies -------------------------------------------------------------------------
 
 
-@dataclass
-class ConvergenceStudy:
-    """Observed orders on the decaying-vortex benchmark."""
+def convergence_study(config, levels=3, out_dir=None):
+    """Refine the decaying-vortex experiment ``config`` and return the rows
+    (nx, dt, error, order, interp_error, interp_order) of ``convergence.csv``,
+    which is written into ``out_dir`` when one is given.
 
-    scheme: str
-    mesh_sizes: list
-    step_sizes: list
-    errors: list
-    orders: list
-    interpolation_errors: list
-    interpolation_orders: list
-    non_monotone: bool
-
-
-def convergence_study(scheme, levels=3, base_nx=4, base_dt=2e-2,
-                      t_final=8e-2, nu=1e-2):
-    """Refine the vortex benchmark and report observed velocity orders.
-
-    The mesh doubles per level while the time step shrinks fourfold, so
-    the spatial error dominates; the grad-div scheme runs with mu = 0.3.
-    The nodal interpolant of the exact velocity is measured on the same
-    meshes as a control with a known third-order rate. Non-monotone error
-    sequences are flagged.
+    Level k multiplies ``geometry.nx`` and ``geometry.ny`` by 2^k and divides
+    ``fom.dt`` by 4^k, so the spatial error dominates. The error is the
+    velocity's L2 error against the exact vortex at ``fom.t_final``; the
+    nodal interpolant of the exact velocity is measured on the same meshes
+    as a control with a known third-order rate. Each order compares a level
+    with the one before, and is nan on level 0.
     """
+    if config.case_name != "taylor_green":
+        raise ConfigError("study_invalid", "the convergence study refines the taylor_green "
+                          f"case, not {config.case_name!r}")
     if levels < 2:
         raise ConfigError("study_invalid", "need at least two levels")
-    # each level's step divides the base step, so one check covers them all
-    if not _whole_steps(t_final, base_dt):
-        raise ConfigError("study_invalid", f"t_final={t_final:g} is not a "
-                          f"whole number of steps of {base_dt:g}")
-    errors = []
-    interp_errors = []
-    mesh_sizes = []
-    step_sizes = []
-    for level in range(levels):
-        nx = base_nx * 2**level
-        dt = base_dt / 4**level
-        # a window over the whole run always holds the two snapshots needed
-        config = ExperimentConfig(
-            geometry=GeometryConfig(nx=nx, ny=nx), case_name="taylor_green",
-            case_parameters={},
-            fom=FOMConfig(scheme=scheme, nu=nu, dt=dt, t_final=t_final,
-                          stabilization=StabilizationConfig(grad_div=0.3),
-                          snapshot_window=(0.0, t_final)),
-            pod=PODBlock(), rom=ROMBlock())
-        full = _full_order(config)
-        exact = full.bundle.exact_velocity
-        space = full.problem.vel_space
-        errors.append(analytic_l2_error(space, full.run.final_state.u, exact, t_final))
-        interp = interpolate(space, exact, t_final)
-        interp_errors.append(analytic_l2_error(space, interp, exact, t_final))
-        mesh_sizes.append(nx)
-        step_sizes.append(dt)
-    orders = [float(np.log2(errors[k] / errors[k + 1]))
-              for k in range(levels - 1)]
-    interp_orders = [float(np.log2(interp_errors[k] / interp_errors[k + 1]))
-                     for k in range(levels - 1)]
-    non_monotone = any(errors[k + 1] >= errors[k] for k in range(levels - 1))
-    return ConvergenceStudy(
-        scheme=scheme, mesh_sizes=mesh_sizes, step_sizes=step_sizes,
-        errors=errors, orders=orders, interpolation_errors=interp_errors,
-        interpolation_orders=interp_orders, non_monotone=non_monotone)
-
-
-def write_convergence_csv(study, path):
+    geometry, fom = config.geometry, config.fom
     rows = []
-    for k in range(len(study.mesh_sizes)):
-        rows.append((
-            study.mesh_sizes[k],
-            study.step_sizes[k],
-            study.errors[k],
-            study.orders[k - 1] if k > 0 else np.nan,
-            study.interpolation_errors[k],
-            study.interpolation_orders[k - 1] if k > 0 else np.nan,
-        ))
-    return write_csv(path, ("nx", "dt", "error", "order", "interp_error",
-                            "interp_order"), rows)
+    for k in range(levels):
+        variant = replace(config, geometry=replace(geometry, nx=geometry.nx * 2**k,
+                                                   ny=geometry.ny * 2**k),
+                          fom=replace(fom, dt=fom.dt / 4**k))
+        full = _full_order(variant)
+        exact, space = full.bundle.exact_velocity, full.problem.vel_space
+        error = analytic_l2_error(space, full.run.final_state.u, exact, fom.t_final)
+        interp_error = analytic_l2_error(space, interpolate(space, exact, fom.t_final),
+                                         exact, fom.t_final)
+        order = interp_order = np.nan
+        if rows:
+            order = float(np.log2(rows[-1][2] / error))
+            interp_order = float(np.log2(rows[-1][4] / interp_error))
+        rows.append((variant.geometry.nx, variant.fom.dt, error, order, interp_error,
+                     interp_order))
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        write_csv(out / "convergence.csv",
+                  ("nx", "dt", "error", "order", "interp_error", "interp_order"), rows)
+    return rows
 
 
 @dataclass

@@ -213,22 +213,31 @@ def test_divergence_freedom_separates_the_two_schemes(desk, report):
 # -- manufactured convergence -------------------------------------------------------
 
 
+def _vortex_config(scheme):
+    """Level 0 of the refinement: the decaying vortex on a 4 x 4 mesh."""
+    return ExperimentConfig.from_dict({
+        "geometry": {"nx": 4, "ny": 4},
+        "case": {"name": "taylor_green"},
+        "fom": {"scheme": scheme, "nu": 1e-2, "dt": 2e-2, "t_final": 0.08,
+                "stabilization": {"grad_div": 0.3}, "snapshot_window": [0.0, 0.08]},
+    })
+
+
 def test_manufactured_convergence_orders_meet_targets(report):
     start = time.perf_counter()
-    lps = convergence_study("lps", levels=3)
-    graddiv = convergence_study("graddiv", levels=3)
+    lps = convergence_study(_vortex_config("lps"), levels=3)
+    graddiv = convergence_study(_vortex_config("graddiv"), levels=3)
     elapsed = time.perf_counter() - start
-    lps_order = min(lps.orders)
-    graddiv_order = min(graddiv.orders)
-    ok = (lps_order >= 2.0 and graddiv_order >= 1.6
-          and not lps.non_monotone and not graddiv.non_monotone
-          and elapsed < 600.0)
+    lps_order = min(row[3] for row in lps[1:])
+    graddiv_order = min(row[3] for row in graddiv[1:])
+    # the orders are positive exactly when the errors fall level by level
+    ok = lps_order >= 2.0 and graddiv_order >= 1.6 and elapsed < 600.0
     report(
         "decaying-vortex velocity errors converge at the advertised orders",
         ok,
         f"equal-order {lps_order:.2f} (>= 2.0), divergence-stable "
         f"{graddiv_order:.2f} (>= 1.6), interpolation control "
-        f"{min(lps.interpolation_orders):.2f}, {elapsed:.1f}s of 600s",
+        f"{min(row[5] for row in lps[1:]):.2f}, {elapsed:.1f}s of 600s",
     )
 
 

@@ -6,10 +6,13 @@ import pytest
 
 import podflow.harness
 from podflow.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from podflow.harness import read_csv
 
 
 @pytest.fixture
-def config_path(tmp_path):
+def config_path(tmp_path, monkeypatch):
+    # a run without --out-dir writes to ./out, here tmp_path / "out"
+    monkeypatch.chdir(tmp_path)
     raw = {
         "geometry": {"nx": 4, "ny": 4},
         "case": {"name": "cavity", "parameters": {"amplitude": 100.0}},
@@ -23,7 +26,6 @@ def config_path(tmp_path):
         },
         "pod": {},
         "rom": {"r_values": [1, 2]},
-        "output": {"directory": str(tmp_path / "out")},
     }
     path = tmp_path / "config.json"
     with open(path, "w") as fh:
@@ -140,7 +142,7 @@ def test_reduced_subcommand_writes_the_full_chain(config_path, tmp_path, capsys)
     assert "reduced run" in stdout and "vel_error" in stdout
 
 
-def test_out_dir_flag_overrides_the_config_directory(config_path, tmp_path):
+def test_out_dir_flag_overrides_the_default_directory(config_path, tmp_path):
     other = tmp_path / "elsewhere"
     assert main(["rom", "--config", str(config_path),
                  "--out-dir", str(other)]) == EXIT_OK
@@ -148,9 +150,8 @@ def test_out_dir_flag_overrides_the_config_directory(config_path, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_out_dir_flag_is_taken_as_a_directory_name(config_path, tmp_path, monkeypatch):
+def test_out_dir_flag_is_taken_as_a_directory_name(config_path, tmp_path):
     # a numeric or quoted name is a path, not a JSON value
-    monkeypatch.chdir(tmp_path)
     for name in ("2024", '"q"'):
         assert main(["fom", "--config", str(config_path), "--out-dir", name]) == EXIT_OK
         assert (tmp_path / name / "qoi.csv").exists()
@@ -183,22 +184,50 @@ def test_the_seed_flag_is_a_usage_error(config_path, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_convergence_study_subcommand_writes_its_table(tmp_path, capsys):
+@pytest.fixture
+def vortex_path(tmp_path):
+    """The convergence study's level 0: the LPS decaying vortex on a 4 x 4 mesh."""
+    raw = {
+        "geometry": {"nx": 4, "ny": 4},
+        "case": {"name": "taylor_green"},
+        "fom": {"scheme": "lps", "nu": 1e-2, "dt": 2e-2, "t_final": 0.04,
+                "snapshot_window": [0.0, 0.04]},
+    }
+    path = tmp_path / "vortex.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def test_convergence_study_subcommand_writes_its_table(vortex_path, tmp_path, capsys):
     out = tmp_path / "conv"
-    code = main(["study", "convergence", "--levels", "2", "--scheme", "lps",
-                 "--base-dt", "0.02", "--t-final", "0.04",
+    code = main(["study", "convergence", "--config", str(vortex_path), "--levels", "2",
                  "--out-dir", str(out)])
     assert code == EXIT_OK
-    assert (out / "convergence.csv").exists()
-    stdout = capsys.readouterr().out
-    assert "order" in stdout and "interpolation" in stdout
+    header, data = read_csv(out / "convergence.csv")
+    assert data[:, header.index("nx")].tolist() == [4, 8]
+    lines = capsys.readouterr().out.splitlines()
+    order = data[1, header.index("order")]
+    assert lines[1].endswith(f" order={order:.3f}") and order > 2.0
+    assert lines[2].startswith("interpolation orders: ")
 
 
-def test_convergence_study_off_the_step_grid_is_a_config_error(tmp_path, capsys):
-    code = main(["study", "convergence", "--levels", "2", "--base-dt", "0.02",
-                 "--t-final", "0.05", "--out-dir", str(tmp_path / "conv")])
+def test_convergence_study_off_the_step_grid_is_a_config_error(vortex_path, tmp_path, capsys):
+    code = main(["study", "convergence", "--config", str(vortex_path), "--levels", "2",
+                 "--override", "fom.t_final=0.05", "--out-dir", str(tmp_path / "conv")])
     assert code == EXIT_CONFIG
-    assert "study_invalid" in capsys.readouterr().err
+    assert "fom_invalid" in capsys.readouterr().err
+    assert not (tmp_path / "conv").exists()
+
+
+def test_the_output_directory_is_only_the_out_dir_flag(config_path, tmp_path, capsys):
+    # without --out-dir a run writes to ./out, and a config cannot name a directory
+    assert main(["fom", "--config", str(config_path)]) == EXIT_OK
+    assert (tmp_path / "out" / "qoi.csv").exists()
+    code = main(["fom", "--config", str(config_path),
+                 "--override", f"output.directory={tmp_path / 'other'}"])
+    assert code == EXIT_CONFIG
+    assert "unknown_key" in capsys.readouterr().err
+    assert not (tmp_path / "other").exists()
 
 
 def test_long_horizon_subcommand_compares_both_runs(config_path, tmp_path, capsys):

@@ -209,6 +209,35 @@ def test_a_json_object_lists_one_sided_keys_and_gates_on_its_shared_values(
     assert found.column_at == "run_meta.json:case"
 
 
+def test_a_nested_json_object_is_compared_key_by_key(two_runs, tmp_path):
+    # a record from a tree whose geometry had one more key, and another nu
+    base, changed = tmp_path / "base", tmp_path / "changed"
+    for run, copy in zip(two_runs, (base, changed)):
+        shutil.copytree(run, copy)
+    path = base / "run_meta.json"
+    meta = json.loads(path.read_text())
+    meta["config"]["geometry"]["refine"] = 1
+    path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    path = changed / "run_meta.json"
+    meta = json.loads(path.read_text())
+    nu = meta["config"]["fom"]["nu"]
+    meta["config"]["fom"]["nu"] = nu * (1.0 + 1e-9)
+    path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    status, out = compare(base, changed, "--rtol", "1e-10")
+    lines = out.splitlines()
+    assert status == 1
+    assert "differs    run_meta.json" in lines
+    assert "    keys only in DIR_A: config.geometry.refine" in lines
+    assert not any(line.startswith("    keys only in DIR_B") for line in lines)
+    # equal values keep one line at the depth where they agree
+    assert "    artifacts: equal" in lines and "    config.geometry.nx: equal" in lines
+    assert "    config.fom.dt: equal" in lines and "    config.pod: equal" in lines
+    found = compare_runs.compare_dirs(base, changed)
+    assert found.gate == abs(meta["config"]["fom"]["nu"] - nu) < 1e-10
+    assert found.column_at == "run_meta.json:config.fom.nu"
+    assert found.differs == ["run_meta.json"]
+
+
 def test_the_column_figure_names_its_file_and_column(two_runs, tmp_path):
     changed = tmp_path / "changed"
     shutil.copytree(two_runs[1], changed)

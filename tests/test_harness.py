@@ -43,7 +43,6 @@ from podflow.harness import (
     long_horizon_study,
     read_csv,
     run_pipeline,
-    write_convergence_csv,
     write_csv,
 )
 from podflow.metrics import discrete_l2_error, kinetic_energy
@@ -367,7 +366,8 @@ _MALFORMED = [
     ("pod.center", "false", "pod_invalid"),
     ("case.parameters", [1], "config_type"),
     ("case.name", 5, "config_type"),
-    ("output", None, "config_type"),
+    # the output directory is run_pipeline's argument, not a config key
+    ("output", {"directory": "out"}, "unknown_key"),
 ]
 
 
@@ -382,7 +382,7 @@ def test_malformed_values_raise_a_config_error_naming_the_key(dotted, value, nam
 
 
 def _dotted_keys():
-    keys = ["output.directory", "case.name", "case.parameters"]
+    keys = ["case.name", "case.parameters"]
     for prefix, cls in (("geometry", GeometryConfig), ("fom", FOMConfig),
                         ("fom.stabilization", StabilizationConfig),
                         ("pod", PODBlock), ("rom", ROMBlock),
@@ -1210,30 +1210,52 @@ def test_pipeline_decaying_vortex_case_tracks_the_exact_solution(tmp_path):
 # -- studies -------------------------------------------------------------------------
 
 
+def vortex_raw(t_final=4e-2):
+    """The convergence study's level 0: the LPS decaying vortex on a 4 x 4 mesh."""
+    return {
+        "geometry": {"nx": 4, "ny": 4},
+        "case": {"name": "taylor_green"},
+        "fom": {"scheme": "lps", "nu": 1e-2, "dt": 2e-2, "t_final": t_final,
+                "snapshot_window": [0.0, t_final]},
+    }
+
+
 def test_convergence_study_orders_exceed_the_scheme_floor(tmp_path):
-    study = convergence_study("lps", levels=2, base_nx=4, base_dt=2e-2,
-                              t_final=4e-2)
-    assert len(study.errors) == 2
-    assert study.orders[0] > 2.0
-    assert abs(study.interpolation_orders[0] - 3.0) < 0.35
-    assert not study.non_monotone
-    path = write_convergence_csv(study, tmp_path / "convergence.csv")
-    header, data = read_csv(path)
+    rows = convergence_study(ExperimentConfig.from_dict(vortex_raw()), levels=2,
+                             out_dir=tmp_path)
+    assert [row[:2] for row in rows] == [(4, 2e-2), (8, 2e-2 / 4)]
+    (_, _, coarse, _, _, _), (_, _, fine, order, _, interp_order) = rows
+    assert order > 2.0 and fine < coarse
+    assert abs(interp_order - 3.0) < 0.35
+    header, data = read_csv(tmp_path / "convergence.csv")
     assert header == ["nx", "dt", "error", "order", "interp_error",
                       "interp_order"]
-    assert data.shape[0] == 2 and np.isnan(data[0, 3])
+    assert data.shape[0] == 2 and np.isnan(data[0, 3]) and data[1, 3] == order
 
 
 def test_convergence_study_rejects_a_single_level():
-    with pytest.raises(ConfigError):
-        convergence_study("lps", levels=1)
+    with pytest.raises(ConfigError) as err:
+        convergence_study(ExperimentConfig.from_dict(vortex_raw()), levels=1)
+    assert err.value.name == "study_invalid"
 
 
 def test_convergence_study_rejects_a_final_time_off_the_step_grid(count_calls):
+    # fom.t_final is checked against fom.dt when the config loads; each
+    # level's step divides it
+    count_calls(podflow.harness, "run_fom", "run_fom")
+    raw = vortex_raw(t_final=0.05)
+    with pytest.raises(ConfigError) as err:
+        convergence_study(ExperimentConfig.from_dict(raw), levels=2)
+    assert err.value.name == "fom_invalid"
+    assert count_calls.calls["run_fom"] == 0, "rejected before the full-order run"
+
+
+def test_convergence_study_rejects_a_case_other_than_the_vortex(count_calls):
+    # only the vortex has the exact velocity the errors are measured against
     count_calls(podflow.harness, "run_fom", "run_fom")
     with pytest.raises(ConfigError) as err:
-        convergence_study("lps", levels=2, base_dt=0.02, t_final=0.05)
-    assert err.value.name == "study_invalid"
+        convergence_study(ExperimentConfig.from_dict(base_raw()), levels=2)
+    assert err.value.name == "study_invalid" and "cavity" in str(err.value)
     assert count_calls.calls["run_fom"] == 0, "rejected before the full-order run"
 
 

@@ -40,11 +40,8 @@ def test_the_run_list_covers_the_workloads_and_studies():
 def test_the_runs_pose_exactly_the_registry_cases():
     posed = set()
     for kind, spec in identity_sweep.runs().values():
-        if kind == "convergence":
-            posed.add("taylor_green")  # the study poses the decaying vortex
-        else:
-            config = spec["config"] if kind == "longhorizon" else spec
-            posed.add(config["case"]["name"])
+        config = spec["config"] if kind == "longhorizon" else spec
+        posed.add(config["case"]["name"])
     assert posed == set(_CASES)
 
 

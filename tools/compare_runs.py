@@ -16,8 +16,11 @@ any two trees whose outputs are compared):
 - ``differs``: a JSON object (such as ``run_meta.json``) whose bytes
   differ. The keys only one side has are listed, and the value of each
   shared key is reported as equal, by its relative differences when it is
-  a number on both sides, or as differing (inf). The file always counts as
-  differing, but its gate figure comes from the shared values alone;
+  a number on both sides, or as differing (inf). A shared value that is an
+  object on both sides and differs is reported the same way key by key,
+  under dotted names such as ``config.fom.nu``, at any depth. The file
+  always counts as differing, but its gate figure comes from the shared
+  values alone;
 - ``differs``: anything else that is not byte-identical (another kind of
   file, a changed header, shape or metadata, or a file only one side has).
   For a container whose metadata changed, the metadata keys that differ
@@ -126,10 +129,11 @@ def _compare_container(path_a, path_b):
 
 
 def _compare_json(path_a, path_b):
-    """(sorted keys only in DIR_A, sorted keys only in DIR_B, {shared key:
-    largest relative differences}) of two JSON objects; a shared value that
-    is not a number on both sides and differs reads inf. None when either
-    file is not a JSON object."""
+    """(keys only in DIR_A, keys only in DIR_B, {shared key: largest relative
+    differences}) of two JSON objects, in key order. A shared value that is
+    an object on both sides and differs is compared key by key under dotted
+    names, at any depth; any other shared value that is not a number on both
+    sides and differs reads inf. None when either file is not a JSON object."""
     try:
         obj_a, obj_b = (json.loads(comparable_bytes(p)) for p in (path_a, path_b))
     except ValueError:
@@ -137,11 +141,24 @@ def _compare_json(path_a, path_b):
     if not (isinstance(obj_a, dict) and isinstance(obj_b, dict)):
         return None
     number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
-    shared = {k: relative_differences(obj_a[k], obj_b[k])
-              if number(obj_a[k]) and number(obj_b[k])
-              else (0.0, 0.0) if obj_a[k] == obj_b[k] else (math.inf, math.inf)
-              for k in sorted(obj_a.keys() & obj_b.keys())}
-    return sorted(obj_a.keys() - obj_b.keys()), sorted(obj_b.keys() - obj_a.keys()), shared
+    only_a, only_b, shared = [], [], {}
+
+    def walk(a, b, prefix):
+        for key in sorted(a.keys() | b.keys()):
+            name = prefix + key
+            if key not in b:
+                only_a.append(name)
+            elif key not in a:
+                only_b.append(name)
+            elif isinstance(a[key], dict) and isinstance(b[key], dict) and a[key] != b[key]:
+                walk(a[key], b[key], name + ".")
+            elif number(a[key]) and number(b[key]):
+                shared[name] = relative_differences(a[key], b[key])
+            else:
+                shared[name] = (0.0, 0.0) if a[key] == b[key] else (math.inf, math.inf)
+
+    walk(obj_a, obj_b, "")
+    return only_a, only_b, shared
 
 
 class Comparison(NamedTuple):

@@ -28,7 +28,7 @@ and then in full into one directory, so the full run resumes its fom and
 pod stages from the first run's artifacts. The configs come from the
 working tree, so both sides run the same inputs. The closing summary also
 counts identical and differing runs per time integrator, read from each
-run's spec (the convergence study runs the default, BDF2). The exit status
+run's config. The exit status
 is 0 when every pair is identical and 1 otherwise.
 """
 
@@ -74,7 +74,15 @@ CHANNEL = {
 }
 
 WORKLOAD_NAMES = ("desk_graddiv", "cavity_lps_nx32", "channel_picard")
-DEFAULT_INTEGRATOR = "bdf2_semi_implicit"  # FOMConfig's, which the convergence study runs
+DEFAULT_INTEGRATOR = "bdf2_semi_implicit"  # FOMConfig's, for a config that names none
+
+# The convergence study's level 0: the decaying vortex on a 4 x 4 mesh
+VORTEX = {
+    "geometry": {"nx": 4, "ny": 4},
+    "case": {"name": "taylor_green"},
+    "fom": {"nu": 1e-2, "dt": 2e-2, "t_final": 0.08, "stabilization": {"grad_div": 0.3},
+            "snapshot_window": [0.0, 0.08]},
+}
 
 
 def _with(raw, **sections):
@@ -110,7 +118,7 @@ def runs():
         for name in WORKLOAD_NAMES:
             out[f"{name}_seed{seed}"] = ("pipeline", workload_config(name, seed))
     for scheme in ("graddiv", "lps"):
-        out[f"convergence_{scheme}"] = ("convergence", scheme)
+        out[f"convergence_{scheme}"] = ("convergence", _with(VORTEX, fom={"scheme": scheme}))
     out["longhorizon_tiny"] = ("longhorizon", {"config": TINY, "horizon": 10.0})
     out["longhorizon_channel_picard"] = ("longhorizon", {
         "config": workload_config("channel_picard"), "horizon": 2.0})
@@ -121,8 +129,6 @@ def runs():
 
 def integrator(kind, spec):
     """The time integrator of the run ``(kind, spec)``."""
-    if kind == "convergence":
-        return DEFAULT_INTEGRATOR
     config = spec["config"] if kind == "longhorizon" else spec
     return config["fom"].get("time_integrator", DEFAULT_INTEGRATOR)
 
@@ -155,7 +161,7 @@ if kind in ("pipeline", "resumed"):
         harness.run_pipeline(config, out_dir=out, stop_after="pod")
     harness.run_pipeline(config, out_dir=out)
 elif kind == "convergence":
-    harness.write_convergence_csv(harness.convergence_study(spec), out / "convergence.csv")
+    harness.convergence_study(harness.ExperimentConfig.from_dict(spec), out_dir=out)
 else:
     harness.long_horizon_study(harness.ExperimentConfig.from_dict(spec["config"]),
                                horizon_multiple=spec["horizon"], out_dir=out)
