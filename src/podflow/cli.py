@@ -55,8 +55,7 @@ def cmd_pod(args):
     print(f"resumed stages: {', '.join(result.resumed) or 'none'}")
     basis = result.vel_basis
     eigs = basis.eigenvalues
-    print(f"velocity basis: rank {basis.rank}, selected r={basis.r}, "
-          f"leading eigenvalue {eigs[0]:.6g}, "
+    print(f"velocity basis: rank {basis.rank}, leading eigenvalue {eigs[0]:.6g}, "
           f"trailing eigenvalue {eigs[-1]:.6g}")
     return EXIT_OK
 
@@ -208,13 +207,16 @@ def build_parser():
         description="Stabilized reduced-order models of incompressible flow")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    resumes = (" from the output directory while the source and the config each read "
-               "(geometry, case, fom and pod.center; also pod for pod) are unchanged; "
-               "a new --out-dir recomputes")
+    resumes = (" from the output directory while the source and the config they read "
+               "(geometry, case, fom and pod) are unchanged; a new --out-dir recomputes")
     for name, func, text, description in (
             ("fom", cmd_fom, "run the full-order solver", "It always runs afresh"),
-            ("pod", cmd_pod, "extract the reduced bases", "Resumes fom" + resumes),
-            ("rom", cmd_rom, "run the reduced model", "Resumes fom and pod" + resumes)):
+            ("pod", cmd_pod, "extract the reduced bases",
+             "Each basis keeps every mode above the rank cutoff. Resumes fom" + resumes),
+            ("rom", cmd_rom, "run the reduced model",
+             "The rom section sets the sizes: rom.r and rom.r_values default to the "
+             "velocity basis rank, the pressure size to min(r, pressure rank). "
+             "Resumes fom and pod" + resumes)):
         stage = sub.add_parser(name, help=text, description=f"{text}. {description}.")
         _add_config_arguments(stage)
         stage.set_defaults(func=func)
@@ -227,7 +229,8 @@ def build_parser():
         "convergence", help=text,
         description=f"{text}. The config is level 0 and must pose the taylor_green case; "
                     "level k multiplies geometry.nx and geometry.ny by 2^k and divides "
-                    "fom.dt by 4^k. Writes convergence.csv.")
+                    "fom.dt by 4^k; fom.snapshot_window may be left out. Writes "
+                    "convergence.csv.")
     _add_config_arguments(p_conv)
     p_conv.add_argument("--levels", type=int, default=3,
                         help="number of refinement levels, at least 2 (default 3)")

@@ -1,7 +1,10 @@
 """Experiment drivers: configuration, flow cases, pipeline stages and studies.
 
 A JSON experiment configuration selects a geometry, a flow case, the
-full-order scheme, the basis extraction settings, and the reduced run.
+full-order scheme, whether POD centres the velocity snapshots, and the
+reduced run, whose section alone sets the reduced sizes: the velocity size
+and the error table's sizes default to the velocity basis rank, and a
+pressure size r_p to min(r, pressure rank).
 Each section is read into a frozen dataclass whose fields are the accepted
 keys with their defaults; a value is checked against its field's annotation
 (a nested dataclass reads a nested section), and every malformed input
@@ -16,12 +19,15 @@ is derived by hand.
 The pipeline is three stages that return values and write nothing:
 ``_full_order`` poses the configured case on a mesh, runs the full-order
 model and records its snapshots; ``_bases`` extracts the velocity and
-pressure bases; ``_reduced_start`` checks the reduced size and fixes what
-the reduced run starts from (coefficients, grad-div coefficient,
-adaptation, reference energies). ``run_pipeline`` composes them, builds the
-reduced operators, with their pressure recovery and drag/lift forms, once at
-the largest sizes, runs the reduced model and the reduced-size error sweep
-on their leading blocks, and writes deterministic CSV and binary artifacts;
+pressure bases, every mode above the rank cutoff; ``_reduced_start``
+checks the reduced size and fixes what the reduced run starts from
+(coefficients, grad-div coefficient, adaptation, reference energies). The
+pipeline and the long-horizon study need ``fom.snapshot_window`` and check
+it before any full-order step; the convergence study records no
+snapshots. ``run_pipeline`` composes them, builds the reduced operators,
+with their pressure recovery and drag/lift forms, once at the largest
+sizes, runs the reduced model and the reduced-size error sweep on their
+leading blocks, and writes deterministic CSV and binary artifacts;
 reduced drag and lift test the reduced steps' residuals. The studies
 compose the same stages: ``convergence_study`` measures observed orders on
 refinements of a decaying-vortex config, and ``long_horizon_study`` compares
@@ -30,9 +36,9 @@ extended horizon. A run's ``run_meta.json`` records its artifacts, config,
 stages and the SHA-256 of the package source that wrote it, and its
 ``rom.csv`` the reduced run's grad-div coefficient; a later run into its
 directory resumes the fom and pod stages before its last while the source
-and the config they read are unchanged (geometry, case, fom and
-``pod.center``, which centres the saved snapshots, for fom; also pod for
-pod). From the first stage that differs, or in a new directory, all run.
+and the config they read are unchanged (geometry, case, fom and pod, whose
+one key centres the saved snapshots). From the first stage that differs, or
+in a new directory, all run.
 """
 
 from __future__ import annotations
@@ -211,36 +217,23 @@ class GeometryConfig:
 
 @dataclass(frozen=True)
 class PODBlock:
-    """Basis extraction settings."""
+    """Basis extraction settings: whether the velocity snapshots are centred
+    on their mean. A basis keeps every mode; the rom section sets the sizes."""
 
-    r: int = None
-    energy_threshold: float = None
     center: bool = False
-
-    def __post_init__(self):
-        if self.r is not None and self.energy_threshold is not None:
-            raise ConfigError("pod_selector_conflict",
-                              "choose r or energy_threshold, not both")
-        if self.r is not None and self.r < 1:
-            raise ConfigError("pod_invalid", "r must be at least 1")
-        if self.energy_threshold is not None and not 0.0 < self.energy_threshold <= 1.0:
-            raise ConfigError("pod_invalid", "energy_threshold must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
 class AdaptiveBlock(AdaptiveMuConfig):
-    """The reduced run's grad-div controller: its update rule, whether it
-    runs, and the coefficient it starts from (the run's own when None)."""
+    """The reduced run's grad-div controller: its update rule and whether it
+    runs. It starts from the run's own coefficient, ``rom.mu``."""
 
     enabled: bool = False
-    mu_init: float = None
 
     def __post_init__(self):
         # a nested section's bare ValueError would read rom_invalid
         try:
             super().__post_init__()
-            if self.mu_init is not None and self.mu_init < 0.0:
-                raise ValueError("mu_init must be nonnegative")
         except ValueError as exc:
             raise ConfigError("adaptive_invalid", str(exc)) from exc
 
@@ -249,9 +242,9 @@ class AdaptiveBlock(AdaptiveMuConfig):
 class ROMBlock:
     """Reduced-run settings."""
 
-    r: int = None  # defaults to the selected basis size
-    r_pressure: int = None
-    r_values: tuple[int, ...] = None  # reduced sizes swept for the error table
+    r: int = None  # defaults to the velocity basis rank
+    r_pressure: int = None  # defaults to min(r, pressure basis rank)
+    r_values: tuple[int, ...] = None  # the error table's sizes; defaults to (rank,)
     t_final: float = None  # defaults to the snapshot window end
     integrator: str = None  # the full-order integrator; only it is accepted
     mu: float = None  # defaults to the full-order grad-div coefficient
@@ -285,15 +278,13 @@ class ExperimentConfig:
             raise ConfigError(
                 "case_unknown",
                 f"unknown case {self.case_name!r}; available: {sorted(_CASES)}")
-        if self.fom.snapshot_window is None:
-            raise ConfigError("snapshot_window_missing",
-                              "the pipeline needs fom.snapshot_window")
-        window_end = self.fom.snapshot_window[1]
-        if self.rom.t_final is not None and self.rom.t_final < window_end - _TIME_TOL:
+        window = self.fom.snapshot_window
+        if (window is not None and self.rom.t_final is not None
+                and self.rom.t_final < window[1] - _TIME_TOL):
             raise ConfigError(
                 "rom_window",
                 f"rom.t_final={self.rom.t_final} ends before the snapshot "
-                f"window end {window_end}")
+                f"window end {window[1]}")
         if self.rom.t_final is not None and not _whole_steps(self.rom.t_final, self.fom.dt):
             raise ConfigError("rom_invalid", f"rom.t_final={self.rom.t_final} is not a "
                               f"whole number of steps of fom.dt={self.fom.dt}")
@@ -685,9 +676,10 @@ def _load_pair(load, out, stem, problem):
 
 def _full_order(config, saved=None, drag_lift=False):
     """Pose the configured case, run the full-order model and record its
-    snapshots; with ``drag_lift``, a case with an obstacle gets the
-    drag/lift probe, evaluated at every step. With ``saved``, a run directory,
-    the case is posed on its mesh, its snapshots are read and ``run`` is None."""
+    snapshots, or none without ``fom.snapshot_window``; with ``drag_lift``, a
+    case with an obstacle gets the drag/lift probe, evaluated at every step.
+    With ``saved``, a run directory, the case is posed on its mesh, its
+    snapshots are read and ``run`` is None."""
     mesh = config.geometry.build() if saved is None else load_mesh(saved / "mesh.txt")
     bundle = build_case(config)
     problem = FOMProblem(mesh, config.fom, bundle.flow_case)
@@ -702,29 +694,26 @@ def _full_order(config, saved=None, drag_lift=False):
     if bundle.exact_velocity is not None:
         initial = interpolate(problem.vel_space, bundle.exact_velocity, 0.0)
     run = run_fom(problem, initial_velocity=initial, probe=probe)
+    if config.fom.snapshot_window is None:
+        return _FullOrder(bundle, problem, probe, run, None, None)
     vel_snaps, pres_snaps = record_snapshots(run, center_velocity=config.pod.center)
     if vel_snaps.n_snapshots < 2:
         raise ValueError("need at least two snapshots for the reduced run")
     return _FullOrder(bundle, problem, probe, run, vel_snaps, pres_snaps)
 
 
-def _bases(config, full, saved=None):
+def _bases(full, saved=None):
     """The second stage: the snapshots' velocity and pressure bases, or ``saved``'s."""
     if saved is not None:
         return _load_pair(load_basis, saved, "basis", full.problem)
-    vel_basis = build_basis(full.vel_snaps, full.problem.mass,
-                            energy_threshold=config.pod.energy_threshold)
-    if config.pod.r is not None:
-        _check_size("pod", "pod.r", config.pod.r, vel_basis.rank)
-        vel_basis = replace(vel_basis, r=config.pod.r)
-    return vel_basis, build_basis(full.pres_snaps, full.problem.pressure_mass)
+    return (build_basis(full.vel_snaps, full.problem.mass),
+            build_basis(full.pres_snaps, full.problem.pressure_mass))
 
 
-def _check_size(section, key, size, rank, basis="basis"):
+def _check_size(key, size, rank, basis="basis"):
     """Reject a configured size above a basis rank, known only after POD."""
     if size > rank:
-        raise ConfigError(f"{section}_invalid",
-                          f"{key}={size} exceeds the {basis} rank {rank}")
+        raise ConfigError("rom_invalid", f"{key}={size} exceeds the {basis} rank {rank}")
 
 
 @dataclass(frozen=True)
@@ -739,20 +728,17 @@ class _ReducedStart:
 
 
 def _reduced_start(config, full, vel_basis):
-    """The checked reduced size, the first snapshot's coefficients, the
-    starting grad-div coefficient (``rom.adaptive.mu_init`` only when
-    adaptation is enabled), the adaptation settings and the reference
-    energies of :func:`_snapshot_energy_table`."""
-    r = vel_basis.r if config.rom.r is None else config.rom.r
-    _check_size("rom", "rom.r", r, vel_basis.rank)
-    mu = config.effective_rom_mu()
+    """The checked reduced size (the velocity rank unless ``rom.r`` sets
+    it), the first snapshot's coefficients, the starting grad-div
+    coefficient, the adaptation settings and the reference energies of
+    :func:`_snapshot_energy_table`."""
+    r = vel_basis.rank if config.rom.r is None else config.rom.r
+    _check_size("rom.r", r, vel_basis.rank)
     adaptive = config.rom.adaptive if config.rom.adaptive.enabled else None
-    if adaptive is not None and adaptive.mu_init is not None:
-        mu = adaptive.mu_init
     raw = full.vel_snaps.raw_fields()
     a0 = project_L2(vel_basis, full.problem.mass, raw[:, 0], r=r)
     table = _snapshot_energy_table(full.problem, full.vel_snaps, config.fom.dt)
-    return _ReducedStart(r, a0, mu, adaptive, table)
+    return _ReducedStart(r, a0, config.effective_rom_mu(), adaptive, table)
 
 
 @functools.cache
@@ -770,14 +756,13 @@ def _resumable(config, out, stages):
     leading ``stages`` that ``out``'s record lists under the same source and
     config."""
     record = json.loads(json.dumps(asdict(config)))
-    inputs = lambda r, stage: [r["geometry"], r["case_name"], r["case_parameters"],
-                               r["fom"], r["pod"] if stage == "pod" else r["pod"]["center"]]
+    inputs = lambda r: [r["geometry"], r["case_name"], r["case_parameters"], r["fom"], r["pod"]]
     try:
         meta = json.loads((Path(out) / "run_meta.json").read_text())
-        same_source = meta["source_sha256"] == _source_sha256()
+        same = (meta["source_sha256"] == _source_sha256()
+                and inputs(meta["config"]) == inputs(record))
         return record, dict.fromkeys(takewhile(
-            lambda stage: same_source and stage in meta["stages"]
-            and inputs(meta["config"], stage) == inputs(record, stage), stages), Path(out))
+            lambda stage: same and stage in meta["stages"], stages), Path(out))
     except (OSError, ValueError, LookupError, TypeError):
         return record, {}
 
@@ -798,6 +783,7 @@ def run_pipeline(config, out_dir, stop_after=None):
     """
     if stop_after not in (None, "fom", "pod"):
         raise ConfigError("stage_unknown", f"unknown stage {stop_after!r}")
+    _require_window(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stages = ("fom", "pod", "rom")[:("fom", "pod", None).index(stop_after) + 1]
@@ -822,7 +808,7 @@ def run_pipeline(config, out_dir, stop_after=None):
 
     if "pod" in stages:
         with _stage("pod"):
-            vel_basis, pres_basis = _bases(config, full, saved.get("pod"))
+            vel_basis, pres_basis = _bases(full, saved.get("pod"))
             if "pod" not in saved:
                 save_basis(vel_basis, out / "basis_velocity.bin")
                 save_basis(pres_basis, out / "basis_pressure.bin")
@@ -830,13 +816,7 @@ def run_pipeline(config, out_dir, stop_after=None):
     if stop_after is None:
         with _stage("rom"):
             start = _reduced_start(config, full, vel_basis)
-            rp_main = config.rom.r_pressure
-            if rp_main is None:
-                rp_main = min(start.r, pres_basis.rank)
-            else:
-                _check_size("rom", "rom.r_pressure", rp_main, pres_basis.rank,
-                            basis="pressure basis")
-            sizes = _error_table_sizes(config, vel_basis, pres_basis)
+            rp_main, sizes = _pressure_and_table_sizes(config, start.r, vel_basis, pres_basis)
             # One build at the largest sizes; every smaller model, with its
             # recovery and drag/lift forms, is its leading block, because the
             # modes are nested.
@@ -896,14 +876,26 @@ def run_pipeline(config, out_dir, stop_after=None):
         rom_run=rom_run, error_table=error_table, resumed=tuple(saved))
 
 
-def _error_table_sizes(config, vel_basis, pres_basis):
-    """The (velocity, pressure) sizes of the error-table rows, ascending."""
-    r_values = config.rom.r_values
-    if r_values is None:
-        r_values = (vel_basis.r,)
-    _check_size("rom", "max(rom.r_values)", max(r_values), vel_basis.rank)
-    return [(r, min(r, pres_basis.rank))
-            for r in sorted(set(int(v) for v in r_values))]
+def _require_window(config):
+    """Reject, before any full-order step, a run whose reduction has no snapshots."""
+    if config.fom.snapshot_window is None:
+        raise ConfigError("snapshot_window_missing", "the pipeline needs fom.snapshot_window")
+
+
+def _pressure_and_table_sizes(config, r, vel_basis, pres_basis):
+    """The main run's pressure size, for velocity size ``r``, and the
+    (velocity, pressure) sizes of the error-table rows, ascending. A
+    pressure size is min(velocity size, pressure rank), unless
+    ``rom.r_pressure`` sets the main run's; ``rom.r_values`` defaults to the
+    velocity rank."""
+    pressure = lambda n: min(n, pres_basis.rank)
+    rp = config.rom.r_pressure
+    if rp is None:
+        rp = pressure(r)
+    _check_size("rom.r_pressure", rp, pres_basis.rank, basis="pressure basis")
+    r_values = config.rom.r_values or (vel_basis.rank,)
+    _check_size("max(rom.r_values)", max(r_values), vel_basis.rank)
+    return rp, [(n, pressure(n)) for n in sorted(set(int(v) for v in r_values))]
 
 
 def reduced_error_table(config, problem, vel_snaps, pres_snaps, vel_basis,
@@ -911,7 +903,7 @@ def reduced_error_table(config, problem, vel_snaps, pres_snaps, vel_basis,
     """Measure reduced errors and indicators over a sweep of basis sizes.
 
     ``sizes`` lists the (velocity, pressure) sizes of the rows, as
-    :func:`_error_table_sizes` gives them. ``operators`` are built at least
+    :func:`_pressure_and_table_sizes` gives them. ``operators`` are built at least
     that large, with their pressure recovery, and each row uses their
     leading blocks. Each row holds (r, velocity error,
     pressure error, velocity indicator, pressure indicator). Errors are
@@ -999,7 +991,8 @@ def convergence_study(config, levels=3, out_dir=None):
     velocity's L2 error against the exact vortex at ``fom.t_final``; the
     nodal interpolant of the exact velocity is measured on the same meshes
     as a control with a known third-order rate. Each order compares a level
-    with the one before, and is nan on level 0.
+    with the one before, and is nan on level 0. The levels record no
+    snapshots, so ``fom.snapshot_window`` may be left out.
     """
     if config.case_name != "taylor_green":
         raise ConfigError("study_invalid", "the convergence study refines the taylor_green "
@@ -1011,7 +1004,7 @@ def convergence_study(config, levels=3, out_dir=None):
     for k in range(levels):
         variant = replace(config, geometry=replace(geometry, nx=geometry.nx * 2**k,
                                                    ny=geometry.ny * 2**k),
-                          fom=replace(fom, dt=fom.dt / 4**k))
+                          fom=replace(fom, dt=fom.dt / 4**k, snapshot_window=None))
         full = _full_order(variant)
         exact, space = full.bundle.exact_velocity, full.problem.vel_space
         error = analytic_l2_error(space, full.run.final_state.u, exact, fom.t_final)
@@ -1064,9 +1057,10 @@ def long_horizon_study(config, horizon_multiple=10.0, out_dir=None):
     if config.fom.scheme != "graddiv":
         raise ConfigError("study_invalid",
                           "the long-horizon study drives the grad-div scheme")
+    _require_window(config)
     saved = {} if out_dir is None else _resumable(config, out_dir, ("fom", "pod"))[1]
     full = _full_order(config, saved.get("fom"))
-    vel_basis, _ = _bases(config, full, saved.get("pod"))
+    vel_basis, _ = _bases(full, saved.get("pod"))
     start = _reduced_start(config, full, vel_basis)
     ops = build_rom_operators(full.problem, vel_basis, r=start.r)
 

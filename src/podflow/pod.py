@@ -2,7 +2,9 @@
 
 The correlation matrix of the snapshot set is diagonalized with a dense
 symmetric eigensolver, and the modes are linear combinations of the
-snapshots. The eigenvalue tails give the reconstruction errors and the
+snapshots. A basis is the spectrum and every mode above the rank cutoff;
+it selects no size, since the reduced sizes come from the experiment's rom
+section. The eigenvalue tails give the reconstruction errors and the
 spectral diagnostics of the error indicators.
 """
 
@@ -23,38 +25,31 @@ class PODBasis:
     """Orthonormal modes with the full retained spectrum of the data set.
 
     ``modes`` holds every mode above the rank cutoff (columns, ordered by
-    nonincreasing eigenvalue); ``r`` marks how many of them the reduced
-    model uses. ``mean`` is the centering offset subtracted from the
-    snapshots before the basis was built, or ``None``.
+    nonincreasing eigenvalue). ``mean`` is the centering offset subtracted
+    from the snapshots before the basis was built, or ``None``.
     """
 
     space_signature: str
     modes: np.ndarray  # (n_dofs, d)
     eigenvalues: np.ndarray  # (d,)
     eigenvectors: np.ndarray  # (M, d)
-    r: int
     mean: np.ndarray = None
 
     def __post_init__(self):
         d = self.eigenvalues.size
         if self.modes.shape[1] != d or self.eigenvectors.shape[1] != d:
             raise ValueError("mode, eigenvalue and eigenvector counts disagree")
-        if not 1 <= self.r <= d:
-            raise ValueError(f"selected size r={self.r} outside 1..{d}")
 
     @property
     def rank(self):
         return int(self.eigenvalues.size)
 
 
-def build_basis(snapshots, mass, energy_threshold=None):
+def build_basis(snapshots, mass):
     """Diagonalize the snapshot correlation matrix K[i, j] = (u_i, u_j) / M
-    and assemble the modes.
+    and assemble every mode above the rank cutoff.
 
-    ``snapshots`` is a :class:`~podflow.fom.SnapshotSet`.
-    ``energy_threshold`` selects the smallest r whose modes carry that
-    share of the energy, and all modes above the rank cutoff are selected
-    without it; ``dataclasses.replace`` selects any other r. Mode signs are
+    ``snapshots`` is a :class:`~podflow.fom.SnapshotSet`. Mode signs are
     fixed by making each mode's largest-magnitude coefficient positive.
     """
     fields, m = snapshots.fields, snapshots.n_snapshots
@@ -79,25 +74,18 @@ def build_basis(snapshots, mass, energy_threshold=None):
             modes[:, k] = -modes[:, k]
             eigvecs[:, k] = -eigvecs[:, k]
 
-    r = d
-    if energy_threshold is not None:
-        if not 0.0 < energy_threshold <= 1.0:
-            raise ValueError("energy threshold must lie in (0, 1]")
-        fractions = np.cumsum(eigvals) / np.sum(eigvals)
-        r = min(int(np.searchsorted(fractions, energy_threshold - 1e-15) + 1), d)
-
     return PODBasis(
         space_signature=snapshots.space_signature,
         modes=modes,
         eigenvalues=eigvals,
         eigenvectors=eigvecs,
-        r=r,
         mean=snapshots.mean,
     )
 
 
 def project_L2(basis, mass, f, r=None):
-    """Coefficients of the mass-orthogonal projection onto the first modes.
+    """Coefficients of the mass-orthogonal projection onto the first ``r``
+    modes, or onto every mode when ``r`` is None.
 
     The stored centering mean, if any, is subtracted before projecting, so
     the coefficients describe the fluctuating part of ``f``.
@@ -105,7 +93,6 @@ def project_L2(basis, mass, f, r=None):
     coeffs = np.asarray(f, dtype=float)
     if basis.mean is not None:
         coeffs = coeffs - basis.mean
-    r = basis.r if r is None else int(r)
     return basis.modes[:, :r].T @ (mass @ coeffs)
 
 
@@ -126,7 +113,7 @@ def save_basis(basis, path):
               "modes": basis.modes}
     if basis.mean is not None:
         arrays["mean"] = basis.mean
-    meta = {"signature": basis.space_signature, "r": int(basis.r)}
+    meta = {"signature": basis.space_signature}
     write_container(path, "basis", meta, arrays)
 
 
@@ -138,6 +125,5 @@ def load_basis(path, expected_signature=None):
         modes=arrays["modes"],
         eigenvalues=arrays["eigenvalues"],
         eigenvectors=arrays["eigenvectors"],
-        r=meta["r"],
         mean=arrays.get("mean"),
     )

@@ -199,7 +199,8 @@ def _project(problem, phi, mean, tests):
 
 def build_rom_operators(problem, vel_basis, pres_basis=None, r=None,
                         r_pressure=None, drag_lift=None):
-    """Project the problem's operators onto the first modes of the bases.
+    """Project the problem's operators onto the first ``r`` velocity modes
+    and ``r_pressure`` pressure modes (every mode of a basis for None).
 
     The equal-order scheme requires a pressure basis for its coupled
     system. The velocity-only scheme recovers pressure through supremizers
@@ -212,7 +213,7 @@ def build_rom_operators(problem, vel_basis, pres_basis=None, r=None,
     """
     if vel_basis.space_signature != problem.vel_space.signature():
         raise ValueError("velocity basis was built on a different space")
-    r = vel_basis.r if r is None else int(r)
+    r = vel_basis.rank if r is None else int(r)
     if not 1 <= r <= vel_basis.rank:
         raise ValueError(f"requested r={r} outside 1..{vel_basis.rank}")
     phi, mean = vel_basis.modes[:, :r], vel_basis.mean
@@ -220,7 +221,7 @@ def build_rom_operators(problem, vel_basis, pres_basis=None, r=None,
     if pres_basis is not None:
         if pres_basis.space_signature != problem.pres_space.signature():
             raise ValueError("pressure basis was built on a different space")
-        rp = pres_basis.r if r_pressure is None else int(r_pressure)
+        rp = pres_basis.rank if r_pressure is None else int(r_pressure)
         if not 1 <= rp <= pres_basis.rank:
             raise ValueError(f"requested pressure size {rp} outside 1..{pres_basis.rank}")
         psi = pres_basis.modes[:, :rp]

@@ -218,7 +218,7 @@ def verify_spectral_identities(basis, snapshots, mass, stiffness, r=None,
     """
     fields = np.asarray(getattr(snapshots, "fields", snapshots), dtype=float)
     m = fields.shape[1]
-    r = basis.r if r is None else int(r)
+    r = basis.rank if r is None else int(r)
     modes = basis.modes
     coeffs = modes.T @ (mass @ fields)  # (d, M)
     residual = fields - modes[:, :r] @ coeffs[:r]
@@ -258,14 +258,14 @@ def verify_spectral_identities(basis, snapshots, mass, stiffness, r=None,
     }
 
 
-def pressure_recovery(problem, vel_basis, pres_basis, z):
-    """The :class:`~podflow.rom.PressureRecovery` of the first
-    ``vel_basis.r`` velocity modes and ``pres_basis.r`` pressure modes
-    against the supremizers ``z``, one column per pressure mode, made as
-    :func:`~podflow.rom.build_rom_operators` makes its own: the forms of a
-    projection onto ``z`` and the divergence coupling."""
-    psi = pres_basis.modes[:, :pres_basis.r]
-    operators, = _project(problem, vel_basis.modes[:, :vel_basis.r], vel_basis.mean, [z])
+def pressure_recovery(problem, vel_basis, pres_basis, z, r=None, rp=None):
+    """The :class:`~podflow.rom.PressureRecovery` of the first ``r``
+    velocity modes and ``rp`` pressure modes (every mode of a basis for
+    None) against the supremizers ``z``, one column per pressure mode, made
+    as :func:`~podflow.rom.build_rom_operators` makes its own: the forms of
+    a projection onto ``z`` and the divergence coupling."""
+    psi = pres_basis.modes[:, :rp]
+    operators, = _project(problem, vel_basis.modes[:, :r], vel_basis.mean, [z])
     return PressureRecovery(replace(operators, pres_modes=psi),
                             (psi.T @ (problem.divergence @ z)).T)
 

@@ -79,7 +79,6 @@ def periodic_raw():
             "r": 6,
             "adaptive": {
                 "enabled": True,
-                "mu_init": 0.3,
                 "mu_min": 0.05,
                 "frequency": 5,
                 "delta": 0.1,

@@ -94,14 +94,23 @@ def test_reduced_integrator_must_repeat_the_full_order_one(config_path, capsys):
     ("rom.r_pressure=9", "rom_invalid: rom.r_pressure=9 exceeds the pressure basis rank 5"),
     ("rom.r=50", "rom_invalid: rom.r=50 exceeds the basis rank 5"),
     ("rom.r_values=[2, 50]", "rom_invalid: max(rom.r_values)=50 exceeds the basis rank 5"),
-    ("pod.r=50", "pod_invalid: pod.r=50 exceeds the basis rank 5"),
-], ids=["rom.r_pressure", "rom.r", "rom.r_values", "pod.r"])
+], ids=["rom.r_pressure", "rom.r", "rom.r_values"])
 def test_a_size_above_the_basis_rank_reports_a_config_error(
         config_path, capsys, override, message):
-    # the rank is known only after POD, so the pod or rom stage raises it
+    # the rank is known only after POD, so the rom stage raises it
     code = main(["rom", "--config", str(config_path), "--override", override])
     assert code == EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+def test_a_run_without_a_snapshot_window_is_a_config_error(config_path, tmp_path, capsys):
+    raw = json.loads(config_path.read_text())
+    del raw["fom"]["snapshot_window"]
+    config_path.write_text(json.dumps(raw))
+    out = tmp_path / "nowindow"
+    assert main(["fom", "--config", str(config_path), "--out-dir", str(out)]) == EXIT_CONFIG
+    assert "snapshot_window_missing" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stage_failure_reports_a_runtime_error(config_path, tmp_path, capsys):
@@ -130,7 +139,9 @@ def test_basis_subcommand_writes_bases(config_path, tmp_path, capsys):
     names = {p.name for p in out.iterdir()}
     assert {"basis_velocity.bin", "basis_pressure.bin"} <= names
     assert "operators.bin" not in names
-    assert "rank" in capsys.readouterr().out
+    # a basis keeps every mode: the rank and its spectrum, no selected size
+    stdout = capsys.readouterr().out
+    assert "rank 5, leading eigenvalue" in stdout and "selected" not in stdout
 
 
 def test_reduced_subcommand_writes_the_full_chain(config_path, tmp_path, capsys):
@@ -234,7 +245,7 @@ def test_long_horizon_subcommand_compares_both_runs(config_path, tmp_path, capsy
     out = tmp_path / "long"
     code = main(["study", "longhorizon", "--config", str(config_path),
                  "--horizon", "2", "--out-dir", str(out),
-                 "--override", "pod.r=2"])
+                 "--override", "rom.r=2"])
     assert code == EXIT_OK
     assert (out / "longhorizon_constant.csv").exists()
     assert (out / "longhorizon_adaptive.csv").exists()

@@ -140,7 +140,7 @@ def test_valid_config_parses_with_defaults():
     assert cfg.fom.scheme == "graddiv"
     assert cfg.effective_rom_mu() == pytest.approx(0.3)
     assert cfg.effective_rom_t_final() == pytest.approx(0.06)
-    assert cfg.pod.r is None and not cfg.pod.center
+    assert not cfg.pod.center and cfg.rom.r is None and cfg.rom.r_values is None
     assert not cfg.rom.adaptive.enabled
 
 
@@ -183,9 +183,11 @@ def test_unknown_case_parameter_is_rejected():
     assert err.value.name == "case_parameter"
 
 
-@pytest.mark.parametrize("dotted", ["seed", "geometry.refine"])
+@pytest.mark.parametrize("dotted", ["seed", "geometry.refine", "pod.r",
+                                    "pod.energy_threshold", "rom.adaptive.mu_init"])
 def test_a_removed_setting_is_an_unknown_key(dotted):
-    # podflow draws no random numbers, and a run meshes its geometry as given
+    # podflow draws no random numbers, and a run meshes its geometry as given;
+    # the rom section alone sets the reduced sizes, and rom.mu the run's start
     raw = apply_overrides(base_raw(), [f"{dotted}=1"])
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_dict(raw)
@@ -243,16 +245,20 @@ def test_a_nonlinear_tolerance_below_the_backward_error_is_rejected():
     assert ExperimentConfig.from_dict(raw).fom.nonlinear_tolerance == eps4
 
 
-def test_pod_selector_conflict_is_rejected():
-    raw = base_raw()
-    raw["pod"] = {"r": 3, "energy_threshold": 0.99}
-    assert config_error_name(raw) == "pod_selector_conflict"
-
-
-def test_snapshot_window_is_required():
+def test_snapshot_window_is_required(tmp_path, count_calls):
+    # the config loads, and the pipeline and the long-horizon study reject it
+    # before any full-order step
     raw = base_raw()
     del raw["fom"]["snapshot_window"]
-    assert config_error_name(raw) == "snapshot_window_missing"
+    cfg = ExperimentConfig.from_dict(raw)
+    count_calls(podflow.harness, "run_fom", "run_fom")
+    for run in (lambda: run_pipeline(cfg, tmp_path / "run"),
+                lambda: long_horizon_study(cfg, out_dir=tmp_path / "study")):
+        with pytest.raises(ConfigError) as err:
+            run()
+        assert err.value.name == "snapshot_window_missing"
+    assert count_calls.calls["run_fom"] == 0
+    assert not any(tmp_path.iterdir())
 
 
 def test_reduced_window_must_reach_snapshot_end():
@@ -287,9 +293,8 @@ def test_invalid_adaptive_settings_are_rejected():
     with pytest.raises(ConfigError) as err:
         AdaptiveBlock(enabled=True, frequency=0)
     assert err.value.name == "adaptive_invalid"
-    # a negative starting coefficient, like a negative rom.mu
     raw = base_raw()
-    raw["rom"]["adaptive"] = {"enabled": True, "mu_init": -5.0}
+    raw["rom"]["adaptive"] = {"enabled": True, "mu_min": -5.0}
     assert config_error_name(raw) == "adaptive_invalid"
 
 
@@ -343,8 +348,7 @@ def test_reduced_integrator_other_than_the_full_order_one_is_rejected(
 
 
 def test_invalid_pod_fields_are_rejected():
-    for patch in ({"r": 0}, {"energy_threshold": 0.0},
-                  {"energy_threshold": 1.5}):
+    for patch in ({"center": 1}, {"center": "true"}):
         raw = base_raw()
         raw["pod"] = patch
         assert config_error_name(raw) == "pod_invalid"
@@ -362,7 +366,8 @@ _MALFORMED = [
     ("fom.snapshot_window", [0.1], "fom_invalid"),
     ("fom.nu", float("nan"), "fom_invalid"),
     ("fom.dt", 10**400, "fom_invalid"),
-    ("pod.r", "x", "pod_invalid"),
+    # a removed key: the rom section alone sets the reduced sizes
+    ("pod.r", "x", "unknown_key"),
     ("pod.center", "false", "pod_invalid"),
     ("case.parameters", [1], "config_type"),
     ("case.name", 5, "config_type"),
@@ -415,9 +420,9 @@ def test_config_from_json_applies_overrides(tmp_path):
     with open(path, "w") as fh:
         json.dump(base_raw(), fh)
     cfg = ExperimentConfig.from_json(
-        path, overrides=["fom.nu=0.01", "pod.r=2", "case.name=cavity"])
+        path, overrides=["fom.nu=0.01", "rom.r=2", "case.name=cavity"])
     assert cfg.fom.nu == pytest.approx(0.01)
-    assert cfg.pod.r == 2
+    assert cfg.rom.r == 2
 
 
 def test_config_from_json_reports_parse_and_io_errors(tmp_path):
@@ -614,7 +619,7 @@ def test_pipeline_adaptation_changes_mu_only_on_its_schedule(tmp_path):
     raw = base_raw()
     raw["rom"] = {
         "t_final": 0.12,
-        "adaptive": {"enabled": True, "frequency": 5, "mu_init": 0.3,
+        "adaptive": {"enabled": True, "frequency": 5,
                      "mu_min": 0.05, "delta": 0.1, "tolerance": 1e-6},
     }
     run_small_pipeline(tmp_path, raw)
@@ -705,7 +710,8 @@ def test_a_run_directory_written_by_other_source_resumes_nothing(tmp_path, count
 def test_a_run_directory_written_with_the_older_echoed_keys_still_resumes(
         tmp_path, count_calls):
     # earlier records repeated the config's case, scheme and seed, snapshot
-    # headers its step, stride and window, and basis headers the snapshot count
+    # headers its step, stride and window, and basis headers the snapshot
+    # count and a selected size
     run_small_pipeline(tmp_path / "fresh")
     old = tmp_path / "old"
     run_small_pipeline(old, stop_after="pod")
@@ -715,7 +721,7 @@ def test_a_run_directory_written_with_the_older_echoed_keys_still_resumes(
                                 "rom_scheme": "graddiv", "seed": 0}))
     echoed = {"snapshots": {"scheme": "graddiv", "dt": 0.01, "stride": 1,
                             "t_start": 0.02, "t_end": 0.06},
-              "basis": {"n_snapshots": 5}}
+              "basis": {"n_snapshots": 5, "r": 2}}
     rewritten = []
     for kind, keys in echoed.items():
         for name in ("velocity", "pressure"):
@@ -734,8 +740,7 @@ def test_a_run_directory_written_with_the_older_echoed_keys_still_resumes(
 @pytest.mark.parametrize("section,key,value,resumed", [
     ("rom", "r_values", [2], ("fom", "pod")),
     ("rom", "mu", 0.4, ("fom", "pod")),
-    ("pod", "r", 2, ("fom",)),
-    ("pod", "energy_threshold", 0.99, ("fom",)),
+    ("rom", "r", 2, ("fom", "pod")),
     ("geometry", "ny", 5, ()),
     ("case", "parameters", {"amplitude": 90.0}, ()),
     ("fom", "nu", 4e-3, ()),
@@ -788,10 +793,10 @@ def test_a_run_that_fails_after_rewriting_an_artifact_leaves_no_record(tmp_path)
     run_small_pipeline(tmp_path)
     raw = base_raw()
     raw["fom"]["nu"] = 4e-3
-    raw["pod"] = {"r": 50}
+    raw["rom"] = {"r": 50}
     with pytest.raises(ConfigError) as err:
         run_small_pipeline(tmp_path, raw)
-    assert err.value.name == "pod_invalid"
+    assert err.value.name == "rom_invalid"
     assert not (tmp_path / "run_meta.json").exists()
     # so the next run computes every stage again
     assert run_small_pipeline(tmp_path).resumed == ()
@@ -940,7 +945,7 @@ def channel_builds():
         raw["pod"] = {"center": center}
         config = ExperimentConfig.from_dict(raw)
         full = _full_order(config, drag_lift=True)
-        vel_basis, pres_basis = _bases(config, full)
+        vel_basis, pres_basis = _bases(full)
         builds[center] = (full, vel_basis, podflow.rom.build_rom_operators(
             full.problem, vel_basis, pres_basis, r=vel_basis.rank,
             drag_lift=full.probe.fields))
@@ -1233,6 +1238,18 @@ def test_convergence_study_orders_exceed_the_scheme_floor(tmp_path):
     assert data.shape[0] == 2 and np.isnan(data[0, 3]) and data[1, 3] == order
 
 
+def test_convergence_study_needs_no_snapshot_window(tmp_path, count_calls):
+    # the levels record no snapshots, so the window changes nothing
+    count_calls(podflow.harness, "record_snapshots", "record")
+    raw = vortex_raw()
+    convergence_study(ExperimentConfig.from_dict(raw), levels=2, out_dir=tmp_path / "window")
+    del raw["fom"]["snapshot_window"]
+    convergence_study(ExperimentConfig.from_dict(raw), levels=2, out_dir=tmp_path / "none")
+    assert (tmp_path / "window" / "convergence.csv").read_bytes() == \
+        (tmp_path / "none" / "convergence.csv").read_bytes()
+    assert count_calls.calls["record"] == 0
+
+
 def test_convergence_study_rejects_a_single_level():
     with pytest.raises(ConfigError) as err:
         convergence_study(ExperimentConfig.from_dict(vortex_raw()), levels=1)
@@ -1261,7 +1278,7 @@ def test_convergence_study_rejects_a_case_other_than_the_vortex(count_calls):
 
 def test_long_horizon_disabled_adaptation_is_bitwise_constant(tmp_path):
     raw = base_raw()
-    raw["pod"] = {"r": 2}
+    raw["rom"] = {"r": 2}
     cfg = ExperimentConfig.from_dict(raw)
     study = long_horizon_study(cfg, horizon_multiple=2.0, out_dir=tmp_path)
     assert study.max_e_diff_constant == study.max_e_diff_adaptive
@@ -1273,8 +1290,7 @@ def test_long_horizon_disabled_adaptation_is_bitwise_constant(tmp_path):
 
 def test_long_horizon_adaptive_run_diverges_from_constant_when_enabled(tmp_path):
     raw = base_raw()
-    raw["pod"] = {"r": 2}
-    raw["rom"] = {"adaptive": {"enabled": True, "frequency": 2,
+    raw["rom"] = {"r": 2, "adaptive": {"enabled": True, "frequency": 2,
                                "mu_min": 0.05, "tolerance": 1e-8}}
     cfg = ExperimentConfig.from_dict(raw)
     study = long_horizon_study(cfg, horizon_multiple=2.0, out_dir=tmp_path)
@@ -1300,8 +1316,7 @@ def test_long_horizon_study_runs_one_full_order_model_and_one_build(
     for name in ("run_fom", "build_rom_operators", "run_rom"):
         count_calls(podflow.harness, name, name)
     raw = base_raw()
-    raw["pod"] = {"r": 2}
-    raw["rom"] = {"adaptive": {"enabled": enabled}}
+    raw["rom"] = {"r": 2, "adaptive": {"enabled": enabled}}
     long_horizon_study(ExperimentConfig.from_dict(raw), horizon_multiple=2.0)
     # with adaptation disabled the adaptive run is the constant one
     assert count_calls.calls == {"run_fom": 1, "build_rom_operators": 1,
@@ -1310,8 +1325,7 @@ def test_long_horizon_study_runs_one_full_order_model_and_one_build(
 
 def test_long_horizon_study_resumes_a_matching_pipeline_run(tmp_path, count_calls):
     raw = base_raw()
-    raw["pod"] = {"r": 2}
-    raw["rom"] = {"adaptive": {"enabled": True, "frequency": 2}}
+    raw["rom"] = {"r": 2, "adaptive": {"enabled": True, "frequency": 2}}
     cfg = ExperimentConfig.from_dict(raw)
     long_horizon_study(cfg, horizon_multiple=2.0, out_dir=tmp_path / "fresh")
     run_pipeline(cfg, out_dir=tmp_path / "run")
@@ -1335,16 +1349,14 @@ def test_long_horizon_study_evaluates_no_drag_and_lift(count_calls):
 
 
 def test_long_horizon_study_starts_from_the_pipelines_mu(tmp_path):
-    # rom.adaptive.mu_init sets the starting coefficient only when
-    # adaptation is enabled, in the study as in the pipeline
+    # rom.mu sets the starting coefficient, in the study as in the pipeline
     raw = base_raw()
-    raw["pod"] = {"r": 2}
-    raw["rom"] = {"adaptive": {"enabled": False, "mu_init": 0.7}}
+    raw["rom"] = {"r": 2, "mu": 0.4, "adaptive": {"enabled": True}}
     cfg = ExperimentConfig.from_dict(raw)
     study = long_horizon_study(cfg, horizon_multiple=2.0)
     run_pipeline(cfg, out_dir=tmp_path)
     rom_mu = read_csv(tmp_path / "rom.csv")[1][:, 1]
-    assert study.constant_run.mu_traj[0] == rom_mu[0] == 0.3
+    assert study.constant_run.mu_traj[0] == study.adaptive_run.mu_traj[0] == rom_mu[0] == 0.4
 
 
 # -- separable forcing and the reduced online phase ----------------------------------

@@ -1,12 +1,10 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from oracles import verify_spectral_identities
 
 from podflow.assembly import assemble_mass, assemble_stiffness
-from podflow.container import read_container
+from podflow.container import read_container, write_container
 from podflow.fe_space import FESpace, interpolate
 from podflow.fom import SnapshotSet
 from podflow.mesh import build_rect_mesh
@@ -162,10 +160,10 @@ def test_full_rank_reconstruction_reproduces_snapshots():
 
 def test_projection_is_idempotent():
     _, mass, _, snaps = cavity_setup()
-    basis = replace(build_basis(snaps, mass), r=3)
+    basis = build_basis(snaps, mass)
     u = snaps.fields[:, 0]
-    coeffs = project_L2(basis, mass, u)
-    again = project_L2(basis, mass, reconstruct(basis, coeffs))
+    coeffs = project_L2(basis, mass, u, r=3)
+    again = project_L2(basis, mass, reconstruct(basis, coeffs), r=3)
     assert coeffs.shape == (3,)
     assert np.abs(again - coeffs).max() <= 1e-12 * max(np.abs(coeffs).max(), 1.0)
 
@@ -178,7 +176,8 @@ def test_centered_basis_round_trip():
     # the mean itself projects to zero fluctuation coefficients
     assert np.abs(project_L2(basis, mass, mean)).max() <= 1e-12
     u = snaps.fields[:, 2]
-    coeffs = project_L2(basis, mass, u, r=basis.rank)
+    coeffs = project_L2(basis, mass, u)
+    assert coeffs.shape == (basis.rank,)
     assert np.abs(reconstruct(basis, coeffs) - u).max() <= 1e-10
 
 
@@ -243,10 +242,11 @@ def test_single_mode_diagnostics_reduce_to_gradient_norm():
 def test_spectral_norm_is_independent_of_r():
     _, mass, stiffness, snaps = cavity_setup()
     basis = build_basis(snaps, mass)
-    # every mode counts, not the leading r the basis keeps
-    norms = {reduced_stiffness(replace(basis, r=r), stiffness)[1]
-             for r in (1, 3, basis.rank)}
-    assert len({round(v, 12) for v in norms}) == 1
+    s_full, norm = reduced_stiffness(basis, stiffness)
+    # every mode counts: the norm bounds each leading block's and is the full one's
+    leading = [np.linalg.eigvalsh(s_full[:r, :r]).max() for r in (1, 3, basis.rank)]
+    assert all(v <= norm * (1 + 1e-12) for v in leading)
+    assert leading[-1] == norm
 
 
 def test_tail_decreases_with_r():
@@ -257,31 +257,7 @@ def test_tail_decreases_with_r():
     assert tails[-1] == 0.0
 
 
-# -- selection rules -----------------------------------------------------------
-
-
-def test_energy_threshold_selects_smallest_sufficient_r():
-    _, mass, _, snaps = cavity_setup()
-    full = build_basis(snaps, mass)
-    fractions = np.cumsum(full.eigenvalues) / full.eigenvalues.sum()
-    for threshold in (0.5, 0.9, 0.999, 1.0):
-        basis = build_basis(snaps, mass, energy_threshold=threshold)
-        expected = int(np.searchsorted(fractions, threshold - 1e-15) + 1)
-        assert basis.r == min(expected, full.rank)
-        assert fractions[basis.r - 1] >= threshold - 1e-12
-
-
-def test_selection_validation():
-    _, mass, _, snaps = cavity_setup()
-    with pytest.raises(ValueError):
-        build_basis(snaps, mass, energy_threshold=0.0)
-    with pytest.raises(ValueError):
-        build_basis(snaps, mass, energy_threshold=1.5)
-    basis = build_basis(snaps, mass)
-    with pytest.raises(ValueError):
-        replace(basis, r=99)
-    basis = replace(basis, r=4)
-    assert basis.r == 4 and basis.rank == 6
+# -- container -------------------------------------------------------------------
 
 
 def test_basis_container_validation():
@@ -293,15 +269,6 @@ def test_basis_container_validation():
             modes=basis.modes,
             eigenvalues=basis.eigenvalues,
             eigenvectors=basis.eigenvectors[:, :-1],
-            r=basis.r,
-        )
-    with pytest.raises(ValueError):
-        PODBasis(
-            space_signature=basis.space_signature,
-            modes=basis.modes,
-            eigenvalues=basis.eigenvalues,
-            eigenvectors=basis.eigenvectors,
-            r=0,
         )
 
 
@@ -312,19 +279,30 @@ def test_save_load_round_trip(tmp_path):
     space, mass, _, snaps = cavity_setup()
     mean = snaps.fields.mean(axis=1)
     centered = snapshot_set(space, snaps.fields - mean[:, None], mean)
-    basis = replace(build_basis(centered, mass), r=3)
+    basis = build_basis(centered, mass)
     path = tmp_path / "basis.bin"
     save_basis(basis, path)
     loaded = load_basis(path, expected_signature=space.signature())
     assert loaded.space_signature == basis.space_signature
-    assert loaded.r == 3
-    assert read_container(path)[0] == {"signature": basis.space_signature, "r": 3}
+    # the header selects no size: every mode is the basis
+    assert read_container(path)[0] == {"signature": basis.space_signature}
     assert np.array_equal(loaded.modes, basis.modes)
     assert np.array_equal(loaded.eigenvalues, basis.eigenvalues)
     assert np.array_equal(loaded.eigenvectors, basis.eigenvectors)
     assert np.array_equal(loaded.mean, basis.mean)
 
 
+def test_a_basis_header_with_an_older_selected_size_loads_every_mode(tmp_path):
+    # containers once stored a selected r; a reader takes every mode regardless
+    _, mass, _, snaps = cavity_setup()
+    basis = build_basis(snaps, mass)
+    path = tmp_path / "basis.bin"
+    save_basis(basis, path)
+    meta, arrays = read_container(path, "basis")
+    write_container(path, "basis", {**meta, "r": 3}, arrays)
+    loaded = load_basis(path)
+    assert loaded.rank == basis.rank == 6
+    assert np.array_equal(loaded.modes, basis.modes)
 
 def test_load_rejects_wrong_signature_and_magic(tmp_path):
     _, mass, _, snaps = cavity_setup()
