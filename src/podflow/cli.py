@@ -4,10 +4,11 @@
 ``rom``), the two studies under ``study``, and ``report`` for turning run
 artifacts into summaries and plot scripts. Every run and study is driven by
 a JSON configuration file plus optional ``--override section.key=value``
-assignments, and writes into ``--out-dir`` (``out`` by default). ``pod``
-resumes fom, and ``rom`` fom and pod, from that directory while the package
-source and their config sections are unchanged (see ``podflow.harness``); a
-new ``--out-dir`` recomputes them. Exit codes: 0 on success, 1 on a
+assignments, and writes into ``--out-dir`` (``out`` by default). Only the
+full-order run resumes: ``pod`` and ``rom`` read its snapshots back from that
+directory while the package source and the config sections they depend on
+are unchanged (see ``podflow.harness``), and always build the bases; a new
+``--out-dir`` recomputes everything. Exit codes: 0 on success, 1 on a
 configuration or usage error, 2 on a runtime failure inside a stage.
 """
 
@@ -207,16 +208,17 @@ def build_parser():
         description="Stabilized reduced-order models of incompressible flow")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    resumes = (" from the output directory while the source and the config they read "
-               "(geometry, case, fom and pod) are unchanged; a new --out-dir recomputes")
+    resumes = (" Only the full-order run resumes: its snapshots are read from the output "
+               "directory while the source and the config they depend on (geometry, case, "
+               "fom and pod) are unchanged, and the bases are always built; a new --out-dir "
+               "recomputes")
     for name, func, text, description in (
             ("fom", cmd_fom, "run the full-order solver", "It always runs afresh"),
             ("pod", cmd_pod, "extract the reduced bases",
-             "Each basis keeps every mode above the rank cutoff. Resumes fom" + resumes),
+             "Each basis keeps every mode above the rank cutoff." + resumes),
             ("rom", cmd_rom, "run the reduced model",
              "The rom section sets the sizes: rom.r and rom.r_values default to the "
-             "velocity basis rank, the pressure size to min(r, pressure rank). "
-             "Resumes fom and pod" + resumes)):
+             "velocity basis rank, the pressure size to min(r, pressure rank)." + resumes)):
         stage = sub.add_parser(name, help=text, description=f"{text}. {description}.")
         _add_config_arguments(stage)
         stage.set_defaults(func=func)

@@ -34,11 +34,13 @@ refinements of a decaying-vortex config, and ``long_horizon_study`` compares
 constant and adaptive grad-div coefficients of one full-order run over an
 extended horizon. A run's ``run_meta.json`` records its artifacts, config,
 stages and the SHA-256 of the package source that wrote it, and its
-``rom.csv`` the reduced run's grad-div coefficient; a later run into its
-directory resumes the fom and pod stages before its last while the source
-and the config they read are unchanged (geometry, case, fom and pod, whose
-one key centres the saved snapshots). From the first stage that differs, or
-in a new directory, all run.
+``rom.csv`` the reduced run's grad-div coefficient. Only the full-order run
+resumes: a later pod or rom run, or long-horizon study, into its directory
+reads its two snapshot containers in place of the full-order run while the
+source and the config the snapshots depend on are unchanged (geometry, case,
+fom and pod, whose one key centres the saved velocity snapshots). The mesh
+is always built from the geometry and the bases from the snapshots; if the
+source or that config differs, or in a new directory, every stage runs.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
-from itertools import takewhile
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -68,7 +69,7 @@ from .fom import (
     run_fom,
     save_snapshots,
 )
-from .mesh import MeshError, build_rect_mesh, load_mesh, save_mesh
+from .mesh import MeshError, build_rect_mesh, save_mesh
 from .metrics import (
     DragLiftProbe,
     analytic_l2_error,
@@ -76,7 +77,7 @@ from .metrics import (
     error_indicators,
     kinetic_energy,
 )
-from .pod import build_basis, load_basis, project_L2, reduced_stiffness, save_basis
+from .pod import build_basis, project_L2, reduced_stiffness, save_basis
 from .rom import (
     AdaptiveMuConfig,
     build_rom_operators,
@@ -617,9 +618,8 @@ def read_csv(path):
 @dataclass
 class PipelineResult:
     """In-memory handles to everything a pipeline run produced. ``resumed``
-    names the stages read back (``fom_run`` is then None): fom, and pod on a
-    full run, while the source and the config they read are unchanged; a new
-    directory recomputes."""
+    is ``("fom",)`` when the full-order run's snapshots were read back
+    (``fom_run`` is then None), else ``()``; the bases are always built."""
 
     config: ExperimentConfig
     problem: FOMProblem
@@ -669,18 +669,13 @@ class _FullOrder:
     pres_snaps: object
 
 
-def _load_pair(load, out, stem, problem):
-    spaces = {"velocity": problem.vel_space, "pressure": problem.pres_space}
-    return [load(out / f"{stem}_{name}.bin", space.signature()) for name, space in spaces.items()]
-
-
 def _full_order(config, saved=None, drag_lift=False):
-    """Pose the configured case, run the full-order model and record its
-    snapshots, or none without ``fom.snapshot_window``; with ``drag_lift``, a
-    case with an obstacle gets the drag/lift probe, evaluated at every step.
-    With ``saved``, a run directory, the case is posed on its mesh, its
-    snapshots are read and ``run`` is None."""
-    mesh = config.geometry.build() if saved is None else load_mesh(saved / "mesh.txt")
+    """Pose the configured case on the mesh of ``config.geometry``, run the
+    full-order model and record its snapshots, or none without
+    ``fom.snapshot_window``; with ``drag_lift``, a case with an obstacle gets
+    the drag/lift probe, evaluated at every step. With ``saved``, a run
+    directory, its two snapshot containers are read and ``run`` is None."""
+    mesh = config.geometry.build()
     bundle = build_case(config)
     problem = FOMProblem(mesh, config.fom, bundle.flow_case)
     probe = None
@@ -688,8 +683,10 @@ def _full_order(config, saved=None, drag_lift=False):
         probe = DragLiftProbe(problem, bundle.reference_velocity,
                               bundle.reference_length)
     if saved is not None:
-        return _FullOrder(bundle, problem, probe, None,
-                          *_load_pair(load_snapshots, saved, "snapshots", problem))
+        return _FullOrder(bundle, problem, probe, None, *(
+            load_snapshots(saved / f"snapshots_{name}.bin", space.signature())
+            for name, space in (("velocity", problem.vel_space),
+                                ("pressure", problem.pres_space))))
     initial = None
     if bundle.exact_velocity is not None:
         initial = interpolate(problem.vel_space, bundle.exact_velocity, 0.0)
@@ -702,10 +699,8 @@ def _full_order(config, saved=None, drag_lift=False):
     return _FullOrder(bundle, problem, probe, run, vel_snaps, pres_snaps)
 
 
-def _bases(full, saved=None):
-    """The second stage: the snapshots' velocity and pressure bases, or ``saved``'s."""
-    if saved is not None:
-        return _load_pair(load_basis, saved, "basis", full.problem)
+def _bases(full):
+    """The second stage: the snapshots' velocity and pressure bases."""
     return (build_basis(full.vel_snaps, full.problem.mass),
             build_basis(full.pres_snaps, full.problem.pressure_mass))
 
@@ -751,20 +746,23 @@ def _source_sha256():
     return digest.hexdigest()
 
 
-def _resumable(config, out, stages):
-    """``config``'s record (its JSON values) and {stage: ``out``} for the
-    leading ``stages`` that ``out``'s record lists under the same source and
-    config."""
-    record = json.loads(json.dumps(asdict(config)))
+def _record(config):
+    """``config`` as the JSON values its run record holds."""
+    return json.loads(json.dumps(asdict(config)))
+
+
+def _resumable(config, out):
+    """``out`` when its record lists the fom stage under the same source and
+    the same geometry, case, fom and pod entries as ``config``, else None."""
     inputs = lambda r: [r["geometry"], r["case_name"], r["case_parameters"], r["fom"], r["pod"]]
     try:
         meta = json.loads((Path(out) / "run_meta.json").read_text())
-        same = (meta["source_sha256"] == _source_sha256()
-                and inputs(meta["config"]) == inputs(record))
-        return record, dict.fromkeys(takewhile(
-            lambda stage: same and stage in meta["stages"], stages), Path(out))
+        if (meta["source_sha256"] == _source_sha256() and "fom" in meta["stages"]
+                and inputs(meta["config"]) == inputs(_record(config))):
+            return Path(out)
     except (OSError, ValueError, LookupError, TypeError):
-        return record, {}
+        pass
+    return None
 
 
 def run_pipeline(config, out_dir, stop_after=None):
@@ -775,11 +773,14 @@ def run_pipeline(config, out_dir, stop_after=None):
     optional adaptation, whose coefficient ``rom.csv`` records, and the
     reduced-size error sweep). ``run_meta.json`` lists the artifacts, the
     config, the stages and the source's SHA-256. ``stop_after`` ends the run
-    early after ``"fom"`` or ``"pod"``; later result fields stay None. fom,
-    and pod on a full run, resume from ``out_dir`` while the source and the
-    config they read are unchanged (see the module docstring); a new
-    ``out_dir`` recomputes them. Any stage failure is re-raised as a
-    :class:`StageError` tagged with the stage name.
+    early after ``"fom"`` or ``"pod"``; later result fields stay None. Unless
+    it stops after fom, the run reads the full-order snapshots back from
+    ``out_dir`` while the source and the config they depend on are unchanged
+    (see the module docstring); the mesh, the bases and every later stage are
+    computed, and every artifact is written as a fresh run writes it, except
+    that a resumed run leaves the full-order run's files as they are. Any
+    stage failure is re-raised as a :class:`StageError` tagged with the stage
+    name.
     """
     if stop_after not in (None, "fom", "pod"):
         raise ConfigError("stage_unknown", f"unknown stage {stop_after!r}")
@@ -787,7 +788,7 @@ def run_pipeline(config, out_dir, stop_after=None):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stages = ("fom", "pod", "rom")[:("fom", "pod", None).index(stop_after) + 1]
-    record, saved = _resumable(config, out, stages[:-1])
+    saved = None if stop_after == "fom" else _resumable(config, out)
     # an interrupted run must not leave a record of artifacts it did not write
     (out / "run_meta.json").unlink(missing_ok=True)
     artifacts = {Path(name).stem: name for name in (
@@ -797,7 +798,7 @@ def run_pipeline(config, out_dir, stop_after=None):
     vel_basis = pres_basis = ops = rom_run = error_table = None
 
     with _stage("fom"):
-        full = _full_order(config, saved.get("fom"), drag_lift=not saved or "rom" in stages)
+        full = _full_order(config, saved, drag_lift=saved is None or stop_after is None)
         problem = full.problem
         if full.run is not None:
             save_mesh(problem.mesh, out / "mesh.txt")
@@ -808,10 +809,9 @@ def run_pipeline(config, out_dir, stop_after=None):
 
     if "pod" in stages:
         with _stage("pod"):
-            vel_basis, pres_basis = _bases(full, saved.get("pod"))
-            if "pod" not in saved:
-                save_basis(vel_basis, out / "basis_velocity.bin")
-                save_basis(pres_basis, out / "basis_pressure.bin")
+            vel_basis, pres_basis = _bases(full)
+            save_basis(vel_basis, out / "basis_velocity.bin")
+            save_basis(pres_basis, out / "basis_pressure.bin")
 
     if stop_after is None:
         with _stage("rom"):
@@ -862,7 +862,7 @@ def run_pipeline(config, out_dir, stop_after=None):
 
     meta = {
         "artifacts": artifacts,
-        "config": record,
+        "config": _record(config),
         "source_sha256": _source_sha256(),
         "stages": list(stages),
     }
@@ -873,7 +873,8 @@ def run_pipeline(config, out_dir, stop_after=None):
         config=config, problem=problem, fom_run=full.run,
         vel_snapshots=full.vel_snaps, pres_snapshots=full.pres_snaps,
         vel_basis=vel_basis, pres_basis=pres_basis, operators=ops,
-        rom_run=rom_run, error_table=error_table, resumed=tuple(saved))
+        rom_run=rom_run, error_table=error_table,
+        resumed=() if saved is None else ("fom",))
 
 
 def _require_window(config):
@@ -908,11 +909,13 @@ def reduced_error_table(config, problem, vel_snaps, pres_snaps, vel_basis,
     leading blocks. Each row holds (r, velocity error,
     pressure error, velocity indicator, pressure indicator). Errors are
     discrete l2-in-time L2-in-space norms against the stored snapshots over
-    the snapshot window. With unit snapshot stride the reduced run is seeded
-    with the first two projected snapshots so the full-rank limit replays
-    the snapshots to rounding; with a wider stride it starts from the
-    projected window start. Pressure errors skip the seeding level (the
-    reduced pressure is defined from the first solved step onward).
+    the snapshot window. With unit snapshot stride and at least three
+    snapshots the reduced run starts from the second projected snapshot,
+    seeded with the first, so the full-rank limit replays the snapshots to
+    rounding; otherwise it starts from the projected window start. Errors
+    skip the snapshots before the run's start, and pressure errors its
+    start too (the reduced pressure is defined from the first solved step
+    onward).
     """
     scheme = config.fom.scheme
     dt = config.fom.dt
@@ -927,47 +930,37 @@ def reduced_error_table(config, problem, vel_snaps, pres_snaps, vel_basis,
     s_full, spectral_norm = reduced_stiffness(vel_basis, problem.stiffness)
     pres_eigs = pres_basis.eigenvalues
     if operators.recovery is not None:
-        # a row's principal angles: coordinate columns pick its blocks of one Gram matrix
+        # a row's principal angles take its blocks of one Gram matrix
         basis = np.column_stack([operators.vel_modes, operators.recovery.fields])
-        gram, coords = basis.T @ (problem.stiffness @ basis), np.eye(basis.shape[1])
+        gram = basis.T @ (problem.stiffness @ basis)
 
-    replay_seeded = stride == 1 and m >= 3
+    # the snapshot the run starts from, and the run's step at each snapshot from it on
+    first = int(stride == 1 and m >= 3)
+    total = int(round((times[-1] - times[0]) / dt))
+    cols = stride * np.arange(first, m) - first
+    weight = dt * stride
     rows = []
     for r, rp in sizes:
         ops_r = truncate_operators(operators, r, rp)
         coeffs = all_coeffs[:r]
-        if replay_seeded:
-            rom = run_rom(ops_r, m - 2, coeffs[:, 1], a_prev=coeffs[:, 0],
-                          t_start=times[1], mu=mu_value)
-            compare = slice(1, None)
-            a_prev_used = coeffs[:, 0]
-            step_of_snapshot = lambda k: k - 1
-        else:
-            total = int(round((times[-1] - times[0]) / dt))
-            rom = run_rom(ops_r, total, coeffs[:, 0], t_start=times[0], mu=mu_value)
-            compare = slice(0, None)
-            a_prev_used = None
-            step_of_snapshot = lambda k: k * stride
-
-        snap_cols = [step_of_snapshot(k) for k in range(m)][compare]
-        recon = ops_r.vel_modes @ rom.a_traj[:, snap_cols]
+        rom = run_rom(ops_r, total - first, coeffs[:, first], a_prev=coeffs[:, 0],
+                      t_start=times[first], mu=mu_value)
+        recon = ops_r.vel_modes @ rom.a_traj[:, cols]
         if ops_r.mean is not None:
             recon = recon + ops_r.mean[:, None]
-        weight = dt * stride
-        vel_error = discrete_l2_error(recon, raw_vel[:, compare],
-                                      problem.mass, weight)
+        vel_error = discrete_l2_error(recon, raw_vel[:, first:], problem.mass, weight)
 
-        rom_pres = reduced_pressure(ops_r, rom, mu_value, a_prev_used,
-                                    columns=snap_cols[1:])
+        # an unseeded run's first step keeps the backward difference
+        rom_pres = reduced_pressure(ops_r, rom, mu_value, coeffs[:, 0] if first else None,
+                                    columns=cols[1:])
         pres_error = np.nan
         if rom_pres is not None:
-            pres_error = discrete_l2_error(rom_pres[:, snap_cols[1:]],
-                                           raw_pres[:, compare][:, 1:],
+            pres_error = discrete_l2_error(rom_pres[:, cols[1:]], raw_pres[:, first + 1:],
                                            problem.pressure_mass, weight)
         alpha = 1.0
         if ops_r.recovery is not None:
-            alpha = principal_angle_cosine(coords[:, :r], coords[:, operators.r:][:, :rp],
-                                           gram)
+            v, z = slice(0, r), slice(operators.r, operators.r + rp)
+            alpha = principal_angle_cosine(gram[v, v], gram[z, z], gram[v, z])
 
         vel_tail = float(vel_basis.eigenvalues[r:].sum())
         pres_tail = float(pres_eigs[rp:].sum())
@@ -1050,7 +1043,8 @@ def long_horizon_study(config, horizon_multiple=10.0, out_dir=None):
     run; only the adaptation differs, and when the config disables it the
     two are one run. The operators are built directly at the reduced size.
     Blow-up (a thousandfold growth of the coefficient norm) is recorded,
-    not fatal. fom and pod resume from a pipeline run in ``out_dir``.
+    not fatal. The full-order run resumes from a pipeline run in ``out_dir``
+    as in :func:`run_pipeline`; the bases are built from its snapshots.
     """
     if horizon_multiple <= 0.0:
         raise ConfigError("study_invalid", "horizon multiple must be positive")
@@ -1058,9 +1052,8 @@ def long_horizon_study(config, horizon_multiple=10.0, out_dir=None):
         raise ConfigError("study_invalid",
                           "the long-horizon study drives the grad-div scheme")
     _require_window(config)
-    saved = {} if out_dir is None else _resumable(config, out_dir, ("fom", "pod"))[1]
-    full = _full_order(config, saved.get("fom"))
-    vel_basis, _ = _bases(full, saved.get("pod"))
+    full = _full_order(config, None if out_dir is None else _resumable(config, out_dir))
+    vel_basis, _ = _bases(full)
     start = _reduced_start(config, full, vel_basis)
     ops = build_rom_operators(full.problem, vel_basis, r=start.r)
 

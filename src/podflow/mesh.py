@@ -18,7 +18,6 @@ __all__ = [
     "MeshError",
     "build_rect_mesh",
     "save_mesh",
-    "load_mesh",
 ]
 
 BOUNDARY_TAGS = ("inlet", "outlet", "wall", "obstacle")
@@ -233,20 +232,3 @@ def save_mesh(mesh, path):
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def load_mesh(path):
-    """Inverse of :func:`save_mesh`; validates the mesh on construction."""
-    with open(path) as fh:
-        tokens = fh.read().split("\n")
-    try:
-        nv, nt, nb = (int(s) for s in tokens[0].split())
-        rows = iter(tokens[1:])
-        vertices = np.array([[float(v) for v in next(rows).split()] for _ in range(nv)])
-        triangles = np.array([[int(v) for v in next(rows).split()] for _ in range(nt)], dtype=np.int64)
-        boundary_edges = {}
-        for _ in range(nb):
-            a, b, tag = next(rows).split()
-            boundary_edges[(int(a), int(b))] = tag
-    except (StopIteration, ValueError) as exc:
-        raise MeshError(f"malformed mesh file {path}: {exc}") from None
-    return Mesh(vertices, triangles, boundary_edges)

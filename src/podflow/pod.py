@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import read_container, write_container
+from .container import write_container
 
 _RANK_CUTOFF_ABS = 1e-10
 _RANK_CUTOFF_REL = 1e-12
@@ -116,14 +116,3 @@ def save_basis(basis, path):
     meta = {"signature": basis.space_signature}
     write_container(path, "basis", meta, arrays)
 
-
-def load_basis(path, expected_signature=None):
-    """Read a basis container written by :func:`save_basis`."""
-    meta, arrays = read_container(path, "basis", expected_signature)
-    return PODBasis(
-        space_signature=meta["signature"],
-        modes=arrays["modes"],
-        eigenvalues=arrays["eigenvalues"],
-        eigenvectors=arrays["eigenvectors"],
-        mean=arrays.get("mean"),
-    )

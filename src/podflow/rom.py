@@ -706,9 +706,10 @@ def reduced_pressure(ops, run, mu, a_prev=None, columns=None):
     return recovery.operators.pres_modes @ b_traj
 
 
-def principal_angle_cosine(phi, z, stiffness):
-    """Largest principal-angle cosine between the spans of the columns of
-    ``phi`` and ``z`` in the gradient metric.
+def principal_angle_cosine(g_vv, g_zz, g_vz):
+    """Largest principal-angle cosine between two spans in the gradient
+    metric, from the blocks of their Gram matrix: ``g_vv`` and ``g_zz`` of
+    each span with itself, ``g_vz`` of the first with the second.
 
     Measures how close the supremizer span comes to the reduced velocity
     span: 0 for gradient-orthogonal spaces, approaching 1 when they share a
@@ -716,11 +717,6 @@ def principal_angle_cosine(phi, z, stiffness):
     indicator.
     """
     import scipy.linalg as sla  # slow to import, and set-up never calls this
-    if phi.shape[1] == 0 or z.shape[1] == 0:
-        return 0.0
-    g_vv = phi.T @ (stiffness @ phi)
-    g_zz = z.T @ (stiffness @ z)
-    g_vz = phi.T @ (stiffness @ z)
     l_v = sla.cholesky(g_vv, lower=True)
     l_z = sla.cholesky(g_zz, lower=True)
     w = sla.solve_triangular(l_v, g_vz, lower=True)

@@ -1,6 +1,6 @@
 """Reference computations the tests check the package against, the
-forcings several test modules share, and the uniform mesh refinement of
-their refinement checks.
+forcings several test modules share, the uniform mesh refinement of their
+refinement checks, and a reader of the ``mesh.txt`` a run writes.
 
 None of these is part of a run: each evaluates a quantity directly (by
 quadrature at a point, by summation over snapshots, by a dense solve) that
@@ -9,6 +9,7 @@ an executable check, or builds a test's input.
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -16,7 +17,7 @@ import scipy.sparse as sp
 import podflow.assembly
 from podflow.fe_space import reference_basis, triangle_quadrature
 from podflow.fom import SeparableForcing
-from podflow.mesh import Mesh
+from podflow.mesh import Mesh, MeshError
 from podflow.pod import reduced_stiffness
 from podflow.rom import PressureRecovery, _project
 
@@ -69,6 +70,24 @@ def refine_uniform(mesh):
         boundary_edges[tuple(sorted((m, b)))] = tag
 
     return Mesh(vertices, children, boundary_edges)
+
+
+def read_mesh(path):
+    """The mesh of a file :func:`podflow.mesh.save_mesh` wrote, validated on
+    construction; a file that ends before its counts say raises
+    :class:`MeshError`."""
+    lines = iter(Path(path).read_text().split("\n"))
+    try:
+        nv, nt, nb = (int(s) for s in next(lines).split())
+        vertices = [[float(v) for v in next(lines).split()] for _ in range(nv)]
+        triangles = [[int(v) for v in next(lines).split()] for _ in range(nt)]
+        boundary_edges = {}
+        for _ in range(nb):
+            a, b, tag = next(lines).split()
+            boundary_edges[(int(a), int(b))] = tag
+    except (StopIteration, ValueError) as exc:
+        raise MeshError(f"malformed mesh file {path}: {exc}") from None
+    return Mesh(np.array(vertices), np.array(triangles, dtype=np.int64), boundary_edges)
 
 
 def eval_field(space, field, triangle, point, gradient=False):

@@ -167,6 +167,26 @@ def test_a_changed_container_header_lists_its_keys_and_still_compares_arrays(
     assert 0.0 < float(mass_line.split()[-1]) <= 1e-11
 
 
+def test_a_header_only_container_difference_gates_on_its_arrays(two_runs, tmp_path):
+    # a basis whose header gained a key while every array is bitwise equal
+    changed = tmp_path / "changed"
+    shutil.copytree(two_runs[1], changed)
+    path = changed / "basis_pressure.bin"
+    meta, arrays = read_container(path, "basis")
+    write_container(path, "basis", {**meta, "r": 2}, arrays)
+    status, out = compare(two_runs[0], changed)
+    lines = out.splitlines()
+    assert status == 1
+    assert "differs    basis_pressure.bin" in lines
+    assert "    metadata differs: r" in lines and "    modes: bitwise equal" in lines
+    # the file still differs, but its gate and column figures read its arrays
+    found = compare_runs.compare_dirs(two_runs[0], changed)
+    assert found.gate == 0.0
+    assert found == (0.0, 0.0, None, ["basis_pressure.bin"])
+    assert lines[-1] == ("worst relative difference 0.000e+00 (column 0.000e+00): "
+                         "within rtol 0.0e+00; files that differ: basis_pressure.bin")
+
+
 def test_a_json_object_lists_one_sided_keys_and_gates_on_its_shared_values(
         two_runs, tmp_path):
     # both records get the same top-level keys, a string and a number among them

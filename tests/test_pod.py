@@ -4,14 +4,13 @@ import pytest
 from oracles import verify_spectral_identities
 
 from podflow.assembly import assemble_mass, assemble_stiffness
-from podflow.container import read_container, write_container
+from podflow.container import read_container
 from podflow.fe_space import FESpace, interpolate
 from podflow.fom import SnapshotSet
 from podflow.mesh import build_rect_mesh
 from podflow.pod import (
     PODBasis,
     build_basis,
-    load_basis,
     project_L2,
     reduced_stiffness,
     save_basis,
@@ -282,27 +281,14 @@ def test_save_load_round_trip(tmp_path):
     basis = build_basis(centered, mass)
     path = tmp_path / "basis.bin"
     save_basis(basis, path)
-    loaded = load_basis(path, expected_signature=space.signature())
-    assert loaded.space_signature == basis.space_signature
+    meta, arrays = read_container(path, "basis", space.signature())
     # the header selects no size: every mode is the basis
-    assert read_container(path)[0] == {"signature": basis.space_signature}
-    assert np.array_equal(loaded.modes, basis.modes)
-    assert np.array_equal(loaded.eigenvalues, basis.eigenvalues)
-    assert np.array_equal(loaded.eigenvectors, basis.eigenvectors)
-    assert np.array_equal(loaded.mean, basis.mean)
+    assert meta == {"signature": basis.space_signature}
+    assert np.array_equal(arrays["modes"], basis.modes)
+    assert np.array_equal(arrays["eigenvalues"], basis.eigenvalues)
+    assert np.array_equal(arrays["eigenvectors"], basis.eigenvectors)
+    assert np.array_equal(arrays["mean"], basis.mean)
 
-
-def test_a_basis_header_with_an_older_selected_size_loads_every_mode(tmp_path):
-    # containers once stored a selected r; a reader takes every mode regardless
-    _, mass, _, snaps = cavity_setup()
-    basis = build_basis(snaps, mass)
-    path = tmp_path / "basis.bin"
-    save_basis(basis, path)
-    meta, arrays = read_container(path, "basis")
-    write_container(path, "basis", {**meta, "r": 3}, arrays)
-    loaded = load_basis(path)
-    assert loaded.rank == basis.rank == 6
-    assert np.array_equal(loaded.modes, basis.modes)
 
 def test_load_rejects_wrong_signature_and_magic(tmp_path):
     _, mass, _, snaps = cavity_setup()
@@ -310,10 +296,10 @@ def test_load_rejects_wrong_signature_and_magic(tmp_path):
     path = tmp_path / "basis.bin"
     save_basis(basis, path)
     with pytest.raises(ValueError):
-        load_basis(path, expected_signature="0" * 16)
+        read_container(path, "basis", "0" * 16)
     raw = bytearray(path.read_bytes())
     raw[:4] = b"XXXX"
     bad = tmp_path / "bad.bin"
     bad.write_bytes(bytes(raw))
     with pytest.raises(ValueError):
-        load_basis(bad)
+        read_container(bad, "basis")

@@ -964,14 +964,20 @@ def test_loaded_operators_reject_a_forcing(tmp_path):
         run_rom(loaded, 1, np.zeros(loaded.r))
 
 
+def gradient_gram_blocks(phi, z, stiffness):
+    """The blocks of the gradient-metric Gram matrix of the spans of the
+    columns of ``phi`` and ``z``, as :func:`principal_angle_cosine` takes them."""
+    return phi.T @ (stiffness @ phi), z.T @ (stiffness @ z), phi.T @ (stiffness @ z)
+
+
 def test_principal_angle_cosine_bounds_and_extremes():
     problem, _, _, _, vel_basis, pres_basis = cavity_setup("graddiv", window=(0.02, 0.1))
     sup = compute_supremizers(problem, pres_basis.modes)
-    alpha = principal_angle_cosine(vel_basis.modes, sup,
-                                   problem.stiffness)
+    alpha = principal_angle_cosine(*gradient_gram_blocks(vel_basis.modes, sup,
+                                                         problem.stiffness))
     assert 0.0 <= alpha <= 1.0
     # a span compared against itself gives cosine one
-    self_alpha = principal_angle_cosine(sup, sup, problem.stiffness)
+    self_alpha = principal_angle_cosine(*gradient_gram_blocks(sup, sup, problem.stiffness))
     assert self_alpha == pytest.approx(1.0, abs=1e-10)
     # gradient-orthogonal complement gives cosine zero: gram-schmidt a random
     # field against the supremizers in the gradient metric
@@ -982,5 +988,6 @@ def test_principal_angle_cosine_bounds_and_extremes():
         for k in range(sup.shape[1]):
             q = sup[:, k]
             w -= float(q @ (problem.stiffness @ w)) * q
-    ortho_alpha = principal_angle_cosine(w[:, None], sup, problem.stiffness)
+    ortho_alpha = principal_angle_cosine(*gradient_gram_blocks(w[:, None], sup,
+                                                               problem.stiffness))
     assert ortho_alpha <= 1e-8

@@ -25,7 +25,9 @@ any two trees whose outputs are compared):
   file, a changed header, shape or metadata, or a file only one side has).
   For a container whose metadata changed, the metadata keys that differ
   are listed and, when the array names and shapes still line up, each
-  array is reported as above.
+  array is reported as above; such a container always counts as differing,
+  but its gate figure comes from its arrays alone, as a JSON object's comes
+  from its shared values. Any other such file reads inf.
 
 Each differing column or array gets two relative differences, with ``a``
 from DIR_A (the reference run); two nan entries agree. ``max rel diff``,
@@ -177,7 +179,8 @@ def compare_dirs(dir_a, dir_b):
     """Print one report line per file (and per column, array or key);
     return a :class:`Comparison`. A file that differs counts with inf
     relative differences, except a JSON object, which counts with those of
-    its shared values."""
+    its shared values, and a container whose arrays line up, which counts
+    with those of its arrays."""
     dir_a, dir_b = Path(dir_a), Path(dir_b)
     names = sorted({p.relative_to(d).as_posix() for d in (dir_a, dir_b)
                     for p in d.rglob("*") if p.is_file()})
@@ -215,11 +218,12 @@ def compare_dirs(dir_a, dir_b):
             kind, (*only, parts) = "json", found
             notes = [f"keys only in {side}: {', '.join(keys)}"
                      for side, keys in zip(("DIR_A", "DIR_B"), only) if keys]
-        # a JSON object always differs, with the gate of its shared values
+        # a JSON object or a changed container header always differs, with
+        # the gate of its shared values or arrays
         if parts is None or notes or kind == "json":
             print(f"differs    {name}")
             differs.append(name)
-            if kind != "json":
+            if parts is None:
                 record(math.inf, math.inf, name)
         else:
             print(f"{kind:<10} {name}")

@@ -24,8 +24,9 @@ the three workloads at full size with seeds 0 and 1, the convergence study
 of both schemes, the long-horizon study on the tiny config and on
 ``channel_picard``, and three resumed pipelines (the tiny config,
 ``tiny_channel`` and ``channel_picard``), each run with ``stop_after="pod"``
-and then in full into one directory, so the full run resumes its fom and
-pod stages from the first run's artifacts. The configs come from the
+and then in full into one directory, so the full run reads the first run's
+snapshots in place of its full-order run (the only stage that resumes) and
+builds the mesh and the bases again. The configs come from the
 working tree, so both sides run the same inputs. The closing summary also
 counts identical and differing runs per time integrator, read from each
 run's config. The exit status
