@@ -15,7 +15,6 @@ from podflow.harness import (
     ExperimentConfig,
     StageError,
     convergence_study,
-    long_horizon_study,
     run_pipeline,
 )
 
@@ -27,7 +26,6 @@ __all__ = [
     "ExperimentConfig",
     "StageError",
     "convergence_study",
-    "long_horizon_study",
     "run_pipeline",
     "__version__",
 ]

@@ -1,9 +1,9 @@
 """Command-line front end for the experiment pipeline.
 
 ``podflow`` exposes one subcommand per pipeline stage (``fom``, ``pod``,
-``rom``), the two studies under ``study``, and ``report`` for turning run
-artifacts into summaries and plot scripts. Every run and study is driven by
-a JSON configuration file plus optional ``--override section.key=value``
+``rom``), the refinement study under ``study``, and ``report`` for turning
+run artifacts into summaries and plot scripts. Every run and study is driven
+by a JSON configuration file plus optional ``--override section.key=value``
 assignments, and writes into ``--out-dir`` (``out`` by default). Only the
 full-order run resumes: ``pod`` and ``rom`` read its snapshots back from that
 directory while the package source and the config sections they depend on
@@ -26,7 +26,6 @@ from .harness import (
     ExperimentConfig,
     StageError,
     convergence_study,
-    long_horizon_study,
     read_csv,
     run_pipeline,
 )
@@ -83,19 +82,6 @@ def cmd_study_convergence(args):
     if any(finer[2] >= coarser[2] for coarser, finer in zip(rows, rows[1:])):
         print("warning: the error sequence is not monotone")
     print(f"wrote {Path(args.out_dir) / 'convergence.csv'}")
-    return EXIT_OK
-
-
-def cmd_study_longhorizon(args):
-    config = _load_config(args)
-    study = long_horizon_study(config, horizon_multiple=args.horizon, out_dir=args.out_dir)
-    print(f"horizon x{study.horizon_multiple:g}: "
-          f"max|E_diff| constant={study.max_e_diff_constant:.6g} "
-          f"adaptive={study.max_e_diff_adaptive:.6g}")
-    if study.blow_up_constant:
-        print("constant run blew up")
-    if study.blow_up_adaptive:
-        print("adaptive run blew up")
     return EXIT_OK
 
 
@@ -156,6 +142,8 @@ def cmd_report(args):
         e_diff = data[:, header.index("E_diff")]
         if np.any(np.isfinite(e_diff)):
             summary["rom_max_E_diff"] = float(np.nanmax(np.abs(e_diff)))
+        a_norm = data[:, header.index("a_norm")]
+        summary["rom_max_a_norm_ratio"] = float(a_norm.max() / max(a_norm[0], 1e-9))
         mu = data[:, header.index("mu")]
         summary["mu_changes"] = int(np.sum(np.diff(mu) != 0.0))
         summary["mu_final"] = float(mu[-1])
@@ -223,7 +211,11 @@ def build_parser():
         _add_config_arguments(stage)
         stage.set_defaults(func=func)
 
-    p_study = sub.add_parser("study", help="parameter studies")
+    p_study = sub.add_parser(
+        "study", help="the refinement study",
+        description="The refinement study. A longer reduced horizon or another adaptation "
+                    "is another rom run (rom.t_final, rom.adaptive.enabled) into the same "
+                    "--out-dir, which resumes the full-order run.")
     study_sub = p_study.add_subparsers(dest="study_command", required=True)
 
     text = "refinement study on the decaying vortex"
@@ -237,14 +229,6 @@ def build_parser():
     p_conv.add_argument("--levels", type=int, default=3,
                         help="number of refinement levels, at least 2 (default 3)")
     p_conv.set_defaults(func=cmd_study_convergence)
-
-    p_long = study_sub.add_parser("longhorizon",
-                                  help="constant versus adaptive coefficient "
-                                       "over an extended horizon")
-    _add_config_arguments(p_long)
-    p_long.add_argument("--horizon", type=float, default=10.0,
-                        help="reduced horizon as a multiple of the snapshot window")
-    p_long.set_defaults(func=cmd_study_longhorizon)
 
     p_report = sub.add_parser("report",
                               help="summarize artifacts and write plot scripts")

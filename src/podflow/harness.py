@@ -22,25 +22,25 @@ model and records its snapshots; ``_bases`` extracts the velocity and
 pressure bases, every mode above the rank cutoff; ``_reduced_start``
 checks the reduced size and fixes what the reduced run starts from
 (coefficients, grad-div coefficient, adaptation, reference energies). The
-pipeline and the long-horizon study need ``fom.snapshot_window`` and check
-it before any full-order step; the convergence study records no
-snapshots. ``run_pipeline`` composes them, builds the reduced operators,
-with their pressure recovery and drag/lift forms, once at the largest
-sizes, runs the reduced model and the reduced-size error sweep on their
-leading blocks, and writes deterministic CSV and binary artifacts;
-reduced drag and lift test the reduced steps' residuals. The studies
-compose the same stages: ``convergence_study`` measures observed orders on
-refinements of a decaying-vortex config, and ``long_horizon_study`` compares
-constant and adaptive grad-div coefficients of one full-order run over an
-extended horizon. A run's ``run_meta.json`` records its artifacts, config,
-stages and the SHA-256 of the package source that wrote it, and its
-``rom.csv`` the reduced run's grad-div coefficient. Only the full-order run
-resumes: a later pod or rom run, or long-horizon study, into its directory
-reads its two snapshot containers in place of the full-order run while the
-source and the config the snapshots depend on are unchanged (geometry, case,
-fom and pod, whose one key centres the saved velocity snapshots). The mesh
-is always built from the geometry and the bases from the snapshots; if the
-source or that config differs, or in a new directory, every stage runs.
+pipeline needs ``fom.snapshot_window`` and checks it before any full-order
+step; the convergence study records no snapshots. ``run_pipeline``
+composes them, builds the reduced operators, with their pressure recovery
+and drag/lift forms, once at the largest sizes, runs the reduced model and
+the reduced-size error sweep on their leading blocks, and writes
+deterministic CSV and binary artifacts; reduced drag and lift test the
+reduced steps' residuals. ``convergence_study`` composes the same stages to
+measure observed orders on refinements of a decaying-vortex config. A run's
+``run_meta.json`` records its artifacts, config, stages and the SHA-256 of
+the package source that wrote it, and its ``rom.csv`` the reduced run's
+grad-div coefficient and coefficient norm. Only the full-order run resumes:
+a later pod or rom run into its directory reads its two snapshot containers
+in place of the full-order run while the source and the config the
+snapshots depend on are unchanged (geometry, case, fom and pod, whose one
+key centres the saved velocity snapshots). The mesh is always built from
+the geometry and the bases from the snapshots; if the source or that config
+differs, or in a new directory, every stage runs. So a longer reduced
+horizon (``rom.t_final``) or another adaptation (``rom.adaptive``) on one
+full-order run is another ``run_pipeline`` call into the same directory.
 """
 
 from __future__ import annotations
@@ -778,13 +778,15 @@ def run_pipeline(config, out_dir, stop_after=None):
     ``out_dir`` while the source and the config they depend on are unchanged
     (see the module docstring); the mesh, the bases and every later stage are
     computed, and every artifact is written as a fresh run writes it, except
-    that a resumed run leaves the full-order run's files as they are. Any
-    stage failure is re-raised as a :class:`StageError` tagged with the stage
-    name.
+    that a resumed run leaves the files of the full-order run it read
+    (``qoi.csv`` and the snapshots) as they are. Any stage failure is
+    re-raised as a :class:`StageError` tagged with the stage name.
     """
     if stop_after not in (None, "fom", "pod"):
         raise ConfigError("stage_unknown", f"unknown stage {stop_after!r}")
-    _require_window(config)
+    # reject, before any full-order step, a run whose reduction has no snapshots
+    if config.fom.snapshot_window is None:
+        raise ConfigError("snapshot_window_missing", "the pipeline needs fom.snapshot_window")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stages = ("fom", "pod", "rom")[:("fom", "pod", None).index(stop_after) + 1]
@@ -800,8 +802,8 @@ def run_pipeline(config, out_dir, stop_after=None):
     with _stage("fom"):
         full = _full_order(config, saved, drag_lift=saved is None or stop_after is None)
         problem = full.problem
+        save_mesh(problem.mesh, out / "mesh.txt")
         if full.run is not None:
-            save_mesh(problem.mesh, out / "mesh.txt")
             write_csv(out / "qoi.csv", ("t", "E_kin", "c_D", "c_L", "weak_div"),
                       full.run.qoi)
             save_snapshots(full.vel_snaps, out / "snapshots_velocity.bin")
@@ -875,12 +877,6 @@ def run_pipeline(config, out_dir, stop_after=None):
         vel_basis=vel_basis, pres_basis=pres_basis, operators=ops,
         rom_run=rom_run, error_table=error_table,
         resumed=() if saved is None else ("fom",))
-
-
-def _require_window(config):
-    """Reject, before any full-order step, a run whose reduction has no snapshots."""
-    if config.fom.snapshot_window is None:
-        raise ConfigError("snapshot_window_missing", "the pipeline needs fom.snapshot_window")
 
 
 def _pressure_and_table_sizes(config, r, vel_basis, pres_basis):
@@ -1015,73 +1011,3 @@ def convergence_study(config, levels=3, out_dir=None):
         write_csv(out / "convergence.csv",
                   ("nx", "dt", "error", "order", "interp_error", "interp_order"), rows)
     return rows
-
-
-@dataclass
-class LongHorizonStudy:
-    """Constant-versus-adaptive comparison over an extended horizon."""
-
-    horizon_multiple: float
-    max_e_diff_constant: float
-    max_e_diff_adaptive: float
-    blow_up_constant: bool
-    blow_up_adaptive: bool
-    constant_run: object
-    adaptive_run: object
-
-
-def _detect_blow_up(run):
-    norms = np.linalg.norm(run.a_traj, axis=0)
-    reference = max(float(norms[0]), 1e-9)
-    return bool(norms.max() > 1e3 * reference)
-
-
-def long_horizon_study(config, horizon_multiple=10.0, out_dir=None):
-    """Integrate constant and adaptive reduced runs over a longer horizon.
-
-    Both variants start from the pipeline's reduced start on one full-order
-    run; only the adaptation differs, and when the config disables it the
-    two are one run. The operators are built directly at the reduced size.
-    Blow-up (a thousandfold growth of the coefficient norm) is recorded,
-    not fatal. The full-order run resumes from a pipeline run in ``out_dir``
-    as in :func:`run_pipeline`; the bases are built from its snapshots.
-    """
-    if horizon_multiple <= 0.0:
-        raise ConfigError("study_invalid", "horizon multiple must be positive")
-    if config.fom.scheme != "graddiv":
-        raise ConfigError("study_invalid",
-                          "the long-horizon study drives the grad-div scheme")
-    _require_window(config)
-    full = _full_order(config, None if out_dir is None else _resumable(config, out_dir))
-    vel_basis, _ = _bases(full)
-    start = _reduced_start(config, full, vel_basis)
-    ops = build_rom_operators(full.problem, vel_basis, r=start.r)
-
-    times = full.vel_snaps.times
-    window = times[-1] - times[0]
-    n_steps = max(int(round(horizon_multiple * window / config.fom.dt)), 1)
-    common = dict(n_steps=n_steps, a0=start.a0, t_start=times[0], mu=start.mu,
-                  fom_energy_table=start.energy_table)
-    constant_run = adaptive_run = run_rom(ops, **common)
-    if start.adaptive is not None:
-        adaptive_run = run_rom(ops, adaptive=start.adaptive, **common)
-
-    study = LongHorizonStudy(
-        horizon_multiple=float(horizon_multiple),
-        max_e_diff_constant=float(np.nanmax(np.abs(constant_run.e_diff_traj))),
-        max_e_diff_adaptive=float(np.nanmax(np.abs(adaptive_run.e_diff_traj))),
-        blow_up_constant=_detect_blow_up(constant_run),
-        blow_up_adaptive=_detect_blow_up(adaptive_run),
-        constant_run=constant_run,
-        adaptive_run=adaptive_run,
-    )
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for label, run in (("constant", constant_run),
-                           ("adaptive", adaptive_run)):
-            write_csv(out / f"longhorizon_{label}.csv",
-                      ("t", "mu", "E_kin", "E_diff", "a_norm"),
-                      zip(run.times, run.mu_traj, run.energy_traj,
-                          run.e_diff_traj, np.linalg.norm(run.a_traj, axis=0)))
-    return study

@@ -40,7 +40,6 @@ from podflow.harness import (
     apply_overrides,
     build_case,
     convergence_study,
-    long_horizon_study,
     read_csv,
     run_pipeline,
     write_csv,
@@ -246,17 +245,14 @@ def test_a_nonlinear_tolerance_below_the_backward_error_is_rejected():
 
 
 def test_snapshot_window_is_required(tmp_path, count_calls):
-    # the config loads, and the pipeline and the long-horizon study reject it
-    # before any full-order step
+    # the config loads, and the pipeline rejects it before any full-order step
     raw = base_raw()
     del raw["fom"]["snapshot_window"]
     cfg = ExperimentConfig.from_dict(raw)
     count_calls(podflow.harness, "run_fom", "run_fom")
-    for run in (lambda: run_pipeline(cfg, tmp_path / "run"),
-                lambda: long_horizon_study(cfg, out_dir=tmp_path / "study")):
-        with pytest.raises(ConfigError) as err:
-            run()
-        assert err.value.name == "snapshot_window_missing"
+    with pytest.raises(ConfigError) as err:
+        run_pipeline(cfg, tmp_path / "run")
+    assert err.value.name == "snapshot_window_missing"
     assert count_calls.calls["run_fom"] == 0
     assert not any(tmp_path.iterdir())
 
@@ -618,15 +614,16 @@ def test_pipeline_centered_basis_still_replays_snapshots(tmp_path):
 def test_pipeline_adaptation_changes_mu_only_on_its_schedule(tmp_path):
     raw = base_raw()
     raw["rom"] = {
-        "t_final": 0.12,
+        "t_final": 0.12, "mu": 0.4,
         "adaptive": {"enabled": True, "frequency": 5,
                      "mu_min": 0.05, "delta": 0.1, "tolerance": 1e-6},
     }
     run_small_pipeline(tmp_path, raw)
-    # rom.csv records the coefficient; no separate table repeats it
+    # rom.csv records the coefficient, from rom.mu on; no separate table repeats it
     assert not (tmp_path / "mu.csv").exists()
     header, rom = read_csv(tmp_path / "rom.csv")
     mu, e_diff = rom[:, header.index("mu")], rom[:, header.index("E_diff")]
+    assert mu[0] == 0.4
     changes = np.nonzero(np.diff(mu) != 0.0)[0] + 1
     assert changes.size > 0
     assert np.all(changes % 5 == 0)
@@ -788,7 +785,8 @@ def test_a_resumed_run_rebuilds_the_mesh_and_the_bases(tmp_path, count_calls):
     assert run_small_pipeline(resumed, raw).resumed == ("fom",)
     assert calls["run_fom"] == 0
     fresh = files_of(tmp_path / "fresh")
-    for name in ("operators.bin", "rom.csv", "errors.csv", "basis_velocity.bin",
+    # the mesh the run was posed on is the one its record lists
+    for name in ("mesh.txt", "operators.bin", "rom.csv", "errors.csv", "basis_velocity.bin",
                  "basis_pressure.bin"):
         assert (resumed / name).read_bytes() == fresh[name], name
 
@@ -1295,89 +1293,6 @@ def test_convergence_study_rejects_a_case_other_than_the_vortex(count_calls):
         convergence_study(ExperimentConfig.from_dict(base_raw()), levels=2)
     assert err.value.name == "study_invalid" and "cavity" in str(err.value)
     assert count_calls.calls["run_fom"] == 0, "rejected before the full-order run"
-
-
-def test_long_horizon_disabled_adaptation_is_bitwise_constant(tmp_path):
-    raw = base_raw()
-    raw["rom"] = {"r": 2}
-    cfg = ExperimentConfig.from_dict(raw)
-    study = long_horizon_study(cfg, horizon_multiple=2.0, out_dir=tmp_path)
-    assert study.max_e_diff_constant == study.max_e_diff_adaptive
-    const = (tmp_path / "longhorizon_constant.csv").read_bytes()
-    adapt = (tmp_path / "longhorizon_adaptive.csv").read_bytes()
-    assert const == adapt
-    assert not study.blow_up_constant
-
-
-def test_long_horizon_adaptive_run_diverges_from_constant_when_enabled(tmp_path):
-    raw = base_raw()
-    raw["rom"] = {"r": 2, "adaptive": {"enabled": True, "frequency": 2,
-                               "mu_min": 0.05, "tolerance": 1e-8}}
-    cfg = ExperimentConfig.from_dict(raw)
-    study = long_horizon_study(cfg, horizon_multiple=2.0, out_dir=tmp_path)
-    assert np.isfinite(study.max_e_diff_adaptive)
-    header, adaptive = read_csv(tmp_path / "longhorizon_adaptive.csv")
-    assert np.any(np.diff(adaptive[:, header.index("mu")]) != 0.0)
-
-
-def test_long_horizon_study_requires_the_divergence_stable_scheme(count_calls):
-    count_calls(podflow.harness, "run_fom", "run_fom")
-    raw = base_raw()
-    raw["fom"]["scheme"] = "lps"
-    del raw["fom"]["stabilization"]
-    cfg = ExperimentConfig.from_dict(raw)
-    with pytest.raises(ConfigError):
-        long_horizon_study(cfg, horizon_multiple=2.0)
-    assert count_calls.calls["run_fom"] == 0, "rejected before the full-order run"
-
-
-@pytest.mark.parametrize("enabled,rom_runs", [(False, 1), (True, 2)])
-def test_long_horizon_study_runs_one_full_order_model_and_one_build(
-        count_calls, enabled, rom_runs):
-    for name in ("run_fom", "build_rom_operators", "run_rom"):
-        count_calls(podflow.harness, name, name)
-    raw = base_raw()
-    raw["rom"] = {"r": 2, "adaptive": {"enabled": enabled}}
-    long_horizon_study(ExperimentConfig.from_dict(raw), horizon_multiple=2.0)
-    # with adaptation disabled the adaptive run is the constant one
-    assert count_calls.calls == {"run_fom": 1, "build_rom_operators": 1,
-                                 "run_rom": rom_runs}
-
-
-def test_long_horizon_study_resumes_a_matching_pipeline_run(tmp_path, count_calls):
-    raw = base_raw()
-    raw["rom"] = {"r": 2, "adaptive": {"enabled": True, "frequency": 2}}
-    cfg = ExperimentConfig.from_dict(raw)
-    long_horizon_study(cfg, horizon_multiple=2.0, out_dir=tmp_path / "fresh")
-    run_pipeline(cfg, out_dir=tmp_path / "run")
-    pipeline = files_of(tmp_path / "run")
-    calls = count_offline_work(count_calls)
-    long_horizon_study(cfg, horizon_multiple=2.0, out_dir=tmp_path / "run")
-    assert (calls["run_fom"], calls["build_basis"]) == (0, 2)
-    after = files_of(tmp_path / "run")
-    fresh = files_of(tmp_path / "fresh")
-    assert sorted(fresh) == ["longhorizon_adaptive.csv", "longhorizon_constant.csv"]
-    # the study's tables are a fresh study's, and the pipeline's artifacts
-    # are left as they were
-    assert after == {**pipeline, **fresh}
-
-
-def test_long_horizon_study_evaluates_no_drag_and_lift(count_calls):
-    count_calls(podflow.metrics.DragLiftProbe, "coefficients", "probe")
-    long_horizon_study(ExperimentConfig.from_dict(channel_raw()),
-                       horizon_multiple=2.0)
-    assert count_calls.calls["probe"] == 0
-
-
-def test_long_horizon_study_starts_from_the_pipelines_mu(tmp_path):
-    # rom.mu sets the starting coefficient, in the study as in the pipeline
-    raw = base_raw()
-    raw["rom"] = {"r": 2, "mu": 0.4, "adaptive": {"enabled": True}}
-    cfg = ExperimentConfig.from_dict(raw)
-    study = long_horizon_study(cfg, horizon_multiple=2.0)
-    run_pipeline(cfg, out_dir=tmp_path)
-    rom_mu = read_csv(tmp_path / "rom.csv")[1][:, 1]
-    assert study.constant_run.mu_traj[0] == study.adaptive_run.mu_traj[0] == rom_mu[0] == 0.4
 
 
 # -- separable forcing and the reduced online phase ----------------------------------

@@ -28,8 +28,8 @@ def test_the_run_list_covers_the_workloads_and_studies():
     names = list(identity_sweep.runs())
     assert len(names) == len(set(names)) == 25
     for name in ("tiny_graddiv", "tiny_channel_small_r", "tiny_stokes_poly", "desk_lps",
-                 "cavity_lps_nx32_seed1", "convergence_lps", "longhorizon_channel_picard",
-                 "resumed_tiny_graddiv", "resumed_tiny_channel",
+                 "cavity_lps_nx32_seed1", "convergence_lps", "tiny_adaptive_long",
+                 "channel_picard_long", "resumed_tiny_graddiv", "resumed_tiny_channel",
                  "resumed_channel_picard_seed0"):
         assert name in names
     # a resumed run repeats the config of the run it is named after
@@ -39,20 +39,19 @@ def test_the_run_list_covers_the_workloads_and_studies():
 
 def test_the_runs_pose_exactly_the_registry_cases():
     posed = set()
-    for kind, spec in identity_sweep.runs().values():
-        config = spec["config"] if kind == "longhorizon" else spec
-        posed.add(config["case"]["name"])
+    for _, spec in identity_sweep.runs().values():
+        posed.add(spec["case"]["name"])
     assert posed == set(_CASES)
 
 
 def test_the_summary_counts_runs_per_time_integrator():
     plan = identity_sweep.runs()
-    euler = [name for name, run in plan.items()
-             if identity_sweep.integrator(*run) == "implicit_euler"]
+    euler = [name for name, (_, spec) in plan.items()
+             if identity_sweep.integrator(spec) == "implicit_euler"]
     assert euler == ["tiny_channel_lps_euler", "tiny_channel_picard", "channel_picard_seed0",
-                     "channel_picard_seed1", "longhorizon_channel_picard",
+                     "channel_picard_seed1", "channel_picard_long",
                      "resumed_channel_picard_seed0"]
-    assert identity_sweep.integrator(*plan["convergence_lps"]) == "bdf2_semi_implicit"
+    assert identity_sweep.integrator(plan["convergence_lps"][1]) == "bdf2_semi_implicit"
     differing = {"channel_picard_seed1": 7.7e-9, "tiny_channel_picard": 1e-9}
     assert identity_sweep.summary(list(plan), differing) == (
         "23 of 25 runs identical (bdf2_semi_implicit: 19 identical, 0 differ, "

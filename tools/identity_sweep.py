@@ -21,12 +21,13 @@ holed channel under both schemes and with its main reduced run smaller than
 its error table's largest, and the steady ``stokes_poly`` case), the three
 benchmark workloads at tiny size, the desk cavity under both schemes,
 the three workloads at full size with seeds 0 and 1, the convergence study
-of both schemes, the long-horizon study on the tiny config and on
-``channel_picard``, and three resumed pipelines (the tiny config,
+of both schemes, two reduced runs past the snapshot window (the adaptive
+tiny config at 10 times its window, ``channel_picard`` at twice its
+window), and three resumed pipelines (the tiny config,
 ``tiny_channel`` and ``channel_picard``), each run with ``stop_after="pod"``
 and then in full into one directory, so the full run reads the first run's
 snapshots in place of its full-order run (the only stage that resumes) and
-builds the mesh and the bases again. The configs come from the
+builds the mesh and the bases again, rewriting ``mesh.txt``. The configs come from the
 working tree, so both sides run the same inputs. The closing summary also
 counts identical and differing runs per time integrator, read from each
 run's config. The exit status
@@ -120,18 +121,19 @@ def runs():
             out[f"{name}_seed{seed}"] = ("pipeline", workload_config(name, seed))
     for scheme in ("graddiv", "lps"):
         out[f"convergence_{scheme}"] = ("convergence", _with(VORTEX, fom={"scheme": scheme}))
-    out["longhorizon_tiny"] = ("longhorizon", {"config": TINY, "horizon": 10.0})
-    out["longhorizon_channel_picard"] = ("longhorizon", {
-        "config": workload_config("channel_picard"), "horizon": 2.0})
+    # reduced runs past the snapshot window: 10x the tiny window, 2x the channel's
+    out["tiny_adaptive_long"] = ("pipeline", _with(TINY, rom={
+        "t_final": 0.42, "adaptive": {"enabled": True}}))
+    out["channel_picard_long"] = ("pipeline", _with(workload_config("channel_picard"),
+                                                    rom={"t_final": 0.40}))
     for name in ("tiny_graddiv", "tiny_channel", "channel_picard_seed0"):
         out[f"resumed_{name}"] = ("resumed", out[name][1])
     return out
 
 
-def integrator(kind, spec):
-    """The time integrator of the run ``(kind, spec)``."""
-    config = spec["config"] if kind == "longhorizon" else spec
-    return config["fom"].get("time_integrator", DEFAULT_INTEGRATOR)
+def integrator(spec):
+    """The time integrator of the run config ``spec``."""
+    return spec["fom"].get("time_integrator", DEFAULT_INTEGRATOR)
 
 
 def summary(names, differing):
@@ -140,7 +142,7 @@ def summary(names, differing):
     plan = runs()
     tally = {}
     for name in names:
-        counts = tally.setdefault(integrator(*plan[name]), [0, 0])
+        counts = tally.setdefault(integrator(plan[name][1]), [0, 0])
         counts[name in differing] += 1
     return (f"{len(names) - len(differing)} of {len(names)} runs identical ("
             + ", ".join(f"{key}: {same} identical, {diff} differ"
@@ -161,11 +163,8 @@ if kind in ("pipeline", "resumed"):
     if kind == "resumed":
         harness.run_pipeline(config, out_dir=out, stop_after="pod")
     harness.run_pipeline(config, out_dir=out)
-elif kind == "convergence":
-    harness.convergence_study(harness.ExperimentConfig.from_dict(spec), out_dir=out)
 else:
-    harness.long_horizon_study(harness.ExperimentConfig.from_dict(spec["config"]),
-                               horizon_multiple=spec["horizon"], out_dir=out)
+    harness.convergence_study(harness.ExperimentConfig.from_dict(spec), out_dir=out)
 """
 
 
