@@ -197,8 +197,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     resumes = (" Only the full-order run resumes: its snapshots are read from the output "
-               "directory while the source and the config they depend on (geometry, case, "
-               "fom and pod) are unchanged, and the bases are always built; a new --out-dir "
+               "directory while the source and the config they depend on (geometry, case "
+               "and fom) are unchanged, and the bases are always built; a new --out-dir "
                "recomputes")
     for name, func, text, description in (
             ("fom", cmd_fom, "run the full-order solver", "It always runs afresh"),

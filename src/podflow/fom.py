@@ -649,14 +649,14 @@ def initial_state(problem, initial_velocity=None):
 
 @dataclass
 class FOMRun:
-    """Recorded output of a full-order integration."""
+    """Recorded output of a full-order integration. ``snapshots`` holds the
+    velocity and pressure states the snapshot window records, as computed;
+    both sets are empty without a window."""
 
     problem: FOMProblem
     times: np.ndarray
     qoi: np.ndarray  # columns: t, E_kin, c_D, c_L, weak_div
-    snapshot_times: np.ndarray
-    snapshot_velocity: np.ndarray  # (n_velocity, M)
-    snapshot_pressure: np.ndarray  # (n_pressure, M)
+    snapshots: tuple[SnapshotSet, SnapshotSet]
     final_state: FOMState = None
 
 
@@ -718,13 +718,15 @@ def run_fom(problem, initial_velocity=None, probe=None):
     finally:
         lagged.clear()
 
+    snapshots = tuple(
+        SnapshotSet(space.signature(), np.array(snap_times),
+                    np.array(states).T if states else np.empty((space.n_dofs, 0)))
+        for space, states in ((problem.vel_space, snap_u), (problem.pres_space, snap_p)))
     return FOMRun(
         problem=problem,
         times=np.array(times),
         qoi=np.array(qoi_rows),
-        snapshot_times=np.array(snap_times),
-        snapshot_velocity=np.array(snap_u).T if snap_u else np.empty((problem.n_velocity, 0)),
-        snapshot_pressure=np.array(snap_p).T if snap_p else np.empty((problem.n_pressure, 0)),
+        snapshots=snapshots,
         final_state=state,
     )
 
@@ -735,64 +737,26 @@ class SnapshotSet:
 
     space_signature: str
     times: np.ndarray
-    fields: np.ndarray  # (n_dofs, M); centered when mean is not None
-    mean: np.ndarray = None
+    fields: np.ndarray  # (n_dofs, M)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.fields = np.asarray(self.fields, dtype=float)
         if self.fields.ndim != 2 or self.fields.shape[1] != self.times.size:
             raise ValueError("snapshot array must be (n_dofs, M) matching the times")
-        if self.mean is not None:
-            self.mean = np.asarray(self.mean, dtype=float)
-            if self.mean.shape != (self.fields.shape[0],):
-                raise ValueError("stored mean has the wrong length")
 
     @property
     def n_snapshots(self):
         return int(self.times.size)
 
-    def raw_fields(self):
-        """Snapshots with the stored mean added back."""
-        if self.mean is None:
-            return self.fields
-        return self.fields + self.mean[:, None]
-
-
-def record_snapshots(run, center_velocity=False):
-    """Package a run's stored fields as velocity and pressure snapshot sets."""
-    if run.snapshot_times.size == 0:
-        raise ValueError("run recorded no snapshots; check the snapshot window")
-    vel_fields = run.snapshot_velocity
-    mean = None
-    if center_velocity:
-        mean = vel_fields.mean(axis=1)
-        vel_fields = vel_fields - mean[:, None]
-    velocity = SnapshotSet(
-        space_signature=run.problem.vel_space.signature(),
-        times=run.snapshot_times.copy(),
-        fields=vel_fields,
-        mean=mean,
-    )
-    pressure = SnapshotSet(
-        space_signature=run.problem.pres_space.signature(),
-        times=run.snapshot_times.copy(),
-        fields=run.snapshot_pressure,
-    )
-    return velocity, pressure
-
 
 def save_snapshots(snapshots, path):
     """Write a snapshot set and its space signature as a binary container."""
-    arrays = {"times": snapshots.times, "fields": snapshots.fields}
-    if snapshots.mean is not None:
-        arrays["mean"] = snapshots.mean
-    write_container(path, "snapshots", {"signature": snapshots.space_signature}, arrays)
+    write_container(path, "snapshots", {"signature": snapshots.space_signature},
+                    {"times": snapshots.times, "fields": snapshots.fields})
 
 
 def load_snapshots(path, expected_signature=None):
     """Read a :func:`save_snapshots` container, fields column-major as recorded."""
     meta, arrays = read_container(path, "snapshots", expected_signature)
-    return SnapshotSet(meta["signature"], arrays["times"], np.asfortranarray(arrays["fields"]),
-                       mean=arrays.get("mean"))
-
+    return SnapshotSet(meta["signature"], arrays["times"], np.asfortranarray(arrays["fields"]))

@@ -16,30 +16,29 @@ whose velocity is the boundary data, the initial state and the convergence
 study's reference, and the steady ``stokes_poly`` flow, whose body force
 is derived by hand.
 
-The pipeline is three stages that return values and write nothing:
-``_full_order`` poses the configured case on a mesh, runs the full-order
-model and records its snapshots; ``_bases`` extracts the velocity and
-pressure bases, every mode above the rank cutoff; ``_reduced_start``
-checks the reduced size and fixes what the reduced run starts from
-(coefficients, grad-div coefficient, adaptation, reference energies). The
-pipeline needs ``fom.snapshot_window`` and checks it before any full-order
-step; the convergence study records no snapshots. ``run_pipeline``
-composes them, builds the reduced operators, with their pressure recovery
-and drag/lift forms, once at the largest sizes, runs the reduced model and
-the reduced-size error sweep on their leading blocks, and writes
-deterministic CSV and binary artifacts; reduced drag and lift test the
-reduced steps' residuals. ``convergence_study`` composes the same stages to
-measure observed orders on refinements of a decaying-vortex config. A run's
-``run_meta.json`` records its artifacts, config, stages and the SHA-256 of
-the package source that wrote it, and its ``rom.csv`` the reduced run's
-grad-div coefficient and coefficient norm. Only the full-order run resumes:
-a later pod or rom run into its directory reads its two snapshot containers
-in place of the full-order run while the source and the config the
-snapshots depend on are unchanged (geometry, case, fom and pod, whose one
-key centres the saved velocity snapshots). The mesh is always built from
-the geometry and the bases from the snapshots; if the source or that config
-differs, or in a new directory, every stage runs. So a longer reduced
-horizon (``rom.t_final``) or another adaptation (``rom.adaptive``) on one
+``run_pipeline`` needs ``fom.snapshot_window`` and checks it before any
+full-order step. It runs three stages and writes deterministic CSV and
+binary artifacts. The fom stage (``_full_order``) poses the configured case
+on a mesh, with the drag/lift probe when the case has an obstacle, and runs
+the full-order model; its snapshots are the states that model computed.
+The pod stage extracts the velocity and pressure bases, every mode above
+the rank cutoff, and centres the velocity basis on the snapshot mean when
+``pod.center`` asks. The rom stage builds the reduced operators, with their
+pressure recovery and drag/lift forms, once at the largest sizes, runs the
+reduced model from the first snapshot's coefficients and the reduced-size
+error sweep on their leading blocks; reduced drag and lift test the reduced
+steps' residuals. ``convergence_study`` runs the fom stage alone, without
+snapshots, to measure observed orders on refinements of a decaying-vortex
+config. A run's ``run_meta.json`` records its artifacts, config, stages and
+the SHA-256 of the package source that wrote it, and its ``rom.csv`` the
+reduced run's grad-div coefficient and coefficient norm. Only the
+full-order run resumes: a later pod or rom run into its directory reads its
+two snapshot containers in place of the full-order run while the source and
+the config the snapshots depend on are unchanged (geometry, case and fom).
+The mesh is always built from the geometry and the bases from the
+snapshots; if the source or that config differs, or in a new directory,
+every stage runs. So another ``pod.center``, a longer reduced horizon
+(``rom.t_final``) or another adaptation (``rom.adaptive``) on one
 full-order run is another ``run_pipeline`` call into the same directory.
 """
 
@@ -65,7 +64,6 @@ from .fom import (
     SeparableForcing,
     _whole_steps,
     load_snapshots,
-    record_snapshots,
     run_fom,
     save_snapshots,
 )
@@ -218,8 +216,9 @@ class GeometryConfig:
 
 @dataclass(frozen=True)
 class PODBlock:
-    """Basis extraction settings: whether the velocity snapshots are centred
-    on their mean. A basis keeps every mode; the rom section sets the sizes."""
+    """Basis extraction settings: whether the velocity basis is built from
+    the snapshots centred on their mean, which it then keeps. A basis keeps
+    every mode; the rom section sets the sizes."""
 
     center: bool = False
 
@@ -641,9 +640,9 @@ def _snapshot_energy_table(problem, vel_snapshots, dt):
     window at the ``n``-th step past its start; with a snapshot stride the
     energies between stored snapshots interpolate linearly in time.
     """
-    raw = vel_snapshots.raw_fields()
-    energies = np.array([kinetic_energy(raw[:, j], problem.mass)
-                         for j in range(raw.shape[1])])
+    fields = vel_snapshots.fields
+    energies = np.array([kinetic_energy(fields[:, j], problem.mass)
+                         for j in range(fields.shape[1])])
     times = np.asarray(vel_snapshots.times, dtype=float)
     n_period = max(int(round((times[-1] - times[0]) / dt)), 1)
     step_times = times[0] + dt * np.arange(1, n_period + 1)
@@ -663,23 +662,23 @@ class _FullOrder:
 
     bundle: CaseBundle
     problem: FOMProblem
-    probe: object  # the drag/lift probe when one was asked for, else None
+    probe: object  # the drag/lift probe of a case with an obstacle, else None
     run: object
     vel_snaps: object
     pres_snaps: object
 
 
-def _full_order(config, saved=None, drag_lift=False):
-    """Pose the configured case on the mesh of ``config.geometry``, run the
-    full-order model and record its snapshots, or none without
-    ``fom.snapshot_window``; with ``drag_lift``, a case with an obstacle gets
-    the drag/lift probe, evaluated at every step. With ``saved``, a run
-    directory, its two snapshot containers are read and ``run`` is None."""
+def _full_order(config, saved=None):
+    """Pose the configured case on the mesh of ``config.geometry`` and run
+    the full-order model, with the snapshots its window records; a case with
+    an obstacle gets the drag/lift probe, evaluated at every step. With
+    ``saved``, a run directory, its two snapshot containers are read and
+    ``run`` is None."""
     mesh = config.geometry.build()
     bundle = build_case(config)
     problem = FOMProblem(mesh, config.fom, bundle.flow_case)
     probe = None
-    if drag_lift and bundle.has_obstacle:
+    if bundle.has_obstacle:
         probe = DragLiftProbe(problem, bundle.reference_velocity,
                               bundle.reference_length)
     if saved is not None:
@@ -691,49 +690,13 @@ def _full_order(config, saved=None, drag_lift=False):
     if bundle.exact_velocity is not None:
         initial = interpolate(problem.vel_space, bundle.exact_velocity, 0.0)
     run = run_fom(problem, initial_velocity=initial, probe=probe)
-    if config.fom.snapshot_window is None:
-        return _FullOrder(bundle, problem, probe, run, None, None)
-    vel_snaps, pres_snaps = record_snapshots(run, center_velocity=config.pod.center)
-    if vel_snaps.n_snapshots < 2:
-        raise ValueError("need at least two snapshots for the reduced run")
-    return _FullOrder(bundle, problem, probe, run, vel_snaps, pres_snaps)
-
-
-def _bases(full):
-    """The second stage: the snapshots' velocity and pressure bases."""
-    return (build_basis(full.vel_snaps, full.problem.mass),
-            build_basis(full.pres_snaps, full.problem.pressure_mass))
+    return _FullOrder(bundle, problem, probe, run, *run.snapshots)
 
 
 def _check_size(key, size, rank, basis="basis"):
     """Reject a configured size above a basis rank, known only after POD."""
     if size > rank:
         raise ConfigError("rom_invalid", f"{key}={size} exceeds the {basis} rank {rank}")
-
-
-@dataclass(frozen=True)
-class _ReducedStart:
-    """What the main reduced run starts from: the third stage."""
-
-    r: int
-    a0: np.ndarray
-    mu: float
-    adaptive: AdaptiveBlock  # None when adaptation is disabled
-    energy_table: np.ndarray
-
-
-def _reduced_start(config, full, vel_basis):
-    """The checked reduced size (the velocity rank unless ``rom.r`` sets
-    it), the first snapshot's coefficients, the starting grad-div
-    coefficient, the adaptation settings and the reference energies of
-    :func:`_snapshot_energy_table`."""
-    r = vel_basis.rank if config.rom.r is None else config.rom.r
-    _check_size("rom.r", r, vel_basis.rank)
-    adaptive = config.rom.adaptive if config.rom.adaptive.enabled else None
-    raw = full.vel_snaps.raw_fields()
-    a0 = project_L2(vel_basis, full.problem.mass, raw[:, 0], r=r)
-    table = _snapshot_energy_table(full.problem, full.vel_snaps, config.fom.dt)
-    return _ReducedStart(r, a0, config.effective_rom_mu(), adaptive, table)
 
 
 @functools.cache
@@ -753,8 +716,8 @@ def _record(config):
 
 def _resumable(config, out):
     """``out`` when its record lists the fom stage under the same source and
-    the same geometry, case, fom and pod entries as ``config``, else None."""
-    inputs = lambda r: [r["geometry"], r["case_name"], r["case_parameters"], r["fom"], r["pod"]]
+    the same geometry, case and fom entries as ``config``, else None."""
+    inputs = lambda r: [r["geometry"], r["case_name"], r["case_parameters"], r["fom"]]
     try:
         meta = json.loads((Path(out) / "run_meta.json").read_text())
         if (meta["source_sha256"] == _source_sha256() and "fom" in meta["stages"]
@@ -769,18 +732,20 @@ def run_pipeline(config, out_dir, stop_after=None):
     """Execute the pipeline and write deterministic artifacts into ``out_dir``.
 
     Stages: fom (the mesh and the full-order run with QoI and snapshot
-    recording), pod (basis extraction) and rom (the reduced run, with
-    optional adaptation, whose coefficient ``rom.csv`` records, and the
-    reduced-size error sweep). ``run_meta.json`` lists the artifacts, the
-    config, the stages and the source's SHA-256. ``stop_after`` ends the run
-    early after ``"fom"`` or ``"pod"``; later result fields stay None. Unless
-    it stops after fom, the run reads the full-order snapshots back from
-    ``out_dir`` while the source and the config they depend on are unchanged
-    (see the module docstring); the mesh, the bases and every later stage are
-    computed, and every artifact is written as a fresh run writes it, except
-    that a resumed run leaves the files of the full-order run it read
-    (``qoi.csv`` and the snapshots) as they are. Any stage failure is
-    re-raised as a :class:`StageError` tagged with the stage name.
+    recording), pod (basis extraction, centred with ``pod.center``) and rom
+    (the reduced run, with optional adaptation, whose coefficient
+    ``rom.csv`` records, and the reduced-size error sweep). ``run_meta.json``
+    lists the artifacts, the config, the stages and the source's SHA-256.
+    ``stop_after`` ends the run early after ``"fom"`` or ``"pod"``; later
+    result fields stay None. A fresh full-order run needs at least two
+    snapshots. Unless it stops after fom, the run reads the full-order
+    snapshots back from ``out_dir`` while the source and the config they
+    depend on are unchanged (see the module docstring); the mesh, the bases
+    and every later stage are computed, and every artifact is written as a
+    fresh run writes it, except that a resumed run leaves the files of the
+    full-order run it read (``qoi.csv`` and the snapshots) as they are. Any
+    stage failure is re-raised as a :class:`StageError` tagged with the
+    stage name.
     """
     if stop_after not in (None, "fom", "pod"):
         raise ConfigError("stage_unknown", f"unknown stage {stop_after!r}")
@@ -800,10 +765,12 @@ def run_pipeline(config, out_dir, stop_after=None):
     vel_basis = pres_basis = ops = rom_run = error_table = None
 
     with _stage("fom"):
-        full = _full_order(config, saved, drag_lift=saved is None or stop_after is None)
+        full = _full_order(config, saved)
         problem = full.problem
         save_mesh(problem.mesh, out / "mesh.txt")
         if full.run is not None:
+            if full.vel_snaps.n_snapshots < 2:
+                raise ValueError("need at least two snapshots for the reduced run")
             write_csv(out / "qoi.csv", ("t", "E_kin", "c_D", "c_L", "weak_div"),
                       full.run.qoi)
             save_snapshots(full.vel_snaps, out / "snapshots_velocity.bin")
@@ -811,24 +778,26 @@ def run_pipeline(config, out_dir, stop_after=None):
 
     if "pod" in stages:
         with _stage("pod"):
-            vel_basis, pres_basis = _bases(full)
+            vel_basis = build_basis(full.vel_snaps, problem.mass, center=config.pod.center)
+            pres_basis = build_basis(full.pres_snaps, problem.pressure_mass)
             save_basis(vel_basis, out / "basis_velocity.bin")
             save_basis(pres_basis, out / "basis_pressure.bin")
 
     if stop_after is None:
         with _stage("rom"):
-            start = _reduced_start(config, full, vel_basis)
-            rp_main, sizes = _pressure_and_table_sizes(config, start.r, vel_basis, pres_basis)
+            r = vel_basis.rank if config.rom.r is None else config.rom.r
+            _check_size("rom.r", r, vel_basis.rank)
+            rp_main, sizes = _pressure_and_table_sizes(config, r, vel_basis, pres_basis)
             # One build at the largest sizes; every smaller model, with its
             # recovery and drag/lift forms, is its leading block, because the
             # modes are nested.
-            r_max = max([start.r] + [r for r, _ in sizes])
+            r_max = max([r] + [n for n, _ in sizes])
             rp_max = max([rp_main] + [rp for _, rp in sizes])
             probe = full.probe
             all_ops = build_rom_operators(
                 problem, vel_basis, pres_basis, r=r_max, r_pressure=rp_max,
                 drag_lift=None if probe is None else probe.fields)
-            ops = truncate_operators(all_ops, start.r, rp_main)
+            ops = truncate_operators(all_ops, r, rp_main)
             save_operators(ops, out / "operators.bin")
 
             times = full.vel_snaps.times
@@ -836,9 +805,12 @@ def run_pipeline(config, out_dir, stop_after=None):
                                 / config.fom.dt))
             if n_steps < 1:
                 raise ValueError("the reduced window allows no steps")
-            rom_run = run_rom(ops, n_steps, start.a0, t_start=times[0], mu=start.mu,
-                              adaptive=start.adaptive,
-                              fom_energy_table=start.energy_table)
+            # the main run starts from the first snapshot's coefficients
+            a0 = project_L2(vel_basis, problem.mass, full.vel_snaps.fields[:, 0], r=r)
+            adaptive = config.rom.adaptive if config.rom.adaptive.enabled else None
+            energies = _snapshot_energy_table(problem, full.vel_snaps, config.fom.dt)
+            rom_run = run_rom(ops, n_steps, a0, t_start=times[0], mu=config.effective_rom_mu(),
+                              adaptive=adaptive, fom_energy_table=energies)
 
             # without a probe or a reduced pressure, drag and lift are nan
             cd = cl = np.full(rom_run.times.size, np.nan)
@@ -918,10 +890,9 @@ def reduced_error_table(config, problem, vel_snaps, pres_snaps, vel_basis,
     stride = config.fom.snapshot_stride
     times = vel_snaps.times
     m = times.size
-    raw_vel = vel_snaps.raw_fields()
-    raw_pres = pres_snaps.fields
+    vel_fields, pres_fields = vel_snaps.fields, pres_snaps.fields
     mu_value = config.effective_rom_mu()
-    all_coeffs = _project_columns(vel_basis, problem.mass, raw_vel,
+    all_coeffs = _project_columns(vel_basis, problem.mass, vel_fields,
                                   max(r for r, _ in sizes))
     s_full, spectral_norm = reduced_stiffness(vel_basis, problem.stiffness)
     pres_eigs = pres_basis.eigenvalues
@@ -944,14 +915,14 @@ def reduced_error_table(config, problem, vel_snaps, pres_snaps, vel_basis,
         recon = ops_r.vel_modes @ rom.a_traj[:, cols]
         if ops_r.mean is not None:
             recon = recon + ops_r.mean[:, None]
-        vel_error = discrete_l2_error(recon, raw_vel[:, first:], problem.mass, weight)
+        vel_error = discrete_l2_error(recon, vel_fields[:, first:], problem.mass, weight)
 
         # an unseeded run's first step keeps the backward difference
         rom_pres = reduced_pressure(ops_r, rom, mu_value, coeffs[:, 0] if first else None,
                                     columns=cols[1:])
         pres_error = np.nan
         if rom_pres is not None:
-            pres_error = discrete_l2_error(rom_pres[:, cols[1:]], raw_pres[:, first + 1:],
+            pres_error = discrete_l2_error(rom_pres[:, cols[1:]], pres_fields[:, first + 1:],
                                            problem.pressure_mass, weight)
         alpha = 1.0
         if ops_r.recovery is not None:

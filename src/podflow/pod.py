@@ -2,10 +2,12 @@
 
 The correlation matrix of the snapshot set is diagonalized with a dense
 symmetric eigensolver, and the modes are linear combinations of the
-snapshots. A basis is the spectrum and every mode above the rank cutoff;
-it selects no size, since the reduced sizes come from the experiment's rom
-section. The eigenvalue tails give the reconstruction errors and the
-spectral diagnostics of the error indicators.
+snapshots. The snapshots are the states the full-order model computed;
+centring them on their mean is a choice made here alone, and a centred
+basis keeps the mean. A basis is the spectrum and every mode above the
+rank cutoff; it selects no size, since the reduced sizes come from the
+experiment's rom section. The eigenvalue tails give the reconstruction
+errors and the spectral diagnostics of the error indicators.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ class PODBasis:
     """Orthonormal modes with the full retained spectrum of the data set.
 
     ``modes`` holds every mode above the rank cutoff (columns, ordered by
-    nonincreasing eigenvalue). ``mean`` is the centering offset subtracted
-    from the snapshots before the basis was built, or ``None``.
+    nonincreasing eigenvalue). ``mean`` is the snapshot mean that
+    :func:`build_basis` subtracted with ``center``, or ``None``.
     """
 
     space_signature: str
@@ -45,16 +47,22 @@ class PODBasis:
         return int(self.eigenvalues.size)
 
 
-def build_basis(snapshots, mass):
+def build_basis(snapshots, mass, center=False):
     """Diagonalize the snapshot correlation matrix K[i, j] = (u_i, u_j) / M
     and assemble every mode above the rank cutoff.
 
-    ``snapshots`` is a :class:`~podflow.fom.SnapshotSet`. Mode signs are
-    fixed by making each mode's largest-magnitude coefficient positive.
+    ``snapshots`` is a :class:`~podflow.fom.SnapshotSet`. With ``center``
+    the snapshots' mean is subtracted first and kept as the basis's
+    ``mean``. Mode signs are fixed by making each mode's largest-magnitude
+    coefficient positive.
     """
     fields, m = snapshots.fields, snapshots.n_snapshots
     if m < 1:
         raise ValueError("the snapshot set is empty")
+    mean = None
+    if center:
+        mean = fields.mean(axis=1)
+        fields = fields - mean[:, None]
     corr = fields.T @ (mass @ fields) / m
     eigvals, eigvecs = np.linalg.eigh(0.5 * (corr + corr.T))
     order = np.argsort(eigvals)[::-1]
@@ -79,7 +87,7 @@ def build_basis(snapshots, mass):
         modes=modes,
         eigenvalues=eigvals,
         eigenvectors=eigvecs,
-        mean=snapshots.mean,
+        mean=mean,
     )
 
 

@@ -28,7 +28,6 @@ from podflow.fom import (
     FOMConfig,
     FOMProblem,
     SnapshotSet,
-    record_snapshots,
     run_fom,
 )
 from podflow.harness import (
@@ -186,7 +185,7 @@ def test_divergence_freedom_separates_the_two_schemes(desk, report):
     graddiv = desk["graddiv"]
     div_op = graddiv.problem.divergence
     pres_mass = graddiv.problem.pressure_mass
-    snaps = graddiv.vel_snapshots.raw_fields()
+    snaps = graddiv.vel_snapshots.fields
     worst_snap = max(weak_divergence(snaps[:, j], div_op, pres_mass)
                      for j in range(snaps.shape[1]))
     iterates = graddiv.operators.vel_modes @ graddiv.rom_run.a_traj
@@ -194,7 +193,7 @@ def test_divergence_freedom_separates_the_two_schemes(desk, report):
                      for j in range(iterates.shape[1]))
 
     lps = desk["lps"]
-    lps_snaps = lps.vel_snapshots.raw_fields()
+    lps_snaps = lps.vel_snapshots.fields
     least_lps = min(weak_divergence(lps_snaps[:, j], lps.problem.divergence,
                                     lps.problem.pressure_mass)
                     for j in range(lps_snaps.shape[1]))
@@ -263,14 +262,14 @@ def _replay_errors(scheme):
     )
     problem = FOMProblem(mesh, config, case)
     run = run_fom(problem)
-    vel_snaps, pres_snaps = record_snapshots(run)
+    vel_snaps, pres_snaps = run.snapshots
     vel_basis = build_basis(vel_snaps, problem.mass)
     pres_basis = build_basis(pres_snaps, problem.pressure_mass)
     times = vel_snaps.times
     ops = build_rom_operators(
         problem, vel_basis, pres_basis if scheme == "lps" else None)
     coeffs = np.column_stack([
-        project_L2(vel_basis, problem.mass, vel_snaps.raw_fields()[:, j],
+        project_L2(vel_basis, problem.mass, vel_snaps.fields[:, j],
                    r=vel_basis.rank)
         for j in range(times.size)
     ])
@@ -278,7 +277,7 @@ def _replay_errors(scheme):
                   t_start=times[1], mu=problem.mu if scheme == "graddiv" else 0.0)
 
     recon = ops.vel_modes @ rom.a_traj
-    fom_fields = vel_snaps.raw_fields()[:, 1:]
+    fom_fields = vel_snaps.fields[:, 1:]
     err = discrete_l2_error(recon, fom_fields, problem.mass, dt)
     ref = discrete_l2_error(fom_fields, np.zeros_like(fom_fields),
                             problem.mass, dt)

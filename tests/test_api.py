@@ -58,7 +58,6 @@ READ_THROUGH_UNRESOLVED_RECEIVERS_ONLY = {
     "fom.py: _SaddleLayout.lifting",
     "fom.py: _SaddleLayout.solve",
     "fom.py: SnapshotSet.n_snapshots",
-    "fom.py: SnapshotSet.raw_fields",
     "harness.py: GeometryConfig.build",
     "harness.py: ExperimentConfig.effective_rom_mu",
     "harness.py: ExperimentConfig.effective_rom_t_final",

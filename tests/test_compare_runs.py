@@ -167,6 +167,39 @@ def test_a_changed_container_header_lists_its_keys_and_still_compares_arrays(
     assert 0.0 < float(mass_line.split()[-1]) <= 1e-11
 
 
+def test_a_container_whose_array_set_changed_lists_the_one_sided_arrays(two_runs, tmp_path):
+    # a velocity snapshot container saved centred, with its mean, against
+    # one saved as computed
+    changed = tmp_path / "changed"
+    shutil.copytree(two_runs[1], changed)
+    path = changed / "snapshots_velocity.bin"
+    meta, arrays = read_container(path, "snapshots")
+    mean = arrays["fields"].mean(axis=1)
+    write_container(path, "snapshots", meta,
+                    {**arrays, "fields": arrays["fields"] - mean[:, None], "mean": mean})
+    status, out = compare(two_runs[0], changed)
+    lines = out.splitlines()
+    assert status == 1
+    assert "differs    snapshots_velocity.bin" in lines
+    assert "    arrays only in DIR_B: mean" in lines and "    times: bitwise equal" in lines
+    fields_line = next(line for line in lines if line.startswith("    fields:"))
+    found = compare_runs.compare_dirs(two_runs[0], changed)
+    assert found.differs == ["snapshots_velocity.bin"]
+    assert fields_line.endswith(f"max rel diff {found.gate:.3e}") and found.gate > 0.0
+    assert found.column_at == "snapshots_velocity.bin:fields"
+    # the other way round the mean is DIR_A's, and a shared array whose
+    # shape differs reads inf
+    status, out = compare(changed, two_runs[0])
+    assert "    arrays only in DIR_A: mean" in out.splitlines()
+    write_container(path, "snapshots", meta, {"times": arrays["times"][1:], "mean": mean,
+                                              "fields": arrays["fields"][:, 1:]})
+    lines = compare(two_runs[0], changed)[1].splitlines()
+    assert "    arrays only in DIR_B: mean" in lines
+    assert "    array shapes differ: times, fields" in lines
+    assert "    fields: column rel diff inf, max rel diff inf" in lines
+    assert compare_runs.compare_dirs(two_runs[0], changed).gate == np.inf
+
+
 def test_a_header_only_container_difference_gates_on_its_arrays(two_runs, tmp_path):
     # a basis whose header gained a key while every array is bitwise equal
     changed = tmp_path / "changed"

@@ -11,7 +11,6 @@ from podflow.fom import (
     FOMProblem,
     SeparableForcing,
     load_snapshots,
-    record_snapshots,
     run_fom,
     save_snapshots,
 )
@@ -40,8 +39,8 @@ def saved(tmp_path_factory):
                     snapshot_window=(0.01, 0.05))
     problem = FOMProblem(build_rect_mesh(1.0, 1.0, 3, 3), cfg, case)
     run = run_fom(problem)
-    vel_snaps, pres_snaps = record_snapshots(run, center_velocity=True)
-    vel_basis = build_basis(vel_snaps, problem.mass)
+    vel_snaps, pres_snaps = run.snapshots
+    vel_basis = build_basis(vel_snaps, problem.mass, center=True)
     pres_basis = build_basis(pres_snaps, problem.pressure_mass)
     space = problem.vel_space
     paths = {kind: directory / f"{kind}.bin"

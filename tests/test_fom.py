@@ -23,7 +23,6 @@ from podflow.fom import (
     SeparableForcing,
     _SaddleLayout,
     load_snapshots,
-    record_snapshots,
     run_fom,
     save_snapshots,
     snapshot_steps,
@@ -32,6 +31,7 @@ from podflow.fom import (
 from podflow.harness import _taylor_green
 from podflow.mesh import build_rect_mesh
 from podflow.metrics import analytic_l2_error, kinetic_energy, weak_divergence
+from podflow.pod import build_basis
 
 ZERO_BC = lambda x, y, t: (np.zeros_like(x), np.zeros_like(x))
 
@@ -443,7 +443,7 @@ def test_the_accepted_sweep_solves_the_system_its_last_correction_applied(solves
 def test_a_far_off_factor_falls_back_to_splu_bit_for_bit(factored):
     problem, run = euler_cavity()
     layout = problem._saddle
-    w = run.snapshot_velocity[:, -1]
+    w = run.snapshots[0].fields[:, -1]
     near, far = convected(problem, w), convected(problem, 1e4 * w)
     rhs = np.random.default_rng(5).standard_normal(problem.free_global.size)
     lagged = []
@@ -468,7 +468,7 @@ def test_a_far_off_factor_falls_back_to_splu_bit_for_bit(factored):
 
 def test_a_far_off_factor_in_the_holder_makes_a_step_factor_afresh_once(factored):
     problem, run = euler_cavity()
-    w = run.snapshot_velocity[:, -1]
+    w = run.snapshots[0].fields[:, -1]
     # a step whose first sweep factors, and the holder it leaves, with the
     # factor swapped for that of a system convected far harder
     lagged = []
@@ -489,7 +489,7 @@ def test_a_far_off_factor_in_the_holder_makes_a_step_factor_afresh_once(factored
 def test_a_far_off_start_passes_one_poor_correction_and_renews_the_factor_a_sweep_late(
         monkeypatch, factored):
     problem, run = euler_cavity()
-    w = run.snapshot_velocity[:, -1]
+    w = run.snapshots[0].fields[:, -1]
     want = podflow.fom._step(problem, run.final_state, [], False)
     # the factor of a system convected far harder, with that system's own
     # solution as the last one, so the first sweep starts far off too
@@ -525,8 +525,7 @@ def test_a_run_matches_picard_with_an_exact_factor_per_sweep(monkeypatch, factor
     want = run_fom(forced_cavity())
     # every sweep but the ordering one factored afresh
     assert len(factored) > problem.config.n_steps + 2
-    for got, ref in ((run.snapshot_velocity, want.snapshot_velocity),
-                     (run.snapshot_pressure, want.snapshot_pressure)):
+    for got, ref in ((a.fields, b.fields) for a, b in zip(run.snapshots, want.snapshots)):
         for k in range(1, ref.shape[1]):
             assert np.abs(got[:, k] - ref[:, k]).max() <= 1e-9 * np.abs(ref[:, k]).max()
 
@@ -598,7 +597,7 @@ def test_an_exact_zero_stays_a_stored_zero_of_the_one_pattern(factored):
     problem, run = euler_cavity()
     layout = problem._saddle
     space = problem.vel_space
-    w = run.snapshot_velocity[:, -1]
+    w = run.snapshots[0].fields[:, -1]
     rhs = np.random.default_rng(6).standard_normal(problem.free_global.size)
     # an exact zero in a free x free velocity entry, which SciPy's sum drops
     conv = convection_matrix(space, 0.99 * w)
@@ -661,9 +660,9 @@ def test_divergence_contrast_between_schemes():
         problem = FOMProblem(mesh, cfg, enclosed_case(forcing=separable_swirl))
         run = run_fom(problem)
         divs = [
-            weak_divergence(run.snapshot_velocity[:, j], problem.divergence,
+            weak_divergence(run.snapshots[0].fields[:, j], problem.divergence,
                             problem.pressure_mass)
-            for j in range(run.snapshot_times.size)
+            for j in range(run.snapshots[0].n_snapshots)
         ]
         results[scheme] = divs
     assert max(results["graddiv"]) <= 1e-10
@@ -699,50 +698,61 @@ def test_lps_pressure_form_matches_weighted_fluctuation_norm():
 # -- snapshots ----------------------------------------------------------------
 
 
-def make_small_run(center=False):
+def make_small_run():
     mesh = build_rect_mesh(1.0, 1.0, 3, 3)
     cfg = FOMConfig(scheme="graddiv", nu=5e-3, dt=0.01, t_final=0.04,
                     stabilization=StabilizationConfig(grad_div=0.3),
                     snapshot_window=(0.01, 0.04))
     problem = FOMProblem(mesh, cfg, enclosed_case(forcing=separable_swirl))
     run = run_fom(problem)
-    return problem, run, record_snapshots(run, center_velocity=center)
+    return problem, run, run.snapshots
 
 
-def test_record_snapshots_centering():
-    _, run, (vel, pres) = make_small_run(center=True)
-    assert vel.mean is not None
-    assert np.abs(vel.fields.mean(axis=1)).max() < 1e-12
-    assert np.allclose(vel.raw_fields(), run.snapshot_velocity)
-    assert pres.mean is None
-    assert vel.n_snapshots == 4
+def test_a_centred_basis_keeps_the_mean_of_the_raw_snapshots():
+    problem, run, (vel, pres) = make_small_run()
+    assert vel.n_snapshots == pres.n_snapshots == 4
+    # the snapshots are the states the run computed
+    assert np.array_equal(vel.fields[:, -1], run.final_state.u)
+    assert np.array_equal(pres.fields[:, -1], run.final_state.p)
+    recorded = vel.fields.copy()
+    basis = build_basis(vel, problem.mass, center=True)
+    assert np.array_equal(vel.fields, recorded)
+    assert np.array_equal(basis.mean, recorded.mean(axis=1))
+    # the basis spans the snapshots' fluctuations about that mean
+    centred = recorded - basis.mean[:, None]
+    assert np.abs(centred.mean(axis=1)).max() < 1e-12
+    assert np.abs(basis.modes @ (basis.modes.T @ (problem.mass @ centred)) - centred).max() \
+        < 1e-10 * np.abs(centred).max()
+    assert build_basis(pres, problem.pressure_mass).mean is None
 
 
-def test_record_snapshots_empty_window_is_an_error():
+def test_a_run_without_a_window_records_empty_snapshot_sets():
     mesh = build_rect_mesh(1.0, 1.0, 2, 2)
     cfg = FOMConfig(scheme="lps", nu=1e-2, dt=0.01, t_final=0.02)
     problem = FOMProblem(mesh, cfg, enclosed_case())
-    run = run_fom(problem)
-    with pytest.raises(ValueError):
-        record_snapshots(run)
+    vel, pres = run_fom(problem).snapshots
+    assert vel.fields.shape == (problem.n_velocity, 0)
+    assert pres.fields.shape == (problem.n_pressure, 0)
+    assert vel.space_signature == problem.vel_space.signature()
+    with pytest.raises(ValueError, match="empty"):
+        build_basis(vel, problem.mass)
 
 
 def test_snapshot_container_round_trip(tmp_path):
-    problem, _, (vel, pres) = make_small_run(center=True)
+    problem, _, (vel, pres) = make_small_run()
     path = tmp_path / "vel.snap"
     save_snapshots(vel, path)
     back = load_snapshots(path, expected_signature=problem.vel_space.signature())
     assert back.space_signature == vel.space_signature
     assert np.array_equal(back.times, vel.times)
     assert np.array_equal(back.fields, vel.fields)
-    assert np.array_equal(back.mean, vel.mean)
     # the scheme, step and stride are the run's config; the window is in times
     assert read_container(path)[0] == {"signature": vel.space_signature}
+    assert set(read_container(path)[1]) == {"times", "fields"}
     with pytest.raises(ValueError):
         load_snapshots(path, expected_signature=problem.pres_space.signature())
     save_snapshots(pres, tmp_path / "pres.snap")
     back_p = load_snapshots(tmp_path / "pres.snap")
-    assert back_p.mean is None
     assert np.array_equal(back_p.fields, pres.fields)
 
 

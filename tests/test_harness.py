@@ -35,7 +35,6 @@ from podflow.harness import (
     PODBlock,
     ROMBlock,
     StageError,
-    _bases,
     _full_order,
     apply_overrides,
     build_case,
@@ -611,6 +610,29 @@ def test_pipeline_centered_basis_still_replays_snapshots(tmp_path):
     assert errors[0, 1] <= 1e-8
 
 
+def test_centred_snapshots_are_saved_as_the_full_order_run_computed_them(tmp_path):
+    result = run_small_pipeline(tmp_path, centred_raws()["cavity"])
+    recorded = result.fom_run.snapshots[0].fields
+    _, arrays = read_container(tmp_path / "snapshots_velocity.bin", "snapshots")
+    assert set(arrays) == {"times", "fields"}
+    assert arrays["fields"].tobytes() == np.ascontiguousarray(recorded).tobytes()
+    # the last snapshot is the run's final velocity
+    assert np.array_equal(recorded[:, -1], result.fom_run.final_state.u)
+    assert np.array_equal(result.vel_basis.mean, recorded.mean(axis=1))
+
+
+@pytest.mark.parametrize("window, stride", [([0.02, 0.06], 5), ([0.015, 0.018], 1)],
+                         ids=["one-step", "no-step"])
+def test_a_window_that_records_fewer_than_two_snapshots_is_rejected(tmp_path, window, stride):
+    raw = base_raw()
+    raw["fom"].update(snapshot_window=window, snapshot_stride=stride)
+    with pytest.raises(StageError, match="need at least two snapshots") as err:
+        run_small_pipeline(tmp_path, raw)
+    assert err.value.stage == "fom"
+    assert not (tmp_path / "snapshots_velocity.bin").exists()
+    assert not (tmp_path / "run_meta.json").exists()
+
+
 def test_pipeline_adaptation_changes_mu_only_on_its_schedule(tmp_path):
     raw = base_raw()
     raw["rom"] = {
@@ -742,8 +764,8 @@ def test_a_run_directory_written_with_the_older_echoed_keys_still_resumes(
     ("geometry", "ny", 5, ()),
     ("case", "parameters", {"amplitude": 90.0}, ()),
     ("fom", "nu", 4e-3, ()),
-    # the velocity snapshots are saved centred
-    ("pod", "center", True, ()),
+    # the snapshots are saved as computed; only the basis is centred
+    ("pod", "center", True, ("fom",)),
 ])
 def test_a_stage_resumes_only_while_the_config_it_reads_is_unchanged(
         tmp_path, count_calls, section, key, value, resumed):
@@ -838,16 +860,17 @@ def channel_raw():
     }
 
 
-def test_a_resumed_pod_stage_builds_no_drag_lift_probe(tmp_path, count_calls):
-    # only a fom stage that runs (for qoi.csv) and the rom stage read it
+def test_each_pipeline_call_on_a_case_with_an_obstacle_builds_one_drag_lift_probe(
+        tmp_path, count_calls):
+    # the probe comes with the posed problem, whichever stages then read it
     raw = channel_raw()
     count_calls(podflow.harness, "DragLiftProbe", "probe")
     run_small_pipeline(tmp_path, raw, stop_after="fom")
     assert count_calls.calls["probe"] == 1
     assert run_small_pipeline(tmp_path, raw, stop_after="pod").resumed == ("fom",)
-    assert count_calls.calls["probe"] == 1
-    assert run_small_pipeline(tmp_path, raw).resumed == ("fom",)
     assert count_calls.calls["probe"] == 2
+    assert run_small_pipeline(tmp_path, raw).resumed == ("fom",)
+    assert count_calls.calls["probe"] == 3
 
 
 def test_pipeline_channel_case_reports_drag_and_lift(tmp_path):
@@ -963,8 +986,9 @@ def channel_builds():
         raw = channel_raw()
         raw["pod"] = {"center": center}
         config = ExperimentConfig.from_dict(raw)
-        full = _full_order(config, drag_lift=True)
-        vel_basis, pres_basis = _bases(full)
+        full = _full_order(config)
+        vel_basis = podflow.pod.build_basis(full.vel_snaps, full.problem.mass, center=center)
+        pres_basis = podflow.pod.build_basis(full.pres_snaps, full.problem.pressure_mass)
         builds[center] = (full, vel_basis, podflow.rom.build_rom_operators(
             full.problem, vel_basis, pres_basis, r=vel_basis.rank,
             drag_lift=full.probe.fields))
@@ -1108,7 +1132,7 @@ def test_implicit_euler_sweeps_solve_only_as_exactly_as_picard_needs(count_calls
     count_sweeps(monkeypatch, count_calls)
     count_calls(podflow.harness, "run_fom", "run", scoped=True)
     count_calls(_Factor, "solve", "lu solve")
-    _full_order(cfg, drag_lift=True)
+    _full_order(cfg)
     assert count_calls.calls["sweep"] == SWEEPS
     assert count_calls.calls["lu solve in run"] == LU_SOLVES == SWEEPS + cfg.fom.n_steps
 
@@ -1126,7 +1150,7 @@ def test_implicit_euler_assembles_convection_only_on_the_sweeps_that_factor(
     count_calls(podflow.harness, "run_fom", "run", scoped=True)
     count_calls(podflow.fom, "convection_matrix", "convection")
     count_calls(podflow.fom.FOMProblem, "correct", "chord")
-    _full_order(cfg, drag_lift=True)
+    _full_order(cfg)
     assert count_calls.calls["convection in run"] == 2
     assert count_calls.calls["chord in run"] == count_calls.calls["sweep"] - 2 == SWEEPS - 2
 
@@ -1142,7 +1166,7 @@ def test_bdf2_factors_every_step_and_implicit_euler_twice_per_run(integrator, co
     count_calls(podflow.harness, "run_fom", "run", scoped=True)
     count_calls(scipy.sparse.linalg, "splu", "splu")
     count_calls(podflow.fom.FOMProblem, "solve_coupled", "solve")
-    _full_order(cfg, drag_lift=True)
+    _full_order(cfg)
     steps = cfg.fom.n_steps
     assert count_calls.calls["run"] == 1 and steps == 6
     if integrator == "implicit_euler":
@@ -1160,7 +1184,7 @@ def channel_steps(request):
     raw = channel_raw()
     raw["fom"]["time_integrator"] = request.param
     cfg = ExperimentConfig.from_dict(raw)
-    full = _full_order(cfg, drag_lift=True)
+    full = _full_order(cfg)
     return full.problem, full.probe, full.run.final_state.residual
 
 
@@ -1257,16 +1281,19 @@ def test_convergence_study_orders_exceed_the_scheme_floor(tmp_path):
     assert data.shape[0] == 2 and np.isnan(data[0, 3]) and data[1, 3] == order
 
 
-def test_convergence_study_needs_no_snapshot_window(tmp_path, count_calls):
+def test_convergence_study_needs_no_snapshot_window(tmp_path, monkeypatch):
     # the levels record no snapshots, so the window changes nothing
-    count_calls(podflow.harness, "record_snapshots", "record")
+    runs, run_fom = [], podflow.harness.run_fom
+    monkeypatch.setattr(podflow.harness, "run_fom",
+                        lambda *args, **kwargs: runs.append(run_fom(*args, **kwargs)) or runs[-1])
     raw = vortex_raw()
     convergence_study(ExperimentConfig.from_dict(raw), levels=2, out_dir=tmp_path / "window")
     del raw["fom"]["snapshot_window"]
     convergence_study(ExperimentConfig.from_dict(raw), levels=2, out_dir=tmp_path / "none")
     assert (tmp_path / "window" / "convergence.csv").read_bytes() == \
         (tmp_path / "none" / "convergence.csv").read_bytes()
-    assert count_calls.calls["record"] == 0
+    assert len(runs) == 4
+    assert all(snaps.n_snapshots == 0 for run in runs for snaps in run.snapshots)
 
 
 def test_convergence_study_rejects_a_single_level():

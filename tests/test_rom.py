@@ -27,7 +27,6 @@ from podflow.fom import (
     FOMProblem,
     NonlinearSolveError,
     SnapshotSet,
-    record_snapshots,
     run_fom,
 )
 from podflow.mesh import build_rect_mesh
@@ -86,8 +85,8 @@ def cavity_setup(scheme, center=False, **kwargs):
     """Run a forced cavity and build full-rank bases from its snapshots."""
     problem = cavity_problem(scheme, **kwargs)
     run = run_fom(problem)
-    vel_snaps, pres_snaps = record_snapshots(run, center_velocity=center)
-    vel_basis = build_basis(vel_snaps, problem.mass)
+    vel_snaps, pres_snaps = run.snapshots
+    vel_basis = build_basis(vel_snaps, problem.mass, center=center)
     pres_basis = build_basis(pres_snaps, problem.pressure_mass)
     return problem, run, vel_snaps, pres_snaps, vel_basis, pres_basis
 
@@ -491,7 +490,7 @@ def test_rom_replays_fom_snapshots(scheme, center):
         problem, vel_basis, pres_basis if scheme == "lps" else None)
 
     coeffs = np.column_stack([
-        project_L2(vel_basis, problem.mass, vel_snaps.raw_fields()[:, j],
+        project_L2(vel_basis, problem.mass, vel_snaps.fields[:, j],
                    r=vel_basis.rank)
         for j in range(times.size)
     ])
@@ -502,7 +501,7 @@ def test_rom_replays_fom_snapshots(scheme, center):
     recon = ops.vel_modes @ rom.a_traj
     if ops.mean is not None:
         recon = recon + ops.mean[:, None]
-    fom_fields = vel_snaps.raw_fields()[:, 1:]
+    fom_fields = vel_snaps.fields[:, 1:]
     err = discrete_l2_error(recon, fom_fields, problem.mass, dt)
     ref = discrete_l2_error(fom_fields, np.zeros_like(fom_fields), problem.mass, dt)
     assert err <= 1e-6 * ref

@@ -22,12 +22,13 @@ any two trees whose outputs are compared):
   always counts as differing, but its gate figure comes from the shared
   values alone;
 - ``differs``: anything else that is not byte-identical (another kind of
-  file, a changed header, shape or metadata, or a file only one side has).
-  For a container whose metadata changed, the metadata keys that differ
-  are listed and, when the array names and shapes still line up, each
-  array is reported as above; such a container always counts as differing,
-  but its gate figure comes from its arrays alone, as a JSON object's comes
-  from its shared values. Any other such file reads inf.
+  file, a changed header, or a file only one side has). For a container
+  whose header changed, the metadata keys that differ, the arrays only one
+  side has and the shared arrays whose shape differs are listed, and each
+  shared array is reported as above, one whose shape differs as inf; such a
+  container always counts as differing, but its gate figure comes from its
+  shared arrays alone, as a JSON object's comes from its shared values. Any
+  other such file reads inf.
 
 Each differing column or array gets two relative differences, with ``a``
 from DIR_A (the reference run); two nan entries agree. ``max rel diff``,
@@ -113,21 +114,26 @@ def _compare_csv(path_a, path_b):
 
 
 def _compare_container(path_a, path_b):
-    """(sorted metadata keys that differ, {array or float metadata value:
-    largest relative differences, zeros when bitwise equal}); a metadata key
-    whose values are both floats is compared as a value, not listed; the
-    dict is None when the array names or shapes differ."""
+    """(notes on how the headers differ, {shared array or float metadata
+    value: largest relative differences, zeros when bitwise equal}). The
+    notes list the metadata keys that differ, the arrays only one side has
+    and the shared arrays whose shape differs, which read inf; a metadata
+    key whose values are both floats is compared as a value, not listed."""
     (meta_a, arrays_a), (meta_b, arrays_b) = read_container(path_a), read_container(path_b)
     changed = sorted(k for k in meta_a.keys() | meta_b.keys() if meta_a.get(k) != meta_b.get(k))
     values = {k: relative_differences(meta_a[k], meta_b[k]) for k in changed
               if isinstance(meta_a.get(k), float) and isinstance(meta_b.get(k), float)}
-    changed = [k for k in changed if k not in values]
-    if {n: a.shape for n, a in arrays_a.items()} != {n: b.shape for n, b in arrays_b.items()}:
-        return changed, None
-    return changed, {**{name: (0.0, 0.0) if a.tobytes() == arrays_b[name].tobytes()
-                        else relative_differences(a, arrays_b[name])
-                        for name, a in arrays_a.items()},
-                     **{f"{k} (metadata)": v for k, v in values.items()}}
+    shared = [name for name in arrays_a if name in arrays_b]
+    reshaped = [name for name in shared if arrays_a[name].shape != arrays_b[name].shape]
+    notes = [f"{label}: {', '.join(names)}" for label, names in (
+        ("metadata differs", [k for k in changed if k not in values]),
+        ("arrays only in DIR_A", [n for n in arrays_a if n not in arrays_b]),
+        ("arrays only in DIR_B", [n for n in arrays_b if n not in arrays_a]),
+        ("array shapes differ", reshaped)) if names]
+    parts = {name: (math.inf, math.inf) if name in reshaped
+             else (0.0, 0.0) if arrays_a[name].tobytes() == arrays_b[name].tobytes()
+             else relative_differences(arrays_a[name], arrays_b[name]) for name in shared}
+    return notes, {**parts, **{f"{k} (metadata)": v for k, v in values.items()}}
 
 
 def _compare_json(path_a, path_b):
@@ -210,8 +216,7 @@ def compare_dirs(dir_a, dir_b):
         elif name.endswith(".bin"):
             kind = "container"
             try:
-                changed, parts = _compare_container(path_a, path_b)
-                notes = [f"metadata differs: {', '.join(changed)}"] if changed else []
+                notes, parts = _compare_container(path_a, path_b)
             except ContainerError:
                 pass
         elif name.endswith(".json") and (found := _compare_json(path_a, path_b)):
