@@ -29,15 +29,19 @@ free x free system keeps, so it is computed once: the system is relabelled
 by the first factorization's order and later ones factor it as stored,
 with the same pivots and solutions, bit for bit.
 
-Three kinds of solve are bit for bit ``splu`` of the stored system: every
-BDF2 solve, a problem's first (ordering) solve, and a fallback. Every
-other implicit-Euler Picard sweep makes one unassembled chord correction
-against the run's one factor (:meth:`FOMProblem.correct`); each step
-refines its accepted sweep's solution to a backward error of 4 eps in the
-system that sweep assembled or corrected with. A correction that would
-need more than ``_REFINEMENT_CAP`` of its kind to reach
-``nonlinear_tolerance``, or a refinement that misses 4 eps within as many,
-falls back to a fresh factor, which becomes the run's.
+Two kinds of solve are bit for bit ``splu`` of the stored system: every
+BDF2 solve and a problem's first (ordering) solve. Every other
+implicit-Euler Picard sweep makes one unassembled chord correction against
+the run's one lagged factor (:meth:`FOMProblem.correct`); each step refines
+its accepted sweep's solution to a backward error of 4 eps in the system
+that sweep assembled or corrected with. A correction that would need more
+than ``_REFINEMENT_CAP`` of its kind to reach ``nonlinear_tolerance``, or a
+refinement that misses 4 eps within as many, falls back to a fresh factor,
+which becomes the run's. As every solution implicit Euler keeps is refined,
+its factor need not be ``splu``'s: it takes a symmetric fill-reducing order,
+multiple minimum degree of A + Aᵀ with diagonal pivots preferred. On the
+holed channel's system that has three quarters of COLAMD's fill, and the
+triangular solves, most of a run's solver work, cost a quarter less.
 """
 
 from __future__ import annotations
@@ -181,7 +185,8 @@ class FOMConfig:
     ``nonlinear_tolerance``, at least 4 eps, is the relative change between
     implicit-Euler Picard sweeps at which a step is accepted; the full-order
     model factors afresh when its factor would need more than
-    ``_REFINEMENT_CAP`` corrections to reach it.
+    ``_REFINEMENT_CAP`` corrections to reach it, as a correction's linear
+    contraction shows (checked as :meth:`FOMProblem.correct` says).
     """
 
     scheme: str
@@ -430,7 +435,13 @@ class FOMProblem:
         Returns u, p and the action C(w), or None and empties ``lagged`` when r
         shrinks by less than a rate that reaches ``nonlinear_tolerance`` in
         ``_REFINEMENT_CAP``, measured from the sweep's own start: a far-off
-        start may pass one poor correction and renew the factor a sweep late."""
+        start may pass one poor correction and renew the factor a sweep late.
+
+        The check forms r again after the solve. It is made on the first two
+        corrections after a step's start, a renewal or an assembled sweep,
+        and on a later one only when r did not shrink by that rate since the
+        last correction's r; ``lagged`` keeps the sizes of the last two r
+        after its factor and solution."""
         rate = self.config.nonlinear_tolerance ** (1.0 / _REFINEMENT_CAP)
         static, convect = self._static_saddle, convection_action(self.vel_space, w)
         pick, zero = self._saddle.pick, np.zeros(self.n_pressure)
@@ -441,11 +452,13 @@ class FOMProblem:
         def residual():
             return (rhs - static @ x - np.concatenate([convect(x[:w.size]), zero]))[pick]
         r = residual()
+        size = np.abs(r).max()
         x[pick] += lagged[0].solve(r)
-        if not np.abs(residual()).max() <= rate * np.abs(r).max():
+        if ((len(lagged) < 4 or not size <= rate * lagged[3])
+                and not np.abs(residual()).max() <= rate * size):
             lagged.clear()  # a miss, or a result that is not finite
             return None
-        lagged[1] = x[pick]
+        lagged[1:] = [x[pick], *lagged[2:][-1:], size]
         return *self._split(x), convect
 
     def _split(self, x):
@@ -523,6 +536,7 @@ class _SaddleLayout:
         self.lifting_slots, self.lifting_source = _take_positions(
             self._lifting, free_v.size, fixed_v.size)
         self._order, self.pick = None, problem.free_global  # both set by the first solve
+        self._refines = problem.config.time_integrator == "implicit_euler"  # see _factor
 
     def lifting(self, values):
         """The free x fixed block with the velocity ``values``; an entry that
@@ -531,33 +545,53 @@ class _SaddleLayout:
         return self._lifting
 
     def solve(self, values, rhs, lagged):
-        """Solve the system with the velocity ``values`` for ``rhs``, bit for
-        bit as ``splu`` of the stored system in the original order does: the
-        first solve factors it with COLAMD and relabels it by that order,
-        and later factors take it as stored. An exactly-zero velocity entry
-        stays in the pattern, so the factor is of that same matrix.
+        """Solve the system with the velocity ``values`` for ``rhs``. The
+        first solve is bit for bit ``splu`` of the stored system in the
+        original order: it factors with COLAMD and relabels the system by
+        that order, and later factors (:meth:`_factor`) take it as stored.
+        An exactly-zero velocity entry stays in the pattern, so the factor is
+        of that same matrix.
 
         ``lagged`` holds a run's one factor and the last solution, in the
-        relabelled order, or is empty. The solve refines from them to 4 eps
-        (:func:`_refined`); if the holder is empty or refinement misses, it
-        factors afresh, bit for bit ``splu``, and keeps that factor. The
-        first (ordering) solve stores nothing."""
+        relabelled order, then the sizes of the last corrections' residuals
+        (:meth:`FOMProblem.correct`), or is empty. The solve refines from
+        them to 4 eps (:func:`_refined`); if the holder is empty or
+        refinement misses, it factors afresh and keeps that factor. Either
+        way it keeps its solution and drops the residual sizes, so the next
+        two corrections check their contraction. The first (ordering) solve
+        stores nothing."""
         import scipy.sparse.linalg as spla  # slow to import, and set-up never calls this
         self._system.data[self.system_slots] = values[self.system_source]
         if self._order is None:
+            # not kept: it factors step 1's first sweep, whose extrapolated
+            # start is zero from rest (a Stokes system); as the run's lagged
+            # factor it raised the holed channel's Picard sweeps 207 -> 286
             lu = spla.splu(self._system)
             x, perm_c = lu.solve(rhs), lu.perm_c.copy()
             del lu  # free the factor before the relabelled copy is made
             self._relabel(perm_c)
             return x
         b = rhs[self._order]
-        y = _refined(self._system, *lagged, b) if lagged else None
+        y = _refined(self._system, lagged[0], lagged[1], b) if lagged else None
         if y is None:
             lagged.clear()  # one factor at a time
-            lagged.append(spla.splu(self._system, permc_spec="NATURAL"))
+            lagged.append(self._factor(spla))
             y = lagged[0].solve(b)
         lagged[1:] = [y]
         return y[self._labels]
+
+    def _factor(self, spla):
+        """A fresh factor of the stored system: ``splu``'s in the first
+        solve's order for BDF2, which keeps each solution as solved, and
+        for implicit Euler, whose solutions are refined, the module
+        docstring's symmetric one, or BDF2's if SuperLU finds it singular."""
+        if self._refines:
+            try:
+                return spla.splu(self._system, permc_spec="MMD_AT_PLUS_A",
+                                 diag_pivot_thresh=0.01, options={"SymmetricMode": True})
+            except RuntimeError:  # "Factor is exactly singular"
+                pass
+        return spla.splu(self._system, permc_spec="NATURAL")
 
     def _relabel(self, perm_c):
         """Rename row and column i of the system ``perm_c[i]``: the natural

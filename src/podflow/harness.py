@@ -66,6 +66,7 @@ from .fom import (
     load_snapshots,
     run_fom,
     save_snapshots,
+    snapshot_steps,
 )
 from .mesh import MeshError, build_rect_mesh, save_mesh
 from .metrics import (
@@ -737,15 +738,15 @@ def run_pipeline(config, out_dir, stop_after=None):
     ``rom.csv`` records, and the reduced-size error sweep). ``run_meta.json``
     lists the artifacts, the config, the stages and the source's SHA-256.
     ``stop_after`` ends the run early after ``"fom"`` or ``"pod"``; later
-    result fields stay None. A fresh full-order run needs at least two
-    snapshots. Unless it stops after fom, the run reads the full-order
-    snapshots back from ``out_dir`` while the source and the config they
-    depend on are unchanged (see the module docstring); the mesh, the bases
-    and every later stage are computed, and every artifact is written as a
-    fresh run writes it, except that a resumed run leaves the files of the
-    full-order run it read (``qoi.csv`` and the snapshots) as they are. Any
-    stage failure is re-raised as a :class:`StageError` tagged with the
-    stage name.
+    result fields stay None. A fresh full-order run needs a window of at
+    least two snapshots, checked before its first step. Unless it stops
+    after fom, the run reads the full-order snapshots back from ``out_dir``
+    while the source and the config they depend on are unchanged (see the
+    module docstring); the mesh, the bases and every later stage are
+    computed, and every artifact is written as a fresh run writes it,
+    except that a resumed run leaves the files of the full-order run it
+    read (``qoi.csv`` and the snapshots) as they are. Any stage failure is
+    re-raised as a :class:`StageError` tagged with the stage name.
     """
     if stop_after not in (None, "fom", "pod"):
         raise ConfigError("stage_unknown", f"unknown stage {stop_after!r}")
@@ -765,12 +766,12 @@ def run_pipeline(config, out_dir, stop_after=None):
     vel_basis = pres_basis = ops = rom_run = error_table = None
 
     with _stage("fom"):
+        if saved is None and len(snapshot_steps(config.fom)) < 2:
+            raise ValueError("need at least two snapshots for the reduced run")
         full = _full_order(config, saved)
         problem = full.problem
         save_mesh(problem.mesh, out / "mesh.txt")
         if full.run is not None:
-            if full.vel_snaps.n_snapshots < 2:
-                raise ValueError("need at least two snapshots for the reduced run")
             write_csv(out / "qoi.csv", ("t", "E_kin", "c_D", "c_L", "weak_div"),
                       full.run.qoi)
             save_snapshots(full.vel_snaps, out / "snapshots_velocity.bin")

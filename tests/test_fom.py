@@ -12,7 +12,7 @@ from lps_oracle import assemble_lps_fluctuation, gradient_sample_matrix
 from oracles import saddle_system, separable_swirl, solve_stokes, steady_forcing
 
 import podflow.fom
-from podflow.assembly import StabilizationConfig, convection_matrix
+from podflow.assembly import StabilizationConfig, _ConvectionAction, convection_matrix
 from podflow.container import read_container
 from podflow.fe_space import interpolate
 from podflow.fom import (
@@ -379,7 +379,7 @@ def picard_solves(solves):
     kinds = "".join("c" if isinstance(solve, Chord) else "s" for solve in solves)
     assert re.fullmatch(f"ss(cc+s){{{problem.config.n_steps}}}", kinds), kinds
     assert [solve.specs for solve in solves if isinstance(solve, Solve)] == (
-        [["COLAMD"], ["NATURAL"]] + [[]] * problem.config.n_steps)
+        [["COLAMD"], ["MMD_AT_PLUS_A"]] + [[]] * problem.config.n_steps)
     return problem, solves
 
 
@@ -440,7 +440,51 @@ def test_the_accepted_sweep_solves_the_system_its_last_correction_applied(solves
     assert accepted == problem.config.n_steps
 
 
-def test_a_far_off_factor_falls_back_to_splu_bit_for_bit(factored):
+def test_a_steps_third_and_later_contracting_corrections_act_with_convection_once(
+        monkeypatch, solves):
+    acted, counts = [0], []
+    action, correct = _ConvectionAction.__call__, FOMProblem.correct
+
+    def acting(self, z):
+        acted[0] += 1
+        return action(self, z)
+
+    def correcting(self, *args):
+        before = acted[0]
+        got = correct(self, *args)
+        counts.append(acted[0] - before)
+        return got
+
+    monkeypatch.setattr(_ConvectionAction, "__call__", acting)
+    monkeypatch.setattr(FOMProblem, "correct", correcting)
+    problem, solves = picard_solves(solves)
+    n_free = problem.free_velocity.size
+    contraction = problem.config.nonlinear_tolerance ** (1 / podflow.fom._REFINEMENT_CAP)
+    counts, once, since = iter(counts), 0, 0
+    for last, chord in zip(solves, solves[1:]):
+        if not isinstance(chord, Chord):
+            since = 0  # an assembled sweep, or a step's accepted one solved again
+            continue
+        # the size of the residual the correction starts from, formed as
+        # the correction forms it
+        zero = np.zeros(problem.n_pressure)
+        x = np.concatenate([chord.boundary, zero])
+        x[problem.free_global] = np.concatenate(
+            [chord.w[problem.free_velocity], last.x[n_free:]])
+        r = (np.concatenate([chord.rhs, zero]) - problem._static_saddle @ x
+             - np.concatenate([chord.action(x[:problem.n_velocity]), zero]))
+        size = np.abs(r[problem.free_global]).max()
+        since += 1
+        # the first two after a start form the residual after the solve
+        # too; a later one only when its start did not contract
+        contracted = since > 2 and size <= contraction * previous
+        assert next(counts) == (1 if contracted else 2), since
+        once += contracted
+        previous = size
+    assert once > 0
+
+
+def test_a_far_off_factor_falls_back_to_a_fresh_factor(factored):
     problem, run = euler_cavity()
     layout = problem._saddle
     w = run.snapshots[0].fields[:, -1]
@@ -452,18 +496,44 @@ def test_a_far_off_factor_falls_back_to_splu_bit_for_bit(factored):
     del factored[:]
     got = layout.solve(near, rhs, lagged)
     # refinement with the far factor from the far solution misses the
-    # bound, so the system is factored afresh, and the holder keeps that
-    # factor and its solution in the relabelled order
-    assert factored == ["NATURAL"]
+    # bound, so the system is factored afresh in implicit Euler's symmetric
+    # order, and the holder keeps that factor and its solution in the
+    # relabelled order
+    assert factored == ["MMD_AT_PLUS_A"]
     assert len(lagged) == 2 and lagged[0] is not far_factor
-    want = spla.splu(saddle_system(problem, near)).solve(rhs)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    a = saddle_system(problem, near)
+    want = np.linalg.solve(a.toarray(), rhs)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(rhs - a @ got).max() <= backward_error_bound(a, got, rhs)
     assert np.array_equal(lagged[1], got[layout._order])
     # the next sweep refines against the new factor from that solution
     del factored[:]
     again = layout.solve(convected(problem, 0.99 * w), rhs, lagged)
     assert factored == []
     assert np.array_equal(lagged[1], again[layout._order])
+
+
+def test_a_factor_singular_in_the_symmetric_order_is_made_in_the_first_solves(factored):
+    # two cells: two free velocity DOFs against three free pressures, a
+    # singular system that SuperLU finds exactly singular only in the
+    # symmetric order
+    cfg = FOMConfig(scheme="graddiv", nu=5e-3, dt=1e-2, t_final=0.03,
+                    time_integrator="implicit_euler",
+                    stabilization=StabilizationConfig(grad_div=0.3))
+    mesh = build_rect_mesh(1.0, 1.0, 1, 1)
+    run = run_fom(FOMProblem(mesh, cfg, enclosed_case(slow_swirl)))
+    assert run.times.size == cfg.n_steps
+    assert np.all(np.isfinite(run.final_state.u)) and np.all(np.isfinite(run.final_state.p))
+    # each symmetric factor falls back to one in the first solve's order
+    fallbacks = (len(factored) - 1) // 2
+    assert fallbacks > 0
+    assert factored == ["COLAMD"] + ["MMD_AT_PLUS_A", "NATURAL"] * fallbacks
+    # and the run is bit for bit one whose every factor takes that order
+    problem = FOMProblem(mesh, cfg, enclosed_case(slow_swirl))
+    problem._saddle._refines = False
+    want = run_fom(problem).final_state
+    assert np.array_equal(run.final_state.u.view(np.int64), want.u.view(np.int64))
+    assert np.array_equal(run.final_state.p.view(np.int64), want.p.view(np.int64))
 
 
 def test_a_far_off_factor_in_the_holder_makes_a_step_factor_afresh_once(factored):
@@ -481,7 +551,7 @@ def test_a_far_off_factor_in_the_holder_makes_a_step_factor_afresh_once(factored
     # the first sweep's correction contracts too little, so it factors
     # afresh, and the later sweeps correct against that factor: the step
     # is bit for bit the one with the empty holder
-    assert factored == ["NATURAL"]
+    assert factored == ["MMD_AT_PLUS_A"]
     assert np.array_equal(got.u, want.u)
     assert np.array_equal(got.p, want.p)
 
@@ -507,7 +577,7 @@ def test_a_far_off_start_passes_one_poor_correction_and_renews_the_factor_a_swee
     # the rule measures a correction from its own start: the first passes,
     # the second misses and factors, and the step factors no more
     assert passed[:2] == [True, False] and all(passed[2:])
-    assert factored == ["NATURAL"]
+    assert factored == ["MMD_AT_PLUS_A"]
     diff = got.u - want.u
     mass = problem.mass
     assert np.sqrt(diff @ (mass @ diff)) <= (problem.config.nonlinear_tolerance
@@ -564,7 +634,7 @@ def live_factors():
 def test_no_factor_outlives_the_run(factored):
     before = live_factors()
     euler_cavity()
-    assert factored == ["COLAMD", "NATURAL"]
+    assert factored == ["COLAMD", "MMD_AT_PLUS_A"]
     assert live_factors() == before
     # the third sweep corrects, then the error keeps run_fom's frame alive
     del factored[:]
@@ -572,7 +642,7 @@ def test_no_factor_outlives_the_run(factored):
     with pytest.raises(NonlinearSolveError) as info:
         run_fom(problem)
     assert len(info.value.residual_history) == 3
-    assert factored == ["COLAMD", "NATURAL"]
+    assert factored == ["COLAMD", "MMD_AT_PLUS_A"]
     assert live_factors() == before
 
 
@@ -612,10 +682,10 @@ def test_an_exact_zero_stays_a_stored_zero_of_the_one_pattern(factored):
     nnz = layout._system.nnz
     del factored[:]
     x = layout.solve(values, rhs, [])
-    # the ordering of the run's first solve serves: one NATURAL factor of
-    # the same pattern, the zero kept in it
+    # the pattern of the run's first solve serves: one factor of it in
+    # implicit Euler's symmetric order, the zero kept in it
     assert layout._system.nnz == nnz
-    assert factored == ["NATURAL"]
+    assert factored == ["MMD_AT_PLUS_A"]
     a = saddle_system(problem, values)
     want = np.linalg.solve(a.toarray(), rhs)
     assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()

@@ -623,12 +623,16 @@ def test_centred_snapshots_are_saved_as_the_full_order_run_computed_them(tmp_pat
 
 @pytest.mark.parametrize("window, stride", [([0.02, 0.06], 5), ([0.015, 0.018], 1)],
                          ids=["one-step", "no-step"])
-def test_a_window_that_records_fewer_than_two_snapshots_is_rejected(tmp_path, window, stride):
+def test_a_window_that_records_fewer_than_two_snapshots_is_rejected(
+        tmp_path, count_calls, window, stride):
     raw = base_raw()
     raw["fom"].update(snapshot_window=window, snapshot_stride=stride)
+    count_calls(podflow.harness, "run_fom", "run_fom")
     with pytest.raises(StageError, match="need at least two snapshots") as err:
         run_small_pipeline(tmp_path, raw)
     assert err.value.stage == "fom"
+    # rejected before any full-order step
+    assert count_calls.calls["run_fom"] == 0
     assert not (tmp_path / "snapshots_velocity.bin").exists()
     assert not (tmp_path / "run_meta.json").exists()
 
